@@ -2,20 +2,20 @@
 
 Two measurements behind the execute-stage crypto tentpole:
 
-* **seal/open MB/s** — scalar per-slot ``seal``/``open`` (the audited
-  HMAC oracle) vs the two batch paths over a store-shaped workload
-  (N uniform slots) at ``value_size`` in {16, 256, 1024}:
-
-  - the batched HMAC pass (:meth:`~repro.crypto.aead.AeadKey.
-    seal_batch_buffer`) — one nonce per slot, vectorized HMAC;
-  - the counter-mode kernel (:class:`~repro.crypto.vector.VectorAead`)
-    — one nonce-derived keystream for the whole batch, whole-buffer
-    XOR, vectorized polynomial MAC, O(1) Python calls per epoch.
+* **seal/open MB/s** — the store's two crypto modes over a
+  store-shaped workload (N uniform slots) at ``value_size`` in
+  {16, 256, 1024}: ``crypto="scalar"``, per-slot ``seal``/``open`` of
+  the audited HMAC oracle, vs ``crypto="vector"``, the counter-mode
+  cipher (:class:`~repro.crypto.vector.VectorAead`) — one nonce-derived
+  keystream for the whole batch, whole-buffer XOR, vectorized
+  polynomial MAC, O(1) Python calls per epoch.
 
   The write-back scan re-encrypts every slot every epoch, so these
-  MB/s *are* the epoch crypto floor.  The headline ``seal_speedup`` /
-  ``open_speedup`` compare the vector kernel against the scalar
-  oracle; the HMAC batch path is reported as ``*_hmac`` secondaries.
+  MB/s *are* the epoch crypto floor.  ``seal_speedup`` /
+  ``open_speedup`` compare vector against scalar.  Every row names its
+  ``(kernel, crypto, backend)`` and its baseline's; ``None`` marks an
+  axis the measurement does not exercise (the ciphers are called
+  directly — no oblivious kernel, no execution backend).
 
 * **state ship time** — moving a populated
   :class:`~repro.suboram.store.EncryptedStore` across a *real*
@@ -31,8 +31,8 @@ Two measurements behind the execute-stage crypto tentpole:
 Results land in ``BENCH_aead.json``; set ``SNOOPY_BENCH_SMOKE=1`` for
 CI's reduced sizes.  The run fails if the vector kernel clears less
 than ``VECTOR_GATE``x over the scalar oracle at any size (the CI
-regression gate), if the HMAC batch path loses to the oracle, or if
-shm shipping loses to plain pickling at any benched size.
+regression gate) or if shm shipping loses to plain pickling at any
+benched size.
 """
 
 import json
@@ -79,6 +79,11 @@ def _timed(fn, repeats=REPEATS):
     return best
 
 
+def _axes(crypto):
+    """A row's ``(kernel, crypto, backend)``: only crypto is exercised."""
+    return {"kernel": None, "crypto": crypto, "backend": None}
+
+
 def _fixtures(value_size, count):
     # Store-shaped slots: 16-byte key prefix + value, slot-index AAD.
     plain_size = 16 + value_size
@@ -98,23 +103,17 @@ def _crypto_row(value_size):
     plain_size, nonces, plaintexts, aads = _fixtures(value_size, count)
     volume_mb = count * plain_size / 1e6
 
-    sealed = KEY.seal_batch(nonces, plaintexts, aads)
+    sealed = [
+        KEY.seal(n, pt, aad) for n, pt, aad in zip(nonces, plaintexts, aads)
+    ]
     plain_buf = b"".join(plaintexts)
-    sealed_buf = b"".join(sealed)
-    slot_size = plain_size + 32
 
     scalar_seal = _timed(lambda: [
         KEY.seal(n, pt, aad) for n, pt, aad in zip(nonces, plaintexts, aads)
     ])
-    hmac_seal = _timed(
-        lambda: KEY.seal_batch_buffer(nonces, (plain_buf, plain_size), aads)
-    )
     scalar_open = _timed(lambda: [
         KEY.open(n, blob, aad) for n, blob, aad in zip(nonces, sealed, aads)
     ])
-    hmac_open = _timed(
-        lambda: KEY.open_batch_buffer(nonces, (sealed_buf, slot_size), aads)
-    )
 
     # The counter-mode kernel: one batch nonce, epoch-reused scratch.
     batch_nonce = (11 * count + 5).to_bytes(NONCE_LEN, "big")
@@ -132,14 +131,12 @@ def _crypto_row(value_size):
                                scratch=scratch)
     )
     return {
+        "config": _axes("vector"),
+        "baseline": _axes("scalar"),
         "slots": count,
         "plain_size": plain_size,
         "scalar_seal_mbps": volume_mb / scalar_seal,
         "scalar_open_mbps": volume_mb / scalar_open,
-        "hmac_seal_mbps": volume_mb / hmac_seal,
-        "hmac_open_mbps": volume_mb / hmac_open,
-        "seal_speedup_hmac": scalar_seal / max(hmac_seal, 1e-9),
-        "open_speedup_hmac": scalar_open / max(hmac_open, 1e-9),
         "vector_seal_mbps": volume_mb / vector_seal,
         "vector_open_mbps": volume_mb / vector_open,
         "seal_speedup": scalar_seal / max(vector_seal, 1e-9),
@@ -200,6 +197,8 @@ def _ship_row(num_slots):
         conn_a.close()
         conn_b.close()
     return {
+        "config": _axes(store.crypto),
+        "baseline": _axes(store.crypto),
         "slots": num_slots,
         "state_bytes": state_bytes,
         "pickle_roundtrip_s": pickle_s,
@@ -210,23 +209,21 @@ def _ship_row(num_slots):
     }
 
 
-def test_batched_aead_throughput():
-    """Scalar vs batch AEAD MB/s, plus shm vs pipe state shipping."""
+def test_vector_aead_throughput():
+    """Scalar vs vector AEAD MB/s, plus shm vs pipe state shipping."""
     results = {size: _crypto_row(size) for size in VALUE_SIZES}
     ship_rows = [_ship_row(n) for n in SHIP_SLOT_COUNTS]
 
     lines = [
-        "value  scalar-seal  hmac-seal  vector-seal  speedup | "
-        "scalar-open  hmac-open  vector-open  speedup"
+        "value  scalar-seal  vector-seal  speedup | "
+        "scalar-open  vector-open  speedup"
     ]
     for size, row in results.items():
         lines.append(
             f"{size:<6} {row['scalar_seal_mbps']:>8.1f}MB/s "
-            f"{row['hmac_seal_mbps']:>8.1f}MB/s "
             f"{row['vector_seal_mbps']:>8.1f}MB/s "
             f"{row['seal_speedup']:>6.1f}x | "
             f"{row['scalar_open_mbps']:>8.1f}MB/s "
-            f"{row['hmac_open_mbps']:>8.1f}MB/s "
             f"{row['vector_open_mbps']:>8.1f}MB/s "
             f"{row['open_speedup']:>6.1f}x"
         )
@@ -246,7 +243,7 @@ def test_batched_aead_throughput():
     out = pathlib.Path(__file__).resolve().parent.parent / "BENCH_aead.json"
     out.write_text(json.dumps(
         {
-            "benchmark": "batched_aead_throughput",
+            "benchmark": "vector_aead_throughput",
             "smoke": SMOKE,
             "vector_gate": VECTOR_GATE,
             "results": {str(s): row for s, row in results.items()},
@@ -260,9 +257,6 @@ def test_batched_aead_throughput():
         # margin over the scalar oracle at every size.
         assert row["seal_speedup"] >= VECTOR_GATE, (size, row)
         assert row["open_speedup"] >= VECTOR_GATE, (size, row)
-        # And the HMAC batch path must never lose to the oracle.
-        assert row["seal_speedup_hmac"] >= 1.0, (size, row)
-        assert row["open_speedup_hmac"] >= 1.0, (size, row)
     for ship in ship_rows:
         if ship["ship_speedup"] is not None:
             assert ship["ship_speedup"] >= 1.0, ship

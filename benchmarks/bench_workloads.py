@@ -7,17 +7,20 @@ Three phases, all seeded and all feeding ``BENCH_workloads.json``:
 * **tuner** — the replay-driven tuner on two adversarial traces (a
   Zipf hot-key stream and a flash-crowd spike), reporting the chosen
   config, its modelled and measured rps, the measured speedup over the
-  library default, and a reproduction check of the emitted config;
+  tuner's pinned reference config (named in each row as
+  ``default_config``), and a reproduction check of the emitted config
+  at :data:`BENCH_TOLERANCE`;
 * **scenarios** — the paper's §3.2 applications (key transparency,
   private contact discovery) run end to end as workloads.  The full run
   uses production scale — ≥1M stored objects each (2^19 users ⇒ ~1.57M
   tree objects; 2^20 directory buckets) — driven by Zipf-hot request
   streams; ``SNOOPY_BENCH_SMOKE=1`` shrinks both for CI.
 
-The tuner rows double as the acceptance check for ``python -m repro
-tune``: replaying the emitted best config must reproduce the reported
-throughput (digest-identical responses; rps within the recorded
-relative error).
+The tuner rows re-replay the emitted best config and require
+digest-identical responses and rps within :data:`BENCH_TOLERANCE`
+(recorded in each row) — a loose sanity bound for short traces on
+shared machines, *not* the 10% reproduction bar, which is
+``python -m repro tune --verify``'s alone.
 """
 
 import json
@@ -52,6 +55,9 @@ TRACE_RATE = 400.0 if SMOKE else 1_200.0
 # warmup (kernel import, pool spinup) that would otherwise dominate the
 # reproduction check.
 TUNE_REPEATS = 2
+# Relative rps error this bench's re-replay is verified at (see the
+# module docstring; `tune --verify` uses the tuner's 10% default).
+BENCH_TOLERANCE = 0.5
 
 # §3.2 application scale: the full run crosses the paper's 1M-object
 # mark in both apps; smoke shrinks ~100x for CI wall-clock.
@@ -104,7 +110,7 @@ def _tuner_phase(name, trace):
     result = tune(trace, sweep=SWEEP, measure=True, repeats=TUNE_REPEATS)
     tune_s = time.perf_counter() - started
     verdict = verify_reproduction(
-        trace, result, repeats=TUNE_REPEATS, tolerance=0.5,
+        trace, result, repeats=TUNE_REPEATS, tolerance=BENCH_TOLERANCE,
     )
     measured = result.measured
     return {
@@ -115,8 +121,10 @@ def _tuner_phase(name, trace):
         "tune_s": tune_s,
         "candidates": len(result.scores),
         "measured_rps": measured["best_rps"],
+        "default_config": measured["default_config"],
         "default_rps": measured["default_rps"],
         "speedup_over_default": measured["speedup_over_default"],
+        "tolerance": BENCH_TOLERANCE,
         "reproduction": verdict,
     }
 

@@ -15,7 +15,7 @@ from repro import Planner
 from repro.sim.cluster import throughput_scaling_series
 from repro.sim.costmodel import obladi_throughput, oblix_throughput
 from repro.sim.events import EpochSimConfig, EpochSimulator
-from repro.sim.workload import poisson_arrivals
+from repro.workloads import poisson_arrivals
 
 
 def main() -> None:

@@ -20,7 +20,7 @@ Quickstart::
     from repro import Snoopy, SnoopyConfig, Request, OpType
 
     store = Snoopy(SnoopyConfig(num_load_balancers=2, num_suborams=3,
-                                value_size=16, execution_backend="thread"))
+                                value_size=16))
     store.initialize({key: bytes(16) for key in range(1000)})
     ticket = store.submit(Request(OpType.WRITE, 42, b"hello snoopy 42!"))
     store.run_epoch()

@@ -1,10 +1,35 @@
-"""Deployment configuration for a Snoopy cluster."""
+"""Deployment configuration for a Snoopy cluster.
+
+Three fields pick an *implementation* rather than a size: ``kernel``,
+``crypto`` and ``execution_backend``.  Each axis has exactly two kinds
+of value — the served path, which is the default, and a small reference
+oracle that exists to pin it — and exactly one definition, owned by the
+package that implements the axis and surfaced here:
+
+* ``kernel`` — default ``"numpy"``, oracle ``"python"``:
+  :data:`repro.oblivious.kernels.DEFAULT_KERNEL`;
+* ``crypto`` — default ``"vector"``, oracle ``"scalar"``:
+  :data:`repro.suboram.store.DEFAULT_CRYPTO`;
+* ``execution_backend`` — default ``"thread"``, oracle ``"serial"``:
+  :data:`repro.exec.DEFAULT_BACKEND`.
+
+:class:`SnoopyConfig` takes its defaults from those names, and every
+constructor that accepts one of the selectors (``SubOram``,
+``ReplicatedSubOram``, ``LoadBalancer``, ``WorkerCluster``,
+``make_backend``, the CLI) resolves an omitted value — ``None``, which
+:class:`SnoopyConfig` accepts too — through the same name, so a
+component built without a config serves the same path as one built with
+``SnoopyConfig()``.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
+from repro.exec import DEFAULT_BACKEND, parse_spec
+from repro.oblivious.kernels import DEFAULT_KERNEL, validate_kernel_name
+from repro.suboram.store import DEFAULT_CRYPTO, resolve_crypto
 from repro.utils.validation import require, require_positive
 
 
@@ -32,25 +57,27 @@ class SnoopyConfig:
             information: cadence and depth are scheduling facts the
             attacker already observes.
         execution_backend: how epoch stages execute — an
-            :mod:`repro.exec` spec string (``"serial"``, ``"thread"``,
-            ``"thread:8"``, ``"process"``, ...).  Public information: the
-            attacker already sees the degree of physical parallelism.
+            :mod:`repro.exec` spec string (``"thread"`` — the default —
+            ``"thread:8"``, ``"process"``, or ``"serial"``, the inline
+            reference).  Public information: the attacker already sees
+            the degree of physical parallelism.
         max_workers: pool size for parallel backends (None = backend
             default; a ``:N`` spec suffix takes precedence).
-        kernel: oblivious-kernel selector, ``"python"`` (the scalar
-            reference oracle) or ``"numpy"`` (the vectorized
-            structure-of-arrays fast path).  Public information: the
-            kernel only changes how each fixed schedule level executes,
-            never which addresses it touches (see
+        kernel: oblivious-kernel selector, ``"numpy"`` (default: the
+            vectorized structure-of-arrays path; falls back to python
+            with a warning when NumPy is missing) or ``"python"`` (the
+            scalar reference oracle).  Public information: the kernel
+            only changes how each fixed schedule level executes, never
+            which addresses it touches (see
             :mod:`repro.oblivious.kernels`).
-        crypto: store-crypto selector, ``"scalar"`` (one AEAD call per
-            slot — the audited oracle) or ``"batched"`` (default: whole
-            -store seal/open in one vectorized pass per epoch, byte
-            -identical responses).  Public information: batching changes
-            only how many Python calls move the same uniform-size
-            ciphertexts; nonce uniqueness per slot and ciphertext
-            lengths are unchanged (SECURITY.md "Batched crypto is
-            public information").
+        crypto: store-crypto selector, ``"vector"`` (default: whole
+            -store seal/open in one counter-mode pass per epoch) or
+            ``"scalar"`` (one HMAC-AEAD call per slot — the audited
+            oracle; byte-identical responses).  Public information: the
+            mode changes only how many Python calls move the same
+            uniform-size ciphertexts; nonces stay enclave-pinned and
+            ciphertext lengths are unchanged (SECURITY.md "The vector
+            crypto kernel").
         task_timeout: per-task timeout in seconds for pooled backends
             (None = unbounded).  An overrun raises
             :class:`~repro.errors.TaskTimeoutError`, a retryable fault.
@@ -85,10 +112,10 @@ ReplicatedSubOram` group of ``f + r + 1`` replicas.  ``None`` (default)
     security_parameter: int = 128
     epoch_duration: float = 0.2
     pipeline_depth: int = 2
-    execution_backend: str = "serial"
+    execution_backend: str = DEFAULT_BACKEND
     max_workers: Optional[int] = None
-    kernel: str = "python"
-    crypto: str = "batched"
+    kernel: str = DEFAULT_KERNEL
+    crypto: str = DEFAULT_CRYPTO
     task_timeout: Optional[float] = None
     epoch_max_attempts: int = 1
     epoch_backoff_base: float = 0.0
@@ -101,6 +128,13 @@ ReplicatedSubOram` group of ``f + r + 1`` replicas.  ``None`` (default)
     )
 
     def __post_init__(self) -> None:
+        # ``None`` for a selector means "the axis default", so a caller
+        # forwarding an optional flag or keyword carries no literal.
+        for axis in ("execution_backend", "kernel", "crypto"):
+            if getattr(self, axis) is None:
+                object.__setattr__(
+                    self, axis, self.__dataclass_fields__[axis].default
+                )
         require_positive(self.num_load_balancers, "num_load_balancers")
         require_positive(self.num_suborams, "num_suborams")
         require_positive(self.value_size, "value_size")
@@ -147,24 +181,11 @@ ReplicatedSubOram` group of ``f + r + 1`` replicas.  ``None`` (default)
                 "replication (0, 0) is a single unreplicated copy; "
                 "use replication=None instead",
             )
-        # Validate the spec eagerly so a typo fails at configuration time,
-        # not at the first epoch.  Imported here to keep repro.exec (which
-        # needs repro.errors only) free of import cycles with core.
-        from repro.exec import parse_spec
-
+        # Validate the selectors eagerly so a typo fails at configuration
+        # time, not at the first epoch.
         parse_spec(self.execution_backend)
-
-        from repro.oblivious.kernels import validate_kernel_name
-
         validate_kernel_name(self.kernel)
-
-        from repro.suboram.suboram import SubOram
-
-        require(
-            self.crypto in SubOram.CRYPTO_MODES,
-            f"unknown crypto mode {self.crypto!r}; valid modes: "
-            f"{list(SubOram.CRYPTO_MODES)}",
-        )
+        resolve_crypto(self.crypto)
 
     @property
     def num_machines(self) -> int:

@@ -13,40 +13,29 @@ Python calls, ``DistributedSnoopy`` reproduces the deployment story of
   (:mod:`repro.core.wire`) and sent through an AEAD
   :class:`~repro.crypto.aead.SecureChannel` with replay protection.
 
-Functionally equivalent to the in-process deployment — identical
-results for identical requests — but a tampering or replaying network
-raises :class:`~repro.errors.IntegrityError` /
+It *is* a :class:`~repro.core.snoopy.Snoopy` — same construction, same
+epoch body, same front door — whose stage-➋ delivery crosses the sealed
+channels instead of a Python call.  Identical results for identical
+requests, but a tampering or replaying network raises
+:class:`~repro.errors.IntegrityError` /
 :class:`~repro.errors.ReplayError`, which the integration tests inject.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.core.config import SnoopyConfig
-from repro.core.epoch import EpochDriver
-from repro.core.faults import FaultInjector, FaultPlan
-from repro.core.resilience import EpochRetryController, RetryPolicy
-from repro.core.tickets import Ticket, TicketBook
+from repro.core.faults import FaultPlan
+from repro.core.snoopy import Snoopy
 from repro.core.wire import decode_batch, encode_batch
 from repro.crypto.aead import SecureChannelPair
 from repro.crypto.keys import KeyChain
 from repro.enclave.attestation import AttestationService
-from repro.errors import NotInitializedError, TransportError
-from repro.exec import BackendSpec, ExecutionBackend, make_backend
-from repro.loadbalancer.initialization import oblivious_shard
 from repro.enclave.model import Enclave
-from repro.enclave.sealed import MonotonicCounter
-from repro.loadbalancer.balancer import LoadBalancer
-from repro.suboram.suboram import SubOram
-from repro.telemetry import resolve_telemetry
-from repro.types import Request, Response
-from repro.utils.validation import require
-
-#: Monotonic id source for per-deployment state-cache namespaces.
-_DEPLOYMENT_COUNTER = itertools.count()
+from repro.errors import ConfigurationError, TransportError
+from repro.exec import BackendSpec
 
 
 class _ChannelPair:
@@ -63,7 +52,7 @@ class _ChannelPair:
         self.so = SecureChannelPair(key, name, initiator=False)
 
 
-class DistributedSnoopy:
+class DistributedSnoopy(Snoopy):
     """Snoopy with per-component enclaves and encrypted transport."""
 
     def __init__(self, config: SnoopyConfig, keychain: Optional[KeyChain] = None,
@@ -88,36 +77,12 @@ class DistributedSnoopy:
                 scheduled ``transport_error`` events into the sealed
                 LB <-> subORAM hop.
             telemetry: optional :class:`~repro.telemetry.Telemetry`
-                handle; overrides ``config.telemetry`` (same wiring as
-                :class:`~repro.core.snoopy.Snoopy`).
+                handle; overrides ``config.telemetry``.
         """
-        self.config = config
-        self.keychain = keychain if keychain is not None else KeyChain()
-        self._rng = rng if rng is not None else random.Random()
-        self.counter = MonotonicCounter()
-        self.telemetry = resolve_telemetry(
-            telemetry if telemetry is not None else config.telemetry
+        super().__init__(
+            config, keychain, rng, backend=backend, fault_plan=fault_plan,
+            telemetry=telemetry,
         )
-        self._owns_backend = not isinstance(backend, ExecutionBackend)
-        self.backend = make_backend(
-            backend if backend is not None else config.execution_backend,
-            config.max_workers,
-            task_timeout=config.task_timeout,
-        )
-        if self.telemetry.enabled:
-            self.backend.attach_telemetry(self.telemetry)
-        self._state_ns = f"distributed-{next(_DEPLOYMENT_COUNTER)}"
-        self._injector = (
-            FaultInjector(fault_plan, telemetry=self.telemetry)
-            if fault_plan is not None
-            else None
-        )
-        self._retry = EpochRetryController(
-            RetryPolicy.from_config(config),
-            injector=self._injector,
-            telemetry=self.telemetry,
-        )
-
         # Provision the attestation service with the release measurements.
         self.attestation = AttestationService()
         self.balancer_enclaves = [
@@ -129,40 +94,6 @@ class DistributedSnoopy:
         for enclave in self.balancer_enclaves + self.suboram_enclaves:
             self.attestation.trust(enclave.measurement)
 
-        sharding_key = self.keychain.sharding_key()
-        self.load_balancers = [
-            LoadBalancer(i, config.num_suborams, sharding_key,
-                         config.security_parameter, kernel=config.kernel)
-            for i in range(config.num_load_balancers)
-        ]
-        if config.replication is not None:
-            # Lazy import: repro.extensions pulls in the simulator, which
-            # imports the core deployments — circular at module level.
-            from repro.extensions.replication import ReplicatedSubOram
-
-            crash_tolerance, rollback_tolerance = config.replication
-            self.suborams = [
-                ReplicatedSubOram(
-                    s, config.value_size,
-                    crash_tolerance=crash_tolerance,
-                    rollback_tolerance=rollback_tolerance,
-                    keychain=self.keychain,
-                    security_parameter=config.security_parameter,
-                    kernel=config.kernel,
-                )
-                for s in range(config.num_suborams)
-            ]
-        else:
-            self.suborams = [
-                SubOram(s, config.value_size, self.keychain,
-                        config.security_parameter, kernel=config.kernel)
-                for s in range(config.num_suborams)
-            ]
-        if self.telemetry.enabled:
-            from repro.core.snoopy import attach_telemetry_to_suborams
-
-            attach_telemetry_to_suborams(self.suborams, self.telemetry)
-
         # Attested channel establishment: each pair verifies the peer's
         # quote before deriving the channel key.
         self._channels: Dict[tuple, _ChannelPair] = {}
@@ -172,43 +103,20 @@ class DistributedSnoopy:
                 self._verify_peer(so_enclave)
                 key = self.keychain.channel_key(lb_enclave.name, so_enclave.name)
                 self._channels[(i, s)] = _ChannelPair(key, f"lb{i}-so{s}")
-        self._tickets = TicketBook(config.num_load_balancers)
-        self._initialized = False
 
     def _verify_peer(self, enclave: Enclave) -> None:
         quote = self.attestation.quote(enclave, b"\x00" * 32)
         self.attestation.verify(quote)  # raises AttestationError if rogue
 
-    # ------------------------------------------------------------------
-    # Data plane
-    # ------------------------------------------------------------------
-    def initialize(self, objects: Dict[int, bytes]) -> None:
-        """Obliviously shard objects across the subORAM enclaves."""
-        require(all(key >= 0 for key in objects), "object keys must be >= 0")
-        partitions = oblivious_shard(
-            objects, self.config.num_suborams, self.keychain.sharding_key()
+    def start_pipeline(self, *args, **kwargs):
+        """Unavailable: the pipelined scheduler has no transport seam."""
+        raise ConfigurationError(
+            "DistributedSnoopy runs epochs through run_epoch only; the "
+            "pipelined scheduler does not cross the sealed channels"
         )
-        for suboram, partition in zip(self.suborams, partitions):
-            suboram.initialize(partition)
-        self._initialized = True
-
-    def submit(
-        self, request: Request, load_balancer: Optional[int] = None
-    ) -> Ticket:
-        """Queue a request with a (randomly) chosen load balancer.
-
-        Returns a :class:`~repro.core.tickets.Ticket` that resolves when
-        ``run_epoch`` closes the epoch (same front-door contract as
-        :meth:`repro.core.snoopy.Snoopy.submit`).
-        """
-        if load_balancer is None:
-            load_balancer = self._rng.randrange(self.config.num_load_balancers)
-        self.telemetry.counter("snoopy_requests_total").inc()
-        arrival = self.load_balancers[load_balancer].submit(request)
-        return self._tickets.issue(load_balancer, arrival, request)
 
     def _transport(self, balancer_index: int, suboram_index: int,
-                   suboram: SubOram, batch) -> list:
+                   suboram, batch) -> list:
         """Stage-➋ delivery: seal, cross the hostile network, execute, seal back."""
         if (
             self._injector is not None
@@ -236,108 +144,8 @@ class DistributedSnoopy:
         r_nonce, r_sealed = pair.so.tx.send(encode_batch(results))
         return decode_batch(pair.lb.rx.receive(r_nonce, r_sealed))
 
-    def run_epoch(self) -> List[Response]:
-        """One epoch over the encrypted transport.
-
-        Failed attempts are atomic and retried per the config's
-        ``epoch_max_attempts`` / backoff policy, exactly as in
-        :meth:`repro.core.snoopy.Snoopy.run_epoch`.
-
-        Raises:
-            NotInitializedError: ``initialize`` has not been called.
-        """
-        if not self._initialized:
-            raise NotInitializedError(
-                "DistributedSnoopy.initialize must be called first"
-            )
-        self.counter.increment()
-        self._retry.begin_epoch(self.counter.value, self.suborams)
-
-        driver = EpochDriver(self.backend, telemetry=self.telemetry)
-
-        def attempt():
-            return driver.run(
-                self.load_balancers,
-                self.suborams,
-                transport=self._transport,
-                state_ns=self._state_ns,
-                injector=self._injector,
-                atomic=self._retry.armed,
-            )
-
-        with self.telemetry.span("epoch", epoch=self.counter.value), \
-                self.telemetry.time("snoopy_epoch_seconds"):
-            result = self._retry.run_with_retry(attempt)
-            # Armed (atomic) epochs execute on deep copies; install them
-            # so the served state is the state we keep.
-            self.suborams = result.suborams
-            if self.telemetry.enabled:
-                from repro.core.snoopy import attach_telemetry_to_suborams
-
-                attach_telemetry_to_suborams(self.suborams, self.telemetry)
-            self._retry.end_epoch(self.suborams)
-            with self.telemetry.span("stage", stage="respond"), \
-                    self.telemetry.time(
-                        "snoopy_epoch_stage_seconds", stage="respond"
-                    ):
-                for balancer_index, responses in enumerate(
-                    result.responses_per_balancer
-                ):
-                    self._tickets.resolve(
-                        balancer_index, responses, epoch=self.counter.value
-                    )
-        self.telemetry.counter("snoopy_epochs_total").inc()
-        self.telemetry.counter("snoopy_responses_total").inc(
-            len(result.responses)
-        )
-        return result.responses
-
-    @property
-    def fault_stats(self) -> Dict[str, int]:
-        """Fault-tolerance counters (public information); see
-        :attr:`repro.core.snoopy.Snoopy.fault_stats`."""
-        return self._retry.fault_stats
-
-    def close(self) -> None:
-        """Release the execution backend's workers (no-op for serial)."""
-        if self._owns_backend:
-            self.backend.close()
-
-    def __enter__(self) -> "DistributedSnoopy":
-        """Context-manager entry: returns self."""
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        """Context-manager exit: closes the execution backend."""
-        self.close()
-
     # Overridable by tests to simulate an in-network attacker.
     def network_hook(self, balancer: int, suboram: int, nonce: bytes,
                      sealed: bytes) -> tuple:
         """Test hook: intercept (and possibly tamper with) a sealed message in flight."""
         return nonce, sealed
-
-    # ------------------------------------------------------------------
-    # Conveniences matching Snoopy's API
-    # ------------------------------------------------------------------
-    def read(self, key: int) -> Optional[bytes]:
-        """Read one object in its own epoch."""
-        from repro.types import OpType
-
-        self.submit(Request(OpType.READ, key))
-        [response] = self.run_epoch()
-        return response.value
-
-    def write(self, key: int, value: bytes) -> Optional[bytes]:
-        """Write one object in its own epoch; returns the prior value."""
-        from repro.types import OpType
-
-        self.submit(Request(OpType.WRITE, key, value))
-        [response] = self.run_epoch()
-        return response.value
-
-    def batch(self, requests) -> List[Response]:
-        """Submit requests and run one epoch over the encrypted transport."""
-        for request in requests:
-            self.submit(request)
-        return self.run_epoch()

@@ -62,7 +62,7 @@ from repro.errors import (
     TaskTimeoutError,
     WorkerCrashError,
 )
-from repro.exec.backend import ExecutionBackend
+from repro.exec.backend import ExecutionBackend, interpreter_turn
 from repro.loadbalancer.batching import generate_batches
 from repro.loadbalancer.matching import match_responses
 from repro.telemetry import resolve_telemetry
@@ -116,15 +116,16 @@ def _build_stage(task):
         kernel,
         telemetry,
     ) = task
-    return generate_batches(
-        requests,
-        num_suborams,
-        sharding_key,
-        security_parameter,
-        permissions=permissions,
-        kernel=kernel,
-        telemetry=telemetry,
-    )
+    with interpreter_turn():
+        return generate_batches(
+            requests,
+            num_suborams,
+            sharding_key,
+            security_parameter,
+            permissions=permissions,
+            kernel=kernel,
+            telemetry=telemetry,
+        )
 
 
 def _raise_injected(fault: Optional[str], unit: int) -> None:
@@ -193,9 +194,10 @@ def _suboram_state_token(suboram):
 def _match_stage(task):
     """Stage ➌ unit: one balancer's oblivious response matching."""
     originals, responses, kernel, telemetry = task
-    return match_responses(
-        originals, responses, kernel=kernel, telemetry=telemetry
-    )
+    with interpreter_turn():
+        return match_responses(
+            originals, responses, kernel=kernel, telemetry=telemetry
+        )
 
 
 class EpochDriver:

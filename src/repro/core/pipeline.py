@@ -13,9 +13,11 @@ and TaoStore for its asynchronous proxy scheduling):
   current batch on the load balancers (``submit`` stays fully
   non-blocking: tickets are resolved by the pipeline's match thread);
 * three **stage threads** — builder, executor, matcher — each drive one
-  :class:`~repro.core.epoch.EpochDriver` stage over the deployment's
-  execution backend, so the build of epoch ``e+1`` runs concurrently
-  with the execute of ``e`` and the match of ``e-1``;
+  :class:`~repro.core.epoch.EpochDriver` stage, so the build of epoch
+  ``e+1`` runs concurrently with the execute of ``e`` and the match of
+  ``e-1``.  Execute fans out over the deployment's execution backend;
+  build and match do too on a process backend, and run inline on their
+  own threads otherwise;
 * a **depth semaphore** caps in-flight epochs at
   :attr:`~repro.core.config.SnoopyConfig.pipeline_depth` (default 2,
   the paper's latency <= 2T claim).  When the limit is reached the
@@ -135,8 +137,19 @@ class EpochPipeline:
         # One driver per stage thread is unnecessary: EpochDriver is
         # stateless between calls, so the stage threads share one.
         from repro.core.epoch import EpochDriver
+        from repro.exec.backend import SerialBackend
 
         self._driver = EpochDriver(store.backend, telemetry=store.telemetry)
+        # On an in-process backend the balancer stages run inline on
+        # their own stage threads.  Through the pool, a match whose tasks
+        # land behind the next epoch's execute units in its one FIFO
+        # queue answers a whole execute time late, and which of the two
+        # reaches the queue first is a thread race.
+        self._balancer_driver = (
+            EpochDriver(SerialBackend(), telemetry=store.telemetry)
+            if store.backend.supports_shared_state
+            else self._driver
+        )
 
         self._mutex = threading.Lock()
         self._cv = threading.Condition(self._mutex)
@@ -370,7 +383,7 @@ class EpochPipeline:
             if self._error is None and job.failure is None:
                 start = time.monotonic()
                 try:
-                    job.built = self._driver.run_build(
+                    job.built = self._balancer_driver.run_build(
                         self._store.load_balancers, job.drained, job.active
                     )
                 except BaseException as exc:
@@ -445,7 +458,7 @@ class EpochPipeline:
                 continue
             try:
                 start = time.monotonic()
-                responses = self._driver.run_match(
+                responses = self._balancer_driver.run_match(
                     store.load_balancers, job.built, job.entries, job.active
                 )
                 self.recorder.record(

@@ -77,6 +77,12 @@ class Snoopy:
         response = ticket.result()
     """
 
+    #: Stage-➋ delivery seam handed to :meth:`EpochDriver.run`; ``None``
+    #: means a direct in-process call.  Subclasses that put a real hop
+    #: between load balancer and subORAM (``DistributedSnoopy``) define
+    #: it as a method.
+    _transport = None
+
     def __init__(self, config: SnoopyConfig, keychain: Optional[KeyChain] = None,
                  rng: Optional[random.Random] = None, suboram_factory=None,
                  backend: Optional[BackendSpec] = None,
@@ -361,7 +367,9 @@ class Snoopy:
                 sequential schedulers cannot share the epoch counter.
         """
         if not self._initialized:
-            raise NotInitializedError("Snoopy.initialize must be called first")
+            raise NotInitializedError(
+                f"{type(self).__name__}.initialize must be called first"
+            )
         if self._pipeline is not None and self._pipeline.active:
             raise ConfigurationError(
                 "run_epoch is unavailable while the epoch pipeline is "
@@ -387,6 +395,7 @@ class Snoopy:
                 self.load_balancers,
                 self.suborams,
                 permissions=permissions,
+                transport=self._transport,
                 state_ns=self._state_ns,
                 injector=self._injector,
                 atomic=self._retry.armed,

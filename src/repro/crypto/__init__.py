@@ -11,20 +11,14 @@ on.
 from repro.crypto.keys import KeyChain, random_key
 from repro.crypto.prf import Prf, suboram_of
 from repro.crypto.aead import AeadKey, SecureChannel
-from repro.crypto.vector import (
-    CRYPTO_KERNELS,
-    VectorAead,
-    resolve_crypto_kernel,
-)
+from repro.crypto.vector import VectorAead
 
 __all__ = [
     "AeadKey",
-    "CRYPTO_KERNELS",
     "KeyChain",
     "Prf",
     "SecureChannel",
     "VectorAead",
     "random_key",
-    "resolve_crypto_kernel",
     "suboram_of",
 ]

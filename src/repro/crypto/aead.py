@@ -1,4 +1,4 @@
-"""Authenticated encryption, batched sealing, and replay-protected channels.
+"""Authenticated encryption and replay-protected channels.
 
 All communication in Snoopy "is encrypted using an authenticated encryption
 scheme with a nonce to prevent replay attacks" (§3.1).  This module models
@@ -8,34 +8,10 @@ that behaviour with a stdlib-only encrypt-then-MAC AEAD:
 * tag: ``HMAC(key_mac, nonce || associated_data || ciphertext)``.
 
 The goal is faithful *system* behaviour — tamper detection, nonce
-uniqueness, replay rejection — not a new cipher design.
-
-Batched sealing
-===============
-
-The subORAM's write-back scan re-encrypts *every* stored object *every*
-epoch (§7): per-slot ``seal``/``open`` calls — each paying a Python-level
-per-byte keystream XOR — are the end-to-end bottleneck once the oblivious
-kernels are vectorized.  :meth:`AeadKey.seal_batch` and
-:meth:`AeadKey.open_batch` seal/open N uniform-size slots in bulk:
-
-* one keystream lane per (nonce, slot): the per-block
-  ``HMAC(key_enc, nonce || counter)`` derivations run through a
-  pre-keyed HMAC context (C speed, no per-call key schedule),
-* the XOR of all N lanes happens as a single whole-buffer pass — a NumPy
-  ``bitwise_xor`` over an ``(N, slot_size)`` view when NumPy is present,
-  a single big-integer XOR otherwise — never a Python per-byte loop,
-* per-slot tags are still derived and verified individually (authenticity
-  is per slot), but through the same pre-keyed context.
-
-The batched functions are **byte-identical** to mapping the scalar
-``seal``/``open`` over the slots with the same nonces: the scalar path is
-the audited oracle and the property tests in ``tests/test_crypto.py``
-pin the batch path to it.  Batching changes *throughput only*: every slot
-keeps its own unique nonce and every ciphertext keeps the uniform
-``plaintext_len + TAG_LEN`` length, which is exactly what keeps the
-write-back scan oblivious (see SECURITY.md "Batched crypto is public
-information").
+uniqueness, replay rejection — not a new cipher design.  This per-message
+scheme seals the channels and is the store's audited per-slot oracle
+(``crypto="scalar"``); the store's batch path is the counter-mode kernel
+of :mod:`repro.crypto.vector`.
 
 Replay protection
 =================
@@ -53,16 +29,9 @@ from __future__ import annotations
 import hmac
 import hashlib
 import itertools
-from typing import List, Optional, Sequence
 
 from repro.errors import IntegrityError, ReplayError
 
-try:  # NumPy accelerates the whole-buffer XOR; the big-int path matches it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via monkeypatching
-    _np = None
-
-_BLOCK = hashlib.sha256().digest_size
 NONCE_LEN = 12
 TAG_LEN = 32
 
@@ -82,51 +51,16 @@ def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
     return bytes(out[:length])
 
 
-def _xor_buffers(data: bytes, keystream: bytes) -> bytes:
-    """XOR two equal-length buffers in one pass (no per-byte Python loop)."""
-    if _np is not None:
-        a = _np.frombuffer(data, dtype=_np.uint8)
-        b = _np.frombuffer(keystream, dtype=_np.uint8)
-        return (a ^ b).tobytes()
-    return (
-        int.from_bytes(data, "big") ^ int.from_bytes(keystream, "big")
-    ).to_bytes(len(data), "big")
-
-
 class AeadKey:
     """An AEAD key pair (encryption + MAC subkeys) derived from one secret."""
 
-    __slots__ = ("_enc", "_mac", "_enc_base", "_mac_base")
+    __slots__ = ("_enc", "_mac")
 
     def __init__(self, key: bytes):
         if len(key) < 16:
             raise ValueError("AEAD key must be at least 128 bits")
         self._enc = hmac.new(key, b"enc", hashlib.sha256).digest()
         self._mac = hmac.new(key, b"mac", hashlib.sha256).digest()
-        self._enc_base = None
-        self._mac_base = None
-
-    # Pre-keyed HMAC contexts are not picklable; rebuild them lazily.
-    def __getstate__(self) -> tuple:
-        return (self._enc, self._mac)
-
-    def __setstate__(self, state: tuple) -> None:
-        self._enc, self._mac = state
-        self._enc_base = None
-        self._mac_base = None
-
-    def _bases(self) -> tuple:
-        """Pre-keyed HMAC contexts for the batch path (copy per message).
-
-        ``hmac.new(key, msg)`` re-runs the two-block key schedule on every
-        call; ``base.copy().update(msg)`` skips it.  The digests are
-        identical — HMAC is deterministic in (key, message) — so the batch
-        path stays byte-compatible with the scalar oracle.
-        """
-        if self._enc_base is None:
-            self._enc_base = hmac.new(self._enc, digestmod=hashlib.sha256)
-            self._mac_base = hmac.new(self._mac, digestmod=hashlib.sha256)
-        return self._enc_base, self._mac_base
 
     def seal(self, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
         """Encrypt and authenticate ``plaintext``; returns ciphertext||tag."""
@@ -157,199 +91,6 @@ class AeadKey:
         return bytes(
             c ^ k for c, k in zip(ct, _keystream(self._enc, nonce, len(ct)))
         )
-
-    # ------------------------------------------------------------------
-    # Batched sealing (the subORAM write-back scan's bulk path)
-    # ------------------------------------------------------------------
-    def _keystream_buffer(
-        self, nonces: Sequence[bytes], length: int
-    ) -> bytes:
-        """Concatenated per-lane keystreams, ``length`` bytes per lane.
-
-        Lane ``i`` is byte-identical to ``_keystream(enc, nonces[i],
-        length)``; only the HMAC key schedule is hoisted out of the loop.
-        """
-        enc_base, _ = self._bases()
-        blocks = (length + _BLOCK - 1) // _BLOCK
-        counters = [c.to_bytes(8, "big") for c in range(blocks)]
-        out = bytearray()
-        if blocks == 1:
-            counter0 = counters[0]
-            for nonce in nonces:
-                h = enc_base.copy()
-                h.update(nonce + counter0)
-                out += h.digest()[:length]
-        else:
-            for nonce in nonces:
-                lane = bytearray()
-                for counter in counters:
-                    h = enc_base.copy()
-                    h.update(nonce + counter)
-                    lane += h.digest()
-                out += lane[:length]
-        return bytes(out)
-
-    def seal_batch(
-        self,
-        nonces: Sequence[bytes],
-        plaintexts: Sequence[bytes],
-        aads: Optional[Sequence[bytes]] = None,
-    ) -> List[bytes]:
-        """Seal N uniform-length slots; byte-identical to per-slot ``seal``.
-
-        Args:
-            nonces: one ``NONCE_LEN``-byte nonce per slot (must stay
-                unique per slot — the caller's obliviousness rests on it).
-            plaintexts: equal-length plaintext per slot.
-            aads: optional per-slot associated data (default: empty).
-
-        Returns:
-            One ``ciphertext || tag`` blob per slot, each exactly
-            ``len(plaintext) + TAG_LEN`` bytes (uniform lengths).
-        """
-        sealed_buf, slot_size = self.seal_batch_buffer(
-            nonces, plaintexts, aads
-        )
-        return [
-            bytes(sealed_buf[i * slot_size : (i + 1) * slot_size])
-            for i in range(len(nonces))
-        ]
-
-    def seal_batch_buffer(
-        self,
-        nonces: Sequence[bytes],
-        plaintexts,
-        aads: Optional[Sequence[bytes]] = None,
-    ) -> tuple:
-        """Bulk ``seal`` into one contiguous buffer; returns ``(buf, slot)``.
-
-        ``plaintexts`` is either a sequence of equal-length byte strings
-        or a ``(contiguous_buffer, plain_size)`` pair; the result is a
-        ``bytearray`` of N ``ciphertext || tag`` rows plus the row width.
-        This is the zero-copy entry point the encrypted store uses so
-        slot payloads never round-trip through per-slot byte objects.
-        """
-        if isinstance(plaintexts, tuple):
-            plain_buf, plain_size = plaintexts
-            plain_buf = bytes(plain_buf)
-            count = len(plain_buf) // plain_size if plain_size else 0
-        else:
-            plaintexts = list(plaintexts)
-            count = len(plaintexts)
-            plain_size = len(plaintexts[0]) if count else 0
-            for pt in plaintexts:
-                if len(pt) != plain_size:
-                    raise ValueError(
-                        "seal_batch requires uniform plaintext lengths"
-                    )
-            plain_buf = b"".join(plaintexts)
-        nonces = list(nonces)
-        if len(nonces) != count:
-            raise ValueError(
-                f"{len(nonces)} nonces for {count} plaintexts"
-            )
-        for nonce in nonces:
-            if len(nonce) != NONCE_LEN:
-                raise ValueError(f"nonce must be {NONCE_LEN} bytes")
-        aads = self._check_aads(aads, count)
-        slot_size = plain_size + TAG_LEN
-        out = bytearray(count * slot_size)
-        if count == 0:
-            return out, slot_size
-        ct_buf = _xor_buffers(
-            plain_buf, self._keystream_buffer(nonces, plain_size)
-        )
-        _, mac_base = self._bases()
-        for i in range(count):
-            ct = ct_buf[i * plain_size : (i + 1) * plain_size]
-            aad = aads[i]
-            h = mac_base.copy()
-            h.update(nonces[i] + len(aad).to_bytes(8, "big") + aad + ct)
-            row = i * slot_size
-            out[row : row + plain_size] = ct
-            out[row + plain_size : row + slot_size] = h.digest()
-        return out, slot_size
-
-    def open_batch(
-        self,
-        nonces: Sequence[bytes],
-        sealed: Sequence[bytes],
-        aads: Optional[Sequence[bytes]] = None,
-    ) -> List[bytes]:
-        """Open N uniform-length slots; byte-identical to per-slot ``open``.
-
-        Every slot's tag is verified (a single tampered slot raises
-        :class:`IntegrityError` naming it) before any plaintext is
-        returned; decryption of all lanes then runs as one buffer pass.
-        """
-        sealed = list(sealed)
-        count = len(sealed)
-        slot_size = len(sealed[0]) if count else TAG_LEN
-        for blob in sealed:
-            if len(blob) != slot_size:
-                raise ValueError(
-                    "open_batch requires uniform ciphertext lengths"
-                )
-        if slot_size < TAG_LEN:
-            raise IntegrityError("ciphertext shorter than tag")
-        plain_buf, plain_size = self.open_batch_buffer(
-            nonces, (b"".join(sealed), slot_size), aads
-        )
-        return [
-            bytes(plain_buf[i * plain_size : (i + 1) * plain_size])
-            for i in range(count)
-        ]
-
-    def open_batch_buffer(
-        self,
-        nonces: Sequence[bytes],
-        sealed,
-        aads: Optional[Sequence[bytes]] = None,
-    ) -> tuple:
-        """Bulk ``open`` of a contiguous buffer; returns ``(buf, size)``.
-
-        ``sealed`` is a ``(contiguous_buffer, slot_size)`` pair of N
-        ``ciphertext || tag`` rows.  Verifies every row's tag first
-        (raising :class:`IntegrityError` naming the first bad slot), then
-        decrypts all lanes in one whole-buffer XOR pass.
-        """
-        sealed_buf, slot_size = sealed
-        sealed_buf = bytes(sealed_buf)
-        if slot_size < TAG_LEN:
-            raise IntegrityError("ciphertext shorter than tag")
-        count = len(sealed_buf) // slot_size if slot_size else 0
-        nonces = list(nonces)
-        if len(nonces) != count:
-            raise ValueError(f"{len(nonces)} nonces for {count} slots")
-        aads = self._check_aads(aads, count)
-        plain_size = slot_size - TAG_LEN
-        _, mac_base = self._bases()
-        cts = []
-        for i in range(count):
-            row = i * slot_size
-            ct = sealed_buf[row : row + plain_size]
-            tag = sealed_buf[row + plain_size : row + slot_size]
-            aad = aads[i]
-            h = mac_base.copy()
-            h.update(nonces[i] + len(aad).to_bytes(8, "big") + aad + ct)
-            if not hmac.compare_digest(tag, h.digest()):
-                raise IntegrityError(f"AEAD tag mismatch in batch slot {i}")
-            cts.append(ct)
-        if count == 0:
-            return bytearray(), plain_size
-        plain_buf = _xor_buffers(
-            b"".join(cts), self._keystream_buffer(nonces, plain_size)
-        )
-        return bytearray(plain_buf), plain_size
-
-    @staticmethod
-    def _check_aads(aads, count: int) -> Sequence[bytes]:
-        if aads is None:
-            return [b""] * count
-        aads = list(aads)
-        if len(aads) != count:
-            raise ValueError(f"{len(aads)} aads for {count} slots")
-        return aads
 
 
 class SecureChannel:

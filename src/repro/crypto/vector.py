@@ -1,12 +1,11 @@
 """Vectorized counter-mode AEAD: one keystream, one MAC pass per batch.
 
 The HMAC scheme in :mod:`repro.crypto.aead` is the audited per-slot
-oracle; its batched entry points still derive one HMAC block per 32
-keystream bytes and one HMAC tag per slot — O(slots) Python-level calls
-per epoch.  This module is the second *crypto kernel* (mirroring the
-oblivious-kernel registry): a counter-mode AEAD whose whole-batch seal
-and open run as a fixed number of NumPy passes, independent of slot
-count and value size.
+oracle: one HMAC block per 32 keystream bytes and one HMAC tag per slot —
+O(slots) Python-level calls per epoch.  This module is the store's batch
+cipher (``crypto="vector"``, see :mod:`repro.suboram.store`): a
+counter-mode AEAD whose whole-batch seal and open run as a fixed number
+of NumPy passes, independent of slot count and value size.
 
 Construction
 ============
@@ -34,7 +33,7 @@ Carter-Wegman polynomial MAC modulo the Mersenne prime ``p = 2^61 - 1``:
   any batch.  Binding the lane index into the MAC replaces the slot-id
   associated data of the HMAC scheme: a blob spliced to another slot
   fails its tag.  Tags are :data:`TAG_LEN` bytes, so sealed-slot sizes
-  match the HMAC kernel exactly and ciphertext lengths stay functions
+  match the HMAC scheme exactly and ciphertext lengths stay functions
   of public shape only.
 
 The pure-Python reference (``backend="py"``) computes the same formulas
@@ -58,11 +57,7 @@ from repro.crypto.prf import Prf
 from repro.errors import IntegrityError
 from repro.oblivious import soa
 
-__all__ = [
-    "CRYPTO_KERNELS",
-    "VectorAead",
-    "resolve_crypto_kernel",
-]
+__all__ = ["VectorAead"]
 
 #: The Mersenne prime the polynomial MAC works over.
 _P = (1 << 61) - 1
@@ -76,24 +71,6 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 _U64x4 = struct.Struct(">QQQQ")
-
-#: Store-crypto kernel names (mirrors ``oblivious.kernels.KERNELS``):
-#: ``"hmac"`` is the audited per-slot HMAC scheme of
-#: :mod:`repro.crypto.aead`; ``"vector"`` is this module.
-CRYPTO_KERNELS = ("hmac", "vector")
-
-
-def resolve_crypto_kernel(name: Optional[str]) -> str:
-    """Validate a crypto-kernel selector; ``None`` means ``"hmac"``."""
-    if name is None:
-        return "hmac"
-    if name not in CRYPTO_KERNELS:
-        raise ValueError(
-            f"unknown crypto kernel {name!r}; valid kernels: "
-            f"{list(CRYPTO_KERNELS)}"
-        )
-    return name
-
 
 def _mix64(z: int) -> int:
     """The splitmix64 finalizer over one 64-bit word (exact-int path)."""
@@ -125,10 +102,10 @@ class VectorAead:
 
     One instance wraps one key.  ``seal_lanes``/``open_lanes`` process a
     whole batch of fixed-size slots under a single nonce;
-    ``seal_one``/``open_one`` are the scalar per-slot entry points the
-    store's audited oracle path uses (the same scheme, a batch of one,
-    at any ``lane``) — so scalar writes interoperate with later batch
-    reads and vice versa.
+    ``seal_one``/``open_one`` are the per-slot entry points the store's
+    ``put``/``get`` use (the same scheme, a batch of one, at any
+    ``lane``) — so per-slot writes interoperate with later batch reads
+    and vice versa.
 
     Args:
         key: AEAD key material (any non-empty byte string).

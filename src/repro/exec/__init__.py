@@ -32,7 +32,7 @@ accepted also works::
 
     from repro import Snoopy, SnoopyConfig
 
-    store = Snoopy(SnoopyConfig(num_suborams=4, execution_backend="thread"))
+    store = Snoopy(SnoopyConfig(num_suborams=4, execution_backend="serial"))
     # ... or explicitly:
     from repro.exec import ThreadPoolBackend
     store = Snoopy(SnoopyConfig(num_suborams=4), backend=ThreadPoolBackend(8))
@@ -55,6 +55,11 @@ BACKENDS: dict = {
 }
 
 BackendSpec = Union[str, ExecutionBackend]
+
+#: The backend axis' one default: what ``SnoopyConfig`` and
+#: :func:`make_backend` resolve an omitted spec to.  ``"serial"`` is the
+#: reference semantics and is named explicitly where it is wanted.
+DEFAULT_BACKEND = ThreadPoolBackend.name
 
 
 def parse_spec(spec: str) -> Tuple[Type[ExecutionBackend], Optional[int]]:
@@ -86,7 +91,7 @@ def parse_spec(spec: str) -> Tuple[Type[ExecutionBackend], Optional[int]]:
 
 
 def make_backend(
-    spec: BackendSpec = "serial",
+    spec: Optional[BackendSpec] = None,
     max_workers: Optional[int] = None,
     task_timeout: Optional[float] = None,
 ) -> ExecutionBackend:
@@ -95,7 +100,8 @@ def make_backend(
     Args:
         spec: a spec string (``"serial"``, ``"thread"``, ``"thread:8"``,
             ``"process"``, ``"process:4"``) or an already-constructed
-            :class:`ExecutionBackend`, returned unchanged.
+            :class:`ExecutionBackend`, returned unchanged; ``None``
+            means :data:`DEFAULT_BACKEND`.
         max_workers: pool size; overridden by a ``:N`` suffix in the spec.
         task_timeout: per-task timeout in seconds for pooled backends; an
             overrun raises :class:`~repro.errors.TaskTimeoutError`.
@@ -107,7 +113,9 @@ def make_backend(
     """
     if isinstance(spec, ExecutionBackend):
         return spec
-    cls, spec_workers = parse_spec(spec)
+    cls, spec_workers = parse_spec(
+        spec if spec is not None else DEFAULT_BACKEND
+    )
     workers = spec_workers if spec_workers is not None else max_workers
     if cls is SerialBackend:
         return cls()
@@ -117,6 +125,7 @@ def make_backend(
 __all__ = [
     "BACKENDS",
     "BackendSpec",
+    "DEFAULT_BACKEND",
     "ExecutionBackend",
     "ProcessPoolBackend",
     "SerialBackend",

@@ -32,6 +32,8 @@ to reject transports that cannot cross a process boundary.
 
 from __future__ import annotations
 
+import contextlib
+import threading
 from abc import ABC, abstractmethod
 from typing import Callable, Iterable, List, Sequence, TypeVar
 
@@ -39,6 +41,31 @@ from repro.telemetry import NULL_TELEMETRY, resolve_telemetry
 
 _Task = TypeVar("_Task")
 _Result = TypeVar("_Result")
+
+#: A unit over fewer bytes than this has no NumPy pass long enough to be
+#: worth running beside another thread (see :func:`interpreter_turn`).
+GIL_FREE_MIN_BYTES = 1 << 20
+
+_TURN = threading.Lock()
+_NO_TURN = contextlib.nullcontext()
+
+
+def interpreter_turn(gil_free_bytes: int = 0):
+    """The context a stage unit computes under on an in-process backend.
+
+    Threads that make many short NumPy calls hand the GIL over at every
+    call, and between two cores each handover is a futex wake-up: the
+    same unit then costs twice the CPU, and how often it happens depends
+    on where the OS places the threads — with one core taken by another
+    tenant a deployment served *faster* than with both free.  So units
+    that are interpreter-bound take turns: one process-wide lock held
+    for the whole unit, on which the other threads sleep instead of
+    contending.  A unit whose bulk passes cover at least
+    :data:`GIL_FREE_MIN_BYTES` (``gil_free_bytes``; 0 for a unit with no
+    such pass) runs unguarded and overlaps as before.  Callers pass
+    public sizes only, and must not wait on another thread inside.
+    """
+    return _TURN if gil_free_bytes < GIL_FREE_MIN_BYTES else _NO_TURN
 
 
 def _call_stateful(packed):

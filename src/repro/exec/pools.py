@@ -231,9 +231,12 @@ class ThreadPoolBackend(_PooledBackend):
     Tasks mutate shared objects in place (``supports_shared_state``), so
     subORAM state stays where it is and transports holding live channel
     state work unchanged.  On CPython the GIL serializes pure-Python
-    compute, but epoch stages that block — simulated network latency,
-    encrypted-store paging, real sockets in a networked deployment —
-    overlap fully, which is what Figure 13's wall-clock speedup measures.
+    compute (interpreter-bound units take turns at it instead of
+    contending, see :func:`~repro.exec.backend.interpreter_turn`), but
+    epoch stages that block — simulated network latency, encrypted-store
+    paging, real sockets in a networked deployment — and whole-store
+    NumPy passes overlap fully, which is what Figure 13's wall-clock
+    speedup measures.
     """
 
     name = "thread"

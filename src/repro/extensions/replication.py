@@ -70,7 +70,7 @@ class ReplicatedSubOram:
         keychain: Optional[KeyChain] = None,
         security_parameter: int = 32,
         kernel=None,
-        crypto: str = "batched",
+        crypto: Optional[str] = None,
     ):
         require(crash_tolerance >= 0, "crash_tolerance must be >= 0")
         require(rollback_tolerance >= 0, "rollback_tolerance must be >= 0")

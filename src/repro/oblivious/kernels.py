@@ -601,8 +601,10 @@ KERNELS = {
     "numpy": NumpyKernel(),
 }
 
-#: The selector used when none is given.
-DEFAULT_KERNEL = "python"
+#: The kernel axis' one default: what ``SnoopyConfig`` and every
+#: constructor that is not told otherwise resolve to.  ``"python"`` is
+#: the reference oracle and is named explicitly where it is wanted.
+DEFAULT_KERNEL = "numpy"
 
 
 def validate_kernel_name(name: str) -> str:
@@ -618,15 +620,15 @@ def resolve_kernel(kernel: Union[str, Kernel, None],
                    mem_factory=None) -> Kernel:
     """Resolve a kernel selector (name, instance, or ``None``) to a kernel.
 
-    ``None`` resolves to the default python kernel.  A ``mem_factory``
+    ``None`` resolves to :data:`DEFAULT_KERNEL`.  A ``mem_factory``
     forces the python kernel, since element-granular tracing only exists
-    on the scalar path.  Requesting ``"numpy"`` without NumPy installed
+    on the scalar path.  Resolving to ``"numpy"`` without NumPy installed
     warns and falls back to ``"python"`` rather than failing.
     """
     if mem_factory is not None:
         return KERNELS["python"]
     if kernel is None:
-        return KERNELS[DEFAULT_KERNEL]
+        kernel = DEFAULT_KERNEL
     if isinstance(kernel, Kernel):
         return kernel
     validate_kernel_name(kernel)

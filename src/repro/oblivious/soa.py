@@ -87,23 +87,6 @@ def matrix_to_values(matrix, has) -> List[Optional[bytes]]:
     ]
 
 
-def buffer_to_matrix(buf, row_size: int):
-    """View a contiguous row-major byte buffer as a writable uint8 matrix.
-
-    The zero-copy complement of :func:`values_to_matrix` used by the
-    encrypted store's batch path: N fixed-width rows packed back to back
-    become an ``(N, row_size)`` array without per-row byte objects.
-    """
-    np = require_numpy()
-    flat = np.frombuffer(bytes(buf), dtype=np.uint8)
-    if row_size <= 0 or flat.size % row_size:
-        raise ValueError(
-            f"buffer of {flat.size} bytes is not a whole number of "
-            f"{row_size}-byte rows"
-        )
-    return flat.reshape(flat.size // row_size, row_size).copy()
-
-
 def keys_to_prefix(keys):
     """Encode an int64 key column as (N, 16) big-endian signed bytes.
 

@@ -63,8 +63,20 @@ class Planner:
         self, min_throughput: float, max_latency: float
     ) -> List[Plan]:
         plans = []
+        # Cost is monotone in both L and S, so a cell strictly dearer
+        # than the cheapest feasible plan found so far — and every cell
+        # after it in its row, and every row after an (L, 1) that is —
+        # cannot be chosen.  Skipping them skips their throughput
+        # bisection, the expensive part; equal-cost cells are still
+        # evaluated so ``plan``'s tie-break sees the same candidates.
+        cheapest = float("inf")
         for balancers in range(1, self.max_machines_per_role + 1):
+            if self.prices.monthly_cost(balancers, 1) > cheapest:
+                break
             for suborams in range(1, self.max_machines_per_role + 1):
+                cost = self.prices.monthly_cost(balancers, suborams)
+                if cost > cheapest:
+                    break
                 throughput = max_throughput(
                     balancers,
                     suborams,
@@ -87,11 +99,12 @@ class Planner:
                     Plan(
                         num_load_balancers=balancers,
                         num_suborams=suborams,
-                        monthly_cost=self.prices.monthly_cost(balancers, suborams),
+                        monthly_cost=cost,
                         predicted_throughput=throughput,
                         predicted_latency=latency,
                     )
                 )
+                cheapest = cost
                 break  # more subORAMs only raises cost at this L
         return plans
 

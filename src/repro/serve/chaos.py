@@ -145,7 +145,7 @@ def _build_config(
     num_load_balancers: int,
     num_suborams: int,
     value_size: int,
-    kernel: str,
+    kernel: Optional[str],
     epoch_max_attempts: int,
 ) -> SnoopyConfig:
     return SnoopyConfig(
@@ -171,7 +171,7 @@ def run_reference(
     value_size: int,
     num_load_balancers: int,
     num_suborams: int,
-    kernel: str = "python",
+    kernel: Optional[str] = None,
 ) -> List[Tuple[bool, Optional[bytes]]]:
     """The fault-free oracle: in-process, sequential, no network.
 
@@ -211,7 +211,7 @@ def run_network_soak(
     num_suborams: int = 2,
     intensity: int = 1,
     worker_processes: bool = False,
-    kernel: str = "python",
+    kernel: Optional[str] = None,
     timeout: float = 60.0,
     telemetry=None,
 ) -> dict:
@@ -274,8 +274,9 @@ def run_network_soak(
             cluster = WorkerCluster(
                 num_suborams,
                 value_size=value_size,
-                security_parameter=16,
-                kernel=kernel,
+                security_parameter=config.security_parameter,
+                kernel=config.kernel,
+                crypto=config.crypto,
                 trust=trust,
                 remote_snapshots=True,
                 injector=injector,

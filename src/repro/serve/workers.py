@@ -103,11 +103,13 @@ from repro.core.wire import (
     decode_snap_data,
 )
 from repro.errors import ConfigurationError, TransportError
+from repro.oblivious.kernels import resolve_kernel
 from repro.serve.secure import (
     FrameTransport,
     ServeTrust,
     secure_handshake,
 )
+from repro.suboram.store import resolve_crypto
 from repro.telemetry import NULL_TELEMETRY, resolve_telemetry
 from repro.types import BatchEntry, OpType
 
@@ -154,7 +156,7 @@ def worker_main(
     port_pipe,
     snapshot_path: str,
     crash_after: Optional[int] = None,
-    crypto: str = "batched",
+    crypto: Optional[str] = None,
     trust_secret: Optional[bytes] = None,
 ) -> None:
     """One subORAM worker process: accept, handshake, serve frames.
@@ -441,7 +443,7 @@ class WorkerCluster:
         snapshot_dir: Optional[str] = None,
         telemetry=None,
         crash_plan: Optional[Dict[int, int]] = None,
-        crypto: str = "batched",
+        crypto: Optional[str] = None,
         trust=None,
         remote_snapshots: bool = False,
         injector=None,
@@ -450,8 +452,10 @@ class WorkerCluster:
         self.num_workers = num_workers
         self.value_size = value_size
         self.security_parameter = security_parameter
-        self.kernel = kernel
-        self.crypto = crypto
+        # Resolved here, not worker-side, so an omitted selector names
+        # the same path the front end's ``SnoopyConfig()`` would.
+        self.kernel = resolve_kernel(kernel).name
+        self.crypto = resolve_crypto(crypto)
         self.telemetry = resolve_telemetry(telemetry)
         if isinstance(trust, (bytes, bytearray)):
             trust = ServeTrust(bytes(trust))

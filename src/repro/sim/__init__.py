@@ -16,12 +16,6 @@ from repro.sim.costmodel import (
     best_split,
 )
 from repro.sim.runtime import RuntimeResult, SnoopyRuntime
-from repro.sim.workload import (
-    bursty_arrivals,
-    poisson_arrivals,
-    uniform_requests,
-    zipf_requests,
-)
 
 __all__ = [
     "DEFAULT_PROFILE",
@@ -29,11 +23,7 @@ __all__ = [
     "RuntimeResult",
     "SnoopyRuntime",
     "best_split",
-    "bursty_arrivals",
     "load_balancer_time",
     "max_throughput",
-    "poisson_arrivals",
     "suboram_time",
-    "uniform_requests",
-    "zipf_requests",
 ]

@@ -167,7 +167,7 @@ def epoch_wallclock_series(
     batch_delay: float = 0.01,
     seed: int = 7,
     max_workers: Optional[int] = None,
-    kernel: str = "python",
+    kernel: Optional[str] = None,
     stage_sink: Optional[Dict[str, list]] = None,
     pipelined: bool = False,
     pipeline_depth: Optional[int] = None,
@@ -185,8 +185,8 @@ def epoch_wallclock_series(
     Backends that cannot run the latency wrapper in-process still work
     (the wrapper pickles), so ``"process"`` specs are accepted.  The
     ``kernel`` selector picks the oblivious-kernel implementation
-    (``"python"`` or ``"numpy"``) so backend speedups can be measured on
-    either data plane.
+    (``"python"`` or ``"numpy"``; default: the config default) so backend
+    speedups can be measured on either data plane.
 
     ``stage_sink``, when given a dict, receives a per-backend epoch-stage
     timing breakdown: ``stage_sink[spec]`` becomes the

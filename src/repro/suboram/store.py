@@ -13,59 +13,92 @@ Zero-copy layout
 The store is a structure of arrays: the host side is two contiguous
 buffers (all nonces back to back, all fixed-size ``ciphertext || tag``
 blobs back to back) rather than a Python list of per-slot tuples.  That
-single decision is what the whole batched hot path hangs off:
+single decision is what the whole batch hot path hangs off:
 
 * :meth:`EncryptedStore.get_batch` authenticates and decrypts the entire
   store in one pass — one SHA-256 over the whole ciphertext buffer
-  (instead of one digest per slot), one batched AEAD open
-  (:meth:`~repro.crypto.aead.AeadKey.open_batch_buffer`), one NumPy
-  reshape into the ``(num_slots, value_size)`` value matrix the
-  vectorized scan kernel consumes.  No per-slot Python call, no
-  per-object tuples.
+  (instead of one digest per slot), one
+  :meth:`~repro.crypto.vector.VectorAead.open_lanes` call, one NumPy
+  view as the ``(num_slots, value_size)`` value matrix the vectorized
+  scan kernel consumes.  No per-slot Python call, no per-object tuples.
 * :meth:`EncryptedStore.put_batch` is the mirror image for the
-  write-back: fresh nonces for every slot from a single ``os.urandom``
-  call, one batched seal straight into the host buffer, one whole-buffer
-  digest pinned in the enclave.
+  write-back: one fresh batch nonce, one
+  :meth:`~repro.crypto.vector.VectorAead.seal_lanes` call straight into
+  the host buffer, one whole-buffer digest pinned in the enclave.
 * Pickling uses out-of-band :class:`pickle.PickleBuffer` views of the
   contiguous buffers (protocol 5), so process-backend state shipping
   never copies slot payloads through per-object pickle opcodes — and can
   hand the buffers to ``multiprocessing.shared_memory`` untouched (see
   :mod:`repro.exec.shipping`).
 
+The crypto axis
+===============
+
+``crypto`` selects the store's cipher and, with it, whether a batch path
+exists — this module is the one place the axis is defined
+(:data:`CRYPTO_MODES`, :data:`DEFAULT_CRYPTO`, :func:`resolve_crypto`):
+
+* ``"scalar"`` — the audited oracle: the HMAC scheme of
+  :mod:`repro.crypto.aead`, one ``seal``/``open`` per slot, the slot
+  index bound as associated data.  No batch path
+  (``supports_batch`` is False).
+* ``"vector"`` — the deployed path: the counter-mode kernel of
+  :mod:`repro.crypto.vector`, the slot index bound as the keystream
+  lane; ``put_batch``/``get_batch`` move the whole store per call, and
+  the per-slot ``put``/``get`` seal a batch of one.
+
 Integrity bookkeeping across both paths
 =======================================
 
 The enclave pins, per slot, the last nonce *it* wrote; freshness never
-depends on host-held data.  Scalar writes additionally keep the seed
-implementation's per-slot SHA-256 digest; batched writes keep one digest
-of the whole ciphertext buffer instead.  Reads then verify, in order:
-the pinned nonce (rollback detection), the freshest digest covering the
-slot (tamper detection at memcmp cost), and finally the AEAD tag bound
-to the slot index via associated data (cross-slot splicing detection).
-A batch read counts the bytes it verified into the
-``snoopy_store_verified_bytes_total`` telemetry counter.
+depends on host-held data.  Per-slot writes additionally keep a per-slot
+SHA-256 digest; batch writes keep one digest of the whole ciphertext
+buffer instead.  Reads then verify, in order: the pinned nonce (rollback
+detection), the freshest digest covering the slot (tamper detection at
+memcmp cost), and finally the AEAD tag bound to the slot index
+(cross-slot splicing detection).  A batch read counts the bytes it
+verified into the ``snoopy_store_verified_bytes_total`` telemetry
+counter.
 
-The scalar ``put``/``get`` path is byte-compatible with the seed
-implementation and remains the audited oracle; instrumented subclasses
-that override ``put``/``get`` (e.g. the test harness's ``TracingStore``)
-automatically disable the batch fast path (``supports_batch`` is False),
-so per-slot access traces keep meaning what they always meant.
+Instrumented subclasses that override ``put``/``get`` (e.g. the test
+harness's ``TracingStore``) automatically disable the batch fast path
+(``supports_batch`` is False), so per-slot access traces keep meaning
+what they always meant.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.crypto.aead import AeadKey, NONCE_LEN, digest
-from repro.crypto.vector import VectorAead, resolve_crypto_kernel
+from repro.crypto.vector import VectorAead
 from repro.errors import CapacityError, IntegrityError
 from repro.oblivious import soa
 from repro.telemetry import NULL_TELEMETRY
 from repro.utils.validation import require
 
 _DIGEST_LEN = 32
+
+#: Valid store-crypto selectors (see "The crypto axis" above).
+CRYPTO_MODES = ("scalar", "vector")
+
+#: The crypto axis' one default: what ``SnoopyConfig`` and every
+#: constructor that is not told otherwise resolve to.
+DEFAULT_CRYPTO = "vector"
+
+
+def resolve_crypto(crypto: Optional[str]) -> str:
+    """Validate a store-crypto selector; ``None`` means the default."""
+    if crypto is None:
+        return DEFAULT_CRYPTO
+    require(
+        crypto in CRYPTO_MODES,
+        f"unknown crypto mode {crypto!r}; valid modes: {list(CRYPTO_MODES)}",
+    )
+    return crypto
+
 
 #: Store attributes held as contiguous buffers and pickled out-of-band.
 _BUFFER_FIELDS = (
@@ -78,7 +111,7 @@ _BUFFER_FIELDS = (
 )
 
 #: Ephemeral attributes rebuilt (empty) after any pickle round-trip.
-_EPHEMERAL_FIELDS = ("_slot_aads", "telemetry", "_scratch")
+_EPHEMERAL_FIELDS = ("telemetry", "_scratch")
 
 
 def _rebuild_store(cls, state: dict, *buffers):
@@ -92,7 +125,6 @@ def _rebuild_store(cls, state: dict, *buffers):
     store.__dict__.update(state)
     for name, buf in zip(_BUFFER_FIELDS, buffers):
         store.__dict__[name] = bytearray(buf)
-    store._slot_aads = None
     store._scratch = {}
     store.telemetry = NULL_TELEMETRY
     return store
@@ -105,9 +137,10 @@ class EncryptedStore:
     ``key(16 bytes, signed) || value``.  Every write re-encrypts under a
     fresh nonce so ciphertexts never repeat even for unchanged plaintext —
     this is what lets the subORAM's write-back scan hide which objects a
-    batch modified.  ``put``/``get`` are the scalar per-slot oracle;
+    batch modified.  ``put``/``get`` are the per-slot path;
     ``put_batch``/``get_batch`` move the same bytes through one
-    vectorized pass per epoch (see the module docstring).
+    vectorized pass per epoch under ``crypto="vector"`` (see the module
+    docstring).
     """
 
     def __init__(
@@ -115,22 +148,18 @@ class EncryptedStore:
         encryption_key: bytes,
         num_slots: int,
         value_size: int,
-        crypto_kernel: str = "hmac",
+        crypto: Optional[str] = None,
     ):
         require(num_slots >= 0, "num_slots must be >= 0")
         require(value_size > 0, "value_size must be positive")
-        self._aead = AeadKey(encryption_key)
-        #: Store-crypto kernel: ``"hmac"`` (the audited per-slot scheme,
-        #: byte-compatible with the seed) or ``"vector"`` (the
-        #: counter-mode kernel of :mod:`repro.crypto.vector`: one
-        #: nonce-derived keystream and one vectorized MAC pass per
-        #: batch, with the slot index bound as the keystream lane).
-        self.crypto_kernel = resolve_crypto_kernel(crypto_kernel)
-        self._vec = (
-            VectorAead(encryption_key)
-            if self.crypto_kernel == "vector"
-            else None
-        )
+        #: Store-crypto mode (see "The crypto axis" in the module
+        #: docstring); exactly one of the two ciphers below is built.
+        self.crypto = resolve_crypto(crypto)
+        self._aead = self._vec = None
+        if self.crypto == "vector":
+            self._vec = VectorAead(encryption_key)
+        else:
+            self._aead = AeadKey(encryption_key)
         #: Epoch-reused scratch arrays for the batch crypto path (keyed
         #: by shape; see :func:`repro.oblivious.soa.scratch_array`).
         #: Never pickled — a shipped store re-grows its own.
@@ -153,13 +182,11 @@ class EncryptedStore:
         self._slot_digests = bytearray(num_slots * _DIGEST_LEN)
         self._digest_fresh = bytearray(num_slots)
         self._buffer_digest: Optional[bytes] = None
-        # Lazily built per-slot associated data (slot index, 8 bytes BE).
-        self._slot_aads: Optional[List[bytes]] = None
         #: Telemetry handle; the owning subORAM attaches its live handle.
         self.telemetry = NULL_TELEMETRY
 
     # ------------------------------------------------------------------
-    # Scalar path (the audited oracle)
+    # Per-slot path (under ``crypto="scalar"``: the audited oracle)
     # ------------------------------------------------------------------
     def put(self, slot: int, key: int, value: bytes) -> None:
         """Encrypt and store an object, refreshing the slot digest.
@@ -177,8 +204,8 @@ class EncryptedStore:
         plaintext = key.to_bytes(16, "big", signed=True) + value
         nonce = os.urandom(NONCE_LEN)
         if self._vec is not None:
-            # Vector kernel: the lane index binds the slot (splice
-            # detection); a batch of one under a fresh nonce.
+            # The lane index binds the slot (splice detection); a batch
+            # of one under a fresh nonce.
             blob = self._vec.seal_one(nonce, plaintext, lane=slot)
         else:
             blob = self._aead.seal(
@@ -194,7 +221,7 @@ class EncryptedStore:
         drow = slot * _DIGEST_LEN
         self._slot_digests[drow : drow + _DIGEST_LEN] = digest(blob)
         self._digest_fresh[slot] = 1
-        # A scalar write invalidates the whole-buffer digest; the next
+        # A per-slot write invalidates the whole-buffer digest; the next
         # batch read falls back to per-slot verification and re-pins it.
         self._buffer_digest = None
 
@@ -240,51 +267,41 @@ class EncryptedStore:
                 )
 
     # ------------------------------------------------------------------
-    # Batched path (one vectorized pass over the whole store)
+    # Batch path (one vectorized pass over the whole store)
     # ------------------------------------------------------------------
     @property
     def supports_batch(self) -> bool:
         """Whether the batch fast path preserves this instance's semantics.
 
-        False for subclasses or instances that override the scalar
+        False under ``crypto="scalar"`` (the oracle is per-slot by
+        definition), for subclasses or instances that override
         ``put``/``get`` (instrumented stores must see every per-slot
         access), and when NumPy is unavailable.  Callers fall back to
-        the scalar loop.
+        the per-slot loop.
         """
         if "get" in self.__dict__ or "put" in self.__dict__:
             return False
         cls = type(self)
         return (
-            soa.HAS_NUMPY
+            self._vec is not None
+            and soa.HAS_NUMPY
             and cls.get is EncryptedStore.get
             and cls.put is EncryptedStore.put
         )
 
-    def _aads(self) -> List[bytes]:
-        if self._slot_aads is None:
-            self._slot_aads = [
-                slot.to_bytes(8, "big") for slot in range(self.num_slots)
-            ]
-        return self._slot_aads
-
-    def _nonce_list(self, raw: bytes) -> List[bytes]:
-        return [
-            raw[i * NONCE_LEN : (i + 1) * NONCE_LEN]
-            for i in range(self.num_slots)
-        ]
-
     def put_batch(self, keys: Sequence[int], values) -> None:
-        """Re-encrypt and store every slot in one batched pass.
+        """Re-encrypt and store every slot in one batch pass.
 
         ``keys`` is the per-slot object key column (one entry per slot,
         in slot order) and ``values`` either a ``(num_slots, value_size)``
-        uint8 matrix or a list of ``value_size``-byte strings.  Fresh
-        nonces for all slots come from a single ``os.urandom`` call; the
-        seal runs through :meth:`~repro.crypto.aead.AeadKey.
-        seal_batch_buffer` straight into the contiguous host buffer, and
-        the enclave pins one digest of the whole buffer.  Byte movement:
+        uint8 matrix or a list of ``value_size``-byte strings.  One fresh
+        nonce seeds the whole batch keystream and each slot owns its own
+        lane of it (:meth:`~repro.crypto.vector.VectorAead.seal_lanes`),
+        sealed straight into the contiguous host buffer; the enclave
+        pins one digest of the whole buffer.  Byte movement:
         ``num_slots * slot_size`` through one vectorized pass, counted in
-        ``snoopy_store_bytes_moved_total{op="seal"}``.
+        ``snoopy_store_bytes_moved_total{op="seal"}``.  Without a batch
+        path (``supports_batch`` False) this is the per-slot ``put`` loop.
         """
         n = self.num_slots
         if len(keys) != n:
@@ -316,47 +333,30 @@ class EncryptedStore:
         )
         plain[:, :16] = soa.keys_to_prefix(keys)
         plain[:, 16:] = matrix
-        if self._vec is not None:
-            # One fresh nonce seeds the whole batch keystream; each slot
-            # owns its own lane of it, sealed straight into the host
-            # buffer (no intermediate blob copy).
-            nonce = os.urandom(NONCE_LEN)
-            raw_nonces = nonce * n
-            self._vec.seal_lanes(
-                nonce,
-                plain,
-                n,
-                self.plain_size,
-                out=memoryview(self._host_blobs),
-                scratch=self._scratch,
-            )
-            self.telemetry.counter(
-                "snoopy_keystream_derivations_total"
-            ).inc()
-        else:
-            raw_nonces = os.urandom(n * NONCE_LEN)
-            blobs, _ = self._aead.seal_batch_buffer(
-                self._nonce_list(raw_nonces),
-                (plain.tobytes(), self.plain_size),
-                self._aads(),
-            )
-            self._host_blobs[:] = blobs
+        nonce = os.urandom(NONCE_LEN)
+        raw_nonces = nonce * n
+        self._vec.seal_lanes(
+            nonce,
+            plain,
+            n,
+            self.plain_size,
+            out=memoryview(self._host_blobs),
+            scratch=self._scratch,
+        )
+        self.telemetry.counter("snoopy_keystream_derivations_total").inc()
         self._host_nonces[:] = raw_nonces
         self._odd_blobs.clear()
         self._pinned_nonces[:] = raw_nonces
         self._written[:] = b"\x01" * n
         self._digest_fresh[:] = b"\x00" * n
         self._buffer_digest = digest(bytes(self._host_blobs))
-        self.telemetry.counter("snoopy_aead_seal_batch_total").inc()
+        self.telemetry.counter("snoopy_store_batch_seals_total").inc()
         self.telemetry.counter(
             "snoopy_store_bytes_moved_total", op="seal"
         ).inc(n * self.slot_size)
-        self.telemetry.counter(
-            "snoopy_aead_bytes_total", op="seal", kernel=self.crypto_kernel
-        ).inc(n * self.slot_size)
 
     def get_batch(self) -> tuple:
-        """Authenticate and decrypt the whole store in one batched pass.
+        """Authenticate and decrypt the whole store in one batch pass.
 
         Returns ``(keys, values)``: the int64 key column and the
         ``(num_slots, value_size)`` uint8 value matrix, both in slot
@@ -365,14 +365,14 @@ class EncryptedStore:
         comes from (in order) the enclave-pinned nonces (rollback), one
         digest pass over the contiguous ciphertext buffer — or the
         per-slot digests where fresher — (tamper at memcmp cost, counted
-        in ``snoopy_store_verified_bytes_total``), and every slot's AEAD
-        tag (splicing).  Raises :class:`IntegrityError` on any deviation,
-        including non-uniform ciphertext lengths.
+        in ``snoopy_store_verified_bytes_total``), and every slot's
+        per-lane tag (splicing).  Raises :class:`IntegrityError` on any
+        deviation, including non-uniform ciphertext lengths.
         """
         if not self.supports_batch:
             raise RuntimeError(
-                "get_batch requires NumPy and the unmodified scalar path; "
-                "use per-slot get()"
+                "get_batch requires crypto='vector', NumPy and the "
+                "unmodified per-slot path; use per-slot get()"
             )
         n = self.num_slots
         missing = self._written.find(0)
@@ -406,8 +406,8 @@ class EncryptedStore:
                 len(blob_buf)
             )
         else:
-            # Mixed state after scalar writes: verify the slots that still
-            # carry fresh per-slot digests the scalar way.
+            # Mixed state after per-slot writes: verify the slots that
+            # still carry fresh per-slot digests one by one.
             for slot in range(n):
                 if self._digest_fresh[slot]:
                     brow = slot * self.slot_size
@@ -419,31 +419,20 @@ class EncryptedStore:
                         raise IntegrityError(
                             f"slot {slot} ciphertext digest mismatch"
                         )
-        if self._vec is not None:
-            plain = self._open_batch_vector(raw_nonces, blob_buf)
-        else:
-            plain_buf, plain_size = self._aead.open_batch_buffer(
-                self._nonce_list(raw_nonces),
-                (blob_buf, self.slot_size),
-                self._aads(),
-            )
-            plain = soa.buffer_to_matrix(plain_buf, plain_size)
-        self.telemetry.counter("snoopy_aead_open_batch_total").inc()
+        plain = self._open_lanes(raw_nonces, blob_buf)
+        self.telemetry.counter("snoopy_store_batch_opens_total").inc()
         self.telemetry.counter(
             "snoopy_store_bytes_moved_total", op="open"
-        ).inc(len(blob_buf))
-        self.telemetry.counter(
-            "snoopy_aead_bytes_total", op="open", kernel=self.crypto_kernel
         ).inc(len(blob_buf))
         keys = soa.prefix_to_keys(plain[:, :16])
         return keys, plain[:, 16:]
 
-    def _open_batch_vector(self, raw_nonces: bytes, blob_buf: bytes):
-        """Vector-kernel whole-store open, as a plaintext matrix.
+    def _open_lanes(self, raw_nonces: bytes, blob_buf: bytes):
+        """Whole-store open, as a plaintext matrix.
 
         The fast path applies when every slot shares the batch nonce of
         the last ``put_batch`` — one ``open_lanes`` call for the whole
-        store.  After interleaved scalar writes (mixed per-slot nonces)
+        store.  After interleaved per-slot writes (mixed nonces)
         each slot opens individually under its own stored nonce; both
         paths verify every tag before releasing plaintext.
         """

@@ -22,10 +22,11 @@ from typing import Dict, Iterable, List, Optional
 
 from repro.crypto.keys import KeyChain
 from repro.errors import DuplicateRequestError, NotInitializedError
+from repro.exec.backend import interpreter_turn
 from repro.oblivious.hashtable import TwoTierHashTable, TwoTierParams
 from repro.oblivious.kernels import ScanTable, resolve_kernel
 from repro.oblivious.primitives import and_bit, eq_bit, o_select
-from repro.suboram.store import EncryptedStore
+from repro.suboram.store import EncryptedStore, resolve_crypto
 from repro.telemetry import NULL_TELEMETRY
 from repro.telemetry.kernelbridge import TimedKernelTrace, flush_kernel_trace
 from repro.types import BatchEntry, OpType
@@ -41,28 +42,24 @@ class SubOram:
         keychain: deployment keys (storage encryption, per-batch keys).
         security_parameter: lambda for hash-table sizing.
         kernel: oblivious-kernel selector ("python" or "numpy", see
-            :mod:`repro.oblivious.kernels`).  The python kernel runs the
-            audited scalar Figure 19 loop; the numpy kernel runs the
+            :mod:`repro.oblivious.kernels`; ``None`` = its
+            ``DEFAULT_KERNEL``).  The python kernel runs the audited
+            scalar Figure 19 loop; the numpy kernel runs the
             structure-of-arrays scan with byte-identical results.
-        crypto: store-crypto selector: ``"scalar"`` seals/opens one slot
-            per AEAD call (the audited oracle); ``"batched"`` (default)
-            moves whole-store reads and the write-back re-encryption
-            through one batched pass per epoch
-            (:meth:`~repro.suboram.store.EncryptedStore.get_batch` /
-            ``put_batch``) with byte-identical responses; ``"vector"``
-            additionally switches the store onto the counter-mode crypto
-            kernel of :mod:`repro.crypto.vector` — one nonce-derived
-            keystream and one vectorized polynomial-MAC pass per epoch,
-            O(1) Python calls regardless of store size, same plaintext
-            responses (ciphertext bytes differ from the HMAC kernel;
-            lengths and schedules do not).  Batched/vector modes
-            silently degrade to the scalar path when the vectorized
-            prerequisites are absent (python kernel, no NumPy, or an
-            instrumented store subclass).
+        crypto: store-crypto selector (see :mod:`repro.suboram.store`;
+            ``None`` = its ``DEFAULT_CRYPTO``): ``"scalar"`` seals/opens
+            one slot per HMAC-AEAD call (the audited oracle);
+            ``"vector"`` moves whole-store reads and the write-back
+            re-encryption through the counter-mode cipher of
+            :mod:`repro.crypto.vector` — one nonce-derived keystream and
+            one vectorized polynomial-MAC pass per epoch, O(1) Python
+            calls regardless of store size, same plaintext responses
+            (ciphertext bytes differ from the HMAC scheme; lengths and
+            schedules do not).  Vector mode degrades to per-slot calls
+            of the same cipher when the batch prerequisites are absent
+            (python kernel, no NumPy, or an instrumented store
+            subclass).
     """
-
-    #: Valid store-crypto selectors.
-    CRYPTO_MODES = ("scalar", "batched", "vector")
 
     def __init__(
         self,
@@ -71,19 +68,14 @@ class SubOram:
         keychain: Optional[KeyChain] = None,
         security_parameter: int = 128,
         kernel=None,
-        crypto: str = "batched",
+        crypto: Optional[str] = None,
     ):
         require_positive(value_size, "value_size")
-        require(
-            crypto in self.CRYPTO_MODES,
-            f"unknown crypto mode {crypto!r}; valid modes: "
-            f"{list(self.CRYPTO_MODES)}",
-        )
         self.suboram_id = suboram_id
         self.value_size = value_size
         self.security_parameter = security_parameter
         self.kernel = resolve_kernel(kernel)
-        self.crypto = crypto
+        self.crypto = resolve_crypto(crypto)
         self._keychain = keychain if keychain is not None else KeyChain()
         self._store: Optional[EncryptedStore] = None
         self._keys: List[int] = []  # physical slot -> object key (scan order)
@@ -106,7 +98,7 @@ class SubOram:
             storage_key,
             num_slots=len(self._keys),
             value_size=self.value_size,
-            crypto_kernel="vector" if self.crypto == "vector" else "hmac",
+            crypto=self.crypto,
         )
         self._store.telemetry = self.telemetry
         values = []
@@ -117,11 +109,7 @@ class SubOram:
                 f"object {key} has size {len(value)}, expected {self.value_size}",
             )
             values.append(value)
-        if self.crypto != "scalar" and self._store.supports_batch:
-            self._store.put_batch(self._keys, values)
-        else:
-            for slot, (key, value) in enumerate(zip(self._keys, values)):
-                self._store.put(slot, key, value)
+        self._store.put_batch(self._keys, values)
 
     @property
     def num_objects(self) -> int:
@@ -170,7 +158,16 @@ class SubOram:
             raise NotInitializedError("subORAM not initialized")
         if not batch:
             return []
+        # Only the whole-store batch passes run long enough without the
+        # GIL to be worth overlapping with another unit's.
+        store = self._store
+        bulk = store.supports_batch and hasattr(self.kernel, "scan_soa")
+        nbytes = store.num_slots * store.slot_size if bulk else 0
+        with interpreter_turn(nbytes):
+            return self._batch_access(batch, batch_key, table_params)
 
+    def _batch_access(self, batch, batch_key, table_params):
+        """:meth:`batch_access` proper, under its interpreter turn."""
         keys = [entry.key for entry in batch]
         if len(set(keys)) != len(keys):
             raise DuplicateRequestError(
@@ -268,20 +265,17 @@ class SubOram:
     ) -> Dict[int, int]:
         """The structure-of-arrays Figure 19 scan (numpy kernel).
 
-        In batched-crypto mode the whole store is authenticated,
-        decrypted, scanned, and re-encrypted through four vectorized
-        passes (``get_batch`` → ``lookup_matrix`` → ``scan_soa`` →
-        ``put_batch``) with no per-slot Python call.  In scalar mode the
-        same kernel core runs between per-slot ``get``/``put`` calls —
-        the audited per-slot crypto oracle.  Outputs are byte-identical
-        to :meth:`_scan_reference` either way.
+        When the store has a batch path (``crypto="vector"``) the whole
+        store is authenticated, decrypted, scanned, and re-encrypted
+        through four vectorized passes (``get_batch`` → ``lookup_matrix``
+        → ``scan_soa`` → ``put_batch``) with no per-slot Python call.
+        Otherwise the same kernel core runs between per-slot
+        ``get``/``put`` calls — under ``crypto="scalar"`` the audited
+        per-slot crypto oracle.  Outputs are byte-identical to
+        :meth:`_scan_reference` either way.
         """
         store = self._store
-        batched = (
-            self.crypto in ("batched", "vector")
-            and store.supports_batch
-            and hasattr(self.kernel, "scan_soa")
-        )
+        batched = store.supports_batch and hasattr(self.kernel, "scan_soa")
         if batched:
             okeys, ovals = store.get_batch()
             obj_keys = okeys.tolist()

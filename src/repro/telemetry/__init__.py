@@ -53,14 +53,13 @@ What gets instrumented when a ``Telemetry`` handle is threaded through
 * oblivious kernels — per-level sort/compact timings through the
   existing ``KernelTrace`` seam (``repro.telemetry.kernelbridge``;
   meaningful on the numpy kernel, which records levels as it executes);
-* store crypto — ``snoopy_aead_seal_batch_total`` /
-  ``snoopy_aead_open_batch_total`` (one increment per whole-store batch
-  pass, under both the batched HMAC and vector kernels),
-  ``snoopy_keystream_derivations_total`` (vector kernel only: one
-  fresh-nonce keystream derivation per batch — the observable behind
-  SECURITY.md's keystream-reuse invariant),
-  ``snoopy_aead_bytes_total{op,kernel}`` and
-  ``snoopy_store_verified_bytes_total``.  These are throughput
+* store crypto (``crypto="vector"``'s batch path) —
+  ``snoopy_store_batch_seals_total`` /
+  ``snoopy_store_batch_opens_total`` (one increment per whole-store
+  batch pass), ``snoopy_keystream_derivations_total`` (one fresh-nonce
+  keystream derivation per batch — the observable behind SECURITY.md's
+  keystream-reuse invariant), ``snoopy_store_bytes_moved_total{op}``
+  and ``snoopy_store_verified_bytes_total``.  These are throughput
   diagnostics: the differential harness excludes them from the
   workload-invariant public slice it compares across configurations;
 * retry/replication — ``retry_epochs_failed_total`` /

@@ -18,6 +18,7 @@ from typing import Iterator, List
 #: the guide text).  Kept as docstrings so the guides cannot drift from
 #: code.  A tuple of module names concatenates their docstrings.
 GUIDES = [
+    ("Configuration: one default per axis", "repro.core.config"),
     ("Execution backends", "repro.exec"),
     ("Oblivious kernels", "repro.oblivious.kernels"),
     ("Tickets", "repro.core.tickets"),
@@ -37,7 +38,7 @@ GUIDES = [
          "repro.serve.secure"),
     ),
     (
-        "Batched crypto & zero-copy state",
+        "Store crypto & zero-copy state",
         ("repro.crypto.aead", "repro.crypto.vector",
          "repro.suboram.store", "repro.exec.shipping"),
     ),

@@ -84,16 +84,16 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--objects", type=int, default=500)
     demo.add_argument("--requests", type=int, default=40)
     demo.add_argument("--seed", type=int, default=0)
-    demo.add_argument("--backend", type=str, default="serial",
+    demo.add_argument("--backend", type=str, default=None,
                       help="execution backend spec: serial, thread[:N], "
-                           "process[:N] (default serial)")
+                           "process[:N] (default: SnoopyConfig's)")
     demo.add_argument("--workers", type=int, default=None,
                       help="worker-pool size for parallel backends")
-    demo.add_argument("--kernel", type=str, default="python",
+    demo.add_argument("--kernel", type=str, default=None,
                       choices=["python", "numpy"],
                       help="oblivious-kernel implementation: the traced "
                            "scalar reference or the vectorized NumPy "
-                           "fast path (default python)")
+                           "fast path (default: SnoopyConfig's)")
     demo.add_argument("--epochs", type=int, default=1,
                       help="number of epochs to spread the requests over "
                            "(default 1)")
@@ -128,11 +128,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--suborams", type=int, default=2)
     serve.add_argument("--objects", type=int, default=1000)
     serve.add_argument("--value-size", type=int, default=16)
-    serve.add_argument("--backend", type=str, default="thread",
+    serve.add_argument("--backend", type=str, default=None,
                        help="execution backend spec: serial or thread[:N] "
-                            "(default thread; the server needs a "
-                            "shared-state backend)")
-    serve.add_argument("--kernel", type=str, default="python",
+                            "(default: SnoopyConfig's; the server "
+                            "needs a shared-state backend)")
+    serve.add_argument("--kernel", type=str, default=None,
                        choices=["python", "numpy"])
     serve.add_argument("--epoch-duration", type=float, default=0.01,
                        metavar="SECONDS",
@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--worker-processes", action="store_true",
                        help="also run subORAMs out of process and "
                             "inject faults on the balancer-worker links")
-    chaos.add_argument("--kernel", type=str, default="python",
+    chaos.add_argument("--kernel", type=str, default=None,
                        choices=["python", "numpy"])
     chaos.add_argument("--timeout", type=float, default=60.0,
                        help="client/admin timeout in seconds")
@@ -544,11 +544,14 @@ def cmd_serve(args) -> int:
     with contextlib.ExitStack() as stack:
         factory = None
         if args.worker_processes:
+            # Built from the same config as the front end, so workers
+            # cannot serve a different kernel/crypto path than it names.
             cluster = stack.enter_context(WorkerCluster(
-                args.suborams,
-                value_size=args.value_size,
-                security_parameter=32,
-                kernel=args.kernel,
+                config.num_suborams,
+                value_size=config.value_size,
+                security_parameter=config.security_parameter,
+                kernel=config.kernel,
+                crypto=config.crypto,
                 trust=trust,
             ))
             cluster.start()
@@ -587,6 +590,9 @@ def cmd_serve(args) -> int:
                 "value_size": args.value_size,
                 "num_load_balancers": args.balancers,
                 "num_suborams": args.suborams,
+                "kernel": config.kernel,
+                "crypto": config.crypto,
+                "backend": store.backend.name,
                 "epoch_duration_s": (
                     None if args.manual_epochs else args.epoch_duration
                 ),

@@ -448,7 +448,7 @@ def parse_workload_spec(
 
 
 # ---------------------------------------------------------------------------
-# Legacy single-stream entry points (kept for repro.sim.workload shims)
+# Single-stream entry points (one caller-supplied RNG)
 # ---------------------------------------------------------------------------
 def uniform_requests(
     count: int,

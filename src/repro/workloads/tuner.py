@@ -15,8 +15,9 @@ Two evaluation layers, deliberately separated:
   (:meth:`TunerResult.best_config_json`), which is what the
   determinism tests compare and what CI can diff.
 * **Replay verification (measured).**  The winning candidate and the
-  library-default configuration are then actually replayed against the
-  trace in process (:func:`replay_trace`) and the measured
+  pinned reference configuration (:data:`DEFAULT_CANDIDATE`: serial,
+  python kernel, depth 1, 0.2 s epochs) are then actually replayed
+  against the trace in process (:func:`replay_trace`) and the measured
   requests/second recorded alongside.  The emitted report carries both
   numbers; re-replaying the emitted config must land within
   ``REPRODUCTION_TOLERANCE`` of the reported measurement (the
@@ -101,13 +102,15 @@ class CandidateConfig:
         )
 
 
-#: The library's out-of-the-box configuration, as a candidate — the
-#: baseline the tuner's winner must beat on its own trace.
+#: The fixed reference point every ``speedup_over_default`` is stated
+#: against (and the report names as ``default_config``): the untuned
+#: all-reference deployment.  Pinned literally — it must not float when
+#: ``SnoopyConfig``'s defaults move, or reports stop being comparable.
 DEFAULT_CANDIDATE = CandidateConfig(
-    epoch_duration=SnoopyConfig.epoch_duration,
+    epoch_duration=0.2,
     pipeline_depth=1,
-    kernel=SnoopyConfig.kernel,
-    backend=SnoopyConfig.execution_backend,
+    kernel="python",
+    backend="serial",
     replication=None,
 )
 
@@ -445,8 +448,10 @@ def tune(
     docstring).  Feasible candidates (peak epoch drains within one
     period) beat infeasible ones; within a class, higher modelled
     throughput wins, ties broken toward lower epoch_duration / less
-    hardware.  With ``measure=True`` the winner and the library default
-    are then replayed for real and the measured rps attached.
+    hardware.  With ``measure=True`` the winner and the pinned reference
+    (:data:`DEFAULT_CANDIDATE`, named in the report as
+    ``default_config``) are then replayed for real and the measured rps
+    attached.
     """
     sweep = sweep if sweep is not None else TunerSweep()
     if num_objects is None:

@@ -9,16 +9,16 @@ workloads, store builders).  They now share this harness, and the
 matrix test (``test_harness.py``) runs the full cross product
 
     {serial, thread, process} x {python, numpy}
-        x {scalar, batched, vector} x {fault-free, FaultPlan}
+        x {scalar, vector} x {fault-free, FaultPlan}
 
 asserting byte-identical responses and identical workload-invariant
 public telemetry for every cell.  The crypto axis is the store-crypto
 selector of :class:`~repro.core.config.SnoopyConfig`: ``"scalar"`` seals
-one slot per AEAD call (the audited oracle), ``"batched"`` re-encrypts
-the whole store in one vectorized HMAC pass per epoch, and ``"vector"``
-swaps in the counter-mode :class:`~repro.crypto.vector.VectorAead`
-kernel (one keystream + one polynomial-MAC pass per batch) — the matrix
-proves all three serve identical bytes on every backend.
+one slot per HMAC-AEAD call (the audited oracle) and ``"vector"``
+re-encrypts the whole store through the counter-mode
+:class:`~repro.crypto.vector.VectorAead` cipher (one keystream + one
+polynomial-MAC pass per batch) — the matrix proves both serve identical
+bytes on every backend.
 
 Key pieces:
 
@@ -77,8 +77,8 @@ class TracingStore(EncryptedStore):
     subORAM — making traces comparable across all backends.
     """
 
-    def __init__(self, encryption_key, num_slots, value_size):
-        super().__init__(encryption_key, num_slots, value_size)
+    def __init__(self, encryption_key, num_slots, value_size, crypto=None):
+        super().__init__(encryption_key, num_slots, value_size, crypto)
         self.access_log = []
 
     def get(self, slot):
@@ -102,6 +102,7 @@ class TracingSubOram(SubOram):
             self._keychain.subkey(f"suboram/{self.suboram_id}/storage"),
             num_slots=self._store.num_slots,
             value_size=self.value_size,
+            crypto=self.crypto,
         )
         for slot in range(self._store.num_slots):
             key, value = self._store.get(slot)
@@ -117,6 +118,8 @@ def tracing_factory(suboram_id, config, keychain):
         value_size=config.value_size,
         keychain=keychain,
         security_parameter=config.security_parameter,
+        kernel=config.kernel,
+        crypto=config.crypto,
     )
 
 
@@ -194,12 +197,12 @@ def workload_schedule(
 
 
 def build_store(
-    backend: str = "serial",
+    backend: Optional[str] = None,
     *,
     master: bytes,
     objects: Dict[int, bytes],
-    kernel: str = "python",
-    crypto: str = "batched",
+    kernel: Optional[str] = None,
+    crypto: Optional[str] = None,
     plan=None,
     replication=None,
     max_attempts: int = 1,
@@ -215,7 +218,8 @@ def build_store(
 
     Identical arguments produce behaviourally identical deployments no
     matter the (backend, kernel, plan) cell — the property every
-    differential test in this suite leans on.
+    differential test in this suite leans on.  An omitted backend,
+    kernel or crypto is ``SnoopyConfig``'s default for that axis.
     """
     config = SnoopyConfig(
         num_load_balancers=num_load_balancers,
@@ -294,8 +298,7 @@ class RunResult:
     Attributes:
         backend: the execution-backend spec of this cell.
         kernel: the oblivious-kernel name of this cell.
-        crypto: the store-crypto mode (``"scalar"``, ``"batched"``, or
-            ``"vector"``).
+        crypto: the store-crypto mode (``"scalar"`` or ``"vector"``).
         plan_name: the fault-plan label (``"fault-free"`` or a label the
             caller chose).
         responses: per-epoch response lists, in epoch order.
@@ -339,7 +342,7 @@ def differential_run(
     master: bytes,
     backends: Sequence[str] = ("serial", "thread:4", "process:2"),
     kernels: Sequence[str] = ("python", "numpy"),
-    cryptos: Sequence[str] = ("batched",),
+    cryptos: Sequence[str] = ("vector",),
     fault_plans: Sequence[Tuple[str, object]] = (("fault-free", None),),
     replication=None,
     fault_max_attempts: int = 4,
@@ -363,7 +366,7 @@ def differential_run(
     then kernels, then backends — so ``results[0]`` is the fault-free
     reference cell when the axes keep their defaults, and the scalar
     (oracle-crypto) cells come first when ``cryptos=("scalar",
-    "batched")``.
+    "vector")``.
     """
     cells = [
         (plan_name, plan_spec, crypto, kernel, backend)

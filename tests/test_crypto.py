@@ -99,6 +99,18 @@ class TestAead:
             key.open(bytes(NONCE_LEN), b"tiny")
 
 
+    def test_survives_pickle(self):
+        """A key that crossed a process boundary still seals identically."""
+        import pickle
+
+        key = AeadKey(b"k" * 32)
+        clone = pickle.loads(pickle.dumps(key))
+        nonce = bytes(NONCE_LEN)
+        assert clone.seal(nonce, b"hello", b"ctx") == key.seal(
+            nonce, b"hello", b"ctx"
+        )
+
+
 class TestSecureChannel:
     def test_roundtrip(self):
         a = SecureChannel(b"k" * 32, "ab")
@@ -160,114 +172,6 @@ def test_digest_is_sha256_stable():
     assert digest(b"abc") == digest(b"abc")
     assert digest(b"abc") != digest(b"abd")
     assert len(digest(b"")) == 32
-
-
-class TestAeadBatch:
-    """seal_batch/open_batch are byte-identical to the scalar oracle."""
-
-    def _fixtures(self, count=7, size=29, seed=3):
-        rng = random.Random(seed)
-        key = AeadKey(b"batch-key-0123456789abcdef0123456789")
-        nonces = [rng.randbytes(NONCE_LEN) for _ in range(count)]
-        plaintexts = [rng.randbytes(size) for _ in range(count)]
-        aads = [i.to_bytes(8, "big") for i in range(count)]
-        return key, nonces, plaintexts, aads
-
-    def test_seal_batch_matches_scalar_seal(self):
-        key, nonces, plaintexts, aads = self._fixtures()
-        batch = key.seal_batch(nonces, plaintexts, aads)
-        scalar = [
-            key.seal(n, pt, aad)
-            for n, pt, aad in zip(nonces, plaintexts, aads)
-        ]
-        assert batch == scalar
-
-    def test_seal_batch_matches_scalar_without_aads(self):
-        key, nonces, plaintexts, _ = self._fixtures()
-        assert key.seal_batch(nonces, plaintexts) == [
-            key.seal(n, pt) for n, pt in zip(nonces, plaintexts)
-        ]
-
-    def test_multiblock_plaintexts_match_scalar(self):
-        """Slots wider than one SHA-256 block exercise the slow lane."""
-        key, nonces, _, aads = self._fixtures(count=4, size=100)
-        plaintexts = [bytes([i]) * 100 for i in range(4)]
-        assert key.seal_batch(nonces, plaintexts, aads) == [
-            key.seal(n, pt, aad)
-            for n, pt, aad in zip(nonces, plaintexts, aads)
-        ]
-
-    def test_open_batch_roundtrip_matches_scalar_open(self):
-        key, nonces, plaintexts, aads = self._fixtures()
-        sealed = key.seal_batch(nonces, plaintexts, aads)
-        assert key.open_batch(nonces, sealed, aads) == plaintexts
-        assert key.open_batch(nonces, sealed, aads) == [
-            key.open(n, blob, aad)
-            for n, blob, aad in zip(nonces, sealed, aads)
-        ]
-
-    def test_buffer_entry_points_match_list_entry_points(self):
-        key, nonces, plaintexts, aads = self._fixtures(count=5, size=24)
-        sealed_buf, slot_size = key.seal_batch_buffer(
-            nonces, (b"".join(plaintexts), 24), aads
-        )
-        assert bytes(sealed_buf) == b"".join(
-            key.seal_batch(nonces, plaintexts, aads)
-        )
-        plain_buf, plain_size = key.open_batch_buffer(
-            nonces, (sealed_buf, slot_size), aads
-        )
-        assert plain_size == 24
-        assert bytes(plain_buf) == b"".join(plaintexts)
-
-    def test_tampering_any_single_slot_names_it(self):
-        key, nonces, plaintexts, aads = self._fixtures(count=5)
-        sealed = key.seal_batch(nonces, plaintexts, aads)
-        for victim in range(5):
-            broken = list(sealed)
-            blob = broken[victim]
-            broken[victim] = blob[:-1] + bytes([blob[-1] ^ 1])
-            with pytest.raises(
-                IntegrityError, match=f"batch slot {victim}$"
-            ):
-                key.open_batch(nonces, broken, aads)
-
-    def test_wrong_aad_rejected(self):
-        key, nonces, plaintexts, aads = self._fixtures()
-        sealed = key.seal_batch(nonces, plaintexts, aads)
-        swapped = [aads[-1]] + aads[1:]
-        with pytest.raises(IntegrityError, match="batch slot 0"):
-            key.open_batch(nonces, sealed, swapped)
-
-    def test_non_uniform_lengths_rejected(self):
-        key, nonces, plaintexts, _ = self._fixtures(count=3, size=8)
-        with pytest.raises(ValueError):
-            key.seal_batch(nonces, [plaintexts[0], b"xx", plaintexts[2]])
-        sealed = key.seal_batch(nonces, plaintexts)
-        with pytest.raises(ValueError):
-            key.open_batch(nonces, [sealed[0], sealed[1] + b"x", sealed[2]])
-
-    def test_count_mismatches_rejected(self):
-        key, nonces, plaintexts, aads = self._fixtures()
-        with pytest.raises(ValueError):
-            key.seal_batch(nonces[:-1], plaintexts)
-        with pytest.raises(ValueError):
-            key.seal_batch(nonces, plaintexts, aads[:-1])
-
-    def test_empty_batch(self):
-        key, _, _, _ = self._fixtures()
-        assert key.seal_batch([], []) == []
-        assert key.open_batch([], []) == []
-
-    def test_batch_survives_pickle(self):
-        """A key that crossed a process boundary still seals identically."""
-        import pickle
-
-        key, nonces, plaintexts, aads = self._fixtures()
-        clone = pickle.loads(pickle.dumps(key))
-        assert clone.seal_batch(nonces, plaintexts, aads) == key.seal_batch(
-            nonces, plaintexts, aads
-        )
 
 
 class TestReplayWindow:

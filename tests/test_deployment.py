@@ -8,8 +8,11 @@ from repro.core.config import SnoopyConfig
 from repro.core.deployment import DistributedSnoopy
 from repro.core.snoopy import Snoopy
 from repro.enclave.model import Enclave
-from repro.errors import (AttestationError, IntegrityError,
-                          NotInitializedError, ReplayError)
+from repro.errors import (AttestationError, ConfigurationError,
+                          IntegrityError, NotInitializedError, ReplayError)
+from repro.extensions.replication import ReplicatedSubOram
+from repro.serve.workers import WorkerCluster
+from repro.suboram.suboram import SubOram
 from repro.types import OpType, Request
 
 
@@ -152,3 +155,51 @@ class TestRandomizedEquivalence:
             d = {r.seq: r.value for r in distributed.batch(list(requests))}
             l = {r.seq: r.value for r in local.batch(list(requests))}
             assert d == l
+
+
+class TestOneDefaultPerAxis:
+    """Every constructor serves the path its config (or none) names."""
+
+    @pytest.mark.parametrize("replication", [None, (1, 0)])
+    def test_distributed_threads_config_crypto_and_kernel(self, replication):
+        """Regression: the attested deployment used to drop ``crypto``."""
+        deployment = make_deployment(
+            crypto="scalar", kernel="python", replication=replication
+        )
+        suborams = [
+            replica.suboram
+            for group in deployment.suborams
+            for replica in getattr(group, "replicas", [])
+        ] or deployment.suborams
+        assert {s.crypto for s in suborams} == {"scalar"}
+        assert {s.kernel.name for s in suborams} == {"python"}
+        assert deployment.read(5) == bytes([5]) * 8
+
+    def test_omitted_selectors_equal_the_config_default(self):
+        default = SnoopyConfig()
+        bare = SubOram(0, 16)
+        replica = ReplicatedSubOram(0, 16).replicas[0].suboram
+        cluster = WorkerCluster(1, value_size=16)  # never started
+        for built in (bare, replica):
+            assert built.crypto == default.crypto
+            assert built.kernel.name == default.kernel
+        assert (cluster.kernel, cluster.crypto) == (
+            default.kernel, default.crypto
+        )
+        with DistributedSnoopy(default) as deployment:
+            assert deployment.backend.name == default.execution_backend
+
+    def test_deleted_batched_mode_is_rejected_by_name(self):
+        removed = 'batched'  # the middle rung: no longer a mode anywhere
+        for build in (
+            lambda: SnoopyConfig(crypto=removed),
+            lambda: SubOram(0, 16, crypto=removed),
+        ):
+            with pytest.raises(
+                (ConfigurationError, ValueError), match="scalar.*vector"
+            ):
+                build()
+
+    def test_pipeline_stays_unavailable_on_the_attested_deployment(self):
+        with pytest.raises(ConfigurationError):
+            make_deployment().start_pipeline()

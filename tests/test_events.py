@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.sim.events import EpochSimConfig, EpochSimulator
-from repro.sim.workload import poisson_arrivals
+from repro.workloads import poisson_arrivals
 
 
 def simulate(rate=1000, duration=5.0, epoch_duration=0.2, **config_kwargs):

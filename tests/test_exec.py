@@ -57,8 +57,9 @@ class TestParseSpec:
 
 
 class TestMakeBackend:
-    def test_default_is_serial(self):
-        assert isinstance(make_backend(), SerialBackend)
+    def test_default_is_the_config_default(self):
+        with make_backend() as backend:
+            assert backend.name == SnoopyConfig().execution_backend
 
     def test_instance_passthrough(self):
         backend = ThreadPoolBackend(max_workers=2)
@@ -131,8 +132,9 @@ class TestConfigIntegration:
         with pytest.raises(Exception):
             SnoopyConfig(max_workers=0)
 
-    def test_config_defaults_serial(self):
-        assert SnoopyConfig().execution_backend == "serial"
+    def test_config_defaults_to_served_path(self):
+        assert SnoopyConfig().execution_backend == "thread"
+        assert SnoopyConfig(execution_backend=None) == SnoopyConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -348,3 +350,20 @@ class TestWorkerCrashes:
             assert backend.map_stateful(
                 bump, [(("ns", 1), 5, "x")], token=version_of
             ) == [(6, (5, "x"))]
+
+
+class TestInterpreterTurn:
+    def test_suboram_holds_the_turn_unless_its_passes_are_bulk(self, monkeypatch):
+        from repro.exec import backend
+        from repro.suboram.suboram import SubOram
+        from repro.types import BatchEntry, OpType
+        turn, held = backend.interpreter_turn(), []
+        suboram = SubOram(0, value_size=4, security_parameter=16)
+        suboram.initialize({k: bytes(4) for k in range(8)})
+        real = suboram.store.get_batch
+        suboram.store.get_batch = lambda: (held.append(turn.locked()), real())[1]
+        for threshold in (backend.GIL_FREE_MIN_BYTES, 1):
+            monkeypatch.setattr(backend, "GIL_FREE_MIN_BYTES", threshold)
+            suboram.batch_access(
+                [BatchEntry(op=OpType.READ, key=3, is_dummy=False)])
+        assert held == [True, False] and not turn.locked()

@@ -3,16 +3,15 @@
 Runs one seeded workload through the full cross product
 
     {serial, thread, process} x {python, numpy}
-        x {scalar, batched, vector} x {fault-free, FaultPlan}
+        x {scalar, vector} x {fault-free, FaultPlan}
 
 via :func:`tests.harness.differential_run` and asserts every cell's
 responses, resolved tickets, and workload-invariant public telemetry
 match the fault-free serial/python/scalar reference cell exactly.  The
-scalar cells seal one slot per AEAD call (the audited oracle); the
-batched cells re-encrypt the whole store in one vectorized HMAC pass;
-the vector cells use the counter-mode :class:`~repro.crypto.vector.
-VectorAead` kernel — so a matrix pass is a proof that each crypto mode
-changed throughput, not bytes.
+scalar cells seal one slot per HMAC-AEAD call (the audited oracle); the
+vector cells re-encrypt the whole store in one pass of the counter-mode
+:class:`~repro.crypto.vector.VectorAead` cipher — so a matrix pass is a
+proof that the crypto mode changed throughput, not bytes.
 """
 
 import pytest
@@ -42,12 +41,12 @@ CHAOS_PLAN = FaultPlan([
 
 @pytest.fixture(scope="module")
 def matrix():
-    """All 36 cells of the (backend, kernel, crypto, plan) cross product."""
+    """All 24 cells of the (backend, kernel, crypto, plan) cross product."""
     return differential_run(
         WORKLOAD,
         OBJECTS,
         master=MASTER,
-        cryptos=("scalar", "batched", "vector"),
+        cryptos=("scalar", "vector"),
         fault_plans=(
             ("fault-free", None),
             # Callable: each cell consumes its own injector cursor.
@@ -58,14 +57,14 @@ def matrix():
 
 def test_matrix_covers_every_cell(matrix):
     keys = {run.key for run in matrix}
-    assert len(keys) == len(matrix) == 36
+    assert len(keys) == len(matrix) == 24
     backends = {backend for backend, _, _, _ in keys}
     kernels = {kernel for _, kernel, _, _ in keys}
     cryptos = {crypto for _, _, crypto, _ in keys}
     plans = {plan for _, _, _, plan in keys}
     assert backends == {"serial", "thread:4", "process:2"}
     assert kernels == {"python", "numpy"}
-    assert cryptos == {"scalar", "batched", "vector"}
+    assert cryptos == {"scalar", "vector"}
     assert plans == {"fault-free", "chaos"}
 
 
@@ -92,16 +91,15 @@ def test_invariant_metrics_are_populated(matrix):
 
 
 def test_batched_cells_actually_batched(matrix):
-    """The batched/vector cells of the matrix really used batch paths.
+    """The vector cells of the matrix really used the batch path.
 
     Guards against the crypto axis silently collapsing to scalar (e.g. a
-    ``supports_batch`` regression): every in-process batched or vector
-    cell must have recorded batched seal passes, and no scalar cell may
-    have any.  Vector cells must additionally have derived per-batch
-    keystreams (each one a fresh-nonce derivation — the keystream-reuse
-    invariant's observable).  Process-backend cells run their seals
-    inside workers, whose telemetry handle is the pickled null — their
-    counters legitimately stay zero.
+    ``supports_batch`` regression): every in-process vector cell must
+    have recorded batch seal passes and per-batch keystream derivations
+    (each one a fresh-nonce derivation — the keystream-reuse invariant's
+    observable), and no scalar cell may have either.  Process-backend
+    cells run their seals inside workers, whose telemetry handle is the
+    pickled null — their counters legitimately stay zero.
     """
 
     def series_total(run, base):
@@ -112,16 +110,12 @@ def test_batched_cells_actually_batched(matrix):
         )
 
     for run in matrix:
-        seals = series_total(run, "snoopy_aead_seal_batch_total")
+        seals = series_total(run, "snoopy_store_batch_seals_total")
         keystreams = series_total(run, "snoopy_keystream_derivations_total")
         if run.crypto == "scalar":
-            assert seals == 0, run.key
+            assert seals == 0 and keystreams == 0, run.key
         elif not run.backend.startswith("process"):
-            assert seals > 0, run.key
-            if run.crypto == "vector":
-                assert keystreams > 0, run.key
-        if run.crypto != "vector":
-            assert keystreams == 0, run.key
+            assert seals > 0 and keystreams > 0, run.key
 
 
 def test_chaos_cells_actually_injected_faults(matrix):

@@ -12,8 +12,8 @@ from repro.core.config import SnoopyConfig
 from repro.core.linearizability import History, check_snoopy_history
 from repro.core.snoopy import Snoopy
 from repro.errors import IntegrityError
-from repro.sim.workload import uniform_requests, zipf_requests
 from repro.types import OpType, Request
+from repro.workloads import uniform_requests, zipf_requests
 
 
 class TestWorkloadsEndToEnd:

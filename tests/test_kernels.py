@@ -218,8 +218,10 @@ class TestResolveKernel:
         assert isinstance(KERNELS["numpy"], NumpyKernel)
         assert not PY.vectorized and NP.vectorized
 
-    def test_defaults_to_python(self):
-        assert resolve_kernel(None) is PY
+    def test_defaults_to_config_default(self):
+        assert resolve_kernel(None) is NP
+        assert SnoopyConfig().kernel == "numpy"
+        assert SnoopyConfig(kernel=None) == SnoopyConfig()
 
     def test_by_name_and_instance(self):
         assert resolve_kernel("numpy") is NP
@@ -238,6 +240,8 @@ class TestResolveKernel:
         monkeypatch.setattr(soa, "HAS_NUMPY", False)
         with pytest.warns(RuntimeWarning):
             assert resolve_kernel("numpy") is PY
+        with pytest.warns(RuntimeWarning):
+            assert resolve_kernel(None) is PY
 
     def test_soa_import_error_message(self, monkeypatch):
         monkeypatch.setattr(soa, "HAS_NUMPY", False)

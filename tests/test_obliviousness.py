@@ -183,7 +183,9 @@ class TestSubOramScanOrder:
 
         sequences = []
         for trial in range(2):
-            suboram = SubOram(0, value_size=4, security_parameter=16)
+            suboram = SubOram(
+                0, value_size=4, security_parameter=16, kernel="python"
+            )
             suboram.initialize({k: bytes([k]) * 4 for k in range(25)})
             log = []
             store = suboram.store

@@ -254,6 +254,22 @@ class TestBackpressureAndRollback:
         finally:
             store.close()
 
+    def test_balancer_stages_stay_off_the_shared_state_pool(self, monkeypatch):
+        """A match queued behind the next epoch's units would answer late."""
+        from repro.core import epoch
+        real, ran_on = epoch.match_responses, []
+
+        def recording(*args, **kwargs):
+            ran_on.append(threading.current_thread().name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(epoch, "match_responses", recording)
+        store = build_store("thread:2", master=MASTER, objects=dict(OBJECTS))
+        with store.start_pipeline(clock=False) as pipeline:
+            store.submit(Request(OpType.READ, 1))
+            pipeline.close_epoch()
+        store.close()
+        assert ran_on and set(ran_on) == {"repro-pipeline-match"}
+
     def test_fatal_failure_poisons_and_rolls_back_all_inflight_epochs(self):
         """Exhausted retries roll back the failed epoch AND successors."""
         plan = FaultPlan([

@@ -71,6 +71,26 @@ class TestPlanner:
         large = Planner(1_000_000).plan(min_throughput=40_000, max_latency=1.0)
         assert small.monthly_cost <= large.monthly_cost
 
+    def test_pruned_search_equals_exhaustive_scan(self):
+        """The cost-bound pruning in ``_candidates`` never changes the
+        plan: compare against every feasible cell of the 8x8 grid."""
+        for objects, target in [(10_000, 200_000), (200_000, 60_000),
+                                (2_000_000, 50_000)]:
+            plan = Planner(objects, max_machines_per_role=8).plan(
+                min_throughput=target, max_latency=1.0
+            )
+            feasible = [
+                (DEFAULT_PRICES.monthly_cost(lbs, subs), -throughput,
+                 lbs, subs)
+                for lbs in range(1, 9)
+                for subs in range(1, 9)
+                for throughput in [max_throughput(lbs, subs, objects, 1.0)]
+                if throughput >= target
+            ]
+            cost, _, lbs, subs = min(feasible)
+            assert (plan.monthly_cost, plan.num_load_balancers,
+                    plan.num_suborams) == (cost, lbs, subs)
+
     def test_impossible_target_raises(self):
         planner = Planner(2_000_000, max_machines_per_role=2)
         with pytest.raises(PlannerError):

@@ -7,8 +7,8 @@ import pytest
 from repro.core.config import SnoopyConfig
 from repro.core.snoopy import Snoopy
 from repro.sim.runtime import SnoopyRuntime
-from repro.sim.workload import poisson_arrivals
 from repro.types import OpType, Request
+from repro.workloads import poisson_arrivals
 
 
 @pytest.fixture

@@ -81,7 +81,9 @@ class TestRealVsIdealSubOram:
     def test_store_sequence_real_equals_ideal(self, rng):
         ideal = simulate_suboram_store_sequence(30)
         for trial in range(2):
-            suboram = SubOram(0, value_size=4, security_parameter=16)
+            suboram = SubOram(
+                0, value_size=4, security_parameter=16, kernel="python"
+            )
             suboram.initialize({k: bytes([k]) * 4 for k in range(30)})
             log = []
             store = suboram.store

@@ -3,15 +3,23 @@
 import pytest
 
 from repro.errors import CapacityError, IntegrityError
-from repro.suboram.store import EncryptedStore
+from repro.suboram.store import CRYPTO_MODES, EncryptedStore
 
 
-@pytest.fixture
-def store():
-    s = EncryptedStore(b"storage-key-0123456789abcdef....", num_slots=8, value_size=4)
+def _filled(crypto):
+    s = EncryptedStore(
+        b"storage-key-0123456789abcdef....", num_slots=8, value_size=4,
+        crypto=crypto,
+    )
     for slot in range(8):
         s.put(slot, key=slot * 10, value=bytes([slot]) * 4)
     return s
+
+
+@pytest.fixture(params=CRYPTO_MODES)
+def store(request):
+    """The per-slot path under both ciphers (oracle and deployed)."""
+    return _filled(request.param)
 
 
 class TestRoundtrip:
@@ -77,7 +85,22 @@ class TestTamperDetection:
 
 
 class TestBatchPath:
-    """put_batch/get_batch move the same bytes as the scalar oracle."""
+    """put_batch/get_batch (the vector store's batch path) move the same
+    bytes the per-slot ``get`` reads back."""
+
+    @pytest.fixture
+    def store(self):
+        return _filled("vector")
+
+    def test_scalar_store_has_no_batch_path(self):
+        """``crypto="scalar"`` is per-slot by definition: ``put_batch``
+        is the ``put`` loop and ``get_batch`` refuses."""
+        oracle = _filled("scalar")
+        assert not oracle.supports_batch
+        oracle.put_batch(list(range(8)), [b"loop"] * 8)
+        assert oracle.get(5) == (5, b"loop")
+        with pytest.raises(RuntimeError, match="vector"):
+            oracle.get_batch()
 
     def test_roundtrip_matches_scalar_reads(self, store):
         keys = [slot * 100 for slot in range(8)]
@@ -86,7 +109,7 @@ class TestBatchPath:
         got_keys, got_values = store.get_batch()
         assert got_keys.tolist() == keys
         assert [bytes(row) for row in got_values] == values
-        # The scalar oracle reads the very same bytes back.
+        # The per-slot path reads the very same bytes back.
         for slot in range(8):
             assert store.get(slot) == (keys[slot], values[slot])
 
@@ -163,8 +186,8 @@ class TestBatchPath:
             for m in telemetry.registry.metrics()
         }
         moved = 8 * store.slot_size
-        assert values[("snoopy_aead_seal_batch_total", ())] == 1
-        assert values[("snoopy_aead_open_batch_total", ())] == 1
+        assert values[("snoopy_store_batch_seals_total", ())] == 1
+        assert values[("snoopy_store_batch_opens_total", ())] == 1
         assert values[
             ("snoopy_store_bytes_moved_total", (("op", "seal"),))
         ] == moved

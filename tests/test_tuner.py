@@ -126,12 +126,13 @@ class TestTunerBeatsDefault:
         not soa.HAS_NUMPY, reason="speedup needs the GIL-free numpy kernel"
     )
     def test_winner_beats_default_on_its_own_trace(self):
-        """Replay-verified: the tuned config out-serves the default.
+        """Replay-verified: the tuned config out-serves the reference.
 
-        The default (serial, python, depth 1, 200 ms epochs) leaves
-        the numpy kernel, pipelining, and batch-level parallelism on
-        the table, so the winner clears it ~3x here; the bound
-        tolerates CI-machine noise without letting a regression
+        The pinned reference (``DEFAULT_CANDIDATE``: serial, python,
+        depth 1, 200 ms epochs — not ``SnoopyConfig``'s defaults)
+        leaves the numpy kernel, pipelining, and batch-level
+        parallelism on the table, so the winner clears it ~3x here; the
+        bound tolerates CI-machine noise without letting a regression
         through.
         """
         result = tune(
@@ -139,6 +140,11 @@ class TestTunerBeatsDefault:
         )
         measured = result.measured
         assert measured is not None
+        assert DEFAULT_CANDIDATE.to_dict() == {
+            "backend": "serial", "epoch_duration": 0.2, "kernel": "python",
+            "pipeline_depth": 1, "replication": None,
+        }
+        assert measured["default_config"] == DEFAULT_CANDIDATE.to_dict()
         assert result.best != DEFAULT_CANDIDATE
         assert measured["best_rps"] > 0
         assert measured["speedup_over_default"] >= 1.5

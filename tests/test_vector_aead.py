@@ -15,7 +15,7 @@ so the tests here pin:
 * the keystream-reuse invariant's observable — every batch derives a
   fresh keystream from a fresh nonce, never reusing (key, nonce) across
   epochs (see SECURITY.md);
-* store integration for ``crypto_kernel="vector"`` including pickle
+* store integration for ``crypto="vector"`` including pickle
   round-trips and mixed scalar/batch states.
 """
 
@@ -25,14 +25,15 @@ import pickle
 import pytest
 
 from repro.crypto.aead import NONCE_LEN, TAG_LEN
-from repro.crypto.vector import (
-    CRYPTO_KERNELS,
-    VectorAead,
-    resolve_crypto_kernel,
-)
-from repro.errors import IntegrityError
+from repro.crypto.vector import VectorAead
+from repro.errors import ConfigurationError, IntegrityError
 from repro.oblivious import soa
-from repro.suboram.store import EncryptedStore
+from repro.suboram.store import (
+    CRYPTO_MODES,
+    DEFAULT_CRYPTO,
+    EncryptedStore,
+    resolve_crypto,
+)
 
 KEY = b"vector-aead-test-key-0123456789ab"[:32]
 
@@ -50,12 +51,12 @@ def lane_plain(size: int, lane: int, salt: int = 0) -> bytes:
 
 
 class TestSelector:
-    def test_kernel_names(self):
-        assert CRYPTO_KERNELS == ("hmac", "vector")
-        assert resolve_crypto_kernel(None) == "hmac"
-        assert resolve_crypto_kernel("vector") == "vector"
-        with pytest.raises(ValueError):
-            resolve_crypto_kernel("chacha")
+    def test_crypto_modes(self):
+        assert CRYPTO_MODES == ("scalar", "vector")
+        assert resolve_crypto(None) == DEFAULT_CRYPTO == "vector"
+        assert resolve_crypto("scalar") == "scalar"
+        with pytest.raises(ConfigurationError, match="scalar.*vector"):
+            resolve_crypto("chacha")
 
 
 class TestBackendBitIdentity:
@@ -194,7 +195,7 @@ class TestKeystreamUniqueness:
     @needs_numpy
     def test_store_derives_one_keystream_per_batch_with_fresh_nonces(self):
         store = EncryptedStore(
-            KEY, num_slots=32, value_size=24, crypto_kernel="vector"
+            KEY, num_slots=32, value_size=24, crypto="vector"
         )
         values = [lane_plain(24, i) for i in range(32)]
         seen_nonces = set()
@@ -213,7 +214,7 @@ class TestKeystreamUniqueness:
     def test_batch_nonce_replicated_per_slot(self):
         """All slots of one batch share the batch nonce (lane-separated)."""
         store = EncryptedStore(
-            KEY, num_slots=8, value_size=16, crypto_kernel="vector"
+            KEY, num_slots=8, value_size=16, crypto="vector"
         )
         store.put_batch(
             list(range(8)), [lane_plain(16, i) for i in range(8)]
@@ -238,13 +239,13 @@ class TestPickling:
     @needs_numpy
     def test_vector_store_roundtrip(self):
         store = EncryptedStore(
-            KEY, num_slots=16, value_size=32, crypto_kernel="vector"
+            KEY, num_slots=16, value_size=32, crypto="vector"
         )
         store.put_batch(
             list(range(16)), [lane_plain(32, i) for i in range(16)]
         )
         clone = pickle.loads(pickle.dumps(store))
-        assert clone.crypto_kernel == "vector"
+        assert clone.crypto == "vector"
         for slot in (0, 7, 15):
             assert clone.get(slot) == store.get(slot)
         # The clone keeps working in both batch and scalar modes.
@@ -256,7 +257,7 @@ class TestStoreIntegration:
     @needs_numpy
     def test_mixed_scalar_and_batch_state(self):
         store = EncryptedStore(
-            KEY, num_slots=12, value_size=16, crypto_kernel="vector"
+            KEY, num_slots=12, value_size=16, crypto="vector"
         )
         store.put_batch(
             list(range(12)), [lane_plain(16, i) for i in range(12)]
@@ -272,7 +273,7 @@ class TestStoreIntegration:
     @needs_numpy
     def test_store_tamper_detected(self):
         store = EncryptedStore(
-            KEY, num_slots=4, value_size=16, crypto_kernel="vector"
+            KEY, num_slots=4, value_size=16, crypto="vector"
         )
         store.put_batch(list(range(4)), [lane_plain(16, i) for i in range(4)])
         store._host_blobs[3] ^= 0x01

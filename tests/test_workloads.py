@@ -33,6 +33,7 @@ from repro.workloads import (
     WorkloadSpec,
     ZipfSampler,
     arrival_times,
+    bursty_arrivals,
     diurnal_arrivals,
     dumps_trace,
     flash_crowd_arrivals,
@@ -40,8 +41,11 @@ from repro.workloads import (
     generate_schedule,
     loads_trace,
     parse_workload_spec,
+    poisson_arrivals,
     record_trace,
+    uniform_requests,
     write_ratio_sweep,
+    zipf_requests,
 )
 
 
@@ -326,40 +330,40 @@ class TestSpecParsing:
             parse_workload_spec("pareto")
 
 
-class TestDeprecatedShims:
-    def test_sim_workload_warns_and_delegates(self):
-        import warnings
+class TestSingleStreamGenerators:
+    """The one-RNG entry points (``uniform_requests`` & co.)."""
 
-        from repro.sim import workload as legacy
+    def test_uniform_count_bounds_and_seq(self):
+        requests = uniform_requests(100, 50, rng=random.Random(1))
+        assert len(requests) == 100
+        assert all(0 <= r.key < 50 for r in requests)
+        assert [r.seq for r in requests] == list(range(100))
 
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            requests = legacy.uniform_requests(
-                20, 50, rng=random.Random(1)
-            )
-            sampler = legacy.ZipfSampler(10, 1.2, random.Random(2))
-            list(legacy.poisson_arrivals(100.0, 0.1, random.Random(3)))
-            list(legacy.bursty_arrivals(
-                50.0, 500.0, 0.5, rng=random.Random(4)
-            ))
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) >= 4
-        assert len(requests) == 20
-        assert isinstance(sampler, ZipfSampler)
+    def test_uniform_write_fraction_and_value_size(self):
+        requests = uniform_requests(
+            400, 50, write_fraction=0.25, value_size=16, rng=random.Random(2)
+        )
+        writes = [r for r in requests if r.op is OpType.WRITE]
+        assert 50 < len(writes) < 150
+        assert all(len(r.value) == 16 for r in writes)
 
-    def test_shim_output_matches_new_package(self):
-        import warnings
+    def test_zipf_requests_and_sampler_bounds(self):
+        assert len(zipf_requests(50, 100, rng=random.Random(7))) == 50
+        sampler = ZipfSampler(100, rng=random.Random(6))
+        assert all(0 <= sampler.sample() < 100 for _ in range(500))
+        with pytest.raises(ValueError):
+            ZipfSampler(0)
 
-        from repro.sim import workload as legacy
-        from repro.workloads import zipf_requests
+    def test_poisson_rate(self):
+        times = list(poisson_arrivals(1000, 10.0, random.Random(8)))
+        assert 9000 < len(times) < 11000
+        assert all(0 <= t < 10.0 for t in times)
+        assert times == sorted(times)
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            old = legacy.zipf_requests(30, 40, 1.2, rng=random.Random(6))
-        new = zipf_requests(30, 40, 1.2, rng=random.Random(6))
-        assert old == new
+    def test_bursty_has_higher_peak_rate(self):
+        times = list(bursty_arrivals(100, 5000, 10.0, rng=random.Random(9)))
+        in_burst = sum(1 for t in times if (t % 1.0) < 0.2)
+        assert in_burst > 3 * (len(times) - in_burst)
 
 
 class TestTraceRecordEdges:
