@@ -27,6 +27,7 @@ from typing import List, Sequence, Tuple
 from repro.analysis.balls_bins import batch_size
 from repro.crypto.prf import Prf
 from repro.errors import BatchOverflowError
+from repro.oblivious import soa
 from repro.oblivious.kernels import resolve_kernel
 from repro.oblivious.primitives import and_bit, lt_bit, not_bit, o_select
 from repro.telemetry import resolve_telemetry
@@ -97,31 +98,64 @@ def generate_batches(
                 )
             originals.append(entry)
 
-    # ➋ Append B dummies per subORAM.
+    dedupe = _dedupe_columns if kern.vectorized else _dedupe_records
+    kept, dropped_real = dedupe(
+        kern, originals, num_suborams, size, kernel_trace, telemetry,
+        mem_factory,
+    )
+    if dropped_real:
+        raise BatchOverflowError(
+            f"{dropped_real} distinct request(s) exceeded batch size "
+            f"{size}; probability <= 2^-{security_parameter} under "
+            "Theorem 3"
+        )
+    if kernel_trace is not None:
+        flush_kernel_trace(telemetry.registry, kernel_trace, kern.name)
+    assert len(kept) == num_suborams * size
+
+    batches = [kept[s * size : (s + 1) * size] for s in range(num_suborams)]
+    return batches, originals, size
+
+
+def _dummy(suboram: int, index: int) -> BatchEntry:
+    return BatchEntry(
+        op=OpType.READ,
+        key=dummy_key(suboram, index),
+        suboram=suboram,
+        is_dummy=True,
+    )
+
+
+def _dedupe_records(kern, originals, num_suborams, size, kernel_trace,
+                    telemetry, mem_factory):
+    """Steps ➋–➍ record by record (the traced reference path).
+
+    Returns the ``S * B`` kept entries and the count of distinct real
+    requests that did not fit.
+    """
+    # ➋ Append B dummies per subORAM.  Dummy ids are far outside the
+    # client key range, so dummies sort by the dense ``-index`` instead
+    # (the same order) and the packed sort key stays one machine word.
     with telemetry.time("snoopy_lb_stage_seconds", stage="pad"):
         working = [entry.copy() for entry in originals]
+        sort_keys = [entry.key for entry in originals]
         for suboram in range(num_suborams):
             for index in range(size):
-                working.append(
-                    BatchEntry(
-                        op=OpType.READ,
-                        key=dummy_key(suboram, index),
-                        suboram=suboram,
-                        is_dummy=True,
-                    )
-                )
+                working.append(_dummy(suboram, index))
+                sort_keys.append(-index)
 
     # ➌ Oblivious sort: group by subORAM; reals before dummies; duplicate
-    # keys adjacent with the last-write-wins representative sorting last.
+    # keys adjacent with the last-write-wins representative sorting last
+    # (reads before writes, then arrival order — the input position that
+    # makes every kernel sort key total).
     with telemetry.time("snoopy_lb_stage_seconds", stage="sort"):
         working = kern.sort(
             working,
             columns=[
                 [e.suboram for e in working],
                 [int(e.is_dummy) for e in working],
-                [e.key for e in working],
+                sort_keys,
                 [int(e.op is OpType.WRITE) for e in working],
-                [e.tag for e in working],
             ],
             mem_factory=mem_factory,
             trace=kernel_trace,
@@ -160,22 +194,58 @@ def generate_batches(
                 is_last_of_key,
                 and_bit(not_bit(keep), not_bit(int(entry.is_dummy))),
             )
-
-        if dropped_real:
-            raise BatchOverflowError(
-                f"{dropped_real} distinct request(s) exceeded batch size "
-                f"{size}; probability <= 2^-{security_parameter} under "
-                "Theorem 3"
-            )
-
-        compacted = kern.compact(
+        kept = kern.compact(
             working, keep_flags, mem_factory=mem_factory, trace=kernel_trace
         )
-    if kernel_trace is not None:
-        flush_kernel_trace(telemetry.registry, kernel_trace, kern.name)
-    assert len(compacted) == num_suborams * size
+    return kept, dropped_real
 
-    batches = [
-        compacted[s * size : (s + 1) * size] for s in range(num_suborams)
-    ]
-    return batches, originals, size
+
+def _dedupe_columns(kern, originals, num_suborams, size, kernel_trace,
+                    telemetry, _mem_factory=None):
+    """:func:`_dedupe_records` on columns (the numpy kernel's path).
+
+    The requests become int64/bool columns once, the kernels exchange
+    index permutations, and only the ``S * B`` kept rows are turned back
+    into :class:`BatchEntry` objects.
+    """
+    np = soa.require_numpy()
+    num_real = len(originals)
+    with telemetry.time("snoopy_lb_stage_seconds", stage="pad"):
+        rows = np.arange(num_real + num_suborams * size, dtype=np.int64)
+        dummy = rows >= num_real
+        suboram = np.concatenate([
+            soa.int_column([e.suboram for e in originals]),
+            np.repeat(np.arange(num_suborams), size),
+        ])
+        key = np.concatenate([
+            soa.int_column([e.key for e in originals]),
+            -np.tile(np.arange(size), num_suborams),
+        ])
+        write = np.zeros(len(rows), dtype=bool)
+        write[:num_real] = [e.op is OpType.WRITE for e in originals]
+    with telemetry.time("snoopy_lb_stage_seconds", stage="sort"):
+        order = kern.sort(
+            rows, [suboram, dummy, key, write], trace=kernel_trace
+        )
+    with telemetry.time("snoopy_lb_stage_seconds", stage="dedupe"):
+        suboram, dummy, key = suboram[order], dummy[order], key[order]
+        last_of_key = np.ones(len(rows), dtype=bool)
+        last_of_key[:-1] = (
+            (suboram[1:] != suboram[:-1])
+            | (dummy[1:] != dummy[:-1])
+            | (key[1:] != key[:-1])
+        )
+        # Rank of each representative within its subORAM: representatives
+        # before it, minus those before its subORAM's first row.
+        before = np.cumsum(last_of_key) - last_of_key
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = suboram[1:] != suboram[:-1]
+        rank = before - np.maximum.accumulate(np.where(first, before, 0))
+        keep = last_of_key & (rank < size)
+        dropped_real = int((last_of_key & ~keep & ~dummy).sum())
+        kept = kern.compact(order, keep, trace=kernel_trace).tolist()
+        return [
+            originals[i].copy() if i < num_real
+            else _dummy(*divmod(i - num_real, size))
+            for i in kept
+        ], dropped_real

@@ -11,7 +11,7 @@ object up in the table.  Obliviousness requires:
 * lookups that scan *entire* buckets in both tiers.
 
 Sizing.  Tier-1 buckets are deliberately small (cheap lookups); requests
-that overflow a tier-1 bucket spill into a second, independently keyed
+that overflow a tier-1 bucket spill into a second, independently hashed
 table whose capacity ``C2`` and bucket size are *public functions of the
 batch capacity alone* (Theorem 3 applied to the spill).  Construction
 conceals how many requests actually spilled by always routing exactly
@@ -139,22 +139,25 @@ class TwoTierHashTable:
     ``key_fn`` maps an item to its integer id; dummy items must have ids
     that are still well-defined (the load balancer gives dummies fresh ids
     hashing to the right subORAM).
+
+    The table itself is two index columns over the ``items`` it was
+    built from — ``slot_items`` (the item in each slot, ``-1`` for a
+    filler) and the real bits — as lists under the python kernel and as
+    int64/bool arrays under the numpy kernel, whose build, scan and
+    extract never touch a per-slot Python object.  Both tiers' buckets
+    come from *one* per-batch-keyed PRF digest per key: reduced modulo
+    ``tier1_buckets * tier2_buckets``, its two mixed-radix digits are
+    independent uniform bucket indices.
     """
 
-    def __init__(
-        self,
-        params: TwoTierParams,
-        prf1: Prf,
-        prf2: Prf,
-        slots: List[_Slot],
-        key_fn: Callable,
-        kernel=None,
-    ):
+    def __init__(self, params: TwoTierParams, prf: Prf, items: Sequence,
+                 slot_items, slot_real, kernel=None):
         self.params = params
-        self._prf1 = prf1
-        self._prf2 = prf2
-        self._slots = slots
-        self._key_fn = key_fn
+        self._prf = prf
+        self._items = items
+        self._slot_items = slot_items
+        self._slot_real = slot_real
+        self._slots: Optional[List[_Slot]] = None
         self._kernel = resolve_kernel(kernel)
 
     # ------------------------------------------------------------------
@@ -198,134 +201,53 @@ class TwoTierHashTable:
             raise CapacityError(
                 f"{len(items)} items exceed table capacity {params.capacity}"
             )
-        if is_real_fn is None:
-            is_real_fn = _always_real
-
-        prf1 = Prf(prf_key + b"/tier1")
-        prf2 = Prf(prf_key + b"/tier2")
-
-        def tier2_key_fn(item):
-            if isinstance(item, _SpillFiller):
-                return item.key
-            return key_fn(item)
-
-        tier1, spill = cls._build_tier(
-            [(item, int(bool(is_real_fn(item)))) for item in items],
-            key_fn,
-            prf1,
-            params.tier1_buckets,
-            params.tier1_bucket_size,
-            spill_capacity=params.tier2_capacity,
-            mem_factory=mem_factory,
-            kernel=kernel,
-        )
-        tier2, overflow = cls._build_tier(
-            spill,
-            tier2_key_fn,
-            prf2,
-            params.tier2_buckets,
-            params.tier2_bucket_size,
-            spill_capacity=0,
-            mem_factory=mem_factory,
-            kernel=kernel,
-        )
-        if overflow:
+        p = params
+        n = len(items)
+        kern = resolve_kernel(kernel, mem_factory)
+        prf = Prf(prf_key)
+        # Entries are named by *source*: item i is i, and the j-th of the
+        # tier2_capacity spill fillers is n + j (real bit 0, an id from a
+        # space disjoint from real/dummy ids so that it hashes too).
+        ids = [key_fn(item) for item in items]
+        ids += [-(2**62 + j) for j in range(p.tier2_capacity)]
+        real = [1] * n if is_real_fn is None else [
+            int(bool(is_real_fn(item))) for item in items
+        ]
+        real += [0] * p.tier2_capacity
+        digits = prf.range_many(ids, p.tier1_buckets * p.tier2_buckets)
+        bucket1 = [d // p.tier2_buckets for d in digits[:n]]
+        bucket2 = [d % p.tier2_buckets for d in digits]
+        tier1 = (p.tier1_buckets, p.tier1_bucket_size, p.tier2_capacity, n)
+        tier2 = (p.tier2_buckets, p.tier2_bucket_size, 0, 0)
+        if kern.vectorized:
+            np = soa.require_numpy()
+            real = np.asarray(real, dtype=bool)
+            bucket2 = np.asarray(bucket2, dtype=np.int64)
+            slots1, spill = _tier_columns(
+                kern, np.asarray(bucket1, dtype=np.int64),
+                np.arange(n, dtype=np.int64), *tier1,
+            )
+            slots2, overflow = _tier_columns(
+                kern, bucket2[spill], spill, *tier2
+            )
+            slot_items = np.concatenate([slots1, slots2])
+            slot_items[slot_items >= n] = -1
+        else:
+            slots1, spill = _tier_records(
+                kern, mem_factory, bucket1, range(n), *tier1
+            )
+            slots2, overflow = _tier_records(
+                kern, mem_factory, [bucket2[s] for s in spill], spill, *tier2
+            )
+            slot_items = [s if s < n else -1 for s in slots1 + slots2]
+        if any(soa.take(real, overflow)):
             raise CapacityError(
                 "tier-2 oblivious hash table overflowed; probability of this"
-                f" event is <= 2^-{params.security_parameter} under Theorem 3"
+                f" event is <= 2^-{p.security_parameter} under Theorem 3"
             )
-        return cls(params, prf1, prf2, tier1 + tier2, key_fn, kernel=kernel)
-
-    @staticmethod
-    def _build_tier(
-        tagged_items: List[tuple],
-        key_fn: Callable,
-        prf: Prf,
-        num_buckets: int,
-        bucket_size: int,
-        spill_capacity: int,
-        mem_factory=None,
-        kernel=None,
-    ) -> tuple:
-        """Build one tier; returns (slots, spill_entries).
-
-        ``tagged_items`` is a list of (item, real_bit).  The tier always
-        emits ``num_buckets * bucket_size`` slots in bucket order and, when
-        ``spill_capacity > 0``, exactly ``spill_capacity`` spill entries
-        (real spills topped up with filler dummies) so the spill size is
-        public.  When ``spill_capacity == 0`` the returned spill list
-        contains only real entries; non-empty means overflow.
-        """
-        kern = resolve_kernel(kernel, mem_factory)
-        # Working records: [bucket, kind, within_bucket_index, item, real].
-        # kind 0 = real/dummy payload entry, kind 1 = bucket filler.
-        buckets = prf.range_many(
-            [key_fn(item) for item, _ in tagged_items], num_buckets
-        )
-        records = [
-            [bucket, 0, 0, item, real_bit]
-            for bucket, (item, real_bit) in zip(buckets, tagged_items)
-        ]
-        for bucket in range(num_buckets):
-            for _ in range(bucket_size):
-                records.append([bucket, 1, 0, None, 0])
-
-        # Oblivious sort groups buckets, payload entries before fillers.
-        records = kern.sort(
-            records,
-            columns=[[r[0] for r in records], [r[1] for r in records]],
-            mem_factory=mem_factory,
-        )
-
-        # Fixed scan: assign within-bucket indices.
-        prev_bucket = -1
-        index_in_bucket = 0
-        for record in records:
-            same = int(record[0] == prev_bucket)
-            index_in_bucket = o_select(same, 0, index_in_bucket)
-            record[2] = index_in_bucket
-            index_in_bucket += 1
-            prev_bucket = record[0]
-
-        keep_flags = [int(r[2] < bucket_size) for r in records]
-        spill_flags = [
-            int(r[2] >= bucket_size and r[1] == 0) for r in records
-        ]
-        num_spilled = sum(spill_flags)
-
-        kept = kern.compact(records, keep_flags, mem_factory=mem_factory)
-        # Filler slots (bucket fillers and tier-2 spill fillers) normalize
-        # to item=None so scans can treat every non-payload slot uniformly.
-        slots = [
-            _Slot(
-                item=None if (r[1] == 1 or isinstance(r[3], _SpillFiller)) else r[3],
-                real=o_select(r[1], r[4], 0),
-            )
-            for r in kept
-        ]
-
-        if spill_capacity == 0:
-            spilled = kern.compact(records, spill_flags, mem_factory=mem_factory)
-            return slots, [(r[3], r[4]) for r in spilled if r[4]]
-
-        if num_spilled > spill_capacity:
-            raise CapacityError(
-                f"tier-1 spill {num_spilled} exceeds public bound {spill_capacity}"
-            )
-        # Top the spill up to exactly spill_capacity with fillers so its
-        # size is public.  The fillers get fresh ids deterministically
-        # derived from their index; their real bit is 0.
-        padded = list(records)
-        padded_flags = list(spill_flags)
-        for i in range(spill_capacity):
-            filler_id = -(2**62 + i)  # id space disjoint from real/dummy ids
-            padded.append([0, 1, 0, _SpillFiller(filler_id), 0])
-            # Keep filler i only while i < spill_capacity - num_spilled:
-            # computed by a fixed scan over public-length arrays; the flag
-            # value itself is secret-dependent but never branches.
-            padded_flags.append(int(i < spill_capacity - num_spilled))
-        spill_entries = kern.compact(padded, padded_flags, mem_factory=mem_factory)
-        return slots, [(r[3], r[4]) for r in spill_entries]
+        # Index -1 (every filler slot) reads the last spill filler's 0.
+        return cls(p, prf, items, slot_items, soa.take(real, slot_items),
+                   kernel=kernel)
 
     # ------------------------------------------------------------------
     # Lookup
@@ -337,8 +259,10 @@ class TwoTierHashTable:
         slot, if any, matched).
         """
         p = self.params
-        b1 = self._prf1.range(key, p.tier1_buckets)
-        b2 = self._prf2.range(key, p.tier2_buckets)
+        b1, b2 = divmod(
+            self._prf.range(key, p.tier1_buckets * p.tier2_buckets),
+            p.tier2_buckets,
+        )
         tier1_start = b1 * p.tier1_bucket_size
         tier2_start = p.tier1_slots + b2 * p.tier2_bucket_size
         return list(range(tier1_start, tier1_start + p.tier1_bucket_size)) + list(
@@ -348,19 +272,22 @@ class TwoTierHashTable:
     def lookup_matrix(self, keys: Sequence[int]):
         """Bucket-slot index rows for a whole key column, as int64 matrix.
 
-        Row ``i`` equals ``bucket_slot_indices(keys[i])`` — the PRF
-        bucket derivations run through the batched
-        :meth:`~repro.crypto.prf.Prf.range_many` and the intra-bucket
-        offsets are broadcast instead of materialized per key.  This is
-        the lookup input of the vectorized scan kernel.
+        Row ``i`` equals ``bucket_slot_indices(keys[i])`` — one batched
+        :meth:`~repro.crypto.prf.Prf.range_many` digest per key yields
+        both bucket indices and the intra-bucket offsets are broadcast
+        instead of materialized per key.  This is the lookup input of
+        the vectorized scan kernel.
         """
         np = soa.require_numpy()
         p = self.params
-        b1 = np.asarray(
-            self._prf1.range_many(keys, p.tier1_buckets), dtype=np.int64
-        )
-        b2 = np.asarray(
-            self._prf2.range_many(keys, p.tier2_buckets), dtype=np.int64
+        b1, b2 = np.divmod(
+            np.asarray(
+                self._prf.range_many(
+                    keys, p.tier1_buckets * p.tier2_buckets
+                ),
+                dtype=np.int64,
+            ),
+            p.tier2_buckets,
         )
         tier1_start = b1 * p.tier1_bucket_size
         tier2_start = p.tier1_slots + b2 * p.tier2_bucket_size
@@ -376,11 +303,26 @@ class TwoTierHashTable:
 
     def lookup_slots(self, key: int) -> List[_Slot]:
         """The slot objects of both buckets for ``key`` (scan them all)."""
-        return [self._slots[i] for i in self.bucket_slot_indices(key)]
+        slots = self.slots
+        return [slots[i] for i in self.bucket_slot_indices(key)]
+
+    @property
+    def slot_items(self):
+        """Per slot, the index into the built ``items`` (-1: filler)."""
+        return self._slot_items
 
     @property
     def slots(self) -> List[_Slot]:
-        """The flat slot array (tier 1 followed by tier 2)."""
+        """The flat slot array (tier 1 followed by tier 2) as objects.
+
+        Materialized on first use: the scalar reference scan and tests
+        read it, the columnar path never does.
+        """
+        if self._slots is None:
+            self._slots = [
+                _Slot(None if i < 0 else self._items[i], int(real))
+                for i, real in zip(self._slot_items, self._slot_real)
+            ]
         return self._slots
 
     # ------------------------------------------------------------------
@@ -388,24 +330,95 @@ class TwoTierHashTable:
     # ------------------------------------------------------------------
     def extract_real(self) -> List:
         """Obliviously compact out dummies; returns the real items (§5 ➌)."""
-        flags = [slot.real for slot in self._slots]
-        kept = self._kernel.compact(self._slots, flags)
-        return [slot.item for slot in kept]
+        kept = self._kernel.compact(self._slot_items, self._slot_real)
+        return soa.take(self._items, kept)
 
 
-class _SpillFiller:
-    """Filler entry occupying a tier-2 slot; has an id so hashing works."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key: int):
-        self.key = key
+_SPILL_BOUND = "tier-1 spill {} exceeds public bound {}"
 
 
-def _always_real(_item) -> bool:
-    return True
+def _tier_records(kern, mem_factory, buckets, sources, num_buckets,
+                  bucket_size, spill_capacity, first_filler) -> tuple:
+    """Build one tier record by record; returns (slots, spill) as sources.
+
+    One entry per ``(bucket, source)``.  The tier always emits
+    ``num_buckets * bucket_size`` slots in bucket order (``-1`` marks a
+    bucket filler) and, when ``spill_capacity > 0``, exactly
+    ``spill_capacity`` spilled sources — the real spills topped up with
+    the fillers ``first_filler + j`` — so the spill size is public.  With
+    ``spill_capacity == 0`` the spill holds just the entries that did
+    not fit.
+    """
+    # Working records: [bucket, kind, within_bucket_index, source].
+    # kind 0 = payload entry, kind 1 = bucket filler.
+    records = [[bucket, 0, 0, s] for bucket, s in zip(buckets, sources)]
+    for bucket in range(num_buckets):
+        for _ in range(bucket_size):
+            records.append([bucket, 1, 0, -1])
+
+    # Oblivious sort groups buckets, payload entries before fillers.
+    records = kern.sort(
+        records,
+        columns=[[r[0] for r in records], [r[1] for r in records]],
+        mem_factory=mem_factory,
+    )
+
+    # Fixed scan: assign within-bucket indices.
+    prev_bucket = -1
+    index_in_bucket = 0
+    for record in records:
+        same = int(record[0] == prev_bucket)
+        index_in_bucket = o_select(same, 0, index_in_bucket)
+        record[2] = index_in_bucket
+        index_in_bucket += 1
+        prev_bucket = record[0]
+
+    keep_flags = [int(r[2] < bucket_size) for r in records]
+    spill_flags = [int(r[2] >= bucket_size and r[1] == 0) for r in records]
+    num_spilled = sum(spill_flags)
+    if spill_capacity and num_spilled > spill_capacity:
+        raise CapacityError(_SPILL_BOUND.format(num_spilled, spill_capacity))
+
+    kept = kern.compact(records, keep_flags, mem_factory=mem_factory)
+    # Top the spill up to exactly spill_capacity with fillers so its size
+    # is public.  Filler j is kept only while j < spill_capacity -
+    # num_spilled: a fixed scan over public-length arrays; the flag value
+    # itself is secret-dependent but never branches.
+    for j in range(spill_capacity):
+        records.append([0, 1, 0, first_filler + j])
+        spill_flags.append(int(j < spill_capacity - num_spilled))
+    spilled = kern.compact(records, spill_flags, mem_factory=mem_factory)
+    return [r[3] for r in kept], [r[3] for r in spilled]
 
 
-def spill_filler_key(filler) -> int:
-    """Key extractor understanding both real items and spill fillers."""
-    return filler.key
+def _tier_columns(kern, buckets, sources, num_buckets, bucket_size,
+                  spill_capacity, first_filler) -> tuple:
+    """:func:`_tier_records` as whole-array ops on index permutations."""
+    np = soa.require_numpy()
+    n = len(buckets)
+    total = n + num_buckets * bucket_size
+    position = np.arange(total, dtype=np.int64)
+    fillers = np.arange(spill_capacity, dtype=np.int64)
+    source = np.full(total + spill_capacity, -1, dtype=np.int64)
+    source[:n] = sources
+    source[total:] = first_filler + fillers
+    bucket = np.concatenate(
+        [buckets, np.repeat(np.arange(num_buckets), bucket_size)]
+    )
+    # Input rows in sorted order: buckets grouped, payload before fillers.
+    order = kern.sort(position, [bucket, position >= n])
+    bucket = bucket[order]
+    first = np.ones(total, dtype=bool)
+    first[1:] = bucket[1:] != bucket[:-1]
+    within = position - np.maximum.accumulate(np.where(first, position, 0))
+    keep = within < bucket_size
+    spill = ~keep & (order < n)
+    num_spilled = int(spill.sum())
+    if spill_capacity and num_spilled > spill_capacity:
+        raise CapacityError(_SPILL_BOUND.format(num_spilled, spill_capacity))
+    kept = kern.compact(order, keep)
+    spilled = kern.compact(
+        np.concatenate([order, total + fillers]),
+        np.concatenate([spill, fillers < spill_capacity - num_spilled]),
+    )
+    return source[kept], source[spilled]

@@ -6,9 +6,8 @@ subORAM's linear scan over the two-tier hash table (Figure 19).  All
 three are *oblivious* precisely because their memory-touch schedule is a
 public function of the input sizes alone; the data only decides which of
 two values lands in each fixed slot.  That is also exactly the property
-that makes them vectorizable: a whole sort level, routing layer, or scan
-batch can be executed as one masked whole-array operation without
-changing a single address in the public schedule.
+that makes them vectorizable: a whole sort level or routing layer is a
+fixed handful of whole-array operations over every cell.
 
 Selector semantics
 ==================
@@ -23,38 +22,52 @@ accepts ``kernel="python" | "numpy"``:
   compatible with element-granular ``mem_factory`` tracing
   (:class:`repro.oblivious.memory.TracedMemory`) and with the security
   simulator's predicted traces.
-* ``"numpy"`` — the structure-of-arrays fast path.  Keys become
-  ``int64`` columns, values a ``uint8`` matrix
-  (:mod:`repro.oblivious.soa`), and each network level is applied as one
-  masked gather/scatter.  When NumPy is not installed, requesting
-  ``"numpy"`` falls back to ``"python"`` with a ``RuntimeWarning``
-  instead of crashing.
+* ``"numpy"`` — the columnar fast path.  Sort and compaction each run on
+  *one packed int64 column* — ``(key ‖ input index)`` for the sort,
+  ``(remaining distance ‖ source index)`` for the compaction — and
+  return an index permutation, so the stages around them
+  (``generate_batches``, the table build/scan/extract inside
+  ``SubOram.batch_access``, ``match_responses``) turn their
+  ``BatchEntry`` lists into columns once on entry, exchange
+  permutations, and write entries back once on exit.  When NumPy is not
+  installed, requesting ``"numpy"`` falls back to ``"python"`` with a
+  ``RuntimeWarning`` instead of crashing.
+
+Both kernels sort by the *total* key ``(columns..., input position)``:
+no two keys tie, so the two kernels agree by construction (and the sort
+is stable) instead of the fast path having to mimic the network's tie
+behaviour.
 
 Call sites resolve the selector with
 ``resolve_kernel(kernel, mem_factory)``: passing a ``mem_factory``
 forces the python kernel, because element-granular tracing is only
 meaningful for the scalar reference path.
 
-Why level-granular traces are the right obliviousness oracle
-============================================================
+What the numpy kernel's schedule guarantees
+===========================================
 
 The element-granular trace (every ``R i``/``W j``) is the natural oracle
-for scalar code, but a vectorized kernel performs each level as *one*
-array operation — asking "which Python-level index was read first"
-stops being meaningful below the level boundary, while the security
-argument never needed it: bitonic sort's guarantee is that the
-*comparator schedule* is a function of ``n`` only, and Goodrich's is
-that every layer touches every slot in a fixed order.  The level is the
-finest granularity at which the two implementations share an execution
-structure, and it is exactly the granularity of the published schedule.
+for scalar code; below a level boundary "which Python-level index was
+read first" has no meaning for whole-array code.  The property the
+numpy kernel holds instead is stronger than sharing the level schedule:
+**every level reads and writes every cell** — a bitonic level is a fixed
+partner gather (``i ^ j``), a ``minimum``, a ``maximum`` and a select by
+a precomputed mask; a Goodrich layer is one shifted select — and every
+level runs unconditionally, so the sequence of array operations and
+their shapes is a function of ``n`` only.  No layer is skipped because
+nothing moves, and no gather or scatter is sized by a secret-dependent
+mask.  ``tests/test_kernels.py`` counts the operations to pin this.  The
+one exception is public-by-range, not by-content: sort columns whose
+combined width exceeds one 62-bit word (keys spanning more than ~2^44)
+are sorted by the reference kernel instead.
 
-So both kernels can record a :class:`KernelTrace` — events like
+Both kernels also record a :class:`KernelTrace` — events like
 ``("sort_level", m, level_index, num_comparators)``,
 ``("compact_level", m, offset)`` and ``("scan_slot", object_index,
-lookup_row)`` — and the property tests assert two things: the python and
-numpy kernels emit *identical* traces for the same public sizes, and the
+lookup_row)`` — and the property tests assert that the python and numpy
+kernels emit *identical* traces for the same public sizes and that the
 trace is unchanged across different secret inputs of the same shape.
-Together with byte-identical outputs, that pins the vectorized path to
+Together with byte-identical outputs, that pins the columnar path to
 the same public schedule as the audited reference path.
 """
 
@@ -63,13 +76,14 @@ from __future__ import annotations
 import threading
 import warnings
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from functools import lru_cache
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError
 from repro.oblivious import soa
 from repro.oblivious.compact import goodrich_compact
 from repro.oblivious.primitives import and_bit, eq_bit, o_select
-from repro.oblivious.sort import bitonic_sort, bitonic_sort_levels
+from repro.oblivious.sort import bitonic_sort, bitonic_sort_depth
 from repro.utils.bits import next_pow2
 
 
@@ -110,16 +124,21 @@ class ScanTable:
 
     One entry per table slot, in slot order: the batch key, an occupancy
     bit (0 for structural filler slots), the request's write and
-    permission bits, and the optional write payload.  The subORAM builds
-    this once per batch from :class:`~repro.oblivious.hashtable._Slot`
-    items; both kernels consume the same view.
+    permission bits, and the optional write payload.  The list-facing
+    :meth:`Kernel.scan` takes Python lists (``values`` holds ``None``
+    for "no payload"); :meth:`NumpyKernel.scan_soa` takes the same
+    fields as columns — int64 keys, bool bits, ``values`` a
+    ``(slots, value_size)`` uint8 matrix and ``has_value`` the bool
+    column marking the rows that carry a payload — which the subORAM
+    gathers straight from the batch's columns.
     """
 
-    keys: List[int]
-    occupied: List[int]
-    is_write: List[int]
-    permitted: List[int]
-    values: List[Optional[bytes]]
+    keys: Sequence[int]
+    occupied: Sequence[int]
+    is_write: Sequence[int]
+    permitted: Sequence[int]
+    values: Sequence[Optional[bytes]]
+    has_value: Optional[Sequence[int]] = None
 
 
 class Kernel:
@@ -129,7 +148,9 @@ class Kernel:
     interface: lexicographic oblivious ``sort`` over int columns,
     Goodrich ``compact_full``/``compact``, and the Figure 19 ``scan``.
     Instances are stateless and picklable, so they travel with subORAM
-    state across process backends.
+    state across process backends.  Both kernels compute the same
+    permutation of ``items``; the numpy kernel also accepts ``items``
+    (and ``flags``) as ndarrays and then returns the permuted ndarray.
     """
 
     #: Registry name ("python" / "numpy").
@@ -139,19 +160,31 @@ class Kernel:
 
     def sort(self, items: Sequence, columns: Sequence[Sequence[int]],
              mem_factory=None, trace: Optional[KernelTrace] = None) -> List:
-        """Obliviously sort ``items`` by the int ``columns``, lexicographic."""
+        """Obliviously sort ``items`` by the int ``columns``, lexicographic.
+
+        The key is made total by appending each row's input position, so
+        ties keep input order (the sort is stable) and both kernels
+        agree by construction rather than by sharing a tie rule.
+        """
         raise NotImplementedError
 
     def compact_full(self, items: Sequence, flags: Sequence[int],
                      mem_factory=None,
                      trace: Optional[KernelTrace] = None) -> List:
-        """Goodrich compaction returning the full ``len(items)`` array."""
+        """Goodrich compaction returning the full ``len(items)`` array.
+
+        The flagged items come first, in order; what fills the cells
+        after them is unspecified.
+        """
         raise NotImplementedError
 
     def compact(self, items: Sequence, flags: Sequence[int], mem_factory=None,
                 trace: Optional[KernelTrace] = None) -> List:
         """Compact and truncate to exactly the ``sum(flags)`` kept items."""
-        kept = sum(1 for f in flags if f)
+        if hasattr(flags, "dtype"):
+            kept = int(flags.astype(bool).sum())
+        else:
+            kept = sum(1 for f in flags if f)
         return self.compact_full(
             items, flags, mem_factory=mem_factory, trace=trace
         )[:kept]
@@ -181,8 +214,8 @@ def _record_sort(trace: Optional[KernelTrace], n: int, m: int) -> None:
     if trace is None:
         return
     trace.record("sort", n, m)
-    for level_index, level in enumerate(bitonic_sort_levels(m)):
-        trace.record("sort_level", m, level_index, len(level))
+    for level_index in range(bitonic_sort_depth(m)):
+        trace.record("sort_level", m, level_index, m // 2)
 
 
 def _record_compact(trace: Optional[KernelTrace], n: int, m: int) -> None:
@@ -214,7 +247,8 @@ class PythonKernel(Kernel):
         _record_sort(trace, n, m)
         cols = [list(col) for col in columns]
         pairs = [
-            (tuple(col[i] for col in cols), items[i]) for i in range(n)
+            (tuple(col[i] for col in cols) + (i,), items[i])
+            for i in range(n)
         ]
         ordered = bitonic_sort(pairs, key=_pair_key, mem_factory=mem_factory)
         return [item for _, item in ordered]
@@ -274,254 +308,177 @@ class PythonKernel(Kernel):
 _TLS = threading.local()
 
 
-def _kernel_scratch() -> dict:
+def _scratch(name: str, m: int, dtype):
+    """An epoch-reused uninitialized length-``m`` array of this thread."""
     scratch = getattr(_TLS, "scratch", None)
     if scratch is None:
         scratch = _TLS.scratch = {}
-    return scratch
+    return soa.scratch_array(scratch, name, (m,), dtype)
 
 
-def _perm_template(np, m: int):
-    """Cached read-only ``arange(m)`` to copy fresh permutations from."""
-    scratch = _kernel_scratch()
-    key = ("perm_template", m)
-    tmpl = scratch.get(key)
-    if tmpl is None:
-        tmpl = np.arange(m, dtype=np.int64)
-        tmpl.setflags(write=False)
-        scratch[key] = tmpl
-    return tmpl
-
-
-def _fresh_perm(np, m: int, name: str):
-    """An epoch-reused identity permutation of size ``m``."""
-    perm = soa.scratch_array(_kernel_scratch(), name, (m,), np.int64)
-    np.copyto(perm, _perm_template(np, m))
-    return perm
+def _reject_mem_factory(mem_factory) -> None:
+    if mem_factory is not None:
+        raise ConfigurationError(
+            "mem_factory (element-granular tracing) requires the "
+            "python kernel"
+        )
 
 
 def _packed_sort_keys(np, m: int, n: int, cols):
-    """One int64 sort key per row, or ``None`` when the columns don't fit.
+    """One int64 word per row, or ``None`` when the columns don't fit.
 
-    The lexicographic key ``(pad_bit, col_1, ..., col_k)`` is packed as a
-    mixed-radix integer: each column is shifted to start at its minimum
-    (a monotone shift preserves per-column order) and assigned just
-    enough bits for its range, with the padding bit above all of them.
-    Packing is order-isomorphic to the lexicographic compare, so every
-    bitonic swap decision is unchanged.  Columns whose combined widths
-    exceed an int64 (e.g. load-balancer sorts spanning the negative
-    dummy-id space) fall back to the multi-row compare.
+    The total key ``(pad_bit, col_1, ..., col_k, input index)`` is packed
+    as a mixed-radix integer: each column is shifted to start at its
+    minimum (a monotone shift preserves per-column order) and assigned
+    just enough bits for its range, with the padding bit above all of
+    them and the row's own index in the low ``log2(m)`` bits.  Packing
+    is order-isomorphic to the python kernel's tuple compare, and the
+    index makes every word distinct, so a comparator is exactly a
+    ``minimum``/``maximum`` pair.
     """
-    total_bits = 0
+    index_bits = m.bit_length() - 1
+    total_bits = index_bits
     shifted = []
     for col in cols:
         lo = int(col.min()) if n else 0
-        span = int(col.max()) - lo if n else 0
-        width = max(1, span.bit_length())
+        width = max(1, (int(col.max()) - lo).bit_length()) if n else 1
         total_bits += width
         if total_bits > 62:
             return None
         shifted.append((col - lo, width))
-    packed = soa.scratch_array(_kernel_scratch(), "sort_packed", (m,), np.int64)
-    packed.fill(0)
-    real = packed[:n]
+    packed = _scratch("sort_packed", m, np.int64)
+    packed[:n] = 0
     for col, width in shifted:
-        real <<= width
-        real |= col
-    packed[n:] = np.int64(1) << total_bits
+        packed[:n] <<= width
+        packed[:n] |= col
+    packed[n:] = np.int64(1) << (total_bits - index_bits)
+    packed <<= index_bits
+    packed |= np.arange(m, dtype=np.int64)
     return packed
 
 
-#: Cache of per-size numpy level index arrays: m -> [(i_idx, j_idx, asc)].
-_LEVEL_CACHE: dict = {}
-
-
+@lru_cache(maxsize=8)
 def _level_arrays(m: int):
-    """Per-level (i, j, ascending) index arrays for a size-``m`` network."""
-    cached = _LEVEL_CACHE.get(m)
-    if cached is None:
-        np = soa.require_numpy()
-        cached = []
-        for level in bitonic_sort_levels(m):
-            i_idx = np.asarray([i for i, _, _ in level], dtype=np.int64)
-            j_idx = np.asarray([j for _, j, _ in level], dtype=np.int64)
-            asc = np.asarray([a for _, _, a in level], dtype=bool)
-            cached.append((i_idx, j_idx, asc))
-        _LEVEL_CACHE[m] = cached
-    return cached
+    """Per-level ``(partner, take_min)`` columns of a size-``m`` network.
+
+    Level ``(k, j)`` of the bitonic schedule pairs cell ``i`` with
+    ``i ^ j``; the cell keeps the smaller word when it is the lower end
+    of an ascending comparator or the upper end of a descending one.
+    Both columns are computed arithmetically from the cell index (no
+    per-comparator Python objects), shared read-only between threads,
+    and bounded to the few sizes a deployment replays every epoch.
+    """
+    np = soa.require_numpy()
+    idx = np.arange(m, dtype=np.int64)
+    levels = []
+    k = 2
+    while k <= m:
+        j = k // 2
+        while j >= 1:
+            partner = idx ^ j
+            take_min = ((idx & j) == 0) == ((idx & k) == 0)
+            partner.setflags(write=False)
+            take_min.setflags(write=False)
+            levels.append((partner, take_min))
+            j //= 2
+        k *= 2
+    return tuple(levels)
 
 
 class NumpyKernel(Kernel):
-    """Structure-of-arrays fast path: one masked array op per level.
+    """Columnar fast path: a fixed handful of whole-array ops per level.
 
-    Produces byte-identical outputs to :class:`PythonKernel` — the
-    property tests in ``tests/test_kernels.py`` enforce this — while
-    executing each public schedule level as a single NumPy operation.
+    Sort and compaction run on one packed int64 column and hand back an
+    *index permutation*; ``items`` may be a list (permuted into a new
+    list) or an ndarray (permuted by one gather), so columnar callers
+    never materialize per-record objects.  Outputs are byte-identical to
+    :class:`PythonKernel` — ``tests/test_kernels.py`` enforces this —
+    and every level body executes the same operations on the same shapes
+    whatever the data.
     """
 
     name = "numpy"
     vectorized = True
 
     def sort(self, items, columns, mem_factory=None, trace=None):
-        """Apply each bitonic level as one masked gather/scatter."""
-        if mem_factory is not None:
-            raise ConfigurationError(
-                "mem_factory (element-granular tracing) requires the "
-                "python kernel"
-            )
+        """Each bitonic level: partner gather, min/max, select by mask."""
+        _reject_mem_factory(mem_factory)
         np = soa.require_numpy()
-        items = list(items)
         n = len(items)
         m = next_pow2(max(1, n))
+        cols = [np.asarray(col, dtype=np.int64) for col in columns]
+        packed = _packed_sort_keys(np, m, n, cols)
+        if packed is None:
+            # Columns wider than one word (keys spanning > ~2^44): the
+            # reference kernel sorts the index column instead.
+            order = KERNELS["python"].sort(range(n), columns, trace=trace)
+            return soa.take(items, np.asarray(order, dtype=np.int64))
         if trace is not None:
             trace.record("sort", n, m)
-        if n <= 1:
+        other = _scratch("sort_other", m, np.int64)
+        low = _scratch("sort_low", m, np.int64)
+        for level_index, (partner, take_min) in enumerate(_level_arrays(m)):
             if trace is not None:
-                for level_index, level in enumerate(bitonic_sort_levels(m)):
-                    trace.record("sort_level", m, level_index, len(level))
-            return items
-        num_cols = len(columns)
-        cols = [np.asarray(list(col), dtype=np.int64) for col in columns]
-        packed = _packed_sort_keys(np, m, n, cols)
-        perm = _fresh_perm(np, m, "sort_perm")
-        if packed is not None:
-            # All columns fit one int64: compare/swap a single vector per
-            # level instead of num_cols + 1 rows.  The packing is order-
-            # isomorphic to the lexicographic compare below, so every
-            # swap decision — and hence the output — is identical.
-            for level_index, (i_idx, j_idx, asc) in enumerate(
-                _level_arrays(m)
-            ):
-                if trace is not None:
-                    trace.record("sort_level", m, level_index, int(len(i_idx)))
-                swap = (packed[i_idx] > packed[j_idx]) == asc
-                ii = i_idx[swap]
-                jj = j_idx[swap]
-                tmp = packed[ii]
-                packed[ii] = packed[jj]
-                packed[jj] = tmp
-                tmp_p = perm[ii]
-                perm[ii] = perm[jj]
-                perm[jj] = tmp_p
-            return [items[p] for p in perm.tolist() if p < n]
-        # Row 0 is the padding bit: real rows sort as (0, cols...), padding
-        # as (1, 0, ...), reproducing the scalar path's sentinel ordering.
-        keys = soa.scratch_array(
-            _kernel_scratch(), "sort_keys", (num_cols + 1, m), np.int64
-        )
-        keys.fill(0)
-        keys[0, n:] = 1
-        for c, col in enumerate(cols):
-            keys[c + 1, :n] = col
-        for level_index, (i_idx, j_idx, asc) in enumerate(_level_arrays(m)):
-            if trace is not None:
-                trace.record("sort_level", m, level_index, int(len(i_idx)))
-            a = keys[:, i_idx]
-            b = keys[:, j_idx]
-            # Lexicographic a > b across the key rows.
-            gt = np.zeros(len(i_idx), dtype=bool)
-            eq = np.ones(len(i_idx), dtype=bool)
-            for row in range(num_cols + 1):
-                gt |= eq & (a[row] > b[row])
-                eq &= a[row] == b[row]
-            swap = gt == asc
-            ii = i_idx[swap]
-            jj = j_idx[swap]
-            tmp = keys[:, ii].copy()
-            keys[:, ii] = keys[:, jj]
-            keys[:, jj] = tmp
-            tmp_p = perm[ii].copy()
-            perm[ii] = perm[jj]
-            perm[jj] = tmp_p
-        return [items[p] for p in perm.tolist() if p < n]
+                trace.record("sort_level", m, level_index, m // 2)
+            np.take(packed, partner, out=other, mode="clip")
+            np.minimum(packed, other, out=low)
+            np.maximum(packed, other, out=other)
+            packed = np.where(take_min, low, other)
+        return soa.take(items, packed[:n] & np.int64(m - 1))
 
     def compact_full(self, items, flags, mem_factory=None, trace=None):
-        """Apply each Goodrich routing layer as one masked move.
+        """Each Goodrich layer: one shifted select over every cell.
 
-        Within a layer the scalar loop chains left-cell reads (a record
-        displaced from a mover position slides down the stride-``offset``
-        chain).  The vectorized layer reproduces that exactly from the
-        pre-layer state: movers are overwritten by the forward-filled
-        chain-head value (the displaced filler), then each mover's record
-        — distance decremented — lands ``offset`` slots left, and target
-        writes win on conflict.  Flags must be 0/1 bits.
+        A cell's word is ``(remaining distance, source index)``; dropped
+        and padding cells have distance 0.  In layer ``k`` the cells
+        whose distance has bit ``k`` set are the movers: cell ``i`` takes
+        the word of cell ``i + 2^k`` (bit cleared) if that one moves,
+        is vacated if only its own word moves, and is kept otherwise —
+        a mover never lands on a kept non-mover (Goodrich's invariant).
+        Every layer runs, and touches every cell, whatever the flags.
+        The cells past the kept prefix hold unspecified source indices.
         """
-        if mem_factory is not None:
-            raise ConfigurationError(
-                "mem_factory (element-granular tracing) requires the "
-                "python kernel"
-            )
+        _reject_mem_factory(mem_factory)
         np = soa.require_numpy()
-        items = list(items)
-        flags = list(flags)
-        if len(items) != len(flags):
-            raise ValueError(
-                f"items ({len(items)}) and flags ({len(flags)}) length mismatch"
-            )
         n = len(items)
+        if n != len(flags):
+            raise ValueError(
+                f"items ({n}) and flags ({len(flags)}) length mismatch"
+            )
         m = next_pow2(max(1, n))
         if trace is not None:
             trace.record("compact", n, m)
-        if n == 0:
-            return []
-        scratch = _kernel_scratch()
-        flag = soa.scratch_array(scratch, "compact_flag", (m,), bool)
-        flag.fill(False)
-        flag[:n] = np.asarray([1 if f else 0 for f in flags], dtype=bool)
-        rank_excl = soa.scratch_array(scratch, "compact_rank", (m,), np.int64)
-        rank_excl[0] = 0
-        rank_excl[1:] = np.cumsum(flag.astype(np.int64))[:-1]
-        dist = np.where(flag, _perm_template(np, m) - rank_excl, 0)
-        perm = _fresh_perm(np, m, "compact_perm")
+        index_bits = m.bit_length() - 1
+        flag = _scratch("compact_flag", m, np.int64)
+        flag[:n] = np.asarray(flags, dtype=bool)
+        flag[n:] = 0
+        idx = np.arange(m, dtype=np.int64)
+        word = ((idx - np.cumsum(flag) + flag) * flag << index_bits) | idx
+        bits = _scratch("compact_bits", m, np.int64)
+        mover = _scratch("compact_mover", m, bool)
+        moved = _scratch("compact_moved", m, np.int64)
         offset = 1
         while offset < m:
             if trace is not None:
                 trace.record("compact_level", m, offset)
-            k = offset.bit_length() - 1
-            mover = flag & ((dist >> k) & 1).astype(bool)
-            if mover.any():
-                rows = m // offset
-                pre_f = flag.reshape(rows, offset)
-                pre_d = dist.reshape(rows, offset)
-                pre_p = perm.reshape(rows, offset)
-                mv = mover.reshape(rows, offset)
-                row_idx = np.broadcast_to(
-                    np.arange(rows, dtype=np.int64)[:, None], mv.shape
-                )
-                # Forward-fill the most recent non-mover row per column;
-                # row 0 is never a mover (distance >= offset implies
-                # position >= offset), so the fill never underflows.
-                last_nm = np.maximum.accumulate(
-                    np.where(mv, np.int64(-1), row_idx), axis=0
-                )
-                prev_last = np.empty_like(last_nm)
-                prev_last[0] = 0
-                prev_last[1:] = last_nm[:-1]
-                src_rows = np.where(mv, prev_last, row_idx)
-                new_f = np.take_along_axis(pre_f, src_rows, axis=0)
-                new_d = np.take_along_axis(pre_d, src_rows, axis=0)
-                new_p = np.take_along_axis(pre_p, src_rows, axis=0)
-                mr, mc = np.nonzero(mv)
-                new_f[mr - 1, mc] = pre_f[mr, mc]
-                new_d[mr - 1, mc] = pre_d[mr, mc] - offset
-                new_p[mr - 1, mc] = pre_p[mr, mc]
-                flag = new_f.reshape(m)
-                dist = new_d.reshape(m)
-                perm = new_p.reshape(m)
+            bit = np.int64(offset << index_bits)
+            np.bitwise_and(word, bit, out=bits)
+            np.not_equal(bits, 0, out=mover)
+            np.subtract(word, bit, out=moved)
+            word = np.where(mover, 0, word)
+            np.copyto(word[: m - offset], moved[offset:], where=mover[offset:])
             offset <<= 1
-        payloads = items + [None] * (m - n)
-        return [payloads[p] for p in perm.tolist()][:n]
+        return soa.take(items, word[:n] & np.int64(m - 1))
 
     def scan(self, obj_keys, obj_values, value_size, lookup, table,
              trace=None):
         """Branchless masked Figure 19 scan across the whole batch dimension.
 
         Packs the Python-object inputs into SoA columns, delegates to
-        :meth:`scan_soa`, and unpacks — the store's batch path skips the
-        packing entirely by calling :meth:`scan_soa` with columns that
-        came straight out of the contiguous ciphertext buffers.
+        :meth:`scan_soa`, and unpacks — the subORAM skips the packing
+        entirely by calling :meth:`scan_soa` with the store's and the
+        batch's columns.
         """
-        np = soa.require_numpy()
         num_objects = len(obj_keys)
         num_slots = len(table.keys)
         if num_objects == 0 or num_slots == 0:
@@ -530,32 +487,44 @@ class NumpyKernel(Kernel):
                 for o in range(num_objects):
                     trace.record("scan_slot", o, tuple(lookup[o]))
             return list(obj_values), [0] * num_slots, list(table.values)
-        okeys = soa.int_column(obj_keys)
         ovals, _ = soa.values_to_matrix(list(obj_values), value_size)
+        tvals, thas = soa.values_to_matrix(table.values, value_size)
+        columns = ScanTable(
+            keys=soa.int_column(table.keys),
+            occupied=soa.bit_column(table.occupied),
+            is_write=soa.bit_column(table.is_write),
+            permitted=soa.bit_column(table.permitted),
+            values=tvals,
+            has_value=thas,
+        )
         new_ovals, matched, responses = self.scan_soa(
-            okeys, ovals, lookup, table, trace=trace
+            soa.int_column(obj_keys), ovals, lookup, columns, trace=trace
         )
-        new_values = soa.matrix_to_values(
-            new_ovals, np.ones(num_objects, dtype=bool)
+        return (
+            soa.matrix_to_values(new_ovals, [True] * num_objects),
+            matched.astype(int).tolist(),
+            soa.matrix_to_values(responses, thas | matched),
         )
-        return new_values, matched, responses
 
     def scan_soa(self, okeys, ovals, lookup, table, trace=None):
-        """Figure 19 scan over pre-packed SoA columns (the zero-copy core).
+        """Figure 19 scan over SoA columns (the zero-copy core).
 
         ``okeys`` is the int64 store-key column, ``ovals`` the uint8
-        value matrix (one row per store object); ``lookup`` is either the
+        value matrix (one row per store object); ``table`` is a
+        :class:`ScanTable` of columns; ``lookup`` is either the
         per-object index rows or an already-packed int64 matrix.  Returns
-        ``(new_ovals_matrix, slot_matched, slot_responses)`` with the
-        store values left in matrix form so the caller can re-encrypt
-        them in one batched pass.  Correct without per-slot sequencing
-        because batch keys are distinct and store keys are distinct:
-        every object matches at most one slot and every slot at most one
-        object, so the masked writes commute with the scalar loop's order.
+        ``(new_ovals, slot_matched, slot_responses)``: the post-scan
+        store value matrix, a bool per table slot, and the per-slot
+        response matrix (the *pre-scan* object value in matched rows, the
+        slot's own payload otherwise).  Correct without per-slot
+        sequencing because batch keys are distinct and store keys are
+        distinct: every object matches at most one slot and every slot at
+        most one object, so the masked writes commute with the scalar
+        loop's order.
         """
         np = soa.require_numpy()
         num_objects = int(okeys.shape[0])
-        num_slots = len(table.keys)
+        num_slots = int(table.keys.shape[0])
         if trace is not None:
             trace.record("scan", num_objects, num_slots)
         if isinstance(lookup, np.ndarray):
@@ -565,34 +534,26 @@ class NumpyKernel(Kernel):
         if trace is not None:
             for o in range(num_objects):
                 trace.record("scan_slot", o, tuple(int(x) for x in look[o]))
-        tkeys = soa.int_column(table.keys)
-        tocc = soa.bit_column(table.occupied)
-        twrite = soa.bit_column(table.is_write)
-        tperm = soa.bit_column(table.permitted)
-        value_size = int(ovals.shape[1])
-        tvals, thas = soa.values_to_matrix(table.values, value_size)
-        match = tocc[look] & (tkeys[look] == okeys[:, None])
+        match = table.occupied[look] & (table.keys[look] == okeys[:, None])
         # Write path: the object's new value is the matched write payload.
-        write_hit = match & twrite[look] & tperm[look] & thas[look]
+        writes = table.is_write & table.permitted & table.has_value
+        write_hit = match & writes[look]
         write_any = write_hit.any(axis=1)
         new_ovals = ovals.copy()
         if write_any.any():
             w_obj = np.nonzero(write_any)[0]
             w_slot = look[w_obj, np.argmax(write_hit[w_obj], axis=1)]
-            new_ovals[w_obj] = tvals[w_slot]
+            new_ovals[w_obj] = table.values[w_slot]
         # Response path: matched slots capture the *pre-scan* object value.
         match_any = match.any(axis=1)
-        matched = np.zeros(num_slots, dtype=np.int64)
-        resp_vals = tvals.copy()
-        resp_has = thas.copy()
+        matched = np.zeros(num_slots, dtype=bool)
+        responses = table.values.copy()
         if match_any.any():
             m_obj = np.nonzero(match_any)[0]
             m_slot = look[m_obj, np.argmax(match[m_obj], axis=1)]
-            matched[m_slot] = 1
-            resp_vals[m_slot] = ovals[m_obj]
-            resp_has[m_slot] = True
-        responses = soa.matrix_to_values(resp_vals, resp_has)
-        return new_ovals, [int(b) for b in matched], responses
+            matched[m_slot] = True
+            responses[m_slot] = ovals[m_obj]
+        return new_ovals, matched, responses
 
 
 #: Singleton kernel instances, keyed by selector name.

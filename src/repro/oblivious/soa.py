@@ -27,6 +27,7 @@ except ImportError:  # pragma: no cover
 #: True when NumPy imported successfully; the kernel registry consults this
 #: to decide whether ``kernel="numpy"`` can be honoured.
 HAS_NUMPY = _np is not None
+_NDARRAY = _np.ndarray if HAS_NUMPY else ()
 
 
 def require_numpy():
@@ -49,6 +50,21 @@ def bit_column(values: Sequence[int]):
     """Pack a sequence of 0/1 bits (or truthy values) into a boolean array."""
     np = require_numpy()
     return np.asarray([1 if v else 0 for v in values], dtype=bool)
+
+
+def take(items, perm):
+    """``items`` permuted by the int64 index column ``perm``.
+
+    The one place the kernels' index permutations (a list under the
+    python kernel, an ndarray under the numpy kernel) meet their
+    callers' containers: an ndarray is permuted by one gather, a list
+    into a new list.
+    """
+    if isinstance(items, _NDARRAY):
+        return items[perm]
+    if isinstance(perm, _NDARRAY):
+        perm = perm.tolist()
+    return [items[p] for p in perm]
 
 
 def values_to_matrix(values: Sequence[Optional[bytes]], value_size: int):

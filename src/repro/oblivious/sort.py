@@ -19,7 +19,6 @@ This implementation:
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Callable, Iterator, List, Sequence, Tuple
 
 from repro.oblivious.primitives import ocmp_swap
@@ -49,16 +48,16 @@ def comparator_schedule(n: int) -> Iterator[Tuple[int, int, bool]]:
         k *= 2
 
 
-@lru_cache(maxsize=None)
 def bitonic_sort_levels(n: int) -> List[List[Tuple[int, int, bool]]]:
     """The comparator schedule grouped into its depth levels.
 
     Returns one list per network level, each holding that level's
-    ``(i, j, ascending)`` comparators.  The schedule is a pure function
-    of ``n`` and every epoch replays it, so results are memoized —
-    callers must treat the returned lists as immutable.  ``n`` is padded
-    to the next power of two, mirroring :func:`bitonic_sort`.  Two
-    properties make this the unit the vectorized kernels consume:
+    ``(i, j, ascending)`` comparators.  ``n`` is padded to the next power
+    of two, mirroring :func:`bitonic_sort`.  This is the readable form of
+    the schedule (one tuple per comparator — megabytes by ``n = 2048``);
+    the numpy kernel derives the same levels arithmetically as index
+    columns and is pinned against this function by the tests.  Two
+    properties make the level the unit the vectorized kernels execute:
 
     * the comparators within one level touch pairwise-disjoint cells, so
       a whole level can be applied as one masked whole-array min/max

@@ -23,6 +23,7 @@ from typing import Dict, Iterable, List, Optional
 from repro.crypto.keys import KeyChain
 from repro.errors import DuplicateRequestError, NotInitializedError
 from repro.exec.backend import interpreter_turn
+from repro.oblivious import soa
 from repro.oblivious.hashtable import TwoTierHashTable, TwoTierParams
 from repro.oblivious.kernels import ScanTable, resolve_kernel
 from repro.oblivious.primitives import and_bit, eq_bit, o_select
@@ -161,7 +162,7 @@ class SubOram:
         # Only the whole-store batch passes run long enough without the
         # GIL to be worth overlapping with another unit's.
         store = self._store
-        bulk = store.supports_batch and hasattr(self.kernel, "scan_soa")
+        bulk = store.supports_batch and self.kernel.vectorized
         nbytes = store.num_slots * store.slot_size if bulk else 0
         with interpreter_turn(nbytes):
             return self._batch_access(batch, batch_key, table_params)
@@ -199,33 +200,32 @@ class SubOram:
         # path interleaves get/compute/put per slot; the vectorized path
         # reads every slot, runs the whole scan as masked array ops, then
         # rewrites every slot.  Both schedules are public functions of
-        # ``num_objects`` alone (see repro.security.simulator).
+        # ``num_objects`` alone (see repro.security.simulator).  Either
+        # scan leaves each entry holding its response: the object's prior
+        # value, or None when the key is absent from the partition (a
+        # write payload must not echo back as a phantom read value).
         with self.telemetry.time(
             "snoopy_suboram_phase_seconds", phase="scan"
         ):
             if self.kernel.vectorized:
-                matched = self._scan_vectorized(table, batch)
+                self._scan_vectorized(table, batch)
             else:
-                matched = self._scan_reference(table, batch)
+                self._scan_reference(table, batch)
 
-        # ➌ Null responses whose key is absent from the partition (a write
-        # payload must not echo back as a phantom read value), then mark
-        # real entries and compact out table fillers.
+        # ➌ Mark real entries and compact out table fillers.
         with self.telemetry.time(
             "snoopy_suboram_phase_seconds", phase="extract"
         ):
-            for entry in batch:
-                entry.value = o_select(matched[id(entry)], None, entry.value)
             return table.extract_real()
 
     def _scan_reference(
         self, table: TwoTierHashTable, batch: List[BatchEntry]
-    ) -> Dict[int, int]:
+    ) -> None:
         """The audited scalar Figure 19 scan (python kernel).
 
         ``matched`` tracks, per entry, whether any stored object carried
         its key — updated through the same oblivious select on every
-        slot comparison, and used by the caller to null out responses for
+        slot comparison, and used at the end to null out responses for
         keys that do not exist in this partition.
         """
         matched: Dict[int, int] = {id(entry): 0 for entry in batch}
@@ -258,78 +258,77 @@ class SubOram:
             # Rewrite (re-encrypt) the object unconditionally: the host
             # cannot tell written objects from untouched ones.
             self._store.put(slot, obj_key, obj_value)
-        return matched
+        for entry in batch:
+            entry.value = o_select(matched[id(entry)], None, entry.value)
 
     def _scan_vectorized(
         self, table: TwoTierHashTable, batch: List[BatchEntry]
-    ) -> Dict[int, int]:
-        """The structure-of-arrays Figure 19 scan (numpy kernel).
+    ) -> None:
+        """The columnar Figure 19 scan (numpy kernel).
 
-        When the store has a batch path (``crypto="vector"``) the whole
-        store is authenticated, decrypted, scanned, and re-encrypted
-        through four vectorized passes (``get_batch`` → ``lookup_matrix``
-        → ``scan_soa`` → ``put_batch``) with no per-slot Python call.
+        The batch becomes columns once, the table's ``slot_items``
+        permutation gathers them into the :class:`ScanTable`, and the
+        responses are written back to the entries once.  When the store
+        has a batch path (``crypto="vector"``) the whole store is
+        authenticated, decrypted, scanned, and re-encrypted through four
+        vectorized passes (``get_batch`` → ``lookup_matrix`` →
+        ``scan_soa`` → ``put_batch``) with no per-slot Python call.
         Otherwise the same kernel core runs between per-slot
         ``get``/``put`` calls — under ``crypto="scalar"`` the audited
         per-slot crypto oracle.  Outputs are byte-identical to
         :meth:`_scan_reference` either way.
         """
+        np = soa.require_numpy()
         store = self._store
-        batched = store.supports_batch and hasattr(self.kernel, "scan_soa")
-        if batched:
+        size = self.value_size
+        if store.supports_batch:
             okeys, ovals = store.get_batch()
-            obj_keys = okeys.tolist()
-            lookup = table.lookup_matrix(obj_keys)
         else:
-            obj_keys = []
-            obj_values: List[bytes] = []
-            for slot in range(self.num_objects):
-                obj_key, obj_value = store.get(slot)
-                obj_keys.append(obj_key)
-                obj_values.append(obj_value)
-            lookup = [table.bucket_slot_indices(key) for key in obj_keys]
-        slots = table.slots
+            pairs = [store.get(slot) for slot in range(self.num_objects)]
+            okeys = soa.int_column([key for key, _ in pairs])
+            ovals, _ = soa.values_to_matrix([v for _, v in pairs], size)
+        obj_keys = okeys.tolist()
+        lookup = table.lookup_matrix(obj_keys)
+        # One extra all-zero row per column: a filler slot's item index
+        # -1 gathers it, so fillers come out unoccupied and inert.
+        slot_items = table.slot_items
+        values, has_value = soa.values_to_matrix(
+            [entry.value for entry in batch] + [None], size
+        )
         scan_table = ScanTable(
-            keys=[0 if s.item is None else s.item.key for s in slots],
-            occupied=[0 if s.item is None else 1 for s in slots],
-            is_write=[
-                0 if s.item is None else eq_bit(s.item.op, OpType.WRITE)
-                for s in slots
-            ],
-            permitted=[
-                0 if s.item is None else s.item.permitted for s in slots
-            ],
-            values=[None if s.item is None else s.item.value for s in slots],
+            keys=soa.int_column([e.key for e in batch] + [0])[slot_items],
+            occupied=slot_items >= 0,
+            is_write=soa.bit_column(
+                [e.op is OpType.WRITE for e in batch] + [0]
+            )[slot_items],
+            permitted=soa.bit_column(
+                [e.permitted for e in batch] + [0]
+            )[slot_items],
+            values=values[slot_items],
+            has_value=has_value[slot_items],
         )
         kernel_trace = (
             TimedKernelTrace() if self.telemetry.enabled else None
         )
-        if batched:
-            new_ovals, slot_matched, responses = self.kernel.scan_soa(
-                okeys, ovals, lookup, scan_table, trace=kernel_trace
-            )
-        else:
-            new_values, slot_matched, responses = self.kernel.scan(
-                obj_keys, obj_values, self.value_size, lookup, scan_table,
-                trace=kernel_trace,
-            )
+        new_ovals, slot_matched, responses = self.kernel.scan_soa(
+            okeys, ovals, lookup, scan_table, trace=kernel_trace
+        )
         if kernel_trace is not None:
             flush_kernel_trace(
                 self.telemetry.registry, kernel_trace, self.kernel.name
             )
-        if batched:
-            store.put_batch(obj_keys, new_ovals)
-        else:
-            for slot in range(self.num_objects):
-                store.put(slot, obj_keys[slot], new_values[slot])
-        matched: Dict[int, int] = {id(entry): 0 for entry in batch}
-        for index, table_slot in enumerate(slots):
-            entry = table_slot.item
-            if entry is None:
-                continue
-            entry.value = responses[index]
-            matched[id(entry)] = slot_matched[index]
-        return matched
+        # Without a batch path this is the per-slot ``put`` loop.
+        store.put_batch(obj_keys, new_ovals)
+        # Invert the slot permutation (fillers all land on the spare
+        # cell) and write each entry's response back.
+        slot_of = np.empty(len(batch) + 1, dtype=np.int64)
+        slot_of[slot_items] = np.arange(len(slot_items), dtype=np.int64)
+        slot_of = slot_of[:-1]
+        values = soa.matrix_to_values(
+            responses[slot_of], slot_matched[slot_of].tolist()
+        )
+        for entry, value in zip(batch, values):
+            entry.value = value
 
     # ------------------------------------------------------------------
     # Introspection for tests / tools

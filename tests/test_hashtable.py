@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto.prf import Prf
 from repro.errors import CapacityError
 from repro.oblivious.hashtable import TwoTierHashTable, TwoTierParams
 
@@ -113,6 +114,101 @@ class TestBuildAndExtract:
             assert any(
                 s.real and s.item.key == k for s in table.lookup_slots(k)
             )
+
+
+def _params(**dims):
+    """Hand-set dimensions that force the rare capacity events."""
+    return TwoTierParams(capacity=64, security_parameter=8, **dims)
+
+
+KERNELS = pytest.mark.parametrize("kernel", ["python", "numpy"])
+
+
+class TestColumnarTable:
+    """The table as index columns, pinned on both kernels."""
+
+    @KERNELS
+    @given(
+        keys=st.sets(st.integers(-(10**9), 10**9), min_size=1, max_size=90),
+        prf_key=st.binary(min_size=1, max_size=8),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_every_real_key_sits_in_exactly_one_of_its_buckets(
+        self, kernel, keys, prf_key
+    ):
+        keys = sorted(keys)
+        table = build(keys, prf_key=prf_key, kernel=kernel,
+                      is_real_fn=lambda item: item.key % 3 != 0)
+        slot_items = list(table.slot_items)
+        # Slot counts are public: they depend on the capacity alone.
+        assert len(slot_items) == table.params.total_slots
+        assert len(slot_items) == len(build(range(len(keys))).slots)
+        # Every item occupies exactly one slot, inside its own buckets.
+        assert sorted(i for i in slot_items if i >= 0) == list(
+            range(len(keys))
+        )
+        for index, key in enumerate(keys):
+            assert slot_items.index(index) in table.bucket_slot_indices(key)
+        # Dummies occupy slots but are not extracted.
+        assert sorted(item.key for item in table.extract_real()) == [
+            k for k in keys if k % 3 != 0
+        ]
+
+    def test_kernels_build_the_same_table(self, rng):
+        keys = rng.sample(range(10**6), 121)
+        tables = {
+            kernel: build(keys, kernel=kernel, security_parameter=128)
+            for kernel in ("python", "numpy")
+        }
+        assert tables["python"].slot_items == (
+            tables["numpy"].slot_items.tolist()
+        )
+        assert [i.key for i in tables["python"].extract_real()] == [
+            i.key for i in tables["numpy"].extract_real()
+        ]
+        rows = tables["numpy"].lookup_matrix(keys)
+        for row, key in zip(rows.tolist(), keys):
+            assert row == tables["python"].bucket_slot_indices(key)
+            assert row == tables["numpy"].bucket_slot_indices(key)
+
+    @KERNELS
+    def test_one_prf_digest_per_key_per_batch(self, kernel, monkeypatch):
+        inputs = []
+        range_many = Prf.range_many
+
+        def counting(self, xs, n):
+            inputs.append(len(xs))
+            return range_many(self, xs, n)
+
+        monkeypatch.setattr(Prf, "range_many", counting)
+        keys = list(range(100, 140))
+        table = build(keys, kernel=kernel)
+        # One digest per item and per (public-count) spill filler yields
+        # both tiers' buckets ...
+        assert inputs == [len(keys) + table.params.tier2_capacity]
+        # ... and one per store object yields both lookup buckets.
+        table.lookup_matrix(list(range(25)))
+        assert inputs[1:] == [25]
+
+    @KERNELS
+    def test_spill_beyond_the_public_bound_raises(self, kernel):
+        params = _params(tier1_buckets=1, tier1_bucket_size=2,
+                         tier2_capacity=4, tier2_buckets=1,
+                         tier2_bucket_size=8)
+        with pytest.raises(CapacityError, match="tier-1 spill"):
+            build(range(20), params=params, kernel=kernel)
+
+    @KERNELS
+    def test_tier2_overflow_raises(self, kernel):
+        params = _params(tier1_buckets=1, tier1_bucket_size=2,
+                         tier2_capacity=16, tier2_buckets=1,
+                         tier2_bucket_size=4)
+        with pytest.raises(CapacityError, match="tier-2"):
+            build(range(12), params=params, kernel=kernel)
+        # Only *real* overflow counts: spilled dummies may fall out.
+        table = build(range(12), params=params, kernel=kernel,
+                      is_real_fn=lambda item: item.key < 5)
+        assert sorted(i.key for i in table.extract_real()) == list(range(5))
 
 
 class TestRandomizedStress:

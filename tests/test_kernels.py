@@ -10,6 +10,7 @@ kernel API up through a full deployment.
 import copy
 import random
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +29,7 @@ from repro.oblivious.kernels import (
     NumpyKernel,
     PythonKernel,
     ScanTable,
+    _level_arrays,
     resolve_kernel,
 )
 from repro.oblivious.memory import TracedMemory
@@ -72,6 +74,115 @@ class TestBitonicSortLevels:
             assert len(touched) == len(set(touched))
 
 
+class TestLevelArrays:
+    """The numpy kernel's arithmetic schedule is the published one."""
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 8, 16, 32, 64, 128, 256])
+    def test_equal_to_bitonic_sort_levels(self, m):
+        levels = _level_arrays(m)
+        expected = bitonic_sort_levels(m)
+        assert len(levels) == len(expected)
+        for (partner, take_min), level in zip(levels, expected):
+            lower_ends = [
+                (i, p, t)
+                for i, (p, t) in enumerate(
+                    zip(partner.tolist(), take_min.tolist())
+                )
+                if p > i
+            ]
+            assert lower_ends == level
+            # The upper end of every comparator takes the other word.
+            assert (take_min[partner] != take_min).all()
+
+    def test_cache_is_bounded_and_read_only(self):
+        assert _level_arrays.cache_info().maxsize == 8
+        partner, take_min = _level_arrays(8)[0]
+        assert not partner.flags.writeable and not take_min.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# Fixed work: the same whole-array operations whatever the data
+# ---------------------------------------------------------------------------
+class _Counted:
+    """A numpy callable that logs (name, ndarray operand shapes) per call."""
+
+    def __init__(self, fn, name, log):
+        self._fn, self._name, self._log = fn, name, log
+
+    def __call__(self, *args, **kwargs):
+        operands = list(args) + list(kwargs.values())
+        self._log.append((self._name, tuple(
+            a.shape for a in operands if isinstance(a, numpy.ndarray)
+        )))
+        return self._fn(*args, **kwargs)
+
+    def __getattr__(self, attr):
+        return _Counted(
+            getattr(self._fn, attr), f"{self._name}.{attr}", self._log
+        )
+
+
+class _CountingNumpy:
+    """Thin shim standing in for the numpy module inside the kernels."""
+
+    def __init__(self):
+        self.log = []
+
+    def __getattr__(self, name):
+        attr = getattr(numpy, name)
+        if isinstance(attr, type) or not callable(attr):
+            return attr
+        return _Counted(attr, name, self.log)
+
+
+def _array_ops(monkeypatch, call):
+    """The whole-array operations one kernel call executes, in order."""
+    call()  # warm the per-thread scratch and the level cache
+    shim = _CountingNumpy()
+    monkeypatch.setattr(soa, "require_numpy", lambda: shim)
+    call()
+    monkeypatch.undo()
+    return shim.log
+
+
+class TestFixedWork:
+    N = 37  # pads to m = 64: 6 compaction layers, 21 sort levels
+
+    def test_compact_runs_every_layer_whatever_the_flags(self, monkeypatch):
+        items = list(range(self.N))
+        rng = random.Random(5)
+        flag_vectors = [
+            [1] * self.N,
+            [0] * self.N,
+            [rng.randrange(2) for _ in range(self.N)],
+            [1] * 5 + [0] * (self.N - 5),
+        ]
+        logs = [
+            _array_ops(monkeypatch, lambda f=flags: NP.compact(items, f))
+            for flags in flag_vectors
+        ]
+        assert all(log == logs[0] for log in logs[1:])
+        selects = [op for op in logs[0] if op[0] == "where"]
+        assert selects == [("where", ((64,), (64,)))] * 6
+
+    def test_sort_runs_every_level_whatever_the_keys(self, monkeypatch):
+        items = list(range(self.N))
+        rng = random.Random(6)
+        key_columns = [
+            list(range(self.N)),
+            list(range(self.N, 0, -1)),
+            [7] * self.N,
+            [rng.randrange(10) for _ in range(self.N)],
+        ]
+        logs = [
+            _array_ops(monkeypatch, lambda c=col: NP.sort(items, [c]))
+            for col in key_columns
+        ]
+        assert all(log == logs[0] for log in logs[1:])
+        gathers = [op for op in logs[0] if op[0] == "take"]
+        assert gathers == [("take", ((64,), (64,), (64,)))] * 21
+
+
 # ---------------------------------------------------------------------------
 # Sort equivalence
 # ---------------------------------------------------------------------------
@@ -90,6 +201,27 @@ class TestSortEquivalence:
         py_out = PY.sort(list(items), columns, trace=py_trace)
         np_out = NP.sort(list(items), columns, trace=np_trace)
         assert py_out == np_out
+        assert py_trace == np_trace
+        # Ties keep input order: the total key ends in the input position.
+        rows = range(len(items))
+        stable = sorted(rows, key=lambda i: [col[i] for col in columns])
+        assert np_out == [items[i] for i in stable]
+        assert NP.sort(numpy.arange(len(items)), columns).tolist() == stable
+
+    def test_all_keys_tied(self):
+        items = list("snoopy-ties")
+        column = [3] * len(items)
+        assert NP.sort(items, [column]) == PY.sort(items, [column]) == items
+
+    def test_columns_wider_than_one_word_take_the_reference_path(self):
+        rng = random.Random(9)
+        wide = [rng.choice((-1, 1)) * rng.randrange(2**62) for _ in range(21)]
+        narrow = [rng.randrange(3) for _ in wide]
+        items = list(range(len(wide)))
+        py_trace, np_trace = KernelTrace(), KernelTrace()
+        py_out = PY.sort(items, [narrow, wide], trace=py_trace)
+        assert NP.sort(items, [narrow, wide], trace=np_trace) == py_out
+        assert py_out == sorted(items, key=lambda i: (narrow[i], wide[i]))
         assert py_trace == np_trace
 
     def test_empty(self):
@@ -125,6 +257,11 @@ class TestCompactEquivalence:
         np_out = NP.compact(list(items), list(flags), trace=np_trace)
         assert py_out == np_out == ocompact(items, flags)
         assert py_trace == np_trace
+        columns = NP.compact(
+            numpy.asarray(items, dtype=numpy.int64),
+            numpy.asarray(flags, dtype=bool),
+        )
+        assert columns.tolist() == py_out
 
     @pytest.mark.parametrize("flags", [[0, 0, 0, 0], [1, 1, 1, 1]])
     def test_all_dummy_and_all_real(self, flags):
@@ -291,6 +428,22 @@ class TestLoadBalancerStages:
         np_ = match_responses(list(originals), list(responses),
                               kernel="numpy")
         assert [r.__dict__ for r in py] == [r.__dict__ for r in np_]
+
+
+    def test_dummy_ids_keep_the_sorts_on_the_packed_path(
+        self, rng, monkeypatch
+    ):
+        """Dummies sort by a dense key, so no sort needs the reference."""
+        def reference_sort(*_args, **_kwargs):
+            raise AssertionError("numpy sort fell back to the reference")
+
+        monkeypatch.setattr(PythonKernel, "sort", reference_sort)
+        requests = _requests(23, rng)
+        batches, originals, _ = generate_batches(requests, 3, KEY, 128,
+                                                 kernel="numpy")
+        responses = [entry for batch in batches for entry in batch]
+        assert len(match_responses(originals, responses,
+                                   kernel="numpy")) == len(requests)
 
 
 # ---------------------------------------------------------------------------

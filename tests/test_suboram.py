@@ -9,8 +9,9 @@ from repro.suboram.suboram import SubOram
 from repro.types import BatchEntry, OpType
 
 
-def make_suboram(num_objects=50, value_size=4):
-    so = SubOram(suboram_id=0, value_size=value_size, security_parameter=16)
+def make_suboram(num_objects=50, value_size=4, **kw):
+    so = SubOram(suboram_id=0, value_size=value_size, security_parameter=16,
+                 **kw)
     so.initialize({k: bytes([k % 256]) * value_size for k in range(num_objects)})
     return so
 
@@ -98,8 +99,9 @@ class TestWrites:
 
 
 class TestProtocolInvariants:
-    def test_duplicate_keys_rejected(self):
-        so = make_suboram()
+    @pytest.mark.parametrize("kernel", ["python", "numpy"])
+    def test_duplicate_keys_rejected(self, kernel):
+        so = make_suboram(kernel=kernel)
         with pytest.raises(DuplicateRequestError):
             so.batch_access([read_entry(1), write_entry(1, b"aaaa")])
 
@@ -120,8 +122,11 @@ class TestProtocolInvariants:
         after = [so.store.host_ciphertext(i) for i in range(5)]
         assert all(b != a for b, a in zip(before, after))
 
-    def test_large_random_batch_matches_model(self, rng):
-        so = make_suboram(num_objects=40)
+    @pytest.mark.parametrize("kernel,crypto", [
+        ("numpy", "vector"), ("numpy", "scalar"), ("python", "scalar"),
+    ])
+    def test_large_random_batch_matches_model(self, rng, kernel, crypto):
+        so = make_suboram(num_objects=40, kernel=kernel, crypto=crypto)
         model = {k: bytes([k % 256]) * 4 for k in range(40)}
         for _ in range(10):
             keys = rng.sample(range(40), rng.randrange(1, 15))
