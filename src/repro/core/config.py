@@ -46,8 +46,8 @@ class SnoopyConfig:
             performance simulator, and — when the deployment runs
             pipelined (:meth:`~repro.core.snoopy.Snoopy.start_pipeline`)
             — as the period of the background epoch clock that closes
-            batches on the load balancers.  The sequential
-            ``run_epoch`` path still closes epochs on demand.
+            batches on the load balancers.  ``run_epoch`` closes
+            epochs on demand instead.
         pipeline_depth: maximum in-flight epochs under the pipelined
             scheduler (§6's double-buffering; default 2 matches the
             paper's latency <= 2T claim).  An epoch is in flight from

@@ -14,10 +14,10 @@ Python calls, ``DistributedSnoopy`` reproduces the deployment story of
   :class:`~repro.crypto.aead.SecureChannel` with replay protection.
 
 It *is* a :class:`~repro.core.snoopy.Snoopy` — same construction, same
-epoch body, same front door — whose stage-➋ delivery crosses the sealed
-channels instead of a Python call.  Identical results for identical
-requests, but a tampering or replaying network raises
-:class:`~repro.errors.IntegrityError` /
+epoch body under either scheduler, same front door — whose stage-➋
+delivery crosses the sealed channels instead of a Python call.
+Identical results for identical requests, but a tampering or replaying
+network raises :class:`~repro.errors.IntegrityError` /
 :class:`~repro.errors.ReplayError`, which the integration tests inject.
 """
 
@@ -34,7 +34,7 @@ from repro.crypto.aead import SecureChannelPair
 from repro.crypto.keys import KeyChain
 from repro.enclave.attestation import AttestationService
 from repro.enclave.model import Enclave
-from repro.errors import ConfigurationError, TransportError
+from repro.errors import TransportError
 from repro.exec import BackendSpec
 
 
@@ -107,13 +107,6 @@ class DistributedSnoopy(Snoopy):
     def _verify_peer(self, enclave: Enclave) -> None:
         quote = self.attestation.quote(enclave, b"\x00" * 32)
         self.attestation.verify(quote)  # raises AttestationError if rogue
-
-    def start_pipeline(self, *args, **kwargs):
-        """Unavailable: the pipelined scheduler has no transport seam."""
-        raise ConfigurationError(
-            "DistributedSnoopy runs epochs through run_epoch only; the "
-            "pipelined scheduler does not cross the sealed channels"
-        )
 
     def _transport(self, balancer_index: int, suboram_index: int,
                    suboram, batch) -> list:

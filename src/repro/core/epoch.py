@@ -1,103 +1,75 @@
-"""The staged epoch driver: §6's parallel pipeline over a pluggable backend.
+"""The epoch body: one close → build → execute → match path and its rollback.
 
-One Snoopy epoch decomposes into three stages whose units are mutually
-independent (the structure behind equations (1)–(3) and Figures 11/13):
+The paper defines one epoch procedure (Fig. 21, §4.3, Appendix C) and
+this module states it once.  :class:`EpochLifecycle` holds the steps;
+:meth:`Snoopy.run_epoch <repro.core.snoopy.Snoopy.run_epoch>` runs them
+inline on the caller's thread and the three stage threads of
+:class:`~repro.core.pipeline.EpochPipeline` run the very same steps, one
+epoch behind each other:
 
-* **build** — every load balancer turns its queued requests into S
+* **close** — nothing queued means nothing happens (no counter moves);
+  otherwise every balancer is drained, the trusted counter is bumped
+  once (§9) and the ticket book is cut, giving one :class:`_EpochJob`.
+* **build** — every load balancer turns its drained requests into S
   fixed-size batches (one oblivious sort + compaction per balancer);
   independent *across balancers*.
 * **execute** — every subORAM serves the L balancers' batches.  The
-  batches of one subORAM must run in fixed balancer order (LB 0 first —
-  the order Appendix C's linearization proof fixes), so each subORAM's
-  L-batch chain is a single ordered task; independent *across subORAMs*.
+  batches of one subORAM run in fixed balancer order (LB 0 first — the
+  order Appendix C's linearization proof fixes), so each subORAM's
+  L-batch chain is a single ordered unit; independent *across subORAMs*.
 * **match** — every balancer obliviously matches the returned entries to
-  its clients' requests; independent *across balancers*.
+  its clients' requests, and the epoch's ticket cut is resolved.
+* **rollback** — a fatally failed epoch's requests go back to the front
+  of their balancers and its ticket cut is restored, latest epoch first,
+  so queues and ticket book end up as if nothing had been drained.
+
+**One retry rule.**  Only stage ➋ is retried, *in place*: build output is
+a pure function of the drained requests, so every attempt re-executes
+the already-built batches, and queued successor epochs are never
+reordered.  A failed unit must not leave subORAM state half mutated
+(retrying a partially applied batch would change write-before values),
+so while the deployment is armed (a retry policy, or a fault injector
+with events pending) stage ➋ runs on deep copies under shared-state
+backends; process backends mutate worker-side copies that a failed
+attempt never installs.  Build and match failures, and an exhausted
+retry budget, are fatal: the caller rolls back and raises the cause.
 
 :class:`EpochDriver` runs each stage as one
-:meth:`~repro.exec.backend.ExecutionBackend.map` call, so the same driver
-produces serial reference execution or a concurrent epoch depending only
-on the backend — with byte-identical responses either way.
-
-Stage functions are module-level and take plain picklable tuples so that
+:meth:`~repro.exec.backend.ExecutionBackend.map` call, so the same steps
+produce serial reference execution or a concurrent epoch depending only
+on the backend — with byte-identical responses either way.  Stage
+functions are module-level and take plain picklable tuples so that
 :class:`~repro.exec.pools.ProcessPoolBackend` can ship them to workers;
-mutated subORAM state returns by value in :class:`EpochResult.suborams`
-and the deployment reinstalls it.
-
-**Atomic epochs.**  A failed stage unit must not strand the epoch's
-requests (the paper's no-drop guarantee) nor leave subORAM state half
-mutated (retrying a partially applied batch would change write-before
-values and break byte-equivalence with serial execution).  On any stage
-failure :meth:`EpochDriver.run` therefore rolls the whole epoch back —
-drained requests are requeued into their balancers in arrival order,
-subORAM state is not installed, pending tickets stay pending — and
-raises a typed :class:`~repro.errors.EpochFailedError` naming the stage
-and unit.  When the deployment arms atomicity (retry policy or a fault
-injector with events still pending), stage ➋ additionally runs on deep
-copies under shared-state backends so a mid-stage crash cannot leak
-partial in-place mutations; process backends already mutate worker-side
-copies, so a failed attempt simply never installs them.
-
-**Stage methods.**  :meth:`EpochDriver.run_build`,
-:meth:`EpochDriver.run_execute` and :meth:`EpochDriver.run_match` expose
-the three stages individually so :class:`~repro.core.pipeline.\
-EpochPipeline` can run the build of epoch ``e+1`` concurrently with the
-execute of epoch ``e`` and the match of ``e-1``.  The stage methods
-raise :class:`~repro.errors.EpochFailedError` but do *not* requeue
-requests — under the pipeline a failed epoch keeps its drained requests
-on the in-flight job and is retried in place, so queued successor epochs
-are never reordered.  :meth:`EpochDriver.run` composes the same methods
-with the requeue rollback, preserving the sequential semantics exactly.
+subORAM state returns by value and the execute step reinstalls it.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+import time
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.faults import FaultInjector
+from repro.core.tickets import Ticket, TicketBook
 from repro.errors import (
     ConfigurationError,
     EpochFailedError,
     TaskTimeoutError,
     WorkerCrashError,
 )
-from repro.exec.backend import ExecutionBackend, interpreter_turn
+from repro.exec.backend import (
+    ExecutionBackend, SerialBackend, interpreter_turn,
+)
 from repro.loadbalancer.batching import generate_batches
 from repro.loadbalancer.matching import match_responses
 from repro.telemetry import resolve_telemetry
-from repro.types import BatchEntry, Response
+from repro.types import BatchEntry, Request, Response
 
 #: Delivery seam for stage ➋: ``(balancer_index, suboram_index, suboram,
 #: batch) -> response entries``.  ``None`` means a direct in-process
 #: ``suboram.batch_access(batch)`` call; a networked deployment supplies
 #: its sealed-channel round trip here.
 Transport = Callable[[int, int, object, List[BatchEntry]], List[BatchEntry]]
-
-
-@dataclass
-class EpochResult:
-    """Everything one driven epoch produced.
-
-    Attributes:
-        responses_per_balancer: matched responses, indexed by balancer;
-            empty list for balancers that had no queued requests.
-        suborams: the (possibly reinstalled-by-value) subORAM objects,
-            in partition order — identical objects under in-process
-            backends, shipped-back copies under process backends.
-    """
-
-    responses_per_balancer: List[List[Response]]
-    suborams: List[object]
-
-    @property
-    def responses(self) -> List[Response]:
-        """All responses flattened in balancer order (the legacy shape)."""
-        return [
-            response
-            for per_balancer in self.responses_per_balancer
-            for response in per_balancer
-        ]
 
 
 def _build_stage(task):
@@ -144,9 +116,13 @@ def _raise_injected(fault: Optional[str], unit: int) -> None:
         )
 
 
-def _execute_stage(task):
-    """Stage ➋ unit: one subORAM's L batches, in fixed balancer order."""
-    suboram_index, suboram, chain, transport, fault, telemetry = task
+def _execute_stateful(suboram, args):
+    """Stage ➋ unit: one subORAM's L batches, in fixed balancer order.
+
+    Returns ``(new_state, result)`` as the ``map_stateful`` contract
+    requires — here the ``(suboram, outputs)`` pair.
+    """
+    suboram_index, chain, transport, fault, telemetry = args
     _raise_injected(fault, suboram_index)
     outputs = []
     for balancer_index, batch in chain:
@@ -160,25 +136,6 @@ def _execute_stage(task):
                     balancer_index, suboram_index, suboram, batch
                 )
         outputs.append((balancer_index, entries))
-    return suboram, outputs
-
-
-def _execute_stateful(suboram, args):
-    """Stage ➋ stateful unit: the direct-call path for ``map_stateful``.
-
-    Returns ``(new_state, result)`` as the stateful contract requires —
-    which here is exactly the ``(suboram, outputs)`` pair
-    :func:`_execute_stage` produces, so the driver handles both paths
-    uniformly.
-    """
-    suboram_index, chain, fault, telemetry = args
-    _raise_injected(fault, suboram_index)
-    outputs = []
-    for balancer_index, batch in chain:
-        with telemetry.time(
-            "snoopy_suboram_batch_seconds", unit=suboram_index
-        ):
-            outputs.append((balancer_index, suboram.batch_access(batch)))
     return suboram, outputs
 
 
@@ -218,114 +175,6 @@ class EpochDriver:
         self.backend = backend
         self.telemetry = resolve_telemetry(telemetry)
 
-    def run(
-        self,
-        load_balancers: Sequence,
-        suborams: Sequence,
-        permissions=None,
-        transport: Optional[Transport] = None,
-        state_ns: str = "epoch",
-        injector: Optional[FaultInjector] = None,
-        atomic: bool = False,
-    ) -> EpochResult:
-        """Close the epoch: drain, build, execute, match — atomically.
-
-        Args:
-            load_balancers: the deployment's balancers; their queues are
-                drained (and epoch counters bumped) up front.
-            suborams: the deployment's partitions, in order.
-            permissions: optional §D access-control bits
-                ``{(client_id, seq): 0/1}``.
-            transport: optional delivery seam for stage ➋ (see
-                :data:`Transport`).  Requires an in-process backend:
-                closures over live channel state cannot cross a process
-                boundary.
-            state_ns: namespace for the backend's cross-epoch state cache
-                (stage ➋ runs through
-                :meth:`~repro.exec.backend.ExecutionBackend.map_stateful`);
-                deployments sharing one backend should pass distinct
-                namespaces so their subORAM caches never collide.
-            injector: optional :class:`~repro.core.faults.FaultInjector`;
-                stage-➋ units with a scheduled worker-crash/timeout event
-                are armed to fail inside the executing worker.
-            atomic: run stage ➋ on deep copies under shared-state
-                backends so a failed attempt leaves the caller's subORAM
-                objects untouched.  Deployments arm this whenever a retry
-                policy or fault injector is active; the reinstalled
-                :attr:`EpochResult.suborams` then *are* the copies, as
-                they already are under process backends.
-
-        Raises:
-            ConfigurationError: a transport was supplied on a backend
-                without shared state (e.g. ``process``).
-            EpochFailedError: a stage unit failed.  The epoch was rolled
-                back first: every drained request is requeued into its
-                balancer (arrival order preserved), no subORAM state is
-                installed, and tickets stay pending for the retry.
-        """
-        if transport is not None and not self.backend.supports_shared_state:
-            from repro.exec import BACKENDS
-
-            shared = sorted(
-                name
-                for name, cls in BACKENDS.items()
-                if cls.supports_shared_state
-            )
-            raise ConfigurationError(
-                f"backend {self.backend.name!r} cannot run a custom "
-                f"transport for state namespace {state_ns!r}: channel "
-                "state must stay in-process (shared-state backends: "
-                f"{', '.join(repr(name) for name in shared)})"
-            )
-
-        with self.telemetry.span("stage", stage="collect"), \
-                self.telemetry.time(
-                    "snoopy_epoch_stage_seconds", stage="collect"
-                ):
-            drained = [balancer.drain() for balancer in load_balancers]
-        active = [index for index, requests in enumerate(drained) if requests]
-        if not active:
-            return EpochResult(
-                responses_per_balancer=[[] for _ in load_balancers],
-                suborams=list(suborams),
-            )
-        try:
-            return self._run_stages(
-                load_balancers, suborams, drained, active,
-                permissions, transport, state_ns, injector, atomic,
-            )
-        except EpochFailedError:
-            self._rollback(load_balancers, drained)
-            raise
-
-    @staticmethod
-    def _rollback(load_balancers: Sequence, drained: List[list]) -> None:
-        """Requeue every drained request so the next epoch retries it."""
-        for balancer, requests in zip(load_balancers, drained):
-            balancer.requeue(requests)
-
-    def _run_stages(
-        self, load_balancers, suborams, drained, active,
-        permissions, transport, state_ns, injector, atomic,
-    ) -> EpochResult:
-        """The three pipeline stages; failures surface as EpochFailedError."""
-        built = self.run_build(load_balancers, drained, active, permissions)
-        new_suborams, entries_per_balancer = self.run_execute(
-            suborams, built, active,
-            transport=transport, state_ns=state_ns,
-            injector=injector, atomic=atomic,
-        )
-        responses_per_balancer = self.run_match(
-            load_balancers, built, entries_per_balancer, active
-        )
-        return EpochResult(
-            responses_per_balancer=responses_per_balancer,
-            suborams=new_suborams,
-        )
-
-    # ------------------------------------------------------------------
-    # Individual stage methods (the pipeline's building blocks)
-    # ------------------------------------------------------------------
     def run_build(
         self, load_balancers, drained, active, permissions=None
     ) -> list:
@@ -337,8 +186,7 @@ class EpochDriver:
         attempts of the execute stage.
 
         Raises:
-            EpochFailedError: ``stage="build"``.  No rollback is
-            performed — the caller owns the drained requests.
+            EpochFailedError: ``stage="build"``.
         """
         try:
             with self.telemetry.span(
@@ -381,9 +229,24 @@ class EpochDriver:
 
         Each chain lists that subORAM's batches in ascending balancer
         order, the fixed order the linearizability argument requires.
-        The direct in-process path runs through ``map_stateful`` so
-        process backends can keep each subORAM's state cached
-        worker-side across epochs instead of re-shipping it every batch.
+        Units run through ``map_stateful`` so process backends can keep
+        each subORAM's state cached worker-side across epochs instead of
+        re-shipping it every batch.
+
+        Args:
+            transport: optional delivery seam (see :data:`Transport`).
+                Requires a shared-state backend: closures over live
+                channel state cannot cross a process boundary.
+            state_ns: namespace for the backend's cross-epoch state
+                cache; deployments sharing one backend pass distinct
+                namespaces so their subORAM caches never collide.
+            injector: optional :class:`~repro.core.faults.FaultInjector`;
+                units with a scheduled worker-crash/timeout event are
+                armed to fail inside the executing worker.
+            atomic: run on deep copies under shared-state backends so a
+                failed attempt leaves the caller's subORAM objects *and*
+                ``built`` batches untouched — the caller retries by
+                calling this method again with the same ``built``.
 
         Returns:
             ``(new_suborams, entries_per_balancer)`` — the mutated (or
@@ -391,15 +254,27 @@ class EpochDriver:
             partition order, and a ``{balancer_index: entries}`` dict
             regrouping the stage outputs for matching (subORAMs in
             ascending order — the exact entry order serial execution
-            produced).
+            produces).
 
         Raises:
-            EpochFailedError: ``stage="execute"``.  No rollback is
-            performed and — when ``atomic`` — the caller's subORAM
-            objects *and* ``built`` batches are untouched, so the caller
-            may simply call this method again with the same ``built``
-            batches to retry.
+            ConfigurationError: a transport was supplied on a backend
+                without shared state (e.g. ``process``).
+            EpochFailedError: ``stage="execute"``.
         """
+        if transport is not None and not self.backend.supports_shared_state:
+            from repro.exec import BACKENDS
+
+            shared = sorted(
+                name
+                for name, cls in BACKENDS.items()
+                if cls.supports_shared_state
+            )
+            raise ConfigurationError(
+                f"backend {self.backend.name!r} cannot run a custom "
+                f"transport for state namespace {state_ns!r}: channel "
+                "state must stay in-process (shared-state backends: "
+                f"{', '.join(repr(name) for name in shared)})"
+            )
         work_suborams = list(suborams)
         work_built = built
         try:
@@ -408,82 +283,46 @@ class EpochDriver:
                 # so a failed unit cannot leave the caller's state
                 # half-applied.  Batches too: ``batch_access`` consumes
                 # entries in place (each entry's value is folded into
-                # its response), and a retried attempt — or the
-                # pipeline, which reuses one build across attempts —
-                # must re-execute pristine batches.  The copy itself is
-                # inside the fault wrapping because remote proxies turn
-                # it into a TXN_BEGIN round trip that can hit a network
-                # fault; an abandoned half-clone is harmless (the retry
-                # re-clones the same committed parents under fresh
-                # version ids).
+                # its response), and a retried attempt must re-execute
+                # pristine batches.  The copy itself is inside the fault
+                # wrapping because remote proxies turn it into a
+                # TXN_BEGIN round trip that can hit a network fault; an
+                # abandoned half-clone is harmless (the retry re-clones
+                # the same committed parents under fresh version ids).
                 work_suborams = copy.deepcopy(work_suborams)
                 work_built = [
                     (copy.deepcopy(batches), originals, size)
                     for (batches, originals, size) in built
                 ]
-        except BaseException as exc:
-            raise EpochFailedError(
-                "execute", getattr(exc, "unit", None), exc
-            ) from exc
-        faults = [
-            injector.stage_fault(suboram_index)
-            if injector is not None
-            else None
-            for suboram_index in range(len(work_suborams))
-        ]
-        try:
             with self.telemetry.span(
                 "stage", stage="execute", tasks=len(work_suborams)
             ), self.telemetry.time(
                 "snoopy_epoch_stage_seconds", stage="execute"
             ):
-                if transport is None:
-                    executed = self.backend.map_stateful(
-                        _execute_stateful,
-                        [
-                            (
-                                (state_ns, suboram_index),
-                                suboram,
-                                (
-                                    suboram_index,
-                                    [
-                                        (balancer_index,
-                                         work_built[j][0][suboram_index])
-                                        for j, balancer_index in enumerate(
-                                            active
-                                        )
-                                    ],
-                                    faults[suboram_index],
-                                    self.telemetry,
-                                ),
-                            )
-                            for suboram_index, suboram in enumerate(
-                                work_suborams
-                            )
-                        ],
-                        token=_suboram_state_token,
-                    )
-                else:
-                    executed = self.backend.map(
-                        _execute_stage,
-                        [
+                executed = self.backend.map_stateful(
+                    _execute_stateful,
+                    [
+                        (
+                            (state_ns, suboram_index),
+                            suboram,
                             (
                                 suboram_index,
-                                suboram,
                                 [
                                     (balancer_index,
                                      work_built[j][0][suboram_index])
                                     for j, balancer_index in enumerate(active)
                                 ],
                                 transport,
-                                faults[suboram_index],
+                                injector.stage_fault(suboram_index)
+                                if injector is not None
+                                else None,
                                 self.telemetry,
-                            )
-                            for suboram_index, suboram in enumerate(
-                                work_suborams
-                            )
-                        ],
-                    )
+                            ),
+                        )
+                        for suboram_index, suboram in enumerate(work_suborams)
+                    ],
+                    token=_suboram_state_token,
+                )
         except BaseException as exc:
             raise EpochFailedError(
                 "execute", getattr(exc, "unit", None), exc
@@ -504,8 +343,7 @@ class EpochDriver:
         for balancers that had no queued requests this epoch).
 
         Raises:
-            EpochFailedError: ``stage="match"``.  No rollback is
-            performed.
+            EpochFailedError: ``stage="match"``.
         """
         try:
             with self.telemetry.span(
@@ -538,3 +376,173 @@ class EpochDriver:
         for j, balancer_index in enumerate(active):
             responses_per_balancer[balancer_index] = matched[j]
         return responses_per_balancer
+
+
+def attach_telemetry_to_suborams(suborams, telemetry) -> None:
+    """Point every subORAM (and replica) with a telemetry seam at ``telemetry``.
+
+    Attachment is attribute-based so custom subORAM implementations opt
+    in simply by defining a ``telemetry`` attribute; objects without the
+    seam (e.g. bare adapters) are left untouched.  Replica groups are
+    descended into via their ``replicas`` list.
+    """
+    for suboram in suborams:
+        if hasattr(suboram, "telemetry"):
+            suboram.telemetry = telemetry
+        for replica in getattr(suboram, "replicas", []):
+            inner = getattr(replica, "suboram", replica)
+            if hasattr(inner, "telemetry"):
+                inner.telemetry = telemetry
+
+
+class _EpochJob:
+    """One closed epoch: its requests, tickets, and stage outputs."""
+
+    __slots__ = (
+        "epoch", "drained", "active", "tickets", "permissions",
+        "built", "entries", "responses", "failure", "closed_at",
+    )
+
+    def __init__(self, epoch, drained, active, tickets, permissions):
+        self.epoch: int = epoch
+        self.drained: List[List[Request]] = drained
+        self.active: List[int] = active
+        self.tickets: List[List[Ticket]] = tickets
+        self.permissions = permissions
+        self.built = None
+        self.entries = None
+        self.responses: Optional[List[List[Response]]] = None
+        self.failure: Optional[BaseException] = None
+        self.closed_at = time.monotonic()
+
+
+class EpochLifecycle:
+    """The steps of one epoch over a deployment (see the module docstring).
+
+    Each step takes the :class:`_EpochJob` that :meth:`close` produced
+    and runs after the previous one; epochs pass through :meth:`execute`
+    — the only step that mutates subORAM state — in close order.  The
+    steps do no locking and start no threads: the scheduler calling them
+    (``Snoopy.run_epoch`` inline, ``EpochPipeline`` on its stage threads)
+    owns both, and rolls back when a step raises.
+
+    Args:
+        store: the :class:`~repro.core.snoopy.Snoopy` deployment the
+            steps operate on.
+    """
+
+    def __init__(self, store):
+        self._store = store
+        self.telemetry = store.telemetry
+        self._driver = EpochDriver(store.backend, telemetry=store.telemetry)
+        # On an in-process backend the balancer stages run inline on the
+        # thread that calls them.  Through the pool, a match whose tasks
+        # land behind the next epoch's execute units in its one FIFO
+        # queue answers a whole execute time late, and which of the two
+        # reaches the queue first is a thread race.
+        self._balancer_driver = (
+            EpochDriver(SerialBackend(), telemetry=store.telemetry)
+            if store.backend.supports_shared_state
+            else self._driver
+        )
+
+    def close(self, permissions=None) -> Optional[_EpochJob]:
+        """Close the current batch into a job, or ``None`` if none is queued.
+
+        An empty close touches no counter.  Otherwise every balancer is
+        drained, the trusted counter is bumped (§9) and the ticket book
+        is cut, so the job carries exactly the tickets of the requests it
+        drained.  ``permissions``: optional §D access-control bits.
+        """
+        store = self._store
+        if not any(balancer.pending for balancer in store.load_balancers):
+            return None
+        with self.telemetry.span("stage", stage="collect"), \
+                self.telemetry.time(
+                    "snoopy_epoch_stage_seconds", stage="collect"
+                ):
+            drained = [balancer.drain() for balancer in store.load_balancers]
+        return _EpochJob(
+            epoch=store.counter.increment(),
+            drained=drained,
+            active=[i for i, requests in enumerate(drained) if requests],
+            tickets=store.tickets.cut(),
+            permissions=permissions,
+        )
+
+    def build(self, job: _EpochJob) -> None:
+        """Stage ➊.  Never retried: a failure (e.g.
+        :class:`~repro.errors.BatchOverflowError`) is a pure function of
+        the drained requests and would repeat identically."""
+        try:
+            job.built = self._balancer_driver.run_build(
+                self._store.load_balancers, job.drained, job.active,
+                job.permissions,
+            )
+        except EpochFailedError as exc:
+            raise exc.cause from exc
+
+    def execute(self, job: _EpochJob) -> None:
+        """Stage ➋ with the retry loop, then install the subORAM state.
+
+        A failed attempt is retried in place on the already-built
+        batches; exhausted budgets and non-retryable failures raise the
+        original cause with nothing installed.
+        """
+        store = self._store
+        controller = store.retry_controller
+        controller.begin_epoch(job.epoch, store.suborams)
+        # Under a process backend the subORAMs mutated in workers and
+        # ship back by value; an armed epoch returns its deep copies.
+        store.suborams, job.entries = controller.run_with_retry(
+            lambda: self._driver.run_execute(
+                store.suborams, job.built, job.active,
+                transport=store._transport,
+                state_ns=store.state_namespace,
+                injector=store.injector,
+                atomic=controller.armed,
+            )
+        )
+        if store.telemetry.enabled:
+            # Unpickled copies collapse the seam to the null handle.
+            attach_telemetry_to_suborams(store.suborams, store.telemetry)
+        controller.end_epoch(store.suborams)
+
+    def match(self, job: _EpochJob) -> Tuple[int, float]:
+        """Stage ➌ and ticket resolution.
+
+        Returns ``(tickets resolved, seconds since the epoch closed)``.
+        """
+        try:
+            job.responses = self._balancer_driver.run_match(
+                self._store.load_balancers, job.built, job.entries,
+                job.active,
+            )
+        except EpochFailedError as exc:
+            raise exc.cause from exc
+        with self.telemetry.span("stage", stage="respond"), \
+                self.telemetry.time(
+                    "snoopy_epoch_stage_seconds", stage="respond"
+                ):
+            resolved = TicketBook.resolve_cut(
+                job.tickets, job.responses, job.epoch
+            )
+        latency = time.monotonic() - job.closed_at
+        self.telemetry.counter("snoopy_epochs_total").inc()
+        self.telemetry.counter("snoopy_responses_total").inc(resolved)
+        self.telemetry.histogram("snoopy_epoch_seconds").observe(latency)
+        return resolved, latency
+
+    def rollback(self, jobs: Sequence[_EpochJob]) -> None:
+        """Undo the close of every job in ``jobs``, latest epoch first.
+
+        Each job prepends its requests to their balancers and its ticket
+        cut to the book, so both end up exactly as if none of the epochs
+        had been drained; the tickets stay pending for a later epoch.
+        """
+        for job in sorted(jobs, key=lambda j: j.epoch, reverse=True):
+            for balancer, requests in zip(
+                self._store.load_balancers, job.drained
+            ):
+                balancer.requeue(requests)
+            self._store.tickets.restore(job.tickets)

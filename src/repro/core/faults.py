@@ -11,10 +11,10 @@ chaos run that fails in CI replays identically on a laptop
 
 The plan is injected through the two seams the system already has:
 
-* the **backend seam** — :class:`~repro.core.epoch.EpochDriver` consults
-  the injector when building stage-➋ tasks and arms the scheduled unit
-  to raise :class:`~repro.errors.WorkerCrashError` /
-  :class:`~repro.errors.TaskTimeoutError`;
+* the **backend seam** — :meth:`~repro.core.epoch.EpochDriver.run_execute`
+  consults the injector when building each attempt's stage-➋ tasks and
+  arms the scheduled unit to raise :class:`~repro.errors.WorkerCrashError`
+  / :class:`~repro.errors.TaskTimeoutError`;
 * the **transport seam** — :class:`~repro.core.deployment.DistributedSnoopy`
   consults it inside the sealed-channel round trip and raises
   :class:`~repro.errors.TransportError` for the scheduled hop, while both
@@ -36,8 +36,9 @@ that do complete are byte-identical to a fault-free run
 (``tests/test_chaos.py`` asserts this).
 
 :class:`FaultInjector` is the runtime cursor over a plan: it tracks the
-deployment's current epoch, hands out each event exactly once (retried
-epoch attempts do not re-fire a consumed event), and counts every fired
+deployment's current epoch, hands out each event exactly once (an
+execute attempt retried in place does not re-fire a consumed event), and
+counts every fired
 event in :attr:`FaultInjector.stats` — the substrate of the deployment's
 ``fault_stats`` surface.
 """
@@ -67,9 +68,9 @@ class FaultEvent:
     """One scheduled fault: *kind* at epoch *epoch*, unit *unit*.
 
     Attributes:
-        epoch: 1-based deployment epoch the fault fires in (the N-th
-            ``run_epoch`` call; retries of a failed epoch share its
-            number).
+        epoch: 1-based deployment epoch the fault fires in (the trusted
+            counter's value at its close, under either scheduler;
+            retried attempts of an epoch share its number).
         kind: one of :data:`FAULT_KINDS`.
         unit: the stage unit hit — subORAM index for worker/timeout/
             transport/replica faults.

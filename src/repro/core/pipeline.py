@@ -12,12 +12,14 @@ and TaoStore for its asynchronous proxy scheduling):
   :attr:`~repro.core.config.SnoopyConfig.epoch_duration` closes the
   current batch on the load balancers (``submit`` stays fully
   non-blocking: tickets are resolved by the pipeline's match thread);
-* three **stage threads** — builder, executor, matcher — each drive one
-  :class:`~repro.core.epoch.EpochDriver` stage, so the build of epoch
-  ``e+1`` runs concurrently with the execute of ``e`` and the match of
-  ``e-1``.  Execute fans out over the deployment's execution backend;
-  build and match do too on a process backend, and run inline on their
-  own threads otherwise;
+* three **stage threads** — builder, executor, matcher — each run one
+  step of the shared epoch body
+  (:class:`~repro.core.epoch.EpochLifecycle`, the same steps
+  ``Snoopy.run_epoch`` runs inline), so the build of epoch ``e+1`` runs
+  concurrently with the execute of ``e`` and the match of ``e-1``.
+  Execute fans out over the deployment's execution backend; build and
+  match do too on a process backend, and run inline on their own
+  threads otherwise;
 * a **depth semaphore** caps in-flight epochs at
   :attr:`~repro.core.config.SnoopyConfig.pipeline_depth` (default 2,
   the paper's latency <= 2T claim).  When the limit is reached the
@@ -26,25 +28,22 @@ and TaoStore for its asynchronous proxy scheduling):
 
 **Ordering and fault tolerance.**  Epochs serialize in close order:
 the trusted counter is bumped under the intake lock at close, each
-queue stage is a single FIFO thread, and the execute stage — the only
-stage that mutates subORAM state — processes one epoch at a time.  The
-retry/replication/chaos machinery of :mod:`repro.core.resilience`
-composes unchanged: the executor thread runs
-:meth:`~repro.core.resilience.EpochRetryController.run_with_retry`
-around the execute stage, so an in-flight epoch that fails is retried
-*in place* — queued successor epochs are never reordered, preserving
-the Appendix C linearization argument.  (Build output is a pure
-function of the drained requests, so retries reuse the already-built
-batches.)
+queue stage is a single FIFO thread, and the execute step — the only
+one that mutates subORAM state, and the one that crosses a networked
+deployment's sealed channels, whose replay counters therefore stay
+ordered — processes one epoch at a time.  Its retry loop re-executes a
+failed epoch *in place* on the already-built batches, so queued
+successor epochs are never reordered, preserving the Appendix C
+linearization argument.
 
 **Fatal failures** (exhausted retry budget, security aborts, batch
 overflow) poison the pipeline: the failing epoch and every epoch behind
 it are rolled back — requests requeued at the front of their balancers
-in close order, ticket cuts restored, tickets left pending — and the
-original error is re-raised by the next :meth:`EpochPipeline.flush` /
-:meth:`EpochPipeline.close_epoch` call.  After :meth:`EpochPipeline.stop`
-the deployment's sequential ``run_epoch`` path can re-serve the
-requeued requests.
+and ticket cuts restored, latest epoch first, tickets left pending — and
+the original error is re-raised by the next :meth:`EpochPipeline.flush`
+/ :meth:`EpochPipeline.close_epoch` call.  After
+:meth:`EpochPipeline.stop` the deployment's ``run_epoch`` can re-serve
+the requeued requests.
 
 **What is public.**  Epoch cadence, pipeline depth, in-flight counts
 and per-stage occupancy are scheduling facts the host already observes;
@@ -60,7 +59,8 @@ import threading
 import time
 from typing import List, Optional
 
-from repro.core.tickets import Ticket, TicketBook
+from repro.core.epoch import _EpochJob
+from repro.core.tickets import Ticket
 from repro.errors import ConfigurationError
 from repro.telemetry import resolve_telemetry
 from repro.telemetry.overlap import (
@@ -72,28 +72,6 @@ from repro.types import Request
 
 #: Queue sentinel shutting a stage thread down.
 _STOP = object()
-
-
-class _EpochJob:
-    """One in-flight epoch: its requests, tickets, and stage outputs."""
-
-    __slots__ = (
-        "epoch", "drained", "active", "tickets",
-        "built", "entries", "responses", "failure",
-        "closed_at", "done",
-    )
-
-    def __init__(self, epoch, drained, active, tickets):
-        self.epoch: int = epoch
-        self.drained: List[List[Request]] = drained
-        self.active: List[int] = active
-        self.tickets: List[List[Ticket]] = tickets
-        self.built = None
-        self.entries = None
-        self.responses = None
-        self.failure: Optional[BaseException] = None
-        self.closed_at = time.monotonic()
-        self.done = threading.Event()
 
 
 class EpochPipeline:
@@ -133,26 +111,9 @@ class EpochPipeline:
         self.clock_period = clock_period
         self.telemetry = resolve_telemetry(store.telemetry)
         self.recorder = StageIntervalRecorder(telemetry=self.telemetry)
+        self._epochs = store.epochs
 
-        # One driver per stage thread is unnecessary: EpochDriver is
-        # stateless between calls, so the stage threads share one.
-        from repro.core.epoch import EpochDriver
-        from repro.exec.backend import SerialBackend
-
-        self._driver = EpochDriver(store.backend, telemetry=store.telemetry)
-        # On an in-process backend the balancer stages run inline on
-        # their own stage threads.  Through the pool, a match whose tasks
-        # land behind the next epoch's execute units in its one FIFO
-        # queue answers a whole execute time late, and which of the two
-        # reaches the queue first is a thread race.
-        self._balancer_driver = (
-            EpochDriver(SerialBackend(), telemetry=store.telemetry)
-            if store.backend.supports_shared_state
-            else self._driver
-        )
-
-        self._mutex = threading.Lock()
-        self._cv = threading.Condition(self._mutex)
+        self._cv = threading.Condition(threading.Lock())
         self._slots = threading.BoundedSemaphore(depth)
         self._to_build: "queue.Queue" = queue.Queue()
         self._to_execute: "queue.Queue" = queue.Queue()
@@ -205,7 +166,7 @@ class EpochPipeline:
     @property
     def error(self) -> Optional[BaseException]:
         """The fatal error that poisoned the pipeline, if any."""
-        with self._mutex:
+        with self._cv:
             return self._error
 
     def stop(self) -> None:
@@ -278,26 +239,14 @@ class EpochPipeline:
         """
         self._epoch_observers.append(observer)
 
-    def _notify_epoch_observers(
-        self, epoch: int, resolved: int, latency_s: float
-    ) -> None:
-        for observer in self._epoch_observers:
-            try:
-                observer(epoch, resolved, latency_s)
-            except Exception:
-                self.telemetry.counter(
-                    "pipeline_observer_errors_total"
-                ).inc()
-
     def close_epoch(self, wait: bool = True) -> Optional[int]:
         """Close the current batch into an in-flight epoch.
 
-        Drains every balancer, bumps the trusted counter, cuts the
-        ticket book, and hands the epoch to the builder thread.  Returns
-        the epoch number, or ``None`` when there was nothing queued — or
-        when ``wait=False`` and all ``depth`` slots are occupied (the
-        clock's backpressure path: the tick is skipped and requests keep
-        accumulating).
+        Runs the lifecycle's close step under the intake lock and hands
+        the epoch to the builder thread.  Returns the epoch number, or
+        ``None`` when there was nothing queued — or when ``wait=False``
+        and all ``depth`` slots are occupied (the clock's backpressure
+        path: the tick is skipped and requests keep accumulating).
 
         Raises:
             The stored fatal error, when the pipeline is poisoned (after
@@ -317,29 +266,9 @@ class EpochPipeline:
                     while self._inflight:
                         self._cv.wait()
                     raise self._error
-                drained = [
-                    balancer.drain()
-                    for balancer in self._store.load_balancers
-                ]
-                active = [
-                    index for index, requests in enumerate(drained)
-                    if requests
-                ]
-                if not active:
-                    # Nothing queued: undo the drains so balancer epoch
-                    # counters only advance for real epochs.
-                    for balancer, requests in zip(
-                        self._store.load_balancers, drained
-                    ):
-                        balancer.requeue(requests)
+                job = self._epochs.close()
+                if job is None:
                     return None
-                self._store.counter.increment()
-                job = _EpochJob(
-                    epoch=self._store.counter.value,
-                    drained=drained,
-                    active=active,
-                    tickets=self._store.tickets.cut(),
-                )
                 self._inflight += 1
                 self._max_inflight = max(self._max_inflight, self._inflight)
                 self.telemetry.gauge("pipeline_inflight_epochs").set(
@@ -367,126 +296,69 @@ class EpochPipeline:
     # ------------------------------------------------------------------
     # Stage threads
     # ------------------------------------------------------------------
-    def _build_worker(self) -> None:
-        """Builder thread: stage ➊ of each closed epoch, in close order.
+    def _run_step(self, stage: str, step, job: _EpochJob) -> bool:
+        """Run one lifecycle step on this stage thread; False if it failed."""
+        start = time.monotonic()
+        try:
+            step(job)
+        except BaseException as exc:
+            job.failure = exc
+        finally:
+            self.recorder.record(stage, job.epoch, start, time.monotonic())
+        return job.failure is None
 
-        Build failures are fatal rather than retried: batch generation
-        is a pure function of the drained requests, so a failure (e.g.
-        :class:`~repro.errors.BatchOverflowError`) would repeat
-        identically; injected and infrastructure faults target stage ➋,
-        where the retry loop runs.
+    def _build_worker(self) -> None:
+        """Builder thread: the build step of each epoch, in close order.
+
+        A failed build is passed on and aborted by the executor thread,
+        behind every earlier epoch still executing.
         """
-        while True:
-            job = self._to_build.get()
-            if job is _STOP:
-                break
-            if self._error is None and job.failure is None:
-                start = time.monotonic()
-                try:
-                    job.built = self._balancer_driver.run_build(
-                        self._store.load_balancers, job.drained, job.active
-                    )
-                except BaseException as exc:
-                    job.failure = exc
-                else:
-                    self.recorder.record(
-                        "build", job.epoch, start, time.monotonic()
-                    )
+        for job in iter(self._to_build.get, _STOP):
+            if self._error is None:
+                self._run_step("build", self._epochs.build, job)
             self._to_execute.put(job)
 
     def _execute_worker(self) -> None:
-        """Executor thread: stage ➋, one epoch at a time, with retries.
+        """Executor thread: the execute step, one epoch at a time.
 
-        The only stage that mutates subORAM state, so it is the
-        serialization point: epochs execute strictly in close order, and
-        a retried epoch re-runs here without touching the queued
+        The serialization point: epochs execute strictly in close order,
+        and a retried epoch re-runs here without touching the queued
         successors waiting behind it.
         """
-        store = self._store
-        while True:
-            job = self._to_execute.get()
-            if job is _STOP:
-                break
-            if self._error is not None or job.failure is not None:
+        for job in iter(self._to_execute.get, _STOP):
+            if (
+                self._error is None
+                and job.failure is None
+                and self._run_step("execute", self._epochs.execute, job)
+            ):
+                self._to_match.put(job)
+            else:
                 self._abort(job)
-                continue
-            controller = store.retry_controller
-            try:
-                controller.begin_epoch(job.epoch, store.suborams)
-
-                def attempt(job=job, controller=controller):
-                    start = time.monotonic()
-                    try:
-                        return self._driver.run_execute(
-                            store.suborams, job.built, job.active,
-                            state_ns=store.state_namespace,
-                            injector=store.injector,
-                            atomic=controller.armed,
-                        )
-                    finally:
-                        self.recorder.record(
-                            "execute", job.epoch, start, time.monotonic()
-                        )
-
-                new_suborams, entries = controller.run_with_retry(attempt)
-                store.suborams = new_suborams
-                if store.telemetry.enabled:
-                    from repro.core.snoopy import (
-                        attach_telemetry_to_suborams,
-                    )
-
-                    attach_telemetry_to_suborams(
-                        new_suborams, store.telemetry
-                    )
-                controller.end_epoch(new_suborams)
-            except BaseException as exc:
-                job.failure = exc
-                self._abort(job)
-                continue
-            job.entries = entries
-            self._to_match.put(job)
 
     def _match_worker(self) -> None:
-        """Matcher thread: stage ➌ + ticket resolution, in close order."""
-        store = self._store
-        while True:
-            job = self._to_match.get()
-            if job is _STOP:
-                break
-            if self._error is not None:
+        """Matcher thread: the match step + observers, in close order."""
+        for job in iter(self._to_match.get, _STOP):
+            if self._error is None and self._run_step(
+                "match", self._match_and_notify, job
+            ):
+                self._finish()
+            else:
                 self._abort(job)
-                continue
+
+    def _match_and_notify(self, job: _EpochJob) -> None:
+        resolved, latency = self._epochs.match(job)
+        for observer in self._epoch_observers:
             try:
-                start = time.monotonic()
-                responses = self._balancer_driver.run_match(
-                    store.load_balancers, job.built, job.entries, job.active
-                )
-                self.recorder.record(
-                    "match", job.epoch, start, time.monotonic()
-                )
-                with self.telemetry.span("stage", stage="respond"), \
-                        self.telemetry.time(
-                            "snoopy_epoch_stage_seconds", stage="respond"
-                        ):
-                    resolved = TicketBook.resolve_cut(
-                        job.tickets, responses, job.epoch
-                    )
-            except BaseException as exc:
-                job.failure = exc
-                self._abort(job)
-                continue
-            job.responses = responses
-            latency = time.monotonic() - job.closed_at
-            self.telemetry.counter("snoopy_epochs_total").inc()
-            self.telemetry.counter("snoopy_responses_total").inc(resolved)
-            self.telemetry.histogram("snoopy_epoch_seconds").observe(latency)
-            self._notify_epoch_observers(job.epoch, resolved, latency)
-            self._finish(job)
+                observer(job.epoch, resolved, latency)
+            except Exception:
+                self.telemetry.counter(
+                    "pipeline_observer_errors_total"
+                ).inc()
 
     # ------------------------------------------------------------------
     # Completion and rollback
     # ------------------------------------------------------------------
-    def _finish(self, job: _EpochJob) -> None:
+    def _finish(self) -> None:
         """Mark one epoch complete and free its depth slot."""
         with self._cv:
             self._inflight -= 1
@@ -496,17 +368,14 @@ class EpochPipeline:
             )
             self._cv.notify_all()
         self._slots.release()
-        job.done.set()
 
     def _abort(self, job: _EpochJob) -> None:
-        """Roll one epoch back after a fatal failure.
+        """Collect one epoch for rollback after a fatal failure.
 
         The first aborted job's failure poisons the pipeline; every
-        in-flight job (the failed one and the successors drained after
-        it) is collected, and once the last one arrives they are
-        requeued *in close order* — latest epoch first, each prepending
-        its requests and ticket cut — so the balancer queues and ticket
-        book end up exactly as if none of the epochs had been drained.
+        in-flight job (the failed one and the successors closed after
+        it) is collected, and once the last one arrives they are rolled
+        back together.
         """
         with self._cv:
             if self._error is None and job.failure is not None:
@@ -517,22 +386,10 @@ class EpochPipeline:
                 self._inflight
             )
             if self._inflight == 0:
-                self._rollback_failed_locked()
+                self._epochs.rollback(self._failed_jobs)
+                self._failed_jobs = []
             self._cv.notify_all()
         self._slots.release()
-        job.done.set()
-
-    def _rollback_failed_locked(self) -> None:
-        """Requeue every aborted epoch's requests and tickets (locked)."""
-        for failed in sorted(
-            self._failed_jobs, key=lambda j: j.epoch, reverse=True
-        ):
-            for balancer, requests in zip(
-                self._store.load_balancers, failed.drained
-            ):
-                balancer.requeue(requests)
-            self._store.tickets.restore(failed.tickets)
-        self._failed_jobs = []
 
     # ------------------------------------------------------------------
     # Clock
@@ -553,7 +410,7 @@ class EpochPipeline:
     @property
     def stats(self) -> dict:
         """Scheduling counters: epochs completed, in flight, max depth seen."""
-        with self._mutex:
+        with self._cv:
             return {
                 "epochs_completed": self._epochs_completed,
                 "inflight": self._inflight,

@@ -10,9 +10,10 @@ is the glue that makes both deployments honor that under faults:
   identically; jitter still decorrelates distinct deployments), built
   from the ``epoch_*`` fields of
   :class:`~repro.core.config.SnoopyConfig`;
-* :class:`EpochRetryController` — drives the attempt loop around
-  :meth:`~repro.core.epoch.EpochDriver.run`, heals replica groups at
-  epoch boundaries (automatic
+* :class:`EpochRetryController` — drives the attempt loop around stage
+  ➋ (:meth:`~repro.core.epoch.EpochDriver.run_execute`, retried in
+  place on the already-built batches), heals replica groups at epoch
+  boundaries (automatic
   :meth:`~repro.extensions.replication.ReplicatedSubOram.recover_from_peer`
   of crashed or stale replicas), applies scheduled replica faults from a
   :class:`~repro.core.faults.FaultInjector`, and accumulates the
@@ -107,16 +108,16 @@ class RetryPolicy:
 class EpochRetryController:
     """The fault-tolerance engine shared by both deployments.
 
-    One controller lives per deployment and is consulted by every
-    ``run_epoch``:
+    One controller lives per deployment and is consulted by the execute
+    step of every epoch (:meth:`repro.core.epoch.EpochLifecycle.execute`):
 
     1. :meth:`begin_epoch` — advance the injector, heal replica groups
        (recover crashed/stale replicas from a fresh peer), then apply
        this epoch's scheduled ``replica_crash`` events and stage
        ``replica_rollback`` snapshots;
-    2. :meth:`run_with_retry` — drive the attempt loop; failed attempts
-       were already rolled back by the driver (requests requeued, state
-       not installed), so a retry is simply running the driver again;
+    2. :meth:`run_with_retry` — drive the attempt loop; a failed attempt
+       installed no state and left the built batches pristine, so a
+       retry is simply executing them again;
     3. :meth:`end_epoch` — after a successful attempt, apply the staged
        rollbacks (the malicious-host event the §9 freshness check
        catches next epoch).
@@ -152,11 +153,9 @@ class EpochRetryController:
         The epoch driver deep-copies shared-state subORAMs only when
         armed: with ``epoch_max_attempts == 1`` and fault injection off
         (no injector, or an injector whose plan has fully fired) the
-        legacy fail-fast semantics — and the zero-copy hot path, which
-        skips a per-attempt ``copy.deepcopy`` of every subORAM — are
-        preserved exactly.  A deployment with a finite fault plan
-        therefore pays the copy only until the last scheduled event has
-        fired.
+        zero-copy hot path skips the per-attempt ``copy.deepcopy`` of
+        every subORAM.  A deployment with a finite fault plan therefore
+        pays the copy only until the last scheduled event has fired.
         """
         if self.policy.max_attempts > 1:
             return True
@@ -217,14 +216,14 @@ class EpochRetryController:
     # The attempt loop
     # ------------------------------------------------------------------
     def run_with_retry(self, attempt: Callable[[], object]):
-        """Run one epoch with the policy's retry/backoff schedule.
+        """Run stage ➋ with the policy's retry/backoff schedule.
 
         ``attempt`` is a zero-argument callable driving
-        :meth:`EpochDriver.run` once.  On :class:`EpochFailedError` the
-        driver has already requeued the epoch's requests, so retrying is
-        side-effect-free.  Non-retryable failures (security aborts,
-        protocol bugs) and exhausted budgets re-raise the *original*
-        cause, preserving the pre-fault-tolerance API surface.
+        :meth:`EpochDriver.run_execute` once on the epoch's built
+        batches; a failed attempt is side-effect-free, so it is simply
+        called again.  Non-retryable failures (security aborts, protocol
+        bugs) and exhausted budgets re-raise the *original* cause, and
+        the caller rolls the epoch back.
         """
         failure: Optional[EpochFailedError] = None
         for attempt_index in range(1, self.policy.max_attempts + 1):

@@ -2,23 +2,22 @@
 
 ``Snoopy`` owns ``L`` load balancers and ``S`` subORAMs.  Clients submit
 requests to a load balancer of their choice (clients pick randomly, §4.3)
-and receive a :class:`~repro.core.tickets.Ticket`; ``run_epoch`` closes
-the current epoch through the staged :class:`~repro.core.epoch.EpochDriver`:
-every load balancer builds its batches (concurrently under a parallel
-backend), every subORAM executes the load balancers' batches *in a fixed
-order* (LB 0 first, then LB 1, ...), and every balancer matches responses
-back — which, together with last-write-wins within a balancer, yields the
-linearization order proved correct in Appendix C.  Each ticket resolves
-with its request's response when the epoch closes.
+and receive a :class:`~repro.core.tickets.Ticket`.  An epoch is the one
+body of :class:`~repro.core.epoch.EpochLifecycle`: close the batch, every
+load balancer builds its batches, every subORAM executes the load
+balancers' batches *in a fixed order* (LB 0 first, then LB 1, ...), and
+every balancer matches responses back — which, together with
+last-write-wins within a balancer, yields the linearization order proved
+correct in Appendix C.  Each ticket resolves with its request's response
+when its epoch's match step runs.
 
-The execution backend (:mod:`repro.exec`) decides whether those stages
-run serially or in parallel; responses are byte-identical either way.
-
-``run_epoch`` closes epochs on demand and strictly sequentially; for
-§6's pipelined schedule — a background epoch clock, the build of epoch
-``e+1`` overlapping the execute of ``e`` and the match of ``e-1`` —
-call :meth:`Snoopy.start_pipeline` (see :mod:`repro.core.pipeline`).
-Responses are byte-identical under either scheduler.
+Two schedulers drive that body.  ``run_epoch`` runs the steps inline on
+the caller's thread, on demand; :meth:`Snoopy.start_pipeline` (see
+:mod:`repro.core.pipeline`) runs them on three stage threads behind a
+background epoch clock, so the build of epoch ``e+1`` overlaps the
+execute of ``e`` and the match of ``e-1`` (§6).  The execution backend
+(:mod:`repro.exec`) decides how much of a stage overlaps.  Responses are
+byte-identical under either scheduler and every backend.
 
 The trusted monotonic counter is bumped once per epoch (§9): state sealed
 at epoch ``e`` cannot be replayed at epoch ``e' > e``.
@@ -32,7 +31,10 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.crypto.keys import KeyChain
 from repro.core.config import SnoopyConfig
-from repro.core.epoch import EpochDriver
+from repro.core.epoch import (
+    EpochLifecycle,
+    attach_telemetry_to_suborams,
+)
 from repro.core.faults import FaultInjector, FaultPlan
 from repro.core.resilience import EpochRetryController, RetryPolicy
 from repro.core.tickets import Ticket, TicketBook
@@ -45,23 +47,6 @@ from repro.suboram.suboram import SubOram
 from repro.telemetry import resolve_telemetry
 from repro.types import OpType, Request, Response
 from repro.utils.validation import require
-
-
-def attach_telemetry_to_suborams(suborams, telemetry) -> None:
-    """Point every subORAM (and replica) with a telemetry seam at ``telemetry``.
-
-    Attachment is attribute-based so custom subORAM implementations opt
-    in simply by defining a ``telemetry`` attribute; objects without the
-    seam (e.g. bare adapters) are left untouched.  Replica groups are
-    descended into via their ``replicas`` list.
-    """
-    for suboram in suborams:
-        if hasattr(suboram, "telemetry"):
-            suboram.telemetry = telemetry
-        for replica in getattr(suboram, "replicas", []):
-            inner = getattr(replica, "suboram", replica)
-            if hasattr(inner, "telemetry"):
-                inner.telemetry = telemetry
 
 
 class Snoopy:
@@ -77,10 +62,10 @@ class Snoopy:
         response = ticket.result()
     """
 
-    #: Stage-➋ delivery seam handed to :meth:`EpochDriver.run`; ``None``
-    #: means a direct in-process call.  Subclasses that put a real hop
-    #: between load balancer and subORAM (``DistributedSnoopy``) define
-    #: it as a method.
+    #: Stage-➋ delivery seam the execute step hands to
+    #: :meth:`EpochDriver.run_execute`; ``None`` means a direct in-process
+    #: call.  Subclasses that put a real hop between load balancer and
+    #: subORAM (``DistributedSnoopy``) define it as a method.
     _transport = None
 
     def __init__(self, config: SnoopyConfig, keychain: Optional[KeyChain] = None,
@@ -179,6 +164,7 @@ class Snoopy:
         if self.telemetry.enabled:
             attach_telemetry_to_suborams(self.suborams, self.telemetry)
         self._tickets = TicketBook(config.num_load_balancers)
+        self.epochs = EpochLifecycle(self)
         self._pipeline = None
         self._initialized = False
 
@@ -283,7 +269,7 @@ class Snoopy:
         execution backend.  While the pipeline is active, :meth:`submit`
         routes through it (non-blocking) and :meth:`run_epoch` is
         unavailable; stop the pipeline (``pipeline.stop()`` or the
-        context manager) to return to sequential scheduling.
+        context manager) to return to inline scheduling.
 
         Args:
             depth: max in-flight epochs (default
@@ -336,35 +322,35 @@ class Snoopy:
     # ------------------------------------------------------------------
     # Epoch execution
     # ------------------------------------------------------------------
-    def run_epoch(
-        self, permissions=None, backend: Optional[BackendSpec] = None
-    ) -> List[Response]:
-        """Close the epoch: batch, execute, match; returns all responses.
+    def run_epoch(self, permissions=None) -> List[Response]:
+        """Run one epoch inline: close, build, execute, match.
 
+        Returns all responses, flattened in balancer then arrival order
+        (``[]``, with no counter touched, when nothing is queued).
         SubORAMs execute the load balancers' batches in fixed balancer
         order; each batch is processed in its own linear scan with a fresh
         hash-table key (§4.3: with L balancers each subORAM performs L
         scans per epoch).  The configured execution backend decides how
         much of that work overlaps; see :mod:`repro.core.epoch`.
 
-        A failed epoch attempt (worker crash, task timeout, transport
-        fault) is atomic: its requests are requeued, no subORAM state is
-        installed, and — when ``config.epoch_max_attempts`` allows — the
-        epoch is retried with seeded exponential backoff.  Exhausted
-        retries (and non-retryable failures such as security aborts)
-        re-raise the underlying error; the requests stay queued for a
-        later ``run_epoch``.
+        A failed execute attempt (worker crash, task timeout, transport
+        fault) installs no subORAM state and — when
+        ``config.epoch_max_attempts`` allows — is retried in place on
+        the already-built batches with seeded exponential backoff.
+        Exhausted retries (and non-retryable failures such as security
+        aborts) roll the epoch back and re-raise the underlying error;
+        the requests stay queued, their tickets pending, for a later
+        ``run_epoch``.
 
         Args:
             permissions: optional §D access-control bits,
                 ``{(client_id, seq): 0/1}``; used by
                 :class:`repro.core.access_control.AccessControlledStore`.
-            backend: one-off backend override for this epoch.
 
         Raises:
             NotInitializedError: ``initialize`` has not been called.
             ConfigurationError: a pipeline is active — the pipelined and
-                sequential schedulers cannot share the epoch counter.
+                inline schedulers cannot share the epoch counter.
         """
         if not self._initialized:
             raise NotInitializedError(
@@ -376,59 +362,18 @@ class Snoopy:
                 "active; use pipeline.close_epoch()/flush(), or stop the "
                 "pipeline first"
             )
-        self.counter.increment()  # one trusted-counter bump per epoch (§9)
-        self._retry.begin_epoch(self.counter.value, self.suborams)
-
-        driver = EpochDriver(
-            make_backend(
-                backend,
-                self.config.max_workers,
-                task_timeout=self.config.task_timeout,
-            )
-            if backend is not None
-            else self.backend,
-            telemetry=self.telemetry,
-        )
-
-        def attempt():
-            return driver.run(
-                self.load_balancers,
-                self.suborams,
-                permissions=permissions,
-                transport=self._transport,
-                state_ns=self._state_ns,
-                injector=self._injector,
-                atomic=self._retry.armed,
-            )
-
-        with self.telemetry.span("epoch", epoch=self.counter.value), \
-                self.telemetry.time("snoopy_epoch_seconds"):
-            result = self._retry.run_with_retry(attempt)
-            # Under a process backend the subORAMs mutated in workers; the
-            # driver ships the updated state back and we reinstall it.
-            # (The same applies to the atomic deep copies of an armed
-            # epoch.)
-            self.suborams = result.suborams
-            if self.telemetry.enabled:
-                # Process backends reinstall unpickled copies whose
-                # telemetry seam collapsed to the null handle; re-attach.
-                attach_telemetry_to_suborams(self.suborams, self.telemetry)
-            self._retry.end_epoch(self.suborams)
-            with self.telemetry.span("stage", stage="respond"), \
-                    self.telemetry.time(
-                        "snoopy_epoch_stage_seconds", stage="respond"
-                    ):
-                for balancer_index, responses in enumerate(
-                    result.responses_per_balancer
-                ):
-                    self._tickets.resolve(
-                        balancer_index, responses, epoch=self.counter.value
-                    )
-        self.telemetry.counter("snoopy_epochs_total").inc()
-        self.telemetry.counter("snoopy_responses_total").inc(
-            len(result.responses)
-        )
-        return result.responses
+        job = self.epochs.close(permissions)
+        if job is None:
+            return []
+        try:
+            with self.telemetry.span("epoch", epoch=job.epoch):
+                self.epochs.build(job)
+                self.epochs.execute(job)
+                self.epochs.match(job)
+        except BaseException:
+            self.epochs.rollback([job])
+            raise
+        return list(itertools.chain.from_iterable(job.responses))
 
     @property
     def fault_stats(self) -> Dict[str, int]:
@@ -447,14 +392,17 @@ class Snoopy:
 
         Stops an active pipeline first (flushing in-flight epochs; a
         poisoned pipeline's stored error stays retrievable via
-        ``pipeline.error``).  Only closes backends this deployment
-        constructed itself; a backend instance passed in by the caller
-        stays open (it may be shared across deployments).
+        ``pipeline.error``, and a fatal error raised by that final flush
+        propagates after the backend is released).  Only closes backends
+        this deployment constructed itself; a backend instance passed in
+        by the caller stays open (it may be shared across deployments).
         """
-        if self._pipeline is not None and self._pipeline.active:
-            self._pipeline.stop()
-        if self._owns_backend:
-            self.backend.close()
+        try:
+            if self._pipeline is not None and self._pipeline.active:
+                self._pipeline.stop()
+        finally:
+            if self._owns_backend:
+                self.backend.close()
 
     def __enter__(self) -> "Snoopy":
         """Context-manager entry: returns self."""

@@ -30,18 +30,13 @@ Callbacks run on the resolving thread and must not block — hand off, do
 not work.
 
 :class:`TicketBook` is the deployment-side ledger: it issues tickets at
-``submit`` time and resolves each balancer's tickets, in arrival order,
-against that balancer's matched responses when the epoch driver closes
-the epoch.
-
-Under the pipelined scheduler (:mod:`repro.core.pipeline`) tickets for
-epoch ``e+1`` are issued *while* epoch ``e`` is still in flight, so the
-book additionally supports :meth:`TicketBook.cut` — snapshot-and-clear
-the pending tickets at epoch close, so each in-flight epoch carries
-exactly its own tickets — with :meth:`TicketBook.restore` putting a
-failed epoch's cut back at the front and
-:meth:`TicketBook.resolve_cut` resolving a cut against that epoch's
-matched responses.
+``submit`` time.  Under the pipelined scheduler
+(:mod:`repro.core.pipeline`) tickets for epoch ``e+1`` are issued
+*while* epoch ``e`` is still in flight, so every epoch takes its own
+tickets with :meth:`TicketBook.cut` — snapshot-and-clear the pending
+tickets at epoch close — and :meth:`TicketBook.resolve_cut` resolves that
+cut, in arrival order, against the epoch's matched responses;
+:meth:`TicketBook.restore` puts a failed epoch's cut back at the front.
 """
 
 from __future__ import annotations
@@ -167,33 +162,11 @@ class TicketBook:
         """Unresolved tickets currently queued on one balancer."""
         return len(self._pending[load_balancer])
 
-    def resolve(
-        self,
-        load_balancer: int,
-        responses: Sequence[Response],
-        epoch: int,
-    ) -> None:
-        """Resolve one balancer's tickets against its epoch responses.
-
-        Responses arrive in arrival order (the contract of
-        ``match_responses``), which is exactly the order tickets were
-        issued in, so the two sequences zip positionally.
-        """
-        tickets = self._pending[load_balancer]
-        self._pending[load_balancer] = []
-        if len(tickets) != len(responses):
-            raise AssertionError(
-                f"balancer {load_balancer}: {len(tickets)} tickets but "
-                f"{len(responses)} responses"
-            )
-        for ticket, response in zip(tickets, responses):
-            ticket._resolve(response, epoch)
-
     def cut(self) -> List[List[Ticket]]:
         """Snapshot-and-clear every balancer's pending tickets.
 
-        Called at epoch close (while holding the pipeline's intake lock)
-        so the in-flight epoch carries exactly the tickets of the
+        Called at epoch close (under the pipeline's intake lock, when
+        one is running) so the epoch carries exactly the tickets of the
         requests it drained; tickets issued afterwards accumulate for
         the *next* epoch.  Returns one list per balancer, in arrival
         order — positionally aligned with the drained request lists.
@@ -205,10 +178,10 @@ class TicketBook:
     def restore(self, cut: Sequence[List[Ticket]]) -> None:
         """Prepend a previously :meth:`cut` snapshot (epoch rollback).
 
-        When a pipelined epoch fails fatally its requests are requeued
-        at the front of their balancers; restoring the matching ticket
-        cut keeps the book positionally aligned with those queues so a
-        later sequential ``run_epoch`` resolves the same tickets.
+        When an epoch fails fatally its requests are requeued at the
+        front of their balancers; restoring the matching ticket cut
+        keeps the book positionally aligned with those queues so a
+        later epoch resolves the same tickets.
         """
         for index, tickets in enumerate(cut):
             self._pending[index] = list(tickets) + self._pending[index]
@@ -221,9 +194,10 @@ class TicketBook:
     ) -> int:
         """Resolve one epoch's ticket cut against its matched responses.
 
-        Both sequences are indexed by balancer and ordered by arrival,
-        so they zip positionally exactly like :meth:`resolve`.  Returns
-        the number of tickets resolved.
+        Both sequences are indexed by balancer; responses arrive in
+        arrival order (the contract of ``match_responses``), which is
+        exactly the order tickets were issued in, so each pair zips
+        positionally.  Returns the number of tickets resolved.
         """
         resolved = 0
         for balancer, (tickets, responses) in enumerate(

@@ -186,15 +186,18 @@ class DeadlineExceededError(ReproError, TimeoutError):
 
 
 class EpochFailedError(ReproError):
-    """One epoch attempt failed; its requests were requeued, not dropped.
+    """One epoch stage attempt failed; nothing of it was installed.
 
-    Raised by :meth:`repro.core.epoch.EpochDriver.run` when any stage unit
-    fails.  By the time it propagates the driver has already rolled the
-    epoch back: drained requests are back in their balancers (in arrival
-    order), subORAM state was not installed, and pending tickets remain
-    pending — the next ``run_epoch`` retries the same requests, which is
-    how the paper's no-drop guarantee (Theorem 3 / Appendix C: every
-    accepted request is eventually served in some epoch) survives faults.
+    Raised by the stage methods of :class:`repro.core.epoch.EpochDriver`
+    when a unit fails.  An execute failure is retried in place on the
+    already-built batches while the retry budget lasts; a fatal one
+    (build, match, a non-retryable cause, an exhausted budget) surfaces
+    as its original ``cause`` with this error as ``__cause__``, after the
+    scheduler rolled the epoch back — drained requests back at the front
+    of their balancers in arrival order, ticket cut restored, tickets
+    pending — so a later epoch serves the same requests, which is how the
+    paper's no-drop guarantee (Theorem 3 / Appendix C: every accepted
+    request is eventually served in some epoch) survives faults.
 
     Attributes:
         stage: which pipeline stage failed (``"build"``, ``"execute"``,

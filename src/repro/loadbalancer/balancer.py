@@ -1,20 +1,20 @@
-"""The load balancer entity: epoch queue + the oblivious pipeline (§4.3).
+"""The load balancer entity: the epoch queue and its parameters (§4.3).
 
 A ``LoadBalancer`` owns no dynamic request-routing state — only the
 deployment sharding key — so any number of them can run independently and
-in parallel.  Each epoch it turns its queued requests into one fixed-size
-batch per subORAM, hands them to the subORAMs, and matches the responses
-back to clients.
+in parallel.  Each epoch its queued requests become one fixed-size batch
+per subORAM (:func:`~repro.loadbalancer.batching.generate_batches`) and
+the responses are matched back to clients
+(:func:`~repro.loadbalancer.matching.match_responses`); the epoch body in
+:mod:`repro.core.epoch` runs both for every balancer.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List
+from typing import List
 
-from repro.loadbalancer.batching import generate_batches
-from repro.loadbalancer.matching import match_responses
 from repro.oblivious.kernels import resolve_kernel
-from repro.types import BatchEntry, Request, Response
+from repro.types import Request
 from repro.utils.validation import require_positive
 
 
@@ -63,10 +63,7 @@ class LoadBalancer:
         return len(self._queue)
 
     # ------------------------------------------------------------------
-    # Epoch processing, as three separable pipeline stages.  The epoch
-    # driver (repro.core.epoch) runs the stages of different balancers
-    # concurrently; run_epoch below chains them serially for callers that
-    # own their own delivery loop.
+    # Epoch close and its rollback (repro.core.epoch)
     # ------------------------------------------------------------------
     def drain(self) -> List[Request]:
         """Take this epoch's queued requests and bump the epoch counter."""
@@ -75,64 +72,12 @@ class LoadBalancer:
         return requests
 
     def requeue(self, requests: List[Request]) -> None:
-        """Undo a :meth:`drain` after a failed epoch attempt.
+        """Undo a :meth:`drain` when its epoch is rolled back.
 
         The requests go back to the *front* of the queue (ahead of any
         newly submitted ones) in their original arrival order, and the
-        epoch counter is rolled back — so a retried epoch is
+        epoch counter is rolled back — so a re-served epoch is
         indistinguishable from one that never failed.
         """
         self._queue = list(requests) + self._queue
         self.epochs_processed -= 1
-
-    def build_batches(
-        self, requests: List[Request], permissions=None
-    ) -> tuple:
-        """Stage ➊: one fixed-size batch per subORAM from ``requests``.
-
-        Returns ``(batches, originals, batch_size)`` — see
-        :func:`~repro.loadbalancer.batching.generate_batches`.
-        """
-        return generate_batches(
-            requests,
-            self.num_suborams,
-            self.sharding_key,
-            self.security_parameter,
-            permissions=permissions,
-            kernel=self.kernel,
-        )
-
-    def match(
-        self, originals: List[BatchEntry], responses: List[BatchEntry]
-    ) -> List[Response]:
-        """Stage ➌: obliviously map subORAM responses back to clients."""
-        return match_responses(originals, responses, kernel=self.kernel)
-
-    def run_epoch(
-        self,
-        send_batch: Callable[[int, List[BatchEntry]], List[BatchEntry]],
-        permissions=None,
-    ) -> List[Response]:
-        """Process one epoch serially (build ➊, deliver ➋, match ➌).
-
-        Args:
-            send_batch: callable ``(suboram_id, batch) -> responses``
-                implementing delivery to the subORAMs (direct call in the
-                in-process deployment, an encrypted channel in a networked
-                one).
-            permissions: optional §D access-control bits,
-                ``{(client_id, seq): 0/1}``.
-
-        Returns:
-            Responses for every queued request, in arrival order.
-        """
-        requests = self.drain()
-        if not requests:
-            return []
-        batches, originals, _ = self.build_batches(
-            requests, permissions=permissions
-        )
-        responses: List[BatchEntry] = []
-        for suboram_id, batch in enumerate(batches):
-            responses.extend(send_batch(suboram_id, batch))
-        return self.match(originals, responses)

@@ -25,7 +25,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.balls_bins import batch_size
 from repro.core.snoopy import Snoopy
-from repro.exec import BackendSpec, make_backend
 from repro.sim.costmodel import load_balancer_time, suboram_time
 from repro.sim.machines import DEFAULT_PROFILE, MachineProfile
 from repro.sim.metrics import LatencyStats
@@ -61,25 +60,15 @@ class SnoopyRuntime:
     Args:
         store: the functional deployment to execute.
         profile: machine profile for the virtual-time cost model.
-        backend: optional execution-backend override (spec string or
-            instance) applied to every epoch this runtime closes; defaults
-            to the store's own backend.
     """
 
     def __init__(
         self,
         store: Snoopy,
         profile: MachineProfile = DEFAULT_PROFILE,
-        backend: Optional[BackendSpec] = None,
     ):
         self.store = store
         self.profile = profile
-        # Resolve a spec once so every epoch reuses one worker pool.
-        self.backend = (
-            None
-            if backend is None
-            else make_backend(backend, store.config.max_workers)
-        )
 
     def _epoch_processing_time(self, num_requests: int) -> float:
         """Virtual duration of one epoch's pipeline (Eq. 1 stages)."""
@@ -150,7 +139,7 @@ class SnoopyRuntime:
                 self.store.submit(request)
                 arrival_times[(request.client_id, request.seq)] = arrival
             wall_start = time.perf_counter()
-            responses = self.store.run_epoch(backend=self.backend)
+            responses = self.store.run_epoch()
             result.wall_seconds += time.perf_counter() - wall_start
 
             processing = self._epoch_processing_time(len(epoch_requests))

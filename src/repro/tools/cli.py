@@ -98,9 +98,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="number of epochs to spread the requests over "
                            "(default 1)")
     demo.add_argument("--pipelined", action="store_true",
-                      help="drive the epochs through the pipelined "
-                           "scheduler (build/execute/match overlap) and "
-                           "print its stage-occupancy table")
+                      help="let epochs overlap (build/execute/match of "
+                           "consecutive epochs; depth 1 otherwise) and "
+                           "print the stage-occupancy table")
     demo.add_argument("--pipeline-depth", type=int, default=None,
                       metavar="N",
                       help="max in-flight epochs for --pipelined "
@@ -449,31 +449,20 @@ def cmd_demo(args) -> int:
         epochs = max(1, args.epochs)
         per_epoch = (len(requests) + epochs - 1) // epochs
         tickets = []
-        pipeline = None
-        if args.pipelined:
-            pipeline = store.start_pipeline(
-                depth=args.pipeline_depth, clock=False
-            )
+        with store.start_pipeline(
+            depth=args.pipeline_depth if args.pipelined else 1, clock=False
+        ) as pipeline:
             for start in range(0, len(requests), per_epoch):
                 for request in requests[start:start + per_epoch]:
                     tickets.append(store.submit(request))
                 pipeline.close_epoch()
             pipeline.flush()
-            pipeline.stop()
-        else:
-            served = 0
-            for start in range(0, len(requests), per_epoch):
-                for request in requests[start:start + per_epoch]:
-                    tickets.append(store.submit(request))
-                served += len(store.run_epoch())
         responses = [ticket.result() for ticket in tickets]
-        if not args.pipelined:
-            assert served == len(responses)
         reads = sum(1 for r in requests if r.op is OpType.READ)
         print(f"{epochs} epoch(s) served {len(responses)} requests "
               f"({reads} reads, {len(requests) - reads} writes)")
         print(f"trusted counter: {store.counter.value}")
-        if pipeline is not None:
+        if args.pipelined:
             stats = pipeline.stats
             print(f"pipeline: depth {stats['depth']}, "
                   f"{stats['epochs_completed']} epochs completed, "

@@ -299,10 +299,11 @@ def replay_trace(
     Records are grouped into epochs by arrival time
     (:meth:`Trace.epoch_groups` at the candidate's ``epoch_duration``)
     and the epochs run back to back at full speed — a capacity
-    measurement, not a latency simulation.  Depth >= 2 drives the §6
-    pipeline (manual epoch closes, deterministic); depth 1 runs
-    sequentially.  The response digest ties a replay to the bytes it
-    served, so two replays of the same trace are checkably identical.
+    measurement, not a latency simulation.  Every candidate drives the
+    §6 scheduler with manual, deterministic epoch closes; at depth 1
+    epochs do not overlap.  The response digest ties a replay to the
+    bytes it served, so two replays of the same trace are checkably
+    identical.
     """
     spec = trace.spec
     value_size = spec.value_size if spec is not None else 160
@@ -330,23 +331,12 @@ def replay_trace(
         store.initialize(dict(objects))
         tickets = []
         started = time.perf_counter()
-        if candidate.pipeline_depth >= 2:
-            pipeline = store.start_pipeline(
-                depth=candidate.pipeline_depth, clock=False
-            )
-            try:
-                for group in groups:
-                    for record in group:
-                        tickets.append(store.submit(record.to_request()))
-                    pipeline.close_epoch()
-                pipeline.flush()
-            finally:
-                pipeline.stop()
-        else:
+        with store.start_pipeline(clock=False) as pipeline:
             for group in groups:
                 for record in group:
                     tickets.append(store.submit(record.to_request()))
-                store.run_epoch()
+                pipeline.close_epoch()
+            pipeline.flush()
         elapsed = time.perf_counter() - started
         for ticket in tickets:
             response = ticket.result()

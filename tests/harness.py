@@ -213,6 +213,7 @@ def build_store(
     security_parameter: int = 16,
     rng_seed: int = 5,
     telemetry=None,
+    store_cls=Snoopy,
 ) -> Snoopy:
     """One initialized deployment with fixed keys and a fixed client RNG.
 
@@ -220,6 +221,8 @@ def build_store(
     matter the (backend, kernel, plan) cell — the property every
     differential test in this suite leans on.  An omitted backend,
     kernel or crypto is ``SnoopyConfig``'s default for that axis.
+    ``store_cls`` selects the deployment class (``DistributedSnoopy``
+    for the attested one, which takes no ``suboram_factory``).
     """
     config = SnoopyConfig(
         num_load_balancers=num_load_balancers,
@@ -233,12 +236,16 @@ def build_store(
         replication=replication,
         telemetry=telemetry,
     )
-    store = Snoopy(
+    factory = (
+        {} if suboram_factory is None
+        else {"suboram_factory": suboram_factory}
+    )
+    store = store_cls(
         config,
         keychain=KeyChain(master=master),
         rng=random.Random(rng_seed),
         fault_plan=plan,
-        suboram_factory=suboram_factory,
+        **factory,
     )
     store.initialize(objects)
     return store

@@ -199,7 +199,3 @@ class TestOneDefaultPerAxis:
                 (ConfigurationError, ValueError), match="scalar.*vector"
             ):
                 build()
-
-    def test_pipeline_stays_unavailable_on_the_attested_deployment(self):
-        with pytest.raises(ConfigurationError):
-            make_deployment().start_pipeline()

@@ -23,6 +23,7 @@ from repro.errors import (
 from repro.exec import SerialBackend, make_backend
 from repro.loadbalancer.balancer import LoadBalancer
 from repro.suboram.suboram import SubOram
+from repro.telemetry import Telemetry
 from repro.types import OpType, Request
 
 MASTER = b"epoch-retry-test-master-key-0123"[:32]
@@ -124,16 +125,27 @@ class TestRollbackAndRequeue:
         assert [r.seq for r in redrained] == [1, 2]
 
 
+def stage_runs(store, stage):
+    """How many times one epoch stage ran, from the store's telemetry."""
+    return store.telemetry.registry.find(
+        "snoopy_epoch_stage_seconds", stage=stage
+    ).count
+
+
 class TestRetryLoop:
     def test_retry_succeeds_within_budget(self):
         store = build_store(
-            fault_plan=crash_plan(), epoch_max_attempts=2
+            fault_plan=crash_plan(), epoch_max_attempts=2,
+            telemetry=Telemetry(),
         )
         ticket = store.submit(Request(OpType.READ, 4))
         store.run_epoch()
         assert ticket.result().value == bytes([4]) * 4
         assert store.fault_stats["epochs_failed"] == 1
         assert store.fault_stats["epochs_retried"] == 1
+        # Execute is retried in place: the one build is reused.
+        assert stage_runs(store, "build") == 1
+        assert stage_runs(store, "execute") == 2
         store.close()
 
     def test_exhausted_retries_reraise_the_original_cause(self):
@@ -144,14 +156,21 @@ class TestRetryLoop:
             FaultEvent(epoch=1, kind="worker_crash", unit=0),
             FaultEvent(epoch=1, kind="worker_crash", unit=0),
         ])
-        store = build_store(fault_plan=plan, epoch_max_attempts=2)
-        ticket = store.submit(Request(OpType.READ, 4))
+        store = build_store(
+            fault_plan=plan, epoch_max_attempts=2, telemetry=Telemetry()
+        )
+        ticket = store.submit(Request(OpType.READ, 4), load_balancer=1)
         with pytest.raises(WorkerCrashError):
             store.run_epoch()
         assert not ticket.done
+        assert stage_runs(store, "build") == 1
+        # Rolled back: the request is requeued, its ticket cut restored.
+        assert store.load_balancers[1].pending == 1
+        assert store.tickets.pending(1) == 1
         # The requests survived both failures; a later epoch serves them.
         store.run_epoch()
         assert ticket.result().value == bytes([4]) * 4
+        assert stage_runs(store, "build") == 2
         store.close()
 
     def test_retried_attempt_does_not_replay_consumed_faults(self):
@@ -242,13 +261,11 @@ class TestRetryPolicy:
 class TestTransportConfigurationError:
     def test_names_namespace_and_lists_backends_dynamically(self):
         driver = EpochDriver(make_backend("process:1"))
-        balancer = LoadBalancer(0, 1, b"k" * 16, security_parameter=16)
-        balancer.submit(Request(OpType.READ, 1))
         suboram = SubOram(0, 4, KeyChain(master=MASTER), 16)
         suboram.initialize({1: b"aaaa"})
         with pytest.raises(ConfigurationError) as excinfo:
-            driver.run(
-                [balancer], [suboram],
+            driver.run_execute(
+                [suboram], [], [],
                 transport=lambda *a: [],
                 state_ns="my-deployment-7",
             )

@@ -14,6 +14,7 @@ import time
 import pytest
 
 from repro.core.client import Client
+from repro.core.deployment import DistributedSnoopy
 from repro.core.faults import FaultEvent, FaultPlan
 from repro.core.linearizability import History, check_snoopy_history
 from repro.core.tickets import TicketBook
@@ -78,21 +79,40 @@ def pipelined_matrix():
     )
 
 
+@pytest.fixture(scope="module")
+def attested_matrix():
+    """The attested deployment through the pipeline, on the backends its
+    sealed channels allow (stage ➋ crosses them one epoch at a time)."""
+    return differential_run(
+        WORKLOAD, OBJECTS, master=MASTER,
+        backends=("serial", "thread:4"),
+        kernels=("numpy",),
+        fault_plans=(("fault-free", None), ("chaos", _plan)),
+        num_load_balancers=3,
+        pipelined=True,
+        store_cls=DistributedSnoopy,
+    )
+
+
 class TestPipelinedDifferentialMatrix:
-    def test_matrix_covers_every_cell(self, pipelined_matrix):
+    def test_matrix_covers_every_cell(self, pipelined_matrix, attested_matrix):
         assert len({run.key for run in pipelined_matrix}) == 12
+        assert len({run.key for run in attested_matrix}) == 4
 
     def test_every_cell_matches_the_sequential_reference(
-        self, pipelined_matrix, sequential_reference
+        self, pipelined_matrix, attested_matrix, sequential_reference
     ):
         """Responses, ticket results, and invariant metrics all match."""
         assert_equivalent(
-            list(pipelined_matrix) + [sequential_reference],
+            list(pipelined_matrix) + list(attested_matrix)
+            + [sequential_reference],
             reference=sequential_reference,
         )
 
-    def test_chaos_cells_actually_injected_faults(self, pipelined_matrix):
-        for run in pipelined_matrix:
+    def test_chaos_cells_actually_injected_faults(
+        self, pipelined_matrix, attested_matrix
+    ):
+        for run in list(pipelined_matrix) + list(attested_matrix):
             if run.plan_name != "chaos":
                 continue
             assert run.fault_stats["worker_crashes"] == 1, run.key
@@ -244,6 +264,8 @@ class TestBackpressureAndRollback:
             num_load_balancers=3,
         )
         try:
+            # One rule for both schedulers: inline first, then pipelined.
+            assert store.run_epoch() == []
             pipeline = store.start_pipeline(clock=False)
             assert pipeline.close_epoch() is None
             assert store.counter.value == 0
@@ -314,6 +336,20 @@ class TestBackpressureAndRollback:
                 ]
         finally:
             store.close()
+
+    def test_close_releases_the_backend_when_the_final_flush_fails(self):
+        """A fatal last epoch must not leak the deployment's own pool."""
+        plan = FaultPlan([FaultEvent(epoch=1, kind="worker_crash", unit=0)])
+        store = build_store(
+            "thread:2", master=MASTER, objects=dict(OBJECTS),
+            plan=plan, max_attempts=1,
+        )
+        store.start_pipeline(clock=False)
+        ticket = store.submit(Request(OpType.READ, 1))
+        with pytest.raises(WorkerCrashError):
+            store.close()  # its flush runs the epoch on the pool and fails
+        assert store.backend._executor is None
+        assert not store.pipeline.active and not ticket.done
 
     def test_stop_is_idempotent_and_context_manager_stops(self):
         store = build_store(

@@ -164,8 +164,9 @@ class TestTicketBook:
     def test_resolve_clears_pending(self):
         book = TicketBook(1)
         ticket = book.issue(0, 0)
-        book.resolve(0, [Response(key=1, value=b"x")], epoch=3)
+        cut = book.cut()
         assert book.pending(0) == 0
+        TicketBook.resolve_cut(cut, [[Response(key=1, value=b"x")]], epoch=3)
         assert ticket.result().key == 1
         assert ticket.epoch == 3
 
@@ -173,7 +174,7 @@ class TestTicketBook:
         book = TicketBook(1)
         book.issue(0, 0)
         with pytest.raises(AssertionError):
-            book.resolve(0, [], epoch=1)
+            TicketBook.resolve_cut(book.cut(), [[]], epoch=1)
 
 
 class TestDistributedTickets:
