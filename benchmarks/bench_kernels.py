@@ -92,14 +92,14 @@ def _primitive_rows():
                          "seconds": _timed(kern.compact, items, flags)})
         keys = random.Random(7).sample(range(10**6), TABLE_CAPACITY)
         table = TwoTierHashTable.build(
-            keys, int, b"bench-kernels", security_parameter=SECURITY,
+            keys, b"bench-kernels", security_parameter=SECURITY,
             kernel=kernel,
         )
         rows.append({
             "op": "table_build", "capacity": TABLE_CAPACITY,
             "slots": table.params.total_slots, **cell,
             "seconds": _timed(
-                TwoTierHashTable.build, keys, int, b"bench-kernels",
+                TwoTierHashTable.build, keys, b"bench-kernels",
                 security_parameter=SECURITY, kernel=kernel,
             ),
         })

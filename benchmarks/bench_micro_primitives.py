@@ -16,9 +16,10 @@ from repro.core.snoopy import Snoopy
 from repro.baselines.pathoram import PathOram
 from repro.oblivious.compact import ocompact
 from repro.oblivious.hashtable import TwoTierHashTable
+from repro.oblivious.soa import Batch
 from repro.oblivious.sort import bitonic_sort
 from repro.suboram.suboram import SubOram
-from repro.types import BatchEntry, OpType, Request
+from repro.types import OpType, Request
 
 
 @pytest.fixture(scope="module")
@@ -40,16 +41,8 @@ def test_ocompact_1k(benchmark, rng):
 
 
 def test_hashtable_build_256(benchmark, rng):
-    class Item:
-        __slots__ = ("key",)
-
-        def __init__(self, key):
-            self.key = key
-
-    items = [Item(k) for k in rng.sample(range(10**9), 256)]
-    table = benchmark(
-        TwoTierHashTable.build, items, lambda i: i.key, b"bench-key"
-    )
+    keys = rng.sample(range(10**9), 256)
+    table = benchmark(TwoTierHashTable.build, keys, b"bench-key")
     assert len(table.extract_real()) == 256
 
 
@@ -58,10 +51,9 @@ def test_suboram_batch_64_over_2k_objects(benchmark, rng):
     suboram.initialize({k: bytes(16) for k in range(2048)})
     keys = rng.sample(range(2048), 64)
 
+    batch = Batch.from_requests([Request(OpType.READ, k) for k in keys], 16)
+
     def run():
-        batch = [
-            BatchEntry(op=OpType.READ, key=k, is_dummy=False) for k in keys
-        ]
         return suboram.batch_access(batch)
 
     responses = benchmark(run)

@@ -17,7 +17,8 @@ from repro.core.deployment import DistributedSnoopy
 from repro.enclave.model import Enclave
 from repro.errors import AttestationError, IntegrityError, RollbackError
 from repro.extensions.replication import ReplicatedSubOram
-from repro.types import BatchEntry, OpType, Request
+from repro.oblivious.soa import Batch
+from repro.types import OpType, Request
 
 
 def main() -> None:
@@ -72,14 +73,14 @@ def main() -> None:
 
     snapshot = group.snapshot(0)  # what a malicious host might capture
     group.batch_access(
-        [BatchEntry(op=OpType.WRITE, key=3, value=b"v2!!", is_dummy=False)]
+        Batch.from_requests([Request(OpType.WRITE, 3, b"v2!!")], 4)
     )
 
     group.crash(1)
     group.rollback(0, snapshot)  # replica 0 serves stale state
     [resp] = group.batch_access(
-        [BatchEntry(op=OpType.READ, key=3, is_dummy=False)]
-    )
+        Batch.from_requests([Request(OpType.READ, 3)], 4)
+    ).entries()
     assert resp.value == b"v2!!"
     print("crash + rollback survived: fresh replica's reply selected "
           f"(value {resp.value})")
@@ -88,12 +89,12 @@ def main() -> None:
     group.recover_from_peer(1)
     snapshots = [group.snapshot(i) for i in range(group.group_size)]
     group.batch_access(
-        [BatchEntry(op=OpType.WRITE, key=3, value=b"v3!!", is_dummy=False)]
+        Batch.from_requests([Request(OpType.WRITE, 3, b"v3!!")], 4)
     )
     for i, snap in enumerate(snapshots):
         group.rollback(i, snap)
     try:
-        group.batch_access([BatchEntry(op=OpType.READ, key=3, is_dummy=False)])
+        group.batch_access(Batch.from_requests([Request(OpType.READ, 3)], 4))
     except RollbackError as exc:
         print(f"full rollback detected: {exc}")
 

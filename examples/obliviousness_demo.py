@@ -26,6 +26,7 @@ def collect(workload):
     generate_batches(
         workload, 3, KEY, security_parameter=16,
         mem_factory=lambda items, t=trace: TracedMemory(items, trace=t),
+        value_size=1,
     )
     return trace
 

@@ -22,6 +22,8 @@ from typing import Dict, List, Optional
 
 from repro.baselines.pathoram import PathOram
 from repro.errors import NotInitializedError
+from repro.oblivious.soa import Batch
+from repro.types import OpType
 from repro.utils.validation import require_positive
 
 # Below this many entries a position map fits in enclave memory directly.
@@ -99,11 +101,10 @@ class OblixMap:
         for key, value in objects.items():
             self.data_oram.write(key, value)
 
-    def batch_access(self, batch) -> list:
+    def batch_access(self, batch: Batch) -> Batch:
         """Serve a Snoopy batch one request at a time (no batching gains)."""
-        from repro.types import OpType
-
-        for entry in batch:
+        entries = batch.entries()
+        for entry in entries:
             if entry.key < 0:
                 # Dummy request: a full (real-cost) access to a random slot.
                 self._touch_position_maps(0)
@@ -113,7 +114,7 @@ class OblixMap:
                 entry.value = self.write(entry.key, entry.value)
             else:
                 entry.value = self.read(entry.key)
-        return list(batch)
+        return Batch.from_entries(entries, batch.value_size)
 
 
 class OblixSubOram:
@@ -146,13 +147,12 @@ class OblixSubOram:
             self._map.data_oram.write(self._key_to_slot[key], value)
         self._count = len(objects)
 
-    def batch_access(self, batch) -> list:
+    def batch_access(self, batch: Batch) -> Batch:
         """Serve a Snoopy batch request-by-request (no amortization)."""
-        from repro.types import OpType
-
         if self._map is None:
             raise NotInitializedError("OblixSubOram not initialized")
-        for entry in batch:
+        entries = batch.entries()
+        for entry in entries:
             slot = self._key_to_slot.get(entry.key)
             if slot is None:
                 # Dummy or unknown key: a full-cost access to hide it.
@@ -166,4 +166,4 @@ class OblixSubOram:
                 entry.value = self._map.write(slot, entry.value)
             else:
                 entry.value = self._map.read(slot)
-        return list(batch)
+        return Batch.from_entries(entries, batch.value_size)

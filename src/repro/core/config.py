@@ -64,8 +64,7 @@ class SnoopyConfig:
         max_workers: pool size for parallel backends (None = backend
             default; a ``:N`` spec suffix takes precedence).
         kernel: oblivious-kernel selector, ``"numpy"`` (default: the
-            vectorized structure-of-arrays path; falls back to python
-            with a warning when NumPy is missing) or ``"python"`` (the
+            vectorized structure-of-arrays path) or ``"python"`` (the
             scalar reference oracle).  Public information: the kernel
             only changes how each fixed schedule level executes, never
             which addresses it touches (see

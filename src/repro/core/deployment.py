@@ -10,7 +10,8 @@ Python calls, ``DistributedSnoopy`` reproduces the deployment story of
   against a shared :class:`~repro.enclave.attestation.AttestationService`
   whitelist (the Snoopy release measurements);
 * every load-balancer <-> subORAM message is serialized
-  (:mod:`repro.core.wire`) and sent through an AEAD
+  (:meth:`Batch.to_bytes <repro.oblivious.soa.Batch.to_bytes>`: a length
+  fixed by batch size and value size) and sent through an AEAD
   :class:`~repro.crypto.aead.SecureChannel` with replay protection.
 
 It *is* a :class:`~repro.core.snoopy.Snoopy` — same construction, same
@@ -29,13 +30,13 @@ from typing import Dict, Optional
 from repro.core.config import SnoopyConfig
 from repro.core.faults import FaultPlan
 from repro.core.snoopy import Snoopy
-from repro.core.wire import decode_batch, encode_batch
 from repro.crypto.aead import SecureChannelPair
 from repro.crypto.keys import KeyChain
 from repro.enclave.attestation import AttestationService
 from repro.enclave.model import Enclave
 from repro.errors import TransportError
 from repro.exec import BackendSpec
+from repro.oblivious.soa import Batch
 
 
 class _ChannelPair:
@@ -109,7 +110,7 @@ class DistributedSnoopy(Snoopy):
         self.attestation.verify(quote)  # raises AttestationError if rogue
 
     def _transport(self, balancer_index: int, suboram_index: int,
-                   suboram, batch) -> list:
+                   suboram, batch: Batch) -> Batch:
         """Stage-➋ delivery: seal, cross the hostile network, execute, seal back."""
         if (
             self._injector is not None
@@ -124,18 +125,23 @@ class DistributedSnoopy(Snoopy):
             fault.unit = suboram_index
             raise fault
         pair = self._channels[(balancer_index, suboram_index)]
-        # LB side: serialize + seal.
-        nonce, sealed = pair.lb.tx.send(encode_batch(batch))
-        # "Network" — the attacker may tamper here (tests do).
+        value_size = self.config.value_size
+        # LB side: serialize + seal.  Both directions cross the "network",
+        # where the attacker sees (and tests tamper with) the sealed bytes.
         nonce, sealed = self.network_hook(
-            balancer_index, suboram_index, nonce, sealed
+            balancer_index, suboram_index, *pair.lb.tx.send(batch.to_bytes())
         )
-        # SubORAM side: open + deserialize + execute.
-        wire_batch = decode_batch(pair.so.rx.receive(nonce, sealed))
-        results = suboram.batch_access(wire_batch)
-        # Response path back.
-        r_nonce, r_sealed = pair.so.tx.send(encode_batch(results))
-        return decode_batch(pair.lb.rx.receive(r_nonce, r_sealed))
+        # SubORAM side: open + deserialize + execute, then seal the reply.
+        results = suboram.batch_access(
+            Batch.from_buffer(pair.so.rx.receive(nonce, sealed), value_size)
+        )
+        nonce, sealed = self.network_hook(
+            balancer_index, suboram_index,
+            *pair.so.tx.send(results.to_bytes()),
+        )
+        return Batch.from_buffer(
+            pair.lb.rx.receive(nonce, sealed), value_size
+        )
 
     # Overridable by tests to simulate an in-network attacker.
     def network_hook(self, balancer: int, suboram: int, nonce: bytes,

@@ -17,22 +17,24 @@ epoch behind each other:
   batches of one subORAM run in fixed balancer order (LB 0 first — the
   order Appendix C's linearization proof fixes), so each subORAM's
   L-batch chain is a single ordered unit; independent *across subORAMs*.
-* **match** — every balancer obliviously matches the returned entries to
+* **match** — every balancer obliviously matches the returned rows to
   its clients' requests, and the epoch's ticket cut is resolved.
 * **rollback** — a fatally failed epoch's requests go back to the front
   of their balancers and its ticket cut is restored, latest epoch first,
   so queues and ticket book end up as if nothing had been drained.
 
 **One retry rule.**  Only stage ➋ is retried, *in place*: build output is
-a pure function of the drained requests, so every attempt re-executes
-the already-built batches, and queued successor epochs are never
-reordered.  A failed unit must not leave subORAM state half mutated
+a pure function of the drained requests and no stage modifies the
+:class:`~repro.oblivious.soa.Batch` it is handed, so every attempt
+re-executes the same built batches, and queued successor epochs are
+never reordered.  A failed unit must not leave subORAM state half mutated
 (retrying a partially applied batch would change write-before values),
 so while the deployment is armed (a retry policy, or a fault injector
-with events pending) stage ➋ runs on deep copies under shared-state
-backends; process backends mutate worker-side copies that a failed
-attempt never installs.  Build and match failures, and an exhausted
-retry budget, are fatal: the caller rolls back and raises the cause.
+with events pending) stage ➋ runs on deep copies of the subORAMs under
+shared-state backends; process backends mutate worker-side copies that a
+failed attempt never installs.  Build and match failures, and an
+exhausted retry budget, are fatal: the caller rolls back and raises the
+cause.
 
 :class:`EpochDriver` runs each stage as one
 :meth:`~repro.exec.backend.ExecutionBackend.map` call, so the same steps
@@ -62,14 +64,15 @@ from repro.exec.backend import (
 )
 from repro.loadbalancer.batching import generate_batches
 from repro.loadbalancer.matching import match_responses
+from repro.oblivious.soa import Batch
 from repro.telemetry import resolve_telemetry
-from repro.types import BatchEntry, Request, Response
+from repro.types import Request, Response
 
 #: Delivery seam for stage ➋: ``(balancer_index, suboram_index, suboram,
-#: batch) -> response entries``.  ``None`` means a direct in-process
+#: batch) -> response batch``.  ``None`` means a direct in-process
 #: ``suboram.batch_access(batch)`` call; a networked deployment supplies
 #: its sealed-channel round trip here.
-Transport = Callable[[int, int, object, List[BatchEntry]], List[BatchEntry]]
+Transport = Callable[[int, int, object, Batch], Batch]
 
 
 def _build_stage(task):
@@ -87,6 +90,7 @@ def _build_stage(task):
         permissions,
         kernel,
         telemetry,
+        value_size,
     ) = task
     with interpreter_turn():
         return generate_batches(
@@ -97,6 +101,7 @@ def _build_stage(task):
             permissions=permissions,
             kernel=kernel,
             telemetry=telemetry,
+            value_size=value_size,
         )
 
 
@@ -205,6 +210,7 @@ class EpochDriver:
                             permissions,
                             getattr(load_balancers[index], "kernel", None),
                             self.telemetry,
+                            load_balancers[index].value_size,
                         )
                         for index in active
                     ],
@@ -243,17 +249,18 @@ class EpochDriver:
             injector: optional :class:`~repro.core.faults.FaultInjector`;
                 units with a scheduled worker-crash/timeout event are
                 armed to fail inside the executing worker.
-            atomic: run on deep copies under shared-state backends so a
-                failed attempt leaves the caller's subORAM objects *and*
-                ``built`` batches untouched — the caller retries by
-                calling this method again with the same ``built``.
+            atomic: run on deep copies of the subORAMs under
+                shared-state backends so a failed attempt leaves the
+                caller's subORAM objects untouched — the caller retries
+                by calling this method again with the same ``built``
+                (which no attempt modifies).
 
         Returns:
             ``(new_suborams, entries_per_balancer)`` — the mutated (or
             shipped-back / atomically copied) subORAM objects in
-            partition order, and a ``{balancer_index: entries}`` dict
+            partition order, and a ``{balancer_index: Batch}`` dict
             regrouping the stage outputs for matching (subORAMs in
-            ascending order — the exact entry order serial execution
+            ascending order — the exact row order serial execution
             produces).
 
         Raises:
@@ -276,24 +283,16 @@ class EpochDriver:
                 f"{', '.join(repr(name) for name in shared)})"
             )
         work_suborams = list(suborams)
-        work_built = built
         try:
             if atomic and self.backend.supports_shared_state:
                 # Shared-state backends mutate in place; run on copies
                 # so a failed unit cannot leave the caller's state
-                # half-applied.  Batches too: ``batch_access`` consumes
-                # entries in place (each entry's value is folded into
-                # its response), and a retried attempt must re-execute
-                # pristine batches.  The copy itself is inside the fault
+                # half-applied.  The copy itself is inside the fault
                 # wrapping because remote proxies turn it into a
                 # TXN_BEGIN round trip that can hit a network fault; an
                 # abandoned half-clone is harmless (the retry re-clones
                 # the same committed parents under fresh version ids).
                 work_suborams = copy.deepcopy(work_suborams)
-                work_built = [
-                    (copy.deepcopy(batches), originals, size)
-                    for (batches, originals, size) in built
-                ]
             with self.telemetry.span(
                 "stage", stage="execute", tasks=len(work_suborams)
             ), self.telemetry.time(
@@ -309,7 +308,7 @@ class EpochDriver:
                                 suboram_index,
                                 [
                                     (balancer_index,
-                                     work_built[j][0][suboram_index])
+                                     built[j][0][suboram_index])
                                     for j, balancer_index in enumerate(active)
                                 ],
                                 transport,
@@ -328,11 +327,13 @@ class EpochDriver:
                 "execute", getattr(exc, "unit", None), exc
             ) from exc
         new_suborams = [suboram for suboram, _ in executed]
-        entries_per_balancer = {index: [] for index in active}
+        replies = {index: [] for index in active}
         for _, outputs in executed:
             for balancer_index, entries in outputs:
-                entries_per_balancer[balancer_index].extend(entries)
-        return new_suborams, entries_per_balancer
+                replies[balancer_index].append(entries)
+        return new_suborams, {
+            index: Batch.concat(batches) for index, batches in replies.items()
+        }
 
     def run_match(
         self, load_balancers, built, entries_per_balancer, active

@@ -140,6 +140,7 @@ class Snoopy:
                 balancer_id=i,
                 num_suborams=config.num_suborams,
                 sharding_key=sharding_key,
+                value_size=config.value_size,
                 security_parameter=config.security_parameter,
                 kernel=config.kernel,
             )
@@ -240,6 +241,10 @@ class Snoopy:
             :meth:`~repro.core.tickets.Ticket.add_done_callback` for
             asynchronous completion.
 
+        Raises:
+            CapacityError: a payload that is not ``config.value_size``
+                bytes or a key outside int64; nothing is queued.
+
         While a pipeline is active (:meth:`start_pipeline`) the submit
         is routed through it — fully non-blocking; the ticket resolves
         when the pipeline's match thread closes the request's epoch.
@@ -248,8 +253,8 @@ class Snoopy:
             load_balancer = self._rng.randrange(self.config.num_load_balancers)
         if self._pipeline is not None and self._pipeline.active:
             return self._pipeline.submit(request, load_balancer)
-        self.telemetry.counter("snoopy_requests_total").inc()
         arrival = self.load_balancers[load_balancer].submit(request)
+        self.telemetry.counter("snoopy_requests_total").inc()
         return self._tickets.issue(load_balancer, arrival, request)
 
     # ------------------------------------------------------------------

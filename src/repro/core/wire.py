@@ -2,16 +2,13 @@
 
 The in-process :class:`~repro.core.snoopy.Snoopy` passes Python objects
 directly; the distributed deployment (:mod:`repro.core.deployment`) and
-the TCP service layer (:mod:`repro.serve`) send real bytes, so batches,
-requests, and responses need a stable encoding.  The format is
-fixed-size headers plus a length-prefixed value:
-
-    entry := op(1) | flags(1) | key(16, signed) | suboram(4) | tag(8)
-             | client_id(8) | seq(8) | value_len(4) | value(value_len)
-
-Every real/dummy entry of a batch serializes to the same header size, so
-message sizes depend only on batch size and object size — public
-quantities — preserving the obliviousness of the transport.
+the TCP service layer (:mod:`repro.serve`) send real bytes.  This module
+holds the handshake, the frame envelope, and the client request/response
+and control payloads.  A batch has exactly one encoding, owned by its
+container: :meth:`Batch.to_bytes <repro.oblivious.soa.Batch.to_bytes>` /
+:meth:`~repro.oblivious.soa.Batch.from_buffer`, ``8 + n * (44 +
+value_size)`` bytes for ``n`` rows whatever they hold, so BATCH frame
+sizes depend only on batch size and object size — public quantities.
 
 **Versioned handshake.**  Every Snoopy TCP connection opens with one
 fixed-size hello frame from each side:
@@ -53,7 +50,7 @@ value size, batch sizes), preserving obliviousness end to end:
   a given value size is byte-for-byte the same length whether it is a
   read or a write of any key (reads carry a zero-filled value slot).
 * ``BATCH``/``BATCH_REPLY``/``INIT`` — load-balancer <-> subORAM worker
-  traffic, reusing :func:`encode_batch` payloads.
+  traffic; the payload is a :class:`~repro.oblivious.soa.Batch`.
 * ``TXN_BEGIN``/``TXN_ACK``/``CLOSE_EPOCH``/``EPOCH_CLOSED``/``ERROR``
   — control frames with fixed-size payloads.
 * ``SESSION``/``SESSION_ACK``/``RESPONSE_ACK`` — resumable client
@@ -70,29 +67,15 @@ value size, batch sizes), preserving obliviousness end to end:
 from __future__ import annotations
 
 import struct
-from typing import List, Tuple
+from typing import Tuple
 
-from repro.errors import ReproError
-from repro.types import BatchEntry, OpType, Request, Response
+from repro.errors import WireError
+from repro.types import INT64_MAX, INT64_MIN, OpType, Request, Response
 
-_HEADER = struct.Struct(">BBq8xIQQQI")
-# op, flags, key(int64 -- see _encode_key), pad, suboram, tag, client, seq, vlen
-# Keys can exceed 64 bits only for ACL-extended deployments; those stay
-# in-process.  The dummy/spill id spaces fit int64.
-
-_FLAG_DUMMY = 1
-_FLAG_PERMITTED = 2
 _FLAG_HAS_VALUE = 4
 
 _OPS = {OpType.READ: 0, OpType.WRITE: 1}
 _OPS_INV = {0: OpType.READ, 1: OpType.WRITE}
-
-INT64_MIN = -(2**63)
-INT64_MAX = 2**63 - 1
-
-
-class WireError(ReproError):
-    """Malformed or out-of-range wire data."""
 
 
 class VersionMismatchError(WireError):
@@ -129,79 +112,6 @@ def _check_key(key: int) -> int:
     return key
 
 
-def encode_entry(entry: BatchEntry) -> bytes:
-    """Serialize one batch entry."""
-    flags = 0
-    if entry.is_dummy:
-        flags |= _FLAG_DUMMY
-    if entry.permitted:
-        flags |= _FLAG_PERMITTED
-    value = entry.value if entry.value is not None else b""
-    if entry.value is not None:
-        flags |= _FLAG_HAS_VALUE
-    header = _HEADER.pack(
-        _OPS[entry.op],
-        flags,
-        _check_key(entry.key),
-        entry.suboram,
-        entry.tag,
-        entry.client_id,
-        entry.seq,
-        len(value),
-    )
-    return header + value
-
-
-def decode_entry(data: bytes, offset: int = 0) -> tuple:
-    """Deserialize one entry; returns (entry, next_offset)."""
-    if len(data) - offset < _HEADER.size:
-        raise WireError("truncated entry header")
-    op, flags, key, suboram, tag, client_id, seq, value_len = _HEADER.unpack_from(
-        data, offset
-    )
-    offset += _HEADER.size
-    if op not in _OPS_INV:
-        raise WireError(f"unknown op code {op}")
-    if len(data) - offset < value_len:
-        raise WireError("truncated entry value")
-    value = bytes(data[offset : offset + value_len]) if flags & _FLAG_HAS_VALUE else None
-    offset += value_len
-    entry = BatchEntry(
-        op=_OPS_INV[op],
-        key=key,
-        value=value,
-        suboram=suboram,
-        tag=tag,
-        client_id=client_id,
-        seq=seq,
-        is_dummy=bool(flags & _FLAG_DUMMY),
-        permitted=1 if flags & _FLAG_PERMITTED else 0,
-    )
-    return entry, offset
-
-
-def encode_batch(batch: List[BatchEntry]) -> bytes:
-    """Serialize a batch: count header + entries."""
-    parts = [struct.pack(">I", len(batch))]
-    parts.extend(encode_entry(entry) for entry in batch)
-    return b"".join(parts)
-
-
-def decode_batch(data: bytes) -> List[BatchEntry]:
-    """Deserialize a batch; rejects trailing garbage."""
-    if len(data) < 4:
-        raise WireError("truncated batch header")
-    (count,) = struct.unpack_from(">I", data, 0)
-    offset = 4
-    batch = []
-    for _ in range(count):
-        entry, offset = decode_entry(data, offset)
-        batch.append(entry)
-    if offset != len(data):
-        raise WireError("trailing bytes after batch")
-    return batch
-
-
 # ---------------------------------------------------------------------------
 # Versioned handshake
 # ---------------------------------------------------------------------------
@@ -210,7 +120,8 @@ def decode_batch(data: bytes) -> List[BatchEntry]:
 #: handshake time instead of failing mid-stream.
 #: v2: hello flags byte, ATTEST exchange, sessions, snapshot transfer,
 #: delivery sequence numbers on responses.
-WIRE_VERSION = 2
+#: v3: fixed-width BATCH/BATCH_REPLY/INIT payloads (``Batch.to_bytes``).
+WIRE_VERSION = 3
 
 #: Every wire version this library can speak.  Kept as a tuple so a
 #: future version can retain backward compatibility windows; rejects
@@ -374,9 +285,10 @@ def encode_request(
     """Serialize one client operation for the service front door.
 
     Reads and writes of any key produce the same number of bytes for a
-    given ``value_size``: reads (and short write payloads) are padded
-    with zeros to the store's fixed value slot, so the wire length of a
-    request depends only on the public object size.
+    given ``value_size``: the value slot is zero-padded to the store's
+    fixed width, so the wire length of a request depends only on the
+    public object size.  (:func:`decode_request` refuses a payload that
+    does not fill the slot.)
     """
     value = request.value if request.value is not None else b""
     if len(value) > value_size:
@@ -407,13 +319,16 @@ def decode_request(data: bytes, value_size: int):
     ) = _REQUEST.unpack_from(data, 0)
     if op not in _OPS_INV:
         raise WireError(f"unknown op code {op}")
-    if vlen > value_size:
-        raise WireError("request value length exceeds the value slot")
-    value = (
-        bytes(data[_REQUEST.size:_REQUEST.size + vlen])
-        if flags & _FLAG_HAS_VALUE
-        else None
-    )
+    value = None
+    if flags & _FLAG_HAS_VALUE:
+        # A short payload would be refused at intake anyway; refusing it
+        # here fails only the connection that sent it.
+        if vlen != value_size:
+            raise WireError(
+                f"request value of {vlen} bytes for a store of "
+                f"{value_size}-byte objects"
+            )
+        value = bytes(data[_REQUEST.size:])
     request = Request(
         op=_OPS_INV[op], key=key, value=value, client_id=client_id, seq=seq
     )

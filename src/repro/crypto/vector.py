@@ -51,6 +51,8 @@ from __future__ import annotations
 import struct
 from typing import List, Optional, Union
 
+import numpy as np
+
 from repro.crypto.aead import NONCE_LEN, TAG_LEN
 from repro.crypto.keys import derive_key
 from repro.crypto.prf import Prf
@@ -109,8 +111,8 @@ class VectorAead:
 
     Args:
         key: AEAD key material (any non-empty byte string).
-        backend: ``"numpy"``, ``"py"``, or ``None`` (auto: NumPy when
-            available).  Both backends produce bit-identical bytes; the
+        backend: ``"numpy"`` (also ``None``) or ``"py"``, the pure-Python
+            reference.  Both backends produce bit-identical bytes; the
             property tests enforce it.
     """
 
@@ -120,7 +122,8 @@ class VectorAead:
         if backend not in (None, "numpy", "py"):
             raise ValueError(f"unknown VectorAead backend {backend!r}")
         self._key = bytes(key)
-        self._backend = backend
+        #: The backend lanes run on (``"numpy"`` or ``"py"``).
+        self.backend = backend or "numpy"
         self._setup()
 
     def _setup(self) -> None:
@@ -136,18 +139,11 @@ class VectorAead:
 
     # Pre-keyed contexts, power tables, and scratch don't cross pickles.
     def __getstate__(self):
-        return (self._key, self._backend)
+        return (self._key, self.backend)
 
     def __setstate__(self, state) -> None:
-        self._key, self._backend = state
+        self._key, self.backend = state
         self._setup()
-
-    @property
-    def backend(self) -> str:
-        """The backend lanes actually run on (``"numpy"`` or ``"py"``)."""
-        if self._backend is not None:
-            return self._backend
-        return "numpy" if soa.HAS_NUMPY else "py"
 
     # ------------------------------------------------------------------
     # Per-message derivations (shared by both backends)
@@ -169,14 +165,9 @@ class VectorAead:
             for j in range(width):
                 acc = (acc * r) % _P
                 powers[width - 1 - j] = acc
-            if soa.HAS_NUMPY:
-                np = soa.require_numpy()
-                arr = np.asarray(powers, dtype=np.uint64)
-                hi = arr >> np.uint64(32)
-                lo = arr & np.uint64(0xFFFFFFFF)
-            else:  # pragma: no cover - numpy-less envs use ints only
-                hi = lo = None
-            cached = (hi, lo, powers)
+            arr = np.asarray(powers, dtype=np.uint64)
+            cached = (arr >> np.uint64(32), arr & np.uint64(0xFFFFFFFF),
+                      powers)
             self._powers[(r, width)] = cached
         return cached
 
@@ -254,7 +245,6 @@ class VectorAead:
             )
         if count == 0:
             if as_matrix:
-                np = soa.require_numpy()
                 return np.empty((0, plain_size), dtype=np.uint8)
             return b""
         if self.backend == "numpy":
@@ -386,13 +376,13 @@ class VectorAead:
     # NumPy kernel (O(1) array passes per batch)
     # ------------------------------------------------------------------
     @staticmethod
-    def _mix64_np(np, z):
+    def _mix64_np(z):
         z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
         return z ^ (z >> np.uint64(31))
 
     @staticmethod
-    def _mod_p_np(np, x):
+    def _mod_p_np(x):
         """Reduce ``x < 2^64`` mod p: two folds + one conditional subtract."""
         m = np.uint64(_MASK61)
         x = (x & m) + (x >> np.uint64(61))
@@ -400,7 +390,7 @@ class VectorAead:
         return np.where(x >= np.uint64(_P), x - np.uint64(_P), x)
 
     def _keystream_np(
-        self, np, ks, count, plain_size, lane_base, scratch
+        self, ks, count, plain_size, lane_base, scratch
     ):
         """The whole batch keystream as a ``(count, L*8)`` uint8 matrix."""
         ks0, ks1 = ks
@@ -419,7 +409,7 @@ class VectorAead:
         offset = np.uint64(
             (ks0 + lane_base * words_per_lane * _GAMMA) & _MASK64
         )
-        words = self._mix64_np(np, (ramp + offset) ^ np.uint64(ks1))
+        words = self._mix64_np((ramp + offset) ^ np.uint64(ks1))
         return (
             words.astype(">u8")
             .view(np.uint8)
@@ -427,7 +417,7 @@ class VectorAead:
         )
 
     def _lane_tags_np(
-        self, np, ts, count, plain_size, lane_base, aad, ct_matrix, scratch
+        self, ts, count, plain_size, lane_base, aad, ct_matrix, scratch
     ):
         """All lane tags as a ``(count, TAG_LEN)`` uint8 matrix."""
         ts0, ts1 = ts
@@ -490,13 +480,13 @@ class VectorAead:
             np.bitwise_and(acc, np.uint64(0xFFFFFFFF), out=t)
             s_lo = t.sum(axis=1)
             np.right_shift(acc, np.uint64(32), out=t)
-            s_hi = self._mod_p_np(np, t.sum(axis=1))
+            s_hi = self._mod_p_np(t.sum(axis=1))
             total = (
                 (s_hi >> np.uint64(29))
                 + ((s_hi & np.uint64(_MASK29)) << np.uint64(32))
                 + s_lo
             )
-            return self._mod_p_np(np, total)
+            return self._mod_p_np(total)
 
         t1 = poly(self._r1)
         t2 = poly(self._r2)
@@ -504,24 +494,23 @@ class VectorAead:
             1, 5, dtype=np.uint64
         )
         masks = self._mix64_np(
-            np,
-            (np.uint64(ts0) + idx * np.uint64(_GAMMA)) ^ np.uint64(ts1),
+            (np.uint64(ts0) + idx * np.uint64(_GAMMA)) ^ np.uint64(ts1)
         )
         tag_words = soa.scratch_array(
             scratch, "vec_tagwords", (count, 4), np.uint64
         )
         tag_words[:, 0] = self._mod_p_np(
-            np, t1 + (masks[:, 0] & np.uint64(_MASK61))
+            t1 + (masks[:, 0] & np.uint64(_MASK61))
         )
         tag_words[:, 1] = self._mod_p_np(
-            np, t2 + (masks[:, 1] & np.uint64(_MASK61))
+            t2 + (masks[:, 1] & np.uint64(_MASK61))
         )
         tag_words[:, 2] = masks[:, 2]
         tag_words[:, 3] = masks[:, 3]
         return tag_words.astype(">u8").view(np.uint8).reshape(count, TAG_LEN)
 
     @staticmethod
-    def _as_plain_matrix(np, plain, count, plain_size):
+    def _as_plain_matrix(plain, count, plain_size):
         if isinstance(plain, np.ndarray):
             if plain.shape != (count, plain_size) or plain.dtype != np.uint8:
                 raise ValueError(
@@ -541,9 +530,8 @@ class VectorAead:
     def _seal_np(
         self, nonce, plain, count, plain_size, lane_base, aad, out, scratch
     ):
-        np = soa.require_numpy()
         ks, ts = self._message_seeds(nonce)
-        matrix = self._as_plain_matrix(np, plain, count, plain_size)
+        matrix = self._as_plain_matrix(plain, count, plain_size)
         slot_size = plain_size + TAG_LEN
         if out is not None:
             blobs = np.frombuffer(memoryview(out), dtype=np.uint8)
@@ -556,13 +544,13 @@ class VectorAead:
         else:
             blobs = np.empty((count, slot_size), dtype=np.uint8)
         stream = self._keystream_np(
-            np, ks, count, plain_size, lane_base, scratch
+            ks, count, plain_size, lane_base, scratch
         )
         np.bitwise_xor(
             matrix, stream[:, :plain_size], out=blobs[:, :plain_size]
         )
         blobs[:, plain_size:] = self._lane_tags_np(
-            np, ts, count, plain_size, lane_base, aad,
+            ts, count, plain_size, lane_base, aad,
             blobs[:, :plain_size], scratch,
         )
         if out is not None:
@@ -573,14 +561,13 @@ class VectorAead:
         self, nonce, view, count, plain_size, lane_base, aad,
         scratch, as_matrix,
     ):
-        np = soa.require_numpy()
         ks, ts = self._message_seeds(nonce)
         slot_size = plain_size + TAG_LEN
         blobs = np.frombuffer(view, dtype=np.uint8).reshape(count, slot_size)
         ct = blobs[:, :plain_size]
         tags = blobs[:, plain_size:]
         expect = self._lane_tags_np(
-            np, ts, count, plain_size, lane_base, aad, ct, scratch
+            ts, count, plain_size, lane_base, aad, ct, scratch
         )
         ok = (tags == expect).all(axis=1)
         if not bool(ok.all()):
@@ -589,7 +576,7 @@ class VectorAead:
                 f"lane {lane_base + bad} failed authentication"
             )
         stream = self._keystream_np(
-            np, ks, count, plain_size, lane_base, scratch
+            ks, count, plain_size, lane_base, scratch
         )
         plain = soa.scratch_array(
             scratch, "vec_plain", (count, plain_size), np.uint8

@@ -78,6 +78,10 @@ class CapacityError(ReproError, ValueError):
     """
 
 
+class WireError(ReproError):
+    """Malformed or out-of-range wire data."""
+
+
 class PlannerError(ReproError):
     """The planner could not find a configuration meeting the constraints."""
 

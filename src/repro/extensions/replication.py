@@ -19,13 +19,13 @@ data.
 from __future__ import annotations
 
 import copy
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.crypto.keys import KeyChain
 from repro.enclave.sealed import MonotonicCounter
 from repro.errors import ReproError, RollbackError
+from repro.oblivious.soa import Batch
 from repro.suboram.suboram import SubOram
-from repro.types import BatchEntry
 from repro.utils.validation import require
 
 
@@ -149,8 +149,11 @@ class ReplicatedSubOram:
     # ------------------------------------------------------------------
     # Batch execution with freshness checking
     # ------------------------------------------------------------------
-    def batch_access(self, batch: List[BatchEntry]) -> List[BatchEntry]:
+    def batch_access(self, batch: Batch) -> Batch:
         """Execute on all live replicas; return a verified-fresh reply.
+
+        Every replica is handed the same ``batch`` object (``batch_access``
+        does not modify its argument).
 
         Raises:
             ReplicaUnavailableError: every replica has crashed.  The
@@ -171,10 +174,7 @@ class ReplicatedSubOram:
         for replica in self.replicas:
             if replica.crashed:
                 continue
-            # Each replica needs its own copy of the batch: entries are
-            # mutated in place during the scan.
-            local_batch = [entry.copy() for entry in batch]
-            result = replica.suboram.batch_access(local_batch)
+            result = replica.suboram.batch_access(batch)
             replica.epoch += 1
             replies.append((replica.epoch, result))
 

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from typing import List
 
+from repro.errors import CapacityError
 from repro.oblivious.kernels import resolve_kernel
-from repro.types import Request
+from repro.types import INT64_MAX, INT64_MIN, Request
 from repro.utils.validation import require_positive
 
 
@@ -26,6 +27,8 @@ class LoadBalancer:
         num_suborams: number of data partitions.
         sharding_key: the deployment-wide keyed-hash key (same on every
             load balancer; fixed across epochs, §4.1).
+        value_size: the store's fixed object size in bytes: the width of
+            every batch's value column, enforced on payloads at intake.
         security_parameter: lambda for batch sizing.
         kernel: oblivious-kernel selector ("python" or "numpy") for the
             batching/matching sorts and compactions (see
@@ -37,6 +40,7 @@ class LoadBalancer:
         balancer_id: int,
         num_suborams: int,
         sharding_key: bytes,
+        value_size: int,
         security_parameter: int = 128,
         kernel=None,
     ):
@@ -44,6 +48,7 @@ class LoadBalancer:
         self.balancer_id = balancer_id
         self.num_suborams = num_suborams
         self.sharding_key = sharding_key
+        self.value_size = value_size
         self.security_parameter = security_parameter
         self.kernel = resolve_kernel(kernel)
         self._queue: List[Request] = []
@@ -53,7 +58,24 @@ class LoadBalancer:
     # Request intake
     # ------------------------------------------------------------------
     def submit(self, request: Request) -> int:
-        """Queue a client request; returns its arrival index in the epoch."""
+        """Queue a client request; returns its arrival index in the epoch.
+
+        Raises:
+            CapacityError: the request does not fit a fixed-width batch
+                row.  Nothing is queued: queued, it would fail the build
+                of every epoch it is requeued into.
+        """
+        value = request.value
+        if not (
+            (value is None or len(value) == self.value_size)
+            and INT64_MIN <= request.key <= INT64_MAX
+            and 0 <= request.client_id < 2**64
+            and 0 <= request.seq < 2**64
+        ):
+            raise CapacityError(
+                f"request for key {request.key} needs a {self.value_size}-"
+                "byte value (or none), an int64 key and uint64 client_id/seq"
+            )
         self._queue.append(request)
         return len(self._queue) - 1
 

@@ -14,25 +14,34 @@ The pipeline, all of whose access patterns depend only on the public pair
   key and enough dummies to reach exactly ``B`` kept entries, and
   oblivious compaction drops the rest.
 
-The output is one ``B``-sized batch per subORAM, so batch sizes leak
-nothing; a request is dropped only in the cryptographically negligible
-overflow event, which raises :class:`~repro.errors.BatchOverflowError`
-instead of silently retrying (a retry would leak, §4.1).
+The output is one ``B``-row :class:`~repro.oblivious.soa.Batch` per
+subORAM, so batch sizes (and, the rows being fixed-width, the bytes they
+encode to) leak nothing; a request is dropped only in the
+cryptographically negligible overflow event, which raises
+:class:`~repro.errors.BatchOverflowError` instead of silently retrying
+(a retry would leak, §4.1).
+
+The requests become one :class:`Batch` on entry and stay columns: the
+numpy kernel sorts and compacts index permutations over them and the
+``S * B`` kept rows are one ``take``.  The python kernel, the traced
+reference, computes on the record view (:func:`_dedupe_records`).
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 from repro.analysis.balls_bins import batch_size
 from repro.crypto.prf import Prf
 from repro.errors import BatchOverflowError
-from repro.oblivious import soa
 from repro.oblivious.kernels import resolve_kernel
 from repro.oblivious.primitives import and_bit, lt_bit, not_bit, o_select
+from repro.oblivious.soa import Batch
 from repro.telemetry import resolve_telemetry
 from repro.telemetry.kernelbridge import TimedKernelTrace, flush_kernel_trace
-from repro.types import BatchEntry, OpType, Request
+from repro.types import OpType, Request
 
 # Reserved id space for load-balancer dummy requests: far below any
 # plausible client key and disjoint from hash-table spill fillers (-2^62-).
@@ -53,7 +62,9 @@ def generate_batches(
     permissions=None,
     kernel=None,
     telemetry=None,
-) -> Tuple[List[List[BatchEntry]], List[BatchEntry], int]:
+    *,
+    value_size: int,
+) -> Tuple[List[Batch], Batch, int]:
     """Build one fixed-size batch per subORAM from an epoch's requests.
 
     Args (beyond the obvious):
@@ -67,41 +78,48 @@ def generate_batches(
             times the pipeline steps into
             ``snoopy_lb_stage_seconds{stage=route|pad|sort|dedupe}`` and
             records per-level kernel timings through the trace seam.
+        value_size: the store's fixed object size in bytes — the width
+            of every batch's value column.
 
     Returns:
         (batches, originals, batch_size) where ``batches[s]`` is subORAM
-        ``s``'s batch of exactly ``B`` entries, ``originals`` preserves the
-        client requests (with arrival order in ``tag``) for response
-        matching, and ``batch_size`` is ``B = f(R, S)``.
+        ``s``'s batch of exactly ``B`` rows, ``originals`` holds the
+        client requests in arrival order for response matching, and
+        ``batch_size`` is ``B = f(R, S)``.
 
     Raises:
         BatchOverflowError: more than ``B`` distinct keys hashed to one
             subORAM (probability <= 2^-lambda by Theorem 3).
+        CapacityError: a request that intake should have refused.
     """
     prf = Prf(sharding_key)
     kern = resolve_kernel(kernel, mem_factory)
     telemetry = resolve_telemetry(telemetry)
     kernel_trace = TimedKernelTrace() if telemetry.enabled else None
-    num_requests = len(requests)
-    size = batch_size(num_requests, num_suborams, security_parameter)
+    size = batch_size(len(requests), num_suborams, security_parameter)
 
-    # ➊ Assign subORAMs (fixed scan over the request list).
+    # ➊ Assign subORAMs (one keyed hash per request, arrival order).
     with telemetry.time("snoopy_lb_stage_seconds", stage="route"):
-        originals: List[BatchEntry] = []
-        for arrival, request in enumerate(requests):
-            entry = BatchEntry.from_request(request)
-            entry.suboram = prf.range(request.key, num_suborams)
-            entry.tag = arrival  # remember arrival order: last-write-wins
-            if permissions is not None:
-                entry.permitted = int(
-                    permissions.get((request.client_id, request.seq), 1)
-                )
-            originals.append(entry)
+        originals = Batch.from_requests(requests, value_size, permissions)
+        originals = originals.replace(suboram=np.asarray(
+            prf.range_many(originals.key.tolist(), num_suborams),
+            dtype=np.int64,
+        ))
+
+    # ➋ Append B dummies per subORAM.
+    with telemetry.time("snoopy_lb_stage_seconds", stage="pad"):
+        padded = Batch.concat(
+            [originals, _dummies(num_suborams, size, value_size)]
+        )
+        # Dummy ids are far outside the client key range, so dummies sort
+        # by the dense ``-index`` instead (the same order) and the packed
+        # sort key stays one machine word.
+        sort_key = padded.key.copy()
+        sort_key[len(originals):] = -np.tile(np.arange(size), num_suborams)
 
     dedupe = _dedupe_columns if kern.vectorized else _dedupe_records
     kept, dropped_real = dedupe(
-        kern, originals, num_suborams, size, kernel_trace, telemetry,
-        mem_factory,
+        kern, padded, sort_key, size, kernel_trace, telemetry, mem_factory
     )
     if dropped_real:
         raise BatchOverflowError(
@@ -113,37 +131,33 @@ def generate_batches(
         flush_kernel_trace(telemetry.registry, kernel_trace, kern.name)
     assert len(kept) == num_suborams * size
 
-    batches = [kept[s * size : (s + 1) * size] for s in range(num_suborams)]
+    batches = [
+        kept.take(slice(s * size, (s + 1) * size))
+        for s in range(num_suborams)
+    ]
     return batches, originals, size
 
 
-def _dummy(suboram: int, index: int) -> BatchEntry:
-    return BatchEntry(
-        op=OpType.READ,
+def _dummies(num_suborams: int, size: int, value_size: int) -> Batch:
+    """``size`` dummy reads per subORAM, in subORAM order."""
+    suboram = np.repeat(np.arange(num_suborams), size)
+    index = np.tile(np.arange(size), num_suborams)
+    return Batch.filled(
+        num_suborams * size, value_size,
         key=dummy_key(suboram, index),
+        is_dummy=np.ones(num_suborams * size, dtype=bool),
         suboram=suboram,
-        is_dummy=True,
     )
 
 
-def _dedupe_records(kern, originals, num_suborams, size, kernel_trace,
-                    telemetry, mem_factory):
-    """Steps ➋–➍ record by record (the traced reference path).
+def _dedupe_records(kern, padded, sort_key, size, kernel_trace, telemetry,
+                    mem_factory):
+    """Steps ➌–➍ record by record (the traced reference path).
 
-    Returns the ``S * B`` kept entries and the count of distinct real
+    Returns the ``S * B`` kept rows and the count of distinct real
     requests that did not fit.
     """
-    # ➋ Append B dummies per subORAM.  Dummy ids are far outside the
-    # client key range, so dummies sort by the dense ``-index`` instead
-    # (the same order) and the packed sort key stays one machine word.
-    with telemetry.time("snoopy_lb_stage_seconds", stage="pad"):
-        working = [entry.copy() for entry in originals]
-        sort_keys = [entry.key for entry in originals]
-        for suboram in range(num_suborams):
-            for index in range(size):
-                working.append(_dummy(suboram, index))
-                sort_keys.append(-index)
-
+    working = padded.entries()
     # ➌ Oblivious sort: group by subORAM; reals before dummies; duplicate
     # keys adjacent with the last-write-wins representative sorting last
     # (reads before writes, then arrival order — the input position that
@@ -154,7 +168,7 @@ def _dedupe_records(kern, originals, num_suborams, size, kernel_trace,
             columns=[
                 [e.suboram for e in working],
                 [int(e.is_dummy) for e in working],
-                sort_keys,
+                sort_key.tolist(),
                 [int(e.op is OpType.WRITE) for e in working],
             ],
             mem_factory=mem_factory,
@@ -197,38 +211,27 @@ def _dedupe_records(kern, originals, num_suborams, size, kernel_trace,
         kept = kern.compact(
             working, keep_flags, mem_factory=mem_factory, trace=kernel_trace
         )
-    return kept, dropped_real
+    return Batch.from_entries(kept, padded.value_size), dropped_real
 
 
-def _dedupe_columns(kern, originals, num_suborams, size, kernel_trace,
-                    telemetry, _mem_factory=None):
-    """:func:`_dedupe_records` on columns (the numpy kernel's path).
+def _dedupe_columns(kern, padded, sort_key, size, kernel_trace, telemetry,
+                    _mem_factory=None):
+    """:func:`_dedupe_records` on the batch's columns (the numpy kernel).
 
-    The requests become int64/bool columns once, the kernels exchange
-    index permutations, and only the ``S * B`` kept rows are turned back
-    into :class:`BatchEntry` objects.
+    The kernels exchange index permutations over ``padded``'s rows; the
+    kept rows are gathered once at the end.
     """
-    np = soa.require_numpy()
-    num_real = len(originals)
-    with telemetry.time("snoopy_lb_stage_seconds", stage="pad"):
-        rows = np.arange(num_real + num_suborams * size, dtype=np.int64)
-        dummy = rows >= num_real
-        suboram = np.concatenate([
-            soa.int_column([e.suboram for e in originals]),
-            np.repeat(np.arange(num_suborams), size),
-        ])
-        key = np.concatenate([
-            soa.int_column([e.key for e in originals]),
-            -np.tile(np.arange(size), num_suborams),
-        ])
-        write = np.zeros(len(rows), dtype=bool)
-        write[:num_real] = [e.op is OpType.WRITE for e in originals]
+    rows = np.arange(len(padded), dtype=np.int64)
     with telemetry.time("snoopy_lb_stage_seconds", stage="sort"):
         order = kern.sort(
-            rows, [suboram, dummy, key, write], trace=kernel_trace
+            rows,
+            [padded.suboram, padded.is_dummy, sort_key, padded.is_write],
+            trace=kernel_trace,
         )
     with telemetry.time("snoopy_lb_stage_seconds", stage="dedupe"):
-        suboram, dummy, key = suboram[order], dummy[order], key[order]
+        suboram = padded.suboram[order]
+        dummy = padded.is_dummy[order]
+        key = sort_key[order]
         last_of_key = np.ones(len(rows), dtype=bool)
         last_of_key[:-1] = (
             (suboram[1:] != suboram[:-1])
@@ -243,9 +246,5 @@ def _dedupe_columns(kern, originals, num_suborams, size, kernel_trace,
         rank = before - np.maximum.accumulate(np.where(first, before, 0))
         keep = last_of_key & (rank < size)
         dropped_real = int((last_of_key & ~keep & ~dummy).sum())
-        kept = kern.compact(order, keep, trace=kernel_trace).tolist()
-        return [
-            originals[i].copy() if i < num_real
-            else _dummy(*divmod(i - num_real, size))
-            for i in kept
-        ], dropped_real
+        kept = kern.compact(order, keep, trace=kernel_trace)
+        return padded.take(kept), dropped_real

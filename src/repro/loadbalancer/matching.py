@@ -10,25 +10,34 @@
 ➍ oblivious compaction keeps only the client requests, now carrying
   response values.
 
-A final (non-secret-dependent) sort restores client arrival order so the
-caller can zip responses with its request list.
+Writing each answer at its request's arrival index restores client
+arrival order (a public permutation), so the caller can zip responses
+with its request list.
+
+Both inputs are :class:`~repro.oblivious.soa.Batch`es and neither is
+modified: the numpy kernel reads ``key``/``is_dummy`` directly and gathers
+response values by index; the python kernel, the traced reference,
+computes on records (:func:`_match_records`).
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
+
+import numpy as np
 
 from repro.oblivious import soa
 from repro.oblivious.kernels import resolve_kernel
 from repro.oblivious.primitives import and_bit, eq_bit, o_select
+from repro.oblivious.soa import Batch
 from repro.telemetry import resolve_telemetry
 from repro.telemetry.kernelbridge import TimedKernelTrace, flush_kernel_trace
-from repro.types import BatchEntry, Response
+from repro.types import Response
 
 
 def match_responses(
-    originals: Sequence[BatchEntry],
-    responses: Sequence[BatchEntry],
+    originals: Batch,
+    responses: Batch,
     mem_factory=None,
     kernel=None,
     telemetry=None,
@@ -36,9 +45,9 @@ def match_responses(
     """Map subORAM responses back onto the epoch's client requests.
 
     Args:
-        originals: the client-request entries from ``generate_batches``
-            (``tag`` holds arrival order).
-        responses: every entry returned by every subORAM (including dummy
+        originals: the client requests from ``generate_batches``, in
+            arrival order.
+        responses: every row returned by every subORAM (including dummy
             responses).
         kernel: oblivious-kernel selector for the sort and compaction
             (see :mod:`repro.oblivious.kernels`); ``mem_factory`` forces
@@ -55,42 +64,49 @@ def match_responses(
     kernel_trace = TimedKernelTrace() if telemetry.enabled else None
     kern = resolve_kernel(kernel, mem_factory)
     match = _match_columns if kern.vectorized else _match_records
-    # (arrival index, index of the answering response or -1) per request.
-    matched = match(kern, originals, responses, kernel_trace, mem_factory)
+    # Per kept request: its arrival index, and the index of the
+    # answering response (-1: none).
+    arrival, answer = match(
+        kern, originals.key, responses.key, responses.is_dummy,
+        kernel_trace, mem_factory,
+    )
     if kernel_trace is not None:
         flush_kernel_trace(telemetry.registry, kernel_trace, kern.name)
-    assert len(matched) == len(originals)
+    assert len(arrival) == len(originals)
 
     # Access control (§D): a denied request receives a null value; the
     # masking happens here, after the oblivious pipeline, per *original*
-    # request (duplicates may have different privileges).  Writing each
-    # response at its arrival index restores arrival order (a public
-    # permutation: it depends only on arrival tags, which the attacker
-    # already observes).
-    results: List[Response] = [None] * len(originals)
-    for arrival, answer in matched:
-        entry = originals[arrival]
-        value = None if answer < 0 else responses[answer].value
-        results[arrival] = Response(
-            key=entry.key,
-            value=o_select(entry.permitted, None, value),
-            client_id=entry.client_id,
-            seq=entry.seq,
-            ok=bool(entry.permitted),
+    # request (duplicates may have different privileges).
+    source = np.empty(len(originals), dtype=np.int64)
+    source[arrival] = answer
+    answered = source >= 0
+    source = np.where(answered, source, 0)
+    has_value = answered & responses.has_value[source] & originals.permitted
+    values = soa.matrix_to_values(
+        responses.value[source], has_value.tolist()
+    )
+    return [
+        Response(key=key, value=value, client_id=client_id, seq=seq, ok=ok)
+        for key, value, client_id, seq, ok in zip(
+            originals.key.tolist(), values, originals.client_id.tolist(),
+            originals.seq.tolist(), originals.permitted.tolist(),
         )
-    return results
+    ]
 
 
-def _match_records(kern, originals, responses, kernel_trace, mem_factory):
+def _match_records(kern, request_keys, response_keys, response_dummy,
+                   kernel_trace, mem_factory):
     """Steps ➊–➍ record by record (the traced reference path)."""
     # ➊ Merge: responses get tag bit 0, requests tag bit 1.  Records are
     # [key, tag bit, answering response, own index, real bit].
     merged: List[list] = [
-        [entry.key, 0, index, index, int(not entry.is_dummy)]
-        for index, entry in enumerate(responses)
+        [key, 0, index, index, int(not dummy)]
+        for index, (key, dummy) in enumerate(
+            zip(response_keys.tolist(), response_dummy.tolist())
+        )
     ]
-    for arrival, entry in enumerate(originals):
-        merged.append([entry.key, 1, -1, arrival, 1])
+    for arrival, key in enumerate(request_keys.tolist()):
+        merged.append([key, 1, -1, arrival, 1])
 
     # ➋ Sort by object id, responses before requests; ties (duplicate
     # requests) keep arrival order, which is their input position.  Dummy
@@ -126,20 +142,17 @@ def _match_records(kern, originals, responses, kernel_trace, mem_factory):
         mem_factory=mem_factory,
         trace=kernel_trace,
     )
-    return [(record[3], record[2]) for record in kept]
+    return [record[3] for record in kept], [record[2] for record in kept]
 
 
-def _match_columns(kern, originals, responses, kernel_trace,
-                   _mem_factory=None):
+def _match_columns(kern, request_keys, response_keys, response_dummy,
+                   kernel_trace, _mem_factory=None):
     """:func:`_match_records` on columns (the numpy kernel's path)."""
-    np = soa.require_numpy()
-    num_responses = len(responses)
-    rows = np.arange(num_responses + len(originals), dtype=np.int64)
-    key = soa.int_column(
-        [e.key for e in responses] + [e.key for e in originals]
-    )
+    num_responses = len(response_keys)
+    rows = np.arange(num_responses + len(request_keys), dtype=np.int64)
+    key = np.concatenate([response_keys, request_keys])
     real = np.ones(len(rows), dtype=bool)
-    real[:num_responses] = [not e.is_dummy for e in responses]
+    real[:num_responses] = ~response_dummy
     order = kern.sort(
         rows, [real, key * real, rows >= num_responses], trace=kernel_trace
     )
@@ -150,6 +163,4 @@ def _match_columns(kern, originals, responses, kernel_trace,
     take = is_request & (nearest >= 0) & (key[nearest] == key)
     answer = np.where(take, order[nearest], -1)
     kept = kern.compact(rows, is_request, trace=kernel_trace)
-    return list(zip(
-        (order[kept] - num_responses).tolist(), answer[kept].tolist()
-    ))
+    return order[kept] - num_responses, answer[kept]

@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
+
+import numpy as np
 
 from repro.analysis.balls_bins import batch_size
 from repro.crypto.prf import Prf
@@ -115,49 +117,37 @@ class TwoTierParams:
         return self.tier1_bucket_size + self.tier2_bucket_size
 
 
-class _Slot:
-    """One hash-table slot: a payload plus a real/dummy flag."""
-
-    __slots__ = ("item", "real")
-
-    def __init__(self, item=None, real: int = 0):
-        self.item = item
-        self.real = real
-
-
 class TwoTierHashTable:
-    """An oblivious hash table over a batch of distinct-keyed items.
+    """An oblivious hash table over a column of distinct integer keys.
 
     Typical use (the subORAM's Figure 19 loop)::
 
-        table = TwoTierHashTable.build(batch, key_fn, prf_key, params)
+        table = TwoTierHashTable.build(batch.key, prf_key, params)
         for obj in store:                     # fixed linear scan
-            for slot in table.lookup_slots(obj.key):
-                ...oblivious compare-and-set against slot...
-        survivors = table.extract_real()      # oblivious compaction
+            for slot in table.bucket_slot_indices(obj.key):
+                ...oblivious compare-and-set with row table.slot_items[slot]...
+        survivors = batch.take(table.extract_real())   # oblivious compaction
 
-    ``key_fn`` maps an item to its integer id; dummy items must have ids
-    that are still well-defined (the load balancer gives dummies fresh ids
-    hashing to the right subORAM).
+    Dummy items must have keys that are still well-defined (the load
+    balancer gives dummies fresh ids hashing to the right subORAM).
 
-    The table itself is two index columns over the ``items`` it was
-    built from — ``slot_items`` (the item in each slot, ``-1`` for a
-    filler) and the real bits — as lists under the python kernel and as
+    The table is two index columns over the key column it was built
+    from — ``slot_items`` (the item in each slot, ``-1`` for a filler)
+    and the real bits — as lists under the python kernel and as
     int64/bool arrays under the numpy kernel, whose build, scan and
-    extract never touch a per-slot Python object.  Both tiers' buckets
-    come from *one* per-batch-keyed PRF digest per key: reduced modulo
-    ``tier1_buckets * tier2_buckets``, its two mixed-radix digits are
-    independent uniform bucket indices.
+    extract never touch a per-slot Python object; callers hold the items
+    (a :class:`~repro.oblivious.soa.Batch`, a list) and index them.
+    Both tiers' buckets come from *one* per-batch-keyed PRF digest per
+    key: reduced modulo ``tier1_buckets * tier2_buckets``, its two
+    mixed-radix digits are independent uniform bucket indices.
     """
 
-    def __init__(self, params: TwoTierParams, prf: Prf, items: Sequence,
-                 slot_items, slot_real, kernel=None):
+    def __init__(self, params: TwoTierParams, prf: Prf, slot_items,
+                 slot_real, kernel=None):
         self.params = params
         self._prf = prf
-        self._items = items
         self._slot_items = slot_items
         self._slot_real = slot_real
-        self._slots: Optional[List[_Slot]] = None
         self._kernel = resolve_kernel(kernel)
 
     # ------------------------------------------------------------------
@@ -166,24 +156,23 @@ class TwoTierHashTable:
     @classmethod
     def build(
         cls,
-        items: Sequence,
-        key_fn: Callable,
+        keys: Sequence[int],
         prf_key: bytes,
         params: Optional[TwoTierParams] = None,
         security_parameter: int = 128,
-        is_real_fn: Optional[Callable] = None,
+        real: Optional[Sequence[int]] = None,
         mem_factory=None,
         kernel=None,
     ) -> "TwoTierHashTable":
-        """Obliviously construct the table from ``items``.
+        """Obliviously construct the table over ``keys``.
 
         Args:
-            items: at most ``params.capacity`` items with distinct keys.
-            key_fn: item -> integer id.
+            keys: at most ``params.capacity`` distinct integer ids (a
+                list or an int64 column); item ``i`` is ``keys[i]``.
             prf_key: per-batch secret key (resampled every batch, §5).
-            params: public dimensions; derived from ``len(items)`` if None.
+            params: public dimensions; derived from ``len(keys)`` if None.
             security_parameter: lambda for derived params.
-            is_real_fn: item -> bool; defaults to "everything is real".
+            real: optional 0/1 column; defaults to "everything is real".
                 Items marked not-real are carried as dummies (they occupy
                 slots and are scanned, but ``extract_real`` drops them).
             mem_factory: optional traced-memory wrapper passed to the
@@ -193,26 +182,22 @@ class TwoTierHashTable:
                 :mod:`repro.oblivious.kernels`) for the internal sorts
                 and compactions.
         """
+        n = len(keys)
         if params is None:
-            params = TwoTierParams.for_capacity(
-                max(1, len(items)), security_parameter
-            )
-        if len(items) > params.capacity:
+            params = TwoTierParams.for_capacity(max(1, n), security_parameter)
+        if n > params.capacity:
             raise CapacityError(
-                f"{len(items)} items exceed table capacity {params.capacity}"
+                f"{n} items exceed table capacity {params.capacity}"
             )
         p = params
-        n = len(items)
         kern = resolve_kernel(kernel, mem_factory)
         prf = Prf(prf_key)
         # Entries are named by *source*: item i is i, and the j-th of the
         # tier2_capacity spill fillers is n + j (real bit 0, an id from a
         # space disjoint from real/dummy ids so that it hashes too).
-        ids = [key_fn(item) for item in items]
+        ids = keys.tolist() if isinstance(keys, np.ndarray) else list(keys)
         ids += [-(2**62 + j) for j in range(p.tier2_capacity)]
-        real = [1] * n if is_real_fn is None else [
-            int(bool(is_real_fn(item))) for item in items
-        ]
+        real = [1] * n if real is None else [int(bool(r)) for r in real]
         real += [0] * p.tier2_capacity
         digits = prf.range_many(ids, p.tier1_buckets * p.tier2_buckets)
         bucket1 = [d // p.tier2_buckets for d in digits[:n]]
@@ -220,7 +205,6 @@ class TwoTierHashTable:
         tier1 = (p.tier1_buckets, p.tier1_bucket_size, p.tier2_capacity, n)
         tier2 = (p.tier2_buckets, p.tier2_bucket_size, 0, 0)
         if kern.vectorized:
-            np = soa.require_numpy()
             real = np.asarray(real, dtype=bool)
             bucket2 = np.asarray(bucket2, dtype=np.int64)
             slots1, spill = _tier_columns(
@@ -246,7 +230,7 @@ class TwoTierHashTable:
                 f" event is <= 2^-{p.security_parameter} under Theorem 3"
             )
         # Index -1 (every filler slot) reads the last spill filler's 0.
-        return cls(p, prf, items, slot_items, soa.take(real, slot_items),
+        return cls(p, prf, slot_items, soa.take(real, slot_items),
                    kernel=kernel)
 
     # ------------------------------------------------------------------
@@ -278,7 +262,6 @@ class TwoTierHashTable:
         instead of materialized per key.  This is the lookup input of
         the vectorized scan kernel.
         """
-        np = soa.require_numpy()
         p = self.params
         b1, b2 = np.divmod(
             np.asarray(
@@ -301,37 +284,27 @@ class TwoTierHashTable:
             axis=1,
         )
 
-    def lookup_slots(self, key: int) -> List[_Slot]:
-        """The slot objects of both buckets for ``key`` (scan them all)."""
-        slots = self.slots
-        return [slots[i] for i in self.bucket_slot_indices(key)]
-
     @property
     def slot_items(self):
-        """Per slot, the index into the built ``items`` (-1: filler)."""
+        """Per slot (tier 1 then tier 2), its item's index (-1: filler)."""
         return self._slot_items
 
     @property
-    def slots(self) -> List[_Slot]:
-        """The flat slot array (tier 1 followed by tier 2) as objects.
-
-        Materialized on first use: the scalar reference scan and tests
-        read it, the columnar path never does.
-        """
-        if self._slots is None:
-            self._slots = [
-                _Slot(None if i < 0 else self._items[i], int(real))
-                for i, real in zip(self._slot_items, self._slot_real)
-            ]
-        return self._slots
+    def slot_real(self):
+        """Per slot, the real bit of the item it holds (0 for a filler)."""
+        return self._slot_real
 
     # ------------------------------------------------------------------
     # Extraction
     # ------------------------------------------------------------------
-    def extract_real(self) -> List:
-        """Obliviously compact out dummies; returns the real items (§5 ➌)."""
-        kept = self._kernel.compact(self._slot_items, self._slot_real)
-        return soa.take(self._items, kept)
+    def extract_real(self):
+        """Obliviously compact out dummies (§5 ➌).
+
+        Returns the indices of the real items, in slot order — a list
+        under the python kernel, an int64 column under numpy; the caller
+        takes them from what it built the table over.
+        """
+        return self._kernel.compact(self._slot_items, self._slot_real)
 
 
 _SPILL_BOUND = "tier-1 spill {} exceeds public bound {}"
@@ -394,7 +367,6 @@ def _tier_records(kern, mem_factory, buckets, sources, num_buckets,
 def _tier_columns(kern, buckets, sources, num_buckets, bucket_size,
                   spill_capacity, first_filler) -> tuple:
     """:func:`_tier_records` as whole-array ops on index permutations."""
-    np = soa.require_numpy()
     n = len(buckets)
     total = n + num_buckets * bucket_size
     position = np.arange(total, dtype=np.int64)

@@ -27,11 +27,9 @@ accepts ``kernel="python" | "numpy"``:
   ``(remaining distance ‖ source index)`` for the compaction — and
   return an index permutation, so the stages around them
   (``generate_batches``, the table build/scan/extract inside
-  ``SubOram.batch_access``, ``match_responses``) turn their
-  ``BatchEntry`` lists into columns once on entry, exchange
-  permutations, and write entries back once on exit.  When NumPy is not
-  installed, requesting ``"numpy"`` falls back to ``"python"`` with a
-  ``RuntimeWarning`` instead of crashing.
+  ``SubOram.batch_access``, ``match_responses``) exchange permutations
+  over the columns of the :class:`~repro.oblivious.soa.Batch` they were
+  handed and gather its rows once.
 
 Both kernels sort by the *total* key ``(columns..., input position)``:
 no two keys tie, so the two kernels agree by construction (and the sort
@@ -74,10 +72,11 @@ the same public schedule as the audited reference path.
 from __future__ import annotations
 
 import threading
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.oblivious import soa
@@ -124,10 +123,10 @@ class ScanTable:
 
     One entry per table slot, in slot order: the batch key, an occupancy
     bit (0 for structural filler slots), the request's write and
-    permission bits, and the optional write payload.  The list-facing
-    :meth:`Kernel.scan` takes Python lists (``values`` holds ``None``
-    for "no payload"); :meth:`NumpyKernel.scan_soa` takes the same
-    fields as columns — int64 keys, bool bits, ``values`` a
+    permission bits, and the optional write payload.  The reference
+    :meth:`PythonKernel.scan` takes Python lists (``values`` holds
+    ``None`` for "no payload"); :meth:`NumpyKernel.scan_soa` takes the
+    same fields as columns — int64 keys, bool bits, ``values`` a
     ``(slots, value_size)`` uint8 matrix and ``has_value`` the bool
     column marking the rows that carry a payload — which the subORAM
     gathers straight from the batch's columns.
@@ -144,9 +143,11 @@ class ScanTable:
 class Kernel:
     """Base class for the oblivious kernels.
 
-    A kernel bundles the three data-plane primitives behind one
-    interface: lexicographic oblivious ``sort`` over int columns,
-    Goodrich ``compact_full``/``compact``, and the Figure 19 ``scan``.
+    A kernel bundles the data-plane primitives behind one interface:
+    lexicographic oblivious ``sort`` over int columns and Goodrich
+    ``compact_full``/``compact``; the Figure 19 scan is
+    :meth:`PythonKernel.scan` over record lists (the reference) and
+    :meth:`NumpyKernel.scan_soa` over columns.
     Instances are stateless and picklable, so they travel with subORAM
     state across process backends.  Both kernels compute the same
     permutation of ``items``; the numpy kernel also accepts ``items``
@@ -188,21 +189,6 @@ class Kernel:
         return self.compact_full(
             items, flags, mem_factory=mem_factory, trace=trace
         )[:kept]
-
-    def scan(self, obj_keys: Sequence[int], obj_values: Sequence[bytes],
-             value_size: int, lookup: Sequence[Sequence[int]],
-             table: ScanTable,
-             trace: Optional[KernelTrace] = None) -> Tuple[list, list, list]:
-        """Run the Figure 19 linear scan over every store object.
-
-        ``lookup[o]`` is object ``o``'s fixed row of table-slot indices
-        (its two candidate buckets) — a public quantity derived from the
-        PRF.  Returns ``(new_obj_values, slot_matched, slot_responses)``:
-        the post-scan store values, a 0/1 matched bit per table slot, and
-        each slot's response value (the *pre-scan* object value for
-        matched slots, the original entry value otherwise).
-        """
-        raise NotImplementedError
 
 
 def _pair_key(pair):
@@ -260,7 +246,16 @@ class PythonKernel(Kernel):
 
     def scan(self, obj_keys, obj_values, value_size, lookup, table,
              trace=None):
-        """Scalar Figure 19 scan: two oblivious compare-and-sets per slot."""
+        """Scalar Figure 19 scan: two oblivious compare-and-sets per slot.
+
+        The record-list reference for :meth:`NumpyKernel.scan_soa`.
+        ``lookup[o]`` is object ``o``'s fixed row of table-slot indices
+        (its two candidate buckets) — a public quantity derived from the
+        PRF.  Returns ``(new_obj_values, slot_matched, slot_responses)``:
+        the post-scan store values, a 0/1 matched bit per table slot, and
+        each slot's response value (the *pre-scan* object value for
+        matched slots, the original entry value otherwise).
+        """
         num_slots = len(table.keys)
         if trace is not None:
             trace.record("scan", len(obj_keys), num_slots)
@@ -324,7 +319,7 @@ def _reject_mem_factory(mem_factory) -> None:
         )
 
 
-def _packed_sort_keys(np, m: int, n: int, cols):
+def _packed_sort_keys(m: int, n: int, cols):
     """One int64 word per row, or ``None`` when the columns don't fit.
 
     The total key ``(pad_bit, col_1, ..., col_k, input index)`` is packed
@@ -368,7 +363,6 @@ def _level_arrays(m: int):
     per-comparator Python objects), shared read-only between threads,
     and bounded to the few sizes a deployment replays every epoch.
     """
-    np = soa.require_numpy()
     idx = np.arange(m, dtype=np.int64)
     levels = []
     k = 2
@@ -403,11 +397,10 @@ class NumpyKernel(Kernel):
     def sort(self, items, columns, mem_factory=None, trace=None):
         """Each bitonic level: partner gather, min/max, select by mask."""
         _reject_mem_factory(mem_factory)
-        np = soa.require_numpy()
         n = len(items)
         m = next_pow2(max(1, n))
         cols = [np.asarray(col, dtype=np.int64) for col in columns]
-        packed = _packed_sort_keys(np, m, n, cols)
+        packed = _packed_sort_keys(m, n, cols)
         if packed is None:
             # Columns wider than one word (keys spanning > ~2^44): the
             # reference kernel sorts the index column instead.
@@ -439,7 +432,6 @@ class NumpyKernel(Kernel):
         The cells past the kept prefix hold unspecified source indices.
         """
         _reject_mem_factory(mem_factory)
-        np = soa.require_numpy()
         n = len(items)
         if n != len(flags):
             raise ValueError(
@@ -470,42 +462,6 @@ class NumpyKernel(Kernel):
             offset <<= 1
         return soa.take(items, word[:n] & np.int64(m - 1))
 
-    def scan(self, obj_keys, obj_values, value_size, lookup, table,
-             trace=None):
-        """Branchless masked Figure 19 scan across the whole batch dimension.
-
-        Packs the Python-object inputs into SoA columns, delegates to
-        :meth:`scan_soa`, and unpacks — the subORAM skips the packing
-        entirely by calling :meth:`scan_soa` with the store's and the
-        batch's columns.
-        """
-        num_objects = len(obj_keys)
-        num_slots = len(table.keys)
-        if num_objects == 0 or num_slots == 0:
-            if trace is not None:
-                trace.record("scan", num_objects, num_slots)
-                for o in range(num_objects):
-                    trace.record("scan_slot", o, tuple(lookup[o]))
-            return list(obj_values), [0] * num_slots, list(table.values)
-        ovals, _ = soa.values_to_matrix(list(obj_values), value_size)
-        tvals, thas = soa.values_to_matrix(table.values, value_size)
-        columns = ScanTable(
-            keys=soa.int_column(table.keys),
-            occupied=soa.bit_column(table.occupied),
-            is_write=soa.bit_column(table.is_write),
-            permitted=soa.bit_column(table.permitted),
-            values=tvals,
-            has_value=thas,
-        )
-        new_ovals, matched, responses = self.scan_soa(
-            soa.int_column(obj_keys), ovals, lookup, columns, trace=trace
-        )
-        return (
-            soa.matrix_to_values(new_ovals, [True] * num_objects),
-            matched.astype(int).tolist(),
-            soa.matrix_to_values(responses, thas | matched),
-        )
-
     def scan_soa(self, okeys, ovals, lookup, table, trace=None):
         """Figure 19 scan over SoA columns (the zero-copy core).
 
@@ -522,7 +478,6 @@ class NumpyKernel(Kernel):
         most one object, so the masked writes commute with the scalar
         loop's order.
         """
-        np = soa.require_numpy()
         num_objects = int(okeys.shape[0])
         num_slots = int(table.keys.shape[0])
         if trace is not None:
@@ -583,8 +538,7 @@ def resolve_kernel(kernel: Union[str, Kernel, None],
 
     ``None`` resolves to :data:`DEFAULT_KERNEL`.  A ``mem_factory``
     forces the python kernel, since element-granular tracing only exists
-    on the scalar path.  Resolving to ``"numpy"`` without NumPy installed
-    warns and falls back to ``"python"`` rather than failing.
+    on the scalar path.
     """
     if mem_factory is not None:
         return KERNELS["python"]
@@ -592,12 +546,4 @@ def resolve_kernel(kernel: Union[str, Kernel, None],
         kernel = DEFAULT_KERNEL
     if isinstance(kernel, Kernel):
         return kernel
-    validate_kernel_name(kernel)
-    if kernel == "numpy" and not soa.HAS_NUMPY:
-        warnings.warn(
-            "NumPy is not installed; falling back to the python kernel",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return KERNELS["python"]
-    return KERNELS[kernel]
+    return KERNELS[validate_kernel_name(kernel)]

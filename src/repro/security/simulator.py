@@ -19,6 +19,7 @@ from typing import List
 
 from repro.loadbalancer.batching import generate_batches
 from repro.loadbalancer.matching import match_responses
+from repro.oblivious.soa import Batch
 from repro.oblivious.memory import AccessTrace, TracedMemory
 from repro.types import OpType, Request
 
@@ -66,6 +67,7 @@ def simulate_batching_trace(
         sharding_key,
         security_parameter,
         mem_factory=collector,
+        value_size=0,  # contents are irrelevant to the trace
     )
     return collector.trace
 
@@ -79,16 +81,12 @@ def simulate_matching_trace(
     """Figure 26 (second half): the response-matching trace."""
     requests = _random_style_requests(num_requests)
     batches, originals, _ = generate_batches(
-        requests, num_suborams, sharding_key, security_parameter
+        requests, num_suborams, sharding_key, security_parameter,
+        value_size=0,
     )
-    responses = []
-    for batch in batches:
-        for entry in batch:
-            answered = entry.copy()
-            answered.value = b""  # contents are irrelevant to the trace
-            responses.append(answered)
     collector = _Collector()
-    match_responses(originals, responses, mem_factory=collector)
+    # The batches stand in for their own responses.
+    match_responses(originals, Batch.concat(batches), mem_factory=collector)
     return collector.trace
 
 

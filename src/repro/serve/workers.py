@@ -60,9 +60,12 @@ Remote proxies hold live sockets, so deployments using them must run on
 a shared-state execution backend (``serial`` or ``thread``) — the same
 constraint the driver already enforces for custom transports.
 
-**What crosses this wire.**  INIT and BATCH payloads reuse
-:func:`~repro.core.wire.encode_batch`, so message sizes depend only on
-partition/batch sizes and the value size — public quantities.  Version
+**What crosses this wire.**  INIT, BATCH and BATCH_REPLY payloads are
+one :class:`~repro.oblivious.soa.Batch` each (``Batch.to_bytes``:
+``8 + n * (44 + value_size)`` bytes whatever the rows hold; BATCH adds
+its 8-byte version id), so message sizes depend only on partition/batch
+sizes and the value size — public quantities — not on how many rows are
+writes, dummies or hits.  Version
 ids, commit points, and snapshot byte counts are epoch-schedule facts,
 also public (snapshot size is a function of partition size and value
 size, not of contents — the seal is itself sized by public geometry).
@@ -85,14 +88,12 @@ from repro.core.wire import (
     FrameKind,
     Role,
     WireError,
-    decode_batch,
     decode_snap_fetch,
     decode_snap_push,
     decode_txn,
     decode_u32,
     decode_u64,
     decode_versions,
-    encode_batch,
     encode_snap_data,
     encode_snap_fetch,
     encode_snap_push,
@@ -104,6 +105,7 @@ from repro.core.wire import (
 )
 from repro.errors import ConfigurationError, TransportError
 from repro.oblivious.kernels import resolve_kernel
+from repro.oblivious.soa import Batch
 from repro.serve.secure import (
     FrameTransport,
     ServeTrust,
@@ -111,7 +113,7 @@ from repro.serve.secure import (
 )
 from repro.suboram.store import resolve_crypto
 from repro.telemetry import NULL_TELEMETRY, resolve_telemetry
-from repro.types import BatchEntry, OpType
+from repro.types import OpType, Request
 
 #: Default chunk size for snapshot transfers (64 KiB keeps each frame
 #: well under the wire cap while amortizing round trips).
@@ -220,10 +222,11 @@ def worker_main(
                         kernel=kernel,
                         crypto=crypto,
                     )
-                    suboram.initialize({
-                        entry.key: entry.value
-                        for entry in decode_batch(payload)
-                    })
+                    objects = Batch.from_buffer(payload, value_size)
+                    suboram.initialize(dict(zip(
+                        objects.key.tolist(),
+                        map(bytes, objects.value),
+                    )))
                     versions = {0: suboram}
                     sealed_blob = _seal(snapshot_path, versions)
                     transport.send(
@@ -238,15 +241,15 @@ def worker_main(
                             f"version {version}"
                         )
                     entries = versions[version].batch_access(
-                        decode_batch(payload[8:])
+                        Batch.from_buffer(
+                            memoryview(payload)[8:], value_size
+                        )
                     )
                     sealed_blob = _seal(snapshot_path, versions)
                     batches_served += 1
                     if crash_after is not None and batches_served >= crash_after:
                         os._exit(1)  # chaos: die with the reply unsent
-                    transport.send(
-                        FrameKind.BATCH_REPLY, encode_batch(entries)
-                    )
+                    transport.send(FrameKind.BATCH_REPLY, entries.to_bytes())
                 elif kind == FrameKind.TXN_BEGIN:
                     parent, new = decode_txn(payload)
                     if parent not in versions:
@@ -347,17 +350,21 @@ class RemoteSubOram:
 
     def initialize(self, objects: Dict[int, bytes]) -> None:
         """Ship this partition to the worker and load it there."""
-        payload = encode_batch([
-            BatchEntry(op=OpType.WRITE, key=key, value=value, is_dummy=False)
-            for key, value in sorted(objects.items())
-        ])
+        partition = Batch.from_requests(
+            [
+                Request(OpType.WRITE, key, value)
+                for key, value in sorted(objects.items())
+            ],
+            self._cluster.value_size,
+        )
         ack = self._cluster.request(
-            self._index, FrameKind.INIT, payload, FrameKind.INIT_ACK
+            self._index, FrameKind.INIT, partition.to_bytes(),
+            FrameKind.INIT_ACK,
         )
         self._version = 0
         self._num_objects = decode_u32(ack)
 
-    def batch_access(self, batch: List[BatchEntry]) -> List[BatchEntry]:
+    def batch_access(self, batch: Batch) -> Batch:
         """One framed batch round trip against this proxy's version."""
         with self.telemetry.time(
             "serve_worker_batch_seconds", unit=self._index
@@ -365,10 +372,10 @@ class RemoteSubOram:
             reply = self._cluster.request(
                 self._index,
                 FrameKind.BATCH,
-                encode_u64(self._version) + encode_batch(batch),
+                encode_u64(self._version) + batch.to_bytes(),
                 FrameKind.BATCH_REPLY,
             )
-        return decode_batch(reply)
+        return Batch.from_buffer(reply, self._cluster.value_size)
 
     @property
     def num_objects(self) -> int:

@@ -24,9 +24,9 @@ call to the wrapped subORAM.
 from __future__ import annotations
 
 import time
-from typing import Dict, List
+from typing import Dict
 
-from repro.types import BatchEntry
+from repro.oblivious.soa import Batch
 from repro.utils.validation import require
 
 
@@ -49,7 +49,7 @@ class LatencySubOram:
         """Delegate initialization to the wrapped subORAM (no delay)."""
         self.inner.initialize(objects)
 
-    def batch_access(self, batch: List[BatchEntry], *args, **kwargs) -> List[BatchEntry]:
+    def batch_access(self, batch: Batch, *args, **kwargs) -> Batch:
         """Sleep ``batch_delay`` seconds, then delegate the batch access.
 
         The sleep releases the GIL, so a thread backend overlaps the

@@ -72,6 +72,8 @@ import os
 import pickle
 from typing import Optional, Sequence
 
+import numpy as np
+
 from repro.crypto.aead import AeadKey, NONCE_LEN, digest
 from repro.crypto.vector import VectorAead
 from repro.errors import CapacityError, IntegrityError
@@ -276,15 +278,13 @@ class EncryptedStore:
         False under ``crypto="scalar"`` (the oracle is per-slot by
         definition), for subclasses or instances that override
         ``put``/``get`` (instrumented stores must see every per-slot
-        access), and when NumPy is unavailable.  Callers fall back to
-        the per-slot loop.
+        access).  Callers fall back to the per-slot loop.
         """
         if "get" in self.__dict__ or "put" in self.__dict__:
             return False
         cls = type(self)
         return (
             self._vec is not None
-            and soa.HAS_NUMPY
             and cls.get is EncryptedStore.get
             and cls.put is EncryptedStore.put
         )
@@ -311,7 +311,6 @@ class EncryptedStore:
                 value = values[slot]
                 self.put(slot, int(key), bytes(value))
             return
-        np = soa.require_numpy()
         if isinstance(values, np.ndarray):
             matrix = values
             if matrix.shape != (n, self.value_size):
@@ -447,7 +446,6 @@ class EncryptedStore:
                 scratch=self._scratch,
                 as_matrix=True,
             )
-        np = soa.require_numpy()
         plain = soa.scratch_array(
             self._scratch, "store_plain_mixed", (n, self.plain_size), np.uint8
         )

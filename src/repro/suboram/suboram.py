@@ -10,15 +10,23 @@
   request, one that applies a matching write to the object.  Every object
   is re-encrypted and rewritten whether or not it changed;
 ➌ scan the table marking real entries, obliviously compact out the
-  fillers, and return the batch entries (now carrying response values).
+  fillers, and return the batch rows (now carrying response values).
 
 Security rests on Definition 2: the batch must contain *distinct* keys
 (the load balancer guarantees this; we enforce it loudly).
+
+The batch arrives as a :class:`~repro.oblivious.soa.Batch` and is never
+modified: the response is a new batch whose ``value``/``has_value``
+columns hold the objects' prior values.  The numpy kernel gathers the
+columns through the table's slot permutation; the python kernel, the
+audited reference, computes on records (:meth:`SubOram._scan_reference`).
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
+
+import numpy as np
 
 from repro.crypto.keys import KeyChain
 from repro.errors import DuplicateRequestError, NotInitializedError
@@ -27,10 +35,11 @@ from repro.oblivious import soa
 from repro.oblivious.hashtable import TwoTierHashTable, TwoTierParams
 from repro.oblivious.kernels import ScanTable, resolve_kernel
 from repro.oblivious.primitives import and_bit, eq_bit, o_select
+from repro.oblivious.soa import Batch
 from repro.suboram.store import EncryptedStore, resolve_crypto
 from repro.telemetry import NULL_TELEMETRY
 from repro.telemetry.kernelbridge import TimedKernelTrace, flush_kernel_trace
-from repro.types import BatchEntry, OpType
+from repro.types import OpType
 from repro.utils.validation import require, require_positive
 
 
@@ -58,8 +67,7 @@ class SubOram:
             (ciphertext bytes differ from the HMAC scheme; lengths and
             schedules do not).  Vector mode degrades to per-slot calls
             of the same cipher when the batch prerequisites are absent
-            (python kernel, no NumPy, or an instrumented store
-            subclass).
+            (python kernel, or an instrumented store subclass).
     """
 
     def __init__(
@@ -139,26 +147,28 @@ class SubOram:
     # ------------------------------------------------------------------
     def batch_access(
         self,
-        batch: List[BatchEntry],
+        batch: Batch,
         batch_key: Optional[bytes] = None,
         table_params: Optional[TwoTierParams] = None,
-    ) -> List[BatchEntry]:
-        """Process one batch of distinct requests; returns response entries.
+    ) -> Batch:
+        """Process one batch of distinct requests; returns the response batch.
 
-        Each returned entry's ``value`` is the object's value *before* the
+        Each returned row's value is the object's value *before* the
         batch (read semantics for reads; prior value for writes, matching
-        the paper's ``OStoreBatchAccess`` contract).  Dummy entries come
-        back too — the load balancer filters them while matching responses.
+        the paper's ``OStoreBatchAccess`` contract), absent when the key
+        is not in this partition.  Dummy rows come back too — the load
+        balancer filters them while matching responses.  ``batch`` itself
+        is left untouched.
 
         Raises:
             NotInitializedError: ``initialize`` has not been called.
-            DuplicateRequestError: two batch entries share a key
+            DuplicateRequestError: two batch rows share a key
                 (Definition 2 precondition violated — load-balancer bug).
         """
         if self._store is None:
             raise NotInitializedError("subORAM not initialized")
-        if not batch:
-            return []
+        if len(batch) == 0:
+            return batch
         # Only the whole-store batch passes run long enough without the
         # GIL to be worth overlapping with another unit's.
         store = self._store
@@ -169,8 +179,7 @@ class SubOram:
 
     def _batch_access(self, batch, batch_key, table_params):
         """:meth:`batch_access` proper, under its interpreter turn."""
-        keys = [entry.key for entry in batch]
-        if len(set(keys)) != len(keys):
+        if len(np.unique(batch.key)) != len(batch):
             raise DuplicateRequestError(
                 f"subORAM {self.suboram_id} received duplicate keys in batch"
             )
@@ -188,8 +197,7 @@ class SubOram:
             "snoopy_suboram_phase_seconds", phase="table"
         ):
             table = TwoTierHashTable.build(
-                batch,
-                key_fn=_entry_key,
+                batch.key,
                 prf_key=batch_key,
                 params=table_params,
                 security_parameter=self.security_parameter,
@@ -201,47 +209,47 @@ class SubOram:
         # reads every slot, runs the whole scan as masked array ops, then
         # rewrites every slot.  Both schedules are public functions of
         # ``num_objects`` alone (see repro.security.simulator).  Either
-        # scan leaves each entry holding its response: the object's prior
-        # value, or None when the key is absent from the partition (a
-        # write payload must not echo back as a phantom read value).
+        # scan yields each row's response: the object's prior value, or
+        # none when the key is absent from the partition (a write payload
+        # must not echo back as a phantom read value).
         with self.telemetry.time(
             "snoopy_suboram_phase_seconds", phase="scan"
         ):
             if self.kernel.vectorized:
-                self._scan_vectorized(table, batch)
+                response = self._scan_vectorized(table, batch)
             else:
-                self._scan_reference(table, batch)
+                response = self._scan_reference(table, batch)
 
         # ➌ Mark real entries and compact out table fillers.
         with self.telemetry.time(
             "snoopy_suboram_phase_seconds", phase="extract"
         ):
-            return table.extract_real()
+            return response.take(table.extract_real())
 
-    def _scan_reference(
-        self, table: TwoTierHashTable, batch: List[BatchEntry]
-    ) -> None:
-        """The audited scalar Figure 19 scan (python kernel).
+    def _scan_reference(self, table: TwoTierHashTable, batch: Batch) -> Batch:
+        """The audited scalar Figure 19 scan (python kernel), on records.
 
         ``matched`` tracks, per entry, whether any stored object carried
         its key — updated through the same oblivious select on every
         slot comparison, and used at the end to null out responses for
         keys that do not exist in this partition.
         """
-        matched: Dict[int, int] = {id(entry): 0 for entry in batch}
+        entries = batch.entries()
+        matched = [0] * len(entries)
         for slot in range(self.num_objects):
             obj_key, obj_value = self._store.get(slot)
-            for table_slot in table.lookup_slots(obj_key):
-                entry = table_slot.item
-                if entry is None:
+            for table_slot in table.bucket_slot_indices(obj_key):
+                index = table.slot_items[table_slot]
+                if index < 0:
                     # Filler slot: perform the same pair of selects against
                     # a throwaway cell so the touched-slot count is uniform.
                     _ = o_select(0, obj_value, obj_value)
                     continue
+                entry = entries[index]
                 match = and_bit(
                     eq_bit(entry.key, obj_key), 1
                 )
-                matched[id(entry)] = o_select(match, matched[id(entry)], 1)
+                matched[index] = o_select(match, matched[index], 1)
                 is_write = eq_bit(entry.op, OpType.WRITE)
                 prior = obj_value
                 # Write path: object takes the request's payload on match.
@@ -258,54 +266,47 @@ class SubOram:
             # Rewrite (re-encrypt) the object unconditionally: the host
             # cannot tell written objects from untouched ones.
             self._store.put(slot, obj_key, obj_value)
-        for entry in batch:
-            entry.value = o_select(matched[id(entry)], None, entry.value)
+        for entry, hit in zip(entries, matched):
+            entry.value = o_select(hit, None, entry.value)
+        return Batch.from_entries(entries, batch.value_size)
 
-    def _scan_vectorized(
-        self, table: TwoTierHashTable, batch: List[BatchEntry]
-    ) -> None:
+    def _scan_vectorized(self, table: TwoTierHashTable, batch: Batch) -> Batch:
         """The columnar Figure 19 scan (numpy kernel).
 
-        The batch becomes columns once, the table's ``slot_items``
-        permutation gathers them into the :class:`ScanTable`, and the
-        responses are written back to the entries once.  When the store
-        has a batch path (``crypto="vector"``) the whole store is
-        authenticated, decrypted, scanned, and re-encrypted through four
-        vectorized passes (``get_batch`` → ``lookup_matrix`` →
-        ``scan_soa`` → ``put_batch``) with no per-slot Python call.
-        Otherwise the same kernel core runs between per-slot
-        ``get``/``put`` calls — under ``crypto="scalar"`` the audited
-        per-slot crypto oracle.  Outputs are byte-identical to
-        :meth:`_scan_reference` either way.
+        The table's ``slot_items`` permutation gathers the batch's
+        columns into the :class:`ScanTable`, and the scan's per-slot
+        outputs are gathered back through its inverse into the response
+        batch's ``value``/``has_value``.  When the store has a batch
+        path (``crypto="vector"``) the whole store is authenticated,
+        decrypted, scanned, and re-encrypted through four vectorized
+        passes (``get_batch`` → ``lookup_matrix`` → ``scan_soa`` →
+        ``put_batch``) with no per-slot Python call.  Otherwise the same
+        kernel core runs between per-slot ``get``/``put`` calls — under
+        ``crypto="scalar"`` the audited per-slot crypto oracle.  Outputs
+        are byte-identical to :meth:`_scan_reference` either way.
         """
-        np = soa.require_numpy()
         store = self._store
-        size = self.value_size
         if store.supports_batch:
             okeys, ovals = store.get_batch()
         else:
             pairs = [store.get(slot) for slot in range(self.num_objects)]
-            okeys = soa.int_column([key for key, _ in pairs])
-            ovals, _ = soa.values_to_matrix([v for _, v in pairs], size)
+            okeys = np.asarray([key for key, _ in pairs], dtype=np.int64)
+            ovals, _ = soa.values_to_matrix(
+                [v for _, v in pairs], self.value_size
+            )
         obj_keys = okeys.tolist()
         lookup = table.lookup_matrix(obj_keys)
-        # One extra all-zero row per column: a filler slot's item index
-        # -1 gathers it, so fillers come out unoccupied and inert.
+        # A filler slot (item -1) gathers row 0 and is marked unoccupied,
+        # which makes every other column of it inert.
         slot_items = table.slot_items
-        values, has_value = soa.values_to_matrix(
-            [entry.value for entry in batch] + [None], size
-        )
+        slots = batch.take(np.maximum(slot_items, 0))
         scan_table = ScanTable(
-            keys=soa.int_column([e.key for e in batch] + [0])[slot_items],
+            keys=slots.key,
             occupied=slot_items >= 0,
-            is_write=soa.bit_column(
-                [e.op is OpType.WRITE for e in batch] + [0]
-            )[slot_items],
-            permitted=soa.bit_column(
-                [e.permitted for e in batch] + [0]
-            )[slot_items],
-            values=values[slot_items],
-            has_value=has_value[slot_items],
+            is_write=slots.is_write,
+            permitted=slots.permitted,
+            values=slots.value,
+            has_value=slots.has_value,
         )
         kernel_trace = (
             TimedKernelTrace() if self.telemetry.enabled else None
@@ -320,15 +321,15 @@ class SubOram:
         # Without a batch path this is the per-slot ``put`` loop.
         store.put_batch(obj_keys, new_ovals)
         # Invert the slot permutation (fillers all land on the spare
-        # cell) and write each entry's response back.
+        # cell): each row's response is its slot's, zeroed unless matched.
         slot_of = np.empty(len(batch) + 1, dtype=np.int64)
         slot_of[slot_items] = np.arange(len(slot_items), dtype=np.int64)
         slot_of = slot_of[:-1]
-        values = soa.matrix_to_values(
-            responses[slot_of], slot_matched[slot_of].tolist()
+        matched = slot_matched[slot_of]
+        return batch.replace(
+            value=responses[slot_of] * matched[:, None].astype(np.uint8),
+            has_value=matched,
         )
-        for entry, value in zip(batch, values):
-            entry.value = value
 
     # ------------------------------------------------------------------
     # Introspection for tests / tools
@@ -349,6 +350,3 @@ class SubOram:
         """Iterator over this partition's object keys, in scan order."""
         return iter(self._keys)
 
-
-def _entry_key(entry: BatchEntry) -> int:
-    return entry.key

@@ -1,16 +1,17 @@
 """Core datatypes shared across the Snoopy reproduction.
 
-The wire-level entities of the paper (client requests, subORAM batches,
-responses) are modelled as small frozen/slotted dataclasses.  Object ids are
-arbitrary integers; values are ``bytes`` of a fixed, per-store object size,
-mirroring the paper's fixed-size object regime (160-byte objects in most
-experiments, 32-byte objects for key transparency).
+Client requests and responses are small frozen dataclasses; a batch of
+requests is a :class:`repro.oblivious.soa.Batch` of columns, of which
+:class:`BatchEntry` is the per-row record view.  Object ids are int64;
+values are ``bytes`` of a fixed, per-store object size, mirroring the
+paper's fixed-size object regime (160-byte objects in most experiments,
+32-byte objects for key transparency).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 
@@ -67,14 +68,6 @@ class Response:
     ok: bool = True
 
 
-@dataclass
-class StoredObject:
-    """An object at rest in a subORAM partition."""
-
-    key: int
-    value: bytes
-
-
 # Sentinel key used for dummy requests/objects inside oblivious structures.
 # Dummies must be indistinguishable from real entries by access pattern; the
 # *content* of entries is never visible to the attacker in our model (only
@@ -82,10 +75,15 @@ class StoredObject:
 # dummies.
 DUMMY_KEY = -1
 
+# Object ids are int64 on every fixed-width path (batch columns, wire).
+INT64_MIN = -(2**63)
+INT64_MAX = 2**63 - 1
+
 
 @dataclass
 class BatchEntry:
-    """Mutable working entry used inside load-balancer/subORAM algorithms.
+    """One batch row as a mutable record: what the python reference
+    kernel computes on and tests read (``Batch.entries``/``from_entries``).
 
     This is the in-enclave representation: plaintext from the enclave's point
     of view, opaque ciphertext from the attacker's.  Fields mirror the tuples
@@ -96,7 +94,7 @@ class BatchEntry:
     key: int = DUMMY_KEY
     value: Optional[bytes] = None
     suboram: int = 0
-    tag: int = 0  # the paper's bit b; also reused as a mark bit
+    tag: int = 0  # arrival index within the epoch (``Batch.arrival``)
     client_id: int = 0
     seq: int = 0
     is_dummy: bool = True
@@ -126,13 +124,3 @@ class BatchEntry:
             is_dummy=self.is_dummy,
             permitted=self.permitted,
         )
-
-
-@dataclass
-class Epoch:
-    """Bookkeeping for one load-balancer epoch."""
-
-    number: int
-    requests: list = field(default_factory=list)
-    start_time: float = 0.0
-    commit_time: float = 0.0

@@ -43,7 +43,6 @@ from repro.analysis.balls_bins import batch_size
 from repro.core.config import SnoopyConfig
 from repro.core.snoopy import Snoopy
 from repro.crypto.keys import KeyChain
-from repro.oblivious import soa
 from repro.sim.costmodel import load_balancer_time, suboram_time
 from repro.workloads.trace import Trace
 
@@ -126,15 +125,7 @@ class TunerSweep:
     replications: Tuple[Optional[Tuple[int, int]], ...] = (None,)
 
     def candidates(self) -> List[CandidateConfig]:
-        """Every grid point, in deterministic axis order.
-
-        ``numpy`` cells are dropped when NumPy is unavailable (the
-        deployment would fall back to python anyway, making the cell a
-        duplicate with a misleading label).
-        """
-        kernels = tuple(
-            k for k in self.kernels if k != "numpy" or soa.HAS_NUMPY
-        ) or ("python",)
+        """Every grid point, in deterministic axis order."""
         return [
             CandidateConfig(
                 epoch_duration=duration,
@@ -145,7 +136,7 @@ class TunerSweep:
             )
             for duration in self.epoch_durations
             for depth in self.pipeline_depths
-            for kernel in kernels
+            for kernel in self.kernels
             for backend in self.backends
             for replication in self.replications
         ]

@@ -37,7 +37,7 @@ class TestEpochs:
         assert balancer.epochs_processed == 1
 
     def test_submit_returns_arrival_index(self):
-        balancer = LoadBalancer(0, 2, KEY, security_parameter=16)
+        balancer = LoadBalancer(0, 2, KEY, value_size=4, security_parameter=16)
         assert balancer.submit(Request(OpType.READ, 1)) == 0
         assert balancer.submit(Request(OpType.READ, 2)) == 1
 
@@ -63,4 +63,4 @@ class TestEpochs:
 
     def test_rejects_zero_suborams(self):
         with pytest.raises(ConfigurationError):
-            LoadBalancer(0, 0, KEY)
+            LoadBalancer(0, 0, KEY, value_size=4)

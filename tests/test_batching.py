@@ -7,10 +7,20 @@ import pytest
 from repro.analysis.balls_bins import batch_size
 from repro.crypto.prf import Prf
 from repro.errors import BatchOverflowError
-from repro.loadbalancer.batching import dummy_key, generate_batches
+from repro.loadbalancer import batching
+from repro.loadbalancer.batching import dummy_key
 from repro.types import OpType, Request
 
 KEY = b"sharding-key-0123456789abcdef..."
+VS = 6  # value_size of every write below
+
+
+def generate_batches(requests, *args, **kwargs):
+    """``generate_batches`` with each Batch also readable as records."""
+    batches, originals, size = batching.generate_batches(
+        requests, *args, value_size=VS, **kwargs
+    )
+    return [b.entries() for b in batches], originals.entries(), size
 
 
 def reads(keys, client=0):
@@ -92,7 +102,7 @@ class TestDeduplication:
 
     def test_last_write_wins(self):
         requests = [
-            Request(OpType.WRITE, 7, b"first", seq=0),
+            Request(OpType.WRITE, 7, b"first ", seq=0),
             Request(OpType.WRITE, 7, b"second", seq=1),
         ]
         batches, _, _ = generate_batches(requests, 2, KEY, 16)
@@ -102,7 +112,7 @@ class TestDeduplication:
 
     def test_write_beats_read_in_representative(self):
         requests = [
-            Request(OpType.WRITE, 7, b"w", seq=0),
+            Request(OpType.WRITE, 7, b"w" * VS, seq=0),
             Request(OpType.READ, 7, seq=1),
         ]
         batches, _, _ = generate_batches(requests, 2, KEY, 16)

@@ -105,22 +105,97 @@ class TestTransportSecurity:
         with pytest.raises(AttestationError):
             deployment._verify_peer(rogue)
 
+    def test_reply_tampering_detected(self):
+        """The reply hop crosses the same hostile network as the request."""
+        deployment = make_deployment()
+        calls = []
+
+        def tamper_replies(balancer, suboram, nonce, sealed):
+            calls.append((balancer, suboram))
+            if calls.count((balancer, suboram)) % 2 == 0:  # request, reply
+                return nonce, sealed[:-1] + bytes([sealed[-1] ^ 1])
+            return nonce, sealed
+
+        deployment.network_hook = tamper_replies
+        with pytest.raises(IntegrityError):
+            deployment.read(1)
+
     def test_message_size_public(self):
-        """Sealed batch sizes depend only on (B, object size), not keys."""
-        sizes = []
-        for keys in ([1, 2, 3], [30, 31, 32]):
-            deployment = make_deployment(seed=5)
-            observed = []
+        """Sealed sizes on both hops depend only on (B, object size): not
+        on keys, the read/write mix, hits vs misses, or duplicates."""
+        deployment = make_deployment(seed=5)
+        observed = {}
 
-            def record(balancer, suboram, nonce, sealed, _o=observed):
-                _o.append(len(sealed))
-                return nonce, sealed
+        def record(balancer, suboram, nonce, sealed):
+            hops = observed.setdefault((balancer, suboram), [])
+            hops.append(("request", "reply")[len(hops) % 2] + f":{len(sealed)}")
+            return nonce, sealed
 
-            deployment.network_hook = record
-            deployment.batch([Request(OpType.READ, k, seq=i)
-                              for i, k in enumerate(keys)])
-            sizes.append(sorted(observed))
-        assert sizes[0] == sizes[1]
+        deployment.network_hook = record
+        shapes = []
+        for requests in same_shape_epochs():
+            observed.clear()
+            for i, request in enumerate(requests):
+                deployment.submit(request, load_balancer=i % 2)
+            deployment.run_epoch()
+            shapes.append(sorted(sum(observed.values(), [])))
+        assert all(shape == shapes[0] for shape in shapes[1:]), shapes
+        assert {hop.split(":")[0] for hop in shapes[0]} == {"request", "reply"}
+
+    def test_worker_link_message_size_public(self):
+        """The same, over a real balancer <-> worker-process link."""
+        from repro.core.wire import FrameKind
+
+        with WorkerCluster(2, value_size=8, security_parameter=16) as cluster:
+            cluster.start()
+            config = SnoopyConfig(
+                num_load_balancers=2, num_suborams=2, value_size=8,
+                security_parameter=16, execution_backend="serial",
+            )
+            round_trip, observed = cluster._round_trip, []
+
+            def spy(index, kind, payload, expect_kind):
+                reply = round_trip(index, kind, payload, expect_kind)
+                if kind == FrameKind.BATCH:
+                    observed.append((len(payload), len(reply)))
+                return reply
+
+            cluster._round_trip = spy
+            with Snoopy(config, suboram_factory=cluster.factory,
+                        rng=random.Random(5)) as store:
+                store.initialize({k: bytes([k]) * 8 for k in range(40)})
+                shapes = []
+                for requests in same_shape_epochs():
+                    del observed[:]
+                    for i, request in enumerate(requests):
+                        store.submit(request, load_balancer=i % 2)
+                    store.run_epoch()
+                    shapes.append(sorted(observed))
+        assert len(shapes[0]) == 4  # L x S batches per epoch
+        assert all(shape == shapes[0] for shape in shapes[1:]), shapes
+
+
+def same_shape_epochs(num_requests=6):
+    """Epochs of equal R differing in everything the padding must hide."""
+    def reads(keys):
+        return [Request(OpType.READ, k, seq=i) for i, k in enumerate(keys)]
+
+    def writes(keys):
+        return [Request(OpType.WRITE, k, b"WWWWWWWW", seq=i)
+                for i, k in enumerate(keys)]
+
+    present, absent = range(1, 1 + num_requests), range(1000, 1000 + num_requests)
+    mixed = writes(present)
+    mixed[::2] = reads(present)[::2]
+    return [
+        reads(present),                 # all reads, all hits
+        writes(present),                # all writes
+        mixed,                          # read/write mix
+        reads(absent),                  # all misses
+        writes(absent),                 # writes that land nowhere
+        reads([7] * num_requests),      # one hot key: B-1 dummies per batch
+        writes([7] * num_requests),
+    ]
 
 
 class TestRandomizedEquivalence:

@@ -107,7 +107,7 @@ class TestRollbackAndRequeue:
         store.close()
 
     def test_requeue_rolls_back_the_epoch_counter(self):
-        balancer = LoadBalancer(0, 2, b"k" * 16, security_parameter=16)
+        balancer = LoadBalancer(0, 2, b"k" * 16, value_size=4, security_parameter=16)
         balancer.submit(Request(OpType.READ, 1))
         drained = balancer.drain()
         assert balancer.epochs_processed == 1
@@ -116,7 +116,7 @@ class TestRollbackAndRequeue:
         assert balancer.pending == 1
 
     def test_requeued_requests_go_ahead_of_new_submissions(self):
-        balancer = LoadBalancer(0, 2, b"k" * 16, security_parameter=16)
+        balancer = LoadBalancer(0, 2, b"k" * 16, value_size=4, security_parameter=16)
         balancer.submit(Request(OpType.READ, 1, seq=1))
         drained = balancer.drain()
         balancer.submit(Request(OpType.READ, 2, seq=2))
@@ -146,6 +146,44 @@ class TestRetryLoop:
         # Execute is retried in place: the one build is reused.
         assert stage_runs(store, "build") == 1
         assert stage_runs(store, "execute") == 2
+        store.close()
+
+    @pytest.mark.parametrize("backend", ["serial", "thread:4"])
+    def test_retry_reexecutes_the_very_same_batches(self, backend, monkeypatch):
+        """No batch copy per attempt: execute never modifies its input, so
+        the retry is handed the same Batch objects, still byte-equal."""
+        seen = []
+        inner = SubOram.batch_access
+
+        def spy(self, batch, *args, **kwargs):
+            before = batch.to_bytes()
+            reply = inner(self, batch, *args, **kwargs)
+            seen.append((self.suboram_id, id(batch), before, batch.to_bytes()))
+            return reply
+
+        monkeypatch.setattr(SubOram, "batch_access", spy)
+        # SubORAM 1 crashes after subORAM 0 served the first attempt.
+        store = build_store(
+            fault_plan=crash_plan(unit=1), epoch_max_attempts=2,
+            execution_backend=backend,
+        )
+        tickets = [
+            store.submit(Request(OpType.WRITE, k, b"zzzz"), load_balancer=k % 2)
+            for k in range(8)
+        ]
+        store.run_epoch()
+        assert store.fault_stats["epochs_retried"] == 1
+        unit0 = [call for call in seen if call[0] == 0]
+        assert len(unit0) == 4  # L = 2 batches, two attempts
+        assert all(before == after for _, _, before, after in unit0)
+        assert [call[1:3] for call in unit0[:2]] == (
+            [call[1:3] for call in unit0[2:]]
+        )
+        # The retry ran against pristine state: every write saw the
+        # pre-epoch value, not the failed attempt's.
+        assert [t.result().value for t in tickets] == [
+            bytes([k]) * 4 for k in range(8)
+        ]
         store.close()
 
     def test_exhausted_retries_reraise_the_original_cause(self):

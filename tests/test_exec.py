@@ -356,7 +356,8 @@ class TestInterpreterTurn:
     def test_suboram_holds_the_turn_unless_its_passes_are_bulk(self, monkeypatch):
         from repro.exec import backend
         from repro.suboram.suboram import SubOram
-        from repro.types import BatchEntry, OpType
+        from repro.oblivious.soa import Batch
+        from repro.types import OpType, Request
         turn, held = backend.interpreter_turn(), []
         suboram = SubOram(0, value_size=4, security_parameter=16)
         suboram.initialize({k: bytes(4) for k in range(8)})
@@ -365,5 +366,5 @@ class TestInterpreterTurn:
         for threshold in (backend.GIL_FREE_MIN_BYTES, 1):
             monkeypatch.setattr(backend, "GIL_FREE_MIN_BYTES", threshold)
             suboram.batch_access(
-                [BatchEntry(op=OpType.READ, key=3, is_dummy=False)])
+                Batch.from_requests([Request(OpType.READ, 3)], 4))
         assert held == [True, False] and not turn.locked()

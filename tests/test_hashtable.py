@@ -11,22 +11,21 @@ from repro.errors import CapacityError
 from repro.oblivious.hashtable import TwoTierHashTable, TwoTierParams
 
 
-class Item:
-    def __init__(self, key):
-        self.key = key
-
-    def __repr__(self):
-        return f"Item({self.key})"
+def build(keys, prf_key=b"table-key", is_real=None, **kwargs):
+    keys = list(keys)
+    real = None if is_real is None else [is_real(k) for k in keys]
+    return TwoTierHashTable.build(keys, prf_key, real=real, **kwargs)
 
 
-def key_fn(item):
-    return item.key
+def holds(table, slot, keys, key):
+    """Whether ``slot`` holds the real item ``key``."""
+    item = table.slot_items[slot]
+    return item >= 0 and table.slot_real[slot] and keys[item] == key
 
 
-def build(keys, prf_key=b"table-key", **kwargs):
-    return TwoTierHashTable.build(
-        [Item(k) for k in keys], key_fn, prf_key, **kwargs
-    )
+def extracted(table, keys):
+    """The keys ``extract_real`` names, in its order."""
+    return [keys[i] for i in table.extract_real()]
 
 
 class TestParams:
@@ -62,26 +61,20 @@ class TestBuildAndExtract:
     def test_extract_returns_all_items(self, n, rng):
         keys = rng.sample(range(10**6), n)
         table = build(keys)
-        assert sorted(key_fn(i) for i in table.extract_real()) == sorted(keys)
+        assert sorted(extracted(table, keys)) == sorted(keys)
 
     def test_every_item_findable_in_its_buckets(self, rng):
         keys = rng.sample(range(10**6), 80)
         table = build(keys)
         for k in keys:
-            slots = table.lookup_slots(k)
-            assert any(s.real and s.item.key == k for s in slots), k
+            slots = table.bucket_slot_indices(k)
+            assert any(holds(table, s, keys, k) for s in slots), k
             assert len(slots) == table.params.lookup_scan_slots
 
     def test_dummy_items_not_extracted(self, rng):
         keys = rng.sample(range(10**6), 30)
-        table = TwoTierHashTable.build(
-            [Item(k) for k in keys],
-            key_fn,
-            b"table-key",
-            is_real_fn=lambda item: item.key % 2 == 0,
-        )
-        extracted = {key_fn(i) for i in table.extract_real()}
-        assert extracted == {k for k in keys if k % 2 == 0}
+        table = build(keys, is_real=lambda key: key % 2 == 0)
+        assert set(extracted(table, keys)) == {k for k in keys if k % 2 == 0}
 
     def test_capacity_enforced(self):
         params = TwoTierParams.for_capacity(4)
@@ -100,7 +93,7 @@ class TestBuildAndExtract:
         """Two tables with equal capacity have identical slot layouts."""
         a = build(rng.sample(range(10**6), 40))
         b = build(rng.sample(range(10**6), 40))
-        assert len(a.slots) == len(b.slots)
+        assert len(a.slot_items) == len(b.slot_items)
         assert a.params == b.params
 
     @given(st.sets(st.integers(min_value=0, max_value=10**9), max_size=120))
@@ -108,11 +101,12 @@ class TestBuildAndExtract:
     def test_property_roundtrip(self, keys):
         if not keys:
             return
-        table = build(sorted(keys))
-        assert sorted(key_fn(i) for i in table.extract_real()) == sorted(keys)
-        for k in list(keys)[:10]:
+        keys = sorted(keys)
+        table = build(keys)
+        assert sorted(extracted(table, keys)) == keys
+        for k in keys[:10]:
             assert any(
-                s.real and s.item.key == k for s in table.lookup_slots(k)
+                holds(table, s, keys, k) for s in table.bucket_slot_indices(k)
             )
 
 
@@ -138,11 +132,11 @@ class TestColumnarTable:
     ):
         keys = sorted(keys)
         table = build(keys, prf_key=prf_key, kernel=kernel,
-                      is_real_fn=lambda item: item.key % 3 != 0)
+                      is_real=lambda key: key % 3 != 0)
         slot_items = list(table.slot_items)
         # Slot counts are public: they depend on the capacity alone.
         assert len(slot_items) == table.params.total_slots
-        assert len(slot_items) == len(build(range(len(keys))).slots)
+        assert len(slot_items) == len(build(range(len(keys))).slot_items)
         # Every item occupies exactly one slot, inside its own buckets.
         assert sorted(i for i in slot_items if i >= 0) == list(
             range(len(keys))
@@ -150,7 +144,7 @@ class TestColumnarTable:
         for index, key in enumerate(keys):
             assert slot_items.index(index) in table.bucket_slot_indices(key)
         # Dummies occupy slots but are not extracted.
-        assert sorted(item.key for item in table.extract_real()) == [
+        assert sorted(extracted(table, keys)) == [
             k for k in keys if k % 3 != 0
         ]
 
@@ -163,9 +157,9 @@ class TestColumnarTable:
         assert tables["python"].slot_items == (
             tables["numpy"].slot_items.tolist()
         )
-        assert [i.key for i in tables["python"].extract_real()] == [
-            i.key for i in tables["numpy"].extract_real()
-        ]
+        assert tables["python"].extract_real() == (
+            tables["numpy"].extract_real().tolist()
+        )
         rows = tables["numpy"].lookup_matrix(keys)
         for row, key in zip(rows.tolist(), keys):
             assert row == tables["python"].bucket_slot_indices(key)
@@ -207,8 +201,8 @@ class TestColumnarTable:
             build(range(12), params=params, kernel=kernel)
         # Only *real* overflow counts: spilled dummies may fall out.
         table = build(range(12), params=params, kernel=kernel,
-                      is_real_fn=lambda item: item.key < 5)
-        assert sorted(i.key for i in table.extract_real()) == list(range(5))
+                      is_real=lambda key: key < 5)
+        assert sorted(extracted(table, range(12))) == list(range(5))
 
 
 class TestRandomizedStress:

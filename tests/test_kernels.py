@@ -21,8 +21,10 @@ from repro.crypto.keys import KeyChain
 from repro.errors import ConfigurationError
 from repro.loadbalancer.batching import generate_batches
 from repro.loadbalancer.matching import match_responses
+from repro.oblivious import kernels as kernels_module
 from repro.oblivious import soa
 from repro.oblivious.compact import ocompact
+from repro.oblivious.soa import Batch
 from repro.oblivious.kernels import (
     KERNELS,
     KernelTrace,
@@ -139,7 +141,7 @@ def _array_ops(monkeypatch, call):
     """The whole-array operations one kernel call executes, in order."""
     call()  # warm the per-thread scratch and the level cache
     shim = _CountingNumpy()
-    monkeypatch.setattr(soa, "require_numpy", lambda: shim)
+    monkeypatch.setattr(kernels_module, "np", shim)
     call()
     monkeypatch.undo()
     return shim.log
@@ -320,6 +322,42 @@ def _random_scan_case(rng, num_objects, num_slots, value_size=4, lookups=2):
     return obj_keys, obj_values, table, lookup
 
 
+def _scan_columns(obj_keys, obj_values, lookup, table, trace=None):
+    """``NP.scan_soa`` on the columns of a record-list scan case.
+
+    The slot records cross into columns the way the subORAM's do —
+    through a :class:`Batch` — and the outputs come back as the record
+    lists :meth:`PythonKernel.scan` returns.
+    """
+    slots = Batch.from_entries([
+        BatchEntry(op=OpType.WRITE if write else OpType.READ, key=key,
+                   value=value, permitted=permitted)
+        for key, write, permitted, value in zip(
+            table.keys, table.is_write, table.permitted, table.values
+        )
+    ], 4)
+    objects = Batch.from_requests(
+        [Request(OpType.WRITE, k, v) for k, v in zip(obj_keys, obj_values)], 4
+    )
+    columns = ScanTable(
+        keys=slots.key, occupied=numpy.asarray(table.occupied, dtype=bool),
+        is_write=slots.is_write, permitted=slots.permitted,
+        values=slots.value, has_value=slots.has_value,
+    )
+    new_values, matched, responses = NP.scan_soa(
+        objects.key, objects.value,
+        numpy.asarray(lookup, dtype=numpy.int64).reshape(
+            len(obj_keys), len(lookup[0]) if lookup else 1
+        ),
+        columns, trace=trace,
+    )
+    return (
+        soa.matrix_to_values(new_values, [True] * len(obj_keys)),
+        matched.astype(int).tolist(),
+        soa.matrix_to_values(responses, (slots.has_value | matched).tolist()),
+    )
+
+
 class TestScanEquivalence:
     def test_random_cases_match(self):
         rng = random.Random(0x5EED)
@@ -329,21 +367,22 @@ class TestScanEquivalence:
             obj_keys, obj_values, table, lookup = _random_scan_case(
                 rng, num_objects, num_slots
             )
-            t_py = copy.deepcopy(table)
-            t_np = copy.deepcopy(table)
+            pristine = copy.deepcopy(table)
             py_trace, np_trace = KernelTrace(), KernelTrace()
-            py = PY.scan(obj_keys, list(obj_values), 4, lookup, t_py,
+            py = PY.scan(obj_keys, list(obj_values), 4, lookup, table,
                          trace=py_trace)
-            np_ = NP.scan(obj_keys, list(obj_values), 4, lookup, t_np,
-                          trace=np_trace)
+            np_ = _scan_columns(obj_keys, obj_values, lookup, pristine,
+                                trace=np_trace)
             assert py == np_, trial
-            assert t_py == t_np, trial
+            assert table == pristine, trial
             assert py_trace == np_trace, trial
 
     def test_empty_batch(self):
         table = ScanTable(keys=[1], occupied=[1], is_write=[0],
                           permitted=[1], values=[b"abcd"])
-        assert NP.scan([], [], 4, [], table) == PY.scan([], [], 4, [], table)
+        assert _scan_columns([], [], [], table) == (
+            PY.scan([], [], 4, [], table)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -373,19 +412,6 @@ class TestResolveKernel:
         with pytest.raises(ConfigurationError):
             SnoopyConfig(kernel="fortran")
 
-    def test_missing_numpy_falls_back(self, monkeypatch):
-        monkeypatch.setattr(soa, "HAS_NUMPY", False)
-        with pytest.warns(RuntimeWarning):
-            assert resolve_kernel("numpy") is PY
-        with pytest.warns(RuntimeWarning):
-            assert resolve_kernel(None) is PY
-
-    def test_soa_import_error_message(self, monkeypatch):
-        monkeypatch.setattr(soa, "HAS_NUMPY", False)
-        with pytest.raises(ImportError, match="numpy"):
-            soa.require_numpy()
-
-
 # ---------------------------------------------------------------------------
 # Load-balancer stages
 # ---------------------------------------------------------------------------
@@ -403,32 +429,38 @@ def _requests(n, rng):
     return out
 
 
+def _answer(batches, value_of):
+    """A reply batch carrying ``value_of(key)`` in every row."""
+    entries = [e for batch in batches for e in batch.entries()]
+    for entry in entries:
+        entry.value = value_of(entry.key)
+    return Batch.from_entries(entries, 4)
+
+
 class TestLoadBalancerStages:
     def test_generate_batches_equivalent(self, rng):
         requests = _requests(17, rng)
-        py = generate_batches([r for r in requests], 3, KEY, 16,
-                              kernel="python")
-        np_ = generate_batches([r for r in requests], 3, KEY, 16,
-                               kernel="numpy")
-        assert [[e.__dict__ for e in b] for b in py[0]] == (
-            [[e.__dict__ for e in b] for b in np_[0]]
+        py = generate_batches(requests, 3, KEY, 16, kernel="python",
+                              value_size=4)
+        np_ = generate_batches(requests, 3, KEY, 16, kernel="numpy",
+                               value_size=4)
+        assert [b.to_bytes() for b in py[0]] == (
+            [b.to_bytes() for b in np_[0]]
         )
+        assert py[1].to_bytes() == np_[1].to_bytes()
+        assert any(b.has_value.any() for b in py[0])
 
     def test_match_responses_equivalent(self, rng):
         requests = _requests(11, rng)
-        batches, originals, _ = generate_batches(requests, 3, KEY, 16)
-        responses = []
-        for batch in batches:
-            for entry in batch:
-                answered = entry.copy()
-                answered.value = bytes([entry.key % 256]) * 4
-                responses.append(answered)
-        py = match_responses(list(originals), list(responses),
-                             kernel="python")
-        np_ = match_responses(list(originals), list(responses),
-                              kernel="numpy")
+        batches, originals, _ = generate_batches(requests, 3, KEY, 16,
+                                                 value_size=4)
+        responses = _answer(batches, lambda key: bytes([key % 256]) * 4)
+        py = match_responses(originals, responses, kernel="python")
+        np_ = match_responses(originals, responses, kernel="numpy")
         assert [r.__dict__ for r in py] == [r.__dict__ for r in np_]
-
+        assert [r.value for r in py] == [
+            bytes([r.key % 256]) * 4 for r in requests
+        ]
 
     def test_dummy_ids_keep_the_sorts_on_the_packed_path(
         self, rng, monkeypatch
@@ -440,9 +472,9 @@ class TestLoadBalancerStages:
         monkeypatch.setattr(PythonKernel, "sort", reference_sort)
         requests = _requests(23, rng)
         batches, originals, _ = generate_batches(requests, 3, KEY, 128,
-                                                 kernel="numpy")
-        responses = [entry for batch in batches for entry in batch]
-        assert len(match_responses(originals, responses,
+                                                 kernel="numpy",
+                                                 value_size=4)
+        assert len(match_responses(originals, Batch.concat(batches),
                                    kernel="numpy")) == len(requests)
 
 
@@ -459,7 +491,7 @@ def _batch(rng, keys):
         else:
             entries.append(BatchEntry(op=OpType.READ, key=key,
                                       is_dummy=False))
-    return entries
+    return Batch.from_entries(entries, 4)
 
 
 class TestSubOramEquivalence:
@@ -476,10 +508,10 @@ class TestSubOramEquivalence:
             outs = []
             for _ in range(3):
                 keys = local.sample(range(40), 9)  # includes absent keys
-                outs.append([
-                    (e.key, e.value)
-                    for e in suboram.batch_access(_batch(local, keys))
-                ])
+                batch = _batch(local, keys)
+                before = batch.to_bytes()
+                outs.append(suboram.batch_access(batch).to_bytes())
+                assert batch.to_bytes() == before
             results[kernel] = outs
         assert results["python"] == results["numpy"]
 
@@ -495,10 +527,9 @@ class TestSubOramEquivalence:
             log.append(("get", slot)), _o(slot))[1]
         store.put = lambda slot, key, value, _o=orig_put: (
             log.append(("put", slot)), _o(slot, key, value))[1]
-        suboram.batch_access([
-            BatchEntry(op=OpType.READ, key=k, is_dummy=False)
-            for k in (3, 7, 11)
-        ])
+        suboram.batch_access(Batch.from_requests(
+            [Request(OpType.READ, k) for k in (3, 7, 11)], 4
+        ))
         assert log == ideal
 
     def test_state_token_advances(self):
@@ -506,8 +537,9 @@ class TestSubOramEquivalence:
         before = suboram.state_token
         suboram.initialize({0: bytes(4)})
         mid = suboram.state_token
-        suboram.batch_access([BatchEntry(op=OpType.READ, key=0,
-                                         is_dummy=False)])
+        suboram.batch_access(
+            Batch.from_requests([Request(OpType.READ, 0)], 4)
+        )
         assert before < mid < suboram.state_token
 
 

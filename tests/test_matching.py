@@ -2,35 +2,47 @@
 
 from repro.loadbalancer.batching import generate_batches
 from repro.loadbalancer.matching import match_responses
+from repro.oblivious.soa import Batch
 from repro.types import OpType, Request
 
 KEY = b"sharding-key-0123456789abcdef..."
+VS = 4
+
+
+def answer(batches, value_of):
+    """The reply of subORAMs that hold ``value_of(key)`` for each key."""
+    responses = []
+    for batch in batches:
+        for entry in batch.entries():
+            entry.value = value_of(entry.key)
+            responses.append(entry)
+    return Batch.from_entries(responses, VS)
 
 
 def run_pipeline(requests, num_suborams=3, store=None):
     """Generate batches, answer them from a dict 'store', then match."""
     store = store if store is not None else {}
-    batches, originals, _ = generate_batches(requests, num_suborams, KEY, 16)
-    responses = []
-    for batch in batches:
-        for entry in batch:
-            answered = entry.copy()
-            answered.value = store.get(entry.key)
-            responses.append(answered)
-    return match_responses(originals, responses)
+    batches, originals, _ = generate_batches(
+        requests, num_suborams, KEY, 16, value_size=VS
+    )
+    before = originals.to_bytes()
+    responses = answer(batches, store.get)
+    results = match_responses(originals, responses)
+    assert originals.to_bytes() == before  # matching reads, never writes
+    return results
 
 
 class TestMatching:
     def test_simple_reads(self):
-        store = {1: b"one", 2: b"two"}
+        store = {1: b"one.", 2: b"two."}
         results = run_pipeline(
             [Request(OpType.READ, 1, seq=0), Request(OpType.READ, 2, seq=1)],
             store=store,
         )
-        assert [r.value for r in results] == [b"one", b"two"]
+        assert [r.value for r in results] == [b"one.", b"two."]
 
     def test_arrival_order_preserved(self):
-        store = {k: bytes([k]) for k in range(10)}
+        store = {k: bytes([k]) * VS for k in range(10)}
         requests = [Request(OpType.READ, k, seq=k) for k in (5, 2, 9, 0, 7)]
         results = run_pipeline(requests, store=store)
         assert [r.key for r in results] == [5, 2, 9, 0, 7]
@@ -43,7 +55,7 @@ class TestMatching:
         assert all(r.value == b"four" for r in results)
 
     def test_dummy_responses_discarded(self):
-        store = {1: b"one"}
+        store = {1: b"one."}
         results = run_pipeline([Request(OpType.READ, 1, seq=0)], store=store)
         assert len(results) == 1
 
@@ -52,7 +64,7 @@ class TestMatching:
         assert results[0].value is None
 
     def test_client_routing_metadata_preserved(self):
-        store = {1: b"one"}
+        store = {1: b"one."}
         results = run_pipeline(
             [Request(OpType.READ, 1, client_id=77, seq=13)], store=store
         )
@@ -67,21 +79,17 @@ class TestMatching:
             KEY,
             16,
             permissions={(1, 0): 0},
+            value_size=VS,
         )
-        responses = []
-        for batch in batches:
-            for entry in batch:
-                answered = entry.copy()
-                answered.value = b"secret"
-                responses.append(answered)
+        responses = answer(batches, lambda key: b"secr")
         [result] = match_responses(originals, responses)
         assert result.value is None
         assert result.ok is False
 
     def test_mixed_duplicates_and_distinct(self, rng):
-        store = {k: bytes([k]) for k in range(30)}
+        store = {k: bytes([k]) * VS for k in range(30)}
         keys = [rng.randrange(30) for _ in range(40)]
         requests = [Request(OpType.READ, k, seq=i) for i, k in enumerate(keys)]
         results = run_pipeline(requests, store=store)
         assert [r.key for r in results] == keys
-        assert all(r.value == bytes([r.key]) for r in results)
+        assert all(r.value == bytes([r.key]) * VS for r in results)

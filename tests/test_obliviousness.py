@@ -9,12 +9,14 @@ information could replay the trace.
 
 import random
 
+import numpy
 import pytest
 
 from repro.loadbalancer.batching import generate_batches
 from repro.loadbalancer.matching import match_responses
 from repro.oblivious.compact import goodrich_compact
 from repro.oblivious.memory import AccessTrace, TracedMemory
+from repro.oblivious.soa import Batch
 from repro.oblivious.sort import bitonic_sort
 from repro.types import OpType, Request
 
@@ -35,21 +37,20 @@ def batching_trace(requests, num_suborams=3):
     collector = TraceCollector()
     generate_batches(
         requests, num_suborams, KEY, security_parameter=16,
-        mem_factory=collector,
+        mem_factory=collector, value_size=1,
     )
     return collector.trace
 
 
 def matching_trace(requests, num_suborams=3):
     batches, originals, _ = generate_batches(
-        requests, num_suborams, KEY, security_parameter=16
+        requests, num_suborams, KEY, security_parameter=16, value_size=1
     )
-    responses = []
-    for batch in batches:
-        for entry in batch:
-            answered = entry.copy()
-            answered.value = b"vvvv"
-            responses.append(answered)
+    responses = Batch.concat(batches)
+    responses = responses.replace(  # every row answered with b"v"
+        value=numpy.full_like(responses.value, ord("v")),
+        has_value=numpy.ones(len(responses), dtype=bool),
+    )
     collector = TraceCollector()
     match_responses(originals, responses, mem_factory=collector)
     return collector.trace
@@ -142,31 +143,19 @@ class TestHashTableLayout:
         """Table dimensions and slot count depend only on capacity."""
         from repro.oblivious.hashtable import TwoTierHashTable
 
-        class Item:
-            def __init__(self, key):
-                self.key = key
-
         def build(keys):
-            return TwoTierHashTable.build(
-                [Item(k) for k in keys], lambda i: i.key, b"batch-key"
-            )
+            return TwoTierHashTable.build(keys, b"batch-key")
 
         t1 = build(rng.sample(range(10**9), 50))
         t2 = build(rng.sample(range(10**9), 50))
         assert t1.params == t2.params
-        assert len(t1.slots) == len(t2.slots)
+        assert len(t1.slot_items) == len(t2.slot_items)
 
     def test_lookup_touches_fixed_slot_count(self, rng):
         from repro.oblivious.hashtable import TwoTierHashTable
 
-        class Item:
-            def __init__(self, key):
-                self.key = key
-
         keys = rng.sample(range(10**9), 40)
-        table = TwoTierHashTable.build(
-            [Item(k) for k in keys], lambda i: i.key, b"batch-key"
-        )
+        table = TwoTierHashTable.build(keys, b"batch-key")
         counts = {
             len(table.bucket_slot_indices(k))
             for k in list(keys) + [123456789, 42]
@@ -179,7 +168,6 @@ class TestSubOramScanOrder:
         """The subORAM fetches and rewrites slots 0..N-1 in order, with
         identical (get, put) sequences for any batch contents."""
         from repro.suboram.suboram import SubOram
-        from repro.types import BatchEntry, OpType
 
         sequences = []
         for trial in range(2):
@@ -201,15 +189,14 @@ class TestSubOramScanOrder:
 
             store.get, store.put = spy_get, spy_put
             keys = rng.sample(range(25), 6)
-            batch = [
-                BatchEntry(
-                    op=OpType.WRITE if i % 2 else OpType.READ,
-                    key=k,
-                    value=b"wwww" if i % 2 else None,
-                    is_dummy=False,
-                )
-                for i, k in enumerate(keys)
-            ]
+            batch = Batch.from_requests(
+                [
+                    Request(OpType.WRITE, k, b"wwww") if i % 2
+                    else Request(OpType.READ, k)
+                    for i, k in enumerate(keys)
+                ],
+                4,
+            )
             suboram.batch_access(batch)
             sequences.append(log)
         assert sequences[0] == sequences[1]
@@ -226,16 +213,11 @@ class TestHashTableConstructionTrace:
         trace for any set of 60 distinct keys."""
         from repro.oblivious.hashtable import TwoTierHashTable
 
-        class Item:
-            def __init__(self, key):
-                self.key = key
-
         traces = []
         for _ in range(2):
             collector = TraceCollector()
             TwoTierHashTable.build(
-                [Item(k) for k in rng.sample(range(10**9), 60)],
-                lambda i: i.key,
+                rng.sample(range(10**9), 60),
                 b"batch-key",
                 mem_factory=collector,
             )

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.baselines.oblix import OblixMap
+from repro.oblivious.soa import Batch
 from repro.types import BatchEntry, OpType
 
 
@@ -44,12 +45,14 @@ class TestSubOramAdapter:
     def test_batch_access_serves_snoopy_batches(self):
         oblix = OblixMap(64, rng=random.Random(4))
         oblix.initialize({k: bytes([k]) for k in range(64)})
-        batch = [
+        batch = Batch.from_entries([
             BatchEntry(op=OpType.READ, key=5, is_dummy=False),
             BatchEntry(op=OpType.WRITE, key=6, value=b"w", is_dummy=False),
             BatchEntry(op=OpType.READ, key=-(10**9), is_dummy=True),
-        ]
-        responses = oblix.batch_access(batch)
+        ], 1)
+        before = batch.to_bytes()
+        responses = oblix.batch_access(batch).entries()
+        assert batch.to_bytes() == before
         assert len(responses) == 3
         by_key = {e.key: e for e in responses if not e.is_dummy}
         assert by_key[5].value == bytes([5])
@@ -60,8 +63,8 @@ class TestSubOramAdapter:
         oblix = OblixMap(64, rng=random.Random(5))
         oblix.initialize({k: bytes([k]) for k in range(64)})
         before = oblix.data_oram.accesses
-        oblix.batch_access(
+        oblix.batch_access(Batch.from_entries(
             [BatchEntry(op=OpType.READ, key=-(10**9 + i), is_dummy=True)
-             for i in range(4)]
-        )
+             for i in range(4)], 1
+        ))
         assert oblix.data_oram.accesses - before == 4

@@ -14,11 +14,24 @@ from repro.extensions.replication import (
     ReplicaUnavailableError,
     ReplicatedSubOram,
 )
+from repro.oblivious.soa import Batch
 from repro.types import BatchEntry, OpType, Request
 
 
+class _RecordGroup(ReplicatedSubOram):
+    """A replica group driven with record lists (packed into a Batch per
+    call; the argument must come back byte-equal)."""
+
+    def batch_access(self, entries):
+        batch = Batch.from_entries(entries, 4)
+        before = batch.to_bytes()
+        response = super().batch_access(batch)
+        assert batch.to_bytes() == before
+        return response.entries()
+
+
 def make_group(f=1, r=1):
-    group = ReplicatedSubOram(
+    group = _RecordGroup(
         suboram_id=0, value_size=4, crash_tolerance=f, rollback_tolerance=r
     )
     group.initialize({k: bytes([k]) * 4 for k in range(20)})
@@ -58,6 +71,24 @@ class TestHappyPath:
         group.batch_access([write(5, b"aaaa")])
         for replica in group.replicas:
             assert replica.suboram.peek(5) == b"aaaa"
+
+    def test_replicas_share_one_input_and_agree(self):
+        """No per-replica copy: every replica is handed the very same
+        Batch object, leaves it untouched, and returns an equal reply."""
+        group = make_group()
+        seen = []
+        for replica in group.replicas:
+            inner = replica.suboram.batch_access
+
+            def spy(batch, _inner=inner):
+                reply = _inner(batch)
+                seen.append((id(batch), reply.to_bytes()))
+                return reply
+
+            replica.suboram.batch_access = spy
+        group.batch_access([write(5, b"aaaa"), read(6), read(999)])
+        assert len(seen) == group.group_size
+        assert len(set(seen)) == 1
 
 
 class TestCrashes:

@@ -28,6 +28,7 @@ from repro.core.wire import (
 )
 from repro.errors import (
     ConfigurationError,
+    ReproError,
     TaskTimeoutError,
     TransportError,
 )
@@ -448,6 +449,27 @@ class TestConnectionDrop:
         with connect(handle,
                                  manual_epochs=True) as client:
             assert client.read(2) == bytes([2]) * VALUE
+
+
+class TestMalformedRequest:
+    def test_short_write_fails_only_its_own_connection(self, service):
+        """A write that does not fill the value slot is refused by the
+        frame decoder: the sender gets the ERROR reply, nothing reaches a
+        balancer's queue, and the next epoch serves everyone else."""
+        store, handle = service
+        with connect(handle, resume=False) as mallory, \
+                connect(handle) as alice:
+            innocent = alice.submit(Request(OpType.READ, 5, client_id=1))
+            poison = mallory.submit(Request(OpType.WRITE, 6, b"abc"))
+            with pytest.raises(ReproError):
+                poison.result(10)
+            assert sum(b.pending for b in store.load_balancers) == 1
+            alice.close_epoch()
+            assert innocent.result(10).value == bytes([5]) * VALUE
+            # ... and the epoch after that is clean too.
+            later = alice.submit(Request(OpType.READ, 6, client_id=1))
+            alice.close_epoch()
+            assert later.result(10).value == bytes([6]) * VALUE
 
 
 class TestClientTimeout:

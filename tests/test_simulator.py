@@ -13,13 +13,14 @@ import pytest
 from repro.loadbalancer.batching import generate_batches
 from repro.loadbalancer.matching import match_responses
 from repro.oblivious.memory import AccessTrace, TracedMemory
+from repro.oblivious.soa import Batch
 from repro.security.simulator import (
     simulate_batching_trace,
     simulate_matching_trace,
     simulate_suboram_store_sequence,
 )
 from repro.suboram.suboram import SubOram
-from repro.types import BatchEntry, OpType, Request
+from repro.types import OpType, Request
 
 KEY = b"sharding-key-0123456789abcdef..."
 
@@ -51,19 +52,19 @@ class TestRealVsIdealLoadBalancer:
         ideal = simulate_batching_trace(18, 3, KEY, 16)
         for workload in adversarial_workloads(rng):
             collector = _Collector()
-            generate_batches(workload, 3, KEY, 16, mem_factory=collector)
+            generate_batches(workload, 3, KEY, 16, mem_factory=collector,
+                             value_size=1)
             assert collector.trace == ideal
 
     def test_matching_real_equals_ideal(self, rng):
         ideal = simulate_matching_trace(18, 3, KEY, 16)
         for workload in adversarial_workloads(rng):
-            batches, originals, _ = generate_batches(workload, 3, KEY, 16)
-            responses = []
-            for batch in batches:
-                for entry in batch:
-                    answered = entry.copy()
-                    answered.value = b"real-secret-data"
-                    responses.append(answered)
+            batches, originals, _ = generate_batches(workload, 3, KEY, 16,
+                                                     value_size=1)
+            responses = [e for batch in batches for e in batch.entries()]
+            for entry in responses:
+                entry.value = b"real-secret-data"
+            responses = Batch.from_entries(responses, 16)
             collector = _Collector()
             match_responses(originals, responses, mem_factory=collector)
             assert collector.trace == ideal
@@ -94,10 +95,9 @@ class TestRealVsIdealSubOram:
                 _o(slot, key, value),
             )[1]
             keys = rng.sample(range(30), 7)
-            batch = [
-                BatchEntry(op=OpType.READ, key=k, is_dummy=False) for k in keys
-            ]
-            suboram.batch_access(batch)
+            suboram.batch_access(Batch.from_requests(
+                [Request(OpType.READ, k) for k in keys], 4
+            ))
             assert log == ideal
 
 
@@ -118,7 +118,8 @@ class TestHonestClientAmongAdversaries:
                 Request(OpType.READ, honest_key, client_id=1, seq=0)
             ]
             collector = _Collector()
-            generate_batches(workload, 3, KEY, 16, mem_factory=collector)
+            generate_batches(workload, 3, KEY, 16, mem_factory=collector,
+                             value_size=1)
             traces.append(collector.trace)
         assert traces[0] == traces[1]
 

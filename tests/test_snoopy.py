@@ -195,3 +195,57 @@ class TestOverflowSurfacing:
                 store.batch(
                     [Request(OpType.READ, k, seq=i) for i, k in enumerate(keys)]
                 )
+
+
+class TestIntakeValidation:
+    """A request that cannot fit a batch row is refused at ``submit``.
+
+    Regression: it used to be queued, fail the build of its epoch with an
+    untyped error, be requeued at the front by the rollback, and fail
+    every later epoch on that balancer the same way.
+    """
+
+    POISON = [
+        Request(OpType.WRITE, 5, b"abc"),          # 3 bytes, value_size 16
+        Request(OpType.WRITE, 5, b"x" * 17),
+        Request(OpType.READ, 2**70),               # key outside int64
+        Request(OpType.READ, -(2**63) - 1),
+        Request(OpType.READ, 5, client_id=-1),     # ids are uint64 columns
+        Request(OpType.READ, 5, seq=2**64),
+    ]
+
+    def _store(self, kernel):
+        store = Snoopy(
+            SnoopyConfig(num_load_balancers=1, num_suborams=2, value_size=16,
+                         security_parameter=16, kernel=kernel),
+            rng=random.Random(3),
+        )
+        store.initialize({k: bytes([k]) * 16 for k in range(20)})
+        return store
+
+    @pytest.mark.parametrize("kernel", ["python", "numpy"])
+    @pytest.mark.parametrize("pipelined", [False, True])
+    def test_poison_request_refused_and_next_epoch_serves(
+        self, kernel, pipelined
+    ):
+        from repro.errors import CapacityError
+
+        with self._store(kernel) as store:
+            pipeline = (
+                store.start_pipeline(clock=False) if pipelined else None
+            )
+            for request in self.POISON:
+                with pytest.raises(CapacityError):
+                    store.submit(request)
+            assert store.load_balancers[0].pending == 0  # nothing queued
+            assert store.tickets.pending(0) == 0         # no ticket issued
+            innocent = store.submit(Request(OpType.READ, 7, client_id=2))
+            for request in self.POISON[:1]:
+                with pytest.raises(CapacityError):
+                    store.submit(request)
+            if pipelined:
+                pipeline.close_epoch()
+                pipeline.flush()
+            else:
+                store.run_epoch()
+            assert innocent.result().value == bytes([7]) * 16

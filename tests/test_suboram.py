@@ -5,13 +5,27 @@ import random
 import pytest
 
 from repro.errors import DuplicateRequestError, NotInitializedError
+from repro.oblivious.soa import Batch
 from repro.suboram.suboram import SubOram
 from repro.types import BatchEntry, OpType
 
 
+class _RecordSubOram(SubOram):
+    """A SubOram driven with record lists: each call packs them into a
+    Batch, checks the argument comes back byte-equal, and unpacks the
+    response batch."""
+
+    def batch_access(self, entries, *args, **kwargs):
+        batch = Batch.from_entries(entries, self.value_size)
+        before = batch.to_bytes()
+        response = super().batch_access(batch, *args, **kwargs)
+        assert batch.to_bytes() == before
+        return response.entries()
+
+
 def make_suboram(num_objects=50, value_size=4, **kw):
-    so = SubOram(suboram_id=0, value_size=value_size, security_parameter=16,
-                 **kw)
+    so = _RecordSubOram(suboram_id=0, value_size=value_size,
+                        security_parameter=16, **kw)
     so.initialize({k: bytes([k % 256]) * value_size for k in range(num_objects)})
     return so
 
@@ -110,7 +124,7 @@ class TestProtocolInvariants:
         assert so.batch_access([]) == []
 
     def test_uninitialized_rejected(self):
-        so = SubOram(suboram_id=0, value_size=4)
+        so = _RecordSubOram(suboram_id=0, value_size=4)
         with pytest.raises(NotInitializedError):
             so.batch_access([read_entry(1)])
 

@@ -13,7 +13,6 @@ import json
 
 import pytest
 
-from repro.oblivious import soa
 from repro.workloads import (
     DEFAULT_CANDIDATE,
     CandidateConfig,
@@ -122,9 +121,6 @@ class TestTunerDeterminism:
 
 
 class TestTunerBeatsDefault:
-    @pytest.mark.skipif(
-        not soa.HAS_NUMPY, reason="speedup needs the GIL-free numpy kernel"
-    )
     def test_winner_beats_default_on_its_own_trace(self):
         """Replay-verified: the tuned config out-serves the reference.
 

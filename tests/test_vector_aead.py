@@ -27,7 +27,6 @@ import pytest
 from repro.crypto.aead import NONCE_LEN, TAG_LEN
 from repro.crypto.vector import VectorAead
 from repro.errors import ConfigurationError, IntegrityError
-from repro.oblivious import soa
 from repro.suboram.store import (
     CRYPTO_MODES,
     DEFAULT_CRYPTO,
@@ -36,10 +35,6 @@ from repro.suboram.store import (
 )
 
 KEY = b"vector-aead-test-key-0123456789ab"[:32]
-
-needs_numpy = pytest.mark.skipif(
-    not soa.HAS_NUMPY, reason="NumPy is not installed"
-)
 
 
 def nonce_for(i: int) -> bytes:
@@ -62,7 +57,6 @@ class TestSelector:
 class TestBackendBitIdentity:
     """The NumPy fast path and the pure-Python reference are one cipher."""
 
-    @needs_numpy
     @pytest.mark.parametrize("plain_size", [1, 7, 8, 16, 33, 1024])
     @pytest.mark.parametrize("count", [1, 3, 17])
     def test_seal_identical_across_backends(self, plain_size, count):
@@ -82,7 +76,6 @@ class TestBackendBitIdentity:
             fast.open_lanes(nonce, sealed_slow, count, plain_size)
         ) == plain
 
-    @needs_numpy
     @pytest.mark.parametrize("lane_base", [0, 5, 1 << 33])
     def test_lane_base_and_aad_identical(self, lane_base):
         fast = VectorAead(KEY, backend="numpy")
@@ -98,7 +91,6 @@ class TestBackendBitIdentity:
             ))
             assert a == b
 
-    @needs_numpy
     def test_different_keys_and_nonces_differ(self):
         plain = lane_plain(64, 0)
         base = bytes(
@@ -123,7 +115,6 @@ class TestBackendBitIdentity:
 class TestLaneInterop:
     """Scalar seal_one/open_one interoperate with whole-batch lanes."""
 
-    @needs_numpy
     def test_seal_one_matches_batch_slice(self):
         aead = VectorAead(KEY)
         nonce = nonce_for(3)
@@ -140,7 +131,6 @@ class TestLaneInterop:
                 lane_plain(size, lane)
             )
 
-    @needs_numpy
     def test_lane_splice_rejected(self):
         """A blob sealed for lane i must not open at lane j."""
         aead = VectorAead(KEY)
@@ -153,8 +143,6 @@ class TestLaneInterop:
 class TestAuthentication:
     @pytest.mark.parametrize("backend", ["numpy", "py"])
     def test_tamper_rejected_every_byte_region(self, backend):
-        if backend == "numpy" and not soa.HAS_NUMPY:
-            pytest.skip("NumPy is not installed")
         aead = VectorAead(KEY, backend=backend)
         nonce = nonce_for(5)
         sealed = bytearray(aead.seal_lanes(
@@ -169,8 +157,6 @@ class TestAuthentication:
 
     @pytest.mark.parametrize("backend", ["numpy", "py"])
     def test_truncation_rejected(self, backend):
-        if backend == "numpy" and not soa.HAS_NUMPY:
-            pytest.skip("NumPy is not installed")
         aead = VectorAead(KEY, backend=backend)
         nonce = nonce_for(6)
         sealed = bytes(aead.seal_lanes(nonce, lane_plain(32, 0), 1, 32))
@@ -192,7 +178,6 @@ class TestAuthentication:
 class TestKeystreamUniqueness:
     """One fresh keystream per batch — the SECURITY.md invariant."""
 
-    @needs_numpy
     def test_store_derives_one_keystream_per_batch_with_fresh_nonces(self):
         store = EncryptedStore(
             KEY, num_slots=32, value_size=24, crypto="vector"
@@ -210,7 +195,6 @@ class TestKeystreamUniqueness:
             seen_nonces.add(nonce)
         assert len(seen_nonces) == 5
 
-    @needs_numpy
     def test_batch_nonce_replicated_per_slot(self):
         """All slots of one batch share the batch nonce (lane-separated)."""
         store = EncryptedStore(
@@ -236,7 +220,6 @@ class TestPickling:
             aead.seal_lanes(nonce, plain, 1, 20)
         )
 
-    @needs_numpy
     def test_vector_store_roundtrip(self):
         store = EncryptedStore(
             KEY, num_slots=16, value_size=32, crypto="vector"
@@ -254,7 +237,6 @@ class TestPickling:
 
 
 class TestStoreIntegration:
-    @needs_numpy
     def test_mixed_scalar_and_batch_state(self):
         store = EncryptedStore(
             KEY, num_slots=12, value_size=16, crypto="vector"
@@ -270,7 +252,6 @@ class TestStoreIntegration:
         assert bytes(values[0]) == lane_plain(16, 0)
         assert list(keys) == list(range(12))
 
-    @needs_numpy
     def test_store_tamper_detected(self):
         store = EncryptedStore(
             KEY, num_slots=4, value_size=16, crypto="vector"

@@ -10,15 +10,11 @@ from repro.core.wire import (
     Role,
     VersionMismatchError,
     WireError,
-    decode_batch,
-    decode_entry,
     decode_frame_header,
     decode_hello,
     decode_request,
     decode_response,
     decode_txn,
-    encode_batch,
-    encode_entry,
     encode_frame,
     encode_hello,
     encode_request,
@@ -27,7 +23,11 @@ from repro.core.wire import (
     request_size,
     response_size,
 )
+from repro.errors import CapacityError
+from repro.oblivious.soa import BATCH_HEADER_SIZE, BATCH_ROW_SIZE, Batch
 from repro.types import BatchEntry, OpType, Request, Response
+
+VS = 4  # value_size of the batches below
 
 
 def entries_equal(a: BatchEntry, b: BatchEntry) -> bool:
@@ -44,91 +44,138 @@ def entries_equal(a: BatchEntry, b: BatchEntry) -> bool:
     )
 
 
+def roundtrip(entries, value_size=VS):
+    """entries -> Batch -> bytes -> Batch -> entries."""
+    data = Batch.from_entries(entries, value_size).to_bytes()
+    return Batch.from_buffer(data, value_size).entries()
+
+
+def read(key, **kw):
+    return BatchEntry(op=OpType.READ, key=key, is_dummy=False, **kw)
+
+
 class TestEntryRoundtrip:
     def test_read_entry(self):
-        entry = BatchEntry(op=OpType.READ, key=42, is_dummy=False, seq=7)
-        decoded, offset = decode_entry(encode_entry(entry))
+        entry = read(42, seq=7)
+        [decoded] = roundtrip([entry])
         assert entries_equal(entry, decoded)
 
     def test_write_entry_with_value(self):
         entry = BatchEntry(
-            op=OpType.WRITE, key=1, value=b"payload", is_dummy=False,
+            op=OpType.WRITE, key=1, value=b"load", is_dummy=False,
             client_id=9, seq=3, suboram=2, tag=5,
         )
-        decoded, _ = decode_entry(encode_entry(entry))
+        [decoded] = roundtrip([entry])
         assert entries_equal(entry, decoded)
 
     def test_dummy_entry_negative_key(self):
         entry = BatchEntry(op=OpType.READ, key=-(2**61 + 17), is_dummy=True)
-        decoded, _ = decode_entry(encode_entry(entry))
+        [decoded] = roundtrip([entry])
         assert entries_equal(entry, decoded)
 
     def test_denied_entry(self):
-        entry = BatchEntry(op=OpType.WRITE, key=3, value=b"x", is_dummy=False,
-                           permitted=0)
-        decoded, _ = decode_entry(encode_entry(entry))
+        entry = BatchEntry(op=OpType.WRITE, key=3, value=b"xxxx",
+                           is_dummy=False, permitted=0)
+        [decoded] = roundtrip([entry])
         assert decoded.permitted == 0
 
     def test_none_vs_empty_value_distinguished(self):
-        none_entry = BatchEntry(op=OpType.READ, key=1, value=None, is_dummy=False)
-        empty_entry = BatchEntry(op=OpType.READ, key=1, value=b"", is_dummy=False)
-        assert decode_entry(encode_entry(none_entry))[0].value is None
-        assert decode_entry(encode_entry(empty_entry))[0].value == b""
+        """The has-value bit, not the bytes, carries absence."""
+        [none_entry] = roundtrip([read(1, value=None)], value_size=0)
+        [empty_entry] = roundtrip([read(1, value=b"")], value_size=0)
+        assert none_entry.value is None
+        assert empty_entry.value == b""
+        [absent] = roundtrip([read(1)])
+        [zeros] = roundtrip([read(1, value=bytes(VS))])
+        assert absent.value is None and zeros.value == bytes(VS)
 
     def test_oversized_key_rejected(self):
-        entry = BatchEntry(op=OpType.READ, key=2**70, is_dummy=False)
-        with pytest.raises(WireError):
-            encode_entry(entry)
+        for key in (2**70, -(2**63) - 1):
+            with pytest.raises(CapacityError):
+                Batch.from_entries([read(key)], VS)
+        with pytest.raises(CapacityError):
+            Batch.from_requests([Request(OpType.READ, 2**63)], VS)
+
+    def test_wrong_width_value_rejected(self):
+        with pytest.raises(CapacityError):
+            Batch.from_entries([read(1, value=b"abc")], VS)
+        with pytest.raises(CapacityError):
+            Batch.from_requests([Request(OpType.WRITE, 1, b"abcde")], VS)
+
+
+def _shapes(n):
+    """Same-shape batches differing in everything the padding hides."""
+    return {
+        "all-read": [read(k) for k in range(n)],
+        "all-write": [
+            BatchEntry(op=OpType.WRITE, key=k, value=b"wwww", is_dummy=False)
+            for k in range(n)
+        ],
+        "mixed": [
+            BatchEntry(op=OpType.WRITE, key=k, value=b"wwww", is_dummy=False)
+            if k % 3 else read(k)
+            for k in range(n)
+        ],
+        "all-dummy": [
+            BatchEntry(op=OpType.READ, key=-(2**61 + k), is_dummy=True)
+            for k in range(n)
+        ],
+        # A reply whose keys all exist carries a value in every row ...
+        "all-hit": [read(k, value=b"vvvv") for k in range(n)],
+        # ... and one whose keys are all absent carries none.
+        "all-miss": [read(10**9 + k) for k in range(n)],
+    }
 
 
 class TestBatchRoundtrip:
     def test_batch(self):
-        batch = [
-            BatchEntry(op=OpType.READ, key=k, is_dummy=False, seq=k)
-            for k in range(10)
-        ]
-        decoded = decode_batch(encode_batch(batch))
+        batch = [read(k, seq=k) for k in range(10)]
+        decoded = roundtrip(batch)
         assert len(decoded) == 10
         assert all(entries_equal(a, b) for a, b in zip(batch, decoded))
 
     def test_empty_batch(self):
-        assert decode_batch(encode_batch([])) == []
+        assert roundtrip([]) == []
+        assert len(Batch.from_entries([], VS).to_bytes()) == BATCH_HEADER_SIZE
 
     def test_fixed_size_for_fixed_shape(self):
-        """Wire size depends only on batch size and value sizes (public)."""
-        def batch_bytes(keys):
-            return len(
-                encode_batch(
-                    [
-                        BatchEntry(op=OpType.READ, key=k, is_dummy=False)
-                        for k in keys
-                    ]
-                )
-            )
-
-        assert batch_bytes([1, 2, 3]) == batch_bytes([99, -5, 2**40])
+        """Frame length is a function of (rows, value_size) alone."""
+        for n in (1, 7, 40):
+            sizes = {
+                name: len(Batch.from_entries(entries, VS).to_bytes())
+                for name, entries in _shapes(n).items()
+            }
+            expected = BATCH_HEADER_SIZE + n * (BATCH_ROW_SIZE + VS)
+            assert set(sizes.values()) == {expected}, sizes
 
     def test_truncated_rejected(self):
-        data = encode_batch(
-            [BatchEntry(op=OpType.READ, key=1, is_dummy=False)]
-        )
+        data = Batch.from_entries([read(1)], VS).to_bytes()
         with pytest.raises(WireError):
-            decode_batch(data[:-1])
+            Batch.from_buffer(data[:-1], VS)
+        with pytest.raises(WireError):
+            Batch.from_buffer(data[:BATCH_HEADER_SIZE - 1], VS)
 
     def test_trailing_garbage_rejected(self):
-        data = encode_batch(
-            [BatchEntry(op=OpType.READ, key=1, is_dummy=False)]
-        )
+        data = Batch.from_entries([read(1)], VS).to_bytes()
         with pytest.raises(WireError):
-            decode_batch(data + b"\x00")
+            Batch.from_buffer(data + b"\x00", VS)
 
     def test_bad_op_rejected(self):
-        data = bytearray(
-            encode_batch([BatchEntry(op=OpType.READ, key=1, is_dummy=False)])
-        )
-        data[4] = 0xFF  # first entry's op byte
+        data = bytearray(Batch.from_entries([read(1)], VS).to_bytes())
+        data[BATCH_HEADER_SIZE] = 0xFF  # first row's op byte
         with pytest.raises(WireError):
-            decode_batch(bytes(data))
+            Batch.from_buffer(bytes(data), VS)
+
+    def test_unknown_flag_bit_rejected(self):
+        data = bytearray(Batch.from_entries([read(1)], VS).to_bytes())
+        data[BATCH_HEADER_SIZE + 1] |= 0x08  # first row's flags byte
+        with pytest.raises(WireError):
+            Batch.from_buffer(bytes(data), VS)
+
+    def test_wrong_value_size_rejected(self):
+        data = Batch.from_entries([read(1)], VS).to_bytes()
+        with pytest.raises(WireError):
+            Batch.from_buffer(data, VS + 1)
 
 
 class TestFuzz:
@@ -140,24 +187,19 @@ class TestFuzz:
         for _ in range(300):
             blob = bytes(rng.getrandbits(8) for _ in range(rng.randrange(0, 200)))
             try:
-                decode_batch(blob)
+                Batch.from_buffer(blob, VS)
             except WireError:
                 pass
 
     def test_truncations_of_valid_batch(self):
         batch = [
-            BatchEntry(op=OpType.WRITE, key=k, value=b"xy", is_dummy=False)
+            BatchEntry(op=OpType.WRITE, key=k, value=b"xyzw", is_dummy=False)
             for k in range(5)
         ]
-        data = encode_batch(batch)
+        data = Batch.from_entries(batch, VS).to_bytes()
         for cut in range(len(data)):
-            try:
-                decoded = decode_batch(data[:cut])
-                # Only a shorter valid prefix could decode -- but the
-                # count header makes that impossible except cut == len.
-                assert False, f"truncation at {cut} decoded: {decoded}"
-            except WireError:
-                pass
+            with pytest.raises(WireError):
+                Batch.from_buffer(data[:cut], VS)
 
 
 class TestHello:
@@ -188,6 +230,10 @@ class TestHello:
             decode_hello(frame)
         assert excinfo.value.offered == WIRE_VERSION + 1
         assert WIRE_VERSION in excinfo.value.supported
+        # A v2 peer (variable-width batch entries) is refused by name.
+        with pytest.raises(VersionMismatchError, match=r"\{3\}") as excinfo:
+            decode_hello(encode_hello(Role.WORKER, version=2))
+        assert (excinfo.value.offered, excinfo.value.supported) == (2, (3,))
 
     def test_bad_magic_rejected_before_version(self):
         frame = bytearray(encode_hello(Role.CLIENT, version=WIRE_VERSION + 1))
@@ -242,7 +288,7 @@ class TestFrames:
 
 class TestRequestResponse:
     def test_request_roundtrip(self):
-        request = Request(OpType.WRITE, 42, b"abcd", client_id=9, seq=3)
+        request = Request(OpType.WRITE, 42, b"abcdefgh", client_id=9, seq=3)
         data = encode_request(17, request, value_size=8, load_balancer=1)
         req_id, decoded, balancer = decode_request(data, value_size=8)
         assert req_id == 17
@@ -274,6 +320,11 @@ class TestRequestResponse:
             decode_request(data[:-1], value_size=4)
         with pytest.raises(WireError):
             decode_request(data, value_size=8)
+        # A write payload that does not fill the value slot is refused at
+        # the connection, before it can reach a balancer's queue.
+        short = encode_request(1, Request(OpType.WRITE, 1, b"abc"), 4)
+        with pytest.raises(WireError):
+            decode_request(short, value_size=4)
 
     def test_response_roundtrip(self):
         response = Response(key=5, value=b"vv", client_id=2, seq=7, ok=True)
@@ -333,12 +384,12 @@ class TestPropertyRoundtrip:
             st.builds(
                 BatchEntry,
                 op=st.sampled_from([OpType.READ, OpType.WRITE]),
-                key=st.integers(min_value=-(2**62), max_value=2**62),
-                value=st.one_of(st.none(), st.binary(max_size=64)),
+                key=st.integers(min_value=-(2**63), max_value=2**63 - 1),
+                value=st.one_of(st.none(), st.binary(min_size=6, max_size=6)),
                 suboram=st.integers(min_value=0, max_value=2**31 - 1),
                 tag=st.integers(min_value=0, max_value=2**63 - 1),
-                client_id=st.integers(min_value=0, max_value=2**63 - 1),
-                seq=st.integers(min_value=0, max_value=2**63 - 1),
+                client_id=st.integers(min_value=0, max_value=2**64 - 1),
+                seq=st.integers(min_value=0, max_value=2**64 - 1),
                 is_dummy=st.booleans(),
                 permitted=st.integers(min_value=0, max_value=1),
             ),
@@ -347,10 +398,14 @@ class TestPropertyRoundtrip:
 
         @given(entries_strategy)
         @settings(max_examples=60, deadline=None)
-        def roundtrip(batch):
-            decoded = decode_batch(encode_batch(batch))
+        def check(batch):
+            data = Batch.from_entries(batch, 6).to_bytes()
+            assert len(data) == (
+                BATCH_HEADER_SIZE + len(batch) * (BATCH_ROW_SIZE + 6)
+            )
+            decoded = Batch.from_buffer(data, 6).entries()
             assert len(decoded) == len(batch)
             for a, b in zip(batch, decoded):
                 assert entries_equal(a, b)
 
-        roundtrip()
+        check()
