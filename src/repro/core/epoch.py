@@ -16,7 +16,9 @@ epoch behind each other:
 * **execute** — every subORAM serves the L balancers' batches.  The
   batches of one subORAM run in fixed balancer order (LB 0 first — the
   order Appendix C's linearization proof fixes), so each subORAM's
-  L-batch chain is a single ordered unit; independent *across subORAMs*.
+  L-batch chain is a single ordered unit — and one store session: the
+  partition is opened once and resealed once for the whole chain;
+  independent *across subORAMs*.
 * **match** — every balancer obliviously matches the returned rows to
   its clients' requests, and the epoch's ticket cut is resolved.
 * **rollback** — a fatally failed epoch's requests go back to the front
@@ -47,6 +49,7 @@ subORAM state returns by value and the execute step reinstalls it.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import time
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -71,7 +74,9 @@ from repro.types import Request, Response
 #: Delivery seam for stage ➋: ``(balancer_index, suboram_index, suboram,
 #: batch) -> response batch``.  ``None`` means a direct in-process
 #: ``suboram.batch_access(batch)`` call; a networked deployment supplies
-#: its sealed-channel round trip here.
+#: its sealed-channel round trip here.  Either way the call runs inside
+#: the store session :func:`_execute_stateful` opens around the chain
+#: (``SubOram.epoch``); remote proxies have none and serve batch by batch.
 Transport = Callable[[int, int, object, Batch], Batch]
 
 
@@ -130,17 +135,20 @@ def _execute_stateful(suboram, args):
     suboram_index, chain, transport, fault, telemetry = args
     _raise_injected(fault, suboram_index)
     outputs = []
-    for balancer_index, batch in chain:
-        with telemetry.time(
-            "snoopy_suboram_batch_seconds", unit=suboram_index
-        ):
-            if transport is None:
-                entries = suboram.batch_access(batch)
-            else:
-                entries = transport(
-                    balancer_index, suboram_index, suboram, batch
-                )
-        outputs.append((balancer_index, entries))
+    # One store session for the whole chain, where the subORAM has one.
+    session = getattr(suboram, "epoch", None)
+    with session(len(chain)) if session else contextlib.nullcontext():
+        for balancer_index, batch in chain:
+            with telemetry.time(
+                "snoopy_suboram_batch_seconds", unit=suboram_index
+            ):
+                if transport is None:
+                    entries = suboram.batch_access(batch)
+                else:
+                    entries = transport(
+                        balancer_index, suboram_index, suboram, batch
+                    )
+            outputs.append((balancer_index, entries))
     return suboram, outputs
 
 

@@ -208,7 +208,8 @@ class Snoopy:
             "for dummies)",
         )
         partitions = oblivious_shard(
-            objects, self.config.num_suborams, self.keychain.sharding_key()
+            objects, self.config.num_suborams, self.keychain.sharding_key(),
+            kernel=self.config.kernel,
         )
         for suboram, partition in zip(self.suborams, partitions):
             suboram.initialize(partition)

@@ -27,12 +27,18 @@ Carter-Wegman polynomial MAC modulo the Mersenne prime ``p = 2^61 - 1``:
   ``[lane_hi, lane_lo, aad limbs, ciphertext limbs, len(aad), len(ct)]``
   evaluated at two independent points ``r1, r2`` derived from the key,
   masked by four per-lane pad words from a second nonce-derived seed.
-  The limb products reduce mod ``p`` with shift/mask identities
-  (``2^64 = 8 mod p``), and the per-lane sums collapse through one
-  hi/lo split ``np.sum`` — a fixed number of whole-array operations for
-  any batch.  Binding the lane index into the MAC replaces the slot-id
-  associated data of the HMAC scheme: a blob spliced to another slot
-  fails its tag.  Tags are :data:`TAG_LEN` bytes, so sealed-slot sizes
+  Both polynomials are **one exact integer matmul**: each power
+  ``r^k mod p`` (61 bits) is split once into three 21-bit pieces, and
+  ``limbs @ pieces`` — ``(lanes, width) @ (width, 6)`` in uint64 — gives
+  three partial sums per lane and point.  A 32-bit limb times a 21-bit
+  piece is below 2^53, so 2^11 of them sum below 2^64 with no
+  per-element reduction (wider lanes, over ~8 KiB, are summed in column
+  blocks of 2^11 limbs — never a silent wrap); the partial sums fold
+  with two 61-bit rotations (``x * 2^21``, ``x * 2^42 mod p``) and one
+  reduction — a fixed number of whole-array operations for any batch.
+  Binding the lane index into the MAC replaces the slot-id associated
+  data of the HMAC scheme: a blob spliced to another slot fails its
+  tag.  Tags are :data:`TAG_LEN` bytes, so sealed-slot sizes
   match the HMAC scheme exactly and ciphertext lengths stay functions
   of public shape only.
 
@@ -64,7 +70,7 @@ __all__ = ["VectorAead"]
 #: The Mersenne prime the polynomial MAC works over.
 _P = (1 << 61) - 1
 _MASK61 = _P
-_MASK29 = (1 << 29) - 1
+_MASK21 = (1 << 21) - 1
 _MASK64 = (1 << 64) - 1
 
 #: Weyl-sequence increment and splitmix64 finalizer multipliers.
@@ -73,6 +79,10 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 _U64x4 = struct.Struct(">QQQQ")
+
+#: Most limbs one exact uint64 matmul may sum: 2^11 products of a 32-bit
+#: limb and a 21-bit power piece stay below 2^64.
+_MAX_BLOCK = 1 << 11
 
 def _mix64(z: int) -> int:
     """The splitmix64 finalizer over one 64-bit word (exact-int path)."""
@@ -132,7 +142,7 @@ class VectorAead:
         # Evaluation points in [1, p-1]: zero would void the whole MAC.
         self._r1 = (int.from_bytes(poly[:8], "big") % (_P - 1)) + 1
         self._r2 = (int.from_bytes(poly[8:16], "big") % (_P - 1)) + 1
-        #: (r, width) -> (hi_arr, lo_arr, int powers) power-table cache.
+        #: Power-table cache: (r, width) -> ints, width -> 21-bit pieces.
         self._powers: dict = {}
         #: Fresh-keystream derivations (one per sealed batch/lane group).
         self.keystream_derivations = 0
@@ -156,19 +166,33 @@ class VectorAead:
         self.keystream_derivations += 1
         return ks, ts
 
-    def _power_table(self, r: int, width: int):
-        """Cached ``[r^width, ..., r^1] mod p`` (ints + uint64 hi/lo)."""
+    def _power_table(self, r: int, width: int) -> List[int]:
+        """Cached ``[r^width, ..., r^1] mod p`` as exact ints."""
         cached = self._powers.get((r, width))
         if cached is None:
-            powers = [0] * width
+            cached = [0] * width
             acc = 1
             for j in range(width):
                 acc = (acc * r) % _P
-                powers[width - 1 - j] = acc
-            arr = np.asarray(powers, dtype=np.uint64)
-            cached = (arr >> np.uint64(32), arr & np.uint64(0xFFFFFFFF),
-                      powers)
+                cached[width - 1 - j] = acc
             self._powers[(r, width)] = cached
+        return cached
+
+    def _power_pieces(self, width: int):
+        """Both points' power tables as one ``(width, 6)`` uint64 matrix:
+        column ``3*i + j`` holds bits ``[21*j, 21*j + 21)`` of point
+        ``i``'s powers."""
+        cached = self._powers.get(width)
+        if cached is None:
+            tables = [self._power_table(r, width) for r in (self._r1, self._r2)]
+            cached = self._powers[width] = np.asarray(
+                [
+                    [(power >> shift) & _MASK21
+                     for power in row for shift in (0, 21, 42)]
+                    for row in zip(*tables)
+                ],
+                dtype=np.uint64,
+            )
         return cached
 
     @staticmethod
@@ -297,8 +321,8 @@ class VectorAead:
             + [len(aad), plain_size]
         )
         width = len(limbs)
-        _, _, pw1 = self._power_table(self._r1, width)
-        _, _, pw2 = self._power_table(self._r2, width)
+        pw1 = self._power_table(self._r1, width)
+        pw2 = self._power_table(self._r2, width)
         t1 = sum(m * w for m, w in zip(limbs, pw1)) % _P
         t2 = sum(m * w for m, w in zip(limbs, pw2)) % _P
         ts0, ts1 = ts
@@ -389,6 +413,13 @@ class VectorAead:
         x = (x & m) + (x >> np.uint64(61))
         return np.where(x >= np.uint64(_P), x - np.uint64(_P), x)
 
+    @staticmethod
+    def _rot61_np(x, bits: int):
+        """``x * 2^bits mod p`` for ``x < 2^61``: a 61-bit left rotation."""
+        return ((x << np.uint64(bits)) & np.uint64(_MASK61)) | (
+            x >> np.uint64(61 - bits)
+        )
+
     def _keystream_np(
         self, ks, count, plain_size, lane_base, scratch
     ):
@@ -453,43 +484,23 @@ class VectorAead:
         limbs[:, -2] = np.uint64(len(aad))
         limbs[:, -1] = np.uint64(plain_size)
 
-        # Reused whole-matrix temporaries: the polynomial pass below is
-        # pure in-place arithmetic over these three (count, width)
-        # buffers — zero allocation on the epoch path.
-        t = soa.scratch_array(scratch, "vec_t", (count, width), np.uint64)
-        acc = soa.scratch_array(
-            scratch, "vec_acc", (count, width), np.uint64
-        )
-        u = soa.scratch_array(scratch, "vec_u", (count, width), np.uint64)
-
-        def poly(r):
-            hi, lo, _ = self._power_table(r, width)
-            # m * r^k mod p via 32-bit splits: every intermediate stays
-            # exact in uint64 (bounds: m < 2^32, hi < 2^29, lo < 2^32).
-            # acc accumulates c1 + c2 < 2^63, congruent to m * r^k.
-            np.multiply(limbs, hi, out=t)
-            np.right_shift(t, np.uint64(29), out=acc)
-            np.bitwise_and(t, np.uint64(_MASK29), out=t)
-            np.left_shift(t, np.uint64(32), out=t)
-            np.add(acc, t, out=acc)
-            np.multiply(limbs, lo, out=t)
-            np.right_shift(t, np.uint64(61), out=u)
-            np.bitwise_and(t, np.uint64(_MASK61), out=t)
-            np.add(acc, t, out=acc)
-            np.add(acc, u, out=acc)
-            np.bitwise_and(acc, np.uint64(0xFFFFFFFF), out=t)
-            s_lo = t.sum(axis=1)
-            np.right_shift(acc, np.uint64(32), out=t)
-            s_hi = self._mod_p_np(t.sum(axis=1))
-            total = (
-                (s_hi >> np.uint64(29))
-                + ((s_hi & np.uint64(_MASK29)) << np.uint64(32))
-                + s_lo
+        # Both polynomials as one exact integer matmul per column block
+        # (see the module docstring), reduced mod p between blocks.
+        pieces = self._power_pieces(width)
+        sums = np.zeros((count, 6), dtype=np.uint64)
+        for start in range(0, width, _MAX_BLOCK):
+            block = slice(start, start + _MAX_BLOCK)
+            sums = self._mod_p_np(
+                sums + self._mod_p_np(limbs[:, block] @ pieces[block])
             )
-            return self._mod_p_np(total)
-
-        t1 = poly(self._r1)
-        t2 = poly(self._r2)
+        # Fold the three partial sums per point: x * 2^21 and x * 2^42
+        # mod 2^61 - 1 are 61-bit rotations of a reduced x.
+        sums = sums.reshape(count, 2, 3)
+        t1, t2 = self._mod_p_np(
+            sums[:, :, 0]
+            + self._rot61_np(sums[:, :, 1], 21)
+            + self._rot61_np(sums[:, :, 2], 42)
+        ).T
         idx = lanes[:, None] * np.uint64(4) + np.arange(
             1, 5, dtype=np.uint64
         )

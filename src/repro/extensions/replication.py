@@ -18,6 +18,7 @@ data.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 from typing import Dict, Optional
 
@@ -149,6 +150,15 @@ class ReplicatedSubOram:
     # ------------------------------------------------------------------
     # Batch execution with freshness checking
     # ------------------------------------------------------------------
+    @contextlib.contextmanager
+    def epoch(self, batches: int):
+        """One epoch session on every live replica (see ``SubOram.epoch``)."""
+        with contextlib.ExitStack() as stack:
+            for replica in self.replicas:
+                if not replica.crashed:
+                    stack.enter_context(replica.suboram.epoch(batches))
+            yield self
+
     def batch_access(self, batch: Batch) -> Batch:
         """Execute on all live replicas; return a verified-fresh reply.
 

@@ -101,10 +101,9 @@ def generate_batches(
     # ➊ Assign subORAMs (one keyed hash per request, arrival order).
     with telemetry.time("snoopy_lb_stage_seconds", stage="route"):
         originals = Batch.from_requests(requests, value_size, permissions)
-        originals = originals.replace(suboram=np.asarray(
-            prf.range_many(originals.key.tolist(), num_suborams),
-            dtype=np.int64,
-        ))
+        originals = originals.replace(
+            suboram=prf.range_many(originals.key, num_suborams)
+        )
 
     # ➋ Append B dummies per subORAM.
     with telemetry.time("snoopy_lb_stage_seconds", stage="pad"):

@@ -18,10 +18,12 @@ partition sizes the server observes anyway when storing the shards).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
+
+import numpy as np
 
 from repro.crypto.prf import Prf
-from repro.oblivious.sort import bitonic_sort
+from repro.oblivious.kernels import resolve_kernel
 
 
 def oblivious_shard(
@@ -29,6 +31,7 @@ def oblivious_shard(
     num_suborams: int,
     sharding_key: bytes,
     mem_factory=None,
+    kernel=None,
 ) -> List[Dict[int, bytes]]:
     """Partition ``objects`` per Figure 23; returns one dict per subORAM.
 
@@ -37,26 +40,31 @@ def oblivious_shard(
         num_suborams: S.
         sharding_key: the deployment keyed-hash key.
         mem_factory: optional traced-memory wrapper for the oblivious sort
-            (security tests).
+            (security tests); forces the python kernel.
+        kernel: oblivious-kernel selector for the sort; partitions are
+            the same under either kernel.
     """
-    prf = Prf(sharding_key)
+    kern = resolve_kernel(kernel, mem_factory)
+    keys = np.asarray(list(objects), dtype=np.int64)
+    values = list(objects.values())
 
     # ➊ Fixed scan: attach the tag t = H_k(idx) to each object.
-    tagged: List[Tuple[int, int, bytes]] = [
-        (prf.range(key, num_suborams), key, value)
-        for key, value in objects.items()
-    ]
+    tags = Prf(sharding_key).range_many(keys, num_suborams)
 
     # ➋ Oblivious sort by tag (ties broken by key for determinism).
-    ordered = bitonic_sort(
-        tagged, key=lambda record: (record[0], record[1]),
-        mem_factory=mem_factory,
+    order = np.asarray(
+        kern.sort(
+            np.arange(len(keys)), [tags, keys], mem_factory=mem_factory
+        ),
+        dtype=np.int64,
     )
 
     # ➌ Fixed scan locating partition boundaries.
     partitions: List[Dict[int, bytes]] = [{} for _ in range(num_suborams)]
-    for tag, key, value in ordered:
-        partitions[tag][key] = value
+    for tag, key, index in zip(
+        tags[order].tolist(), keys[order].tolist(), order.tolist()
+    ):
+        partitions[tag][key] = values[index]
     return partitions
 
 
@@ -64,8 +72,5 @@ def partition_sizes(
     objects: Sequence[int], num_suborams: int, sharding_key: bytes
 ) -> List[int]:
     """The public partition-size vector for a key set."""
-    prf = Prf(sharding_key)
-    sizes = [0] * num_suborams
-    for key in objects:
-        sizes[prf.range(key, num_suborams)] += 1
-    return sizes
+    tags = Prf(sharding_key).range_many(objects, num_suborams)
+    return np.bincount(tags, minlength=num_suborams).tolist()

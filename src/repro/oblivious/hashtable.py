@@ -137,7 +137,7 @@ class TwoTierHashTable:
     int64/bool arrays under the numpy kernel, whose build, scan and
     extract never touch a per-slot Python object; callers hold the items
     (a :class:`~repro.oblivious.soa.Batch`, a list) and index them.
-    Both tiers' buckets come from *one* per-batch-keyed PRF digest per
+    Both tiers' buckets come from *one* per-batch-keyed PRF tag per
     key: reduced modulo ``tier1_buckets * tier2_buckets``, its two
     mixed-radix digits are independent uniform bucket indices.
     """
@@ -195,21 +195,21 @@ class TwoTierHashTable:
         # Entries are named by *source*: item i is i, and the j-th of the
         # tier2_capacity spill fillers is n + j (real bit 0, an id from a
         # space disjoint from real/dummy ids so that it hashes too).
-        ids = keys.tolist() if isinstance(keys, np.ndarray) else list(keys)
-        ids += [-(2**62 + j) for j in range(p.tier2_capacity)]
-        real = [1] * n if real is None else [int(bool(r)) for r in real]
-        real += [0] * p.tier2_capacity
-        digits = prf.range_many(ids, p.tier1_buckets * p.tier2_buckets)
-        bucket1 = [d // p.tier2_buckets for d in digits[:n]]
-        bucket2 = [d % p.tier2_buckets for d in digits]
+        ids = np.concatenate([
+            np.asarray(keys, dtype=np.int64),
+            -(2**62) - np.arange(p.tier2_capacity, dtype=np.int64),
+        ])
+        real = np.ones(n, bool) if real is None else np.asarray(real, bool)
+        real = np.pad(real, (0, p.tier2_capacity))  # fillers are not real
+        bucket1, bucket2 = np.divmod(
+            prf.range_many(ids, p.tier1_buckets * p.tier2_buckets),
+            p.tier2_buckets,
+        )
         tier1 = (p.tier1_buckets, p.tier1_bucket_size, p.tier2_capacity, n)
         tier2 = (p.tier2_buckets, p.tier2_bucket_size, 0, 0)
         if kern.vectorized:
-            real = np.asarray(real, dtype=bool)
-            bucket2 = np.asarray(bucket2, dtype=np.int64)
             slots1, spill = _tier_columns(
-                kern, np.asarray(bucket1, dtype=np.int64),
-                np.arange(n, dtype=np.int64), *tier1,
+                kern, bucket1[:n], np.arange(n, dtype=np.int64), *tier1
             )
             slots2, overflow = _tier_columns(
                 kern, bucket2[spill], spill, *tier2
@@ -217,8 +217,10 @@ class TwoTierHashTable:
             slot_items = np.concatenate([slots1, slots2])
             slot_items[slot_items >= n] = -1
         else:
+            real = real.astype(int).tolist()
+            bucket2 = bucket2.tolist()
             slots1, spill = _tier_records(
-                kern, mem_factory, bucket1, range(n), *tier1
+                kern, mem_factory, bucket1[:n].tolist(), range(n), *tier1
             )
             slots2, overflow = _tier_records(
                 kern, mem_factory, [bucket2[s] for s in spill], spill, *tier2
@@ -253,23 +255,18 @@ class TwoTierHashTable:
             range(tier2_start, tier2_start + p.tier2_bucket_size)
         )
 
-    def lookup_matrix(self, keys: Sequence[int]):
-        """Bucket-slot index rows for a whole key column, as int64 matrix.
+    def lookup_matrix(self, keys):
+        """Bucket-slot index rows for an int64 key column, as int64 matrix.
 
         Row ``i`` equals ``bucket_slot_indices(keys[i])`` — one batched
-        :meth:`~repro.crypto.prf.Prf.range_many` digest per key yields
+        :meth:`~repro.crypto.prf.Prf.range_many` tag per key yields
         both bucket indices and the intra-bucket offsets are broadcast
         instead of materialized per key.  This is the lookup input of
         the vectorized scan kernel.
         """
         p = self.params
         b1, b2 = np.divmod(
-            np.asarray(
-                self._prf.range_many(
-                    keys, p.tier1_buckets * p.tier2_buckets
-                ),
-                dtype=np.int64,
-            ),
+            self._prf.range_many(keys, p.tier1_buckets * p.tier2_buckets),
             p.tier2_buckets,
         )
         tier1_start = b1 * p.tier1_bucket_size

@@ -490,25 +490,29 @@ class NumpyKernel(Kernel):
             for o in range(num_objects):
                 trace.record("scan_slot", o, tuple(int(x) for x in look[o]))
         match = table.occupied[look] & (table.keys[look] == okeys[:, None])
+        rows = np.arange(num_objects)
         # Write path: the object's new value is the matched write payload.
+        # Every row gathers one (its first slot's when nothing matched)
+        # and selects on its bit: the work is a function of the shapes.
         writes = table.is_write & table.permitted & table.has_value
         write_hit = match & writes[look]
-        write_any = write_hit.any(axis=1)
-        new_ovals = ovals.copy()
-        if write_any.any():
-            w_obj = np.nonzero(write_any)[0]
-            w_slot = look[w_obj, np.argmax(write_hit[w_obj], axis=1)]
-            new_ovals[w_obj] = table.values[w_slot]
+        w_slot = look[rows, np.argmax(write_hit, axis=1)]
+        new_ovals = np.where(
+            write_hit.any(axis=1)[:, None], table.values[w_slot], ovals
+        )
         # Response path: matched slots capture the *pre-scan* object value.
-        match_any = match.any(axis=1)
-        matched = np.zeros(num_slots, dtype=bool)
-        responses = table.values.copy()
-        if match_any.any():
-            m_obj = np.nonzero(match_any)[0]
-            m_slot = look[m_obj, np.argmax(match[m_obj], axis=1)]
-            matched[m_slot] = True
-            responses[m_slot] = ovals[m_obj]
-        return new_ovals, matched, responses
+        # Every object scatters, the unmatched ones onto one sink row.
+        m_slot = np.where(
+            match.any(axis=1), look[rows, np.argmax(match, axis=1)], num_slots
+        )
+        matched = np.zeros(num_slots + 1, dtype=bool)
+        matched[m_slot] = True
+        responses = np.empty(
+            (num_slots + 1, ovals.shape[1]), dtype=ovals.dtype
+        )
+        responses[:num_slots] = table.values
+        responses[m_slot] = ovals
+        return new_ovals, matched[:num_slots], responses[:num_slots]
 
 
 #: Singleton kernel instances, keyed by selector name.

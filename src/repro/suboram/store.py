@@ -25,6 +25,9 @@ single decision is what the whole batch hot path hangs off:
   write-back: one fresh batch nonce, one
   :meth:`~repro.crypto.vector.VectorAead.seal_lanes` call straight into
   the host buffer, one whole-buffer digest pinned in the enclave.
+* The subORAM calls each **once per epoch**, not once per batch
+  (:meth:`~repro.suboram.suboram.SubOram.epoch`): one authenticated open
+  and one fresh-nonce reseal of every slot, a function of ``num_slots``.
 * Pickling uses out-of-band :class:`pickle.PickleBuffer` views of the
   contiguous buffers (protocol 5), so process-backend state shipping
   never copies slot payloads through per-object pickle opcodes — and can
@@ -70,7 +73,7 @@ from __future__ import annotations
 
 import os
 import pickle
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -289,11 +292,11 @@ class EncryptedStore:
             and cls.put is EncryptedStore.put
         )
 
-    def put_batch(self, keys: Sequence[int], values) -> None:
+    def put_batch(self, keys, values) -> None:
         """Re-encrypt and store every slot in one batch pass.
 
-        ``keys`` is the per-slot object key column (one entry per slot,
-        in slot order) and ``values`` either a ``(num_slots, value_size)``
+        ``keys`` is the per-slot object key column (an int64 ndarray or
+        a list, one entry per slot, in slot order) and ``values`` either a ``(num_slots, value_size)``
         uint8 matrix or a list of ``value_size``-byte strings.  One fresh
         nonce seeds the whole batch keystream and each slot owns its own
         lane of it (:meth:`~repro.crypto.vector.VectorAead.seal_lanes`),

@@ -20,10 +20,25 @@ modified: the response is a new batch whose ``value``/``has_value``
 columns hold the objects' prior values.  The numpy kernel gathers the
 columns through the table's slot permutation; the python kernel, the
 audited reference, computes on records (:meth:`SubOram._scan_reference`).
+
+**One store pass per epoch.**  An epoch hands a subORAM one batch per
+load balancer, in fixed balancer order (Appendix C).  A faithful enclave
+streams the partition once for all of them — decrypt an object, probe
+the L per-balancer tables in that order, re-encrypt it once — so
+:meth:`SubOram.epoch` scopes a *session*: its first ``batch_access``
+opens the store (every integrity check), each builds its own table under
+its own fresh batch key and scans the plaintext columns the previous one
+left resident, and the last reseals every slot under a fresh nonce.  A
+``batch_access`` outside a session is a session of one.  Only the
+vectorized whole-store path (numpy kernel, ``crypto="vector"``,
+uninstrumented store) keeps anything resident: the per-slot paths — the
+Figure 19 oracle — run their ``get``/``put`` schedule per batch.
 """
 
 from __future__ import annotations
 
+import contextlib
+from types import SimpleNamespace
 from typing import Dict, Iterable, List, Optional
 
 import numpy as np
@@ -41,6 +56,11 @@ from repro.telemetry import NULL_TELEMETRY
 from repro.telemetry.kernelbridge import TimedKernelTrace, flush_kernel_trace
 from repro.types import OpType
 from repro.utils.validation import require, require_positive
+
+
+def _session(batches: int) -> SimpleNamespace:
+    """An epoch session: batches still to come, resident plaintext columns."""
+    return SimpleNamespace(remaining=batches, okeys=None, ovals=None)
 
 
 class SubOram:
@@ -90,6 +110,7 @@ class SubOram:
         self._keys: List[int] = []  # physical slot -> object key (scan order)
         self._epoch = 0
         self._state_version = 0
+        self._session: Optional[SimpleNamespace] = None
         #: Telemetry handle; the deployment attaches its live handle here.
         #: A live handle pickles to the null one, so subORAMs shipped to
         #: process-pool workers record nothing worker-side.
@@ -119,6 +140,14 @@ class SubOram:
             )
             values.append(value)
         self._store.put_batch(self._keys, values)
+
+    def __getstate__(self) -> dict:
+        """Pickling and deep copies happen between epochs, never inside one."""
+        if self._session is not None:
+            raise RuntimeError(
+                f"subORAM {self.suboram_id} has an open epoch session"
+            )
+        return self.__dict__
 
     @property
     def num_objects(self) -> int:
@@ -167,28 +196,60 @@ class SubOram:
         """
         if self._store is None:
             raise NotInitializedError("subORAM not initialized")
-        if len(batch) == 0:
-            return batch
         # Only the whole-store batch passes run long enough without the
         # GIL to be worth overlapping with another unit's.
         store = self._store
         bulk = store.supports_batch and self.kernel.vectorized
         nbytes = store.num_slots * store.slot_size if bulk else 0
+        # Outside an epoch session a batch is a session of one.
+        session = self._session or _session(1)
+        # Re-attach the live telemetry handle: a store that crossed a
+        # process boundary came back with the null handle.
+        store.telemetry = self.telemetry
+        self._state_version += 1
         with interpreter_turn(nbytes):
-            return self._batch_access(batch, batch_key, table_params)
+            if bulk and session.ovals is None:
+                session.okeys, session.ovals = store.get_batch()
+            response = batch
+            if len(batch):
+                response = self._batch_access(
+                    batch, batch_key, table_params, session
+                )
+            session.remaining -= 1
+            if bulk and session.remaining == 0:
+                store.put_batch(session.okeys, session.ovals)
+                session.ovals = None
+            return response
 
-    def _batch_access(self, batch, batch_key, table_params):
-        """:meth:`batch_access` proper, under its interpreter turn."""
+    @contextlib.contextmanager
+    def epoch(self, batches: int):
+        """An epoch session: the next ``batches`` calls share one store pass.
+
+        The first :meth:`batch_access` inside the ``with`` block opens
+        the partition and the last reseals it (see the module
+        docstring).  Leaving the block early (a failed or faulted unit)
+        drops the resident plaintext and seals nothing, so the sealed
+        partition is byte for byte its pre-epoch state.
+        """
+        session = self._session = _session(batches)
+        try:
+            yield self
+        finally:
+            self._session = None
+        if session.ovals is not None:
+            raise RuntimeError(
+                f"subORAM {self.suboram_id}: session of {batches} batches "
+                "closed with its last scan unsealed"
+            )
+
+    def _batch_access(self, batch, batch_key, table_params, session):
+        """One batch's table build, scan and extract, under its turn."""
         if len(np.unique(batch.key)) != len(batch):
             raise DuplicateRequestError(
                 f"subORAM {self.suboram_id} received duplicate keys in batch"
             )
 
         self._epoch += 1
-        self._state_version += 1
-        # Re-attach the live telemetry handle: a store that crossed a
-        # process boundary came back with the null handle.
-        self._store.telemetry = self.telemetry
         if batch_key is None:
             batch_key = self._keychain.batch_key(self.suboram_id, self._epoch)
 
@@ -216,7 +277,7 @@ class SubOram:
             "snoopy_suboram_phase_seconds", phase="scan"
         ):
             if self.kernel.vectorized:
-                response = self._scan_vectorized(table, batch)
+                response = self._scan_vectorized(table, batch, session)
             else:
                 response = self._scan_reference(table, batch)
 
@@ -236,9 +297,11 @@ class SubOram:
         """
         entries = batch.entries()
         matched = [0] * len(entries)
+        # Row ``slot`` is ``table.bucket_slot_indices(self._keys[slot])``.
+        lookup = table.lookup_matrix(self._keys).tolist()
         for slot in range(self.num_objects):
             obj_key, obj_value = self._store.get(slot)
-            for table_slot in table.bucket_slot_indices(obj_key):
+            for table_slot in lookup[slot]:
                 index = table.slot_items[table_slot]
                 if index < 0:
                     # Filler slot: perform the same pair of selects against
@@ -270,32 +333,31 @@ class SubOram:
             entry.value = o_select(hit, None, entry.value)
         return Batch.from_entries(entries, batch.value_size)
 
-    def _scan_vectorized(self, table: TwoTierHashTable, batch: Batch) -> Batch:
+    def _scan_vectorized(self, table, batch: Batch, session) -> Batch:
         """The columnar Figure 19 scan (numpy kernel).
 
         The table's ``slot_items`` permutation gathers the batch's
         columns into the :class:`ScanTable`, and the scan's per-slot
         outputs are gathered back through its inverse into the response
         batch's ``value``/``has_value``.  When the store has a batch
-        path (``crypto="vector"``) the whole store is authenticated,
-        decrypted, scanned, and re-encrypted through four vectorized
-        passes (``get_batch`` → ``lookup_matrix`` → ``scan_soa`` →
-        ``put_batch``) with no per-slot Python call.  Otherwise the same
-        kernel core runs between per-slot ``get``/``put`` calls — under
-        ``crypto="scalar"`` the audited per-slot crypto oracle.  Outputs
-        are byte-identical to :meth:`_scan_reference` either way.
+        path (``crypto="vector"``) the scan reads the plaintext columns
+        resident in ``session`` and leaves the post-scan values there
+        (``lookup_matrix`` → ``scan_soa``, no per-slot Python call).
+        Otherwise the same kernel core runs between per-slot
+        ``get``/``put`` calls — under ``crypto="scalar"`` the audited
+        per-slot crypto oracle.  Outputs are byte-identical to
+        :meth:`_scan_reference` either way.
         """
         store = self._store
         if store.supports_batch:
-            okeys, ovals = store.get_batch()
+            okeys, ovals = session.okeys, session.ovals
         else:
             pairs = [store.get(slot) for slot in range(self.num_objects)]
             okeys = np.asarray([key for key, _ in pairs], dtype=np.int64)
             ovals, _ = soa.values_to_matrix(
                 [v for _, v in pairs], self.value_size
             )
-        obj_keys = okeys.tolist()
-        lookup = table.lookup_matrix(obj_keys)
+        lookup = table.lookup_matrix(okeys)
         # A filler slot (item -1) gathers row 0 and is marked unoccupied,
         # which makes every other column of it inert.
         slot_items = table.slot_items
@@ -318,8 +380,10 @@ class SubOram:
             flush_kernel_trace(
                 self.telemetry.registry, kernel_trace, self.kernel.name
             )
-        # Without a batch path this is the per-slot ``put`` loop.
-        store.put_batch(obj_keys, new_ovals)
+        if store.supports_batch:
+            session.ovals = new_ovals
+        else:
+            store.put_batch(okeys, new_ovals)  # the per-slot ``put`` loop
         # Invert the slot permutation (fillers all land on the spare
         # cell): each row's response is its slot's, zeroed unless matched.
         slot_of = np.empty(len(batch) + 1, dtype=np.int64)

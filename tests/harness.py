@@ -123,6 +123,21 @@ def tracing_factory(suboram_id, config, keychain):
     )
 
 
+def spy_on_store_passes(monkeypatch) -> List[tuple]:
+    """Log ``(pass, id(store))`` for every whole-store ``get_batch`` /
+    ``put_batch`` made in this process while the patch is in place."""
+    calls: List[tuple] = []
+    for name in ("get_batch", "put_batch"):
+        inner = getattr(EncryptedStore, name)
+
+        def spy(store, *args, _inner=inner, _name=name, **kwargs):
+            calls.append((_name, id(store)))
+            return _inner(store, *args, **kwargs)
+
+        monkeypatch.setattr(EncryptedStore, name, spy)
+    return calls
+
+
 def access_traces(store) -> List[list]:
     """The per-subORAM slot-access logs of a tracing deployment."""
     return [list(s.store.access_log) for s in store.suborams]

@@ -2,12 +2,16 @@
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.crypto.aead import AeadKey, NONCE_LEN, SecureChannel, digest
 from repro.crypto.keys import KeyChain, derive_key, random_key
 from repro.crypto.prf import Prf, suboram_of
-from repro.errors import IntegrityError, ReplayError
+from repro.errors import CapacityError, IntegrityError, ReplayError
+from repro.loadbalancer.batching import dummy_key
+from repro.types import INT64_MAX, INT64_MIN
 
 
 class TestPrf:
@@ -48,6 +52,136 @@ class TestPrf:
         key = b"s" * 32
         assert suboram_of(key, 99, 5) == suboram_of(key, 99, 5)
         assert 0 <= suboram_of(key, 99, 5) < 5
+
+
+def siphash_2_4(key: bytes, message: bytes) -> int:
+    """Byte-string SipHash-2-4, written from the paper (the test oracle)."""
+    mask = (1 << 64) - 1
+
+    def rotl(x, b):
+        return ((x << b) | (x >> (64 - b))) & mask
+
+    k0 = int.from_bytes(key[:8], "little")
+    k1 = int.from_bytes(key[8:16], "little")
+    v = [k0 ^ 0x736F6D6570736575, k1 ^ 0x646F72616E646F6D,
+         k0 ^ 0x6C7967656E657261, k1 ^ 0x7465646279746573]
+
+    def sip_round():
+        v[0] = (v[0] + v[1]) & mask
+        v[1] = rotl(v[1], 13) ^ v[0]
+        v[0] = rotl(v[0], 32)
+        v[2] = (v[2] + v[3]) & mask
+        v[3] = rotl(v[3], 16) ^ v[2]
+        v[0] = (v[0] + v[3]) & mask
+        v[3] = rotl(v[3], 21) ^ v[0]
+        v[2] = (v[2] + v[1]) & mask
+        v[1] = rotl(v[1], 17) ^ v[2]
+        v[2] = rotl(v[2], 32)
+
+    body = len(message) - len(message) % 8
+    blocks = [
+        int.from_bytes(message[i : i + 8], "little")
+        for i in range(0, body, 8)
+    ]
+    blocks.append(
+        (len(message) & 0xFF) << 56 | int.from_bytes(message[body:], "little")
+    )
+    for block in blocks:
+        v[3] ^= block
+        sip_round()
+        sip_round()
+        v[0] ^= block
+    v[2] ^= 0xFF
+    for _ in range(4):
+        sip_round()
+    return v[0] ^ v[1] ^ v[2] ^ v[3]
+
+
+#: Ids the deployment itself hashes, at the edges of the int64 domain.
+EDGE_IDS = [
+    0, -1, 1, INT64_MIN, INT64_MAX,
+    -(2**62), -(2**62 + 4095),        # hash-table spill fillers
+    dummy_key(0, 0), dummy_key(63, 2**20 - 1),
+]
+
+
+class TestSipHashRange:
+    """``Prf.range``/``range_many`` are SipHash-2-4 of the int64 id."""
+
+    def test_reference_reproduces_the_published_vectors(self):
+        key = bytes(range(16))
+        assert siphash_2_4(key, b"") == 0x726FDB47DD0E0E31
+        assert siphash_2_4(key, bytes(range(15))) == 0xA129CA6149BE45E5
+
+    @staticmethod
+    def reference(prf_key: bytes, x: int, n: int) -> int:
+        sip_key = derive_key(prf_key, "snoopy/prf/siphash")[:16]
+        return siphash_2_4(sip_key, x.to_bytes(8, "little", signed=True)) % n
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        key=st.binary(min_size=1, max_size=48),
+        xs=st.lists(
+            st.integers(INT64_MIN, INT64_MAX) | st.sampled_from(EDGE_IDS),
+            max_size=40,
+        ),
+        n=st.integers(1, 2**63 - 1),
+    )
+    def test_column_equals_scalar_equals_reference(self, key, xs, n):
+        prf = Prf(key)
+        column = prf.range_many(np.asarray(xs, dtype=np.int64), n)
+        assert isinstance(column, np.ndarray) and column.dtype == np.int64
+        assert len(column) == len(xs)
+        assert column.tolist() == prf.range_many(xs, n).tolist()
+        assert column.tolist() == [prf.range(x, n) for x in xs]
+        assert column.tolist() == [self.reference(key, x, n) for x in xs]
+        assert all(0 <= tag < n for tag in column.tolist())
+
+    def test_edge_ids(self):
+        prf = Prf(b"k" * 32)
+        assert prf.range_many(EDGE_IDS, 1000).tolist() == [
+            self.reference(b"k" * 32, x, 1000) for x in EDGE_IDS
+        ]
+
+    @pytest.mark.parametrize("x", [INT64_MAX + 1, INT64_MIN - 1, 2**70])
+    def test_ids_outside_int64_raise_the_intake_error(self, x):
+        prf = Prf(b"k" * 32)
+        with pytest.raises(CapacityError):
+            prf.range(x, 8)
+        with pytest.raises(CapacityError):
+            prf.range_many([1, x], 8)
+
+    def test_rejects_bad_range_size(self):
+        with pytest.raises(ValueError):
+            Prf(b"k" * 32).range_many([1], 0)
+
+    def test_two_keys_give_different_assignments(self):
+        xs = np.arange(256, dtype=np.int64)
+        a = Prf(b"a" * 32).range_many(xs, 64)
+        b = Prf(b"b" * 32).range_many(xs, 64)
+        # Independent uniform assignments agree on ~1/64 of the ids.
+        assert int((a == b).sum()) < 32
+
+    def test_survives_pickling(self):
+        import pickle
+
+        prf = Prf(b"k" * 32)
+        before = prf.range_many(EDGE_IDS, 97).tolist()
+        assert pickle.loads(pickle.dumps(prf)).range_many(
+            EDGE_IDS, 97
+        ).tolist() == before
+
+    def test_chi_square_over_64_buckets(self):
+        """Sequential ids under a fixed key look uniform over 64 buckets:
+        the statistic stays under the chi-square(63) 2^-20 upper quantile
+        (131.54), so a correct PRF fails this with probability 2^-20."""
+        n, buckets = 1 << 16, 64
+        tags = Prf(b"chi-square-key").range_many(
+            np.arange(n, dtype=np.int64), buckets
+        )
+        counts = np.bincount(tags, minlength=buckets)
+        expected = n / buckets
+        assert float(((counts - expected) ** 2 / expected).sum()) < 131.55
 
 
 class TestAead:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.client import Client
 from repro.core.config import SnoopyConfig
+from repro.core.deployment import DistributedSnoopy
 from repro.core.epoch import EpochDriver
 from repro.core.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.core.linearizability import History, check_snoopy_history
@@ -25,6 +26,7 @@ from repro.loadbalancer.balancer import LoadBalancer
 from repro.suboram.suboram import SubOram
 from repro.telemetry import Telemetry
 from repro.types import OpType, Request
+from tests import harness
 
 MASTER = b"epoch-retry-test-master-key-0123"[:32]
 
@@ -349,3 +351,116 @@ class TestLinearizabilityAcrossRetriedEpochs:
         assert operations, "history should be non-empty"
         check_snoopy_history(History(initial=initial, operations=operations))
         store.close()
+
+
+# ---------------------------------------------------------------------------
+# One store session per subORAM per epoch
+# ---------------------------------------------------------------------------
+EPOCH_MIXES = {
+    "reads": [Request(OpType.READ, k, seq=k) for k in range(12)],
+    "writes": [Request(OpType.WRITE, k, b"w" * 8, seq=k) for k in range(12)],
+    # One request: every other subORAM batch of the epoch is all dummies.
+    "one": [Request(OpType.READ, 3, seq=1)],
+    "absent": [Request(OpType.READ, 500 + k, seq=k) for k in range(12)],
+}
+
+
+class TestOneStoreSessionPerEpoch:
+    @pytest.mark.parametrize("scheduler", ["inline", "pipelined", "attested"])
+    def test_one_open_and_one_seal_whatever_the_epoch_holds(
+        self, scheduler, monkeypatch
+    ):
+        telemetry = Telemetry()
+        store = harness.build_store(
+            "thread:2", master=MASTER,
+            objects={k: bytes([k]) * 8 for k in range(40)},
+            telemetry=telemetry, num_load_balancers=3, num_suborams=2,
+            store_cls=DistributedSnoopy if scheduler == "attested" else Snoopy,
+        )
+        calls = harness.spy_on_store_passes(monkeypatch)
+        seals = telemetry.registry.counter("snoopy_store_batch_seals_total")
+        opens = telemetry.registry.counter("snoopy_store_batch_opens_total")
+        try:
+            for name, requests in EPOCH_MIXES.items():
+                calls.clear()
+                before = (opens.value, seals.value)
+                epoch = [(r, i % 3) for i, r in enumerate(requests)]
+                harness.run_workload(
+                    store, [epoch], pipelined=scheduler == "pipelined"
+                )
+                per_store = {}
+                for store_pass, store_id in calls:
+                    per_store.setdefault(store_id, []).append(store_pass)
+                # L = 3 batches (1 for the single request) per subORAM,
+                # one open then one seal each.
+                assert sorted(per_store.values()) == (
+                    [["get_batch", "put_batch"]] * 2
+                ), name
+                assert (opens.value - before[0], seals.value - before[1]) == (
+                    2, 2
+                ), name
+        finally:
+            store.close()
+
+    def test_fault_in_the_second_batch_seals_nothing(self, monkeypatch):
+        """An unarmed deployment executes in place: the faulted unit's
+        sealed partition must be byte for byte what it was."""
+        store = build_store(num_load_balancers=3)
+        inner = SubOram.batch_access
+        calls = {"n": 0}
+
+        def faulty(self, batch, *args, **kwargs):
+            if self.suboram_id == 0:
+                calls["n"] += 1
+                if calls["n"] == 2:
+                    raise WorkerCrashError("crash in the second batch", unit=0)
+            return inner(self, batch, *args, **kwargs)
+
+        monkeypatch.setattr(SubOram, "batch_access", faulty)
+        unit = store.suborams[0]
+        before = [
+            unit.store.host_ciphertext(s) for s in range(unit.num_objects)
+        ]
+        values = {k: unit.peek(k) for k in unit.object_keys()}
+        for k in range(9):
+            store.submit(Request(OpType.WRITE, k, b"zzzz"), load_balancer=k % 3)
+        with pytest.raises(WorkerCrashError):
+            store.run_epoch()
+        assert calls["n"] == 2
+        assert [
+            unit.store.host_ciphertext(s) for s in range(unit.num_objects)
+        ] == before
+        assert {k: unit.peek(k) for k in unit.object_keys()} == values
+        store.close()
+
+    def test_retry_after_a_second_batch_fault_equals_a_fault_free_twin(
+        self, monkeypatch
+    ):
+        inner = SubOram.batch_access
+        faulted = []
+
+        def faulty(self, batch, *args, **kwargs):
+            if self.suboram_id == 1 and armed:
+                faulted.append(len(faulted))
+                if len(faulted) == 2:
+                    raise WorkerCrashError("crash in the second batch", unit=1)
+            return inner(self, batch, *args, **kwargs)
+
+        monkeypatch.setattr(SubOram, "batch_access", faulty)
+        replies = {}
+        for armed in (True, False):
+            store = build_store(num_load_balancers=3, epoch_max_attempts=2)
+            tickets = []
+            for epoch in range(2):
+                for k in range(10):
+                    op = OpType.WRITE if (k + epoch) % 2 else OpType.READ
+                    value = bytes([epoch + 1, k, 0, 0]) if op is OpType.WRITE else None
+                    tickets.append(store.submit(
+                        Request(op, k, value), load_balancer=k % 3
+                    ))
+                store.run_epoch()
+            replies[armed] = [t.result().value for t in tickets]
+            assert store.fault_stats["epochs_retried"] == int(armed)
+            store.close()
+        assert len(faulted) > 2
+        assert replies[True] == replies[False]

@@ -184,6 +184,55 @@ class TestFixedWork:
         gathers = [op for op in logs[0] if op[0] == "take"]
         assert gathers == [("take", ((64,), (64,), (64,)))] * 21
 
+    def test_scan_does_the_same_work_whatever_matches(self, monkeypatch):
+        """``scan_soa`` over one shape (9 objects, 12 slots, 3 lookups):
+        how many objects hit a slot, and how many of those are writes, is
+        what padding to f(R, S) hides — it must not pick the operations."""
+        num_objects, num_slots = 9, 12
+        obj_keys = list(range(100, 100 + num_objects))
+        obj_values = [bytes([k % 256]) * 4 for k in obj_keys]
+        lookup = [
+            [o, (o + 1) % num_slots, (o + 5) % num_slots]
+            for o in range(num_objects)
+        ]
+
+        def table(keys, occupied, write):
+            return ScanTable(
+                keys=keys, occupied=[occupied] * num_slots,
+                is_write=[write] * num_slots, permitted=[1] * num_slots,
+                values=[b"wxyz" if write else None] * num_slots,
+            )
+
+        hits = obj_keys + [900, 901, 902]     # object o sits in slot o
+        misses = list(range(500, 500 + num_slots))
+        mixed = table(hits[:4] + misses[4:], 1, 0)
+        mixed.is_write[:2] = [1, 1]
+        mixed.values[:2] = [b"wxyz", b"wxyz"]
+        tables = {
+            "all-dummy": table(misses, 1, 0),
+            "all-hit reads": table(hits, 1, 0),
+            "all-hit writes": table(hits, 1, 1),
+            "all-miss fillers": table(hits, 0, 0),
+            "mixed": mixed,
+        }
+        outcomes, logs = {}, {}
+        for name, case in tables.items():
+            logs[name] = _array_ops(
+                monkeypatch,
+                lambda c=case: outcomes.__setitem__(name, _scan_columns(
+                    obj_keys, obj_values, lookup, c
+                )),
+            )
+            assert outcomes[name] == PY.scan(
+                obj_keys, list(obj_values), 4, lookup, copy.deepcopy(case)
+            ), name
+        assert len(logs["mixed"]) > 0
+        assert all(log == logs["mixed"] for log in logs.values())
+        # The cases really differ in what they hide.
+        assert sum(outcomes["all-dummy"][1]) == 0
+        assert sum(outcomes["all-hit reads"][1]) == num_objects
+        assert outcomes["all-hit writes"][0] == [b"wxyz"] * num_objects
+
 
 # ---------------------------------------------------------------------------
 # Sort equivalence

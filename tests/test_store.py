@@ -122,6 +122,23 @@ class TestBatchPath:
         _, got = store.get_batch()
         assert (got == matrix).all()
 
+    @pytest.mark.parametrize("crypto", ["vector", "scalar"])
+    def test_key_column_goes_back_in_as_it_came_out(self, crypto):
+        """The subORAM hands ``put_batch`` the int64 column ``get_batch``
+        returned — no list round trip — on the per-slot loop as well."""
+        import numpy as np
+
+        store = _filled(crypto)
+        keys = np.asarray([-5, 0, 9, 2**40, -(2**61), 3, 4, 5], dtype=np.int64)
+        matrix = np.arange(32, dtype=np.uint8).reshape(8, 4)
+        store.put_batch(keys, matrix)
+        for slot in range(8):
+            assert store.get(slot) == (int(keys[slot]), bytes(matrix[slot]))
+        if store.supports_batch:
+            got_keys, got = store.get_batch()
+            assert got_keys.dtype == np.int64
+            assert (got_keys == keys).all() and (got == matrix).all()
+
     def test_scalar_writes_then_batch_read(self, store):
         """A batch read after scalar puts verifies per-slot digests."""
         store.put(3, key=77, value=b"mixd")

@@ -1,13 +1,23 @@
 """Tests for the subORAM batch-access engine (Figure 19)."""
 
+import copy
+import pickle
 import random
 
 import pytest
 
-from repro.errors import DuplicateRequestError, NotInitializedError
+from repro.crypto.keys import KeyChain
+from repro.errors import (
+    DuplicateRequestError,
+    IntegrityError,
+    NotInitializedError,
+)
+from repro.extensions.replication import ReplicatedSubOram
 from repro.oblivious.soa import Batch
+from repro.sim.latency import LatencySubOram
 from repro.suboram.suboram import SubOram
 from repro.types import BatchEntry, OpType
+from tests.harness import spy_on_store_passes
 
 
 class _RecordSubOram(SubOram):
@@ -156,3 +166,217 @@ class TestProtocolInvariants:
             for r in responses:
                 assert r.value == model[r.key]
             model.update(writes)
+
+
+# ---------------------------------------------------------------------------
+# Epoch sessions: one store open and one reseal for a chain of batches
+# ---------------------------------------------------------------------------
+ALL_CELLS = pytest.mark.parametrize("kernel,crypto", [
+    ("numpy", "vector"), ("numpy", "scalar"),
+    ("python", "vector"), ("python", "scalar"),
+])
+
+
+def session_twins(kernel="numpy", crypto="vector", num_objects=30):
+    """Two identically keyed subORAMs (same batch keys, same row order)."""
+    twins = []
+    for _ in range(2):
+        so = SubOram(0, 4, keychain=KeyChain(master=b"m" * 32),
+                     security_parameter=16, kernel=kernel, crypto=crypto)
+        so.initialize({k: bytes([k]) * 4 for k in range(num_objects)})
+        twins.append(so)
+    return twins
+
+
+def chain_of(length, rng, num_objects=30):
+    """``length`` batches over one key range, so later ones see earlier
+    ones' writes."""
+    chain = []
+    for b in range(length):
+        entries = [
+            write_entry(k, bytes([b + 1, k, 0, 0])) if rng.random() < 0.5
+            else read_entry(k)
+            for k in rng.sample(range(num_objects + 5), 9)
+        ]
+        entries += [dummy_entry(i) for i in range(3)]
+        chain.append(Batch.from_entries(entries, 4))
+    return chain
+
+
+def host_view(so):
+    return [so.store.host_ciphertext(slot) for slot in range(so.num_objects)]
+
+
+def store_passes(calls):
+    """The pass names a ``harness.spy_on_store_passes`` log holds."""
+    return [name for name, _ in calls]
+
+
+class TestEpochSession:
+    @ALL_CELLS
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    def test_session_equals_separate_calls(self, kernel, crypto, length, rng):
+        inside, apart = session_twins(kernel, crypto)
+        chain = chain_of(length, rng)
+        with inside.epoch(length):
+            together = [inside.batch_access(batch) for batch in chain]
+        separately = [apart.batch_access(batch) for batch in chain]
+        assert [r.to_bytes() for r in together] == (
+            [r.to_bytes() for r in separately]
+        )
+        assert [inside.peek(k) for k in range(30)] == (
+            [apart.peek(k) for k in range(30)]
+        )
+        assert inside.state_token == apart.state_token
+
+    def test_later_batch_reads_earlier_batch_write(self):
+        """Appendix C's order inside one epoch: balancer 0's read returns
+        the pre-epoch value, balancer 1's read balancer 0's write."""
+        so, _ = session_twins()
+        first = Batch.from_entries(
+            [write_entry(7, b"new!"), read_entry(8)], 4
+        )
+        second = Batch.from_entries(
+            [read_entry(7), write_entry(8, b"late")], 4
+        )
+        with so.epoch(2):
+            reply0 = {e.key: e.value for e in so.batch_access(first).entries()}
+            reply1 = {e.key: e.value for e in so.batch_access(second).entries()}
+        assert reply0 == {7: bytes([7]) * 4, 8: bytes([8]) * 4}
+        assert reply1 == {7: b"new!", 8: bytes([8]) * 4}
+        assert so.peek(7) == b"new!" and so.peek(8) == b"late"
+
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    def test_one_open_and_one_seal_per_session(self, length, rng, monkeypatch):
+        so, _ = session_twins()
+        calls = spy_on_store_passes(monkeypatch)
+        before = host_view(so)
+        with so.epoch(length):
+            for index, batch in enumerate(chain_of(length, rng)):
+                so.batch_access(batch)
+                # Opened by the first call, sealed only by the last.
+                sealed = index == length - 1
+                assert store_passes(calls) == (
+                    ["get_batch"] + ["put_batch"] * sealed
+                )
+                assert (host_view(so) != before) == sealed
+        assert all(b != a for b, a in zip(before, host_view(so)))
+        # Outside a session every call is a session of one.
+        calls.clear()
+        so.batch_access(chain_of(1, rng)[0])
+        assert store_passes(calls) == ["get_batch", "put_batch"]
+
+    def test_store_passes_do_not_depend_on_the_mix(self, monkeypatch):
+        so, _ = session_twins()
+        calls = spy_on_store_passes(monkeypatch)
+        mixes = {
+            "reads": [read_entry(k) for k in range(6)],
+            "writes": [write_entry(k, b"wwww") for k in range(6)],
+            "dummies": [dummy_entry(i) for i in range(6)],
+            "absent": [read_entry(900 + i) for i in range(6)],
+        }
+        for entries in mixes.values():
+            calls.clear()
+            with so.epoch(2):
+                so.batch_access(Batch.from_entries(entries, 4))
+                so.batch_access(Batch.from_entries(entries[::-1], 4))
+            assert store_passes(calls) == ["get_batch", "put_batch"]
+
+    @ALL_CELLS
+    def test_per_slot_paths_keep_their_schedule_per_batch(
+        self, kernel, crypto, monkeypatch
+    ):
+        """Only the vectorized whole-store path has anything to keep
+        resident; the oracle cells seal every slot after every batch."""
+        so, _ = session_twins(kernel, crypto)
+        bulk = (kernel, crypto) == ("numpy", "vector")
+        calls = spy_on_store_passes(monkeypatch)
+        with so.epoch(2):
+            before = host_view(so)
+            so.batch_access(Batch.from_entries([read_entry(1)], 4))
+            assert (host_view(so) == before) == bulk
+            so.batch_access(Batch.from_entries([read_entry(2)], 4))
+        assert all(b != a for b, a in zip(before, host_view(so)))
+        assert store_passes(calls).count("get_batch") == (1 if bulk else 0)
+
+    def test_abandoned_session_leaves_the_sealed_partition_untouched(self):
+        so, twin = session_twins()
+        before = host_view(so)
+        first = Batch.from_entries([write_entry(3, b"lost")], 4)
+        second = Batch.from_entries([read_entry(3)], 4)
+        with pytest.raises(RuntimeError, match="injected"):
+            with so.epoch(2):
+                so.batch_access(first)
+                raise RuntimeError("injected fault before the second batch")
+        assert host_view(so) == before
+        assert so.peek(3) == bytes([3]) * 4
+        # Re-running the epoch answers like a subORAM that never faulted.
+        with so.epoch(2), twin.epoch(2):
+            for batch in (first, second):
+                reply, expected = so.batch_access(batch), twin.batch_access(batch)
+                assert sorted(e.value for e in reply.entries()) == (
+                    sorted(e.value for e in expected.entries())
+                )
+        assert so.peek(3) == twin.peek(3) == b"lost"
+
+    def test_duplicates_rejected_per_batch_inside_a_session(self):
+        so, _ = session_twins()
+        before = host_view(so)
+        with pytest.raises(DuplicateRequestError):
+            with so.epoch(2):
+                so.batch_access(Batch.from_entries([write_entry(1, b"aaaa")], 4))
+                so.batch_access(
+                    Batch.from_entries([read_entry(2), read_entry(2)], 4)
+                )
+        assert host_view(so) == before and so.peek(1) == bytes([1]) * 4
+
+    @pytest.mark.parametrize("attack", ["tamper", "rollback"])
+    def test_host_attack_between_epochs_fails_the_next_open(self, attack):
+        so, _ = session_twins()
+        batch = Batch.from_entries([read_entry(1)], 4)
+        old = so.store.host_ciphertext(4)
+        with so.epoch(1):
+            so.batch_access(batch)
+        if attack == "rollback":
+            so.store.host_rollback(4, old)
+        else:
+            nonce, blob = so.store.host_ciphertext(4)
+            so.store.host_tamper(4, blob[:-1] + bytes([blob[-1] ^ 1]))
+        with pytest.raises(IntegrityError):
+            with so.epoch(2):
+                so.batch_access(batch)
+
+    def test_open_session_is_never_copied_or_shipped(self):
+        so, _ = session_twins()
+        with so.epoch(2):
+            so.batch_access(Batch.from_entries([read_entry(1)], 4))
+            for clone in (copy.deepcopy, pickle.dumps):
+                with pytest.raises(RuntimeError, match="open epoch session"):
+                    clone(so)
+            so.batch_access(Batch.from_entries([read_entry(2)], 4))
+        assert copy.deepcopy(so).peek(1) == bytes([1]) * 4
+        assert pickle.loads(pickle.dumps(so)).peek(2) == bytes([2]) * 4
+
+    def test_miscounted_session_is_refused(self):
+        so, _ = session_twins()
+        with pytest.raises(RuntimeError, match="unsealed"):
+            with so.epoch(2):
+                so.batch_access(Batch.from_entries([read_entry(1)], 4))
+
+    def test_wrappers_forward_the_session(self, monkeypatch):
+        group = ReplicatedSubOram(
+            0, 4, crash_tolerance=1, rollback_tolerance=0,
+            keychain=KeyChain(master=b"m" * 32), security_parameter=16,
+        )
+        group.initialize({k: bytes([k]) * 4 for k in range(12)})
+        slow = LatencySubOram(session_twins(num_objects=12)[0], batch_delay=0)
+        calls = spy_on_store_passes(monkeypatch)
+        for wrapper, stores in ((group, 2), (slow, 1)):
+            calls.clear()
+            with wrapper.epoch(2):
+                wrapper.batch_access(Batch.from_entries([write_entry(1, b"abcd")], 4))
+                reply = wrapper.batch_access(Batch.from_entries([read_entry(1)], 4))
+            assert [e.value for e in reply.entries()] == [b"abcd"]
+            assert sorted(store_passes(calls)) == (
+                ["get_batch"] * stores + ["put_batch"] * stores
+            )

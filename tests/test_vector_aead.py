@@ -76,13 +76,51 @@ class TestBackendBitIdentity:
             fast.open_lanes(nonce, sealed_slow, count, plain_size)
         ) == plain
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_lane_wider_than_one_matmul_block(self, count):
+        """8200 bytes = 2054 limbs: past the 2^11-limb exactness bound,
+        so the MAC sums two column blocks — same tag as the reference."""
+        plain_size = 8200
+        fast = VectorAead(KEY, backend="numpy")
+        slow = VectorAead(KEY, backend="py")
+        nonce = nonce_for(77)
+        plain = b"".join(lane_plain(plain_size, i) for i in range(count))
+        for aad in (b"", b"odd"):
+            sealed = bytes(
+                fast.seal_lanes(nonce, plain, count, plain_size, aad=aad)
+            )
+            assert sealed == bytes(
+                slow.seal_lanes(nonce, plain, count, plain_size, aad=aad)
+            )
+            assert bytes(
+                fast.open_lanes(nonce, sealed, count, plain_size, aad=aad)
+            ) == plain
+
+    @pytest.mark.parametrize("plain_size", [8176, 32768])
+    def test_mac_is_exact_on_saturated_limbs(self, plain_size):
+        """All-ones ciphertext at exactly 2^11 limbs (one full block, the
+        largest sums a uint64 matmul may hold) and at 2^13 limbs (which
+        one unblocked matmul would wrap): still the exact-integer tag."""
+        import numpy as np
+
+        fast = VectorAead(KEY, backend="numpy")
+        slow = VectorAead(KEY, backend="py")
+        ts = (0x0123456789ABCDEF, 0xFEDCBA9876543210)
+        ct = b"\xff" * plain_size
+        matrix = np.frombuffer(ct * 2, dtype=np.uint8).reshape(2, plain_size)
+        tags = fast._lane_tags_np(ts, 2, plain_size, 5, b"", matrix, None)
+        assert [bytes(row) for row in tags] == [
+            slow._lane_tag_py(ts, lane, ct, b"", plain_size)
+            for lane in (5, 6)
+        ]
+
     @pytest.mark.parametrize("lane_base", [0, 5, 1 << 33])
     def test_lane_base_and_aad_identical(self, lane_base):
         fast = VectorAead(KEY, backend="numpy")
         slow = VectorAead(KEY, backend="py")
         nonce = nonce_for(9)
         plain = b"".join(lane_plain(24, i) for i in range(4))
-        for aad in (b"", b"slot-aad"):
+        for aad in (b"", b"slot-aad", b"a", b"5byte", b"seven b"):
             a = bytes(fast.seal_lanes(
                 nonce, plain, 4, 24, lane_base=lane_base, aad=aad
             ))
