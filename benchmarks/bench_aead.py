@@ -1,51 +1,33 @@
-"""Vectorized AEAD and state-shipping throughput: the epoch crypto floor.
+"""Vectorized AEAD throughput: the epoch crypto floor.
 
-Two measurements behind the execute-stage crypto tentpole:
+The store's two crypto modes over a store-shaped workload (N uniform
+slots) at ``value_size`` in {16, 256, 1024}: ``crypto="scalar"``,
+per-slot ``seal``/``open`` of the audited HMAC oracle, vs
+``crypto="vector"``, the counter-mode cipher
+(:class:`~repro.crypto.vector.VectorAead`) — one nonce-derived keystream
+for the whole batch, whole-buffer XOR, vectorized polynomial MAC, O(1)
+Python calls per epoch.
 
-* **seal/open MB/s** — the store's two crypto modes over a
-  store-shaped workload (N uniform slots) at ``value_size`` in
-  {16, 256, 1024}: ``crypto="scalar"``, per-slot ``seal``/``open`` of
-  the audited HMAC oracle, vs ``crypto="vector"``, the counter-mode
-  cipher (:class:`~repro.crypto.vector.VectorAead`) — one nonce-derived
-  keystream for the whole batch, whole-buffer XOR, vectorized
-  polynomial MAC, O(1) Python calls per epoch.
-
-  The write-back scan re-encrypts every slot every epoch, so these
-  MB/s *are* the epoch crypto floor.  ``seal_speedup`` /
-  ``open_speedup`` compare vector against scalar.  Every row names its
-  ``(kernel, crypto, backend)`` and its baseline's; ``None`` marks an
-  axis the measurement does not exercise (the ciphers are called
-  directly — no oblivious kernel, no execution backend).
-
-* **state ship time** — moving a populated
-  :class:`~repro.suboram.store.EncryptedStore` across a *real*
-  ``multiprocessing.Pipe`` at several state sizes: plain ``conn.send``
-  (default in-band pickling) vs the shipping layer
-  (:mod:`repro.exec.shipping`: buffers copied once into a persistent
-  shared-memory segment, tiny envelope on the pipe).  All benched
-  sizes sit above the shm routing threshold; below-threshold states
-  take the :class:`~repro.exec.shipping.PipeShipment` path, which by
-  construction reuses the one pickling pass plain ``send`` would do,
-  so it is not separately timed here.
+The write-back scan re-encrypts every slot every epoch, so these MB/s
+*are* the epoch crypto floor.  ``seal_speedup`` / ``open_speedup``
+compare vector against scalar.  Every row names its ``(kernel, crypto,
+backend)`` and its baseline's; ``None`` marks an axis the measurement
+does not exercise (the ciphers are called directly — no oblivious
+kernel, no execution backend).
 
 Results land in ``BENCH_aead.json``; set ``SNOOPY_BENCH_SMOKE=1`` for
 CI's reduced sizes.  The run fails if the vector kernel clears less
 than ``VECTOR_GATE``x over the scalar oracle at any size (the CI
-regression gate) or if shm shipping loses to plain pickling at any
-benched size.
+regression gate).
 """
 
 import json
-import multiprocessing
 import os
 import pathlib
-import threading
 import time
 
 from repro.crypto.aead import AeadKey, NONCE_LEN
 from repro.crypto.vector import VectorAead
-from repro.exec import shipping
-from repro.suboram.store import EncryptedStore
 
 from conftest import report
 
@@ -56,10 +38,6 @@ VALUE_SIZES = [16, 256, 1024]
 SLOTS = {16: 512, 256: 256, 1024: 128} if SMOKE else {
     16: 4096, 256: 2048, 1024: 512
 }
-#: State-ship sizes (slots of 64B values, ~112B/slot on the host), all
-#: above the shm routing threshold so every row takes the segment path.
-SHIP_SLOT_COUNTS = [1024, 4096] if SMOKE else [1024, 4096, 16384]
-SHIP_VALUE_SIZE = 64
 REPEATS = 3
 #: The CI regression gate: the vector kernel must clear this over the
 #: scalar oracle at every value size (full runs at 1KB clear >= 8x).
@@ -144,75 +122,9 @@ def _crypto_row(value_size):
     }
 
 
-def _pipe_best(conn_a, conn_b, produce, finish, repeats=5):
-    """Best-of wall-clock for produce -> send -> recv -> finish.
-
-    The sender runs in a thread so large in-band payloads cannot
-    deadlock against the OS pipe buffer while this thread receives.
-    """
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        sender = threading.Thread(target=lambda: conn_a.send(produce()))
-        sender.start()
-        finish(conn_b.recv())
-        sender.join()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def _ship_row(num_slots):
-    """Plain pipe send vs shm shipping for one populated store."""
-    store = EncryptedStore(
-        b"bench-ship-key-0123456789abcdef01",
-        num_slots=num_slots,
-        value_size=SHIP_VALUE_SIZE,
-    )
-    store.put_batch(
-        list(range(num_slots)),
-        [bytes([i % 256]) * SHIP_VALUE_SIZE for i in range(num_slots)],
-    )
-    state_bytes = num_slots * store.slot_size
-
-    conn_a, conn_b = multiprocessing.Pipe()
-    try:
-        pickle_s = _pipe_best(
-            conn_a, conn_b, lambda: store, lambda obj: obj
-        )
-        shm_s = None
-        if shipping.shm_available():
-            pool = shipping.RegionPool()
-            cache = shipping.AttachCache()
-            try:
-                produce = lambda: shipping.encode(store, pool.ensure)
-                finish = lambda wire: shipping.decode(wire, cache.get)
-                # Create + map the segment outside the clock; every
-                # epoch after the first reuses both sides' attachments.
-                finish(produce())
-                shm_s = _pipe_best(conn_a, conn_b, produce, finish)
-            finally:
-                cache.close()
-                pool.close()
-    finally:
-        conn_a.close()
-        conn_b.close()
-    return {
-        "config": _axes(store.crypto),
-        "baseline": _axes(store.crypto),
-        "slots": num_slots,
-        "state_bytes": state_bytes,
-        "pickle_roundtrip_s": pickle_s,
-        "shm_roundtrip_s": shm_s,
-        "ship_speedup": (
-            pickle_s / max(shm_s, 1e-9) if shm_s is not None else None
-        ),
-    }
-
-
 def test_vector_aead_throughput():
-    """Scalar vs vector AEAD MB/s, plus shm vs pipe state shipping."""
+    """Scalar vs vector AEAD MB/s."""
     results = {size: _crypto_row(size) for size in VALUE_SIZES}
-    ship_rows = [_ship_row(n) for n in SHIP_SLOT_COUNTS]
 
     lines = [
         "value  scalar-seal  vector-seal  speedup | "
@@ -227,18 +139,7 @@ def test_vector_aead_throughput():
             f"{row['vector_open_mbps']:>8.1f}MB/s "
             f"{row['open_speedup']:>6.1f}x"
         )
-    for ship in ship_rows:
-        if ship["shm_roundtrip_s"] is None:
-            continue
-        lines.append(
-            f"state ship ({ship['state_bytes'] / 1e6:.2f}MB): pipe "
-            f"{ship['pickle_roundtrip_s'] * 1e3:.2f}ms, shm "
-            f"{ship['shm_roundtrip_s'] * 1e3:.2f}ms "
-            f"({ship['ship_speedup']:.1f}x)"
-        )
-    report(
-        "Vectorized AEAD + zero-copy state shipping", "\n".join(lines)
-    )
+    report("Vectorized AEAD", "\n".join(lines))
 
     out = pathlib.Path(__file__).resolve().parent.parent / "BENCH_aead.json"
     out.write_text(json.dumps(
@@ -247,7 +148,6 @@ def test_vector_aead_throughput():
             "smoke": SMOKE,
             "vector_gate": VECTOR_GATE,
             "results": {str(s): row for s, row in results.items()},
-            "state_ship": ship_rows,
         },
         indent=2,
     ) + "\n")
@@ -257,6 +157,3 @@ def test_vector_aead_throughput():
         # margin over the scalar oracle at every size.
         assert row["seal_speedup"] >= VECTOR_GATE, (size, row)
         assert row["open_speedup"] >= VECTOR_GATE, (size, row)
-    for ship in ship_rows:
-        if ship["ship_speedup"] is not None:
-            assert ship["ship_speedup"] >= 1.0, ship

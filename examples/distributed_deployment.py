@@ -24,8 +24,7 @@ from repro.types import OpType, Request
 def main() -> None:
     # --- attested, encrypted deployment ---------------------------------
     # The thread backend runs the two subORAMs' sealed round trips
-    # concurrently (channel state stays in-process; a "process" backend
-    # would be rejected here).
+    # concurrently; the channels' replay counters stay in this process.
     config = SnoopyConfig(
         num_load_balancers=2,
         num_suborams=2,

@@ -13,8 +13,8 @@ def main() -> None:
     # A deployment with 2 load balancers and 3 subORAMs (5 "machines").
     # security_parameter=32 keeps the dummy padding small for a demo;
     # production would use 128 (the library default).
-    # execution_backend picks how epoch stages run: "serial" (reference),
-    # "thread[:N]" (overlap blocking work), "process[:N]" (multi-core).
+    # execution_backend picks how epoch stages run: "serial" (reference)
+    # or "thread[:N]" (overlap blocking work).
     # kernel picks how each oblivious schedule executes: "python" (the
     # traced scalar reference) or "numpy" (vectorized structure-of-arrays
     # passes over the same schedule).  Results are byte-identical across

@@ -49,7 +49,6 @@ from repro.errors import (
 )
 from repro.exec import (
     ExecutionBackend,
-    ProcessPoolBackend,
     SerialBackend,
     ThreadPoolBackend,
     make_backend,
@@ -74,7 +73,6 @@ __all__ = [
     "OpType",
     "Plan",
     "Planner",
-    "ProcessPoolBackend",
     "ReproError",
     "Request",
     "Response",

@@ -58,9 +58,9 @@ class SnoopyConfig:
             attacker already observes.
         execution_backend: how epoch stages execute — an
             :mod:`repro.exec` spec string (``"thread"`` — the default —
-            ``"thread:8"``, ``"process"``, or ``"serial"``, the inline
-            reference).  Public information: the attacker already sees
-            the degree of physical parallelism.
+            ``"thread:8"``, or ``"serial"``, the inline reference).
+            Public information: the attacker already sees the degree of
+            physical parallelism.
         max_workers: pool size for parallel backends (None = backend
             default; a ``:N`` spec suffix takes precedence).
         kernel: oblivious-kernel selector, ``"numpy"`` (default: the

@@ -68,10 +68,7 @@ class DistributedSnoopy(Snoopy):
             keychain: deployment secrets (generated if omitted).
             rng: randomness for client load-balancer selection.
             backend: execution backend for epoch stages (defaults to
-                ``config.execution_backend``).  Must keep shared state
-                in-process (``serial`` or ``thread``): the encrypted
-                channels hold live replay counters that cannot be shipped
-                across a process boundary.
+                ``config.execution_backend``).
             fault_plan: optional deterministic
                 :class:`~repro.core.faults.FaultPlan`; in addition to the
                 backend and replica seams this deployment injects

@@ -31,20 +31,21 @@ a pure function of the drained requests and no stage modifies the
 re-executes the same built batches, and queued successor epochs are
 never reordered.  A failed unit must not leave subORAM state half mutated
 (retrying a partially applied batch would change write-before values),
-so while the deployment is armed (a retry policy, or a fault injector
-with events pending) stage ➋ runs on deep copies of the subORAMs under
-shared-state backends; process backends mutate worker-side copies that a
-failed attempt never installs.  Build and match failures, and an
-exhausted retry budget, are fatal: the caller rolls back and raises the
-cause.
+so stage ➋ runs *atomically* — on deep copies of the subORAMs, installed
+only when every unit succeeded — while the deployment is armed (a retry
+policy, or a fault injector with events pending) and whenever the
+backend enforces a ``task_timeout``: a timed-out thread cannot be
+killed, and the straggler must only ever write to a copy the epoch has
+already discarded.  Build and match failures, and an exhausted retry
+budget, are fatal: the caller rolls back and raises the cause.
 
 :class:`EpochDriver` runs each stage as one
 :meth:`~repro.exec.backend.ExecutionBackend.map` call, so the same steps
 produce serial reference execution or a concurrent epoch depending only
-on the backend — with byte-identical responses either way.  Stage
-functions are module-level and take plain picklable tuples so that
-:class:`~repro.exec.pools.ProcessPoolBackend` can ship them to workers;
-subORAM state returns by value and the execute step reinstalls it.
+on the backend — with byte-identical responses either way.  Every unit
+runs in this process on the objects it is handed; subORAMs in their own
+processes are reached through a transport
+(:class:`~repro.serve.workers.WorkerCluster`).
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from repro.core.faults import FaultInjector
 from repro.core.tickets import Ticket, TicketBook
 from repro.errors import (
-    ConfigurationError,
     EpochFailedError,
     TaskTimeoutError,
     WorkerCrashError,
@@ -75,18 +75,13 @@ from repro.types import Request, Response
 #: batch) -> response batch``.  ``None`` means a direct in-process
 #: ``suboram.batch_access(batch)`` call; a networked deployment supplies
 #: its sealed-channel round trip here.  Either way the call runs inside
-#: the store session :func:`_execute_stateful` opens around the chain
+#: the store session :func:`_execute_stage` opens around the chain
 #: (``SubOram.epoch``); remote proxies have none and serve batch by batch.
 Transport = Callable[[int, int, object, Batch], Batch]
 
 
 def _build_stage(task):
-    """Stage ➊ unit: one balancer's oblivious batch generation.
-
-    The trailing ``telemetry`` element is the deployment handle under
-    in-process backends and (because a live handle pickles to the null
-    one) the no-op handle inside process-pool workers.
-    """
+    """Stage ➊ unit: one balancer's oblivious batch generation."""
     (
         requests,
         num_suborams,
@@ -111,10 +106,10 @@ def _build_stage(task):
 
 
 def _raise_injected(fault: Optional[str], unit: int) -> None:
-    """Fire an injected stage-➋ fault inside the executing worker.
+    """Fire an injected stage-➋ fault inside the executing unit.
 
-    The raise happens worker-side (also across a process boundary) so the
-    failure exercises the same propagation path a real crash would.
+    The raise happens on the unit's own thread so the failure exercises
+    the same propagation path a real crash would.
     """
     if fault == "worker_crash":
         raise WorkerCrashError(
@@ -126,13 +121,13 @@ def _raise_injected(fault: Optional[str], unit: int) -> None:
         )
 
 
-def _execute_stateful(suboram, args):
+def _execute_stage(task):
     """Stage ➋ unit: one subORAM's L batches, in fixed balancer order.
 
-    Returns ``(new_state, result)`` as the ``map_stateful`` contract
-    requires — here the ``(suboram, outputs)`` pair.
+    Runs on the subORAM object it is handed (the live one, or the
+    atomic copy) and returns ``[(balancer_index, response batch), ...]``.
     """
-    suboram_index, chain, transport, fault, telemetry = args
+    suboram_index, suboram, chain, transport, fault, telemetry = task
     _raise_injected(fault, suboram_index)
     outputs = []
     # One store session for the whole chain, where the subORAM has one.
@@ -149,16 +144,7 @@ def _execute_stateful(suboram, args):
                         balancer_index, suboram_index, suboram, batch
                     )
             outputs.append((balancer_index, entries))
-    return suboram, outputs
-
-
-def _suboram_state_token(suboram):
-    """Cache token for a subORAM's mutable state.
-
-    Returns ``None`` — meaning "never assume a cached copy is current" —
-    for subORAM implementations that do not expose ``state_token``.
-    """
-    return getattr(suboram, "state_token", None)
+    return outputs
 
 
 def _match_stage(task):
@@ -179,9 +165,7 @@ class EpochDriver:
             when given, each stage is wrapped in a trace span and timed
             into ``snoopy_epoch_stage_seconds{stage=...}``, and the
             handle is threaded into the stage tasks (batching, matching
-            and per-batch subORAM timings record through it on
-            in-process backends; it pickles to the no-op handle across
-            process boundaries).
+            and per-batch subORAM timings record through it).
     """
 
     def __init__(self, backend: ExecutionBackend, telemetry=None):
@@ -235,7 +219,6 @@ class EpochDriver:
         active,
         *,
         transport: Optional[Transport] = None,
-        state_ns: str = "epoch",
         injector: Optional[FaultInjector] = None,
         atomic: bool = False,
     ):
@@ -243,103 +226,74 @@ class EpochDriver:
 
         Each chain lists that subORAM's batches in ascending balancer
         order, the fixed order the linearizability argument requires.
-        Units run through ``map_stateful`` so process backends can keep
-        each subORAM's state cached worker-side across epochs instead of
-        re-shipping it every batch.
+        One ``backend.map`` runs the chains, one unit per subORAM.
 
         Args:
             transport: optional delivery seam (see :data:`Transport`).
-                Requires a shared-state backend: closures over live
-                channel state cannot cross a process boundary.
-            state_ns: namespace for the backend's cross-epoch state
-                cache; deployments sharing one backend pass distinct
-                namespaces so their subORAM caches never collide.
             injector: optional :class:`~repro.core.faults.FaultInjector`;
                 units with a scheduled worker-crash/timeout event are
-                armed to fail inside the executing worker.
-            atomic: run on deep copies of the subORAMs under
-                shared-state backends so a failed attempt leaves the
-                caller's subORAM objects untouched — the caller retries
-                by calling this method again with the same ``built``
-                (which no attempt modifies).
+                armed to fail inside the executing unit.
+            atomic: run on deep copies of the subORAMs so a failed (or
+                timed-out, still running) attempt leaves the caller's
+                subORAM objects untouched — the caller retries by calling
+                this method again with the same ``built`` (which no
+                attempt modifies).
 
         Returns:
-            ``(new_suborams, entries_per_balancer)`` — the mutated (or
-            shipped-back / atomically copied) subORAM objects in
+            ``(suborams, entries_per_balancer)`` — the subORAM objects
+            the units ran on (the caller's own, or the atomic copies) in
             partition order, and a ``{balancer_index: Batch}`` dict
             regrouping the stage outputs for matching (subORAMs in
             ascending order — the exact row order serial execution
             produces).
 
         Raises:
-            ConfigurationError: a transport was supplied on a backend
-                without shared state (e.g. ``process``).
             EpochFailedError: ``stage="execute"``.
         """
-        if transport is not None and not self.backend.supports_shared_state:
-            from repro.exec import BACKENDS
-
-            shared = sorted(
-                name
-                for name, cls in BACKENDS.items()
-                if cls.supports_shared_state
-            )
-            raise ConfigurationError(
-                f"backend {self.backend.name!r} cannot run a custom "
-                f"transport for state namespace {state_ns!r}: channel "
-                "state must stay in-process (shared-state backends: "
-                f"{', '.join(repr(name) for name in shared)})"
-            )
         work_suborams = list(suborams)
         try:
-            if atomic and self.backend.supports_shared_state:
-                # Shared-state backends mutate in place; run on copies
-                # so a failed unit cannot leave the caller's state
-                # half-applied.  The copy itself is inside the fault
-                # wrapping because remote proxies turn it into a
-                # TXN_BEGIN round trip that can hit a network fault; an
-                # abandoned half-clone is harmless (the retry re-clones
-                # the same committed parents under fresh version ids).
+            if atomic:
+                # Units mutate in place; run on copies so a failed unit
+                # cannot leave the caller's state half-applied.  The
+                # copy itself is inside the fault wrapping because
+                # remote proxies turn it into a TXN_BEGIN round trip that
+                # can hit a network fault; an abandoned half-clone is
+                # harmless (the retry re-clones the same committed
+                # parents under fresh version ids).
                 work_suborams = copy.deepcopy(work_suborams)
             with self.telemetry.span(
                 "stage", stage="execute", tasks=len(work_suborams)
             ), self.telemetry.time(
                 "snoopy_epoch_stage_seconds", stage="execute"
             ):
-                executed = self.backend.map_stateful(
-                    _execute_stateful,
+                executed = self.backend.map(
+                    _execute_stage,
                     [
                         (
-                            (state_ns, suboram_index),
+                            suboram_index,
                             suboram,
-                            (
-                                suboram_index,
-                                [
-                                    (balancer_index,
-                                     built[j][0][suboram_index])
-                                    for j, balancer_index in enumerate(active)
-                                ],
-                                transport,
-                                injector.stage_fault(suboram_index)
-                                if injector is not None
-                                else None,
-                                self.telemetry,
-                            ),
+                            [
+                                (balancer_index, built[j][0][suboram_index])
+                                for j, balancer_index in enumerate(active)
+                            ],
+                            transport,
+                            injector.stage_fault(suboram_index)
+                            if injector is not None
+                            else None,
+                            self.telemetry,
                         )
                         for suboram_index, suboram in enumerate(work_suborams)
                     ],
-                    token=_suboram_state_token,
                 )
         except BaseException as exc:
             raise EpochFailedError(
                 "execute", getattr(exc, "unit", None), exc
             ) from exc
-        new_suborams = [suboram for suboram, _ in executed]
         replies = {index: [] for index in active}
-        for _, outputs in executed:
+        for outputs in executed:
             for balancer_index, entries in outputs:
                 replies[balancer_index].append(entries)
-        return new_suborams, {
+        return work_suborams, {
             index: Batch.concat(batches) for index, batches in replies.items()
         }
 
@@ -444,15 +398,13 @@ class EpochLifecycle:
         self._store = store
         self.telemetry = store.telemetry
         self._driver = EpochDriver(store.backend, telemetry=store.telemetry)
-        # On an in-process backend the balancer stages run inline on the
-        # thread that calls them.  Through the pool, a match whose tasks
-        # land behind the next epoch's execute units in its one FIFO
-        # queue answers a whole execute time late, and which of the two
-        # reaches the queue first is a thread race.
-        self._balancer_driver = (
-            EpochDriver(SerialBackend(), telemetry=store.telemetry)
-            if store.backend.supports_shared_state
-            else self._driver
+        # The balancer stages run inline on the thread that calls them.
+        # Through the pool, a match whose tasks land behind the next
+        # epoch's execute units in its one FIFO queue answers a whole
+        # execute time late, and which of the two reaches the queue first
+        # is a thread race.
+        self._balancer_driver = EpochDriver(
+            SerialBackend(), telemetry=store.telemetry
         )
 
     def close(self, permissions=None) -> Optional[_EpochJob]:
@@ -496,25 +448,23 @@ class EpochLifecycle:
 
         A failed attempt is retried in place on the already-built
         batches; exhausted budgets and non-retryable failures raise the
-        original cause with nothing installed.
+        original cause with nothing installed.  The attempt is atomic
+        when the controller is armed or the backend enforces a
+        ``task_timeout`` (see the module docstring).
         """
         store = self._store
         controller = store.retry_controller
         controller.begin_epoch(job.epoch, store.suborams)
-        # Under a process backend the subORAMs mutated in workers and
-        # ship back by value; an armed epoch returns its deep copies.
+        atomic = controller.armed or store.backend.task_timeout is not None
+        # An atomic epoch returns its deep copies, installed here.
         store.suborams, job.entries = controller.run_with_retry(
             lambda: self._driver.run_execute(
                 store.suborams, job.built, job.active,
                 transport=store._transport,
-                state_ns=store.state_namespace,
                 injector=store.injector,
-                atomic=controller.armed,
+                atomic=atomic,
             )
         )
-        if store.telemetry.enabled:
-            # Unpickled copies collapse the seam to the null handle.
-            attach_telemetry_to_suborams(store.suborams, store.telemetry)
         controller.end_epoch(store.suborams)
 
     def match(self, job: _EpochJob) -> Tuple[int, float]:

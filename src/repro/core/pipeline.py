@@ -18,8 +18,7 @@ and TaoStore for its asynchronous proxy scheduling):
   ``Snoopy.run_epoch`` runs inline), so the build of epoch ``e+1`` runs
   concurrently with the execute of ``e`` and the match of ``e-1``.
   Execute fans out over the deployment's execution backend; build and
-  match do too on a process backend, and run inline on their own
-  threads otherwise;
+  match run inline on their own threads;
 * a **depth semaphore** caps in-flight epochs at
   :attr:`~repro.core.config.SnoopyConfig.pipeline_depth` (default 2,
   the paper's latency <= 2T claim).  When the limit is reached the

@@ -130,10 +130,6 @@ class Snoopy:
             telemetry=self.telemetry,
         )
 
-        # Distinct per-deployment namespace for the backend's cross-epoch
-        # subORAM state cache (deployments may share one backend).
-        self._state_ns = f"snoopy-{next(_DEPLOYMENT_COUNTER)}"
-
         sharding_key = self.keychain.sharding_key()
         self.load_balancers = [
             LoadBalancer(
@@ -186,11 +182,6 @@ class Snoopy:
     def injector(self) -> Optional[FaultInjector]:
         """The chaos injector, when a fault plan is attached."""
         return self._injector
-
-    @property
-    def state_namespace(self) -> str:
-        """This deployment's backend state-cache namespace."""
-        return self._state_ns
 
     # ------------------------------------------------------------------
     # Initialization (Figure 23: shard objects by the keyed hash)
@@ -438,10 +429,6 @@ class Snoopy:
         for request in requests:
             self.submit(request)
         return self.run_epoch()
-
-
-#: Monotonic id source for per-deployment state-cache namespaces.
-_DEPLOYMENT_COUNTER = itertools.count()
 
 
 def _default_suboram_factory(suboram_id: int, config: SnoopyConfig,

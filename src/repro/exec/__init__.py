@@ -7,16 +7,19 @@ concurrency as a pluggable layer so one functional codebase serves both
 purposes — auditable serial execution and parallel execution whose
 wall-clock actually exhibits the paper's scaling behaviour.
 
-Three backends implement the common :class:`ExecutionBackend` interface:
+Two backends implement the common :class:`ExecutionBackend` interface:
 
 * ``serial`` — :class:`SerialBackend`: run tasks inline, in order.  The
   reference semantics; zero overhead.
 * ``thread`` — :class:`ThreadPoolBackend`: a shared-memory thread pool.
   SubORAM state is mutated in place; blocking work (simulated network
   latency, paging, real sockets) overlaps across components.
-* ``process`` — :class:`ProcessPoolBackend`: worker processes for true
-  multi-core execution; subORAM state is shipped to workers and back by
-  value.
+
+Both run every unit in this process.  SubORAMs that live in their own
+processes, as the paper's do on their own machines, are reached through
+:class:`~repro.serve.workers.WorkerCluster`: the backend then fans out
+the sealed-channel round trips, and each worker keeps its partition
+resident.
 
 Every backend preserves the *fixed balancer order within each subORAM*
 that Appendix C's linearizability proof requires: the epoch driver hands
@@ -25,9 +28,9 @@ parallelize *across* tasks, never within one.  Results are therefore
 byte-identical across backends (``tests/test_parallel_equivalence.py``).
 
 Backends are selected by spec string — ``"serial"``, ``"thread"``,
-``"thread:8"``, ``"process"``, ``"process:4"`` — via :func:`make_backend`,
-which is what :class:`~repro.core.config.SnoopyConfig.execution_backend`
-feeds.  Passing an :class:`ExecutionBackend` instance anywhere a spec is
+``"thread:8"`` — via :func:`make_backend`, which is what
+:class:`~repro.core.config.SnoopyConfig.execution_backend` feeds.
+Passing an :class:`ExecutionBackend` instance anywhere a spec is
 accepted also works::
 
     from repro import Snoopy, SnoopyConfig
@@ -44,14 +47,13 @@ from typing import Optional, Tuple, Type, Union
 
 from repro.errors import ConfigurationError
 from repro.exec.backend import ExecutionBackend, SerialBackend
-from repro.exec.pools import ProcessPoolBackend, ThreadPoolBackend
+from repro.exec.pools import ThreadPoolBackend
 
 #: Registry of spec name -> backend class (the BCache-style pluggable
 #: backend split: callers name a backend, the registry builds it).
 BACKENDS: dict = {
     SerialBackend.name: SerialBackend,
     ThreadPoolBackend.name: ThreadPoolBackend,
-    ProcessPoolBackend.name: ProcessPoolBackend,
 }
 
 BackendSpec = Union[str, ExecutionBackend]
@@ -98,12 +100,11 @@ def make_backend(
     """Build (or pass through) an execution backend.
 
     Args:
-        spec: a spec string (``"serial"``, ``"thread"``, ``"thread:8"``,
-            ``"process"``, ``"process:4"``) or an already-constructed
-            :class:`ExecutionBackend`, returned unchanged; ``None``
-            means :data:`DEFAULT_BACKEND`.
+        spec: a spec string (``"serial"``, ``"thread"``, ``"thread:8"``)
+            or an already-constructed :class:`ExecutionBackend`, returned
+            unchanged; ``None`` means :data:`DEFAULT_BACKEND`.
         max_workers: pool size; overridden by a ``:N`` suffix in the spec.
-        task_timeout: per-task timeout in seconds for pooled backends; an
+        task_timeout: per-task timeout in seconds for the thread pool; an
             overrun raises :class:`~repro.errors.TaskTimeoutError`.
             Ignored for ``serial`` (inline execution cannot be bounded)
             and for an already-constructed backend instance.
@@ -127,7 +128,6 @@ __all__ = [
     "BackendSpec",
     "DEFAULT_BACKEND",
     "ExecutionBackend",
-    "ProcessPoolBackend",
     "SerialBackend",
     "ThreadPoolBackend",
     "make_backend",

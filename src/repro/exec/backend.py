@@ -4,11 +4,12 @@ An :class:`ExecutionBackend` answers one question for the epoch driver:
 *how do independent units of epoch work run?*  The driver expresses each
 pipeline stage as ``backend.map(stage_fn, tasks)`` where the tasks are
 mutually independent; the backend decides whether they run one after
-another (:class:`SerialBackend`), on a shared-memory thread pool
-(:class:`~repro.exec.pools.ThreadPoolBackend`), or on worker processes
-(:class:`~repro.exec.pools.ProcessPoolBackend`).
+another (:class:`SerialBackend`) or on a shared-memory thread pool
+(:class:`~repro.exec.pools.ThreadPoolBackend`).  Either way a task runs
+in this process on the objects it is handed, so the mutations it makes
+are the caller's.
 
-Backends make two guarantees the driver relies on:
+Backends make three guarantees the driver relies on:
 
 * ``map`` returns results **in task order** (never completion order), so
   the fixed balancer order of Appendix C's linearization proof survives
@@ -17,17 +18,11 @@ Backends make two guarantees the driver relies on:
   such as :class:`~repro.errors.BatchOverflowError` surface loudly no
   matter where the task ran;
 * ``map`` dispatch is **overlap-safe**: distinct threads may issue
-  ``map`` / ``map_stateful`` calls concurrently (the pipelined epoch
-  scheduler's builder and matcher threads do exactly that while the
-  executor thread runs ``map_stateful``).  The serial backend is
-  trivially reentrant; pooled backends guard their lazy pool/worker
-  creation with a lock, and the underlying executors accept concurrent
-  submissions.
-
-``supports_shared_state`` distinguishes in-process backends (mutations a
-task makes are visible to the caller) from process backends (state must
-be shipped back by value); the driver uses it to route subORAM state and
-to reject transports that cannot cross a process boundary.
+  ``map`` calls concurrently (the pipelined epoch scheduler's builder
+  and matcher threads do exactly that while the executor thread runs
+  stage ➋).  The serial backend is trivially reentrant; the thread pool
+  guards its lazy creation with a lock, and the underlying executor
+  accepts concurrent submissions.
 """
 
 from __future__ import annotations
@@ -35,7 +30,7 @@ from __future__ import annotations
 import contextlib
 import threading
 from abc import ABC, abstractmethod
-from typing import Callable, Iterable, List, Sequence, TypeVar
+from typing import Callable, List, Optional, Sequence, TypeVar
 
 from repro.telemetry import NULL_TELEMETRY, resolve_telemetry
 
@@ -51,7 +46,7 @@ _NO_TURN = contextlib.nullcontext()
 
 
 def interpreter_turn(gil_free_bytes: int = 0):
-    """The context a stage unit computes under on an in-process backend.
+    """The context a stage unit computes under.
 
     Threads that make many short NumPy calls hand the GIL over at every
     call, and between two cores each handover is a futex wake-up: the
@@ -68,12 +63,6 @@ def interpreter_turn(gil_free_bytes: int = 0):
     return _TURN if gil_free_bytes < GIL_FREE_MIN_BYTES else _NO_TURN
 
 
-def _call_stateful(packed):
-    """Run one ``map_stateful`` unit inline: ``fn(state, args)``."""
-    fn, state, args = packed
-    return fn(state, args)
-
-
 class ExecutionBackend(ABC):
     """How independent units of epoch work execute (§6's parallel pipeline).
 
@@ -86,14 +75,13 @@ class ExecutionBackend(ABC):
     #: Registry/spec name of the backend (e.g. ``"serial"``, ``"thread"``).
     name: str = "abstract"
 
-    #: True when a task's in-place mutations are visible to the caller
-    #: (serial and thread backends).  Process backends return state by
-    #: value instead, and cannot execute non-picklable closures.
-    supports_shared_state: bool = True
+    #: Per-task timeout in seconds the backend enforces, or ``None``.
+    #: Inline execution cannot be bounded, so only pools set it.
+    task_timeout: Optional[float] = None
 
     #: Telemetry handle, defaulting to the shared no-op; deployments call
-    #: :meth:`attach_telemetry` to wire in their live handle.  Pooled
-    #: backends record per-task queue-wait/run timings and fault counters
+    #: :meth:`attach_telemetry` to wire in their live handle.  The pooled
+    #: backend records per-task queue-wait/run timings and fault counters
     #: through it; the serial backend stays instrumentation-free (its
     #: stage timings are exactly the driver's, so per-task metrics would
     #: only duplicate them).
@@ -112,36 +100,13 @@ class ExecutionBackend(ABC):
         """Run ``fn`` over ``tasks``; results in task order.
 
         Args:
-            fn: the stage function.  For process backends it must be a
-                picklable module-level callable.
-            tasks: independent work items (picklable for process backends).
+            fn: the stage function.
+            tasks: independent work items.
 
         Returns:
             ``[fn(task) for task in tasks]`` — possibly computed
             concurrently, but always returned in input order.
         """
-
-    def map_stateful(self, fn, tasks, token=None) -> list:
-        """Run stateful units; results in task order.
-
-        Each task is a ``(key, state, args)`` triple: ``key`` identifies
-        the long-lived state across calls (e.g. ``(namespace,
-        suboram_index)``), ``state`` is the current state object, and
-        ``fn(state, args)`` must return ``(new_state, result)`` pairs —
-        which is also what this method returns, in task order.
-
-        ``token`` is an optional callable ``state -> hashable-or-None``
-        giving a cheap version of the state (``None`` means "not
-        cacheable").  Backends with worker-affinity caches (the process
-        backend) use it to skip re-shipping state whose token is
-        unchanged since the last call; shared-memory backends ignore it
-        — state never leaves the caller's address space, so there is
-        nothing to cache.
-        """
-        del token  # shared-memory default: nothing to cache
-        return self.map(
-            _call_stateful, [(fn, state, args) for (_key, state, args) in tasks]
-        )
 
     def close(self) -> None:
         """Release pooled workers; idempotent.  No-op for serial."""
@@ -167,7 +132,6 @@ class SerialBackend(ExecutionBackend):
     """
 
     name = "serial"
-    supports_shared_state = True
 
     def map(self, fn, tasks) -> list:
         """Apply ``fn`` to each task sequentially."""

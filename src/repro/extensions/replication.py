@@ -100,28 +100,6 @@ class ReplicatedSubOram:
         return len(self.replicas)
 
     @property
-    def state_token(self) -> tuple:
-        """Version token over the whole group's mutable state.
-
-        Lets the group ride the process backend's cross-epoch state cache
-        (:meth:`~repro.exec.pools.ProcessPoolBackend.map_stateful`): the
-        token changes whenever the trusted counter, any replica's local
-        epoch or crash flag, or any replica's subORAM state changes — the
-        exact conditions under which a cached worker-side copy is stale.
-        """
-        return (
-            self.counter.value,
-            tuple(
-                (
-                    replica.epoch,
-                    replica.crashed,
-                    getattr(replica.suboram, "state_token", None),
-                )
-                for replica in self.replicas
-            ),
-        )
-
-    @property
     def num_objects(self) -> int:
         """Object count of the partition (taken from a live replica)."""
         for replica in self.replicas:

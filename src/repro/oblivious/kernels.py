@@ -149,7 +149,7 @@ class Kernel:
     :meth:`PythonKernel.scan` over record lists (the reference) and
     :meth:`NumpyKernel.scan_soa` over columns.
     Instances are stateless and picklable, so they travel with subORAM
-    state across process backends.  Both kernels compute the same
+    state into worker snapshots.  Both kernels compute the same
     permutation of ``items``; the numpy kernel also accepts ``items``
     (and ``flags``) as ndarrays and then returns the permuted ndarray.
     """

@@ -176,12 +176,6 @@ class SnoopyServer:
         session_buffer_cap: int = 4096,
         max_sessions: int = 256,
     ):
-        if not store.backend.supports_shared_state:
-            raise ConfigurationError(
-                "SnoopyServer needs a shared-state backend "
-                "(serial/thread): the epoch pipeline, ticket callbacks "
-                "and worker sockets all live in the server process"
-            )
         if max_pending_per_connection < 1:
             raise ConfigurationError(
                 "max_pending_per_connection must be >= 1"

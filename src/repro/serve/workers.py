@@ -56,9 +56,9 @@ the existing :class:`~repro.core.resilience.EpochRetryController` and
 retries disabled, rolls the epoch back and requeues its requests)
 without any serve-specific code.
 
-Remote proxies hold live sockets, so deployments using them must run on
-a shared-state execution backend (``serial`` or ``thread``) — the same
-constraint the driver already enforces for custom transports.
+Remote proxies hold live sockets; the deployment's execution backend
+(``serial`` or ``thread``) drives them from the server process, the
+thread pool fanning out the round trips to distinct workers.
 
 **What crosses this wire.**  INIT, BATCH and BATCH_REPLY payloads are
 one :class:`~repro.oblivious.soa.Batch` each (``Batch.to_bytes``:
@@ -133,7 +133,7 @@ def _seal(snapshot_path: str, versions: Dict[int, object]) -> bytes:
     Returns the sealed blob so the worker can serve SNAP_FETCH without
     re-reading its own disk.
     """
-    blob = pickle.dumps(versions)
+    blob = pickle.dumps(versions, protocol=5)
     tmp_path = snapshot_path + ".tmp"
     with open(tmp_path, "wb") as handle:
         handle.write(blob)

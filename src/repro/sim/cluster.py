@@ -182,9 +182,7 @@ def epoch_wallclock_series(
     parallel backend overlaps them — the measured counterpart of
     equation (1)'s max-of-stages shape.
 
-    Backends that cannot run the latency wrapper in-process still work
-    (the wrapper pickles), so ``"process"`` specs are accepted.  The
-    ``kernel`` selector picks the oblivious-kernel implementation
+    The ``kernel`` selector picks the oblivious-kernel implementation
     (``"python"`` or ``"numpy"``; default: the config default) so backend
     speedups can be measured on either data plane.
 

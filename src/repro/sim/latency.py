@@ -73,8 +73,8 @@ class LatencySubOram:
     def __getattr__(self, name: str):
         """Delegate any other attribute to the wrapped subORAM.
 
-        Dunder lookups fall through untouched so that pickling (process
-        backend) does not recurse before ``inner`` exists.
+        Dunder lookups fall through untouched so that a deep copy (an
+        atomic epoch attempt) does not recurse before ``inner`` exists.
         """
         if name.startswith("__") or "inner" not in self.__dict__:
             raise AttributeError(name)

@@ -28,11 +28,11 @@ single decision is what the whole batch hot path hangs off:
 * The subORAM calls each **once per epoch**, not once per batch
   (:meth:`~repro.suboram.suboram.SubOram.epoch`): one authenticated open
   and one fresh-nonce reseal of every slot, a function of ``num_slots``.
-* Pickling uses out-of-band :class:`pickle.PickleBuffer` views of the
-  contiguous buffers (protocol 5), so process-backend state shipping
-  never copies slot payloads through per-object pickle opcodes — and can
-  hand the buffers to ``multiprocessing.shared_memory`` untouched (see
-  :mod:`repro.exec.shipping`).
+* Pickling (protocol 5) hands the contiguous buffers over as
+  :class:`pickle.PickleBuffer` views and drops the scratch and
+  telemetry fields, so a subORAM worker's sealed snapshot
+  (:mod:`repro.serve.workers`) holds the host buffers and integrity
+  metadata only, with no per-object pickle opcodes.
 
 The crypto axis
 ===============
@@ -120,11 +120,10 @@ _EPHEMERAL_FIELDS = ("telemetry", "_scratch")
 
 
 def _rebuild_store(cls, state: dict, *buffers):
-    """Reassemble a store from out-of-band pickle buffers.
+    """Reassemble a store from its pickled state and buffers.
 
-    The buffers may be views into a shared-memory segment that the
-    sender will reuse, so each one is copied into a fresh ``bytearray``
-    here — the rebuilt store must never alias transport memory.
+    Each buffer is copied into a fresh ``bytearray``, so the rebuilt
+    store owns its memory whatever the unpickler handed over.
     """
     store = cls.__new__(cls)
     store.__dict__.update(state)
@@ -460,9 +459,15 @@ class EncryptedStore:
         return plain
 
     # ------------------------------------------------------------------
-    # Out-of-band pickling (protocol 5): buffers ship without copies.
+    # Pickling (protocol 5): the host buffers as buffer views.
     # ------------------------------------------------------------------
     def __reduce_ex__(self, protocol):
+        """Pickle the buffers as :class:`pickle.PickleBuffer` views.
+
+        The scratch and telemetry fields are dropped and rebuilt empty,
+        so a worker snapshot carries only the sealed state.  Below
+        protocol 5 (``copy.deepcopy``) the default reduction applies.
+        """
         if protocol < 5:
             return super().__reduce_ex__(protocol)
         state = {

@@ -109,11 +109,10 @@ class SubOram:
         self._store: Optional[EncryptedStore] = None
         self._keys: List[int] = []  # physical slot -> object key (scan order)
         self._epoch = 0
-        self._state_version = 0
         self._session: Optional[SimpleNamespace] = None
         #: Telemetry handle; the deployment attaches its live handle here.
-        #: A live handle pickles to the null one, so subORAMs shipped to
-        #: process-pool workers record nothing worker-side.
+        #: A live handle pickles to the null one, so a subORAM restored in
+        #: a worker process records nothing there.
         self.telemetry = NULL_TELEMETRY
 
     # ------------------------------------------------------------------
@@ -121,7 +120,6 @@ class SubOram:
     # ------------------------------------------------------------------
     def initialize(self, objects: Dict[int, bytes]) -> None:
         """Load this partition's objects into the encrypted store."""
-        self._state_version += 1
         storage_key = self._keychain.subkey(f"suboram/{self.suboram_id}/storage")
         self._keys = sorted(objects)
         self._store = EncryptedStore(
@@ -161,16 +159,6 @@ class SubOram:
             raise NotInitializedError("subORAM not initialized")
         return self._store
 
-    @property
-    def state_token(self) -> int:
-        """Monotonic version of this subORAM's mutable state.
-
-        Bumped by every state mutation (``initialize``, ``batch_access``),
-        so an execution backend can tell whether a worker-side cached copy
-        of this subORAM is still current without shipping the state.
-        """
-        return self._state_version
-
     # ------------------------------------------------------------------
     # Batch access (Figure 19, BatchAccess)
     # ------------------------------------------------------------------
@@ -203,10 +191,9 @@ class SubOram:
         nbytes = store.num_slots * store.slot_size if bulk else 0
         # Outside an epoch session a batch is a session of one.
         session = self._session or _session(1)
-        # Re-attach the live telemetry handle: a store that crossed a
-        # process boundary came back with the null handle.
+        # Re-attach the live telemetry handle: it may have been attached
+        # after initialize, and an unpickled store has the null handle.
         store.telemetry = self.telemetry
-        self._state_version += 1
         with interpreter_turn(nbytes):
             if bulk and session.ovals is None:
                 session.okeys, session.ovals = store.get_batch()

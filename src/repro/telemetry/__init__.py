@@ -47,9 +47,7 @@ What gets instrumented when a ``Telemetry`` handle is threaded through
   (``snoopy_lb_stage_seconds{stage=route|pad|sort|dedupe}``) and subORAM
   phases (``snoopy_suboram_phase_seconds{phase=table|scan|extract}``);
 * exec backends — ``exec_task_queue_seconds`` vs ``exec_task_run_seconds``
-  per backend, ``exec_worker_crashes_total`` / ``exec_worker_respawns_total``
-  / ``exec_task_timeouts_total``, and the sticky-worker state cache as
-  ``exec_state_cache_total{event=hit|miss|full_ship}``;
+  per task on the thread pool, and ``exec_task_timeouts_total``;
 * oblivious kernels — per-level sort/compact timings through the
   existing ``KernelTrace`` seam (``repro.telemetry.kernelbridge``;
   meaningful on the numpy kernel, which records levels as it executes);
@@ -87,13 +85,13 @@ equality for same-shape different-content workloads).  Histogram
 *values* are wall-clock timings, public under the same argument as
 arrival timing (§2.1).
 
-Process-backend semantics: a ``Telemetry`` handle pickles to
-:data:`NULL_TELEMETRY`, so instrumentation inside process-pool workers
+Copy semantics: a ``Telemetry`` handle pickles to
+:data:`NULL_TELEMETRY`, so a subORAM restored inside a worker process
 silently no-ops instead of recording into a registry the parent never
-sees — worker-side metrics (state cache, kernel levels) are recorded
-host-side where the protocol outcome is known.  ``copy.deepcopy``
-returns the same handle, so armed atomic epoch attempts (which deep-copy
-subORAM state) keep reporting to the live registry.
+sees — worker-side metrics are recorded host-side where the protocol
+outcome is known.  ``copy.deepcopy`` returns the same handle, so atomic
+epoch attempts (which deep-copy subORAM state) keep reporting to the
+live registry.
 """
 
 from __future__ import annotations
@@ -220,13 +218,13 @@ class Telemetry:
             sink.emit(self.registry, roots)
 
     def __reduce__(self):
-        """Pickle to the null handle: process-pool workers must not
-        record into a registry the parent process never merges."""
+        """Pickle to the null handle: worker processes must not record
+        into a registry the parent process never merges."""
         return (_null_telemetry, ())
 
     def __deepcopy__(self, memo) -> "Telemetry":
-        """Deep copies share the handle: armed atomic epoch attempts run
-        on copied state but report to the live registry."""
+        """Deep copies share the handle: atomic epoch attempts run on
+        copied state but report to the live registry."""
         return self
 
 

@@ -40,7 +40,7 @@ GUIDES = [
     (
         "Store crypto & zero-copy state",
         ("repro.crypto.aead", "repro.crypto.vector",
-         "repro.suboram.store", "repro.exec.shipping"),
+         "repro.suboram.store"),
     ),
     (
         "Workloads & trace replay",

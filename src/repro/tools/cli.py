@@ -85,10 +85,10 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--requests", type=int, default=40)
     demo.add_argument("--seed", type=int, default=0)
     demo.add_argument("--backend", type=str, default=None,
-                      help="execution backend spec: serial, thread[:N], "
-                           "process[:N] (default: SnoopyConfig's)")
+                      help="execution backend spec: serial or thread[:N] "
+                           "(default: SnoopyConfig's)")
     demo.add_argument("--workers", type=int, default=None,
-                      help="worker-pool size for parallel backends")
+                      help="thread-pool size for the thread backend")
     demo.add_argument("--kernel", type=str, default=None,
                       choices=["python", "numpy"],
                       help="oblivious-kernel implementation: the traced "

@@ -8,7 +8,7 @@ carried a private copy of the same drivers (tracing stores, seeded
 workloads, store builders).  They now share this harness, and the
 matrix test (``test_harness.py``) runs the full cross product
 
-    {serial, thread, process} x {python, numpy}
+    {serial, thread} x {python, numpy}
         x {scalar, vector} x {fault-free, FaultPlan}
 
 asserting byte-identical responses and identical workload-invariant
@@ -24,7 +24,7 @@ Key pieces:
 
 * :class:`TracingStore` / :class:`TracingSubOram` / :func:`tracing_factory`
   — slot-access-logging subORAMs (the access-pattern witness; the log
-  rides on the instance so process backends ship it back with the state);
+  rides on the instance so atomic epoch copies carry it along);
 * :func:`seeded_workload` — a deterministic multi-epoch (request,
   balancer) schedule, parameterized so both historical test suites'
   schedules are instances of it;
@@ -72,9 +72,9 @@ INVARIANT_METRICS = (
 class TracingStore(EncryptedStore):
     """An encrypted store that logs every slot access.
 
-    The log rides on the instance, so under a process backend it is
-    pickled to the worker, extended there, and shipped back with the
-    subORAM — making traces comparable across all backends.
+    The log rides on the instance, so an atomic epoch's deep copy of
+    the subORAM extends and installs it — making traces comparable
+    across all backends and fault plans.
     """
 
     def __init__(self, encryption_key, num_slots, value_size, crypto=None):
@@ -362,7 +362,7 @@ def differential_run(
     objects: Dict[int, bytes],
     *,
     master: bytes,
-    backends: Sequence[str] = ("serial", "thread:4", "process:2"),
+    backends: Sequence[str] = ("serial", "thread:4"),
     kernels: Sequence[str] = ("python", "numpy"),
     cryptos: Sequence[str] = ("vector",),
     fault_plans: Sequence[Tuple[str, object]] = (("fault-free", None),),

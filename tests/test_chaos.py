@@ -4,8 +4,9 @@ The acceptance bar for the fault-tolerance layer: a deterministic
 `FaultPlan` injecting worker crashes, task timeouts, and replica
 crash+rollback events across a 10-epoch run must yield **byte-identical
 responses** to the fault-free serial run — no request dropped, every
-ticket resolved — on the thread and process backends with both oblivious
-kernels, and `fault_stats` must report the injected events exactly.
+ticket resolved — on the thread backend with both oblivious kernels and
+with the subORAMs in their own worker processes (`WorkerCluster`), and
+`fault_stats` must report the injected events exactly.
 
 Failure handling is public information (SECURITY.md): the slot-access
 trace of the state the deployment *keeps* is also asserted identical to
@@ -16,6 +17,7 @@ The drivers (tracing subORAMs, seeded workload, store builder) are the
 shared ones from :mod:`tests.harness`.
 """
 
+import contextlib
 import random
 
 import pytest
@@ -24,6 +26,7 @@ from repro.core.config import SnoopyConfig
 from repro.core.deployment import DistributedSnoopy
 from repro.core.faults import FaultEvent, FaultPlan
 from repro.crypto.keys import KeyChain
+from repro.serve.workers import WorkerCluster
 
 from tests.harness import (
     access_traces,
@@ -87,38 +90,56 @@ def baseline():
 class TestAcceptance:
     """The ISSUE's acceptance criteria, verbatim."""
 
-    @pytest.mark.parametrize("backend", ["thread:4", "process:2"])
+    @pytest.mark.parametrize("backend", ["thread:4", "process-workers"])
     @pytest.mark.parametrize("kernel", ["python", "numpy"])
     def test_fault_plan_is_byte_identical_to_fault_free_serial(
         self, baseline, backend, kernel
     ):
+        """``thread:4`` runs the full plan over (1, 1) replica groups; the
+        ``process-workers`` cell runs ``BACKEND_PLAN`` on ``thread:4`` with
+        every subORAM in its own `WorkerCluster` worker process."""
         baseline_responses, baseline_results = baseline
-        store = build_store(
-            backend, kernel=kernel, plan=ACCEPTANCE_PLAN, replication=(1, 1)
-        )
-        responses, tickets = run_workload(store, WORKLOAD)
+        replicated = backend == "thread:4"
+        with contextlib.ExitStack() as stack:
+            if replicated:
+                store = build_store(
+                    backend, kernel=kernel, plan=ACCEPTANCE_PLAN,
+                    replication=(1, 1),
+                )
+            else:
+                cluster = stack.enter_context(WorkerCluster(
+                    3, value_size=VALUE, security_parameter=16, kernel=kernel
+                ))
+                cluster.start()
+                store = build_store(
+                    "thread:4", kernel=kernel, plan=BACKEND_PLAN,
+                    suboram_factory=cluster.factory,
+                )
+            responses, tickets = run_workload(store, WORKLOAD)
+            results = [ticket.result() for ticket in tickets]
+            stats = store.fault_stats
+            store.close()
 
         # Byte-identical responses, epoch by epoch: no request dropped.
         assert responses == baseline_responses
         # Every ticket resolves, with the same response the fault-free
         # run produced.
-        results = [ticket.result() for ticket in tickets]
         assert results == baseline_results
 
-        # fault_stats reports the injected events exactly.
-        stats = store.fault_stats
-        assert stats["worker_crashes"] == 1
-        assert stats["tasks_timed_out"] == 1
-        assert stats["replica_crashes"] == 1
-        assert stats["replica_rollbacks"] == 1
-        assert stats["transport_errors"] == 0
-        # The crash and the timeout each failed (and retried) one epoch;
-        # the crashed and the rolled-back replica were each healed at the
-        # next epoch boundary.
-        assert stats["epochs_failed"] == 2
-        assert stats["epochs_retried"] == 2
-        assert stats["replicas_recovered"] == 2
-        store.close()
+        # fault_stats reports the injected events exactly. The crash and
+        # the timeout each failed (and retried) one epoch; the crashed and
+        # the rolled-back replica were each healed at the next epoch
+        # boundary.
+        assert stats == {
+            "epochs_failed": 2,
+            "epochs_retried": 2,
+            "replicas_recovered": 2 if replicated else 0,
+            "worker_crashes": 1,
+            "tasks_timed_out": 1,
+            "replica_crashes": 1 if replicated else 0,
+            "replica_rollbacks": 1 if replicated else 0,
+            "transport_errors": 0,
+        }
 
     def test_injector_consumed_every_scheduled_event(self):
         store = build_store("serial", plan=ACCEPTANCE_PLAN,

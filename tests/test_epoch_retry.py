@@ -1,27 +1,26 @@
 """Atomic epoch failure, rollback/requeue, and the retry policy."""
 
 import random
+import threading
+import time
 
 import pytest
 
 from repro.core.client import Client
 from repro.core.config import SnoopyConfig
 from repro.core.deployment import DistributedSnoopy
-from repro.core.epoch import EpochDriver
 from repro.core.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.core.linearizability import History, check_snoopy_history
 from repro.core.resilience import EpochRetryController, RetryPolicy
 from repro.core.snoopy import Snoopy
 from repro.crypto.keys import KeyChain
 from repro.errors import (
-    ConfigurationError,
     EpochFailedError,
     IntegrityError,
     TaskTimeoutError,
     TicketPendingError,
     WorkerCrashError,
 )
-from repro.exec import SerialBackend, make_backend
 from repro.loadbalancer.balancer import LoadBalancer
 from repro.suboram.suboram import SubOram
 from repro.telemetry import Telemetry
@@ -52,6 +51,17 @@ def build_store(**config_overrides):
 
 def crash_plan(epoch=1, unit=0, kind="worker_crash"):
     return FaultPlan([FaultEvent(epoch=epoch, kind=kind, unit=unit)])
+
+
+def live_state(store):
+    """What each live subORAM holds: host ciphertexts and plaintexts."""
+    return [
+        (
+            [unit.store.host_ciphertext(s) for s in range(unit.num_objects)],
+            {k: unit.peek(k) for k in unit.object_keys()},
+        )
+        for unit in store.suborams
+    ]
 
 
 class TestEpochFailedError:
@@ -101,12 +111,61 @@ class TestRollbackAndRequeue:
 
     def test_failed_epoch_does_not_mutate_suboram_state(self):
         store = build_store(fault_plan=crash_plan())
-        before = [s.state_token for s in store.suborams]
+        before = live_state(store)
         store.submit(Request(OpType.WRITE, 5, b"zzzz"))
         with pytest.raises(WorkerCrashError):
             store.run_epoch()
-        assert [s.state_token for s in store.suborams] == before
+        assert live_state(store) == before
         store.close()
+
+    def test_timed_out_straggler_never_touches_the_live_partition(
+        self, monkeypatch
+    ):
+        """A thread cannot be killed: after a task timeout rolls the epoch
+        back, the straggler runs on, and must only ever write to a copy."""
+        inner = SubOram.batch_access
+        slow, straggled = [True], []
+        straggler_done = threading.Event()
+
+        def slowed(self, batch, *args, **kwargs):
+            if not (slow[0] and self.suboram_id == 1):
+                return inner(self, batch, *args, **kwargs)
+            time.sleep(0.5)
+            reply = inner(self, batch, *args, **kwargs)
+            straggled.append(batch)
+            if len(straggled) == 2:  # L = 2: the chain is served and sealed
+                straggler_done.set()
+            return reply
+
+        monkeypatch.setattr(SubOram, "batch_access", slowed)
+        requests = [
+            Request(OpType.WRITE, k, bytes([k, 9, 9, 9]), seq=k)
+            for k in range(20)
+        ]
+
+        def submit_all(store):
+            return [
+                store.submit(r, load_balancer=r.key % 2) for r in requests
+            ]
+
+        store = build_store(execution_backend="thread:2", task_timeout=0.25)
+        before = live_state(store)
+        tickets = submit_all(store)
+        with pytest.raises(TaskTimeoutError):
+            store.run_epoch()
+        assert not any(t.done for t in tickets)
+        assert straggler_done.wait(timeout=10)
+        assert live_state(store) == before
+        slow[0] = False
+        store.run_epoch()
+        replies = [t.result().value for t in tickets]
+        store.close()
+
+        twin = build_store(execution_backend="thread:2")
+        twin_tickets = submit_all(twin)
+        twin.run_epoch()
+        assert replies == [t.result().value for t in twin_tickets]
+        twin.close()
 
     def test_requeue_rolls_back_the_epoch_counter(self):
         balancer = LoadBalancer(0, 2, b"k" * 16, value_size=4, security_parameter=16)
@@ -296,24 +355,6 @@ class TestRetryPolicy:
             SnoopyConfig(replication=(0, 0))
         with pytest.raises(Exception):
             SnoopyConfig(replication=(1,))
-
-
-class TestTransportConfigurationError:
-    def test_names_namespace_and_lists_backends_dynamically(self):
-        driver = EpochDriver(make_backend("process:1"))
-        suboram = SubOram(0, 4, KeyChain(master=MASTER), 16)
-        suboram.initialize({1: b"aaaa"})
-        with pytest.raises(ConfigurationError) as excinfo:
-            driver.run_execute(
-                [suboram], [], [],
-                transport=lambda *a: [],
-                state_ns="my-deployment-7",
-            )
-        message = str(excinfo.value)
-        assert "my-deployment-7" in message
-        # The supported list comes from the registry, not a hardcoded
-        # string, and only names shared-state backends.
-        assert "shared-state backends: 'serial', 'thread'" in message
 
 
 class TestLinearizabilityAcrossRetriedEpochs:

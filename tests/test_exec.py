@@ -1,18 +1,15 @@
 """Unit tests for the execution-backend layer (repro.exec)."""
 
-import os
 import pickle
-import signal
 import time
 
 import pytest
 
 from repro.core.config import SnoopyConfig
-from repro.errors import ConfigurationError, TaskTimeoutError, WorkerCrashError
+from repro.errors import ConfigurationError, TaskTimeoutError
 from repro.exec import (
     BACKENDS,
     ExecutionBackend,
-    ProcessPoolBackend,
     SerialBackend,
     ThreadPoolBackend,
     make_backend,
@@ -21,7 +18,7 @@ from repro.exec import (
 
 
 def square(x):
-    """Module-level so the process pool can pickle it."""
+    """Module-level task."""
     return x * x
 
 
@@ -34,15 +31,14 @@ class TestParseSpec:
     def test_plain_names(self):
         assert parse_spec("serial") == (SerialBackend, None)
         assert parse_spec("thread") == (ThreadPoolBackend, None)
-        assert parse_spec("process") == (ProcessPoolBackend, None)
 
     def test_worker_suffix(self):
         assert parse_spec("thread:8") == (ThreadPoolBackend, 8)
-        assert parse_spec("process:2") == (ProcessPoolBackend, 2)
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ConfigurationError):
-            parse_spec("gpu")
+        for spec in ("gpu", "process", "process:2"):
+            with pytest.raises(ConfigurationError, match="serial.*thread"):
+                parse_spec(spec)
 
     def test_bad_worker_count_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -53,7 +49,7 @@ class TestParseSpec:
             parse_spec("thread:-3")
 
     def test_registry_covers_all_names(self):
-        assert set(BACKENDS) == {"serial", "thread", "process"}
+        assert set(BACKENDS) == {"serial", "thread"}
 
 
 class TestMakeBackend:
@@ -78,14 +74,14 @@ class TestMakeBackend:
 
 
 class TestBackendsMap:
-    @pytest.mark.parametrize("spec", ["serial", "thread:4", "process:2"])
+    @pytest.mark.parametrize("spec", ["serial", "thread:4"])
     def test_map_preserves_order(self, spec):
         with make_backend(spec) as backend:
             assert backend.map(square, list(range(10))) == [
                 x * x for x in range(10)
             ]
 
-    @pytest.mark.parametrize("spec", ["serial", "thread:4", "process:2"])
+    @pytest.mark.parametrize("spec", ["serial", "thread:4"])
     def test_map_empty(self, spec):
         with make_backend(spec) as backend:
             assert backend.map(square, []) == []
@@ -96,15 +92,9 @@ class TestBackendsMap:
             with pytest.raises(ValueError, match="boom"):
                 backend.map(boom, [1, 2, 3])
 
-    def test_shared_state_flags(self):
-        assert SerialBackend().supports_shared_state
-        assert ThreadPoolBackend(max_workers=1).supports_shared_state
-        assert not ProcessPoolBackend(max_workers=1).supports_shared_state
-
     def test_names(self):
         assert SerialBackend().name == "serial"
         assert ThreadPoolBackend(max_workers=1).name == "thread"
-        assert ProcessPoolBackend(max_workers=1).name == "process"
 
     def test_pool_backend_survives_pickling(self):
         backend = ThreadPoolBackend(max_workers=2)
@@ -138,136 +128,13 @@ class TestConfigIntegration:
 
 
 # ---------------------------------------------------------------------------
-# map_stateful: the stateful-unit contract and the process backend's
-# sticky-worker state cache
-# ---------------------------------------------------------------------------
-def bump(state, args):
-    """Module-level stateful unit: count calls, echo args."""
-    return state + 1, (state, args)
-
-
-def version_of(state):
-    """Token for integer states: the state itself."""
-    return state
-
-
-class TestMapStatefulContract:
-    @pytest.mark.parametrize("backend_factory", [
-        SerialBackend,
-        lambda: ThreadPoolBackend(max_workers=2),
-        lambda: ProcessPoolBackend(max_workers=2),
-    ])
-    def test_returns_state_result_pairs_in_order(self, backend_factory):
-        with backend_factory() as backend:
-            tasks = [(("ns", i), 10 * i, i) for i in range(4)]
-            out = backend.map_stateful(bump, tasks, token=version_of)
-            assert out == [(10 * i + 1, (10 * i, i)) for i in range(4)]
-
-    def test_empty_tasks(self):
-        assert SerialBackend().map_stateful(bump, []) == []
-
-    def test_exception_propagates(self):
-        with ProcessPoolBackend(max_workers=1) as backend:
-            with pytest.raises(ValueError):
-                backend.map_stateful(raise_stateful, [("k", 0, 1)])
-
-
-def raise_stateful(state, args):
-    """Module-level failing stateful unit."""
-    raise ValueError(f"stateful boom {args}")
-
-
-class TestProcessStateCache:
-    def test_probe_hits_when_state_unchanged(self):
-        with ProcessPoolBackend(max_workers=2) as backend:
-            state = 5
-            for round_index in range(3):
-                [(state, _)] = backend.map_stateful(
-                    bump, [("key", state, round_index)], token=version_of
-                )
-            stats = backend.state_cache_stats
-            assert stats == {"hits": 2, "misses": 0, "full_ships": 1}
-
-    def test_changed_state_forces_full_ship(self):
-        with ProcessPoolBackend(max_workers=2) as backend:
-            [(state, _)] = backend.map_stateful(
-                bump, [("key", 0, "a")], token=version_of
-            )
-            # Replace the state object out-of-band: identity check fails,
-            # so the backend must ship the new state rather than probe.
-            [(state, result)] = backend.map_stateful(
-                bump, [("key", 99, "b")], token=version_of
-            )
-            assert result == (99, "b")
-            assert backend.state_cache_stats["full_ships"] == 2
-            assert backend.state_cache_stats["hits"] == 0
-
-    def test_no_token_always_ships(self):
-        with ProcessPoolBackend(max_workers=2) as backend:
-            state = 0
-            for _ in range(3):
-                [(state, _)] = backend.map_stateful(
-                    bump, [("key", state, None)]
-                )
-            assert backend.state_cache_stats["hits"] == 0
-            assert backend.state_cache_stats["full_ships"] == 3
-
-    def test_results_match_serial(self):
-        tasks = [(("so", i), 100 * i, ("args", i)) for i in range(5)]
-        serial = SerialBackend().map_stateful(bump, list(tasks),
-                                              token=version_of)
-        with ProcessPoolBackend(max_workers=2) as backend:
-            pooled = backend.map_stateful(bump, list(tasks),
-                                          token=version_of)
-        assert pooled == serial
-
-    def test_close_is_idempotent(self):
-        backend = ProcessPoolBackend(max_workers=1)
-        backend.map_stateful(bump, [("key", 0, 0)], token=version_of)
-        backend.close()
-        backend.close()
-        # A closed backend lazily respawns workers on the next call.
-        assert backend.map_stateful(bump, [("key", 7, 1)],
-                                    token=version_of) == [(8, (7, 1))]
-        backend.close()
-
-    def test_sticky_cache_dropped_on_pickle(self):
-        backend = ProcessPoolBackend(max_workers=1)
-        backend.map_stateful(bump, [("key", 0, 0)], token=version_of)
-        clone = pickle.loads(pickle.dumps(backend))
-        assert clone.state_cache_stats == {
-            "hits": 0, "misses": 0, "full_ships": 0
-        }
-        assert clone.map_stateful(bump, [("key", 3, 1)],
-                                  token=version_of) == [(4, (3, 1))]
-        clone.close()
-        backend.close()
-
-
-# ---------------------------------------------------------------------------
-# Fault surface: per-task timeouts and worker-crash detection
+# Fault surface: per-task timeouts
 # ---------------------------------------------------------------------------
 def sleepy(x):
     """Module-level task that hangs on negative inputs."""
     if x < 0:
         time.sleep(1.5)
     return x * x
-
-
-def die(x):
-    """Module-level task killing its own worker process (SIGKILL)."""
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
-def sleepy_stateful(state, args):
-    """Module-level stateful unit that hangs."""
-    time.sleep(1.5)
-    return state, args
-
-
-def die_stateful(state, args):
-    """Module-level stateful unit killing its sticky worker."""
-    os.kill(os.getpid(), signal.SIGKILL)
 
 
 class TestTaskTimeouts:
@@ -277,12 +144,6 @@ class TestTaskTimeouts:
                 backend.map(sleepy, [1, -1, 2])
             assert excinfo.value.unit == 1
             # The abandoned pool is replaced; the backend stays usable.
-            assert backend.map(sleepy, [2, 3]) == [4, 9]
-
-    def test_process_timeout_raises(self):
-        with ProcessPoolBackend(max_workers=2, task_timeout=0.2) as backend:
-            with pytest.raises(TaskTimeoutError):
-                backend.map(sleepy, [-1, 1, 2])
             assert backend.map(sleepy, [2, 3]) == [4, 9]
 
     def test_no_timeout_by_default(self):
@@ -295,61 +156,8 @@ class TestTaskTimeouts:
         assert backend.task_timeout == 1.5
         backend.close()
         # Serial ignores it (inline execution cannot be bounded).
-        assert make_backend("serial", task_timeout=1.5).name == "serial"
-
-    def test_sticky_timeout_kills_worker_and_invalidates_cache(self):
-        with ProcessPoolBackend(max_workers=1, task_timeout=0.2) as backend:
-            [(state, _)] = backend.map_stateful(
-                bump, [(("ns", 3), 0, "a")], token=version_of
-            )
-            with pytest.raises(TaskTimeoutError) as excinfo:
-                backend.map_stateful(
-                    sleepy_stateful, [(("ns", 3), state, "b")],
-                    token=version_of,
-                )
-            assert excinfo.value.unit == 3  # from the (ns, index) key
-            # The stuck worker was killed and the cache entry dropped:
-            # the next call re-ships full state to a fresh worker.
-            ships_before = backend.state_cache_stats["full_ships"]
-            out = backend.map_stateful(
-                bump, [(("ns", 3), 7, "c")], token=version_of
-            )
-            assert out == [(8, (7, "c"))]
-            assert backend.state_cache_stats["full_ships"] == ships_before + 1
-
-
-class TestWorkerCrashes:
-    def test_process_pool_crash_raises_worker_crash_error(self):
-        with ProcessPoolBackend(max_workers=2) as backend:
-            with pytest.raises(WorkerCrashError):
-                backend.map(die, [1, 2, 3])
-            # Pool is rebuilt on the next call.
-            assert backend.map(square, [2, 3]) == [4, 9]
-
-    def test_sticky_worker_killed_once_recovers_transparently(self):
-        with ProcessPoolBackend(max_workers=1) as backend:
-            [(state, _)] = backend.map_stateful(
-                bump, [("key", 0, 0)], token=version_of
-            )
-            backend._sticky[0].process.kill()
-            backend._sticky[0].process.join(timeout=5)
-            # One crash is absorbed: respawn + full re-ship, same result.
-            out = backend.map_stateful(
-                bump, [("key", state, 1)], token=version_of
-            )
-            assert out == [(2, (1, 1))]
-
-    def test_sticky_worker_dying_twice_raises_worker_crash_error(self):
-        with ProcessPoolBackend(max_workers=1) as backend:
-            with pytest.raises(WorkerCrashError) as excinfo:
-                backend.map_stateful(
-                    die_stateful, [(("ns", 1), 0, 0)], token=version_of
-                )
-            assert excinfo.value.unit == 1
-            # Even after a double crash the backend remains usable.
-            assert backend.map_stateful(
-                bump, [(("ns", 1), 5, "x")], token=version_of
-            ) == [(6, (5, "x"))]
+        serial = make_backend("serial", task_timeout=1.5)
+        assert serial.name == "serial" and serial.task_timeout is None
 
 
 class TestInterpreterTurn:

@@ -2,7 +2,7 @@
 
 Runs one seeded workload through the full cross product
 
-    {serial, thread, process} x {python, numpy}
+    {serial, thread} x {python, numpy}
         x {scalar, vector} x {fault-free, FaultPlan}
 
 via :func:`tests.harness.differential_run` and asserts every cell's
@@ -41,7 +41,7 @@ CHAOS_PLAN = FaultPlan([
 
 @pytest.fixture(scope="module")
 def matrix():
-    """All 24 cells of the (backend, kernel, crypto, plan) cross product."""
+    """All 16 cells of the (backend, kernel, crypto, plan) cross product."""
     return differential_run(
         WORKLOAD,
         OBJECTS,
@@ -57,12 +57,12 @@ def matrix():
 
 def test_matrix_covers_every_cell(matrix):
     keys = {run.key for run in matrix}
-    assert len(keys) == len(matrix) == 24
+    assert len(keys) == len(matrix) == 16
     backends = {backend for backend, _, _, _ in keys}
     kernels = {kernel for _, kernel, _, _ in keys}
     cryptos = {crypto for _, _, crypto, _ in keys}
     plans = {plan for _, _, _, plan in keys}
-    assert backends == {"serial", "thread:4", "process:2"}
+    assert backends == {"serial", "thread:4"}
     assert kernels == {"python", "numpy"}
     assert cryptos == {"scalar", "vector"}
     assert plans == {"fault-free", "chaos"}
@@ -94,12 +94,10 @@ def test_batched_cells_actually_batched(matrix):
     """The vector cells of the matrix really used the batch path.
 
     Guards against the crypto axis silently collapsing to scalar (e.g. a
-    ``supports_batch`` regression): every in-process vector cell must
-    have recorded batch seal passes and per-batch keystream derivations
-    (each one a fresh-nonce derivation — the keystream-reuse invariant's
-    observable), and no scalar cell may have either.  Process-backend
-    cells run their seals inside workers, whose telemetry handle is the
-    pickled null — their counters legitimately stay zero.
+    ``supports_batch`` regression): every vector cell must have
+    recorded batch seal passes and per-batch keystream derivations (each
+    one a fresh-nonce derivation — the keystream-reuse invariant's
+    observable), and no scalar cell may have either.
     """
 
     def series_total(run, base):
@@ -114,7 +112,7 @@ def test_batched_cells_actually_batched(matrix):
         keystreams = series_total(run, "snoopy_keystream_derivations_total")
         if run.crypto == "scalar":
             assert seals == 0 and keystreams == 0, run.key
-        elif not run.backend.startswith("process"):
+        else:
             assert seals > 0 and keystreams > 0, run.key
 
 

@@ -581,15 +581,18 @@ class TestSubOramEquivalence:
         ))
         assert log == ideal
 
-    def test_state_token_advances(self):
+    def test_batch_access_reseals_every_slot(self):
         suboram = SubOram(0, value_size=4, security_parameter=16)
-        before = suboram.state_token
-        suboram.initialize({0: bytes(4)})
-        mid = suboram.state_token
+        suboram.initialize({k: bytes([k]) * 4 for k in range(3)})
+        sealed = [suboram.store.host_ciphertext(s) for s in range(3)]
         suboram.batch_access(
             Batch.from_requests([Request(OpType.READ, 0)], 4)
         )
-        assert before < mid < suboram.state_token
+        resealed = [suboram.store.host_ciphertext(s) for s in range(3)]
+        assert all(a != b for a, b in zip(sealed, resealed))
+        assert [suboram.peek(k) for k in range(3)] == [
+            bytes([k]) * 4 for k in range(3)
+        ]
 
 
 class TestFullSystemEquivalence:

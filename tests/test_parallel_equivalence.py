@@ -2,7 +2,7 @@
 
 The tentpole guarantee of the execution engine: switching backends changes
 wall-clock, never results.  These tests run identical seeded workloads
-through ``serial``, ``thread``, and ``process`` backends and require
+through the ``serial`` and ``thread`` backends and require
 
 * identical responses (same order, same bytes),
 * identical per-subORAM memory traces — each subORAM sees the same
@@ -23,7 +23,6 @@ from repro.core.client import Client
 from repro.core.config import SnoopyConfig
 from repro.core.linearizability import History, check_snoopy_history
 from repro.core.snoopy import Snoopy
-from repro.crypto.keys import KeyChain
 
 from tests.harness import (
     access_traces,
@@ -34,7 +33,7 @@ from tests.harness import (
 )
 
 MASTER = b"equivalence-test-master-key-....."[:32]
-BACKENDS = ["serial", "thread:4", "process:2"]
+BACKENDS = ["serial", "thread:4"]
 NUM_KEYS = 60
 
 
@@ -82,25 +81,9 @@ class TestBackendEquivalence:
             assert ticket.done
             assert ticket.result() in flat
 
-    def test_process_backend_state_carries_across_epochs(self):
-        """Writes applied in a worker process persist into later epochs."""
-        config = SnoopyConfig(
-            num_load_balancers=2,
-            num_suborams=2,
-            value_size=4,
-            security_parameter=16,
-            execution_backend="process:2",
-        )
-        with Snoopy(
-            config, keychain=KeyChain(master=MASTER), rng=random.Random(1)
-        ) as store:
-            store.initialize({k: bytes(4) for k in range(20)})
-            store.write(7, b"AAAA")
-            assert store.read(7) == b"AAAA"
-
 
 class TestLinearizabilityUnderThreads:
-    @pytest.mark.parametrize("spec", ["thread:4", "process:2"])
+    @pytest.mark.parametrize("spec", ["thread:4"])
     def test_random_history_linearizable(self, spec):
         """Appendix C's argument must survive a concurrent engine."""
         rng = random.Random(13)

@@ -71,7 +71,7 @@ def pipelined_matrix():
     """Every (backend, kernel, plan) cell driven through the pipeline."""
     return differential_run(
         WORKLOAD, OBJECTS, master=MASTER,
-        backends=("serial", "thread:4", "process:2"),
+        backends=("serial", "thread:4"),
         kernels=("python", "numpy"),
         fault_plans=(("fault-free", None), ("chaos", _plan)),
         num_load_balancers=3,
@@ -96,7 +96,7 @@ def attested_matrix():
 
 class TestPipelinedDifferentialMatrix:
     def test_matrix_covers_every_cell(self, pipelined_matrix, attested_matrix):
-        assert len({run.key for run in pipelined_matrix}) == 12
+        assert len({run.key for run in pipelined_matrix}) == 8
         assert len({run.key for run in attested_matrix}) == 4
 
     def test_every_cell_matches_the_sequential_reference(

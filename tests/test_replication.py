@@ -9,7 +9,6 @@ from repro.core.deployment import DistributedSnoopy
 from repro.core.snoopy import Snoopy
 from repro.crypto.keys import KeyChain
 from repro.errors import RollbackError
-from repro.exec import ProcessPoolBackend
 from repro.extensions.replication import (
     ReplicaUnavailableError,
     ReplicatedSubOram,
@@ -195,42 +194,28 @@ class TestCounterStaysAligned:
             group.batch_access([read(3)])
 
 
-class TestStateToken:
-    def test_token_changes_with_state_and_membership(self):
+def host_view(suboram):
+    return [
+        suboram.store.host_ciphertext(s) for s in range(suboram.num_objects)
+    ]
+
+
+class TestGroupState:
+    def test_recovery_copies_the_fresh_peers_sealed_state(self):
         group = make_group()
-        t0 = group.state_token
-        assert group.state_token == t0  # stable while nothing changes
         group.batch_access([write(1, b"aaaa")])
-        t1 = group.state_token
-        assert t1 != t0
+        assert group.peek(1) == b"aaaa"
         group.crash(0)
-        t2 = group.state_token
-        assert t2 != t1
+        group.batch_access([write(2, b"bbbb")])
+        stale, fresh = (group.replicas[i].suboram for i in (0, 1))
+        assert host_view(stale) != host_view(fresh)
+        assert stale.peek(2) == bytes([2]) * 4
+        assert group.peek(2) == b"bbbb"
         group.recover_from_peer(0)
-        assert group.state_token != t2
-
-    def test_group_works_under_process_backend_state_cache(self):
-        """Replica groups ride map_stateful's cross-epoch cache."""
-        def run_batches(group, backend):
-            token = lambda g: g.state_token
-            for key in (3, 4):
-                [(group, [resp])] = backend.map_stateful(
-                    _group_batch, [("group", group, [read(key)])],
-                    token=token,
-                )
-                assert resp.value == bytes([key]) * 4
-            return group
-
-        with ProcessPoolBackend(max_workers=1) as backend:
-            group = run_batches(make_group(), backend)
-            # Second call probed the worker-side cached copy.
-            assert backend.state_cache_stats["hits"] == 1
-            assert group.counter.value == 2
-
-
-def _group_batch(group, batch):
-    """Module-level stateful unit executing one batch on a replica group."""
-    return group, group.batch_access(batch)
+        recovered = group.replicas[0].suboram
+        assert host_view(recovered) == host_view(fresh)
+        assert recovered.peek(1) == b"aaaa"
+        assert recovered.peek(2) == b"bbbb"
 
 
 MASTER = b"replication-test-master-key-0123"[:32]
@@ -299,7 +284,7 @@ class TestDeploymentIntegration:
         )
         store.close()
 
-    @pytest.mark.parametrize("backend", ["serial", "thread:4", "process:2"])
+    @pytest.mark.parametrize("backend", ["serial", "thread:4"])
     def test_replicated_run_matches_unreplicated_serial(
         self, unreplicated_serial, backend
     ):
@@ -308,7 +293,7 @@ class TestDeploymentIntegration:
         assert (responses, results) == unreplicated_serial
         store.close()
 
-    @pytest.mark.parametrize("backend", ["serial", "process:2"])
+    @pytest.mark.parametrize("backend", ["serial", "thread:4"])
     def test_crash_mid_run_recovers_and_stays_byte_identical(
         self, unreplicated_serial, backend
     ):

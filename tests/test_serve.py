@@ -17,6 +17,8 @@ import pytest
 
 from tests.harness import assert_equivalent, build_store, seeded_workload
 from repro.core.client import SnoopyClient
+from repro.core.config import SnoopyConfig
+from repro.core.snoopy import Snoopy
 from repro.core.wire import (
     HELLO_SIZE,
     SUPPORTED_WIRE_VERSIONS,
@@ -281,10 +283,9 @@ class TestCoalescedSealing:
 
 class TestServerConfiguration:
     def test_process_backend_rejected(self):
-        store = make_store(backend="process:2")
-        with store:
-            with pytest.raises(ConfigurationError):
-                ServerThread(store, clock=False).start()
+        """Out-of-process subORAMs run behind WorkerCluster, not a backend."""
+        with pytest.raises(ConfigurationError, match="'serial', 'thread'"):
+            Snoopy(SnoopyConfig(execution_backend="process:2"))
 
     def test_nonpositive_window_rejected(self):
         store = make_store()

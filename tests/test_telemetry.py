@@ -307,7 +307,7 @@ def _run_epochs(backend, *, kernel="python", epochs=2, plan=None,
 
 
 class TestPipelineInstrumentation:
-    @pytest.mark.parametrize("backend", ["serial", "thread:2", "process:2"])
+    @pytest.mark.parametrize("backend", ["serial", "thread:2"])
     def test_epoch_stage_histograms(self, backend):
         telemetry = _run_epochs(backend)
         stages = {
@@ -360,20 +360,6 @@ class TestPipelineInstrumentation:
         )
         assert queue is not None and run is not None
         assert queue.count == run.count > 0
-
-    def test_process_backend_totals_and_state_cache(self):
-        telemetry = _run_epochs("process:2")
-        assert telemetry.registry.find(
-            "exec_task_total_seconds", backend="process"
-        ).count > 0
-        cache = {
-            dict(c.labels)["event"]: c.value
-            for c in telemetry.registry.metrics()
-            if c.name == "exec_state_cache_total"
-        }
-        # First epoch full-ships both subORAMs; the second hits the cache.
-        assert cache["full_ship"] == 2
-        assert cache["hit"] == 2
 
     def test_fault_and_retry_counters(self):
         plan = FaultPlan([

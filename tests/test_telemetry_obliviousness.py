@@ -34,7 +34,7 @@ NUM_KEYS = 36
 EPOCHS = 3
 PER_EPOCH = 8
 
-BACKENDS = ["serial", "thread:3", "process:2"]
+BACKENDS = ["serial", "thread:3"]
 KERNELS = ["python", "numpy"]
 
 
