@@ -255,31 +255,43 @@ class TwoTierHashTable:
             range(tier2_start, tier2_start + p.tier2_bucket_size)
         )
 
-    def lookup_matrix(self, keys):
-        """Bucket-slot index rows for an int64 key column, as int64 matrix.
+    def bucket_blocks(self, keys):
+        """Each key's bucket in both tiers, as the scan kernel's input.
 
-        Row ``i`` equals ``bucket_slot_indices(keys[i])`` — one batched
-        :meth:`~repro.crypto.prf.Prf.range_many` tag per key yields
-        both bucket indices and the intra-bucket offsets are broadcast
-        instead of materialized per key.  This is the lookup input of
-        the vectorized scan kernel.
+        One batched :meth:`~repro.crypto.prf.Prf.range_many` tag per key
+        yields both bucket ids (its two mixed-radix digits).  Returns,
+        per tier in slot order, ``(bucket_ids, num_buckets,
+        bucket_size)``: tier ``t``'s slots are a ``(num_buckets,
+        bucket_size)`` block of every per-slot column, and key ``i``
+        probes row ``bucket_ids[i]`` of it — the slots
+        :meth:`bucket_slot_indices` lists, without materializing them.
         """
         p = self.params
         b1, b2 = np.divmod(
             self._prf.range_many(keys, p.tier1_buckets * p.tier2_buckets),
             p.tier2_buckets,
         )
-        tier1_start = b1 * p.tier1_bucket_size
-        tier2_start = p.tier1_slots + b2 * p.tier2_bucket_size
-        return np.concatenate(
-            [
-                tier1_start[:, None]
-                + np.arange(p.tier1_bucket_size, dtype=np.int64)[None, :],
-                tier2_start[:, None]
-                + np.arange(p.tier2_bucket_size, dtype=np.int64)[None, :],
-            ],
-            axis=1,
+        return (
+            (b1, p.tier1_buckets, p.tier1_bucket_size),
+            (b2, p.tier2_buckets, p.tier2_bucket_size),
         )
+
+    def lookup_matrix(self, keys):
+        """Bucket-slot index rows for a key column: the reference scan's.
+
+        Row ``i`` equals ``bucket_slot_indices(keys[i])``.  Only the
+        python reference scan (``SubOram._scan_reference``) takes this
+        ``(len(keys), Z1 + Z2)`` matrix; the numpy scan probes
+        :meth:`bucket_blocks` directly.
+        """
+        rows, first = [], 0
+        for ids, num_buckets, size in self.bucket_blocks(keys):
+            rows.append(
+                (first + ids * size)[:, None]
+                + np.arange(size, dtype=np.int64)[None, :]
+            )
+            first += num_buckets * size
+        return np.concatenate(rows, axis=1)
 
     @property
     def slot_items(self):

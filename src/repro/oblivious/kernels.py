@@ -71,6 +71,7 @@ the same public schedule as the audited reference path.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -462,48 +463,69 @@ class NumpyKernel(Kernel):
             offset <<= 1
         return soa.take(items, word[:n] & np.int64(m - 1))
 
-    def scan_soa(self, okeys, ovals, lookup, table, trace=None):
-        """Figure 19 scan over SoA columns (the zero-copy core).
+    def scan_soa(self, okeys, ovals, buckets, table, trace=None):
+        """Figure 19 scan over SoA columns, one bucket block per tier.
 
         ``okeys`` is the int64 store-key column, ``ovals`` the uint8
         value matrix (one row per store object); ``table`` is a
-        :class:`ScanTable` of columns; ``lookup`` is either the
-        per-object index rows or an already-packed int64 matrix.  Returns
-        ``(new_ovals, slot_matched, slot_responses)``: the post-scan
-        store value matrix, a bool per table slot, and the per-slot
-        response matrix (the *pre-scan* object value in matched rows, the
-        slot's own payload otherwise).  Correct without per-slot
-        sequencing because batch keys are distinct and store keys are
-        distinct: every object matches at most one slot and every slot at
-        most one object, so the masked writes commute with the scalar
-        loop's order.
+        :class:`ScanTable` of per-slot columns; ``buckets`` is
+        :meth:`~repro.oblivious.hashtable.TwoTierHashTable.bucket_blocks`
+        — per tier, in slot order, ``(bucket_ids, num_buckets,
+        bucket_size)``.  Each tier's key, occupancy and write columns
+        are viewed as ``(num_buckets, bucket_size)`` blocks, every object
+        gathers its whole bucket row from each and compares it with its
+        key, and a hit's slot is ``first + bucket * bucket_size +
+        column``.  Writes the post-scan values into ``ovals`` in place,
+        one select over every row on the widest unsigned word dividing
+        ``value_size`` (uint64 at 160 bytes, uint8 at any odd size: a
+        function of ``value_size`` only), and returns
+        ``(slot_matched, slot_responses)``: a bool per table slot and the
+        per-slot response matrix (the *pre-scan* object value in matched
+        rows, the slot's own payload otherwise).  Correct without
+        per-slot sequencing because batch keys are distinct and store
+        keys are distinct: every object matches at most one slot and
+        every slot at most one object, so the masked writes commute with
+        the scalar loop's order.
         """
         num_objects = int(okeys.shape[0])
         num_slots = int(table.keys.shape[0])
         if trace is not None:
             trace.record("scan", num_objects, num_slots)
-        if isinstance(lookup, np.ndarray):
-            look = lookup.astype(np.int64, copy=False)
-        else:
-            look = np.asarray([list(row) for row in lookup], dtype=np.int64)
+        writes = table.is_write & table.permitted & table.has_value
+        hits, write_hits, bases, sizes = [], [], [], []
+        first = 0
+        for ids, num_buckets, size in buckets:
+            tier = slice(first, first + num_buckets * size)
+
+            def rows(column):
+                return column[tier].reshape(num_buckets, size)[ids]
+
+            hit = rows(table.keys) == okeys[:, None]
+            hit &= rows(table.occupied)
+            hits.append(hit)
+            write_hits.append(hit & rows(writes))
+            bases.append(first + ids * size)
+            sizes.append(size)
+            first += num_buckets * size
+        # Column c of a probe row is slot base[tier_of[c]] + within[c].
+        tier_of = np.repeat(np.arange(len(sizes)), sizes)
+        within = np.concatenate([np.arange(size) for size in sizes])
+        base = np.stack(bases, axis=1)
+        objects = np.arange(num_objects)
+
+        def slot(column):
+            return base[objects, tier_of[column]] + within[column]
+
         if trace is not None:
             for o in range(num_objects):
-                trace.record("scan_slot", o, tuple(int(x) for x in look[o]))
-        match = table.occupied[look] & (table.keys[look] == okeys[:, None])
-        rows = np.arange(num_objects)
-        # Write path: the object's new value is the matched write payload.
-        # Every row gathers one (its first slot's when nothing matched)
-        # and selects on its bit: the work is a function of the shapes.
-        writes = table.is_write & table.permitted & table.has_value
-        write_hit = match & writes[look]
-        w_slot = look[rows, np.argmax(write_hit, axis=1)]
-        new_ovals = np.where(
-            write_hit.any(axis=1)[:, None], table.values[w_slot], ovals
-        )
+                trace.record("scan_slot", o,
+                             tuple((base[o, tier_of] + within).tolist()))
+        match = np.concatenate(hits, axis=1)
+        write_hit = np.concatenate(write_hits, axis=1)
         # Response path: matched slots capture the *pre-scan* object value.
         # Every object scatters, the unmatched ones onto one sink row.
         m_slot = np.where(
-            match.any(axis=1), look[rows, np.argmax(match, axis=1)], num_slots
+            match.any(axis=1), slot(np.argmax(match, axis=1)), num_slots
         )
         matched = np.zeros(num_slots + 1, dtype=bool)
         matched[m_slot] = True
@@ -512,7 +534,17 @@ class NumpyKernel(Kernel):
         )
         responses[:num_slots] = table.values
         responses[m_slot] = ovals
-        return new_ovals, matched[:num_slots], responses[:num_slots]
+        # Write path: the object's new value is the matched write payload.
+        # Every row gathers one (its first slot's when nothing matched)
+        # and selects on its bit: the work is a function of the shapes.
+        word = np.dtype(f"u{math.gcd(ovals.shape[1], 8)}")
+        w_slot = slot(np.argmax(write_hit, axis=1))
+        np.copyto(
+            ovals.view(word),
+            table.values.view(word)[w_slot],
+            where=write_hit.any(axis=1)[:, None],
+        )
+        return matched[:num_slots], responses[:num_slots]
 
 
 #: Singleton kernel instances, keyed by selector name.

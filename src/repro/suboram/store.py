@@ -372,8 +372,8 @@ class EncryptedStore:
         """
         if not self.supports_batch:
             raise RuntimeError(
-                "get_batch requires crypto='vector', NumPy and the "
-                "unmodified per-slot path; use per-slot get()"
+                "get_batch requires crypto='vector' and an uninstrumented "
+                "per-slot get/put; use per-slot get()"
             )
         n = self.num_slots
         missing = self._written.find(0)

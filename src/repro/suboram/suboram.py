@@ -18,8 +18,11 @@ Security rests on Definition 2: the batch must contain *distinct* keys
 The batch arrives as a :class:`~repro.oblivious.soa.Batch` and is never
 modified: the response is a new batch whose ``value``/``has_value``
 columns hold the objects' prior values.  The numpy kernel gathers the
-columns through the table's slot permutation; the python kernel, the
-audited reference, computes on records (:meth:`SubOram._scan_reference`).
+columns through the table's slot permutation and probes each object's
+two buckets as whole rows of the tiers' bucket blocks, writing the
+post-scan values back in place (:meth:`SubOram._scan_vectorized`); the
+python kernel, the audited reference, computes on records through the
+per-object slot-index rows (:meth:`SubOram._scan_reference`).
 
 **One store pass per epoch.**  An epoch hands a subORAM one batch per
 load balancer, in fixed balancer order (Appendix C).  A faithful enclave
@@ -326,14 +329,18 @@ class SubOram:
         The table's ``slot_items`` permutation gathers the batch's
         columns into the :class:`ScanTable`, and the scan's per-slot
         outputs are gathered back through its inverse into the response
-        batch's ``value``/``has_value``.  When the store has a batch
-        path (``crypto="vector"``) the scan reads the plaintext columns
-        resident in ``session`` and leaves the post-scan values there
-        (``lookup_matrix`` → ``scan_soa``, no per-slot Python call).
-        Otherwise the same kernel core runs between per-slot
-        ``get``/``put`` calls — under ``crypto="scalar"`` the audited
-        per-slot crypto oracle.  Outputs are byte-identical to
-        :meth:`_scan_reference` either way.
+        batch's ``value``/``has_value``.  The store keys are routed once
+        to their two buckets (:meth:`TwoTierHashTable.bucket_blocks`, one
+        PRF tag per object) and :meth:`NumpyKernel.scan_soa` probes the
+        whole bucket rows — no per-object slot-index matrix — then writes
+        the post-scan values back in place, on a select word that is a
+        function of ``value_size`` alone.  When the store has a batch
+        path (``crypto="vector"``) the matrix written is the plaintext
+        resident in ``session``, so a batch allocates no new
+        ``(num_objects, value_size)`` matrix.  Otherwise the same kernel
+        runs between per-slot ``get``/``put`` calls — under
+        ``crypto="scalar"`` the audited per-slot crypto oracle.  Outputs
+        are byte-identical to :meth:`_scan_reference` either way.
         """
         store = self._store
         if store.supports_batch:
@@ -344,7 +351,6 @@ class SubOram:
             ovals, _ = soa.values_to_matrix(
                 [v for _, v in pairs], self.value_size
             )
-        lookup = table.lookup_matrix(okeys)
         # A filler slot (item -1) gathers row 0 and is marked unoccupied,
         # which makes every other column of it inert.
         slot_items = table.slot_items
@@ -360,17 +366,16 @@ class SubOram:
         kernel_trace = (
             TimedKernelTrace() if self.telemetry.enabled else None
         )
-        new_ovals, slot_matched, responses = self.kernel.scan_soa(
-            okeys, ovals, lookup, scan_table, trace=kernel_trace
+        slot_matched, responses = self.kernel.scan_soa(
+            okeys, ovals, table.bucket_blocks(okeys), scan_table,
+            trace=kernel_trace,
         )
         if kernel_trace is not None:
             flush_kernel_trace(
                 self.telemetry.registry, kernel_trace, self.kernel.name
             )
-        if store.supports_batch:
-            session.ovals = new_ovals
-        else:
-            store.put_batch(okeys, new_ovals)  # the per-slot ``put`` loop
+        if not store.supports_batch:
+            store.put_batch(okeys, ovals)  # the per-slot ``put`` loop
         # Invert the slot permutation (fillers all land on the spare
         # cell): each row's response is its slot's, zeroed unless matched.
         slot_of = np.empty(len(batch) + 1, dtype=np.int64)

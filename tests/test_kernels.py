@@ -106,16 +106,19 @@ class TestLevelArrays:
 # Fixed work: the same whole-array operations whatever the data
 # ---------------------------------------------------------------------------
 class _Counted:
-    """A numpy callable that logs (name, ndarray operand shapes) per call."""
+    """A numpy callable that logs (name, ndarray operand shapes, dtypes)."""
 
     def __init__(self, fn, name, log):
         self._fn, self._name, self._log = fn, name, log
 
     def __call__(self, *args, **kwargs):
         operands = list(args) + list(kwargs.values())
-        self._log.append((self._name, tuple(
-            a.shape for a in operands if isinstance(a, numpy.ndarray)
-        )))
+        arrays = [a for a in operands if isinstance(a, numpy.ndarray)]
+        self._log.append((
+            self._name,
+            tuple(a.shape for a in arrays),
+            tuple(a.dtype.str for a in arrays),
+        ))
         return self._fn(*args, **kwargs)
 
     def __getattr__(self, attr):
@@ -164,7 +167,7 @@ class TestFixedWork:
             for flags in flag_vectors
         ]
         assert all(log == logs[0] for log in logs[1:])
-        selects = [op for op in logs[0] if op[0] == "where"]
+        selects = [op[:2] for op in logs[0] if op[0] == "where"]
         assert selects == [("where", ((64,), (64,)))] * 6
 
     def test_sort_runs_every_level_whatever_the_keys(self, monkeypatch):
@@ -181,57 +184,79 @@ class TestFixedWork:
             for col in key_columns
         ]
         assert all(log == logs[0] for log in logs[1:])
-        gathers = [op for op in logs[0] if op[0] == "take"]
+        gathers = [op[:2] for op in logs[0] if op[0] == "take"]
         assert gathers == [("take", ((64,), (64,), (64,)))] * 21
 
     def test_scan_does_the_same_work_whatever_matches(self, monkeypatch):
-        """``scan_soa`` over one shape (9 objects, 12 slots, 3 lookups):
-        how many objects hit a slot, and how many of those are writes, is
-        what padding to f(R, S) hides — it must not pick the operations."""
-        num_objects, num_slots = 9, 12
-        obj_keys = list(range(100, 100 + num_objects))
-        obj_values = [bytes([k % 256]) * 4 for k in obj_keys]
-        lookup = [
-            [o, (o + 1) % num_slots, (o + 5) % num_slots]
-            for o in range(num_objects)
-        ]
+        """``scan_soa`` over one shape (9 objects; tiers of 3 x 2 and 2 x 3
+        slots): how many objects hit a slot, and how many of those are
+        (permitted) writes, is what padding to f(R, S) hides — it must not
+        pick the operations, nor their shapes or dtypes.  The write-back
+        select runs on the widest word dividing ``value_size``."""
+        for value_size, word in ((7, "|u1"), (12, "<u4"), (160, "<u8")):
+            self._scan_work(monkeypatch, value_size, word)
 
-        def table(keys, occupied, write):
+    def _scan_work(self, monkeypatch, value_size, word):
+        num_objects, tiers = 9, ((3, 2), (2, 3))
+        num_slots = sum(count * size for count, size in tiers)
+        obj_keys = list(range(100, 100 + num_objects))
+        obj_values = [bytes([k % 256]) * value_size for k in obj_keys]
+        # Object o's buckets hold slot o: tier 1 is slots 0-5, tier 2 6-11.
+        buckets = [
+            [o // 2 if o < 6 else o % 3 for o in range(num_objects)],
+            [o % 2 if o < 6 else 0 for o in range(num_objects)],
+        ]
+        payload = b"w" * value_size
+
+        def table(keys, occupied, write, permitted=1):
             return ScanTable(
                 keys=keys, occupied=[occupied] * num_slots,
-                is_write=[write] * num_slots, permitted=[1] * num_slots,
-                values=[b"wxyz" if write else None] * num_slots,
+                is_write=[write] * num_slots,
+                permitted=[permitted] * num_slots,
+                values=[payload if write else None] * num_slots,
             )
 
         hits = obj_keys + [900, 901, 902]     # object o sits in slot o
         misses = list(range(500, 500 + num_slots))
         mixed = table(hits[:4] + misses[4:], 1, 0)
-        mixed.is_write[:2] = [1, 1]
-        mixed.values[:2] = [b"wxyz", b"wxyz"]
+        mixed.is_write[:3] = [1, 1, 1]
+        mixed.permitted[2] = 0
+        mixed.values[:3] = [payload] * 3
         tables = {
             "all-dummy": table(misses, 1, 0),
             "all-hit reads": table(hits, 1, 0),
             "all-hit writes": table(hits, 1, 1),
+            "all-hit denied writes": table(hits, 1, 1, permitted=0),
             "all-miss fillers": table(hits, 0, 0),
             "mixed": mixed,
         }
+        lookup = _lookup_rows(buckets, tiers)
         outcomes, logs = {}, {}
         for name, case in tables.items():
             logs[name] = _array_ops(
                 monkeypatch,
                 lambda c=case: outcomes.__setitem__(name, _scan_columns(
-                    obj_keys, obj_values, lookup, c
+                    obj_keys, obj_values, buckets, tiers, c, value_size
                 )),
             )
             assert outcomes[name] == PY.scan(
-                obj_keys, list(obj_values), 4, lookup, copy.deepcopy(case)
+                obj_keys, list(obj_values), value_size, lookup,
+                copy.deepcopy(case),
             ), name
         assert len(logs["mixed"]) > 0
         assert all(log == logs["mixed"] for log in logs.values())
+        copies = [op for op in logs["mixed"] if op[0] == "copyto"]
+        rows = value_size // numpy.dtype(word).itemsize
+        assert copies == [(
+            "copyto", ((num_objects, rows), (num_objects, rows),
+                       (num_objects, 1)),
+            (word, word, "|b1"),
+        )]
         # The cases really differ in what they hide.
         assert sum(outcomes["all-dummy"][1]) == 0
         assert sum(outcomes["all-hit reads"][1]) == num_objects
-        assert outcomes["all-hit writes"][0] == [b"wxyz"] * num_objects
+        assert outcomes["all-hit writes"][0] == [payload] * num_objects
+        assert outcomes["all-hit denied writes"][0] == obj_values
 
 
 # ---------------------------------------------------------------------------
@@ -328,19 +353,35 @@ class TestCompactEquivalence:
 # ---------------------------------------------------------------------------
 # Scan equivalence
 # ---------------------------------------------------------------------------
-def _random_scan_case(rng, num_objects, num_slots, value_size=4, lookups=2):
-    """A ScanTable + lookup rows honouring the real call-site contract.
+def _lookup_rows(buckets, tiers):
+    """Each object's slot-index row, as ``bucket_slot_indices`` lists it."""
+    rows = [[] for _ in buckets[0]] if buckets else []
+    first = 0
+    for ids, (count, size) in zip(buckets, tiers):
+        for row, bucket in zip(rows, ids):
+            row.extend(range(first + bucket * size, first + (bucket + 1) * size))
+        first += count * size
+    return rows
+
+
+def _random_scan_case(rng, num_objects, tiers, value_size=4):
+    """A ScanTable + per-tier buckets honouring the real call-site contract.
 
     Objects are the *store* side (distinct keys, values always bytes);
     table slots are the *batch-entry* side (distinct keys among occupied
-    slots, ``None`` values for reads); lookup rows hold distinct slot
-    indices, as :meth:`TwoTierHashTable.bucket_slot_indices` guarantees.
+    slots, ``None`` values for reads), laid out as the ``(count, size)``
+    bucket blocks of ``tiers``; each object probes one bucket per tier,
+    most of the time one holding its key, as
+    :meth:`TwoTierHashTable.bucket_blocks` guarantees for stored keys.
     """
+    num_slots = sum(count * size for count, size in tiers)
     pool = rng.sample(range(1, 500), num_slots + num_objects)
     slot_keys, extra_keys = pool[:num_slots], pool[num_slots:]
     occupied = [rng.randrange(2) for _ in range(num_slots)]
+    # Unoccupied slots keep a key an object may carry, as the subORAM's
+    # filler slots do (they gather batch row 0): only the bit stops them.
     table = ScanTable(
-        keys=[k if occ else 0 for k, occ in zip(slot_keys, occupied)],
+        keys=slot_keys,
         occupied=occupied,
         is_write=[rng.randrange(2) if occ else 0 for occ in occupied],
         permitted=[rng.randrange(2) if occ else 0 for occ in occupied],
@@ -352,26 +393,26 @@ def _random_scan_case(rng, num_objects, num_slots, value_size=4, lookups=2):
         ],
     )
     # Object keys: a mix of batch-entry keys and keys no entry asked for.
-    obj_keys = rng.sample(
-        [k for k, occ in zip(slot_keys, occupied) if occ] + extra_keys,
-        num_objects,
-    )
+    obj_keys = rng.sample(slot_keys + extra_keys, num_objects)
     obj_values = [
         bytes(rng.randrange(256) for _ in range(value_size))
         for _ in range(num_objects)
     ]
-    lookup = []
-    for key in obj_keys:
-        row = rng.sample(range(num_slots), min(lookups, num_slots))
+    buckets = [[rng.randrange(count) for _ in obj_keys]
+               for count, _ in tiers]
+    for o, key in enumerate(obj_keys):
         if rng.random() < 0.8 and key in table.keys:
-            hit = table.keys.index(key)
-            if hit not in row:
-                row[rng.randrange(len(row))] = hit
-        lookup.append(row)
-    return obj_keys, obj_values, table, lookup
+            slot, first = table.keys.index(key), 0  # occupied or not
+            for ids, (count, size) in zip(buckets, tiers):
+                if slot < first + count * size:
+                    ids[o] = (slot - first) // size
+                    break
+                first += count * size
+    return obj_keys, obj_values, table, buckets
 
 
-def _scan_columns(obj_keys, obj_values, lookup, table, trace=None):
+def _scan_columns(obj_keys, obj_values, buckets, tiers, table,
+                  value_size=4, trace=None):
     """``NP.scan_soa`` on the columns of a record-list scan case.
 
     The slot records cross into columns the way the subORAM's do —
@@ -384,24 +425,25 @@ def _scan_columns(obj_keys, obj_values, lookup, table, trace=None):
         for key, write, permitted, value in zip(
             table.keys, table.is_write, table.permitted, table.values
         )
-    ], 4)
+    ], value_size)
     objects = Batch.from_requests(
-        [Request(OpType.WRITE, k, v) for k, v in zip(obj_keys, obj_values)], 4
+        [Request(OpType.WRITE, k, v) for k, v in zip(obj_keys, obj_values)],
+        value_size,
     )
     columns = ScanTable(
         keys=slots.key, occupied=numpy.asarray(table.occupied, dtype=bool),
         is_write=slots.is_write, permitted=slots.permitted,
         values=slots.value, has_value=slots.has_value,
     )
-    new_values, matched, responses = NP.scan_soa(
-        objects.key, objects.value,
-        numpy.asarray(lookup, dtype=numpy.int64).reshape(
-            len(obj_keys), len(lookup[0]) if lookup else 1
-        ),
+    ovals = objects.value.copy()
+    matched, responses = NP.scan_soa(
+        objects.key, ovals,
+        [(numpy.asarray(ids, dtype=numpy.int64), count, size)
+         for ids, (count, size) in zip(buckets, tiers)],
         columns, trace=trace,
     )
     return (
-        soa.matrix_to_values(new_values, [True] * len(obj_keys)),
+        soa.matrix_to_values(ovals, [True] * len(obj_keys)),
         matched.astype(int).tolist(),
         soa.matrix_to_values(responses, (slots.has_value | matched).tolist()),
     )
@@ -411,17 +453,19 @@ class TestScanEquivalence:
     def test_random_cases_match(self):
         rng = random.Random(0x5EED)
         for trial in range(60):
-            num_slots = rng.randrange(2, 20)
+            tiers = [(rng.randrange(1, 5), rng.randrange(1, 4))
+                     for _ in range(2)]
             num_objects = rng.randrange(1, 8)
-            obj_keys, obj_values, table, lookup = _random_scan_case(
-                rng, num_objects, num_slots
+            obj_keys, obj_values, table, buckets = _random_scan_case(
+                rng, num_objects, tiers
             )
+            lookup = _lookup_rows(buckets, tiers)
             pristine = copy.deepcopy(table)
             py_trace, np_trace = KernelTrace(), KernelTrace()
             py = PY.scan(obj_keys, list(obj_values), 4, lookup, table,
                          trace=py_trace)
-            np_ = _scan_columns(obj_keys, obj_values, lookup, pristine,
-                                trace=np_trace)
+            np_ = _scan_columns(obj_keys, obj_values, buckets, tiers,
+                                pristine, trace=np_trace)
             assert py == np_, trial
             assert table == pristine, trial
             assert py_trace == np_trace, trial
@@ -429,7 +473,7 @@ class TestScanEquivalence:
     def test_empty_batch(self):
         table = ScanTable(keys=[1], occupied=[1], is_write=[0],
                           permitted=[1], values=[b"abcd"])
-        assert _scan_columns([], [], [], table) == (
+        assert _scan_columns([], [], [[], []], [(1, 1), (0, 1)], table) == (
             PY.scan([], [], 4, [], table)
         )
 

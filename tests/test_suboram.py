@@ -1,18 +1,24 @@
 """Tests for the subORAM batch-access engine (Figure 19)."""
 
 import copy
+import hashlib
+import os
 import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto.keys import KeyChain
+from repro.crypto.prf import Prf
 from repro.errors import (
     DuplicateRequestError,
     IntegrityError,
     NotInitializedError,
 )
 from repro.extensions.replication import ReplicatedSubOram
+from repro.oblivious.hashtable import TwoTierHashTable
 from repro.oblivious.soa import Batch
 from repro.sim.latency import LatencySubOram
 from repro.suboram.suboram import SubOram
@@ -382,3 +388,121 @@ class TestEpochSession:
             assert sorted(store_passes(calls)) == (
                 ["get_batch"] * stores + ["put_batch"] * stores
             )
+
+
+# ---------------------------------------------------------------------------
+# The deployed scan against the python reference
+# ---------------------------------------------------------------------------
+def _twin(kernel, crypto, num_objects, value_size):
+    so = SubOram(0, value_size, keychain=KeyChain(master=b"d" * 32),
+                 security_parameter=16, kernel=kernel, crypto=crypto)
+    so.initialize({k: bytes([k % 251]) * value_size
+                   for k in range(num_objects)})
+    return so
+
+
+@st.composite
+def _epochs(draw):
+    """(N, V, epochs): each epoch L in {1, 2, 3} batches of distinct keys,
+    some absent from the partition, with reads, writes and denied writes."""
+    num_objects = draw(st.integers(1, 40))
+    value_size = draw(st.integers(1, 24))
+    epochs = []
+    for _ in range(draw(st.integers(1, 2))):
+        chain = []
+        for _ in range(draw(st.integers(1, 3))):
+            keys = draw(st.lists(st.integers(0, num_objects + 8), min_size=1,
+                                 max_size=12, unique=True))
+            entries = []
+            for key in keys:
+                op = draw(st.sampled_from(["read", "write", "denied"]))
+                if op == "read":
+                    entries.append(read_entry(key))
+                else:
+                    fill = draw(st.integers(0, 255))
+                    entries.append(write_entry(
+                        key, bytes([fill]) * value_size,
+                        permitted=int(op == "write"),
+                    ))
+            chain.append(Batch.from_entries(entries, value_size))
+        epochs.append(chain)
+    return num_objects, value_size, epochs
+
+
+class TestBucketScanDifferential:
+    @given(case=_epochs())
+    @settings(max_examples=40, deadline=None)
+    def test_numpy_equals_python_byte_for_byte(self, case):
+        num_objects, value_size, epochs = case
+        runs = {}
+        for kernel, crypto in (("python", "scalar"), ("numpy", "vector"),
+                               ("numpy", "scalar")):
+            so = _twin(kernel, crypto, num_objects, value_size)
+            replies = []
+            for chain in epochs:
+                with so.epoch(len(chain)):
+                    replies += [so.batch_access(b).to_bytes() for b in chain]
+            peeks = [so.peek(k) for k in range(num_objects + 9)]
+            runs[kernel, crypto] = replies, peeks
+        reference = runs["python", "scalar"]
+        assert runs["numpy", "vector"] == reference
+        assert runs["numpy", "scalar"] == reference
+
+    @pytest.mark.parametrize("crypto, value_size, sealed", [
+        ("vector", 7, "047ba74629e258b1"),
+        ("vector", 160, "bd15d36cab1bf350"),
+        ("scalar", 12, "1089312b26533edc"),
+    ])
+    def test_sealed_partition_is_pinned_under_a_fixed_nonce(
+        self, monkeypatch, crypto, value_size, sealed
+    ):
+        """With every nonce fixed, an epoch's reseal is a pure function of
+        the scan's output: the digest pins it across scan rewrites."""
+        monkeypatch.setattr(os, "urandom", lambda n: bytes(range(n)))
+        so = _twin("numpy", crypto, 40, value_size)
+        chain = [
+            Batch.from_entries([
+                write_entry(k, bytes([b + 1]) * value_size,
+                            permitted=int(k % 3 != 0))
+                if (k + b) % 2 else read_entry(k)
+                for k in range(b, 44, 3)
+            ], value_size)
+            for b in range(2)
+        ]
+        with so.epoch(2):
+            for batch in chain:
+                so.batch_access(batch)
+        view = b"".join(
+            nonce + blob for nonce, blob in host_view(so)
+        )
+        assert hashlib.sha256(view).hexdigest()[:16] == sealed
+
+
+class TestNoIndexMatrixOnTheDeployedPath:
+    @ALL_CELLS
+    def test_only_the_reference_builds_the_index_matrix(
+        self, monkeypatch, kernel, crypto, rng
+    ):
+        calls, prf_inputs = [], []
+        real_matrix = TwoTierHashTable.lookup_matrix
+        real_range_many = Prf.range_many
+        monkeypatch.setattr(
+            TwoTierHashTable, "lookup_matrix",
+            lambda self, keys: calls.append(len(keys))
+            or real_matrix(self, keys),
+        )
+        monkeypatch.setattr(
+            Prf, "range_many",
+            lambda self, keys, n: prf_inputs.append(len(keys))
+            or real_range_many(self, keys, n),
+        )
+        so, _ = session_twins(kernel, crypto)
+        chain = chain_of(2, rng)
+        with so.epoch(2):
+            for batch in chain:
+                so.batch_access(batch)
+        assert calls == ([] if kernel == "numpy" else [30, 30])
+        # Per batch: one build over batch rows + spill fillers, and one
+        # routing of the N = 30 object keys; N * L object inputs in all.
+        assert prf_inputs[1::2] == [30, 30]
+        assert sum(prf_inputs) == 2 * 30 + sum(prf_inputs[::2])
