@@ -378,9 +378,9 @@ class Snoopy:
 
         Controller counters (``epochs_failed``, ``epochs_retried``,
         ``replicas_recovered``) plus, when a fault plan is attached, the
-        injector's fired-event counters (``worker_crashes``,
-        ``tasks_timed_out``, ``replica_crashes``, ``replica_rollbacks``,
-        ``transport_errors``).
+        injector's fired-event counters, one per
+        :data:`~repro.core.faults.FAULT_KINDS` counter
+        (``worker_crashes`` ... ``net_slow_handshakes``).
         """
         return self._retry.fault_stats
 

@@ -208,7 +208,7 @@ class Batch:
             raise WireError("trailing bytes after batch")
         rows = np.frombuffer(data, row, n, BATCH_HEADER_SIZE)
         for c, dtype in cls.COLUMNS.items():
-            if dtype is bool and (rows[c] > 1).any():
+            if dtype is bool and (rows[c] > 1).any():  # public: codec check
                 raise WireError(f"unknown op code or flag bit ({c}) in batch")
         return cls(**{
             c: rows[c].astype(dtype) for c, dtype in cls.COLUMNS.items()

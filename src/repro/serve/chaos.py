@@ -3,8 +3,8 @@
 The robustness acceptance test for the distributed serve layer: run a
 seeded workload through the *real* TCP stack — attested handshake,
 sealed frames, resumable client sessions, (optionally) out-of-process
-subORAM workers — while a seeded :class:`~repro.core.faults
-.NetworkFaultPlan` injects connection drops, frame delays, partitions,
+subORAM workers — while a seeded :class:`~repro.core.faults.FaultPlan`
+of link-seam events injects connection drops, frame delays, partitions,
 truncated and duplicated frames, and slow-loris handshakes at the
 transport seam.  Then prove two exact equalities:
 
@@ -14,9 +14,9 @@ transport seam.  Then prove two exact equalities:
    resumes, epoch retries, and worker respawns — never a changed
    answer, a lost ticket, or a double-applied write.
 2. **Exact fault accounting.**  The injector's fired-event ``stats``
-   equal the plan's scheduled :meth:`~repro.core.faults
-   .NetworkFaultPlan.counts` — every scheduled fault actually fired
-   (the plan was not quietly under-delivered) and nothing fired twice.
+   equal the plan's scheduled :meth:`~repro.core.faults.FaultPlan.counts`
+   — every scheduled fault actually fired (the plan was not quietly
+   under-delivered) and nothing fired twice.
 
 Why the equalities hold: the client resends pending requests in
 ``req_id`` order on session resume and the server deduplicates them,
@@ -41,11 +41,7 @@ import random
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import SnoopyConfig
-from repro.core.faults import (
-    NET_FAULT_KINDS,
-    NetworkFaultInjector,
-    NetworkFaultPlan,
-)
+from repro.core.faults import FaultInjector, FaultPlan
 from repro.core.snoopy import Snoopy
 from repro.serve.netclient import NetworkSnoopyClient, ReconnectPolicy
 from repro.serve.secure import ServeTrust
@@ -112,7 +108,7 @@ def build_soak_plan(
     num_suborams: int,
     intensity: int = 1,
     worker_links: bool = False,
-) -> NetworkFaultPlan:
+) -> FaultPlan:
     """The seeded fault plan for one soak.
 
     Client-link events are scheduled across the run's guaranteed send
@@ -122,22 +118,21 @@ def build_soak_plan(
     so every scheduled event is guaranteed to fire and the injector's
     ``stats`` must land exactly on the plan's ``counts()``.
     """
-    events = list(NetworkFaultPlan.generate(
+    events = list(FaultPlan.generate(
         seed,
-        ["client"],
-        messages=epochs * requests_per_epoch,
         intensity=intensity,
-        kinds=list(NET_FAULT_KINDS),
-    ).events)
+        links=["client"],
+        messages=epochs * requests_per_epoch,
+    ))
     if worker_links:
-        events.extend(NetworkFaultPlan.generate(
+        events.extend(FaultPlan.generate(
             seed + 1,
-            [f"worker-{index}" for index in range(num_suborams)],
-            messages=epochs,
             intensity=intensity,
-            kinds=list(WORKER_FAULT_KINDS),
-        ).events)
-    return NetworkFaultPlan(events)
+            links=[f"worker-{index}" for index in range(num_suborams)],
+            messages=epochs,
+            kinds=WORKER_FAULT_KINDS,
+        ))
+    return FaultPlan(events)
 
 
 def _build_config(
@@ -251,7 +246,7 @@ def run_network_soak(
     # Armed only once setup traffic (worker INIT frames, snapshot
     # seeding) is done, so the plan's message indices land on
     # steady-state serving where the retry machinery can absorb them.
-    injector = NetworkFaultInjector(plan, telemetry=telemetry, armed=False)
+    injector = FaultInjector(plan, telemetry=telemetry, armed=False)
     trust = ServeTrust(SOAK_TRUST_SECRET)
     config = _build_config(
         num_load_balancers=num_load_balancers,
@@ -320,9 +315,7 @@ def run_network_soak(
         if cluster is not None:
             cluster.stop()
 
-    expected_fault_stats = {
-        NET_FAULT_KINDS[kind]: count for kind, count in plan.counts().items()
-    }
+    expected_fault_stats = plan.counts()
     responses_matched = chaos_results == reference
     faults_matched = (
         injector.stats == expected_fault_stats and injector.exhausted

@@ -321,8 +321,8 @@ class NetworkSnoopyClient:
             ticket inherits ``now + request_timeout``.
         ack_interval: acknowledge delivered responses every N frames so
             the server can trim its session replay buffer.
-        injector: a :class:`~repro.core.faults.NetworkFaultInjector`
-            consulted on every connect and send (chaos runs).
+        injector: a :class:`~repro.core.faults.FaultInjector` consulted
+            on every connect and send (chaos runs).
         link: this connection's link name in the injector's plan.
     """
 

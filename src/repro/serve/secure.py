@@ -53,11 +53,12 @@ observables; SECURITY.md's "Network-layer attestation" section
 enumerates them.
 
 **Chaos seam.**  :class:`FrameTransport` (the blocking transport used
-by the sync client and the balancer→worker links) consults an optional
-:class:`~repro.core.faults.NetworkFaultInjector` before every connect
-and send, which is how the seeded network fault plan (drops, delays,
-partitions, truncation, duplication, slow-loris handshakes) reaches
-real sockets deterministically.
+by the sync client and the balancer→worker links) and
+:func:`connect_transport` consult an optional
+:class:`~repro.core.faults.FaultInjector` before every send and
+connect, which is how the link events of the seeded fault plan (drops,
+delays, partitions, truncation, duplication, slow-loris handshakes)
+reach real sockets deterministically.
 """
 
 from __future__ import annotations
@@ -482,9 +483,9 @@ class FrameTransport:
     tampering/replay surface as :class:`~repro.errors.IntegrityError` /
     :class:`~repro.errors.ReplayError` (never retried).
 
-    When a :class:`~repro.core.faults.NetworkFaultInjector` and link
-    name are attached, every send consults the seeded plan first — the
-    single choke point all serve-layer chaos flows through.
+    When a :class:`~repro.core.faults.FaultInjector` and link name are
+    attached, every send consults the seeded plan first — the single
+    choke point all serve-layer chaos flows through.
     """
 
     def __init__(self, sock: socket.socket,
@@ -602,8 +603,8 @@ def connect_transport(
 ) -> Tuple[FrameTransport, int, int]:
     """Dial, handshake, and wrap a serve-layer connection.
 
-    Consults the network fault injector for connect-time events
-    (partition refusals, slow-loris handshakes) before dialing.
+    Consults the fault injector for connect-time events (partition
+    refusals, slow-loris handshakes) before dialing.
     Returns ``(transport, version, peer_role)``.
     """
     dribble_s = 0.0

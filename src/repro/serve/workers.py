@@ -109,6 +109,7 @@ from repro.oblivious.soa import Batch
 from repro.serve.secure import (
     FrameTransport,
     ServeTrust,
+    connect_transport,
     secure_handshake,
 )
 from repro.suboram.store import resolve_crypto
@@ -435,9 +436,9 @@ class WorkerCluster:
         remote_snapshots: mirror every worker's sealed state over the
             wire and restore an empty respawned worker from the mirror
             (the no-shared-filesystem deployment model).
-        injector: a :class:`~repro.core.faults.NetworkFaultInjector`
-            whose plan addresses links named ``worker-<i>``; every
-            connect and send on the worker channels consults it.
+        injector: a :class:`~repro.core.faults.FaultInjector` whose
+            plan addresses links named ``worker-<i>``; every connect and
+            send on the worker channels consults it.
         snap_chunk: snapshot transfer chunk size in bytes.
     """
 
@@ -865,36 +866,19 @@ class WorkerCluster:
 
     def _connect(self, index: int) -> None:
         link = f"worker-{index}"
-        dribble_s = 0.0
-        if self._injector is not None:
-            event = self._injector.on_connect(link)
-            if event is not None and event.kind == "slow_handshake":
-                dribble_s = event.delay_s
-        try:
-            sock = socket.create_connection(
-                ("127.0.0.1", self._ports[index]), timeout=30
-            )
-        except OSError as exc:
-            raise TransportError(
-                f"worker {index} connect failed: {exc}"
-            ) from exc
-        sock.settimeout(None)
-        try:
-            _version, _role, pair = secure_handshake(
-                sock, Role.BALANCER,
-                trust=self.trust,
-                enclave=self._balancer_enclave,
-                attested=self.trust is not None,
-                expected_roles=(Role.WORKER,),
-                link_name=link,
-                dribble_s=dribble_s,
-            )
-        except BaseException:
-            sock.close()
-            raise
-        self._transports[index] = FrameTransport(
-            sock, pair, injector=self._injector, link=link
+        transport, _version, _role = connect_transport(
+            "127.0.0.1", self._ports[index],
+            role=Role.BALANCER,
+            trust=self.trust,
+            enclave=self._balancer_enclave,
+            expected_roles=(Role.WORKER,),
+            link_name=link,
+            timeout=30,
+            injector=self._injector,
+            link=link,
         )
+        transport.settimeout(None)
+        self._transports[index] = transport
 
     def _close_channel(self, index: int) -> None:
         transport = self._transports[index]

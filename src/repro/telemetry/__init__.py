@@ -64,8 +64,8 @@ What gets instrumented when a ``Telemetry`` handle is threaded through
   ``retry_epochs_retried_total`` / ``retry_backoff_seconds_total`` /
   ``replication_recoveries_total``, mirroring the retry controller's
   stats dict;
-* fault injection — ``fault_injected_total{kind=...}``, mirroring
-  ``FaultInjector.stats``.
+* fault injection — one ``fault_injected_total{kind=...}`` for the
+  epoch and link seams alike, mirroring ``FaultInjector.stats``.
 
 CLI: ``python -m repro demo --metrics-out metrics.prom --trace-out
 trace.jsonl`` writes the Prometheus exposition and the JSON-lines trace,

@@ -8,6 +8,10 @@ ticket resolved — on the thread backend with both oblivious kernels and
 with the subORAMs in their own worker processes (`WorkerCluster`), and
 `fault_stats` must report the injected events exactly.
 
+The plan and injector themselves are pinned here too: the seeded
+schedules CI soaks replay, exactly-once firing under concurrent
+stage-➋ probes, and the link seam driven directly.
+
 Failure handling is public information (SECURITY.md): the slot-access
 trace of the state the deployment *keeps* is also asserted identical to
 the fault-free run, because failed atomic attempts execute on discarded
@@ -19,13 +23,23 @@ shared ones from :mod:`tests.harness`.
 
 import contextlib
 import random
+import sys
+import threading
 
 import pytest
 
 from repro.core.config import SnoopyConfig
 from repro.core.deployment import DistributedSnoopy
-from repro.core.faults import FaultEvent, FaultPlan
+from repro.core.faults import (
+    FAULT_KINDS,
+    FaultEvent,
+    FaultInjector,
+    FaultPlan,
+    NetFaultEvent,
+)
 from repro.crypto.keys import KeyChain
+from repro.errors import TransportError
+from repro.serve.chaos import build_soak_plan
 from repro.serve.workers import WorkerCluster
 
 from tests.harness import (
@@ -55,6 +69,21 @@ BACKEND_PLAN = FaultPlan([
     FaultEvent(epoch=2, kind="worker_crash", unit=1),
     FaultEvent(epoch=5, kind="task_timeout", unit=0),
 ])
+
+#: The injector's counters, zero-filled over every epoch and link kind.
+NO_FAULTS_FIRED = {
+    "worker_crashes": 0,
+    "tasks_timed_out": 0,
+    "replica_crashes": 0,
+    "replica_rollbacks": 0,
+    "transport_errors": 0,
+    "net_conn_drops": 0,
+    "net_frame_delays": 0,
+    "net_partitions": 0,
+    "net_frames_truncated": 0,
+    "net_frames_duplicated": 0,
+    "net_slow_handshakes": 0,
+}
 
 WORKLOAD = seeded_workload(
     EPOCHS, 6, seed=7, num_keys=NUM_KEYS, value_size=VALUE, value_offset=1
@@ -131,6 +160,7 @@ class TestAcceptance:
         # the rolled-back replica were each healed at the next epoch
         # boundary.
         assert stats == {
+            **NO_FAULTS_FIRED,
             "epochs_failed": 2,
             "epochs_retried": 2,
             "replicas_recovered": 2 if replicated else 0,
@@ -138,7 +168,6 @@ class TestAcceptance:
             "tasks_timed_out": 1,
             "replica_crashes": 1 if replicated else 0,
             "replica_rollbacks": 1 if replicated else 0,
-            "transport_errors": 0,
         }
 
     def test_injector_consumed_every_scheduled_event(self):
@@ -170,16 +199,10 @@ class TestGeneratedPlans:
             ticket.result()  # every ticket resolves
         # Every scheduled event fired and was counted.
         fired = {
-            kind: store.fault_stats[counter]
-            for kind, counter in (
-                ("worker_crash", "worker_crashes"),
-                ("task_timeout", "tasks_timed_out"),
-                ("replica_crash", "replica_crashes"),
-                ("replica_rollback", "replica_rollbacks"),
-                ("transport_error", "transport_errors"),
-            )
+            counter: store.fault_stats[counter] for counter in NO_FAULTS_FIRED
         }
         assert fired == plan.counts()
+        assert store.injector.stats == plan.counts()
         store.close()
 
     def test_unreplicated_plans_skip_replica_faults(self):
@@ -297,10 +320,235 @@ class TestFaultStatsSurface:
             "epochs_failed": 0,
             "epochs_retried": 0,
             "replicas_recovered": 0,
-            "worker_crashes": 0,
-            "tasks_timed_out": 0,
-            "replica_crashes": 0,
-            "replica_rollbacks": 0,
-            "transport_errors": 0,
+            **NO_FAULTS_FIRED,
         }
         store.close()
+
+
+#: ``demo --faults SEED --epochs 10 --suborams 3``: the CI soak schedules.
+DEMO_SCHEDULES = {
+    11: (FaultEvent(8, "task_timeout", 1), FaultEvent(8, "worker_crash", 2)),
+    23: (FaultEvent(1, "task_timeout", 2), FaultEvent(5, "worker_crash", 0)),
+    37: (FaultEvent(10, "task_timeout", 2), FaultEvent(10, "worker_crash", 0)),
+}
+
+#: ``chaos-net --seed SEED --epochs EPOCHS [--worker-processes]`` with the
+#: CLI's 8 requests per epoch and 2 subORAMs: the CI network soak plans.
+SOAK_SCHEDULES = {
+    (3, 12, False): (
+        NetFaultEvent("client", 1, "slow_handshake",
+                      delay_s=0.01146490819344139),
+        NetFaultEvent("client", 48, "frame_delay",
+                      delay_s=0.01840295142288864),
+        NetFaultEvent("client", 61, "frame_duplicate"),
+        NetFaultEvent("client", 76, "conn_drop"),
+        NetFaultEvent("client", 78, "frame_truncate"),
+        NetFaultEvent("client", 81, "partition", span=2),
+    ),
+    (11, 12, False): (
+        NetFaultEvent("client", 1, "slow_handshake",
+                      delay_s=0.006764623989865984),
+        NetFaultEvent("client", 13, "frame_duplicate"),
+        NetFaultEvent("client", 24, "partition", span=2),
+        NetFaultEvent("client", 58, "frame_delay",
+                      delay_s=0.01064898418818315),
+        NetFaultEvent("client", 72, "conn_drop"),
+        NetFaultEvent("client", 81, "frame_truncate"),
+    ),
+    (23, 12, False): (
+        NetFaultEvent("client", 1, "slow_handshake",
+                      delay_s=0.001267443360386372),
+        NetFaultEvent("client", 11, "conn_drop"),
+        NetFaultEvent("client", 17, "frame_truncate"),
+        NetFaultEvent("client", 35, "frame_duplicate"),
+        NetFaultEvent("client", 68, "partition", span=2),
+        NetFaultEvent("client", 76, "frame_delay",
+                      delay_s=0.0068281343955636075),
+    ),
+    (7, 10, True): (
+        NetFaultEvent("client", 1, "slow_handshake",
+                      delay_s=0.009239267989585333),
+        NetFaultEvent("client", 5, "frame_duplicate"),
+        NetFaultEvent("client", 7, "frame_delay",
+                      delay_s=0.0023762894466833125),
+        NetFaultEvent("client", 20, "conn_drop"),
+        NetFaultEvent("client", 47, "partition", span=2),
+        NetFaultEvent("client", 65, "frame_truncate"),
+        NetFaultEvent("worker-0", 1, "slow_handshake",
+                      delay_s=0.008613494509425015),
+        NetFaultEvent("worker-0", 2, "partition", span=2),
+        NetFaultEvent("worker-0", 4, "frame_truncate"),
+        NetFaultEvent("worker-0", 6, "conn_drop"),
+        NetFaultEvent("worker-1", 3, "frame_delay",
+                      delay_s=0.004669216307934534),
+    ),
+}
+
+
+class TestPinnedSchedules:
+    """A seed names the same schedule forever, so every CI soak keeps the
+    fault coverage it was written against."""
+
+    @pytest.mark.parametrize("seed", sorted(DEMO_SCHEDULES))
+    def test_demo_soak_schedules(self, seed):
+        plan = FaultPlan.generate(seed=seed, epochs=10, num_suborams=3)
+        assert plan.events == DEMO_SCHEDULES[seed]
+
+    @pytest.mark.parametrize("soak", sorted(SOAK_SCHEDULES))
+    def test_network_soak_schedules(self, soak):
+        seed, epochs, worker_links = soak
+        plan = build_soak_plan(seed, epochs, 8, 2, worker_links=worker_links)
+        assert plan.events == SOAK_SCHEDULES[soak]
+
+    def test_one_generate_draws_epoch_kinds_then_link_kinds(self):
+        epoch_args = dict(epochs=6, num_suborams=3, num_replicas=2,
+                          with_transport=True)
+        link_args = dict(links=["a", "b"], messages=9)
+        both = FaultPlan.generate(4, **epoch_args, **link_args)
+        epoch_only = FaultPlan.generate(4, **epoch_args)
+        assert both.events[:len(epoch_only)] == epoch_only.events
+        assert all(
+            isinstance(event, NetFaultEvent)
+            for event in both.events[len(epoch_only):]
+        )
+
+
+class TestInjectorConcurrency:
+    def test_concurrent_transport_probes_fire_each_event_exactly_once(self):
+        """On ``thread:N`` the stage-➋ units probe ``transport_fault``
+        concurrently; none may lose, misfire or double-count an event."""
+        units, trials = 8, 20_000
+        plan = FaultPlan(
+            [FaultEvent(1, "transport_error", unit) for unit in range(units)]
+        )
+        injectors = [FaultInjector(plan) for _ in range(trials)]
+        for injector in injectors:
+            injector.begin_epoch(1)
+        fired = [[None] * units for _ in range(trials)]
+        start = threading.Barrier(units, timeout=30)
+
+        def probe(unit):
+            start.wait()
+            for trial, injector in enumerate(injectors):
+                fired[trial][unit] = injector.transport_fault(unit)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=probe, args=(unit,))
+                for unit in range(units)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        broken = [
+            trial for trial, injector in enumerate(injectors)
+            if fired[trial] != [True] * units
+            or injector.pending != []
+            or injector.stats["transport_errors"] != units
+        ]
+        assert broken == []
+
+
+class TestLinkSeam:
+    """The serve layer's link seam, driven without sockets."""
+
+    def test_partition_refuses_exactly_span_operations_then_clears(self):
+        plan = FaultPlan([NetFaultEvent("a", 2, "partition", span=3)])
+        injector = FaultInjector(plan)
+        assert injector.on_send("a") is None
+        with pytest.raises(TransportError, match="partitioned for 3"):
+            injector.on_send("a")
+        assert not injector.exhausted  # nothing pending, partition in force
+        for operation in (injector.on_send, injector.on_connect,
+                          injector.on_send):
+            assert injector.on_send("b") is None  # other links unaffected
+            with pytest.raises(TransportError, match="is partitioned"):
+                operation("a")
+        assert injector.exhausted
+        assert injector.on_connect("a") is None
+        assert injector.on_send("a") is None
+        assert injector.stats == plan.counts()
+        assert injector.stats["net_partitions"] == 1
+
+    def test_unarmed_injector_neither_counts_nor_fires(self):
+        plan = FaultPlan([
+            FaultEvent(1, "worker_crash", 0),
+            FaultEvent(1, "transport_error", 0),
+            NetFaultEvent("a", 1, "conn_drop"),
+            NetFaultEvent("a", 1, "slow_handshake", delay_s=0.01),
+        ])
+        injector = FaultInjector(plan, armed=False)
+        injector.begin_epoch(1)
+        assert injector.stage_fault(0) is None
+        assert injector.transport_fault(0) is False
+        for _ in range(3):
+            assert injector.on_connect("a") is None
+            assert injector.on_send("a") is None
+        assert injector.stats == NO_FAULTS_FIRED
+        assert injector.pending == list(plan.events)
+        # Unarmed operations were not counted: once armed, the next
+        # connect and send are operation 1 again.
+        injector.armed = True
+        assert injector.stage_fault(0) == "worker_crash"
+        assert injector.transport_fault(0) is True
+        assert injector.on_connect("a").kind == "slow_handshake"
+        assert injector.on_send("a").kind == "conn_drop"
+        assert injector.stats == plan.counts()
+
+    def test_slow_handshake_fires_only_on_connect_one_of_its_link(self):
+        event = NetFaultEvent("a", 1, "slow_handshake", delay_s=0.01)
+        injector = FaultInjector(FaultPlan([event]))
+        assert injector.on_send("a") is None  # sends never fire it
+        assert injector.on_connect("b") is None  # nor another link
+        assert injector.on_connect("a") == event
+        assert injector.on_connect("a") is None
+        assert injector.stats["net_slow_handshakes"] == 1
+        generated = FaultPlan.generate(
+            5, links=["a", "b", "c"], messages=4, intensity=3,
+            kinds=["slow_handshake"],
+        )
+        assert sorted(event.link for event in generated) == ["a", "b", "c"]
+        assert {event.message for event in generated} == {1}
+
+    def test_frame_delay_sleeps_delay_s_and_returns_none(self):
+        slept = []
+        plan = FaultPlan([NetFaultEvent("a", 2, "frame_delay", delay_s=0.25)])
+        injector = FaultInjector(plan, sleep=slept.append)
+        assert injector.on_send("a") is None
+        assert slept == []
+        assert injector.on_send("a") is None
+        assert slept == [0.25]
+        assert injector.stats == plan.counts()
+
+    def test_mixed_plan_stats_equal_counts_once_fully_fired(self):
+        plan = FaultPlan.generate(
+            9, epochs=4, num_suborams=2, num_replicas=2,
+            with_transport=True,
+            links=["a"], messages=6,
+        )
+        # One event of every kind, epoch and link seam alike.
+        assert plan.counts() == dict.fromkeys(FAULT_KINDS.values(), 1)
+        injector = FaultInjector(plan, sleep=lambda seconds: None)
+        for epoch in range(1, 5):
+            injector.begin_epoch(epoch)
+            injector.replica_faults("replica_crash")
+            injector.replica_faults("replica_rollback")
+            for unit in range(2):
+                while injector.stage_fault(unit) is not None:
+                    pass
+                injector.transport_fault(unit)
+        injector.on_connect("a")
+        for _ in range(20):
+            try:
+                injector.on_send("a")
+            except TransportError:
+                pass
+        assert injector.exhausted
+        assert injector.pending == []
+        assert injector.stats == plan.counts()

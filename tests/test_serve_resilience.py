@@ -25,7 +25,7 @@ import time
 import pytest
 
 from tests.harness import build_store
-from repro.core.faults import NET_FAULT_KINDS
+from repro.core.faults import FAULT_KINDS
 from repro.errors import (
     AttestationError,
     DeadlineExceededError,
@@ -368,11 +368,19 @@ class TestChaosPlanShapes:
         # correctly fails closed rather than retrying — so the soak
         # must not schedule it on worker links.
         assert "frame_duplicate" not in WORKER_FAULT_KINDS
-        assert set(WORKER_FAULT_KINDS) < set(NET_FAULT_KINDS)
+        link_kinds = {
+            kind for kind, counter in FAULT_KINDS.items()
+            if counter.startswith("net_")
+        }
+        assert set(WORKER_FAULT_KINDS) < link_kinds
         plan = build_soak_plan(3, 6, 8, 2, worker_links=True)
         for event in plan.events:
             if event.link.startswith("worker-"):
                 assert event.kind != "frame_duplicate"
+        # The client link gets every link kind.
+        assert {
+            event.kind for event in plan.events if event.link == "client"
+        } == link_kinds
 
 
 class TestNetworkChaosDifferential:
@@ -393,8 +401,10 @@ class TestNetworkChaosDifferential:
             worker_processes=True, timeout=45.0,
         )
         assert report["matched"], report
+        assert report["fault_stats"] == report["expected_fault_stats"]
         assert any(
-            link.startswith("net_") for link in report["fault_stats"]
+            count for counter, count in report["fault_stats"].items()
+            if counter.startswith("net_")
         )
 
 
