@@ -24,10 +24,12 @@ TCP service built on it (:mod:`repro.serve`) — tickets resolve on the
 pipeline's match thread, not the submitting thread, so polling ``done``
 is the wrong shape for a server.  :meth:`Ticket.add_done_callback`
 registers a callable invoked exactly once with the ticket as soon as it
-resolves (immediately, if it already has); the asyncio service bridges
-each callback onto its event loop with ``call_soon_threadsafe``.
-Callbacks run on the resolving thread and must not block — hand off, do
-not work.
+resolves (immediately, if it already has).  Callbacks run on the
+resolving thread and must not block — hand off, do not work: the asyncio
+service's callback only appends the ticket to a queue, and the service
+wakes its event loop (``call_soon_threadsafe``) once the epoch's whole
+cut has resolved — :meth:`TicketBook.resolve_cut` resolves a cut back to
+back, so an epoch costs one loop wake-up, not one per ticket.
 
 :class:`TicketBook` is the deployment-side ledger: it issues tickets at
 ``submit`` time.  Under the pipelined scheduler

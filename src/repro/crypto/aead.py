@@ -4,12 +4,19 @@ All communication in Snoopy "is encrypted using an authenticated encryption
 scheme with a nonce to prevent replay attacks" (§3.1).  This module models
 that behaviour with a stdlib-only encrypt-then-MAC AEAD:
 
-* keystream: ``HMAC(key_enc, nonce || counter)`` blocks XORed with plaintext,
-* tag: ``HMAC(key_mac, nonce || associated_data || ciphertext)``.
+* keystream: ``SHAKE-256(key_enc || nonce)`` squeezed to the plaintext's
+  length and XORed in as one big integer (``key_enc`` is always 32
+  bytes and the nonce always :data:`NONCE_LEN`, so the encoding is
+  unambiguous),
+* tag: ``HMAC-SHA256(key_mac, nonce || len(aad) || aad || ciphertext)``,
+  checked in constant time before any plaintext is released.
 
-The goal is faithful *system* behaviour — tamper detection, nonce
-uniqueness, replay rejection — not a new cipher design.  This per-message
-scheme seals the channels and is the store's audited per-slot oracle
+Seal and open are a fixed handful of C calls whatever the message
+length — no per-block or per-byte Python loop — so a coalesced 16 KiB
+channel record costs about as much as hashing it.  The goal is faithful
+*system* behaviour — tamper detection, nonce uniqueness, replay
+rejection — not a new cipher design.  This per-message scheme seals the
+channels and is the store's audited per-slot oracle
 (``crypto="scalar"``); the store's batch path is the counter-mode kernel
 of :mod:`repro.crypto.vector`.
 
@@ -26,9 +33,8 @@ where that deep a reordering never happens legitimately.
 
 from __future__ import annotations
 
-import hmac
 import hashlib
-import itertools
+import hmac
 
 from repro.errors import IntegrityError, ReplayError
 
@@ -39,16 +45,11 @@ TAG_LEN = 32
 REPLAY_WINDOW = 1024
 
 
-def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
-    out = bytearray()
-    for counter in itertools.count():
-        if len(out) >= length:
-            break
-        block = hmac.new(
-            key, nonce + counter.to_bytes(8, "big"), hashlib.sha256
-        ).digest()
-        out.extend(block)
-    return bytes(out[:length])
+def _xor(data: bytes, stream: bytes) -> bytes:
+    """``data ^ stream`` for equal-length inputs, as one big-int operation."""
+    return (
+        int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
+    ).to_bytes(len(data), "big")
 
 
 class AeadKey:
@@ -62,35 +63,29 @@ class AeadKey:
         self._enc = hmac.new(key, b"enc", hashlib.sha256).digest()
         self._mac = hmac.new(key, b"mac", hashlib.sha256).digest()
 
+    def _keystream(self, nonce: bytes, length: int) -> bytes:
+        return hashlib.shake_256(self._enc + nonce).digest(length)
+
+    def _tag(self, nonce: bytes, aad: bytes, ct: bytes) -> bytes:
+        return hmac.digest(
+            self._mac, nonce + len(aad).to_bytes(8, "big") + aad + ct, "sha256"
+        )
+
     def seal(self, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
         """Encrypt and authenticate ``plaintext``; returns ciphertext||tag."""
         if len(nonce) != NONCE_LEN:
             raise ValueError(f"nonce must be {NONCE_LEN} bytes")
-        ct = bytes(
-            p ^ k for p, k in zip(plaintext, _keystream(self._enc, nonce, len(plaintext)))
-        )
-        tag = hmac.new(
-            self._mac,
-            nonce + len(aad).to_bytes(8, "big") + aad + ct,
-            hashlib.sha256,
-        ).digest()
-        return ct + tag
+        ct = _xor(plaintext, self._keystream(nonce, len(plaintext)))
+        return ct + self._tag(nonce, aad, ct)
 
     def open(self, nonce: bytes, sealed: bytes, aad: bytes = b"") -> bytes:
         """Verify and decrypt; raises :class:`IntegrityError` on tamper."""
         if len(sealed) < TAG_LEN:
             raise IntegrityError("ciphertext shorter than tag")
         ct, tag = sealed[:-TAG_LEN], sealed[-TAG_LEN:]
-        expect = hmac.new(
-            self._mac,
-            nonce + len(aad).to_bytes(8, "big") + aad + ct,
-            hashlib.sha256,
-        ).digest()
-        if not hmac.compare_digest(tag, expect):
+        if not hmac.compare_digest(tag, self._tag(nonce, aad, ct)):
             raise IntegrityError("AEAD tag mismatch")
-        return bytes(
-            c ^ k for c, k in zip(ct, _keystream(self._enc, nonce, len(ct)))
-        )
+        return _xor(ct, self._keystream(nonce, len(ct)))
 
 
 class SecureChannel:

@@ -1,8 +1,8 @@
 """Vectorized counter-mode AEAD: one keystream, one MAC pass per batch.
 
 The HMAC scheme in :mod:`repro.crypto.aead` is the audited per-slot
-oracle: one HMAC block per 32 keystream bytes and one HMAC tag per slot —
-O(slots) Python-level calls per epoch.  This module is the store's batch
+oracle: one SHAKE-256 keystream and one HMAC tag per slot — O(slots)
+Python-level calls per epoch.  This module is the store's batch
 cipher (``crypto="vector"``, see :mod:`repro.suboram.store`): a
 counter-mode AEAD whose whole-batch seal and open run as a fixed number
 of NumPy passes, independent of slot count and value size.

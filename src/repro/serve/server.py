@@ -11,8 +11,12 @@ in and RESPONSE frames out.  Every request becomes a non-blocking
 :class:`~repro.core.pipeline.EpochPipeline`; the pipeline's match thread
 resolves the ticket and the completion bridges back onto the event loop
 through :meth:`Ticket.add_done_callback
-<repro.core.tickets.Ticket.add_done_callback>` +
-``loop.call_soon_threadsafe`` — the server never blocks on an epoch.
+<repro.core.tickets.Ticket.add_done_callback>` — the server never blocks
+on an epoch.  The callback only queues the ticket; one wake-up per
+resolved burst — a single ``loop.call_soon_threadsafe`` from the epoch
+observer once the whole cut has resolved, not one per ticket — drains
+the queue on the loop in resolution order, and the replies it writes
+coalesce into sealed records.
 
 **Epoch pacing.**  In production mode (``clock=True``) the pipeline's
 background clock closes epochs on the fixed public period
@@ -209,6 +213,10 @@ class SnoopyServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._open_tickets = 0
+        #: Resolved tickets awaiting delivery on the loop, and whether a
+        #: drain of them is already scheduled (see :meth:`_wake_drain`).
+        self._resolved = deque()
+        self._drain_scheduled = False
         self._draining = False
         self._sessions: Dict[int, _Session] = {}
         self._next_session_id = 1
@@ -287,9 +295,9 @@ class SnoopyServer:
             await asyncio.get_running_loop().run_in_executor(
                 None, self.pipeline.stop
             )
-        # The executor result arrives on the loop *after* every ticket
-        # callback the matcher scheduled, so all deliverable responses
-        # are in the write buffers by now.
+        # The executor result arrives on the loop *after* every drain of
+        # resolved tickets the matcher scheduled, so all deliverable
+        # responses are in the write buffers by now.
         if drain:
             for transport in list(self._transports):
                 if transport.is_closing():
@@ -473,10 +481,12 @@ class SnoopyServer:
                     session.seen.add(req_id)
                 ticket.add_done_callback(
                     lambda t, s=session, tr=transport, p=pending, r=req_id:
-                        self._loop.call_soon_threadsafe(
-                            self._complete_on_loop, s, tr, p, r, t
-                        )
+                        self._resolved.append((s, tr, p, r, t))
                 )
+                if ticket.done:
+                    # Resolved before the callback was registered: it ran
+                    # inline, possibly after its epoch's wake-up.
+                    self._wake_drain()
             elif kind == FrameKind.SESSION:
                 session = await self._handle_session(
                     transport, payload, session
@@ -599,6 +609,19 @@ class SnoopyServer:
             self.pipeline.flush()
         return epoch
 
+    def _wake_drain(self) -> None:
+        """Schedule one :meth:`_drain_resolved` unless one is pending."""
+        if self._resolved and not self._drain_scheduled:
+            self._drain_scheduled = True
+            self._loop.call_soon_threadsafe(self._drain_resolved)
+
+    def _drain_resolved(self) -> None:
+        """Deliver every queued resolved ticket, in resolution order."""
+        self._drain_scheduled = False
+        resolved = self._resolved
+        while resolved:
+            self._complete_on_loop(*resolved.popleft())
+
     def _complete_on_loop(
         self, session, transport, pending, req_id, ticket
     ) -> None:
@@ -668,9 +691,16 @@ class SnoopyServer:
             pass
 
     def _observe_epoch(self, epoch, resolved, latency_s) -> None:
-        """Pipeline epoch observer: service-level epoch accounting."""
+        """Pipeline epoch observer: epoch accounting and the wake-up.
+
+        Runs on the match thread once the epoch's whole ticket cut has
+        resolved (and queued its replies), so the loop wakes once per
+        epoch.  Waking per ticket instead would hand the GIL to the loop
+        at every self-pipe write, mid-cut.
+        """
         self.stats["epochs"] += 1
         self.telemetry.counter("serve_epochs_total").inc()
+        self._wake_drain()
 
 
 class ServerThread:

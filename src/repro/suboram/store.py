@@ -41,7 +41,7 @@ The crypto axis
 exists — this module is the one place the axis is defined
 (:data:`CRYPTO_MODES`, :data:`DEFAULT_CRYPTO`, :func:`resolve_crypto`):
 
-* ``"scalar"`` — the audited oracle: the HMAC scheme of
+* ``"scalar"`` — the audited oracle: the SHAKE-256/HMAC scheme of
   :mod:`repro.crypto.aead`, one ``seal``/``open`` per slot, the slot
   index bound as associated data.  No batch path
   (``supports_batch`` is False).

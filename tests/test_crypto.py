@@ -1,12 +1,15 @@
 """Unit tests for repro.crypto: PRF, AEAD, channels, key chain."""
 
+import hashlib
 import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.aead import AeadKey, NONCE_LEN, SecureChannel, digest
+from repro.crypto.aead import (
+    AeadKey, NONCE_LEN, TAG_LEN, SecureChannel, digest,
+)
 from repro.crypto.keys import KeyChain, derive_key, random_key
 from repro.crypto.prf import Prf, suboram_of
 from repro.errors import CapacityError, IntegrityError, ReplayError
@@ -243,6 +246,44 @@ class TestAead:
         assert clone.seal(nonce, b"hello", b"ctx") == key.seal(
             nonce, b"hello", b"ctx"
         )
+
+    @pytest.mark.parametrize("length, sealed_sha256", [
+        (0, "ee0049a7ea99d91d"),
+        (1, "55a3f68b2e759352"),
+        (31, "2f4575f1b046967b"),
+        (32, "48d568928e188e30"),
+        (33, "14a27ef33d990eca"),
+        (4096, "c4dbfc3417f58c8e"),
+        (65536, "d13ebc0e934dae12"),
+    ])
+    def test_known_answer(self, length, sealed_sha256):
+        """SHAKE-256 keystream + HMAC-SHA256 tag, pinned across the
+        keystream's block edges; every sealed length is ``n + TAG_LEN``."""
+        key = AeadKey(b"known-answer-key-0123456789abcdef")
+        plaintext = bytes(i * 7 % 256 for i in range(length))
+        sealed = key.seal(bytes(range(NONCE_LEN)), plaintext, b"kat/aad")
+        assert len(sealed) == length + TAG_LEN
+        assert hashlib.sha256(sealed).hexdigest()[:16] == sealed_sha256
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        length=st.integers(0, 1 << 16),
+        seed=st.integers(0, 2**32 - 1),
+        flip=st.integers(0, 2**40),
+    )
+    def test_round_trip_and_any_bit_flip_fails(self, length, seed, flip):
+        rng = random.Random(seed)
+        key = AeadKey(rng.randbytes(32))
+        nonce, aad = rng.randbytes(NONCE_LEN), rng.randbytes(rng.randrange(9))
+        plaintext = rng.randbytes(length)
+        sealed = key.seal(nonce, plaintext, aad)
+        assert len(sealed) == length + TAG_LEN
+        assert key.open(nonce, sealed, aad) == plaintext
+        bit = flip % (8 * len(sealed))
+        tampered = bytearray(sealed)
+        tampered[bit // 8] ^= 1 << (bit % 8)
+        with pytest.raises(IntegrityError):
+            key.open(nonce, bytes(tampered), aad)
 
 
 class TestSecureChannel:

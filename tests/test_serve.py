@@ -281,6 +281,44 @@ class TestCoalescedSealing:
             server_sock.close()
 
 
+class TestOneWakeUpPerBurst:
+    """An epoch's resolved tickets reach the event loop in one wake-up."""
+
+    @pytest.mark.parametrize("resume", [False, True],
+                             ids=["sessionless", "session"])
+    def test_an_epoch_of_64_replies_wakes_the_loop_once(self, resume):
+        store = make_store()
+        with store, ServerThread(store, clock=False) as handle:
+            handle.start()
+            loop = handle.server._loop
+            wake_ups = []
+            inner = loop.call_soon_threadsafe
+
+            def counting(callback, *args, **kwargs):
+                # Tickets resolve on the pipeline's match thread.
+                if threading.current_thread().name == "repro-pipeline-match":
+                    wake_ups.append(callback)
+                return inner(callback, *args, **kwargs)
+
+            loop.call_soon_threadsafe = counting
+            try:
+                with connect(handle, resume=resume) as client:
+                    keys = [k % 36 for k in range(64)]
+                    tickets = [
+                        client.submit(Request(OpType.READ, key, seq=i))
+                        for i, key in enumerate(keys)
+                    ]
+                    client.close_epoch(flush=True)
+                    values = [t.result(10).value for t in tickets]
+                    assert client.stats["duplicate_responses"] == 0
+            finally:
+                del loop.call_soon_threadsafe
+        assert values == [bytes([key]) * VALUE for key in keys]
+        assert handle.server.stats["responses"] == 64
+        # One epoch, one self-pipe write — not one per ticket.
+        assert len(wake_ups) == 1, len(wake_ups)
+
+
 class TestServerConfiguration:
     def test_process_backend_rejected(self):
         """Out-of-process subORAMs run behind WorkerCluster, not a backend."""

@@ -451,7 +451,10 @@ class TestBucketScanDifferential:
     @pytest.mark.parametrize("crypto, value_size, sealed", [
         ("vector", 7, "047ba74629e258b1"),
         ("vector", 160, "bd15d36cab1bf350"),
-        ("scalar", 12, "1089312b26533edc"),
+        # The scalar store seals through AeadKey, so this pin moves with
+        # the channel cipher (SHAKE-256 keystream); the scan output it
+        # seals is the same one the vector pins cover.
+        ("scalar", 12, "c42b5d16ed66a8ed"),
     ])
     def test_sealed_partition_is_pinned_under_a_fixed_nonce(
         self, monkeypatch, crypto, value_size, sealed
