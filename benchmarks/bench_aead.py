@@ -1,7 +1,7 @@
 """AEAD throughput: the epoch crypto floor and the channel record cost.
 
 Store rows, over a store-shaped workload (N uniform slots) at
-``value_size`` in {16, 256, 1024}:
+``value_size`` in {16, 160, 256, 1024}:
 
 * ``vector``: the counter-mode cipher
   (:class:`~repro.crypto.vector.VectorAead`) over the whole batch —
@@ -12,6 +12,10 @@ Store rows, over a store-shaped workload (N uniform slots) at
 * ``scalar``: per-slot ``seal``/``open`` of the audited oracle
   (:class:`~repro.crypto.aead.AeadKey`, ``crypto="scalar"``), reported
   as MB/s only.
+
+The 160-byte row is one whole subORAM partition of the served
+``scan_rw`` workload (16,384 slots), sealed and opened the way the
+store does each epoch.
 
 The write-back scan re-encrypts every slot every epoch, so these MB/s
 *are* the epoch crypto floor.  ``seal_speedup`` / ``open_speedup``
@@ -43,10 +47,11 @@ from conftest import report
 
 SMOKE = os.environ.get("SNOOPY_BENCH_SMOKE") == "1"
 
-VALUE_SIZES = [16, 256, 1024]
-#: Slots per measured pass, chosen so each pass moves ~the same volume.
-SLOTS = {16: 512, 256: 256, 1024: 128} if SMOKE else {
-    16: 4096, 256: 2048, 1024: 512
+VALUE_SIZES = [16, 160, 256, 1024]
+#: Slots per measured pass, chosen so each pass moves ~the same volume —
+#: except 160, which is scan_rw's whole 16,384-slot partition.
+SLOTS = {16: 512, 160: 256, 256: 256, 1024: 128} if SMOKE else {
+    16: 4096, 160: 16384, 256: 2048, 1024: 512
 }
 REPEATS = 3
 #: The CI regression gate: the batch path must clear this over the same

@@ -27,15 +27,26 @@ Carter-Wegman polynomial MAC modulo the Mersenne prime ``p = 2^61 - 1``:
   ``[lane_hi, lane_lo, aad limbs, ciphertext limbs, len(aad), len(ct)]``
   evaluated at two independent points ``r1, r2`` derived from the key,
   masked by four per-lane pad words from a second nonce-derived seed.
-  Both polynomials are **one exact integer matmul**: each power
-  ``r^k mod p`` (61 bits) is split once into three 21-bit pieces, and
-  ``limbs @ pieces`` — ``(lanes, width) @ (width, 6)`` in uint64 — gives
-  three partial sums per lane and point.  A 32-bit limb times a 21-bit
-  piece is below 2^53, so 2^11 of them sum below 2^64 with no
-  per-element reduction (wider lanes, over ~8 KiB, are summed in column
-  blocks of 2^11 limbs — never a silent wrap); the partial sums fold
-  with two 61-bit rotations (``x * 2^21``, ``x * 2^42 mod p``) and one
-  reduction — a fixed number of whole-array operations for any batch.
+  Both polynomials are **one exact float64 matmul**: each power
+  ``r^k mod p`` (61 bits) is split once into five 13-bit pieces, and
+  ``limbs @ pieces`` — ``(lanes, width) @ (width, 10)`` in float64 —
+  gives five partial sums per lane and point.  A 32-bit limb times a
+  13-bit piece is below 2^45, so 256 of them sum below 2^53: every
+  partial sum of a column block of at most 256 limbs is an exact
+  integer in float64 whatever the summation order (BLAS blocking and
+  FMA included).  Each block's sums cast to uint64 and reduce mod p
+  (lanes over ~1 KiB sum several blocks — never a rounded product);
+  the partial sums fold with four 61-bit rotations (``x * 2^13``,
+  ``2^26``, ``2^39``, ``2^52 mod p``) and one reduction — a fixed
+  number of whole-array operations for any batch.  Rows run in blocks
+  of 512 lanes, all full blocks through one stacked ``matmul`` and the
+  rest through one 2-D product (a batch of one is an unpadded
+  ``(1, width)`` product).  OpenBLAS keeps a product on the calling
+  thread while ``rows * width * 10 <= 2^18``, so a 512-lane block does
+  so only for lanes of at most 51 limbs — the store's ``value_size``
+  up to 172, which covers every served width (48 limbs at 160) — where one
+  ``(16384, 48)`` call fans out over BLAS threads that contend with the
+  epoch's own stage threads.  Wider lanes run threaded BLAS again.
   Binding the lane index into the MAC replaces the slot-id associated
   data of the HMAC scheme: a blob spliced to another slot fails its
   tag.  Tags are :data:`TAG_LEN` bytes, so sealed-slot sizes
@@ -70,7 +81,7 @@ __all__ = ["VectorAead"]
 #: The Mersenne prime the polynomial MAC works over.
 _P = (1 << 61) - 1
 _MASK61 = _P
-_MASK21 = (1 << 21) - 1
+_MASK13 = (1 << 13) - 1
 _MASK64 = (1 << 64) - 1
 
 #: Weyl-sequence increment and splitmix64 finalizer multipliers.
@@ -80,9 +91,15 @@ _MIX2 = 0x94D049BB133111EB
 
 _U64x4 = struct.Struct(">QQQQ")
 
-#: Most limbs one exact uint64 matmul may sum: 2^11 products of a 32-bit
-#: limb and a 21-bit power piece stay below 2^64.
-_MAX_BLOCK = 1 << 11
+#: Bit offsets of the five 13-bit pieces of a 61-bit power.
+_PIECE_SHIFTS = (0, 13, 26, 39, 52)
+
+#: Most limbs one exact float64 matmul may sum: 256 products of a 32-bit
+#: limb and a 13-bit power piece stay below 2^53.
+_MAX_BLOCK = 256
+
+#: Lanes per BLAS product (see "Tags" above).
+_ROW_BLOCK = 512
 
 def _mix64(z: int) -> int:
     """The splitmix64 finalizer over one 64-bit word (exact-int path)."""
@@ -142,7 +159,7 @@ class VectorAead:
         # Evaluation points in [1, p-1]: zero would void the whole MAC.
         self._r1 = (int.from_bytes(poly[:8], "big") % (_P - 1)) + 1
         self._r2 = (int.from_bytes(poly[8:16], "big") % (_P - 1)) + 1
-        #: Power-table cache: (r, width) -> ints, width -> 21-bit pieces.
+        #: Power-table cache: (r, width) -> ints, width -> 13-bit pieces.
         self._powers: dict = {}
         #: Fresh-keystream derivations (one per sealed batch/lane group).
         self.keystream_derivations = 0
@@ -179,19 +196,19 @@ class VectorAead:
         return cached
 
     def _power_pieces(self, width: int):
-        """Both points' power tables as one ``(width, 6)`` uint64 matrix:
-        column ``3*i + j`` holds bits ``[21*j, 21*j + 21)`` of point
-        ``i``'s powers."""
+        """Both points' power tables as one ``(width, 10)`` float64
+        matrix: column ``2*j + i`` holds bits ``[13*j, 13*j + 13)`` of
+        point ``i``'s powers."""
         cached = self._powers.get(width)
         if cached is None:
             tables = [self._power_table(r, width) for r in (self._r1, self._r2)]
             cached = self._powers[width] = np.asarray(
                 [
-                    [(power >> shift) & _MASK21
-                     for power in row for shift in (0, 21, 42)]
+                    [(power >> shift) & _MASK13
+                     for shift in _PIECE_SHIFTS for power in row]
                     for row in zip(*tables)
                 ],
-                dtype=np.uint64,
+                dtype=np.float64,
             )
         return cached
 
@@ -407,11 +424,12 @@ class VectorAead:
 
     @staticmethod
     def _mod_p_np(x):
-        """Reduce ``x < 2^64`` mod p: two folds + one conditional subtract."""
+        """Reduce ``x < 2^64`` mod p: two folds + one conditional subtract
+        (branch-free: below p, ``x - p`` wraps above ``x``)."""
         m = np.uint64(_MASK61)
         x = (x & m) + (x >> np.uint64(61))
         x = (x & m) + (x >> np.uint64(61))
-        return np.where(x >= np.uint64(_P), x - np.uint64(_P), x)
+        return np.minimum(x, x - np.uint64(_P))
 
     @staticmethod
     def _rot61_np(x, bits: int):
@@ -455,7 +473,7 @@ class VectorAead:
         aad_limbs = _limbs_of_bytes(aad)
         width = self._limb_width(plain_size, len(aad))
         limbs = soa.scratch_array(
-            scratch, "vec_limbs", (count, width), np.uint64
+            scratch, "vec_limbs", (count, width), np.float64
         )
         lanes = np.arange(
             lane_base, lane_base + count, dtype=np.uint64
@@ -465,11 +483,11 @@ class VectorAead:
         col = 2
         if aad_limbs:
             limbs[:, col : col + len(aad_limbs)] = np.asarray(
-                aad_limbs, dtype=np.uint64
+                aad_limbs, dtype=np.float64
             )
             col += len(aad_limbs)
         # Ciphertext limbs: one memcpy into a contiguous padded scratch
-        # row, then a single big-endian-u32 -> uint64 conversion pass —
+        # row, then a single big-endian-u32 -> float64 conversion pass —
         # no per-limb shifts, no (N, limbs, 4) intermediate.
         pad = (-plain_size) % 4
         padded = soa.scratch_array(
@@ -481,44 +499,49 @@ class VectorAead:
         quads = padded.view(np.dtype(">u4"))
         ct_limb_count = quads.shape[1]
         limbs[:, col : col + ct_limb_count] = quads
-        limbs[:, -2] = np.uint64(len(aad))
-        limbs[:, -1] = np.uint64(plain_size)
+        limbs[:, -2] = len(aad)
+        limbs[:, -1] = plain_size
 
-        # Both polynomials as one exact integer matmul per column block
-        # (see the module docstring), reduced mod p between blocks.
+        # Both polynomials as one exact float64 matmul per column block
+        # (see "Tags" in the module docstring): full 512-lane row blocks
+        # in one stacked product, the remaining lanes in one 2-D product.
         pieces = self._power_pieces(width)
-        sums = np.zeros((count, 6), dtype=np.uint64)
+        part = soa.scratch_array(
+            scratch, "vec_parts", (count, 2 * len(_PIECE_SHIFTS)), np.float64
+        )
+        stacked = count // _ROW_BLOCK
+        full = stacked * _ROW_BLOCK
+        sums = None
         for start in range(0, width, _MAX_BLOCK):
             block = slice(start, start + _MAX_BLOCK)
-            sums = self._mod_p_np(
-                sums + self._mod_p_np(limbs[:, block] @ pieces[block])
-            )
-        # Fold the three partial sums per point: x * 2^21 and x * 2^42
-        # mod 2^61 - 1 are 61-bit rotations of a reduced x.
-        sums = sums.reshape(count, 2, 3)
-        t1, t2 = self._mod_p_np(
-            sums[:, :, 0]
-            + self._rot61_np(sums[:, :, 1], 21)
-            + self._rot61_np(sums[:, :, 2], 42)
-        ).T
-        idx = lanes[:, None] * np.uint64(4) + np.arange(
-            1, 5, dtype=np.uint64
-        )
-        masks = self._mix64_np(
+            if stacked:
+                np.matmul(
+                    limbs[:full, block].reshape(stacked, _ROW_BLOCK, -1),
+                    pieces[block],
+                    out=part[:full].reshape(stacked, _ROW_BLOCK, -1),
+                )
+            if full < count:
+                np.matmul(limbs[full:, block], pieces[block], out=part[full:])
+            # A block's exact sums are below 2^53 < p: reduce only the
+            # running total.  Transposed, each piece's sums for both
+            # points are one contiguous (2, count) row pair.
+            exact = part.T.astype(np.uint64, order="C")
+            sums = exact if sums is None else self._mod_p_np(sums + exact)
+        # Fold the five partial sums per point: x * 2^(13 j) mod p is a
+        # 61-bit rotation of x < 2^61, and the five rotations plus the
+        # pad word stay below 6 * 2^61 < 2^64 — one reduction.
+        sums = sums.reshape(len(_PIECE_SHIFTS), 2, count)
+        folded = sums[0].copy()
+        for j in range(1, len(_PIECE_SHIFTS)):
+            folded += self._rot61_np(sums[j], _PIECE_SHIFTS[j])
+        idx = np.arange(1, 5, dtype=np.uint64)[:, None] + lanes * np.uint64(4)
+        tag_words = self._mix64_np(
             (np.uint64(ts0) + idx * np.uint64(_GAMMA)) ^ np.uint64(ts1)
         )
-        tag_words = soa.scratch_array(
-            scratch, "vec_tagwords", (count, 4), np.uint64
+        tag_words[:2] = self._mod_p_np(
+            folded + (tag_words[:2] & np.uint64(_MASK61))
         )
-        tag_words[:, 0] = self._mod_p_np(
-            t1 + (masks[:, 0] & np.uint64(_MASK61))
-        )
-        tag_words[:, 1] = self._mod_p_np(
-            t2 + (masks[:, 1] & np.uint64(_MASK61))
-        )
-        tag_words[:, 2] = masks[:, 2]
-        tag_words[:, 3] = masks[:, 3]
-        return tag_words.astype(">u8").view(np.uint8).reshape(count, TAG_LEN)
+        return tag_words.T.astype(">u8", order="C").view(np.uint8)
 
     @staticmethod
     def _as_plain_matrix(plain, count, plain_size):

@@ -492,7 +492,7 @@ class NumpyKernel(Kernel):
         if trace is not None:
             trace.record("scan", num_objects, num_slots)
         writes = table.is_write & table.permitted & table.has_value
-        hits, write_hits, bases, sizes = [], [], [], []
+        hits, bases, sizes = [], [], []
         first = 0
         for ids, num_buckets, size in buckets:
             tier = slice(first, first + num_buckets * size)
@@ -503,7 +503,6 @@ class NumpyKernel(Kernel):
             hit = rows(table.keys) == okeys[:, None]
             hit &= rows(table.occupied)
             hits.append(hit)
-            write_hits.append(hit & rows(writes))
             bases.append(first + ids * size)
             sizes.append(size)
             first += num_buckets * size
@@ -512,21 +511,20 @@ class NumpyKernel(Kernel):
         within = np.concatenate([np.arange(size) for size in sizes])
         base = np.stack(bases, axis=1)
         objects = np.arange(num_objects)
-
-        def slot(column):
-            return base[objects, tier_of[column]] + within[column]
-
         if trace is not None:
             for o in range(num_objects):
                 trace.record("scan_slot", o,
                              tuple((base[o, tier_of] + within).tolist()))
+        # One probe: an object hits at most one slot (distinct store keys,
+        # distinct batch keys), so its first hit column is its slot; an
+        # unmatched row reads its first column's slot and is masked out.
         match = np.concatenate(hits, axis=1)
-        write_hit = np.concatenate(write_hits, axis=1)
+        col = np.argmax(match, axis=1)
+        slot = base[objects, tier_of[col]] + within[col]
+        hit = match.any(axis=1)
         # Response path: matched slots capture the *pre-scan* object value.
         # Every object scatters, the unmatched ones onto one sink row.
-        m_slot = np.where(
-            match.any(axis=1), slot(np.argmax(match, axis=1)), num_slots
-        )
+        m_slot = np.where(hit, slot, num_slots)
         matched = np.zeros(num_slots + 1, dtype=bool)
         matched[m_slot] = True
         responses = np.empty(
@@ -535,14 +533,13 @@ class NumpyKernel(Kernel):
         responses[:num_slots] = table.values
         responses[m_slot] = ovals
         # Write path: the object's new value is the matched write payload.
-        # Every row gathers one (its first slot's when nothing matched)
-        # and selects on its bit: the work is a function of the shapes.
+        # Every row gathers its slot's payload and selects on its bit:
+        # the work is a function of the shapes.
         word = np.dtype(f"u{math.gcd(ovals.shape[1], 8)}")
-        w_slot = slot(np.argmax(write_hit, axis=1))
         np.copyto(
             ovals.view(word),
-            table.values.view(word)[w_slot],
-            where=write_hit.any(axis=1)[:, None],
+            table.values.view(word)[slot],
+            where=(hit & writes[slot])[:, None],
         )
         return matched[:num_slots], responses[:num_slots]
 

@@ -350,7 +350,7 @@ class EncryptedStore:
         self._pinned_nonces[:] = raw_nonces
         self._written[:] = b"\x01" * n
         self._digest_fresh[:] = b"\x00" * n
-        self._buffer_digest = digest(bytes(self._host_blobs))
+        self._buffer_digest = digest(self._host_blobs)
         self.telemetry.counter("snoopy_store_batch_seals_total").inc()
         self.telemetry.counter(
             "snoopy_store_bytes_moved_total", op="seal"
@@ -399,6 +399,8 @@ class EncryptedStore:
             raise IntegrityError(
                 f"slot {bad} nonce does not match the enclave-pinned nonce"
             )
+        # One snapshot: the digest, the tags and the decryption all see
+        # the same bytes, whatever the host writes meanwhile.
         blob_buf = bytes(self._host_blobs)
         if self._buffer_digest is not None:
             if digest(blob_buf) != self._buffer_digest:

@@ -33,7 +33,10 @@ Key pieces:
 * :func:`run_workload` — drive a store through the schedule;
 * :func:`differential_run` / :func:`assert_equivalent` — execute a cell
   matrix and check every cell against the reference cell (serial,
-  python, fault-free by construction: the first cell).
+  python, fault-free by construction: the first cell);
+* :func:`array_ops` — the op log (name, operand shapes, dtypes) of the
+  whole-array NumPy calls one module makes in one call: the fixed-work
+  witness for the oblivious kernels and the vector cipher.
 
 **Which metrics must match across cells.**  Only metrics that are pure
 functions of the workload shape are compared across *different*
@@ -51,6 +54,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy
 
 from repro.core.config import SnoopyConfig
 from repro.core.snoopy import Snoopy
@@ -461,3 +466,51 @@ def assert_equivalent(
             f"{reference.key}: {run.invariant_metrics} != "
             f"{reference.invariant_metrics}"
         )
+
+
+class _Counted:
+    """A numpy callable that logs (name, ndarray operand shapes, dtypes)."""
+
+    def __init__(self, fn, name, log):
+        self._fn, self._name, self._log = fn, name, log
+
+    def __call__(self, *args, **kwargs):
+        operands = list(args) + list(kwargs.values())
+        arrays = [a for a in operands if isinstance(a, numpy.ndarray)]
+        self._log.append((
+            self._name,
+            tuple(a.shape for a in arrays),
+            tuple(a.dtype.str for a in arrays),
+        ))
+        return self._fn(*args, **kwargs)
+
+    def __getattr__(self, attr):
+        return _Counted(
+            getattr(self._fn, attr), f"{self._name}.{attr}", self._log
+        )
+
+
+class _CountingNumpy:
+    """Thin shim standing in for the numpy module inside a module."""
+
+    def __init__(self):
+        self.log = []
+
+    def __getattr__(self, name):
+        attr = getattr(numpy, name)
+        if isinstance(attr, type) or not callable(attr):
+            return attr
+        return _Counted(attr, name, self.log)
+
+
+def array_ops(monkeypatch, module, call) -> List[tuple]:
+    """The whole-array numpy calls ``module`` makes in one ``call()``,
+    in order.  A first, unlogged call warms per-thread scratch and
+    caches; only ``module.np`` is swapped, so operators (``@``, ``+``)
+    and methods on arrays stay invisible to the log."""
+    call()
+    shim = _CountingNumpy()
+    monkeypatch.setattr(module, "np", shim)
+    call()
+    monkeypatch.undo()
+    return shim.log

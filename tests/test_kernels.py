@@ -43,6 +43,7 @@ from repro.oblivious.sort import (
 from repro.security.simulator import simulate_suboram_store_sequence
 from repro.suboram.suboram import SubOram
 from repro.types import BatchEntry, OpType, Request
+from tests.harness import array_ops
 
 PY = KERNELS["python"]
 NP = KERNELS["numpy"]
@@ -105,51 +106,6 @@ class TestLevelArrays:
 # ---------------------------------------------------------------------------
 # Fixed work: the same whole-array operations whatever the data
 # ---------------------------------------------------------------------------
-class _Counted:
-    """A numpy callable that logs (name, ndarray operand shapes, dtypes)."""
-
-    def __init__(self, fn, name, log):
-        self._fn, self._name, self._log = fn, name, log
-
-    def __call__(self, *args, **kwargs):
-        operands = list(args) + list(kwargs.values())
-        arrays = [a for a in operands if isinstance(a, numpy.ndarray)]
-        self._log.append((
-            self._name,
-            tuple(a.shape for a in arrays),
-            tuple(a.dtype.str for a in arrays),
-        ))
-        return self._fn(*args, **kwargs)
-
-    def __getattr__(self, attr):
-        return _Counted(
-            getattr(self._fn, attr), f"{self._name}.{attr}", self._log
-        )
-
-
-class _CountingNumpy:
-    """Thin shim standing in for the numpy module inside the kernels."""
-
-    def __init__(self):
-        self.log = []
-
-    def __getattr__(self, name):
-        attr = getattr(numpy, name)
-        if isinstance(attr, type) or not callable(attr):
-            return attr
-        return _Counted(attr, name, self.log)
-
-
-def _array_ops(monkeypatch, call):
-    """The whole-array operations one kernel call executes, in order."""
-    call()  # warm the per-thread scratch and the level cache
-    shim = _CountingNumpy()
-    monkeypatch.setattr(kernels_module, "np", shim)
-    call()
-    monkeypatch.undo()
-    return shim.log
-
-
 class TestFixedWork:
     N = 37  # pads to m = 64: 6 compaction layers, 21 sort levels
 
@@ -163,7 +119,10 @@ class TestFixedWork:
             [1] * 5 + [0] * (self.N - 5),
         ]
         logs = [
-            _array_ops(monkeypatch, lambda f=flags: NP.compact(items, f))
+            array_ops(
+                monkeypatch, kernels_module,
+                lambda f=flags: NP.compact(items, f),
+            )
             for flags in flag_vectors
         ]
         assert all(log == logs[0] for log in logs[1:])
@@ -180,7 +139,10 @@ class TestFixedWork:
             [rng.randrange(10) for _ in range(self.N)],
         ]
         logs = [
-            _array_ops(monkeypatch, lambda c=col: NP.sort(items, [c]))
+            array_ops(
+                monkeypatch, kernels_module,
+                lambda c=col: NP.sort(items, [c]),
+            )
             for col in key_columns
         ]
         assert all(log == logs[0] for log in logs[1:])
@@ -192,7 +154,9 @@ class TestFixedWork:
         slots): how many objects hit a slot, and how many of those are
         (permitted) writes, is what padding to f(R, S) hides — it must not
         pick the operations, nor their shapes or dtypes.  The write-back
-        select runs on the widest word dividing ``value_size``."""
+        select runs on the widest word dividing ``value_size``, and the
+        response scatter and the write-back share one probe: one
+        ``argmax`` over the objects' bucket rows per scan."""
         for value_size, word in ((7, "|u1"), (12, "<u4"), (160, "<u8")):
             self._scan_work(monkeypatch, value_size, word)
 
@@ -233,8 +197,9 @@ class TestFixedWork:
         lookup = _lookup_rows(buckets, tiers)
         outcomes, logs = {}, {}
         for name, case in tables.items():
-            logs[name] = _array_ops(
+            logs[name] = array_ops(
                 monkeypatch,
+                kernels_module,
                 lambda c=case: outcomes.__setitem__(name, _scan_columns(
                     obj_keys, obj_values, buckets, tiers, c, value_size
                 )),
@@ -252,6 +217,11 @@ class TestFixedWork:
                        (num_objects, 1)),
             (word, word, "|b1"),
         )]
+        probe_width = sum(size for _, size in tiers)
+        probes = [op for op in logs["mixed"] if op[0] == "argmax"]
+        assert probes == [
+            ("argmax", ((num_objects, probe_width),), ("|b1",))
+        ]
         # The cases really differ in what they hide.
         assert sum(outcomes["all-dummy"][1]) == 0
         assert sum(outcomes["all-hit reads"][1]) == num_objects

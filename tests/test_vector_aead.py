@@ -16,14 +16,18 @@ so the tests here pin:
   fresh keystream from a fresh nonce, never reusing (key, nonce) across
   epochs (see SECURITY.md);
 * store integration for ``crypto="vector"`` including pickle
-  round-trips and mixed scalar/batch states.
+  round-trips and mixed scalar/batch states;
+* fixed work: the NumPy calls a seal or an open makes are a function of
+  the batch shape, never of the plaintext, key or nonce.
 """
 
+import itertools
 import os
 import pickle
 
 import pytest
 
+from repro.crypto import vector as vector_module
 from repro.crypto.aead import NONCE_LEN, TAG_LEN
 from repro.crypto.vector import VectorAead
 from repro.errors import ConfigurationError, IntegrityError
@@ -33,6 +37,7 @@ from repro.suboram.store import (
     EncryptedStore,
     resolve_crypto,
 )
+from tests.harness import array_ops
 
 KEY = b"vector-aead-test-key-0123456789ab"[:32]
 
@@ -78,14 +83,16 @@ class TestBackendBitIdentity:
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_lane_wider_than_one_matmul_block(self, count):
-        """8200 bytes = 2054 limbs: past the 2^11-limb exactness bound,
-        so the MAC sums two column blocks — same tag as the reference."""
-        plain_size = 8200
+        """Lanes of 257, 504 and 2054 limbs: past the 256-limb block whose
+        float64 sums stay exact, so the MAC sums two or more column
+        blocks (with and without aad) — same bytes as the reference."""
         fast = VectorAead(KEY, backend="numpy")
         slow = VectorAead(KEY, backend="py")
         nonce = nonce_for(77)
-        plain = b"".join(lane_plain(plain_size, i) for i in range(count))
-        for aad in (b"", b"odd"):
+        for plain_size, aad in itertools.product(
+            (1012, 2000, 8200), (b"", b"odd")
+        ):
+            plain = b"".join(lane_plain(plain_size, i) for i in range(count))
             sealed = bytes(
                 fast.seal_lanes(nonce, plain, count, plain_size, aad=aad)
             )
@@ -96,11 +103,14 @@ class TestBackendBitIdentity:
                 fast.open_lanes(nonce, sealed, count, plain_size, aad=aad)
             ) == plain
 
-    @pytest.mark.parametrize("plain_size", [8176, 32768])
+    @pytest.mark.parametrize("plain_size", [1008, 1012, 8176, 32768])
     def test_mac_is_exact_on_saturated_limbs(self, plain_size):
-        """All-ones ciphertext at exactly 2^11 limbs (one full block, the
-        largest sums a uint64 matmul may hold) and at 2^13 limbs (which
-        one unblocked matmul would wrap): still the exact-integer tag."""
+        """All-ones ciphertext at exactly 256 limbs (one full column
+        block: the largest sums a float64 product keeps exact, 256
+        products below 2^45 each), at 257 (one limb into a second
+        block), and at 2^11 and ~2^13 limbs (many blocks, each
+        cast and reduced before it joins the total): still the
+        exact-integer tag."""
         import numpy as np
 
         fast = VectorAead(KEY, backend="numpy")
@@ -109,10 +119,31 @@ class TestBackendBitIdentity:
         ct = b"\xff" * plain_size
         matrix = np.frombuffer(ct * 2, dtype=np.uint8).reshape(2, plain_size)
         tags = fast._lane_tags_np(ts, 2, plain_size, 5, b"", matrix, None)
-        assert [bytes(row) for row in tags] == [
+        assert [row.tobytes() for row in tags] == [
             slow._lane_tag_py(ts, lane, ct, b"", plain_size)
             for lane in (5, 6)
         ]
+
+    @pytest.mark.parametrize("count", [1, 511, 512, 513, 1025, 16384])
+    def test_row_blocks_identical_across_backends(self, count):
+        """Lane counts around the 512-lane row block: a batch of one,
+        the remainder product alone, stacked full blocks alone, and
+        stacked blocks plus a remainder — every lane the reference's
+        bytes, and the NumPy open accepts them."""
+        fast = VectorAead(KEY, backend="numpy")
+        slow = VectorAead(KEY, backend="py")
+        nonce = nonce_for(count)
+        plain_size = 8
+        plain = b"".join(lane_plain(plain_size, i) for i in range(count))
+        sealed = bytes(fast.seal_lanes(
+            nonce, plain, count, plain_size, lane_base=3
+        ))
+        assert sealed == bytes(slow.seal_lanes(
+            nonce, plain, count, plain_size, lane_base=3
+        ))
+        assert bytes(fast.open_lanes(
+            nonce, sealed, count, plain_size, lane_base=3
+        )) == plain
 
     @pytest.mark.parametrize("lane_base", [0, 5, 1 << 33])
     def test_lane_base_and_aad_identical(self, lane_base):
@@ -150,6 +181,52 @@ class TestBackendBitIdentity:
         assert bytes(aead.open_lanes(nonce, b"", 0, 16)) == b""
 
 
+class TestFixedWork:
+    """The lane MAC and keystream run the same whole-array operations —
+    names, operand shapes, dtypes — whatever the data."""
+
+    def test_seal_and_open_do_the_same_work_whatever_the_data(
+        self, monkeypatch
+    ):
+        count, size = 1030, 24  # two stacked 512-lane blocks + 6 more
+        cases = [
+            (KEY, nonce_for(1), bytes(count * size)),
+            (b"another key", nonce_for(2), b"\xff" * (count * size)),
+            (KEY, nonce_for(3), b"".join(
+                lane_plain(size, i, salt=5) for i in range(count)
+            )),
+        ]
+        logs = []
+        for key, nonce, plain in cases:
+            aead = VectorAead(key)
+            sealed = bytes(aead.seal_lanes(nonce, plain, count, size))
+            logs.append((
+                array_ops(monkeypatch, vector_module, lambda: aead.seal_lanes(
+                    nonce, plain, count, size
+                )),
+                array_ops(monkeypatch, vector_module, lambda: aead.open_lanes(
+                    nonce, sealed, count, size
+                )),
+            ))
+        assert all(log == logs[0] for log in logs[1:])
+        width = 2 + size // 4 + 2
+        for log in logs[0]:
+            assert [op[1] for op in log if op[0] == "matmul"] == [
+                ((2, 512, width), (width, 10), (2, 512, 10)),
+                ((6, width), (width, 10), (6, 10)),
+            ]
+
+    def test_seal_one_is_one_unpadded_row(self, monkeypatch):
+        aead = VectorAead(KEY)
+        log = array_ops(monkeypatch, vector_module, lambda: aead.seal_one(
+            nonce_for(4), lane_plain(40, 0), lane=7
+        ))
+        width = 2 + 40 // 4 + 2
+        assert [op[1] for op in log if op[0] == "matmul"] == [
+            ((1, width), (width, 10), (1, 10))
+        ]
+
+
 class TestLaneInterop:
     """Scalar seal_one/open_one interoperate with whole-batch lanes."""
 
@@ -183,15 +260,16 @@ class TestAuthentication:
     def test_tamper_rejected_every_byte_region(self, backend):
         aead = VectorAead(KEY, backend=backend)
         nonce = nonce_for(5)
-        sealed = bytearray(aead.seal_lanes(
-            nonce, lane_plain(48, 0) + lane_plain(48, 1), 2, 48
-        ))
-        slot = 48 + TAG_LEN
-        for offset in (0, 47, 48, slot - 1, slot, 2 * slot - 1):
-            broken = bytearray(sealed)
-            broken[offset] ^= 0x01
-            with pytest.raises(IntegrityError):
-                aead.open_lanes(nonce, bytes(broken), 2, 48)
+        for size in (48, 13):  # tags 8-byte aligned in the slot, or not
+            sealed = bytearray(aead.seal_lanes(
+                nonce, lane_plain(size, 0) + lane_plain(size, 1), 2, size
+            ))
+            slot = size + TAG_LEN
+            for offset in (0, size - 1, size, slot - 1, slot, 2 * slot - 1):
+                broken = bytearray(sealed)
+                broken[offset] ^= 0x01
+                with pytest.raises(IntegrityError):
+                    aead.open_lanes(nonce, bytes(broken), 2, size)
 
     @pytest.mark.parametrize("backend", ["numpy", "py"])
     def test_truncation_rejected(self, backend):
