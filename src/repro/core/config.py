@@ -69,14 +69,14 @@ class SnoopyConfig:
             only changes how each fixed schedule level executes, never
             which addresses it touches (see
             :mod:`repro.oblivious.kernels`).
-        crypto: store-crypto selector, ``"vector"`` (default: whole
-            -store seal/open in one counter-mode pass per epoch) or
-            ``"scalar"`` (one HMAC-AEAD call per slot — the audited
-            oracle; byte-identical responses).  Public information: the
-            mode changes only how many Python calls move the same
-            uniform-size ciphertexts; nonces stay enclave-pinned and
-            ciphertext lengths are unchanged (SECURITY.md "The vector
-            crypto kernel").
+        crypto: store-crypto selector, ``"vector"`` (default: the
+            whole partition sealed and opened as one AES-GCM message
+            per epoch) or ``"scalar"`` (one HMAC-AEAD call per slot —
+            the audited oracle; byte-identical responses; the python
+            kernel always runs it).  Public information: the mode
+            changes only how many calls move the ciphertexts; nonces
+            stay enclave-pinned and sealed lengths are functions of
+            shape (SECURITY.md "The vector crypto kernel").
         task_timeout: per-task timeout in seconds for pooled backends
             (None = unbounded).  An overrun raises
             :class:`~repro.errors.TaskTimeoutError`, a retryable fault.

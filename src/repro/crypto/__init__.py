@@ -1,11 +1,12 @@
 """Cryptographic substrate: keyed PRFs, AEAD channels, and digests.
 
-Built entirely on the standard library (``hmac``/``hashlib``) since the
-reproduction environment is offline.  The AEAD construction here is an
-encrypt-then-MAC scheme over an HMAC-derived keystream; it exists to model
-the *system behaviour* of authenticated encrypted channels (nonce handling,
-replay rejection, tamper detection), which is what Snoopy's protocol relies
-on.
+The PRFs, keys and the channel AEAD are built on the standard library
+(``hmac``/``hashlib``).  That AEAD is an encrypt-then-MAC scheme over a
+SHAKE-256 keystream; it models the *system behaviour* of authenticated
+encrypted channels (nonce handling, replay rejection, tamper detection),
+which is what Snoopy's protocol relies on, and is the store's per-slot
+oracle.  The store's deployed cipher, :class:`VectorAead`, is AES-256-GCM
+from the ``cryptography`` package: one call per partition per epoch.
 """
 
 from repro.crypto.keys import KeyChain, random_key

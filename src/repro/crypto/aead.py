@@ -17,8 +17,8 @@ channel record costs about as much as hashing it.  The goal is faithful
 *system* behaviour — tamper detection, nonce uniqueness, replay
 rejection — not a new cipher design.  This per-message scheme seals the
 channels and is the store's audited per-slot oracle
-(``crypto="scalar"``); the store's batch path is the counter-mode kernel
-of :mod:`repro.crypto.vector`.
+(``crypto="scalar"``); the store's batch path is the AES-GCM partition
+cipher of :mod:`repro.crypto.vector`.
 
 Replay protection
 =================

@@ -3,70 +3,49 @@
 The paper keeps bulk data in untrusted memory: "The enclave encrypts
 objects (for confidentiality) and stores digests of the contents inside
 the enclave (for integrity)."  :class:`EncryptedStore` models exactly
-that: host-side AEAD ciphertexts plus enclave-side integrity metadata.
-Reads authenticate; any host tampering raises
-:class:`~repro.errors.IntegrityError`.
-
-Zero-copy layout
-================
-
-The store is a structure of arrays: the host side is two contiguous
-buffers (all nonces back to back, all fixed-size ``ciphertext || tag``
-blobs back to back) rather than a Python list of per-slot tuples.  That
-single decision is what the whole batch hot path hangs off:
-
-* :meth:`EncryptedStore.get_batch` authenticates and decrypts the entire
-  store in one pass — one SHA-256 over the whole ciphertext buffer
-  (instead of one digest per slot), one
-  :meth:`~repro.crypto.vector.VectorAead.open_lanes` call, one NumPy
-  view as the ``(num_slots, value_size)`` value matrix the vectorized
-  scan kernel consumes.  No per-slot Python call, no per-object tuples.
-* :meth:`EncryptedStore.put_batch` is the mirror image for the
-  write-back: one fresh batch nonce, one
-  :meth:`~repro.crypto.vector.VectorAead.seal_lanes` call straight into
-  the host buffer, one whole-buffer digest pinned in the enclave.
-* The subORAM calls each **once per epoch**, not once per batch
-  (:meth:`~repro.suboram.suboram.SubOram.epoch`): one authenticated open
-  and one fresh-nonce reseal of every slot, a function of ``num_slots``.
-* Pickling (protocol 5) hands the contiguous buffers over as
-  :class:`pickle.PickleBuffer` views and drops the scratch and
-  telemetry fields, so a subORAM worker's sealed snapshot
-  (:mod:`repro.serve.workers`) holds the host buffers and integrity
-  metadata only, with no per-object pickle opcodes.
+that: host-side AEAD ciphertexts plus the nonces the enclave last wrote,
+pinned inside the enclave.  Reads authenticate; any host tampering
+raises :class:`~repro.errors.IntegrityError`.
 
 The crypto axis
 ===============
 
-``crypto`` selects the store's cipher and, with it, whether a batch path
-exists — this module is the one place the axis is defined
-(:data:`CRYPTO_MODES`, :data:`DEFAULT_CRYPTO`, :func:`resolve_crypto`):
+``crypto`` selects the store's cipher and its host layout — this module
+is the one place the axis is defined (:data:`CRYPTO_MODES`,
+:data:`DEFAULT_CRYPTO`, :func:`resolve_crypto`):
 
 * ``"scalar"`` — the audited oracle: the SHAKE-256/HMAC scheme of
-  :mod:`repro.crypto.aead`, one ``seal``/``open`` per slot, the slot
-  index bound as associated data.  No batch path
-  (``supports_batch`` is False).
-* ``"vector"`` — the deployed path: the counter-mode kernel of
-  :mod:`repro.crypto.vector`, the slot index bound as the keystream
-  lane; ``put_batch``/``get_batch`` move the whole store per call, and
-  the per-slot ``put``/``get`` seal a batch of one.
+  :mod:`repro.crypto.aead`, one ``seal``/``open`` per slot under the
+  slot's own fresh nonce, the slot index bound as associated data.  The
+  host holds a nonce and a ``ciphertext || tag`` blob per slot, and the
+  enclave pins every slot's nonce (rollback detection).  ``put``/``get``
+  work per slot, ``put_batch`` is the ``put`` loop, and there is no
+  ``get_batch``.
+* ``"vector"`` — the deployed path: the partition is one AES-GCM
+  message (:mod:`repro.crypto.vector`).  ``put_batch`` seals the whole
+  ``(num_slots, plain_size)`` plaintext under one fresh random nonce
+  straight into the host buffer of ``num_slots * plain_size + 16``
+  bytes, and the enclave pins that one nonce.  ``get_batch`` is one
+  ``decrypt_into`` under the pinned nonce into the store's resident
+  plaintext.  The GCM tag is the tamper check — a truncation, or two
+  slot regions swapped, fails it too, since slot position inside the
+  tagged buffer binds each row — and the pinned nonce is the rollback
+  check: a replayed older buffer fails under it.  A failed open zeroes
+  the resident plaintext before raising, so no unauthenticated byte is
+  ever released.  There is no per-slot ``put``; ``get`` reads one row
+  of a whole-store open.
 
-Integrity bookkeeping across both paths
-=======================================
+The subORAM calls ``get_batch`` and ``put_batch`` **once per epoch**
+(:meth:`~repro.suboram.suboram.SubOram.epoch`): one authenticated open
+and one fresh-nonce reseal of every slot, a function of ``num_slots``.
 
-The enclave pins, per slot, the last nonce *it* wrote; freshness never
-depends on host-held data.  Per-slot writes additionally keep a per-slot
-SHA-256 digest; batch writes keep one digest of the whole ciphertext
-buffer instead.  Reads then verify, in order: the pinned nonce (rollback
-detection), the freshest digest covering the slot (tamper detection at
-memcmp cost), and finally the AEAD tag bound to the slot index
-(cross-slot splicing detection).  A batch read counts the bytes it
-verified into the ``snoopy_store_verified_bytes_total`` telemetry
-counter.
-
-Instrumented subclasses that override ``put``/``get`` (e.g. the test
-harness's ``TracingStore``) automatically disable the batch fast path
-(``supports_batch`` is False), so per-slot access traces keep meaning
-what they always meant.
+Both layouts offer the same per-slot host view for attack tests:
+``host_ciphertext``/``host_tamper``/``host_rollback`` address a slot's
+region of the host buffer and the nonce that covers it.  Pickling
+(protocol 5) hands the host buffers over as :class:`pickle.PickleBuffer`
+views and drops the resident plaintext and the telemetry handle, so a
+subORAM worker's sealed snapshot (:mod:`repro.serve.workers`) holds the
+sealed state only.
 """
 
 from __future__ import annotations
@@ -77,14 +56,12 @@ from typing import Optional
 
 import numpy as np
 
-from repro.crypto.aead import AeadKey, NONCE_LEN, digest
+from repro.crypto.aead import AeadKey, NONCE_LEN, TAG_LEN
 from repro.crypto.vector import VectorAead
 from repro.errors import CapacityError, IntegrityError
 from repro.oblivious import soa
 from repro.telemetry import NULL_TELEMETRY
 from repro.utils.validation import require
-
-_DIGEST_LEN = 32
 
 #: Valid store-crypto selectors (see "The crypto axis" above).
 CRYPTO_MODES = ("scalar", "vector")
@@ -106,17 +83,10 @@ def resolve_crypto(crypto: Optional[str]) -> str:
 
 
 #: Store attributes held as contiguous buffers and pickled out-of-band.
-_BUFFER_FIELDS = (
-    "_host_nonces",
-    "_host_blobs",
-    "_pinned_nonces",
-    "_written",
-    "_slot_digests",
-    "_digest_fresh",
-)
+_BUFFER_FIELDS = ("_host_nonces", "_host_blobs", "_pinned_nonces", "_written")
 
 #: Ephemeral attributes rebuilt (empty) after any pickle round-trip.
-_EPHEMERAL_FIELDS = ("telemetry", "_scratch")
+_EPHEMERAL_FIELDS = ("telemetry", "_resident")
 
 
 def _rebuild_store(cls, state: dict, *buffers):
@@ -129,9 +99,15 @@ def _rebuild_store(cls, state: dict, *buffers):
     store.__dict__.update(state)
     for name, buf in zip(_BUFFER_FIELDS, buffers):
         store.__dict__[name] = bytearray(buf)
-    store._scratch = {}
+    store._resident = None
     store.telemetry = NULL_TELEMETRY
     return store
+
+
+def _decode(row) -> tuple:
+    """``(key, value)`` of one ``key(16 bytes, signed) || value`` row."""
+    row = bytes(row)
+    return int.from_bytes(row[:16], "big", signed=True), row[16:]
 
 
 class EncryptedStore:
@@ -141,10 +117,8 @@ class EncryptedStore:
     ``key(16 bytes, signed) || value``.  Every write re-encrypts under a
     fresh nonce so ciphertexts never repeat even for unchanged plaintext —
     this is what lets the subORAM's write-back scan hide which objects a
-    batch modified.  ``put``/``get`` are the per-slot path;
-    ``put_batch``/``get_batch`` move the same bytes through one
-    vectorized pass per epoch under ``crypto="vector"`` (see the module
-    docstring).
+    batch modified.  The two host layouts are described in the module
+    docstring.
     """
 
     def __init__(
@@ -159,159 +133,135 @@ class EncryptedStore:
         #: Store-crypto mode (see "The crypto axis" in the module
         #: docstring); exactly one of the two ciphers below is built.
         self.crypto = resolve_crypto(crypto)
-        self._aead = self._vec = None
-        if self.crypto == "vector":
-            self._vec = VectorAead(encryption_key)
-        else:
-            self._aead = AeadKey(encryption_key)
-        #: Epoch-reused scratch arrays for the batch crypto path (keyed
-        #: by shape; see :func:`repro.oblivious.soa.scratch_array`).
-        #: Never pickled — a shipped store re-grows its own.
-        self._scratch: dict = {}
         self.num_slots = num_slots
         self.value_size = value_size
         #: Plaintext bytes per slot: 16-byte signed key prefix + value.
         self.plain_size = 16 + value_size
-        #: Host ciphertext bytes per slot (uniform: plaintext + tag).
-        self.slot_size = self.plain_size + 32
-        # Host-visible contiguous buffers (untrusted memory).
-        self._host_nonces = bytearray(num_slots * NONCE_LEN)
-        self._host_blobs = bytearray(num_slots * self.slot_size)
-        # Host tampering with a non-uniform-length blob cannot live in the
-        # fixed-width buffer; it is tracked here and rejected on read.
-        self._odd_blobs: dict = {}
-        # Enclave-held integrity metadata.
-        self._pinned_nonces = bytearray(num_slots * NONCE_LEN)
-        self._written = bytearray(num_slots)
-        self._slot_digests = bytearray(num_slots * _DIGEST_LEN)
-        self._digest_fresh = bytearray(num_slots)
-        self._buffer_digest: Optional[bytes] = None
+        self._aead = self._gcm = None
+        if self.crypto == "vector":
+            self._gcm = VectorAead(encryption_key)
+            nonces = 1
+            #: Host bytes per slot region (vector: the row's ciphertext;
+            #: the one GCM tag trails the buffer).
+            self.slot_size = self.plain_size
+            sealed = VectorAead.sealed_len(num_slots, self.plain_size)
+        else:
+            self._aead = AeadKey(encryption_key)
+            nonces = num_slots
+            self.slot_size = self.plain_size + TAG_LEN
+            sealed = num_slots * self.slot_size
+        # Host-visible buffers (untrusted memory).
+        self._host_nonces = bytearray(nonces * NONCE_LEN)
+        self._host_blobs = bytearray(sealed)
+        # Enclave-held freshness state: the nonce(s) it last wrote.
+        self._pinned_nonces = bytearray(nonces * NONCE_LEN)
+        self._written = bytearray(nonces)
+        #: The enclave-side plaintext matrix ``get_batch`` decrypts into
+        #: and ``put_batch`` seals from (vector only; never pickled).
+        self._resident = None
         #: Telemetry handle; the owning subORAM attaches its live handle.
         self.telemetry = NULL_TELEMETRY
 
+    def _nonce_row(self, slot: int) -> int:
+        """The nonce covering ``slot``: its own, or the partition's."""
+        return slot if self._gcm is None else 0
+
     # ------------------------------------------------------------------
-    # Per-slot path (under ``crypto="scalar"``: the audited oracle)
+    # Per-slot path (``put`` exists only under ``crypto="scalar"``)
     # ------------------------------------------------------------------
     def put(self, slot: int, key: int, value: bytes) -> None:
-        """Encrypt and store an object, refreshing the slot digest.
+        """Encrypt and store one object under a fresh nonce.
 
         Raises:
             CapacityError: ``value`` is not exactly ``value_size`` bytes
                 (fixed-size slots are what keep ciphertext lengths
                 uniform; a ``ValueError`` subclass for compatibility).
+            RuntimeError: the store is ``crypto="vector"``, which reseals
+                whole partitions only (``put_batch``).
         """
+        if self._aead is None:
+            raise RuntimeError(
+                "per-slot put requires crypto='scalar'; the vector store "
+                "reseals whole partitions (put_batch)"
+            )
         if len(value) != self.value_size:
             raise CapacityError(
                 f"value must be exactly {self.value_size} bytes, got {len(value)}"
             )
         require(0 <= slot < self.num_slots, f"slot {slot} out of range")
-        plaintext = key.to_bytes(16, "big", signed=True) + value
         nonce = os.urandom(NONCE_LEN)
-        if self._vec is not None:
-            # The lane index binds the slot (splice detection); a batch
-            # of one under a fresh nonce.
-            blob = self._vec.seal_one(nonce, plaintext, lane=slot)
-        else:
-            blob = self._aead.seal(
-                nonce, plaintext, aad=slot.to_bytes(8, "big")
-            )
+        blob = self._aead.seal(
+            nonce,
+            key.to_bytes(16, "big", signed=True) + value,
+            aad=slot.to_bytes(8, "big"),
+        )
         nrow = slot * NONCE_LEN
         self._host_nonces[nrow : nrow + NONCE_LEN] = nonce
+        self._pinned_nonces[nrow : nrow + NONCE_LEN] = nonce
         brow = slot * self.slot_size
         self._host_blobs[brow : brow + self.slot_size] = blob
-        self._odd_blobs.pop(slot, None)
-        self._pinned_nonces[nrow : nrow + NONCE_LEN] = nonce
         self._written[slot] = 1
-        drow = slot * _DIGEST_LEN
-        self._slot_digests[drow : drow + _DIGEST_LEN] = digest(blob)
-        self._digest_fresh[slot] = 1
-        # A per-slot write invalidates the whole-buffer digest; the next
-        # batch read falls back to per-slot verification and re-pins it.
-        self._buffer_digest = None
 
     def get(self, slot: int) -> tuple:
-        """Fetch, authenticate, and decrypt slot contents; returns (key, value)."""
+        """Fetch, authenticate, and decrypt slot contents; returns (key, value).
+
+        Under ``crypto="vector"`` this is one row of a whole-store open,
+        decrypted into a fresh buffer so the resident plaintext of an
+        open epoch session is left alone.
+        """
         require(0 <= slot < self.num_slots, f"slot {slot} out of range")
+        if self._gcm is not None:
+            plain = np.empty((self.num_slots, self.plain_size), np.uint8)
+            return _decode(self._open(plain)[slot])
         if not self._written[slot]:
             raise IntegrityError(f"slot {slot} was never written")
-        nonce, blob = self._host_slot(slot)
-        self._verify_slot(slot, nonce, blob)
-        if self._vec is not None:
-            plaintext = self._vec.open_one(nonce, blob, lane=slot)
-        else:
-            plaintext = self._aead.open(
-                nonce, blob, aad=slot.to_bytes(8, "big")
+        if len(self._host_blobs) != self.num_slots * self.slot_size:
+            raise IntegrityError(
+                "host ciphertext buffer deviates from the uniform slot size"
             )
-        key = int.from_bytes(plaintext[:16], "big", signed=True)
-        return key, plaintext[16:]
-
-    def _host_slot(self, slot: int) -> tuple:
-        """The (nonce, blob) pair currently held by the untrusted host."""
+        nonce, blob = self.host_ciphertext(slot)
         nrow = slot * NONCE_LEN
-        nonce = bytes(self._host_nonces[nrow : nrow + NONCE_LEN])
-        if slot in self._odd_blobs:
-            return nonce, self._odd_blobs[slot]
-        brow = slot * self.slot_size
-        return nonce, bytes(self._host_blobs[brow : brow + self.slot_size])
-
-    def _verify_slot(self, slot: int, nonce: bytes, blob: bytes) -> None:
-        """Enclave-side freshness + integrity checks for one slot."""
-        nrow = slot * NONCE_LEN
-        if nonce != bytes(self._pinned_nonces[nrow : nrow + NONCE_LEN]):
+        if nonce != self._pinned_nonces[nrow : nrow + NONCE_LEN]:
             raise IntegrityError(
                 f"slot {slot} nonce does not match the enclave-pinned nonce"
             )
-        if self._digest_fresh[slot]:
-            drow = slot * _DIGEST_LEN
-            if digest(blob) != bytes(
-                self._slot_digests[drow : drow + _DIGEST_LEN]
-            ):
-                raise IntegrityError(
-                    f"slot {slot} ciphertext digest mismatch"
-                )
+        return _decode(
+            self._aead.open(nonce, blob, aad=slot.to_bytes(8, "big"))
+        )
 
     # ------------------------------------------------------------------
-    # Batch path (one vectorized pass over the whole store)
+    # Batch path (one AES-GCM pass over the whole store)
     # ------------------------------------------------------------------
     @property
     def supports_batch(self) -> bool:
-        """Whether the batch fast path preserves this instance's semantics.
+        """Whether this store moves whole partitions (``crypto="vector"``).
 
-        False under ``crypto="scalar"`` (the oracle is per-slot by
-        definition), for subclasses or instances that override
-        ``put``/``get`` (instrumented stores must see every per-slot
-        access).  Callers fall back to the per-slot loop.
+        The scalar oracle is per-slot by definition: its ``put_batch``
+        is the ``put`` loop and it has no ``get_batch``.
         """
-        if "get" in self.__dict__ or "put" in self.__dict__:
-            return False
-        cls = type(self)
-        return (
-            self._vec is not None
-            and cls.get is EncryptedStore.get
-            and cls.put is EncryptedStore.put
-        )
+        return self._gcm is not None
 
     def put_batch(self, keys, values) -> None:
-        """Re-encrypt and store every slot in one batch pass.
+        """Re-encrypt and store every slot.
 
         ``keys`` is the per-slot object key column (an int64 ndarray or
-        a list, one entry per slot, in slot order) and ``values`` either a ``(num_slots, value_size)``
-        uint8 matrix or a list of ``value_size``-byte strings.  One fresh
-        nonce seeds the whole batch keystream and each slot owns its own
-        lane of it (:meth:`~repro.crypto.vector.VectorAead.seal_lanes`),
-        sealed straight into the contiguous host buffer; the enclave
-        pins one digest of the whole buffer.  Byte movement:
-        ``num_slots * slot_size`` through one vectorized pass, counted in
-        ``snoopy_store_bytes_moved_total{op="seal"}``.  Without a batch
-        path (``supports_batch`` False) this is the per-slot ``put`` loop.
+        a list, in slot order) and ``values`` either a ``(num_slots,
+        value_size)`` uint8 matrix or a list of ``value_size``-byte
+        strings.  Under ``crypto="vector"`` this is one AES-GCM seal of
+        the whole plaintext under a fresh nonce, straight into the host
+        buffer; the enclave pins the nonce.  The value matrix
+        ``get_batch`` returned (updated in place by the scan) is already
+        resident and is not copied.  Counted in
+        ``snoopy_store_batch_seals_total`` and
+        ``snoopy_store_bytes_moved_total{op="seal"}``.  Under
+        ``crypto="scalar"`` this is the per-slot ``put`` loop.
         """
         n = self.num_slots
         if len(keys) != n:
             raise ValueError(f"{len(keys)} keys for {n} slots")
-        if not self.supports_batch:
+        if self._gcm is None:
             for slot, key in enumerate(keys):
-                value = values[slot]
-                self.put(slot, int(key), bytes(value))
+                self.put(slot, int(key), bytes(values[slot]))
             return
         if isinstance(values, np.ndarray):
             matrix = values
@@ -321,144 +271,72 @@ class EncryptedStore:
                     f"({n}, {self.value_size})"
                 )
         else:
-            try:
-                matrix, has = soa.values_to_matrix(
-                    list(values), self.value_size
-                )
-            except ValueError as exc:
-                raise CapacityError(str(exc)) from None
-            if not bool(has.all()) and n:
+            matrix, has = soa.values_to_matrix(list(values), self.value_size)
+            if not bool(has.all()):
                 raise CapacityError("put_batch values must all be present")
-        plain = soa.scratch_array(
-            self._scratch, "store_plain", (n, self.plain_size), np.uint8
-        )
+        plain = self._plain()
+        if not np.may_share_memory(matrix, plain):
+            plain[:, 16:] = matrix
         plain[:, :16] = soa.keys_to_prefix(keys)
-        plain[:, 16:] = matrix
         nonce = os.urandom(NONCE_LEN)
-        raw_nonces = nonce * n
-        self._vec.seal_lanes(
-            nonce,
-            plain,
-            n,
-            self.plain_size,
-            out=memoryview(self._host_blobs),
-            scratch=self._scratch,
+        self._gcm.seal_lanes(
+            nonce, plain, n, self.plain_size, out=self._host_blobs
         )
-        self.telemetry.counter("snoopy_keystream_derivations_total").inc()
-        self._host_nonces[:] = raw_nonces
-        self._odd_blobs.clear()
-        self._pinned_nonces[:] = raw_nonces
-        self._written[:] = b"\x01" * n
-        self._digest_fresh[:] = b"\x00" * n
-        self._buffer_digest = digest(self._host_blobs)
+        self._host_nonces[:] = nonce
+        self._pinned_nonces[:] = nonce
+        self._written[0] = 1
         self.telemetry.counter("snoopy_store_batch_seals_total").inc()
         self.telemetry.counter(
             "snoopy_store_bytes_moved_total", op="seal"
-        ).inc(n * self.slot_size)
+        ).inc(len(self._host_blobs))
 
     def get_batch(self) -> tuple:
-        """Authenticate and decrypt the whole store in one batch pass.
+        """Authenticate and decrypt the whole store in one pass.
 
         Returns ``(keys, values)``: the int64 key column and the
         ``(num_slots, value_size)`` uint8 value matrix, both in slot
         order — exactly the SoA inputs of
-        :meth:`~repro.oblivious.kernels.NumpyKernel.scan_soa`.  Integrity
-        comes from (in order) the enclave-pinned nonces (rollback), one
-        digest pass over the contiguous ciphertext buffer — or the
-        per-slot digests where fresher — (tamper at memcmp cost, counted
-        in ``snoopy_store_verified_bytes_total``), and every slot's
-        per-lane tag (splicing).  Raises :class:`IntegrityError` on any
-        deviation, including non-uniform ciphertext lengths.
+        :meth:`~repro.oblivious.kernels.NumpyKernel.scan_soa`.
+        ``values`` is a view of the resident plaintext, which the scan
+        may update in place before handing it back to ``put_batch``.
+        One ``decrypt_into`` under the enclave-pinned nonce; raises
+        :class:`IntegrityError` on a never-sealed store, a wrong-length
+        host buffer, or a failed tag (tamper, splice, rollback), with
+        the resident plaintext zeroed.  Counted in
+        ``snoopy_store_batch_opens_total`` and
+        ``snoopy_store_bytes_moved_total{op="open"}``.
         """
-        if not self.supports_batch:
+        if self._gcm is None:
             raise RuntimeError(
-                "get_batch requires crypto='vector' and an uninstrumented "
-                "per-slot get/put; use per-slot get()"
+                "get_batch requires crypto='vector'; the scalar oracle "
+                "reads per slot (get)"
             )
-        n = self.num_slots
-        missing = self._written.find(0)
-        if missing >= 0:
-            raise IntegrityError(f"slot {missing} was never written")
-        if self._odd_blobs:
-            raise IntegrityError(
-                f"slot {min(self._odd_blobs)} ciphertext length deviates "
-                "from the uniform slot size"
-            )
-        raw_nonces = bytes(self._host_nonces)
-        if raw_nonces != bytes(self._pinned_nonces):
-            bad = next(
-                slot
-                for slot in range(n)
-                if raw_nonces[slot * NONCE_LEN : (slot + 1) * NONCE_LEN]
-                != bytes(
-                    self._pinned_nonces[
-                        slot * NONCE_LEN : (slot + 1) * NONCE_LEN
-                    ]
-                )
-            )
-            raise IntegrityError(
-                f"slot {bad} nonce does not match the enclave-pinned nonce"
-            )
-        # One snapshot: the digest, the tags and the decryption all see
-        # the same bytes, whatever the host writes meanwhile.
-        blob_buf = bytes(self._host_blobs)
-        if self._buffer_digest is not None:
-            if digest(blob_buf) != self._buffer_digest:
-                raise IntegrityError("store ciphertext buffer digest mismatch")
-            self.telemetry.counter("snoopy_store_verified_bytes_total").inc(
-                len(blob_buf)
-            )
-        else:
-            # Mixed state after per-slot writes: verify the slots that
-            # still carry fresh per-slot digests one by one.
-            for slot in range(n):
-                if self._digest_fresh[slot]:
-                    brow = slot * self.slot_size
-                    blob = blob_buf[brow : brow + self.slot_size]
-                    drow = slot * _DIGEST_LEN
-                    if digest(blob) != bytes(
-                        self._slot_digests[drow : drow + _DIGEST_LEN]
-                    ):
-                        raise IntegrityError(
-                            f"slot {slot} ciphertext digest mismatch"
-                        )
-        plain = self._open_lanes(raw_nonces, blob_buf)
+        plain = self._open(self._plain())
         self.telemetry.counter("snoopy_store_batch_opens_total").inc()
         self.telemetry.counter(
             "snoopy_store_bytes_moved_total", op="open"
-        ).inc(len(blob_buf))
-        keys = soa.prefix_to_keys(plain[:, :16])
-        return keys, plain[:, 16:]
+        ).inc(len(self._host_blobs))
+        return soa.prefix_to_keys(plain[:, :16]), plain[:, 16:]
 
-    def _open_lanes(self, raw_nonces: bytes, blob_buf: bytes):
-        """Whole-store open, as a plaintext matrix.
-
-        The fast path applies when every slot shares the batch nonce of
-        the last ``put_batch`` — one ``open_lanes`` call for the whole
-        store.  After interleaved per-slot writes (mixed nonces)
-        each slot opens individually under its own stored nonce; both
-        paths verify every tag before releasing plaintext.
-        """
-        n = self.num_slots
-        nonce0 = raw_nonces[:NONCE_LEN]
-        if raw_nonces == nonce0 * n:
-            return self._vec.open_lanes(
-                nonce0,
-                blob_buf,
-                n,
-                self.plain_size,
-                scratch=self._scratch,
-                as_matrix=True,
+    def _plain(self):
+        """The resident plaintext matrix, allocated once per store."""
+        if self._resident is None:
+            self._resident = np.empty(
+                (self.num_slots, self.plain_size), dtype=np.uint8
             )
-        plain = soa.scratch_array(
-            self._scratch, "store_plain_mixed", (n, self.plain_size), np.uint8
+        return self._resident
+
+    def _open(self, out):
+        """Decrypt the sealed partition into ``out`` under the pinned nonce."""
+        if not self._written[0]:
+            raise IntegrityError("the partition was never sealed")
+        return self._gcm.open_lanes(
+            bytes(self._pinned_nonces),
+            self._host_blobs,
+            self.num_slots,
+            self.plain_size,
+            out=out,
         )
-        for slot in range(n):
-            nonce = raw_nonces[slot * NONCE_LEN : (slot + 1) * NONCE_LEN]
-            blob = blob_buf[slot * self.slot_size : (slot + 1) * self.slot_size]
-            row = self._vec.open_one(nonce, blob, lane=slot)
-            plain[slot] = np.frombuffer(row, dtype=np.uint8)
-        return plain
 
     # ------------------------------------------------------------------
     # Pickling (protocol 5): the host buffers as buffer views.
@@ -466,9 +344,10 @@ class EncryptedStore:
     def __reduce_ex__(self, protocol):
         """Pickle the buffers as :class:`pickle.PickleBuffer` views.
 
-        The scratch and telemetry fields are dropped and rebuilt empty,
-        so a worker snapshot carries only the sealed state.  Below
-        protocol 5 (``copy.deepcopy``) the default reduction applies.
+        The resident plaintext and the telemetry handle are dropped and
+        rebuilt empty, so a worker snapshot carries only the sealed
+        state.  Below protocol 5 (``copy.deepcopy``) the default
+        reduction applies.
         """
         if protocol < 5:
             return super().__reduce_ex__(protocol)
@@ -488,24 +367,34 @@ class EncryptedStore:
     # Host-attack surface, used by integrity tests.
     # ------------------------------------------------------------------
     def host_ciphertext(self, slot: int) -> Optional[tuple]:
-        """What the untrusted host sees for a slot."""
-        if not self._written[slot] and slot not in self._odd_blobs:
+        """What the untrusted host holds for a slot: ``(nonce, region)``.
+
+        ``nonce`` is the one covering the slot (its own under scalar,
+        the partition's under vector) and ``region`` the slot's bytes of
+        the host buffer.
+        """
+        row = self._nonce_row(slot)
+        if not self._written[row]:
             return None
-        return self._host_slot(slot)
+        nrow = row * NONCE_LEN
+        brow = slot * self.slot_size
+        return (
+            bytes(self._host_nonces[nrow : nrow + NONCE_LEN]),
+            bytes(self._host_blobs[brow : brow + self.slot_size]),
+        )
 
     def host_tamper(self, slot: int, blob: bytes) -> None:
-        """Simulate the host overwriting a ciphertext."""
-        blob = bytes(blob)
-        if len(blob) == self.slot_size:
-            brow = slot * self.slot_size
-            self._host_blobs[brow : brow + self.slot_size] = blob
-            self._odd_blobs.pop(slot, None)
-        else:
-            self._odd_blobs[slot] = blob
+        """Simulate the host overwriting a slot's region.
+
+        A ``blob`` of another length resizes the host buffer, shifting
+        every later byte: the truncation/extension attack.
+        """
+        brow = slot * self.slot_size
+        self._host_blobs[brow : brow + self.slot_size] = bytes(blob)
 
     def host_rollback(self, slot: int, old: tuple) -> None:
-        """Simulate the host replaying an old (nonce, blob) pair."""
+        """Simulate the host replaying an old ``(nonce, region)`` pair."""
         nonce, blob = old
-        nrow = slot * NONCE_LEN
+        nrow = self._nonce_row(slot) * NONCE_LEN
         self._host_nonces[nrow : nrow + NONCE_LEN] = nonce
         self.host_tamper(slot, blob)

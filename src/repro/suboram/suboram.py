@@ -33,9 +33,10 @@ opens the store (every integrity check), each builds its own table under
 its own fresh batch key and scans the plaintext columns the previous one
 left resident, and the last reseals every slot under a fresh nonce.  A
 ``batch_access`` outside a session is a session of one.  Only the
-vectorized whole-store path (numpy kernel, ``crypto="vector"``,
-uninstrumented store) keeps anything resident: the per-slot paths — the
-Figure 19 oracle — run their ``get``/``put`` schedule per batch.
+whole-store path (numpy kernel, ``crypto="vector"``) keeps anything
+resident: the per-slot scalar store — the Figure 19 oracle, and the
+only store the python kernel runs (:func:`store_crypto`) — keeps its
+``get``/``put`` schedule per batch.
 """
 
 from __future__ import annotations
@@ -61,6 +62,18 @@ from repro.types import OpType
 from repro.utils.validation import require, require_positive
 
 
+def store_crypto(kernel, crypto: Optional[str]) -> str:
+    """The store crypto a subORAM on ``kernel`` runs.
+
+    Validates ``crypto`` (``None`` = the store's default).  The python
+    kernel's scan is the per-slot Figure 19 oracle, and only the scalar
+    store has a per-slot ``put``, so that kernel always runs
+    ``"scalar"``.
+    """
+    crypto = resolve_crypto(crypto)
+    return crypto if resolve_kernel(kernel).vectorized else "scalar"
+
+
 def _session(batches: int) -> SimpleNamespace:
     """An epoch session: batches still to come, resident plaintext columns."""
     return SimpleNamespace(remaining=batches, okeys=None, ovals=None)
@@ -82,15 +95,10 @@ class SubOram:
         crypto: store-crypto selector (see :mod:`repro.suboram.store`;
             ``None`` = its ``DEFAULT_CRYPTO``): ``"scalar"`` seals/opens
             one slot per HMAC-AEAD call (the audited oracle);
-            ``"vector"`` moves whole-store reads and the write-back
-            re-encryption through the counter-mode cipher of
-            :mod:`repro.crypto.vector` — one nonce-derived keystream and
-            one vectorized polynomial-MAC pass per epoch, O(1) Python
-            calls regardless of store size, same plaintext responses
-            (ciphertext bytes differ from the HMAC scheme; lengths and
-            schedules do not).  Vector mode degrades to per-slot calls
-            of the same cipher when the batch prerequisites are absent
-            (python kernel, or an instrumented store subclass).
+            ``"vector"`` opens and reseals the whole partition as one
+            AES-GCM message per epoch (:mod:`repro.crypto.vector`),
+            same plaintext responses.  The python kernel always runs
+            the scalar store (:func:`store_crypto`).
     """
 
     def __init__(
@@ -107,7 +115,7 @@ class SubOram:
         self.value_size = value_size
         self.security_parameter = security_parameter
         self.kernel = resolve_kernel(kernel)
-        self.crypto = resolve_crypto(crypto)
+        self.crypto = store_crypto(self.kernel, crypto)
         self._keychain = keychain if keychain is not None else KeyChain()
         self._store: Optional[EncryptedStore] = None
         self._keys: List[int] = []  # physical slot -> object key (scan order)
@@ -190,7 +198,7 @@ class SubOram:
         # Only the whole-store batch passes run long enough without the
         # GIL to be worth overlapping with another unit's.
         store = self._store
-        bulk = store.supports_batch and self.kernel.vectorized
+        bulk = store.supports_batch
         nbytes = store.num_slots * store.slot_size if bulk else 0
         # Outside an epoch session a batch is a session of one.
         session = self._session or _session(1)
@@ -338,9 +346,9 @@ class SubOram:
         path (``crypto="vector"``) the matrix written is the plaintext
         resident in ``session``, so a batch allocates no new
         ``(num_objects, value_size)`` matrix.  Otherwise the same kernel
-        runs between per-slot ``get``/``put`` calls — under
-        ``crypto="scalar"`` the audited per-slot crypto oracle.  Outputs
-        are byte-identical to :meth:`_scan_reference` either way.
+        runs between the scalar store's per-slot ``get``/``put`` calls,
+        the audited per-slot crypto oracle.  Outputs are byte-identical
+        to :meth:`_scan_reference` either way.
         """
         store = self._store
         if store.supports_batch:

@@ -54,10 +54,8 @@ What gets instrumented when a ``Telemetry`` handle is threaded through
 * store crypto (``crypto="vector"``'s batch path) —
   ``snoopy_store_batch_seals_total`` /
   ``snoopy_store_batch_opens_total`` (one increment per whole-store
-  batch pass), ``snoopy_keystream_derivations_total`` (one fresh-nonce
-  keystream derivation per batch — the observable behind SECURITY.md's
-  keystream-reuse invariant), ``snoopy_store_bytes_moved_total{op}``
-  and ``snoopy_store_verified_bytes_total``.  These are throughput
+  AES-GCM pass, each reseal under a fresh nonce) and
+  ``snoopy_store_bytes_moved_total{op}``.  These are throughput
   diagnostics: the differential harness excludes them from the
   workload-invariant public slice it compares across configurations;
 * retry/replication — ``retry_epochs_failed_total`` /

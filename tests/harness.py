@@ -15,10 +15,11 @@ asserting byte-identical responses and identical workload-invariant
 public telemetry for every cell.  The crypto axis is the store-crypto
 selector of :class:`~repro.core.config.SnoopyConfig`: ``"scalar"`` seals
 one slot per HMAC-AEAD call (the audited oracle) and ``"vector"``
-re-encrypts the whole store through the counter-mode
-:class:`~repro.crypto.vector.VectorAead` cipher (one keystream + one
-polynomial-MAC pass per batch) — the matrix proves both serve identical
-bytes on every backend.
+seals the whole partition as one AES-GCM message
+(:class:`~repro.crypto.vector.VectorAead`) — the matrix proves both
+serve identical bytes on every backend.  The python kernel runs the
+scalar store only (:func:`repro.suboram.suboram.store_crypto`), so a
+python/vector cell is the python/scalar cell and is run once.
 
 Key pieces:
 
@@ -36,7 +37,7 @@ Key pieces:
   python, fault-free by construction: the first cell);
 * :func:`array_ops` — the op log (name, operand shapes, dtypes) of the
   whole-array NumPy calls one module makes in one call: the fixed-work
-  witness for the oblivious kernels and the vector cipher.
+  witness for the oblivious kernels.
 
 **Which metrics must match across cells.**  Only metrics that are pure
 functions of the workload shape are compared across *different*
@@ -61,7 +62,7 @@ from repro.core.config import SnoopyConfig
 from repro.core.snoopy import Snoopy
 from repro.crypto.keys import KeyChain
 from repro.suboram.store import EncryptedStore
-from repro.suboram.suboram import SubOram
+from repro.suboram.suboram import SubOram, store_crypto
 from repro.telemetry import Telemetry
 from repro.types import OpType, Request
 
@@ -75,15 +76,18 @@ INVARIANT_METRICS = (
 
 
 class TracingStore(EncryptedStore):
-    """An encrypted store that logs every slot access.
+    """A scalar encrypted store that logs every slot access.
 
-    The log rides on the instance, so an atomic epoch's deep copy of
-    the subORAM extends and installs it — making traces comparable
-    across all backends and fault plans.
+    Only the scalar store has a per-slot ``put``, so the witness is
+    always ``crypto="scalar"``: the subORAM runs the per-slot Figure 19
+    schedule over it whatever its kernel.  The log rides on the
+    instance, so an atomic epoch's deep copy of the subORAM extends and
+    installs it — making traces comparable across all backends and
+    fault plans.
     """
 
-    def __init__(self, encryption_key, num_slots, value_size, crypto=None):
-        super().__init__(encryption_key, num_slots, value_size, crypto)
+    def __init__(self, encryption_key, num_slots, value_size):
+        super().__init__(encryption_key, num_slots, value_size, "scalar")
         self.access_log = []
 
     def get(self, slot):
@@ -107,11 +111,9 @@ class TracingSubOram(SubOram):
             self._keychain.subkey(f"suboram/{self.suboram_id}/storage"),
             num_slots=self._store.num_slots,
             value_size=self.value_size,
-            crypto=self.crypto,
         )
-        for slot in range(self._store.num_slots):
-            key, value = self._store.get(slot)
-            tracing.put(slot, key, value)
+        for slot, key in enumerate(self._keys):
+            tracing.put(slot, key, objects[key])
         tracing.access_log.clear()
         self._store = tracing
 
@@ -325,7 +327,8 @@ class RunResult:
     Attributes:
         backend: the execution-backend spec of this cell.
         kernel: the oblivious-kernel name of this cell.
-        crypto: the store-crypto mode (``"scalar"`` or ``"vector"``).
+        crypto: the store-crypto mode the cell's subORAMs ran
+            (``"scalar"`` or ``"vector"``; see :func:`differential_run`).
         plan_name: the fault-plan label (``"fault-free"`` or a label the
             caller chose).
         responses: per-epoch response lists, in epoch order.
@@ -389,21 +392,24 @@ def differential_run(
     :func:`run_workload`); cell results remain directly comparable to a
     sequential run's.
 
-    Returns the cells in matrix order — plans outermost, then cryptos,
-    then kernels, then backends — so ``results[0]`` is the fault-free
-    reference cell when the axes keep their defaults, and the scalar
-    (oracle-crypto) cells come first when ``cryptos=("scalar",
-    "vector")``.
+    Each cell records the store crypto its subORAMs actually ran
+    (:func:`~repro.suboram.suboram.store_crypto`: the python kernel
+    runs the scalar store), and a cell equal to an earlier one runs
+    once.  Returns the cells in matrix order — plans outermost, then
+    cryptos, then kernels, then backends — so ``results[0]`` is the
+    fault-free reference cell when the axes keep their defaults, and
+    the scalar (oracle-crypto) cells come first when
+    ``cryptos=("scalar", "vector")``.
     """
-    cells = [
-        (plan_name, plan_spec, crypto, kernel, backend)
+    cells = {
+        (plan_name, store_crypto(kernel, crypto), kernel, backend): plan_spec
         for plan_name, plan_spec in fault_plans
         for crypto in cryptos
         for kernel in kernels
         for backend in backends
-    ]
+    }
     results = []
-    for plan_name, plan_spec, crypto, kernel, backend in cells:
+    for (plan_name, crypto, kernel, backend), plan_spec in cells.items():
         plan = plan_spec() if callable(plan_spec) else plan_spec
         telemetry = Telemetry()
         store = build_store(

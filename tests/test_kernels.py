@@ -580,8 +580,9 @@ class TestSubOramEquivalence:
 
     def test_store_sequence_matches_simulator(self):
         ideal = simulate_suboram_store_sequence(20, kernel="numpy")
+        # The scalar store: the only one with a per-slot put to spy on.
         suboram = SubOram(0, value_size=4, security_parameter=16,
-                          kernel="numpy")
+                          kernel="numpy", crypto="scalar")
         suboram.initialize({k: bytes([k]) * 4 for k in range(20)})
         log = []
         store = suboram.store

@@ -177,9 +177,9 @@ class TestProtocolInvariants:
 # ---------------------------------------------------------------------------
 # Epoch sessions: one store open and one reseal for a chain of batches
 # ---------------------------------------------------------------------------
+#: The python kernel runs the scalar store only (``store_crypto``).
 ALL_CELLS = pytest.mark.parametrize("kernel,crypto", [
-    ("numpy", "vector"), ("numpy", "scalar"),
-    ("python", "vector"), ("python", "scalar"),
+    ("numpy", "vector"), ("numpy", "scalar"), ("python", "scalar"),
 ])
 
 
@@ -449,8 +449,12 @@ class TestBucketScanDifferential:
         assert runs["numpy", "scalar"] == reference
 
     @pytest.mark.parametrize("crypto, value_size, sealed", [
-        ("vector", 7, "047ba74629e258b1"),
-        ("vector", 160, "bd15d36cab1bf350"),
+        # Re-pinned once when the vector store became one AES-GCM message
+        # per partition: each slot region lost its 32-byte lane tag (a
+        # public, one-time layout change); the scan output is unchanged,
+        # as the scalar pin below shows.
+        ("vector", 7, "1d6e5d31ab8b1179"),
+        ("vector", 160, "1b0027948686e936"),
         # The scalar store seals through AeadKey, so this pin moves with
         # the channel cipher (SHAKE-256 keystream); the scan output it
         # seals is the same one the vector pins cover.

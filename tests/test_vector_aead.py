@@ -1,35 +1,33 @@
-"""Property tests for the vectorized counter-mode AEAD kernel.
+"""The store's AES-GCM partition cipher and the vector store it seals.
 
-:class:`~repro.crypto.vector.VectorAead` is the crypto layer's answer to
-the execute-stage bottleneck: one nonce-derived keystream and one
-vectorized polynomial MAC per batch instead of one HMAC pipeline per
-slot.  That only helps if it is *the same cipher* under both backends,
-so the tests here pin:
+:class:`~repro.crypto.vector.VectorAead` seals a whole subORAM partition
+as one AES-256-GCM message under one fresh nonce.  The tests here pin:
 
-* bit-identical NumPy vs pure-Python output across value sizes, keys,
-  nonces, lane bases, and AAD;
-* lane interoperability — sealing one lane scalar-style produces the
-  exact bytes of that lane's slice of a batch seal (the store mixes the
-  two freely);
-* authentication: tamper, truncation, and lane-splice rejection;
-* the keystream-reuse invariant's observable — every batch derives a
-  fresh keystream from a fresh nonce, never reusing (key, nonce) across
-  epochs (see SECURITY.md);
-* store integration for ``crypto="vector"`` including pickle
-  round-trips and mixed scalar/batch states;
-* fixed work: the NumPy calls a seal or an open makes are a function of
-  the batch shape, never of the plaintext, key or nonce.
+* known answers: McGrew–Viega / NIST GCM test cases 1, 2 and 14, through
+  the installed library and through the wrapper;
+* the wrapper's zero-copy seal and open equal the library's one-shot
+  calls for any row count and width;
+* authentication: tamper and truncation rejection, and no plaintext left
+  behind by a failed open;
+* the vector store against a hostile host — tamper, rollback, splice,
+  truncation and a cross-partition swap each raise IntegrityError;
+* nonce freshness: a fresh random nonce per reseal, pinned by the
+  enclave;
+* fixed work: one ``encrypt_into`` per ``put_batch`` and one
+  ``decrypt_into`` per ``get_batch``, whatever the slot count and data.
 """
 
-import itertools
-import os
+import copy
 import pickle
 
+import numpy as np
 import pytest
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from repro.crypto import vector as vector_module
-from repro.crypto.aead import NONCE_LEN, TAG_LEN
-from repro.crypto.vector import VectorAead
+from repro.crypto.aead import NONCE_LEN
+from repro.crypto.keys import KeyChain
+from repro.crypto.vector import TAG_LEN, VectorAead
 from repro.errors import ConfigurationError, IntegrityError
 from repro.suboram.store import (
     CRYPTO_MODES,
@@ -37,7 +35,7 @@ from repro.suboram.store import (
     EncryptedStore,
     resolve_crypto,
 )
-from tests.harness import array_ops
+from repro.suboram.suboram import SubOram
 
 KEY = b"vector-aead-test-key-0123456789ab"[:32]
 
@@ -46,8 +44,19 @@ def nonce_for(i: int) -> bytes:
     return bytes([i % 256]) * NONCE_LEN
 
 
-def lane_plain(size: int, lane: int, salt: int = 0) -> bytes:
-    return bytes((lane * 31 + j * 7 + salt) % 256 for j in range(size))
+def rows(count: int, size: int, salt: int = 0):
+    """A ``(count, size)`` uint8 matrix of distinct-looking rows."""
+    flat = (np.arange(count * size) * 31 + salt) % 251
+    return flat.astype(np.uint8).reshape(count, size)
+
+
+def sealed_store(num_slots=8, value_size=16):
+    store = EncryptedStore(KEY, num_slots, value_size, crypto="vector")
+    store.put_batch(
+        list(range(num_slots)),
+        [bytes([slot + 1]) * value_size for slot in range(num_slots)],
+    )
+    return store
 
 
 class TestSelector:
@@ -59,320 +68,224 @@ class TestSelector:
             resolve_crypto("chacha")
 
 
+class TestKnownAnswer:
+    """McGrew–Viega, "The Galois/Counter Mode of Operation (GCM)", test
+    cases 1, 2 and 14: an all-zero key and 96-bit IV."""
+
+    @pytest.mark.parametrize("key_len, plain_len, sealed", [
+        (16, 0, "58e2fccefa7e3061367f1d57a4e7455a"),
+        (16, 16, "0388dace60b6a392f328c2b971b2fe78"
+                 "ab6e47d42cec13bdf53a67b21257bddf"),
+        (32, 16, "cea7403d4d606b6e074ec5d3baf39d18"
+                 "d0d1c8a799996bf0265b98b5d48ab919"),
+    ], ids=["case1", "case2", "case14"])
+    def test_gcm_test_vectors(self, key_len, plain_len, sealed):
+        key, nonce, plain = bytes(key_len), bytes(NONCE_LEN), bytes(plain_len)
+        expected = bytes.fromhex(sealed)
+        assert AESGCM(key).encrypt(nonce, plain, None) == expected
+        aead = VectorAead(key)
+        count, width = (1, plain_len) if plain_len else (0, 1)
+        assert bytes(aead.seal_lanes(nonce, plain, count, width)) == expected
+        assert bytes(aead.open_lanes(nonce, expected, count, width)) == plain
+
+
 class TestBackendBitIdentity:
-    """The NumPy fast path and the pure-Python reference are one cipher."""
+    """The wrapper's zero-copy path (a row matrix in, the caller's
+    buffer out) is byte for byte the library's one-shot encrypt and
+    decrypt."""
 
     @pytest.mark.parametrize("plain_size", [1, 7, 8, 16, 33, 1024])
     @pytest.mark.parametrize("count", [1, 3, 17])
     def test_seal_identical_across_backends(self, plain_size, count):
-        fast = VectorAead(KEY, backend="numpy")
-        slow = VectorAead(KEY, backend="py")
+        aead = VectorAead(KEY)
         nonce = nonce_for(plain_size + count)
-        plain = b"".join(lane_plain(plain_size, i) for i in range(count))
-        sealed_fast = bytes(fast.seal_lanes(nonce, plain, count, plain_size))
-        sealed_slow = bytes(slow.seal_lanes(nonce, plain, count, plain_size))
-        assert sealed_fast == sealed_slow
-        assert len(sealed_fast) == count * (plain_size + TAG_LEN)
-        # And both backends open each other's output.
-        assert bytes(
-            slow.open_lanes(nonce, sealed_fast, count, plain_size)
-        ) == plain
-        assert bytes(
-            fast.open_lanes(nonce, sealed_slow, count, plain_size)
-        ) == plain
-
-    @pytest.mark.parametrize("count", [1, 3])
-    def test_lane_wider_than_one_matmul_block(self, count):
-        """Lanes of 257, 504 and 2054 limbs: past the 256-limb block whose
-        float64 sums stay exact, so the MAC sums two or more column
-        blocks (with and without aad) — same bytes as the reference."""
-        fast = VectorAead(KEY, backend="numpy")
-        slow = VectorAead(KEY, backend="py")
-        nonce = nonce_for(77)
-        for plain_size, aad in itertools.product(
-            (1012, 2000, 8200), (b"", b"odd")
-        ):
-            plain = b"".join(lane_plain(plain_size, i) for i in range(count))
-            sealed = bytes(
-                fast.seal_lanes(nonce, plain, count, plain_size, aad=aad)
-            )
-            assert sealed == bytes(
-                slow.seal_lanes(nonce, plain, count, plain_size, aad=aad)
-            )
-            assert bytes(
-                fast.open_lanes(nonce, sealed, count, plain_size, aad=aad)
-            ) == plain
-
-    @pytest.mark.parametrize("plain_size", [1008, 1012, 8176, 32768])
-    def test_mac_is_exact_on_saturated_limbs(self, plain_size):
-        """All-ones ciphertext at exactly 256 limbs (one full column
-        block: the largest sums a float64 product keeps exact, 256
-        products below 2^45 each), at 257 (one limb into a second
-        block), and at 2^11 and ~2^13 limbs (many blocks, each
-        cast and reduced before it joins the total): still the
-        exact-integer tag."""
-        import numpy as np
-
-        fast = VectorAead(KEY, backend="numpy")
-        slow = VectorAead(KEY, backend="py")
-        ts = (0x0123456789ABCDEF, 0xFEDCBA9876543210)
-        ct = b"\xff" * plain_size
-        matrix = np.frombuffer(ct * 2, dtype=np.uint8).reshape(2, plain_size)
-        tags = fast._lane_tags_np(ts, 2, plain_size, 5, b"", matrix, None)
-        assert [row.tobytes() for row in tags] == [
-            slow._lane_tag_py(ts, lane, ct, b"", plain_size)
-            for lane in (5, 6)
-        ]
-
-    @pytest.mark.parametrize("count", [1, 511, 512, 513, 1025, 16384])
-    def test_row_blocks_identical_across_backends(self, count):
-        """Lane counts around the 512-lane row block: a batch of one,
-        the remainder product alone, stacked full blocks alone, and
-        stacked blocks plus a remainder — every lane the reference's
-        bytes, and the NumPy open accepts them."""
-        fast = VectorAead(KEY, backend="numpy")
-        slow = VectorAead(KEY, backend="py")
-        nonce = nonce_for(count)
-        plain_size = 8
-        plain = b"".join(lane_plain(plain_size, i) for i in range(count))
-        sealed = bytes(fast.seal_lanes(
-            nonce, plain, count, plain_size, lane_base=3
-        ))
-        assert sealed == bytes(slow.seal_lanes(
-            nonce, plain, count, plain_size, lane_base=3
-        ))
-        assert bytes(fast.open_lanes(
-            nonce, sealed, count, plain_size, lane_base=3
-        )) == plain
-
-    @pytest.mark.parametrize("lane_base", [0, 5, 1 << 33])
-    def test_lane_base_and_aad_identical(self, lane_base):
-        fast = VectorAead(KEY, backend="numpy")
-        slow = VectorAead(KEY, backend="py")
-        nonce = nonce_for(9)
-        plain = b"".join(lane_plain(24, i) for i in range(4))
-        for aad in (b"", b"slot-aad", b"a", b"5byte", b"seven b"):
-            a = bytes(fast.seal_lanes(
-                nonce, plain, 4, 24, lane_base=lane_base, aad=aad
-            ))
-            b = bytes(slow.seal_lanes(
-                nonce, plain, 4, 24, lane_base=lane_base, aad=aad
-            ))
-            assert a == b
+        plain = rows(count, plain_size)
+        out = bytearray(VectorAead.sealed_len(count, plain_size))
+        assert aead.seal_lanes(nonce, plain, count, plain_size, out=out) is out
+        assert bytes(out) == AESGCM(KEY).encrypt(nonce, plain.tobytes(), None)
+        assert len(out) == count * plain_size + TAG_LEN
+        opened = np.empty((count, plain_size), dtype=np.uint8)
+        aead.open_lanes(nonce, out, count, plain_size, out=opened)
+        assert (opened == plain).all()
 
     def test_different_keys_and_nonces_differ(self):
-        plain = lane_plain(64, 0)
-        base = bytes(
-            VectorAead(KEY).seal_lanes(nonce_for(1), plain, 1, 64)
+        plain = rows(4, 16)
+        base = bytes(VectorAead(KEY).seal_lanes(nonce_for(1), plain, 4, 16))
+        assert base != bytes(
+            VectorAead(KEY[::-1]).seal_lanes(nonce_for(1), plain, 4, 16)
         )
-        other_key = bytes(
-            VectorAead(os.urandom(32)).seal_lanes(nonce_for(1), plain, 1, 64)
+        assert base != bytes(
+            VectorAead(KEY).seal_lanes(nonce_for(2), plain, 4, 16)
         )
-        other_nonce = bytes(
-            VectorAead(KEY).seal_lanes(nonce_for(2), plain, 1, 64)
-        )
-        assert base != other_key
-        assert base != other_nonce
 
     def test_empty_batch(self):
-        aead = VectorAead(KEY, backend="py")
-        nonce = nonce_for(0)
-        assert bytes(aead.seal_lanes(nonce, b"", 0, 16)) == b""
-        assert bytes(aead.open_lanes(nonce, b"", 0, 16)) == b""
-
-
-class TestFixedWork:
-    """The lane MAC and keystream run the same whole-array operations —
-    names, operand shapes, dtypes — whatever the data."""
-
-    def test_seal_and_open_do_the_same_work_whatever_the_data(
-        self, monkeypatch
-    ):
-        count, size = 1030, 24  # two stacked 512-lane blocks + 6 more
-        cases = [
-            (KEY, nonce_for(1), bytes(count * size)),
-            (b"another key", nonce_for(2), b"\xff" * (count * size)),
-            (KEY, nonce_for(3), b"".join(
-                lane_plain(size, i, salt=5) for i in range(count)
-            )),
-        ]
-        logs = []
-        for key, nonce, plain in cases:
-            aead = VectorAead(key)
-            sealed = bytes(aead.seal_lanes(nonce, plain, count, size))
-            logs.append((
-                array_ops(monkeypatch, vector_module, lambda: aead.seal_lanes(
-                    nonce, plain, count, size
-                )),
-                array_ops(monkeypatch, vector_module, lambda: aead.open_lanes(
-                    nonce, sealed, count, size
-                )),
-            ))
-        assert all(log == logs[0] for log in logs[1:])
-        width = 2 + size // 4 + 2
-        for log in logs[0]:
-            assert [op[1] for op in log if op[0] == "matmul"] == [
-                ((2, 512, width), (width, 10), (2, 512, 10)),
-                ((6, width), (width, 10), (6, 10)),
-            ]
-
-    def test_seal_one_is_one_unpadded_row(self, monkeypatch):
         aead = VectorAead(KEY)
-        log = array_ops(monkeypatch, vector_module, lambda: aead.seal_one(
-            nonce_for(4), lane_plain(40, 0), lane=7
-        ))
-        width = 2 + 40 // 4 + 2
-        assert [op[1] for op in log if op[0] == "matmul"] == [
-            ((1, width), (width, 10), (1, 10))
-        ]
-
-
-class TestLaneInterop:
-    """Scalar seal_one/open_one interoperate with whole-batch lanes."""
-
-    def test_seal_one_matches_batch_slice(self):
-        aead = VectorAead(KEY)
-        nonce = nonce_for(3)
-        count, size = 6, 40
-        plain = b"".join(lane_plain(size, i) for i in range(count))
-        sealed = bytes(aead.seal_lanes(nonce, plain, count, size))
-        slot = size + TAG_LEN
-        for lane in range(count):
-            single = bytes(aead.seal_one(
-                nonce, lane_plain(size, lane), lane=lane
-            ))
-            assert single == sealed[lane * slot:(lane + 1) * slot]
-            assert bytes(aead.open_one(nonce, single, lane=lane)) == (
-                lane_plain(size, lane)
-            )
-
-    def test_lane_splice_rejected(self):
-        """A blob sealed for lane i must not open at lane j."""
-        aead = VectorAead(KEY)
-        nonce = nonce_for(4)
-        blob = bytes(aead.seal_one(nonce, lane_plain(32, 0), lane=0))
-        with pytest.raises(IntegrityError):
-            aead.open_one(nonce, blob, lane=1)
+        sealed = aead.seal_lanes(nonce_for(0), b"", 0, 16)
+        assert len(sealed) == TAG_LEN
+        assert bytes(aead.open_lanes(nonce_for(0), sealed, 0, 16)) == b""
 
 
 class TestAuthentication:
-    @pytest.mark.parametrize("backend", ["numpy", "py"])
-    def test_tamper_rejected_every_byte_region(self, backend):
-        aead = VectorAead(KEY, backend=backend)
-        nonce = nonce_for(5)
-        for size in (48, 13):  # tags 8-byte aligned in the slot, or not
-            sealed = bytearray(aead.seal_lanes(
-                nonce, lane_plain(size, 0) + lane_plain(size, 1), 2, size
-            ))
-            slot = size + TAG_LEN
-            for offset in (0, size - 1, size, slot - 1, slot, 2 * slot - 1):
-                broken = bytearray(sealed)
-                broken[offset] ^= 0x01
-                with pytest.raises(IntegrityError):
-                    aead.open_lanes(nonce, bytes(broken), 2, size)
+    def test_tamper_rejected_every_byte_region(self):
+        """A flip in the first row, a middle row, the last row or the
+        tag fails the one tag check."""
+        aead = VectorAead(KEY)
+        count, size = 5, 24
+        sealed = bytes(aead.seal_lanes(nonce_for(5), rows(count, size),
+                                       count, size))
+        for offset in (0, 2 * size + 5, count * size - 1, count * size,
+                       len(sealed) - 1):
+            broken = bytearray(sealed)
+            broken[offset] ^= 0x01
+            with pytest.raises(IntegrityError, match="authentication"):
+                aead.open_lanes(nonce_for(5), broken, count, size)
 
-    @pytest.mark.parametrize("backend", ["numpy", "py"])
-    def test_truncation_rejected(self, backend):
-        aead = VectorAead(KEY, backend=backend)
-        nonce = nonce_for(6)
-        sealed = bytes(aead.seal_lanes(nonce, lane_plain(32, 0), 1, 32))
-        with pytest.raises(IntegrityError):
-            aead.open_lanes(nonce, sealed[:-1], 1, 32)
-        with pytest.raises(IntegrityError):
-            aead.open_one(nonce, sealed[:TAG_LEN], lane=0)
+    def test_truncation_rejected(self):
+        aead = VectorAead(KEY)
+        sealed = bytes(aead.seal_lanes(nonce_for(6), rows(2, 32), 2, 32))
+        for bad in (sealed[:-1], sealed + b"\x00", sealed[:TAG_LEN]):
+            with pytest.raises(IntegrityError, match="expected"):
+                aead.open_lanes(nonce_for(6), bad, 2, 32)
 
-    def test_wrong_aad_rejected(self):
-        aead = VectorAead(KEY, backend="py")
-        nonce = nonce_for(7)
-        sealed = bytes(aead.seal_lanes(
-            nonce, lane_plain(16, 0), 1, 16, aad=b"right"
-        ))
+    def test_failed_open_releases_no_plaintext(self):
+        """The library leaves the tampered decryption in its output
+        buffer; the store zeroes its resident plaintext before raising."""
+        store = sealed_store()
+        _, values = store.get_batch()  # a view of the resident plaintext
+        assert values.any()
+        store._host_blobs[3 * store.slot_size] ^= 0x01
         with pytest.raises(IntegrityError):
-            aead.open_lanes(nonce, sealed, 1, 16, aad=b"wrong")
+            store.get_batch()
+        assert not store._resident.any()
+
+
+class TestStoreIntegration:
+    """Each host attack on a sealed vector partition fails the open."""
+
+    def test_store_tamper_detected(self):
+        store = sealed_store()
+        _, blob = store.host_ciphertext(5)
+        store.host_tamper(5, blob[:-1] + bytes([blob[-1] ^ 1]))
+        with pytest.raises(IntegrityError):
+            store.get_batch()
+
+    def test_rollback_detected(self):
+        """An older buffer replayed whole, with its old nonce."""
+        store = sealed_store()
+        old_nonce, old_buffer = bytes(store._host_nonces), bytes(store._host_blobs)
+        store.put_batch(*store.get_batch())
+        store._host_nonces[:] = old_nonce
+        store._host_blobs[:] = old_buffer
+        with pytest.raises(IntegrityError):
+            store.get_batch()
+
+    def test_truncation_detected(self):
+        store = sealed_store()
+        store.host_tamper(7, b"short")
+        with pytest.raises(IntegrityError, match="expected"):
+            store.get_batch()
+
+    def test_cross_partition_swap_detected(self):
+        """Another subORAM's sealed buffer, its nonce included."""
+        keychain = KeyChain(master=b"x" * 32)
+        units = [
+            SubOram(i, 16, keychain=keychain, security_parameter=16)
+            for i in range(2)
+        ]
+        for unit in units:
+            unit.initialize({k: bytes([k]) * 16 for k in range(8)})
+        mine, theirs = (unit.store for unit in units)
+        mine._host_nonces[:] = theirs._host_nonces
+        mine._host_blobs[:] = theirs._host_blobs
+        with pytest.raises(IntegrityError):
+            mine.get_batch()
+
+
+class TestLaneInterop:
+    def test_lane_splice_rejected(self):
+        """Two slot regions swapped: every byte is genuine, but slot
+        position inside the tagged buffer is not."""
+        store = sealed_store()
+        (_, first), (_, second) = store.host_ciphertext(1), store.host_ciphertext(6)
+        store.host_tamper(1, second)
+        store.host_tamper(6, first)
+        with pytest.raises(IntegrityError):
+            store.get_batch()
 
 
 class TestKeystreamUniqueness:
-    """One fresh keystream per batch — the SECURITY.md invariant."""
+    """One fresh nonce — so one fresh GCM keystream — per reseal."""
 
     def test_store_derives_one_keystream_per_batch_with_fresh_nonces(self):
-        store = EncryptedStore(
-            KEY, num_slots=32, value_size=24, crypto="vector"
-        )
-        values = [lane_plain(24, i) for i in range(32)]
-        seen_nonces = set()
+        store = EncryptedStore(KEY, num_slots=32, value_size=24, crypto="vector")
+        seen = set()
         for epoch in range(5):
-            before = store._vec.keystream_derivations
-            store.put_batch(list(range(32)), values)
-            # Exactly one seal keystream derivation for the whole batch
-            # (plus nothing per slot).
-            assert store._vec.keystream_derivations - before <= 2
-            nonce = bytes(store._host_nonces[:NONCE_LEN])
-            assert nonce not in seen_nonces, "nonce reused across epochs"
-            seen_nonces.add(nonce)
-        assert len(seen_nonces) == 5
+            store.put_batch(list(range(32)), [bytes([epoch]) * 24] * 32)
+            nonce = bytes(store._pinned_nonces)
+            assert nonce == bytes(store._host_nonces)
+            assert nonce not in seen, "nonce reused across epochs"
+            seen.add(nonce)
 
     def test_batch_nonce_replicated_per_slot(self):
-        """All slots of one batch share the batch nonce (lane-separated)."""
-        store = EncryptedStore(
-            KEY, num_slots=8, value_size=16, crypto="vector"
-        )
-        store.put_batch(
-            list(range(8)), [lane_plain(16, i) for i in range(8)]
-        )
-        nonces = {
-            bytes(store._host_nonces[i * NONCE_LEN:(i + 1) * NONCE_LEN])
-            for i in range(8)
-        }
-        assert len(nonces) == 1
+        """Every slot's host view carries the one partition nonce."""
+        store = sealed_store()
+        assert len({store.host_ciphertext(s)[0] for s in range(8)}) == 1
 
 
 class TestPickling:
     def test_aead_roundtrip_is_equivalent(self):
-        aead = VectorAead(KEY, backend="py")
-        clone = pickle.loads(pickle.dumps(aead))
-        nonce = nonce_for(8)
-        plain = lane_plain(20, 0)
-        assert bytes(clone.seal_lanes(nonce, plain, 1, 20)) == bytes(
-            aead.seal_lanes(nonce, plain, 1, 20)
-        )
+        aead = VectorAead(KEY)
+        plain = rows(2, 20)
+        expected = bytes(aead.seal_lanes(nonce_for(8), plain, 2, 20))
+        for clone in (pickle.loads(pickle.dumps(aead)), copy.deepcopy(aead)):
+            assert bytes(clone.seal_lanes(nonce_for(8), plain, 2, 20)) == expected
 
     def test_vector_store_roundtrip(self):
-        store = EncryptedStore(
-            KEY, num_slots=16, value_size=32, crypto="vector"
-        )
-        store.put_batch(
-            list(range(16)), [lane_plain(32, i) for i in range(16)]
-        )
-        clone = pickle.loads(pickle.dumps(store))
+        store = sealed_store(num_slots=16, value_size=32)
+        clone = pickle.loads(pickle.dumps(store, protocol=5))
         assert clone.crypto == "vector"
         for slot in (0, 7, 15):
             assert clone.get(slot) == store.get(slot)
-        # The clone keeps working in both batch and scalar modes.
-        clone.put(3, key=3, value=b"\x99" * 32)
+        # The clone reseals and reopens on its own.
+        clone.put_batch(list(range(16)), [b"\x99" * 32] * 16)
         assert clone.get(3) == (3, b"\x99" * 32)
 
 
-class TestStoreIntegration:
-    def test_mixed_scalar_and_batch_state(self):
-        store = EncryptedStore(
-            KEY, num_slots=12, value_size=16, crypto="vector"
-        )
-        store.put_batch(
-            list(range(12)), [lane_plain(16, i) for i in range(12)]
-        )
-        # Scalar overwrite gives slot 4 its own nonce; the next batch
-        # read must take the mixed (per-slot) open path and still agree.
-        store.put(4, key=4, value=b"\x42" * 16)
-        keys, values = store.get_batch()
-        assert bytes(values[4]) == b"\x42" * 16
-        assert bytes(values[0]) == lane_plain(16, 0)
-        assert list(keys) == list(range(12))
+class _CountingGcm:
+    """Stands in for ``AESGCM``: logs each in-place call, then delegates."""
 
-    def test_store_tamper_detected(self):
-        store = EncryptedStore(
-            KEY, num_slots=4, value_size=16, crypto="vector"
+    def __init__(self, key, log):
+        self._inner, self._log = AESGCM(key), log
+
+    def encrypt_into(self, *args):
+        self._log.append("encrypt_into")
+        return self._inner.encrypt_into(*args)
+
+    def decrypt_into(self, *args):
+        self._log.append("decrypt_into")
+        return self._inner.decrypt_into(*args)
+
+
+class TestFixedWork:
+    def test_seal_and_open_do_the_same_work_whatever_the_data(
+        self, monkeypatch
+    ):
+        """One ``encrypt_into`` per reseal and one ``decrypt_into`` per
+        open, for any slot count and content."""
+        log = []
+        monkeypatch.setattr(
+            vector_module, "AESGCM", lambda key: _CountingGcm(key, log)
         )
-        store.put_batch(list(range(4)), [lane_plain(16, i) for i in range(4)])
-        store._host_blobs[3] ^= 0x01
-        with pytest.raises(IntegrityError):
-            store.get_batch()
+        for num_slots in (0, 1, 7, 300):
+            for fill in (0x00, 0xFF, None):
+                store = EncryptedStore(KEY, num_slots, 24, crypto="vector")
+                values = (
+                    rows(num_slots, 24, salt=num_slots) if fill is None
+                    else np.full((num_slots, 24), fill, dtype=np.uint8)
+                )
+                log.clear()
+                store.put_batch(np.arange(num_slots), values)
+                assert log == ["encrypt_into"]
+                log.clear()
+                store.get_batch()
+                assert log == ["decrypt_into"]
