@@ -1,15 +1,16 @@
 """AEAD throughput: the epoch crypto floor and the channel record cost.
 
-Store rows, over a store-shaped workload (N uniform slots) at
+Every sealed byte goes through one cipher, AES-256-GCM
+(:class:`~repro.crypto.aead.AeadKey`); the rows compare how the store
+calls it.  Store rows, over a store-shaped workload (N uniform slots) at
 ``value_size`` in {16, 160, 256, 1024}:
 
-* ``vector``: the store's partition cipher
+* ``vector``: the store's partition pass
   (:class:`~repro.crypto.vector.VectorAead`) — one ``seal_lanes`` /
-  ``open_lanes``, i.e. one AES-256-GCM ``encrypt_into`` /
-  ``decrypt_into``, over the whole batch.
-* ``scalar``: the audited oracle's per-slot loop
-  (:class:`~repro.crypto.aead.AeadKey`, ``crypto="scalar"``): one
-  ``seal``/``open`` per slot with slot-index AAD.
+  ``open_lanes``, i.e. one ``encrypt_into`` / ``decrypt_into``, over the
+  whole batch.
+* ``scalar``: the audited oracle's per-slot loop (``crypto="scalar"``):
+  one AES-GCM ``seal``/``open`` per slot with slot-index AAD.
 
 The 160-byte row is one whole subORAM partition of the served
 ``scan_rw`` workload (16,384 slots), sealed and opened the way the
@@ -17,19 +18,20 @@ store does each epoch.
 
 The write-back scan re-encrypts every slot every epoch, so these MB/s
 *are* the epoch crypto floor.  ``seal_speedup`` / ``open_speedup``
-compare the GCM pass against the scalar per-slot loop.  Every row names
-its ``(kernel, crypto, backend)`` and its baseline's; ``None`` marks an
-axis the measurement does not exercise (the ciphers are called directly
-— no oblivious kernel, no execution backend).
+compare the one-call pass against the per-slot loop: the same cipher,
+so the margin is the per-call overhead the partition layout saves.
+Every row names its ``(kernel, crypto, backend)`` and its baseline's;
+``None`` marks an axis the measurement does not exercise (the ciphers
+are called directly — no oblivious kernel, no execution backend).
 
-Channel rows time one :class:`~repro.crypto.aead.AeadKey` record on the
-serve path: a 69-byte request record and a 16 KiB coalesced response
-record (µs per seal/open and MB/s).
+Channel rows time one ``AeadKey`` record on the serve path: a 69-byte
+request record and a 16 KiB coalesced response record (µs per
+seal/open and MB/s).
 
 Results land in ``BENCH_aead.json``; set ``SNOOPY_BENCH_SMOKE=1`` for
-CI's reduced sizes.  The run fails if the GCM pass clears less than
-``VECTOR_GATE``x over the scalar per-slot loop at any size (the CI
-regression gate).
+CI's reduced sizes.  The run fails if the one-call pass clears less than
+``VECTOR_GATE``x over the per-slot loop at any size (the CI regression
+gate).
 """
 
 import json
@@ -62,10 +64,10 @@ CHANNEL_CALLS = {"request_69B": 500, "response_16KiB": 50} if SMOKE else {
     "request_69B": 5000, "response_16KiB": 500
 }
 
-KEY_BYTES = b"bench-aead-key-0123456789abcdef01"
+#: One 32-byte AES-256 key for both call patterns.
+KEY_BYTES = b"bench-aead-key-0123456789abcdef0"
 KEY = AeadKey(KEY_BYTES)
-#: AES-256 takes exactly 32 key bytes.
-VEC = VectorAead(KEY_BYTES[:32])
+VEC = VectorAead(KEY_BYTES)
 
 
 def _timed(fn, repeats=REPEATS):
@@ -161,7 +163,7 @@ def _channel_row(name):
 
 
 def test_vector_aead_throughput():
-    """GCM pass vs the scalar per-slot loop, plus the channel record cost."""
+    """One-call GCM pass vs the per-slot loop, plus the channel record cost."""
     results = {size: _crypto_row(size) for size in VALUE_SIZES}
     channel = {name: _channel_row(name) for name in CHANNEL_RECORDS}
 

@@ -71,7 +71,7 @@ class SnoopyConfig:
             :mod:`repro.oblivious.kernels`).
         crypto: store-crypto selector, ``"vector"`` (default: the
             whole partition sealed and opened as one AES-GCM message
-            per epoch) or ``"scalar"`` (one HMAC-AEAD call per slot —
+            per epoch) or ``"scalar"`` (one AES-GCM call per slot —
             the audited oracle; byte-identical responses; the python
             kernel always runs it).  Public information: the mode
             changes only how many calls move the ciphertexts; nonces

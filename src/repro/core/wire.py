@@ -121,7 +121,8 @@ def _check_key(key: int) -> int:
 #: v2: hello flags byte, ATTEST exchange, sessions, snapshot transfer,
 #: delivery sequence numbers on responses.
 #: v3: fixed-width BATCH/BATCH_REPLY/INIT payloads (``Batch.to_bytes``).
-WIRE_VERSION = 3
+#: v4: sealed records are AES-GCM (16-byte tag) under per-direction keys.
+WIRE_VERSION = 4
 
 #: Every wire version this library can speak.  Kept as a tuple so a
 #: future version can retain backward compatibility windows; rejects

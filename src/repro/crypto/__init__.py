@@ -1,12 +1,10 @@
-"""Cryptographic substrate: keyed PRFs, AEAD channels, and digests.
+"""Cryptographic substrate: keyed PRFs, key derivation, and one AEAD.
 
-The PRFs, keys and the channel AEAD are built on the standard library
-(``hmac``/``hashlib``).  That AEAD is an encrypt-then-MAC scheme over a
-SHAKE-256 keystream; it models the *system behaviour* of authenticated
-encrypted channels (nonce handling, replay rejection, tamper detection),
-which is what Snoopy's protocol relies on, and is the store's per-slot
-oracle.  The store's deployed cipher, :class:`VectorAead`, is AES-256-GCM
-from the ``cryptography`` package: one call per partition per epoch.
+The PRFs and key derivation are built on the standard library
+(``hmac``/``hashlib``).  Every sealed byte — channel records, enclave
+sealing, and the store — goes through one AEAD, AES-GCM from the
+``cryptography`` package: :class:`AeadKey` per message, and its subclass
+:class:`VectorAead` for the store's one call per partition per epoch.
 """
 
 from repro.crypto.keys import KeyChain, random_key

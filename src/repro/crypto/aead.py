@@ -1,24 +1,23 @@
 """Authenticated encryption and replay-protected channels.
 
 All communication in Snoopy "is encrypted using an authenticated encryption
-scheme with a nonce to prevent replay attacks" (§3.1).  This module models
-that behaviour with a stdlib-only encrypt-then-MAC AEAD:
+scheme with a nonce to prevent replay attacks" (§3.1).  Every sealed byte
+in this codebase — channel records, enclave sealing, and the store in both
+layouts — goes through one AEAD: AES-GCM from the ``cryptography``
+package, via :class:`AeadKey`, with a 96-bit nonce and a 16-byte tag.
+The store's whole-partition entry points live on its subclass
+:class:`~repro.crypto.vector.VectorAead`.
 
-* keystream: ``SHAKE-256(key_enc || nonce)`` squeezed to the plaintext's
-  length and XORed in as one big integer (``key_enc`` is always 32
-  bytes and the nonce always :data:`NONCE_LEN`, so the encoding is
-  unambiguous),
-* tag: ``HMAC-SHA256(key_mac, nonce || len(aad) || aad || ciphertext)``,
-  checked in constant time before any plaintext is released.
+Channels
+========
 
-Seal and open are a fixed handful of C calls whatever the message
-length — no per-block or per-byte Python loop — so a coalesced 16 KiB
-channel record costs about as much as hashing it.  The goal is faithful
-*system* behaviour — tamper detection, nonce uniqueness, replay
-rejection — not a new cipher design.  This per-message scheme seals the
-channels and is the store's audited per-slot oracle
-(``crypto="scalar"``); the store's batch path is the AES-GCM partition
-cipher of :mod:`repro.crypto.vector`.
+A :class:`SecureChannel` is one direction of a link.  It keys its cipher
+with ``derive_key(key, name)``, so the two directions of a
+:class:`SecureChannelPair` (``name/fwd`` and ``name/rev``) hold distinct
+keys: both count nonces from 0, and one shared key would repeat
+(key, nonce) across them — under GCM that XORs two plaintexts and exposes
+the authentication key.  Counter nonces under a per-direction key are
+unique for 2^96 records.
 
 Replay protection
 =================
@@ -33,67 +32,64 @@ where that deep a reordering never happens legitimately.
 
 from __future__ import annotations
 
-import hashlib
-import hmac
+from cryptography.exceptions import InvalidTag
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
+from repro.crypto.keys import derive_key
 from repro.errors import IntegrityError, ReplayError
 
 NONCE_LEN = 12
-TAG_LEN = 32
+#: GCM tag bytes appended to every sealed message.
+TAG_LEN = 16
 
 #: Sliding replay-window width (messages) for :class:`SecureChannel`.
 REPLAY_WINDOW = 1024
 
 
-def _xor(data: bytes, stream: bytes) -> bytes:
-    """``data ^ stream`` for equal-length inputs, as one big-int operation."""
-    return (
-        int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
-    ).to_bytes(len(data), "big")
-
-
 class AeadKey:
-    """An AEAD key pair (encryption + MAC subkeys) derived from one secret."""
+    """AES-GCM under one 16-, 24- or 32-byte key (32 bytes: AES-256).
 
-    __slots__ = ("_enc", "_mac")
+    Pickles as its key, since an ``AESGCM`` context can be neither
+    pickled nor deep-copied.
+    """
+
+    __slots__ = ("_key", "_gcm")
 
     def __init__(self, key: bytes):
-        if len(key) < 16:
-            raise ValueError("AEAD key must be at least 128 bits")
-        self._enc = hmac.new(key, b"enc", hashlib.sha256).digest()
-        self._mac = hmac.new(key, b"mac", hashlib.sha256).digest()
+        if len(key) not in (16, 24, 32):
+            raise ValueError("AEAD key must be 16, 24 or 32 bytes")
+        self._key = bytes(key)
+        self._gcm = AESGCM(self._key)
 
-    def _keystream(self, nonce: bytes, length: int) -> bytes:
-        return hashlib.shake_256(self._enc + nonce).digest(length)
+    def __getstate__(self):
+        return self._key
 
-    def _tag(self, nonce: bytes, aad: bytes, ct: bytes) -> bytes:
-        return hmac.digest(
-            self._mac, nonce + len(aad).to_bytes(8, "big") + aad + ct, "sha256"
-        )
+    def __setstate__(self, key) -> None:
+        self.__init__(key)
 
     def seal(self, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
         """Encrypt and authenticate ``plaintext``; returns ciphertext||tag."""
         if len(nonce) != NONCE_LEN:
             raise ValueError(f"nonce must be {NONCE_LEN} bytes")
-        ct = _xor(plaintext, self._keystream(nonce, len(plaintext)))
-        return ct + self._tag(nonce, aad, ct)
+        return self._gcm.encrypt(nonce, plaintext, aad)
 
     def open(self, nonce: bytes, sealed: bytes, aad: bytes = b"") -> bytes:
         """Verify and decrypt; raises :class:`IntegrityError` on tamper."""
-        if len(sealed) < TAG_LEN:
-            raise IntegrityError("ciphertext shorter than tag")
-        ct, tag = sealed[:-TAG_LEN], sealed[-TAG_LEN:]
-        if not hmac.compare_digest(tag, self._tag(nonce, aad, ct)):
-            raise IntegrityError("AEAD tag mismatch")
-        return _xor(ct, self._keystream(nonce, len(ct)))
+        if len(nonce) != NONCE_LEN:
+            raise IntegrityError(f"nonce must be {NONCE_LEN} bytes")
+        try:
+            return self._gcm.decrypt(nonce, sealed, aad)
+        except InvalidTag:
+            raise IntegrityError("AEAD tag mismatch") from None
 
 
 class SecureChannel:
     """A replay-protected, authenticated, encrypted message channel.
 
-    Each direction keeps a monotonically increasing send counter used as
-    the nonce; the receiver tracks seen nonces with a high-watermark plus
-    a :data:`REPLAY_WINDOW`-wide sliding bitmap, so memory stays bounded
+    The channel keys its cipher with ``derive_key(key, name)`` and uses
+    a monotonically increasing send counter as the nonce; the receiver
+    tracks seen nonces with a high-watermark plus a
+    :data:`REPLAY_WINDOW`-wide sliding bitmap, so memory stays bounded
     no matter how long the channel lives.  Replays inside the window are
     detected by their bit; anything older than the window is rejected
     outright (the transports these channels ride are FIFO — a message
@@ -103,8 +99,8 @@ class SecureChannel:
     """
 
     def __init__(self, key: bytes, name: str = "chan"):
-        self._aead = AeadKey(key)
-        self._name = name.encode("utf-8")
+        self._aead = AeadKey(derive_key(key, name))
+        self._name = name
         self._send_counter = 0
         # Sliding receive window: _recv_hwm is the highest authenticated
         # counter (-1 before any), bit (1 << (hwm - c)) of _recv_window
@@ -116,7 +112,7 @@ class SecureChannel:
         """Seal ``plaintext``; returns (nonce, ciphertext)."""
         nonce = self._send_counter.to_bytes(NONCE_LEN, "big")
         self._send_counter += 1
-        return nonce, self._aead.seal(nonce, plaintext, aad=self._name)
+        return nonce, self._aead.seal(nonce, plaintext)
 
     def receive(self, nonce: bytes, sealed: bytes) -> bytes:
         """Open a message, rejecting replays and tampering."""
@@ -131,7 +127,7 @@ class SecureChannel:
             and (self._recv_window >> (self._recv_hwm - counter)) & 1
         ):
             raise ReplayError(f"replayed nonce {counter} on {self._name!r}")
-        plaintext = self._aead.open(nonce, sealed, aad=self._name)
+        plaintext = self._aead.open(nonce, sealed)
         # Only mark the nonce as seen after authentication succeeds, so a
         # forged message cannot block the legitimate one.
         if counter > self._recv_hwm:
@@ -152,9 +148,10 @@ class SecureChannelPair:
     A link between an initiator (the side that connected: a client or a
     load balancer) and an acceptor (the side that listened: a server or
     a subORAM worker) is two independent :class:`SecureChannel`
-    directions keyed off one shared secret.  Direction is bound into
-    the AAD (``name/fwd`` = initiator→acceptor, ``name/rev`` = the
-    reverse), so a frame reflected back at its sender fails
+    directions keyed off one shared secret: ``name/fwd`` =
+    initiator→acceptor, ``name/rev`` = the reverse.  Each direction
+    derives its own key from its name, so the two never share a
+    keystream, and a frame reflected back at its sender fails
     authentication instead of decrypting.
 
     Both endpoints construct the pair from the same ``key`` and
@@ -167,8 +164,3 @@ class SecureChannelPair:
         self.tx = SecureChannel(key, fwd if initiator else rev)
         self.rx = SecureChannel(key, rev if initiator else fwd)
         self.initiator = initiator
-
-
-def digest(data: bytes) -> bytes:
-    """Content digest used for the out-of-enclave block integrity map (§7)."""
-    return hashlib.sha256(data).digest()

@@ -21,8 +21,8 @@ SipHash is add/rotate/xor on four 64-bit lanes, so
 whole-array NumPy operations with no per-key Python work;
 :meth:`Prf.range` is the pure-Python scalar of the same function (the
 python kernel's reference, pinned to the published vectors).
-:meth:`Prf.digest`/:meth:`Prf.value` stay HMAC-SHA256 (the vector AEAD's
-per-nonce seeds, the oblivious shuffle's tags).
+:meth:`Prf.digest`/:meth:`Prf.value` stay HMAC-SHA256 (the oblivious
+shuffle's tags).
 """
 
 from __future__ import annotations

@@ -1,12 +1,11 @@
-"""The store's partition cipher: one AES-256-GCM call per store pass.
+"""The store's partition entry points: one AES-256-GCM call per store pass.
 
-The HMAC scheme in :mod:`repro.crypto.aead` is the audited per-slot
-oracle: one SHAKE-256 keystream and one HMAC tag per slot — O(slots)
-Python-level calls per epoch.  This module is the store's batch cipher
-(``crypto="vector"``, see :mod:`repro.suboram.store`): a whole partition
-— ``count`` uniform ``plain_size``-byte rows back to back — is sealed as
-**one** AES-GCM message under one fresh random 96-bit nonce, and opened
-with one tag-verified decrypt.
+:class:`VectorAead` is :class:`~repro.crypto.aead.AeadKey` — the one
+AES-GCM cipher — plus positional whole-partition methods for the store's
+batch layout (``crypto="vector"``, see :mod:`repro.suboram.store`): a
+whole partition — ``count`` uniform ``plain_size``-byte rows back to
+back — is sealed as **one** AES-GCM message under one fresh random
+96-bit nonce, and opened with one tag-verified decrypt.
 
 * The GCM tag covers every byte of the partition, so a bit flip, a
   truncation, or two slot regions swapped (a splice: slot position
@@ -17,44 +16,25 @@ with one tag-verified decrypt.
 * The sealed length is ``count * plain_size + TAG_LEN``: a function of
   public shape only.
 
-:class:`VectorAead` is a thin wrapper over ``cryptography``'s
-``AESGCM``: it keeps positional ``(nonce, buffer, count, plain_size)``
-entry points and pickles as its key, since an ``AESGCM`` context can be
-neither pickled nor deep-copied.
+Both methods take an ``out=`` buffer (``encrypt_into`` /
+``decrypt_into``); the store passes its host buffer and resident
+plaintext, so its pass allocates nothing per epoch.
 """
 
 from __future__ import annotations
 
 from cryptography.exceptions import InvalidTag
-from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from repro.crypto.aead import NONCE_LEN
+from repro.crypto.aead import NONCE_LEN, TAG_LEN, AeadKey
 from repro.errors import IntegrityError
 
 __all__ = ["TAG_LEN", "VectorAead"]
 
-#: GCM tag bytes appended to every sealed partition.
-TAG_LEN = 16
 
+class VectorAead(AeadKey):
+    """AES-GCM over ``count`` uniform rows, one library call per pass."""
 
-class VectorAead:
-    """AES-GCM over ``count`` uniform rows, one library call per pass.
-
-    Args:
-        key: a 16-, 24- or 32-byte AES key (the store's storage subkey
-            is 32 bytes: AES-256).
-    """
-
-    def __init__(self, key: bytes):
-        self._key = bytes(key)
-        self._gcm = AESGCM(self._key)
-
-    # An AESGCM context neither pickles nor deep-copies: ship the key.
-    def __getstate__(self):
-        return self._key
-
-    def __setstate__(self, key) -> None:
-        self.__init__(key)
+    __slots__ = ()
 
     @staticmethod
     def sealed_len(count: int, plain_size: int) -> int:

@@ -36,7 +36,8 @@ class MonotonicCounter:
 class SealedStore:
     """Seal/unseal enclave state with rollback detection.
 
-    Blobs are AEAD-sealed with the counter value as associated data; the
+    Blobs are AES-GCM-sealed (:class:`~repro.crypto.aead.AeadKey`) under
+    a fresh random nonce, with the counter value as associated data; the
     host stores the blob, the enclave only the (hardware) counter.  An old
     blob fails authentication against the current counter value.
     """

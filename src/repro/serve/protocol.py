@@ -1,7 +1,7 @@
 """Framed-socket plumbing shared by the server, workers, and clients.
 
 One tiny layer sits between :mod:`repro.core.wire`'s pure encoders and
-the TCP endpoints: read/write exactly one hello or one frame, for both
+the TCP endpoints: read or write an exact byte count or one frame, for both
 blocking sockets (the sync client and the subORAM worker channel) and
 asyncio streams (the load-balancer server and the load generator).
 
@@ -21,11 +21,8 @@ from typing import Tuple
 
 from repro.core.wire import (
     FRAME_HEADER_SIZE,
-    HELLO_SIZE,
     decode_frame_header,
-    decode_hello,
     encode_frame,
-    encode_hello,
 )
 from repro.errors import TransportError
 
@@ -78,23 +75,6 @@ def recv_frame(sock: socket.socket) -> Tuple[int, bytes]:
     return kind, payload
 
 
-def handshake(sock: socket.socket, role: int) -> Tuple[int, int, int]:
-    """Exchange plaintext hello frames on a blocking socket.
-
-    Returns the peer's ``(version, role, flags)``.  Both sides send
-    their hello eagerly (the frames are fixed-size, so there is no
-    ordering deadlock) and then validate the peer's.  Attested
-    deployments use :func:`repro.serve.secure.secure_handshake`, which
-    layers the quote exchange on top of this hello.
-
-    Raises:
-        WireError / VersionMismatchError: malformed peer or version skew.
-        TransportError: the peer vanished mid-handshake.
-    """
-    send_all(sock, encode_hello(role))
-    return decode_hello(recv_exact(sock, HELLO_SIZE))
-
-
 # ---------------------------------------------------------------------------
 # asyncio streams (server, load generator)
 # ---------------------------------------------------------------------------
@@ -122,20 +102,3 @@ def write_frame(
     """Buffer one framed message on an asyncio stream (caller drains)."""
     writer.write(encode_frame(kind, payload))
 
-
-async def handshake_async(
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-    role: int,
-) -> Tuple[int, int, int]:
-    """Exchange plaintext hellos on an asyncio stream.
-
-    Returns the peer's ``(version, role, flags)``.
-    """
-    writer.write(encode_hello(role))
-    await writer.drain()
-    try:
-        hello = await reader.readexactly(HELLO_SIZE)
-    except (asyncio.IncompleteReadError, ConnectionError) as exc:
-        raise TransportError(f"connection lost mid-handshake: {exc}") from exc
-    return decode_hello(hello)

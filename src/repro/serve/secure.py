@@ -26,13 +26,14 @@ guarantees:
 3. **Sealed frames** — both shares derive one channel secret
    (``H(label || initiator_share || acceptor_share)``) keying a
    :class:`~repro.crypto.aead.SecureChannelPair`: two directed
-   :class:`~repro.crypto.aead.SecureChannel` instances with counter
-   nonces and a sliding replay window.  Every subsequent frame rides
-   the sealed outer format ``nonce(12) | len(4) | sealed`` where
-   ``sealed`` is the AEAD of an ordinary inner frame.  Inner frame
-   shapes are unchanged and all sealing overhead is constant per
-   frame, so ciphertext lengths remain functions of public quantities
-   only — the transport stays oblivious (see SECURITY.md).
+   :class:`~repro.crypto.aead.SecureChannel` instances, each under its
+   own key derived from the secret, with counter nonces and a sliding
+   replay window.  Every subsequent frame rides the sealed outer format
+   ``nonce(12) | len(4) | sealed`` where ``sealed`` is the AES-GCM
+   encryption of an ordinary inner frame (its length + a 16-byte
+   tag).  Inner frame shapes are unchanged and all sealing overhead is
+   constant per frame, so ciphertext lengths remain functions of public
+   quantities only — the transport stays oblivious (see SECURITY.md).
 
 **Coalesced sealing.**  The async transport
 (:class:`AsyncFrameTransport`, used by the server's response path and

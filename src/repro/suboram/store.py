@@ -14,15 +14,18 @@ The crypto axis
 is the one place the axis is defined (:data:`CRYPTO_MODES`,
 :data:`DEFAULT_CRYPTO`, :func:`resolve_crypto`):
 
-* ``"scalar"`` — the audited oracle: the SHAKE-256/HMAC scheme of
-  :mod:`repro.crypto.aead`, one ``seal``/``open`` per slot under the
-  slot's own fresh nonce, the slot index bound as associated data.  The
-  host holds a nonce and a ``ciphertext || tag`` blob per slot, and the
-  enclave pins every slot's nonce (rollback detection).  ``put``/``get``
-  work per slot, ``put_batch`` is the ``put`` loop, and there is no
-  ``get_batch``.
+Both layouts seal with the one AES-256-GCM cipher of
+:mod:`repro.crypto.aead`; the store holds one
+:class:`~repro.crypto.vector.VectorAead` for either.
+
+* ``"scalar"`` — the audited oracle: one ``seal``/``open`` per slot
+  under the slot's own fresh random nonce, the slot index bound as
+  associated data.  The host holds a nonce and a ``plain_size + 16``
+  byte ``ciphertext || tag`` blob per slot, and the enclave pins every
+  slot's nonce (rollback detection).  ``put``/``get`` work per slot,
+  ``put_batch`` is the ``put`` loop, and there is no ``get_batch``.
 * ``"vector"`` — the deployed path: the partition is one AES-GCM
-  message (:mod:`repro.crypto.vector`).  ``put_batch`` seals the whole
+  message (``seal_lanes``/``open_lanes``).  ``put_batch`` seals the whole
   ``(num_slots, plain_size)`` plaintext under one fresh random nonce
   straight into the host buffer of ``num_slots * plain_size + 16``
   bytes, and the enclave pins that one nonce.  ``get_batch`` is one
@@ -56,7 +59,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.crypto.aead import AeadKey, NONCE_LEN, TAG_LEN
+from repro.crypto.aead import NONCE_LEN, TAG_LEN
 from repro.crypto.vector import VectorAead
 from repro.errors import CapacityError, IntegrityError
 from repro.oblivious import soa
@@ -131,22 +134,20 @@ class EncryptedStore:
         require(num_slots >= 0, "num_slots must be >= 0")
         require(value_size > 0, "value_size must be positive")
         #: Store-crypto mode (see "The crypto axis" in the module
-        #: docstring); exactly one of the two ciphers below is built.
+        #: docstring): which host layout the one cipher below seals.
         self.crypto = resolve_crypto(crypto)
         self.num_slots = num_slots
         self.value_size = value_size
         #: Plaintext bytes per slot: 16-byte signed key prefix + value.
         self.plain_size = 16 + value_size
-        self._aead = self._gcm = None
-        if self.crypto == "vector":
-            self._gcm = VectorAead(encryption_key)
+        self._cipher = VectorAead(encryption_key)
+        if self.supports_batch:
             nonces = 1
             #: Host bytes per slot region (vector: the row's ciphertext;
             #: the one GCM tag trails the buffer).
             self.slot_size = self.plain_size
             sealed = VectorAead.sealed_len(num_slots, self.plain_size)
         else:
-            self._aead = AeadKey(encryption_key)
             nonces = num_slots
             self.slot_size = self.plain_size + TAG_LEN
             sealed = num_slots * self.slot_size
@@ -164,7 +165,7 @@ class EncryptedStore:
 
     def _nonce_row(self, slot: int) -> int:
         """The nonce covering ``slot``: its own, or the partition's."""
-        return slot if self._gcm is None else 0
+        return 0 if self.supports_batch else slot
 
     # ------------------------------------------------------------------
     # Per-slot path (``put`` exists only under ``crypto="scalar"``)
@@ -179,7 +180,7 @@ class EncryptedStore:
             RuntimeError: the store is ``crypto="vector"``, which reseals
                 whole partitions only (``put_batch``).
         """
-        if self._aead is None:
+        if self.supports_batch:
             raise RuntimeError(
                 "per-slot put requires crypto='scalar'; the vector store "
                 "reseals whole partitions (put_batch)"
@@ -190,7 +191,7 @@ class EncryptedStore:
             )
         require(0 <= slot < self.num_slots, f"slot {slot} out of range")
         nonce = os.urandom(NONCE_LEN)
-        blob = self._aead.seal(
+        blob = self._cipher.seal(
             nonce,
             key.to_bytes(16, "big", signed=True) + value,
             aad=slot.to_bytes(8, "big"),
@@ -210,7 +211,7 @@ class EncryptedStore:
         open epoch session is left alone.
         """
         require(0 <= slot < self.num_slots, f"slot {slot} out of range")
-        if self._gcm is not None:
+        if self.supports_batch:
             plain = np.empty((self.num_slots, self.plain_size), np.uint8)
             return _decode(self._open(plain)[slot])
         if not self._written[slot]:
@@ -226,7 +227,7 @@ class EncryptedStore:
                 f"slot {slot} nonce does not match the enclave-pinned nonce"
             )
         return _decode(
-            self._aead.open(nonce, blob, aad=slot.to_bytes(8, "big"))
+            self._cipher.open(nonce, blob, aad=slot.to_bytes(8, "big"))
         )
 
     # ------------------------------------------------------------------
@@ -239,7 +240,7 @@ class EncryptedStore:
         The scalar oracle is per-slot by definition: its ``put_batch``
         is the ``put`` loop and it has no ``get_batch``.
         """
-        return self._gcm is not None
+        return self.crypto == "vector"
 
     def put_batch(self, keys, values) -> None:
         """Re-encrypt and store every slot.
@@ -259,7 +260,7 @@ class EncryptedStore:
         n = self.num_slots
         if len(keys) != n:
             raise ValueError(f"{len(keys)} keys for {n} slots")
-        if self._gcm is None:
+        if not self.supports_batch:
             for slot, key in enumerate(keys):
                 self.put(slot, int(key), bytes(values[slot]))
             return
@@ -279,7 +280,7 @@ class EncryptedStore:
             plain[:, 16:] = matrix
         plain[:, :16] = soa.keys_to_prefix(keys)
         nonce = os.urandom(NONCE_LEN)
-        self._gcm.seal_lanes(
+        self._cipher.seal_lanes(
             nonce, plain, n, self.plain_size, out=self._host_blobs
         )
         self._host_nonces[:] = nonce
@@ -306,7 +307,7 @@ class EncryptedStore:
         ``snoopy_store_batch_opens_total`` and
         ``snoopy_store_bytes_moved_total{op="open"}``.
         """
-        if self._gcm is None:
+        if not self.supports_batch:
             raise RuntimeError(
                 "get_batch requires crypto='vector'; the scalar oracle "
                 "reads per slot (get)"
@@ -330,7 +331,7 @@ class EncryptedStore:
         """Decrypt the sealed partition into ``out`` under the pinned nonce."""
         if not self._written[0]:
             raise IntegrityError("the partition was never sealed")
-        return self._gcm.open_lanes(
+        return self._cipher.open_lanes(
             bytes(self._pinned_nonces),
             self._host_blobs,
             self.num_slots,

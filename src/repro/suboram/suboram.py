@@ -94,7 +94,7 @@ class SubOram:
             structure-of-arrays scan with byte-identical results.
         crypto: store-crypto selector (see :mod:`repro.suboram.store`;
             ``None`` = its ``DEFAULT_CRYPTO``): ``"scalar"`` seals/opens
-            one slot per HMAC-AEAD call (the audited oracle);
+            one slot per AES-GCM call (the audited oracle);
             ``"vector"`` opens and reseals the whole partition as one
             AES-GCM message per epoch (:mod:`repro.crypto.vector`),
             same plaintext responses.  The python kernel always runs

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.aead import (
-    AeadKey, NONCE_LEN, TAG_LEN, SecureChannel, digest,
+    AeadKey, NONCE_LEN, TAG_LEN, SecureChannel, SecureChannelPair,
 )
 from repro.crypto.keys import KeyChain, derive_key, random_key
 from repro.crypto.prf import Prf, suboram_of
@@ -248,22 +248,44 @@ class TestAead:
         )
 
     @pytest.mark.parametrize("length, sealed_sha256", [
-        (0, "ee0049a7ea99d91d"),
-        (1, "55a3f68b2e759352"),
-        (31, "2f4575f1b046967b"),
-        (32, "48d568928e188e30"),
-        (33, "14a27ef33d990eca"),
-        (4096, "c4dbfc3417f58c8e"),
-        (65536, "d13ebc0e934dae12"),
+        (0, "e66665b0767f0273"),
+        (1, "5669965880fe137d"),
+        (31, "028681691eafa1fe"),
+        (32, "e36d55113358f325"),
+        (33, "5e69b6b00841e91a"),
+        (4096, "0e8a56bc128ef3a2"),
+        (65536, "2179fe7ce3abf5a7"),
     ])
-    def test_known_answer(self, length, sealed_sha256):
-        """SHAKE-256 keystream + HMAC-SHA256 tag, pinned across the
-        keystream's block edges; every sealed length is ``n + TAG_LEN``."""
-        key = AeadKey(b"known-answer-key-0123456789abcdef")
+    def test_sealed_digest_across_block_edges(self, length, sealed_sha256):
+        """AES-256-GCM output pinned across the 16-byte block edges and
+        at multi-block lengths; every sealed length is ``n + TAG_LEN``."""
+        key = AeadKey(b"known-answer-key-0123456789abcde")
         plaintext = bytes(i * 7 % 256 for i in range(length))
         sealed = key.seal(bytes(range(NONCE_LEN)), plaintext, b"kat/aad")
         assert len(sealed) == length + TAG_LEN
         assert hashlib.sha256(sealed).hexdigest()[:16] == sealed_sha256
+        assert key.open(bytes(range(NONCE_LEN)), sealed, b"kat/aad") == plaintext
+
+    def test_gcm_test_case_16(self):
+        """McGrew–Viega GCM test case 16: AES-256 under a non-zero key,
+        with AAD, over a 60-byte (non-block-multiple) plaintext."""
+        key = AeadKey(bytes.fromhex("feffe9928665731c6d6a8f9467308308" * 2))
+        nonce = bytes.fromhex("cafebabefacedbaddecaf888")
+        aad = bytes.fromhex("feedfacedeadbeeffeedfacedeadbeefabaddad2")
+        plaintext = bytes.fromhex(
+            "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
+            "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b39"
+        )
+        sealed = bytes.fromhex(
+            "522dc1f099567d07f47f37a32a84427d643a8cdcbfe5c0c97598a2bd2555d1aa"
+            "8cb08e48590dbb3da7b08b1056828838c5f61e6393ba7a0abcc9f662"
+            "76fc6ece0f4e1768cddf8853bb2d551b"
+        )
+        assert key.seal(nonce, plaintext, aad) == sealed
+        assert len(sealed) == len(plaintext) + TAG_LEN == 60 + 16
+        assert key.open(nonce, sealed, aad) == plaintext
+        with pytest.raises(IntegrityError):
+            key.open(nonce, sealed, aad[:-1])
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -316,6 +338,24 @@ class TestSecureChannel:
         with pytest.raises(IntegrityError):
             c.receive(nonce, ct)
 
+    def test_directions_never_share_a_keystream(self):
+        """Both directions of a link count nonces from 0; each keys its
+        own cipher, so record i each way never reuses (key, nonce)."""
+        lb = SecureChannelPair(b"k" * 32, "lb0-so0", initiator=True)
+        so = SecureChannelPair(b"k" * 32, "lb0-so0", initiator=False)
+        same = b"the same record, sealed both ways"
+        (n1, fwd), (n2, rev) = lb.tx.send(same), so.tx.send(same)
+        assert n1 == n2
+        assert fwd[:-TAG_LEN] != rev[:-TAG_LEN]
+        req, rep = b"request record 1" * 4, b"reply record #01" * 4
+        (n1, ct1), (n2, ct2) = lb.tx.send(req), so.tx.send(rep)
+        assert n1 == n2
+        ct_xor = bytes(x ^ y for x, y in zip(ct1[:-TAG_LEN], ct2[:-TAG_LEN]))
+        assert ct_xor != bytes(x ^ y for x, y in zip(req, rep))
+        # Each direction still opens at its own receiver.
+        assert so.rx.receive(n1, ct1) == req
+        assert lb.rx.receive(n2, ct2) == rep
+
 
 class TestKeyChain:
     def test_subkeys_stable(self):
@@ -341,12 +381,6 @@ class TestKeyChain:
 
     def test_derive_key_depends_on_label(self):
         assert derive_key(b"m" * 32, "a") != derive_key(b"m" * 32, "b")
-
-
-def test_digest_is_sha256_stable():
-    assert digest(b"abc") == digest(b"abc")
-    assert digest(b"abc") != digest(b"abd")
-    assert len(digest(b"")) == 32
 
 
 class TestReplayWindow:

@@ -120,6 +120,31 @@ class TestTransportSecurity:
         with pytest.raises(IntegrityError):
             deployment.read(1)
 
+    def test_request_and_reply_do_not_share_a_keystream(self):
+        """Request i and reply i of one hop carry the same counter nonce;
+        per-direction keys keep ct1 ^ ct2 from equalling req ^ rep."""
+        deployment = make_deployment()
+        pair = deployment._channels[(0, 0)]
+        plaintexts, captured = [], []
+        for channel in (pair.lb.tx, pair.so.tx):
+            def spy(plaintext, _send=channel.send):
+                plaintexts.append(plaintext)
+                return _send(plaintext)
+            channel.send = spy
+
+        def capture(balancer, suboram, nonce, sealed):
+            if (balancer, suboram) == (0, 0):
+                captured.append((nonce, sealed))
+            return nonce, sealed
+
+        deployment.network_hook = capture
+        deployment.read(1)
+        (req_nonce, req_ct), (rep_nonce, rep_ct) = captured
+        req, rep = plaintexts
+        assert req_nonce == rep_nonce and len(req) == len(rep)
+        ct_xor = bytes(a ^ b for a, b in zip(req_ct, rep_ct[:len(req)]))
+        assert ct_xor != bytes(a ^ b for a, b in zip(req, rep))
+
     def test_message_size_public(self):
         """Sealed sizes on both hops depend only on (B, object size): not
         on keys, the read/write mix, hits vs misses, or duplicates."""

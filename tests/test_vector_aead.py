@@ -3,8 +3,8 @@
 :class:`~repro.crypto.vector.VectorAead` seals a whole subORAM partition
 as one AES-256-GCM message under one fresh nonce.  The tests here pin:
 
-* known answers: McGrew–Viega / NIST GCM test cases 1, 2 and 14, through
-  the installed library and through the wrapper;
+* known answers: McGrew–Viega / NIST GCM test cases 1, 2, 14 and 15,
+  through the installed library and through the wrapper;
 * the wrapper's zero-copy seal and open equal the library's one-shot
   calls for any row count and width;
 * authentication: tamper and truncation rejection, and no plaintext left
@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from repro.crypto import vector as vector_module
+from repro.crypto import aead as aead_module
 from repro.crypto.aead import NONCE_LEN
 from repro.crypto.keys import KeyChain
 from repro.crypto.vector import TAG_LEN, VectorAead
@@ -87,6 +87,25 @@ class TestKnownAnswer:
         count, width = (1, plain_len) if plain_len else (0, 1)
         assert bytes(aead.seal_lanes(nonce, plain, count, width)) == expected
         assert bytes(aead.open_lanes(nonce, expected, count, width)) == plain
+
+    def test_case15_nonzero_key_as_four_rows(self):
+        """Test case 15: AES-256 under a non-zero key and IV, no AAD, the
+        64-byte plaintext sealed as 4 rows of 16 bytes."""
+        aead = VectorAead(bytes.fromhex("feffe9928665731c6d6a8f9467308308" * 2))
+        nonce = bytes.fromhex("cafebabefacedbaddecaf888")
+        plain = np.frombuffer(bytes.fromhex(
+            "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
+            "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b391aafd255"
+        ), dtype=np.uint8).reshape(4, 16)
+        expected = bytes.fromhex(
+            "522dc1f099567d07f47f37a32a84427d643a8cdcbfe5c0c97598a2bd2555d1aa"
+            "8cb08e48590dbb3da7b08b1056828838c5f61e6393ba7a0abcc9f662898015ad"
+            "b094dac5d93471bdec1a502270e3cc6c"
+        )
+        assert bytes(aead.seal_lanes(nonce, plain, 4, 16)) == expected
+        opened = np.empty((4, 16), dtype=np.uint8)
+        aead.open_lanes(nonce, expected, 4, 16, out=opened)
+        assert (opened == plain).all()
 
 
 class TestBackendBitIdentity:
@@ -274,7 +293,7 @@ class TestFixedWork:
         open, for any slot count and content."""
         log = []
         monkeypatch.setattr(
-            vector_module, "AESGCM", lambda key: _CountingGcm(key, log)
+            aead_module, "AESGCM", lambda key: _CountingGcm(key, log)
         )
         for num_slots in (0, 1, 7, 300):
             for fill in (0x00, 0xFF, None):

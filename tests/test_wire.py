@@ -230,10 +230,12 @@ class TestHello:
             decode_hello(frame)
         assert excinfo.value.offered == WIRE_VERSION + 1
         assert WIRE_VERSION in excinfo.value.supported
-        # A v2 peer (variable-width batch entries) is refused by name.
-        with pytest.raises(VersionMismatchError, match=r"\{3\}") as excinfo:
-            decode_hello(encode_hello(Role.WORKER, version=2))
-        assert (excinfo.value.offered, excinfo.value.supported) == (2, (3,))
+        # A v2 peer (variable-width batch entries) and a v3 peer (the
+        # SHAKE-256/HMAC record cipher) are refused by name.
+        for old in (2, 3):
+            with pytest.raises(VersionMismatchError, match=r"\{4\}") as excinfo:
+                decode_hello(encode_hello(Role.WORKER, version=old))
+            assert (excinfo.value.offered, excinfo.value.supported) == (old, (4,))
 
     def test_bad_magic_rejected_before_version(self):
         frame = bytearray(encode_hello(Role.CLIENT, version=WIRE_VERSION + 1))
