@@ -105,12 +105,11 @@ def _open_store(suborams):
         num_load_balancers=NUM_BALANCERS,
         num_suborams=suborams,
         value_size=VALUE_SIZE,
-        execution_backend="thread",
-        kernel="python",
-        security_parameter=SECURITY,
         # One worker per (balancer, subORAM) batch so every remote delay
         # overlaps — the paper's one-machine-per-subORAM deployment.
-        max_workers=NUM_BALANCERS * suborams,
+        execution_backend=f"thread:{NUM_BALANCERS * suborams}",
+        kernel="python",
+        security_parameter=SECURITY,
     )
     store = Snoopy(config, suboram_factory=_remote_suboram_factory)
     store.initialize({k: bytes(VALUE_SIZE) for k in range(NUM_OBJECTS)})

@@ -79,10 +79,9 @@ def _open_store():
         num_load_balancers=NUM_BALANCERS,
         num_suborams=NUM_SUBORAMS,
         value_size=VALUE_SIZE,
-        execution_backend="thread",
+        execution_backend=f"thread:{NUM_BALANCERS * NUM_SUBORAMS}",
         kernel="numpy",
         security_parameter=SECURITY,
-        max_workers=NUM_BALANCERS * NUM_SUBORAMS,
     )
     store = Snoopy(config, rng=random.Random(7))
     store.initialize({k: bytes(VALUE_SIZE) for k in range(NUM_OBJECTS)})

@@ -32,7 +32,7 @@ from repro.core.config import SnoopyConfig
 from repro.core.snoopy import Snoopy
 from repro.core.client import Client, SnoopyClient
 from repro.core.faults import FaultEvent, FaultInjector, FaultPlan
-from repro.core.resilience import EpochRetryController, RetryPolicy
+from repro.core.resilience import EpochRetryController
 from repro.core.pipeline import EpochPipeline
 from repro.core.tickets import Ticket
 from repro.core.access_control import AccessControlledStore
@@ -76,7 +76,6 @@ __all__ = [
     "ReproError",
     "Request",
     "Response",
-    "RetryPolicy",
     "SerialBackend",
     "Snoopy",
     "SnoopyClient",

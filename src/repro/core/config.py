@@ -20,6 +20,11 @@ constructor that accepts one of the selectors (``SubOram``,
 :class:`SnoopyConfig` accepts too — through the same name, so a
 component built without a config serves the same path as one built with
 ``SnoopyConfig()``.
+
+The pool size has one setting, the ``:N`` suffix of
+``execution_backend`` (``"thread:4"``), and no field is a wall-clock
+knob: a failed epoch is retried at once, as one unit, up to
+``epoch_max_attempts`` times, and no unit of work carries a deadline.
 """
 
 from __future__ import annotations
@@ -58,11 +63,10 @@ class SnoopyConfig:
             attacker already observes.
         execution_backend: how epoch stages execute — an
             :mod:`repro.exec` spec string (``"thread"`` — the default —
-            ``"thread:8"``, or ``"serial"``, the inline reference).
-            Public information: the attacker already sees the degree of
+            ``"thread:8"``, or ``"serial"``, the inline reference).  The
+            ``:N`` suffix is the one way to size the pool.  Public
+            information: the attacker already sees the degree of
             physical parallelism.
-        max_workers: pool size for parallel backends (None = backend
-            default; a ``:N`` spec suffix takes precedence).
         kernel: oblivious-kernel selector, ``"numpy"`` (default: the
             vectorized structure-of-arrays path) or ``"python"`` (the
             scalar reference oracle).  Public information: the kernel
@@ -77,17 +81,9 @@ class SnoopyConfig:
             changes only how many calls move the ciphertexts; nonces
             stay enclave-pinned and sealed lengths are functions of
             shape (SECURITY.md "The vector crypto kernel").
-        task_timeout: per-task timeout in seconds for pooled backends
-            (None = unbounded).  An overrun raises
-            :class:`~repro.errors.TaskTimeoutError`, a retryable fault.
         epoch_max_attempts: total attempts per epoch (1 = legacy
             fail-fast; >1 enables atomic epoch retry — a failed attempt
-            requeues its requests and the epoch is re-run).
-        epoch_backoff_base: first retry delay in seconds (0 = no sleep).
-        epoch_backoff_factor: exponential multiplier per further retry.
-        epoch_backoff_jitter: relative jitter amplitude on each delay,
-            drawn deterministically from ``epoch_retry_seed``.
-        epoch_retry_seed: seed of the backoff jitter stream.
+            is re-run at once on the epoch's built batches).
         replication: §9 fault-tolerance parameters ``(f, r)`` — tolerate
             ``f`` fail-stop crashes and ``r`` rollbacks per subORAM by
             running each as a :class:`~repro.extensions.replication.\
@@ -112,15 +108,9 @@ ReplicatedSubOram` group of ``f + r + 1`` replicas.  ``None`` (default)
     epoch_duration: float = 0.2
     pipeline_depth: int = 2
     execution_backend: str = DEFAULT_BACKEND
-    max_workers: Optional[int] = None
     kernel: str = DEFAULT_KERNEL
     crypto: str = DEFAULT_CRYPTO
-    task_timeout: Optional[float] = None
     epoch_max_attempts: int = 1
-    epoch_backoff_base: float = 0.0
-    epoch_backoff_factor: float = 2.0
-    epoch_backoff_jitter: float = 0.1
-    epoch_retry_seed: int = 0
     replication: Optional[Tuple[int, int]] = None
     telemetry: Optional[object] = field(
         default=None, compare=False, repr=False
@@ -143,24 +133,8 @@ ReplicatedSubOram` group of ``f + r + 1`` replicas.  ``None`` (default)
         )
         require(self.epoch_duration > 0, "epoch_duration must be positive")
         require(self.pipeline_depth >= 1, "pipeline_depth must be >= 1")
-        if self.max_workers is not None:
-            require_positive(self.max_workers, "max_workers")
-        if self.task_timeout is not None:
-            require(self.task_timeout > 0, "task_timeout must be positive")
         require(
             self.epoch_max_attempts >= 1, "epoch_max_attempts must be >= 1"
-        )
-        require(
-            self.epoch_backoff_base >= 0,
-            "epoch_backoff_base must be >= 0",
-        )
-        require(
-            self.epoch_backoff_factor >= 1,
-            "epoch_backoff_factor must be >= 1",
-        )
-        require(
-            self.epoch_backoff_jitter >= 0,
-            "epoch_backoff_jitter must be >= 0",
         )
         if self.replication is not None:
             require(

@@ -35,7 +35,6 @@ from repro.crypto.keys import KeyChain
 from repro.enclave.attestation import AttestationService
 from repro.enclave.model import Enclave
 from repro.errors import TransportError
-from repro.exec import BackendSpec
 from repro.oblivious.soa import Batch
 
 
@@ -58,7 +57,6 @@ class DistributedSnoopy(Snoopy):
 
     def __init__(self, config: SnoopyConfig, keychain: Optional[KeyChain] = None,
                  rng: Optional[random.Random] = None,
-                 backend: Optional[BackendSpec] = None,
                  fault_plan: Optional[FaultPlan] = None,
                  telemetry=None):
         """Assemble the attested deployment.
@@ -67,8 +65,6 @@ class DistributedSnoopy(Snoopy):
             config: public deployment parameters.
             keychain: deployment secrets (generated if omitted).
             rng: randomness for client load-balancer selection.
-            backend: execution backend for epoch stages (defaults to
-                ``config.execution_backend``).
             fault_plan: optional deterministic
                 :class:`~repro.core.faults.FaultPlan`; in addition to the
                 backend and replica seams this deployment injects
@@ -78,8 +74,7 @@ class DistributedSnoopy(Snoopy):
                 handle; overrides ``config.telemetry``.
         """
         super().__init__(
-            config, keychain, rng, backend=backend, fault_plan=fault_plan,
-            telemetry=telemetry,
+            config, keychain, rng, fault_plan=fault_plan, telemetry=telemetry,
         )
         # Provision the attestation service with the release measurements.
         self.attestation = AttestationService()

@@ -32,12 +32,10 @@ re-executes the same built batches, and queued successor epochs are
 never reordered.  A failed unit must not leave subORAM state half mutated
 (retrying a partially applied batch would change write-before values),
 so stage ➋ runs *atomically* — on deep copies of the subORAMs, installed
-only when every unit succeeded — while the deployment is armed (a retry
-policy, or a fault injector with events pending) and whenever the
-backend enforces a ``task_timeout``: a timed-out thread cannot be
-killed, and the straggler must only ever write to a copy the epoch has
-already discarded.  Build and match failures, and an exhausted retry
-budget, are fatal: the caller rolls back and raises the cause.
+only when every unit succeeded — while the deployment is armed (more
+than one attempt allowed, or a fault injector with events pending).
+Build and match failures, and an exhausted retry budget, are fatal: the
+caller rolls back and raises the cause.
 
 :class:`EpochDriver` runs each stage as one
 :meth:`~repro.exec.backend.ExecutionBackend.map` call, so the same steps
@@ -233,11 +231,10 @@ class EpochDriver:
             injector: optional :class:`~repro.core.faults.FaultInjector`;
                 units with a scheduled worker-crash/timeout event are
                 armed to fail inside the executing unit.
-            atomic: run on deep copies of the subORAMs so a failed (or
-                timed-out, still running) attempt leaves the caller's
-                subORAM objects untouched — the caller retries by calling
-                this method again with the same ``built`` (which no
-                attempt modifies).
+            atomic: run on deep copies of the subORAMs so a failed
+                attempt leaves the caller's subORAM objects untouched —
+                the caller retries by calling this method again with
+                the same ``built`` (which no attempt modifies).
 
         Returns:
             ``(suborams, entries_per_balancer)`` — the subORAM objects
@@ -449,13 +446,12 @@ class EpochLifecycle:
         A failed attempt is retried in place on the already-built
         batches; exhausted budgets and non-retryable failures raise the
         original cause with nothing installed.  The attempt is atomic
-        when the controller is armed or the backend enforces a
-        ``task_timeout`` (see the module docstring).
+        when the controller is armed (see the module docstring).
         """
         store = self._store
         controller = store.retry_controller
         controller.begin_epoch(job.epoch, store.suborams)
-        atomic = controller.armed or store.backend.task_timeout is not None
+        atomic = controller.armed
         # An atomic epoch returns its deep copies, installed here.
         store.suborams, job.entries = controller.run_with_retry(
             lambda: self._driver.run_execute(

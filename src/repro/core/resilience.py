@@ -1,19 +1,15 @@
-"""Epoch retry policy and the shared fault-tolerance controller.
+"""The shared fault-tolerance controller: epoch retry and replica healing.
 
 The paper's correctness story (Appendix C) assumes every accepted request
 is eventually served in *some* epoch; §9 sketches the infrastructure side
 (``f + r + 1`` quorum replication with a trusted counter).  This module
 is the glue that makes both deployments honor that under faults:
 
-* :class:`RetryPolicy` — per-epoch retry with exponential backoff and
-  *deterministic seeded jitter* (two runs with the same seed back off
-  identically; jitter still decorrelates distinct deployments), built
-  from the ``epoch_*`` fields of
-  :class:`~repro.core.config.SnoopyConfig`;
 * :class:`EpochRetryController` — drives the attempt loop around stage
-  ➋ (:meth:`~repro.core.epoch.EpochDriver.run_execute`, retried in
-  place on the already-built batches), heals replica groups at epoch
-  boundaries (automatic
+  ➋ (:meth:`~repro.core.epoch.EpochDriver.run_execute`, retried at
+  once and in place on the already-built batches, up to
+  ``SnoopyConfig.epoch_max_attempts`` attempts), heals replica groups
+  at epoch boundaries (automatic
   :meth:`~repro.extensions.replication.ReplicatedSubOram.recover_from_peer`
   of crashed or stale replicas), applies scheduled replica faults from a
   :class:`~repro.core.faults.FaultInjector`, and accumulates the
@@ -28,9 +24,6 @@ could simulate themselves (see SECURITY.md).
 
 from __future__ import annotations
 
-import random
-import time
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.faults import FaultInjector
@@ -51,60 +44,6 @@ def _replica_groups(suborams: Sequence) -> list:
     return [s for s in suborams if isinstance(s, ReplicatedSubOram)]
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How (and how often) a failed epoch is retried.
-
-    Attributes:
-        max_attempts: total attempts per epoch (1 = no retry; failures
-            propagate after the requests were requeued).
-        backoff_base: first retry delay in seconds (0 disables sleeping —
-            the right setting for tests).
-        backoff_factor: multiplier per further attempt (exponential).
-        jitter: relative jitter amplitude; each delay is scaled by a
-            factor drawn uniformly from ``[1, 1 + jitter]``.
-        seed: seed of the jitter stream, making backoff schedules
-            deterministic and reproducible per deployment.
-    """
-
-    max_attempts: int = 1
-    backoff_base: float = 0.0
-    backoff_factor: float = 2.0
-    jitter: float = 0.1
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        require(self.max_attempts >= 1, "max_attempts must be >= 1")
-        require(self.backoff_base >= 0, "backoff_base must be >= 0")
-        require(self.backoff_factor >= 1, "backoff_factor must be >= 1")
-        require(self.jitter >= 0, "jitter must be >= 0")
-
-    @classmethod
-    def from_config(cls, config) -> "RetryPolicy":
-        """Build the policy from a :class:`SnoopyConfig`'s epoch_* fields."""
-        return cls(
-            max_attempts=config.epoch_max_attempts,
-            backoff_base=config.epoch_backoff_base,
-            backoff_factor=config.epoch_backoff_factor,
-            jitter=config.epoch_backoff_jitter,
-            seed=config.epoch_retry_seed,
-        )
-
-    def delay(self, failure_index: int) -> float:
-        """Backoff before retry number ``failure_index`` (1-based).
-
-        ``backoff_base * backoff_factor**(failure_index-1)``, scaled by
-        the seeded jitter draw for that index — a pure function of
-        ``(seed, failure_index)``.
-        """
-        require(failure_index >= 1, "failure_index is 1-based")
-        if self.backoff_base <= 0:
-            return 0.0
-        base = self.backoff_base * self.backoff_factor ** (failure_index - 1)
-        draw = random.Random((self.seed, failure_index).__hash__()).random()
-        return base * (1.0 + self.jitter * draw)
-
-
 class EpochRetryController:
     """The fault-tolerance engine shared by both deployments.
 
@@ -123,20 +62,21 @@ class EpochRetryController:
        catches next epoch).
 
     Attributes:
+        max_attempts: total attempts per epoch (1 = no retry; failures
+            propagate and the caller requeues the requests).
         stats: controller-level counters (``epochs_failed``,
             ``epochs_retried``, ``replicas_recovered``).
     """
 
     def __init__(
         self,
-        policy: RetryPolicy,
+        max_attempts: int,
         injector: Optional[FaultInjector] = None,
-        sleep: Callable[[float], None] = time.sleep,
         telemetry=None,
     ):
-        self.policy = policy
+        require(max_attempts >= 1, "max_attempts must be >= 1")
+        self.max_attempts = max_attempts
         self.injector = injector
-        self._sleep = sleep
         self.telemetry = resolve_telemetry(telemetry)
         self.stats: Dict[str, int] = {
             "epochs_failed": 0,
@@ -157,7 +97,7 @@ class EpochRetryController:
         every subORAM.  A deployment with a finite fault plan therefore
         pays the copy only until the last scheduled event has fired.
         """
-        if self.policy.max_attempts > 1:
+        if self.max_attempts > 1:
             return True
         return self.injector is not None and not self.injector.exhausted
 
@@ -216,7 +156,7 @@ class EpochRetryController:
     # The attempt loop
     # ------------------------------------------------------------------
     def run_with_retry(self, attempt: Callable[[], object]):
-        """Run stage ➋ with the policy's retry/backoff schedule.
+        """Run stage ➋, re-running a retryable failure at once.
 
         ``attempt`` is a zero-argument callable driving
         :meth:`EpochDriver.run_execute` once on the epoch's built
@@ -226,19 +166,10 @@ class EpochRetryController:
         the caller rolls the epoch back.
         """
         failure: Optional[EpochFailedError] = None
-        for attempt_index in range(1, self.policy.max_attempts + 1):
+        for attempt_index in range(1, self.max_attempts + 1):
             if attempt_index > 1:
                 self.stats["epochs_retried"] += 1
                 self.telemetry.counter("retry_epochs_retried_total").inc()
-                delay = self.policy.delay(attempt_index - 1)
-                if delay > 0:
-                    self.telemetry.counter(
-                        "retry_backoff_sleeps_total"
-                    ).inc()
-                    self.telemetry.counter(
-                        "retry_backoff_seconds_total"
-                    ).inc(delay)
-                    self._sleep(delay)
             try:
                 return attempt()
             except EpochFailedError as exc:

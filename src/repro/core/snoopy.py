@@ -36,11 +36,11 @@ from repro.core.epoch import (
     attach_telemetry_to_suborams,
 )
 from repro.core.faults import FaultInjector, FaultPlan
-from repro.core.resilience import EpochRetryController, RetryPolicy
+from repro.core.resilience import EpochRetryController
 from repro.core.tickets import Ticket, TicketBook
 from repro.enclave.sealed import MonotonicCounter
 from repro.errors import ConfigurationError, NotInitializedError
-from repro.exec import BackendSpec, ExecutionBackend, make_backend
+from repro.exec import make_backend
 from repro.loadbalancer.balancer import LoadBalancer
 from repro.loadbalancer.initialization import oblivious_shard
 from repro.suboram.suboram import SubOram
@@ -70,7 +70,6 @@ class Snoopy:
 
     def __init__(self, config: SnoopyConfig, keychain: Optional[KeyChain] = None,
                  rng: Optional[random.Random] = None, suboram_factory=None,
-                 backend: Optional[BackendSpec] = None,
                  fault_plan: Optional[FaultPlan] = None,
                  telemetry=None):
         """Assemble the deployment.
@@ -87,9 +86,6 @@ class Snoopy:
                 linear-scan subORAM (§5), or to §9
                 :class:`~repro.extensions.replication.ReplicatedSubOram`
                 groups when ``config.replication`` is set.
-            backend: execution backend for epoch stages — an
-                :class:`~repro.exec.ExecutionBackend` or a spec string;
-                defaults to ``config.execution_backend``.
             fault_plan: optional deterministic
                 :class:`~repro.core.faults.FaultPlan` (chaos testing);
                 scheduled faults are injected through the backend and
@@ -111,12 +107,7 @@ class Snoopy:
         self.telemetry = resolve_telemetry(
             telemetry if telemetry is not None else config.telemetry
         )
-        self._owns_backend = not isinstance(backend, ExecutionBackend)
-        self.backend = make_backend(
-            backend if backend is not None else config.execution_backend,
-            config.max_workers,
-            task_timeout=config.task_timeout,
-        )
+        self.backend = make_backend(config.execution_backend)
         if self.telemetry.enabled:
             self.backend.attach_telemetry(self.telemetry)
         self._injector = (
@@ -125,7 +116,7 @@ class Snoopy:
             else None
         )
         self._retry = EpochRetryController(
-            RetryPolicy.from_config(config),
+            config.epoch_max_attempts,
             injector=self._injector,
             telemetry=self.telemetry,
         )
@@ -332,12 +323,11 @@ class Snoopy:
 
         A failed execute attempt (worker crash, task timeout, transport
         fault) installs no subORAM state and — when
-        ``config.epoch_max_attempts`` allows — is retried in place on
-        the already-built batches with seeded exponential backoff.
-        Exhausted retries (and non-retryable failures such as security
-        aborts) roll the epoch back and re-raise the underlying error;
-        the requests stay queued, their tickets pending, for a later
-        ``run_epoch``.
+        ``config.epoch_max_attempts`` allows — is retried at once, in
+        place on the already-built batches.  Exhausted retries (and
+        non-retryable failures such as security aborts) roll the epoch
+        back and re-raise the underlying error; the requests stay
+        queued, their tickets pending, for a later ``run_epoch``.
 
         Args:
             permissions: optional §D access-control bits,
@@ -390,16 +380,13 @@ class Snoopy:
         Stops an active pipeline first (flushing in-flight epochs; a
         poisoned pipeline's stored error stays retrievable via
         ``pipeline.error``, and a fatal error raised by that final flush
-        propagates after the backend is released).  Only closes backends
-        this deployment constructed itself; a backend instance passed in
-        by the caller stays open (it may be shared across deployments).
+        propagates after the backend is released).
         """
         try:
             if self._pipeline is not None and self._pipeline.active:
                 self._pipeline.stop()
         finally:
-            if self._owns_backend:
-                self.backend.close()
+            self.backend.close()
 
     def __enter__(self) -> "Snoopy":
         """Context-manager entry: returns self."""

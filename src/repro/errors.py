@@ -112,7 +112,8 @@ class WorkerCrashError(FaultError):
 
 
 class TaskTimeoutError(FaultError):
-    """A backend task exceeded its configured per-task timeout.
+    """A unit of work ran out of time: the injected ``task_timeout``
+    fault at stage ➋, or a ``NetworkTicket.result(timeout=)`` wait.
 
     Attributes:
         unit: index of the epoch unit the task belonged to, when known.

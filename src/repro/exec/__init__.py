@@ -29,21 +29,17 @@ byte-identical across backends (``tests/test_parallel_equivalence.py``).
 
 Backends are selected by spec string — ``"serial"``, ``"thread"``,
 ``"thread:8"`` — via :func:`make_backend`, which is what
-:class:`~repro.core.config.SnoopyConfig.execution_backend` feeds.
-Passing an :class:`ExecutionBackend` instance anywhere a spec is
-accepted also works::
+:class:`~repro.core.config.SnoopyConfig.execution_backend` feeds; the
+``:N`` suffix is the one way to size the pool::
 
     from repro import Snoopy, SnoopyConfig
 
-    store = Snoopy(SnoopyConfig(num_suborams=4, execution_backend="serial"))
-    # ... or explicitly:
-    from repro.exec import ThreadPoolBackend
-    store = Snoopy(SnoopyConfig(num_suborams=4), backend=ThreadPoolBackend(8))
+    store = Snoopy(SnoopyConfig(num_suborams=4, execution_backend="thread:8"))
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Type, Union
+from typing import Optional, Tuple, Type
 
 from repro.errors import ConfigurationError
 from repro.exec.backend import ExecutionBackend, SerialBackend
@@ -56,8 +52,6 @@ BACKENDS: dict = {
     ThreadPoolBackend.name: ThreadPoolBackend,
 }
 
-BackendSpec = Union[str, ExecutionBackend]
-
 #: The backend axis' one default: what ``SnoopyConfig`` and
 #: :func:`make_backend` resolve an omitted spec to.  ``"serial"`` is the
 #: reference semantics and is named explicitly where it is wanted.
@@ -67,10 +61,14 @@ DEFAULT_BACKEND = ThreadPoolBackend.name
 def parse_spec(spec: str) -> Tuple[Type[ExecutionBackend], Optional[int]]:
     """Split a ``"name"`` / ``"name:workers"`` spec into (class, workers).
 
+    Only a pool takes a worker count: ``"serial:4"`` would size nothing,
+    and ``"thread:"`` names no count.
+
     Raises:
-        ConfigurationError: unknown backend name or malformed worker count.
+        ConfigurationError: unknown backend name, or a worker count that
+            is empty, malformed, not positive or given to ``serial``.
     """
-    name, _, workers_part = str(spec).partition(":")
+    name, colon, workers_part = str(spec).partition(":")
     cls = BACKENDS.get(name)
     if cls is None:
         raise ConfigurationError(
@@ -78,7 +76,12 @@ def parse_spec(spec: str) -> Tuple[Type[ExecutionBackend], Optional[int]]:
             f"expected one of {sorted(BACKENDS)}"
         )
     workers: Optional[int] = None
-    if workers_part:
+    if colon:
+        if cls is SerialBackend:
+            raise ConfigurationError(
+                f"backend spec {spec!r}: the serial backend has no pool "
+                "to size"
+            )
         try:
             workers = int(workers_part)
         except ValueError:
@@ -92,40 +95,25 @@ def parse_spec(spec: str) -> Tuple[Type[ExecutionBackend], Optional[int]]:
     return cls, workers
 
 
-def make_backend(
-    spec: Optional[BackendSpec] = None,
-    max_workers: Optional[int] = None,
-    task_timeout: Optional[float] = None,
-) -> ExecutionBackend:
-    """Build (or pass through) an execution backend.
+def make_backend(spec: Optional[str] = None) -> ExecutionBackend:
+    """Build the execution backend a spec string names.
 
     Args:
-        spec: a spec string (``"serial"``, ``"thread"``, ``"thread:8"``)
-            or an already-constructed :class:`ExecutionBackend`, returned
-            unchanged; ``None`` means :data:`DEFAULT_BACKEND`.
-        max_workers: pool size; overridden by a ``:N`` suffix in the spec.
-        task_timeout: per-task timeout in seconds for the thread pool; an
-            overrun raises :class:`~repro.errors.TaskTimeoutError`.
-            Ignored for ``serial`` (inline execution cannot be bounded)
-            and for an already-constructed backend instance.
+        spec: ``"serial"``, ``"thread"`` or ``"thread:8"``; ``None``
+            means :data:`DEFAULT_BACKEND`.
 
     Raises:
-        ConfigurationError: the spec names no registered backend.
+        ConfigurationError: the spec names no registered backend, or
+            carries a worker count :func:`parse_spec` rejects.
     """
-    if isinstance(spec, ExecutionBackend):
-        return spec
-    cls, spec_workers = parse_spec(
+    cls, workers = parse_spec(
         spec if spec is not None else DEFAULT_BACKEND
     )
-    workers = spec_workers if spec_workers is not None else max_workers
-    if cls is SerialBackend:
-        return cls()
-    return cls(max_workers=workers, task_timeout=task_timeout)
+    return cls() if workers is None else cls(max_workers=workers)
 
 
 __all__ = [
     "BACKENDS",
-    "BackendSpec",
     "DEFAULT_BACKEND",
     "ExecutionBackend",
     "SerialBackend",

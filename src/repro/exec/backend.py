@@ -30,7 +30,7 @@ from __future__ import annotations
 import contextlib
 import threading
 from abc import ABC, abstractmethod
-from typing import Callable, List, Optional, Sequence, TypeVar
+from typing import Callable, List, Sequence, TypeVar
 
 from repro.telemetry import NULL_TELEMETRY, resolve_telemetry
 
@@ -75,14 +75,10 @@ class ExecutionBackend(ABC):
     #: Registry/spec name of the backend (e.g. ``"serial"``, ``"thread"``).
     name: str = "abstract"
 
-    #: Per-task timeout in seconds the backend enforces, or ``None``.
-    #: Inline execution cannot be bounded, so only pools set it.
-    task_timeout: Optional[float] = None
-
     #: Telemetry handle, defaulting to the shared no-op; deployments call
     #: :meth:`attach_telemetry` to wire in their live handle.  The pooled
-    #: backend records per-task queue-wait/run timings and fault counters
-    #: through it; the serial backend stays instrumentation-free (its
+    #: backend records per-task queue-wait/run timings through it; the
+    #: serial backend stays instrumentation-free (its
     #: stage timings are exactly the driver's, so per-task metrics would
     #: only duplicate them).
     telemetry = NULL_TELEMETRY

@@ -5,14 +5,10 @@ so that merely constructing a deployment never spawns threads, and the
 backend survives pickling and deep copies (the pool itself is dropped
 and re-created on demand).
 
-**Fault surface.**  ``task_timeout`` (seconds, per task) bounds how long
-any one task may run; an overrun raises
-:class:`~repro.errors.TaskTimeoutError` and the pool is abandoned so the
-late result can never feed a retried epoch.  A thread cannot be killed,
-so the straggler keeps running: the epoch driver therefore runs stage ➋
-on copies of the subORAMs whenever a timeout is set (see
-:mod:`repro.core.epoch`), and the straggler only ever touches a copy the
-epoch has already discarded.  Out-of-process subORAMs run behind
+**Fault surface.**  A task runs until it returns or raises; the pool
+sets no deadline on it.  The first exception propagates out of
+:meth:`ThreadPoolBackend.map` and the epoch driver decides on a retry
+(see :mod:`repro.core.epoch`).  Out-of-process subORAMs run behind
 :class:`~repro.serve.workers.WorkerCluster`, not behind a backend.
 """
 
@@ -22,10 +18,8 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Optional
 
-from repro.errors import TaskTimeoutError
 from repro.exec.backend import ExecutionBackend
 from repro.utils.validation import require
 
@@ -74,17 +68,10 @@ class ThreadPoolBackend(ExecutionBackend):
 
     name = "thread"
 
-    def __init__(
-        self,
-        max_workers: Optional[int] = None,
-        task_timeout: Optional[float] = None,
-    ):
+    def __init__(self, max_workers: Optional[int] = None):
         if max_workers is not None:
             require(max_workers > 0, "max_workers must be positive")
-        if task_timeout is not None:
-            require(task_timeout > 0, "task_timeout must be positive")
         self.max_workers = max_workers
-        self.task_timeout = task_timeout
         self._executor: Optional[ThreadPoolExecutor] = None
         # Guards lazy pool creation/teardown: the pipelined scheduler's
         # stage threads issue overlapping map calls, and two of them
@@ -107,19 +94,6 @@ class ThreadPoolBackend(ExecutionBackend):
                         max_workers=workers, thread_name_prefix="repro-epoch"
                     )
         return executor
-
-    def _abandon_executor(self) -> None:
-        """Drop a pool holding a timed-out task.
-
-        Queued tasks are cancelled and the pool reference released
-        without waiting, so a straggler finishing later can never feed a
-        result into a retried epoch.  The next ``map`` call builds a
-        fresh pool.
-        """
-        with self._pool_lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
 
     def map(self, fn, tasks) -> list:
         """Fan tasks out across the pool; gather results in task order.
@@ -147,26 +121,9 @@ class ThreadPoolBackend(ExecutionBackend):
                     "exec_task_run_seconds", backend=self.name
                 ),
             )
-        if self.task_timeout is None:
-            # Executor.map preserves input order and re-raises the first
-            # failing task's exception at iteration time.
-            return list(executor.map(fn, tasks))
-        futures = [executor.submit(fn, task) for task in tasks]
-        results = []
-        for index, future in enumerate(futures):
-            try:
-                results.append(future.result(timeout=self.task_timeout))
-            except FutureTimeoutError as exc:
-                telemetry.counter(
-                    "exec_task_timeouts_total", backend=self.name
-                ).inc()
-                self._abandon_executor()
-                raise TaskTimeoutError(
-                    f"task {index} exceeded the per-task timeout of "
-                    f"{self.task_timeout}s",
-                    unit=index,
-                ) from exc
-        return results
+        # Executor.map preserves input order and re-raises the first
+        # failing task's exception at iteration time.
+        return list(executor.map(fn, tasks))
 
     def close(self) -> None:
         """Shut the pool down; safe to call repeatedly."""

@@ -166,7 +166,6 @@ def epoch_wallclock_series(
     value_size: int = 16,
     batch_delay: float = 0.01,
     seed: int = 7,
-    max_workers: Optional[int] = None,
     kernel: Optional[str] = None,
     stage_sink: Optional[Dict[str, list]] = None,
     pipelined: bool = False,
@@ -231,7 +230,6 @@ start_pipeline` with the clock off — the measurement closes epochs
             num_suborams=num_suborams,
             value_size=value_size,
             execution_backend=spec,
-            max_workers=max_workers,
             kernel=kernel,
             telemetry=telemetry,
         )

@@ -88,8 +88,7 @@ def latency_suboram_factory(batch_delay: float = 0.01):
     in a :class:`LatencySubOram` with the given per-batch delay::
 
         store = Snoopy(config,
-                       suboram_factory=latency_suboram_factory(0.02),
-                       backend="thread")
+                       suboram_factory=latency_suboram_factory(0.02))
     """
 
     def factory(suboram_id: int, config, keychain) -> LatencySubOram:

@@ -47,7 +47,7 @@ What gets instrumented when a ``Telemetry`` handle is threaded through
   (``snoopy_lb_stage_seconds{stage=route|pad|sort|dedupe}``) and subORAM
   phases (``snoopy_suboram_phase_seconds{phase=table|scan|extract}``);
 * exec backends — ``exec_task_queue_seconds`` vs ``exec_task_run_seconds``
-  per task on the thread pool, and ``exec_task_timeouts_total``;
+  per task on the thread pool;
 * oblivious kernels — per-level sort/compact timings through the
   existing ``KernelTrace`` seam (``repro.telemetry.kernelbridge``;
   meaningful on the numpy kernel, which records levels as it executes);
@@ -59,9 +59,8 @@ What gets instrumented when a ``Telemetry`` handle is threaded through
   diagnostics: the differential harness excludes them from the
   workload-invariant public slice it compares across configurations;
 * retry/replication — ``retry_epochs_failed_total`` /
-  ``retry_epochs_retried_total`` / ``retry_backoff_seconds_total`` /
-  ``replication_recoveries_total``, mirroring the retry controller's
-  stats dict;
+  ``retry_epochs_retried_total`` / ``replication_recoveries_total``,
+  mirroring the retry controller's stats dict;
 * fault injection — one ``fault_injected_total{kind=...}`` for the
   epoch and link seams alike, mirroring ``FaultInjector.stats``.
 

@@ -62,8 +62,8 @@ def _labels_key(labels: Dict[str, object]) -> Tuple[Tuple[str, str], ...]:
 class Counter:
     """A monotonically increasing count (requests served, cache hits...).
 
-    Thread-safe; float increments are allowed (e.g. accumulated backoff
-    sleep seconds).  Merging counters adds their values, which is
+    Thread-safe; float increments are allowed (e.g. accumulated stage
+    busy seconds).  Merging counters adds their values, which is
     associative and commutative — the property that makes per-worker
     registries safe to aggregate in any order
     (``tests/test_telemetry_properties.py``).
@@ -298,8 +298,8 @@ class MetricsRegistry:
     def _timing_valued(name: str) -> bool:
         """Counters/gauges whose *value* is wall-clock time.
 
-        ``*_seconds`` / ``*_seconds_total`` series (stage busy time,
-        retry backoff) carry measured durations, not shape-determined
+        ``*_seconds`` / ``*_seconds_total`` series (stage busy time)
+        carry measured durations, not shape-determined
         counts — the byte-exact public export must omit them just like
         histogram sums and quantiles.
         """

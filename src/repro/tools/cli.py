@@ -87,8 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--backend", type=str, default=None,
                       help="execution backend spec: serial or thread[:N] "
                            "(default: SnoopyConfig's)")
-    demo.add_argument("--workers", type=int, default=None,
-                      help="thread-pool size for the thread backend")
     demo.add_argument("--kernel", type=str, default=None,
                       choices=["python", "numpy"],
                       help="oblivious-kernel implementation: the traced "
@@ -420,7 +418,6 @@ def cmd_demo(args) -> int:
         value_size=16,
         security_parameter=32,
         execution_backend=args.backend,
-        max_workers=args.workers,
         kernel=args.kernel,
         epoch_max_attempts=4 if fault_plan is not None else 1,
         telemetry=telemetry,

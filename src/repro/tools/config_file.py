@@ -18,7 +18,12 @@ Operators describe a deployment (or planner SLOs) declaratively::
     }
 
 ``load_spec`` validates and returns (:class:`SnoopyConfig`, slo dict);
-``python -m repro plan`` accepts the same fields.
+``python -m repro plan`` accepts the same fields.  Each deployment field
+must have its JSON type — an integer (not ``true``/``false``) for the
+counts, ``value_size`` and ``security_parameter``, a number for
+``epoch_duration`` and a spec string such as ``"thread:4"`` for
+``execution_backend`` — or loading fails with a
+:class:`~repro.errors.ConfigurationError` naming the file and field.
 """
 
 from __future__ import annotations
@@ -30,14 +35,14 @@ from typing import Optional, Tuple
 from repro.core.config import SnoopyConfig
 from repro.errors import ConfigurationError
 
+#: Each deployment field with its JSON type(s) and how an error names it.
 _DEPLOYMENT_FIELDS = {
-    "num_load_balancers",
-    "num_suborams",
-    "value_size",
-    "security_parameter",
-    "epoch_duration",
-    "execution_backend",
-    "max_workers",
+    "num_load_balancers": (int, "an integer"),
+    "num_suborams": (int, "an integer"),
+    "value_size": (int, "an integer"),
+    "security_parameter": (int, "an integer"),
+    "epoch_duration": ((int, float), "a number"),
+    "execution_backend": (str, "a string"),
 }
 _SLO_FIELDS = {"num_objects", "min_throughput", "max_latency", "object_size",
                "max_monthly_cost"}
@@ -60,11 +65,21 @@ def load_spec(path) -> Tuple[Optional[SnoopyConfig], dict]:
     config = None
     if "deployment" in document:
         section = document["deployment"]
-        bad = set(section) - _DEPLOYMENT_FIELDS
+        if not isinstance(section, dict):
+            raise ConfigurationError(f"{path}: deployment must be an object")
+        bad = set(section) - set(_DEPLOYMENT_FIELDS)
         if bad:
             raise ConfigurationError(
                 f"{path}: unknown deployment fields {sorted(bad)}"
             )
+        for name, value in section.items():
+            types, expected = _DEPLOYMENT_FIELDS[name]
+            # JSON true/false load as bool, which Python counts as int.
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ConfigurationError(
+                    f"{path}: deployment field {name!r} must be "
+                    f"{expected}, got {value!r}"
+                )
         config = SnoopyConfig(**section)
 
     slo = {}
@@ -88,8 +103,6 @@ def dump_spec(config: SnoopyConfig, slo: Optional[dict] = None) -> str:
             "execution_backend": config.execution_backend,
         }
     }
-    if config.max_workers is not None:
-        document["deployment"]["max_workers"] = config.max_workers
     if slo:
         document["slo"] = slo
     return json.dumps(document, indent=2)

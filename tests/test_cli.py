@@ -116,9 +116,11 @@ class TestConfigFile:
         from repro.tools.config_file import load_spec
 
         path = tmp_path / "spec.json"
-        path.write_text('{"deployment": {"bogus": 1}}')
-        with pytest.raises(ConfigurationError, match="bogus"):
-            load_spec(path)
+        # max_workers is not a field: the :N spec suffix sizes the pool.
+        for field in ("bogus", "max_workers"):
+            path.write_text('{"deployment": {"%s": 1}}' % field)
+            with pytest.raises(ConfigurationError, match=field):
+                load_spec(path)
 
     def test_rejects_invalid_json(self, tmp_path):
         from repro.errors import ConfigurationError
@@ -134,9 +136,27 @@ class TestConfigFile:
         from repro.tools.config_file import load_spec
 
         path = tmp_path / "spec.json"
-        path.write_text('{"deployment": {"num_suborams": 0}}')
-        with pytest.raises(ConfigurationError):
-            load_spec(path)
+        for document in ('{"deployment": {"num_suborams": 0}}',
+                         '{"deployment": 5}'):
+            path.write_text(document)
+            with pytest.raises(ConfigurationError):
+                load_spec(path)
+        # A JSON value of the wrong type names the file and the field.
+        for field, value in (
+            ("num_suborams", '"3"'),
+            ("num_suborams", "true"),
+            ("num_load_balancers", "2.0"),
+            ("security_parameter", "false"),
+            ("epoch_duration", '"0.2"'),
+            ("epoch_duration", "true"),
+            ("execution_backend", "4"),
+            ("execution_backend", "null"),
+        ):
+            path.write_text('{"deployment": {"%s": %s}}' % (field, value))
+            with pytest.raises(ConfigurationError) as excinfo:
+                load_spec(path)
+            assert str(path) in str(excinfo.value)
+            assert repr(field) in str(excinfo.value)
 
 
 class TestPlanSpec:

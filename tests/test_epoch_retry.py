@@ -1,8 +1,6 @@
 """Atomic epoch failure, rollback/requeue, and the retry policy."""
 
 import random
-import threading
-import time
 
 import pytest
 
@@ -11,7 +9,7 @@ from repro.core.config import SnoopyConfig
 from repro.core.deployment import DistributedSnoopy
 from repro.core.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.core.linearizability import History, check_snoopy_history
-from repro.core.resilience import EpochRetryController, RetryPolicy
+from repro.core.resilience import EpochRetryController
 from repro.core.snoopy import Snoopy
 from repro.crypto.keys import KeyChain
 from repro.errors import (
@@ -117,55 +115,6 @@ class TestRollbackAndRequeue:
             store.run_epoch()
         assert live_state(store) == before
         store.close()
-
-    def test_timed_out_straggler_never_touches_the_live_partition(
-        self, monkeypatch
-    ):
-        """A thread cannot be killed: after a task timeout rolls the epoch
-        back, the straggler runs on, and must only ever write to a copy."""
-        inner = SubOram.batch_access
-        slow, straggled = [True], []
-        straggler_done = threading.Event()
-
-        def slowed(self, batch, *args, **kwargs):
-            if not (slow[0] and self.suboram_id == 1):
-                return inner(self, batch, *args, **kwargs)
-            time.sleep(0.5)
-            reply = inner(self, batch, *args, **kwargs)
-            straggled.append(batch)
-            if len(straggled) == 2:  # L = 2: the chain is served and sealed
-                straggler_done.set()
-            return reply
-
-        monkeypatch.setattr(SubOram, "batch_access", slowed)
-        requests = [
-            Request(OpType.WRITE, k, bytes([k, 9, 9, 9]), seq=k)
-            for k in range(20)
-        ]
-
-        def submit_all(store):
-            return [
-                store.submit(r, load_balancer=r.key % 2) for r in requests
-            ]
-
-        store = build_store(execution_backend="thread:2", task_timeout=0.25)
-        before = live_state(store)
-        tickets = submit_all(store)
-        with pytest.raises(TaskTimeoutError):
-            store.run_epoch()
-        assert not any(t.done for t in tickets)
-        assert straggler_done.wait(timeout=10)
-        assert live_state(store) == before
-        slow[0] = False
-        store.run_epoch()
-        replies = [t.result().value for t in tickets]
-        store.close()
-
-        twin = build_store(execution_backend="thread:2")
-        twin_tickets = submit_all(twin)
-        twin.run_epoch()
-        assert replies == [t.result().value for t in twin_tickets]
-        twin.close()
 
     def test_requeue_rolls_back_the_epoch_counter(self):
         balancer = LoadBalancer(0, 2, b"k" * 16, value_size=4, security_parameter=16)
@@ -279,10 +228,8 @@ class TestRetryLoop:
         assert injector.stage_fault(0) is None  # consumed exactly once
         assert injector.stats["worker_crashes"] == 1
 
-    def test_backoff_sleeps_follow_the_seeded_schedule(self):
-        policy = RetryPolicy(max_attempts=3, backoff_base=0.5, seed=9)
-        slept = []
-        controller = EpochRetryController(policy, sleep=slept.append)
+    def test_exhausted_budget_runs_exactly_max_attempts(self):
+        controller = EpochRetryController(max_attempts=3)
         calls = {"n": 0}
 
         def attempt():
@@ -294,11 +241,11 @@ class TestRetryLoop:
         with pytest.raises(WorkerCrashError):
             controller.run_with_retry(attempt)
         assert calls["n"] == 3
-        assert slept == [policy.delay(1), policy.delay(2)]
-        assert slept[1] > slept[0]  # exponential
+        assert controller.stats["epochs_failed"] == 3
+        assert controller.stats["epochs_retried"] == 2
 
     def test_non_retryable_failure_stops_immediately(self):
-        controller = EpochRetryController(RetryPolicy(max_attempts=5))
+        controller = EpochRetryController(max_attempts=5)
         calls = {"n": 0}
 
         def attempt():
@@ -311,46 +258,11 @@ class TestRetryLoop:
 
 
 class TestRetryPolicy:
-    def test_delay_is_deterministic_per_seed(self):
-        a = RetryPolicy(max_attempts=4, backoff_base=0.1, seed=7)
-        b = RetryPolicy(max_attempts=4, backoff_base=0.1, seed=7)
-        assert [a.delay(i) for i in (1, 2, 3)] == [
-            b.delay(i) for i in (1, 2, 3)
-        ]
-        c = RetryPolicy(max_attempts=4, backoff_base=0.1, seed=8)
-        assert [a.delay(i) for i in (1, 2, 3)] != [
-            c.delay(i) for i in (1, 2, 3)
-        ]
-
-    def test_delay_grows_exponentially_within_jitter(self):
-        policy = RetryPolicy(
-            max_attempts=5, backoff_base=1.0, backoff_factor=2.0,
-            jitter=0.1, seed=0,
-        )
-        for i in (1, 2, 3):
-            assert 2 ** (i - 1) <= policy.delay(i) <= 2 ** (i - 1) * 1.1
-
-    def test_zero_base_never_sleeps(self):
-        policy = RetryPolicy(max_attempts=3, backoff_base=0.0)
-        assert policy.delay(1) == 0.0
-
-    def test_from_config_reads_the_epoch_fields(self):
-        config = SnoopyConfig(
-            epoch_max_attempts=3, epoch_backoff_base=0.25,
-            epoch_backoff_factor=3.0, epoch_backoff_jitter=0.2,
-            epoch_retry_seed=42,
-        )
-        policy = RetryPolicy.from_config(config)
-        assert policy == RetryPolicy(
-            max_attempts=3, backoff_base=0.25, backoff_factor=3.0,
-            jitter=0.2, seed=42,
-        )
-
     def test_config_validates_retry_fields(self):
         with pytest.raises(Exception):
             SnoopyConfig(epoch_max_attempts=0)
         with pytest.raises(Exception):
-            SnoopyConfig(epoch_backoff_base=-1.0)
+            EpochRetryController(max_attempts=0)
         with pytest.raises(Exception):
             SnoopyConfig(replication=(0, 0))
         with pytest.raises(Exception):

@@ -1,5 +1,6 @@
 """End-to-end tests for the assembled Snoopy system."""
 
+import dataclasses
 import random
 
 import pytest
@@ -14,6 +15,16 @@ class TestConfig:
     def test_defaults(self):
         config = SnoopyConfig()
         assert config.num_machines == 2
+
+    def test_settable_fields_are_pinned(self):
+        # Every field is a value tests and benchmarks must cover; a new
+        # one needs a caller that sets it.
+        assert [f.name for f in dataclasses.fields(SnoopyConfig)] == [
+            "num_load_balancers", "num_suborams", "value_size",
+            "security_parameter", "epoch_duration", "pipeline_depth",
+            "execution_backend", "kernel", "crypto", "epoch_max_attempts",
+            "replication", "telemetry",
+        ]
 
     @pytest.mark.parametrize(
         "kwargs",
