@@ -28,6 +28,7 @@ import random
 from typing import Dict, Optional
 
 from repro.core.config import SnoopyConfig
+from repro.core.epoch import serve_chain
 from repro.core.faults import FaultPlan
 from repro.core.snoopy import Snoopy
 from repro.crypto.aead import SecureChannelPair
@@ -101,39 +102,43 @@ class DistributedSnoopy(Snoopy):
         quote = self.attestation.quote(enclave, b"\x00" * 32)
         self.attestation.verify(quote)  # raises AttestationError if rogue
 
-    def _transport(self, balancer_index: int, suboram_index: int,
-                   suboram, batch: Batch) -> Batch:
-        """Stage-➋ delivery: seal, cross the hostile network, execute, seal back."""
+    def _transport(self, suboram_index: int, suboram, chain) -> list:
+        """Stage-➋ delivery of one subORAM's chain: seal every batch on
+        its own link, cross the hostile network, execute the opened
+        batches as one epoch, and seal each reply back on its link."""
         if (
             self._injector is not None
             and self._injector.transport_fault(suboram_index)
         ):
             # Injected before any channel send so replay counters stay
-            # aligned and the retried hop is a clean re-delivery.
+            # aligned and the retried chain is a clean re-delivery.
             fault = TransportError(
-                f"injected transport failure on hop lb{balancer_index}-"
-                f"so{suboram_index}"
+                f"injected transport failure on the links of subORAM "
+                f"{suboram_index}"
             )
             fault.unit = suboram_index
             raise fault
-        pair = self._channels[(balancer_index, suboram_index)]
-        value_size = self.config.value_size
-        # LB side: serialize + seal.  Both directions cross the "network",
-        # where the attacker sees (and tests tamper with) the sealed bytes.
-        nonce, sealed = self.network_hook(
-            balancer_index, suboram_index, *pair.lb.tx.send(batch.to_bytes())
-        )
-        # SubORAM side: open + deserialize + execute, then seal the reply.
-        results = suboram.batch_access(
-            Batch.from_buffer(pair.so.rx.receive(nonce, sealed), value_size)
-        )
-        nonce, sealed = self.network_hook(
-            balancer_index, suboram_index,
-            *pair.so.tx.send(results.to_bytes()),
-        )
-        return Batch.from_buffer(
-            pair.lb.rx.receive(nonce, sealed), value_size
-        )
+        def cross(balancer_index, tx, rx, batch):
+            # Serialize + seal, cross the "network" (where the attacker
+            # sees, and tests tamper with, the sealed bytes), open.
+            nonce, sealed = self.network_hook(
+                balancer_index, suboram_index, *tx.send(batch.to_bytes())
+            )
+            return Batch.from_buffer(
+                rx.receive(nonce, sealed), self.config.value_size
+            )
+
+        links = [self._channels[(b, suboram_index)] for b, _ in chain]
+        delivered = [
+            cross(b, pair.lb.tx, pair.so.rx, batch)
+            for (b, batch), pair in zip(chain, links)
+        ]
+        return [
+            cross(b, pair.so.tx, pair.lb.rx, reply)
+            for (b, _), pair, reply in zip(
+                chain, links, serve_chain(suboram, delivered)
+            )
+        ]
 
     # Overridable by tests to simulate an in-network attacker.
     def network_hook(self, balancer: int, suboram: int, nonce: bytes,

@@ -16,9 +16,10 @@ epoch behind each other:
 * **execute** — every subORAM serves the L balancers' batches.  The
   batches of one subORAM run in fixed balancer order (LB 0 first — the
   order Appendix C's linearization proof fixes), so each subORAM's
-  L-batch chain is a single ordered unit — and one store session: the
-  partition is opened once and resealed once for the whole chain;
-  independent *across subORAMs*.
+  L-batch chain is a single ordered unit — one
+  :meth:`~repro.suboram.suboram.SubOram.run_epoch` call, which opens the
+  partition once, builds the L tables as one stacked network and
+  reseals once; independent *across subORAMs*.
 * **match** — every balancer obliviously matches the returned rows to
   its clients' requests, and the epoch's ticket cut is resolved.
 * **rollback** — a fatally failed epoch's requests go back to the front
@@ -48,7 +49,6 @@ processes are reached through a transport
 
 from __future__ import annotations
 
-import contextlib
 import copy
 import time
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -69,13 +69,25 @@ from repro.oblivious.soa import Batch
 from repro.telemetry import resolve_telemetry
 from repro.types import Request, Response
 
-#: Delivery seam for stage ➋: ``(balancer_index, suboram_index, suboram,
-#: batch) -> response batch``.  ``None`` means a direct in-process
-#: ``suboram.batch_access(batch)`` call; a networked deployment supplies
-#: its sealed-channel round trip here.  Either way the call runs inside
-#: the store session :func:`_execute_stage` opens around the chain
-#: (``SubOram.epoch``); remote proxies have none and serve batch by batch.
-Transport = Callable[[int, int, object, Batch], Batch]
+#: Delivery seam for stage ➋, one call per chain: ``(suboram_index,
+#: suboram, chain) -> [response batch, ...]``, where ``chain`` lists
+#: ``(balancer_index, batch)`` in balancer order.  ``None`` means a direct
+#: in-process :func:`serve_chain`; a networked deployment supplies its
+#: sealed-channel round trips here.
+Transport = Callable[[int, object, List[Tuple[int, Batch]]], List[Batch]]
+
+
+def serve_chain(suboram, batches: Sequence[Batch]) -> List[Batch]:
+    """A subORAM's batches of one epoch, in balancer order.
+
+    One :meth:`~repro.suboram.suboram.SubOram.run_epoch` call where the
+    subORAM has one; remote proxies and adapters (anything with only a
+    ``batch_access``) are served batch by batch.
+    """
+    run_epoch = getattr(suboram, "run_epoch", None)
+    if run_epoch is None:
+        return [suboram.batch_access(batch) for batch in batches]
+    return run_epoch(batches)
 
 
 def _build_stage(task):
@@ -127,22 +139,15 @@ def _execute_stage(task):
     """
     suboram_index, suboram, chain, transport, fault, telemetry = task
     _raise_injected(fault, suboram_index)
-    outputs = []
-    # One store session for the whole chain, where the subORAM has one.
-    session = getattr(suboram, "epoch", None)
-    with session(len(chain)) if session else contextlib.nullcontext():
-        for balancer_index, batch in chain:
-            with telemetry.time(
-                "snoopy_suboram_batch_seconds", unit=suboram_index
-            ):
-                if transport is None:
-                    entries = suboram.batch_access(batch)
-                else:
-                    entries = transport(
-                        balancer_index, suboram_index, suboram, batch
-                    )
-            outputs.append((balancer_index, entries))
-    return outputs
+    with telemetry.time("snoopy_suboram_epoch_seconds", unit=suboram_index):
+        if transport is None:
+            replies = serve_chain(suboram, [batch for _, batch in chain])
+        else:
+            replies = transport(suboram_index, suboram, chain)
+    return [
+        (balancer_index, reply)
+        for (balancer_index, _), reply in zip(chain, replies)
+    ]
 
 
 def _match_stage(task):

@@ -63,9 +63,10 @@ class Snoopy:
     """
 
     #: Stage-➋ delivery seam the execute step hands to
-    #: :meth:`EpochDriver.run_execute`; ``None`` means a direct in-process
-    #: call.  Subclasses that put a real hop between load balancer and
-    #: subORAM (``DistributedSnoopy``) define it as a method.
+    #: :meth:`EpochDriver.run_execute` (one call per subORAM chain, see
+    #: :data:`~repro.core.epoch.Transport`); ``None`` means a direct
+    #: in-process call.  Subclasses that put a real hop between load
+    #: balancer and subORAM (``DistributedSnoopy``) define it as a method.
     _transport = None
 
     def __init__(self, config: SnoopyConfig, keychain: Optional[KeyChain] = None,
@@ -81,7 +82,8 @@ class Snoopy:
             suboram_factory: optional ``(suboram_id, config, keychain) ->
                 subORAM`` callable for plugging in alternative subORAM
                 designs (anything with ``initialize(objects)`` and
-                ``batch_access(batch)``), e.g. the Oblix adapter behind
+                ``batch_access(batch)``, served batch by batch, or
+                ``run_epoch(batches)``), e.g. the Oblix adapter behind
                 Fig. 10.  Defaults to the paper's throughput-optimized
                 linear-scan subORAM (§5), or to §9
                 :class:`~repro.extensions.replication.ReplicatedSubOram`

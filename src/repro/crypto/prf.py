@@ -18,7 +18,10 @@ hash-table bucketing) of the id.
 
 SipHash is add/rotate/xor on four 64-bit lanes, so
 :meth:`Prf.range_many` evaluates a whole int64 *column* in ~210
-whole-array NumPy operations with no per-key Python work;
+whole-array NumPy operations with no per-key Python work — or, for a
+PRF over a list of L keys, an ``(L, W)`` id matrix whose row ℓ hashes
+under key ℓ (the four state words become ``(L, 1)`` columns), which is
+how a subORAM routes its L per-batch tables in one pass;
 :meth:`Prf.range` is the pure-Python scalar of the same function (the
 python kernel's reference, pinned to the published vectors).
 :meth:`Prf.digest`/:meth:`Prf.value` stay HMAC-SHA256 (the oblivious
@@ -88,22 +91,37 @@ class Prf:
 
     __slots__ = ("_key", "_base", "_sip")
 
-    def __init__(self, key: bytes):
-        if not isinstance(key, (bytes, bytearray)) or len(key) == 0:
+    def __init__(self, key):
+        """``key``: non-empty bytes, or a list of them — L keys whose
+        :meth:`range_many` hashes row ℓ of an ``(L, W)`` id matrix under
+        key ℓ (the other methods take one key)."""
+        keys = key if isinstance(key, list) else [key]
+        if not keys or not all(
+            isinstance(k, (bytes, bytearray)) and k for k in keys
+        ):
             raise ValueError("PRF key must be non-empty bytes")
-        self.__setstate__(bytes(key))
+        self.__setstate__(
+            [bytes(k) for k in keys] if isinstance(key, list) else bytes(key)
+        )
 
     # A pre-keyed HMAC context is not picklable; rebuild lazily.
-    def __getstate__(self) -> bytes:
+    def __getstate__(self):
         return self._key
 
-    def __setstate__(self, state: bytes) -> None:
+    def __setstate__(self, state) -> None:
         self._key = state
         self._base = None
-        raw = derive_key(state, "snoopy/prf/siphash")
-        k0, k1 = (int.from_bytes(raw[i : i + 8], "little") for i in (0, 8))
-        #: SipHash's four-word initial state under this key.
-        self._sip = tuple(k ^ c for k, c in zip((k0, k1, k0, k1), _SIP_INIT))
+        words = []
+        for key in state if isinstance(state, list) else [state]:
+            raw = derive_key(key, "snoopy/prf/siphash")
+            k0, k1 = (int.from_bytes(raw[i : i + 8], "little") for i in (0, 8))
+            words.append([k ^ c for k, c in zip((k0, k1, k0, k1), _SIP_INIT)])
+        #: SipHash's four-word initial state under this key (under L keys,
+        #: one ``(L, 1)`` uint64 column per word).
+        if isinstance(state, list):
+            self._sip = tuple(np.array(words, dtype=np.uint64).T[:, :, None])
+        else:
+            self._sip = tuple(words[0])
 
     def digest(self, message: bytes) -> bytes:
         """Raw 32-byte HMAC-SHA256 output for a byte-string input."""
@@ -130,15 +148,17 @@ class Prf:
             _rotl_int, lambda a, b: (a + b) & _MASK64,
         ) % n
 
-    def range_many(self, xs, n: int):
+    def range_many(self, xs, n):
         """:meth:`range` over a whole id column, as an int64 ndarray.
 
         ``xs`` is an int64 ndarray or a sequence of ints (ids outside
         int64 raise :class:`~repro.errors.CapacityError`); the result has
-        ``len(xs)`` entries in ``[0, n)``.  A fixed number of whole-column
-        uint64 operations, whatever the ids are.
+        ``xs``'s shape, entries in ``[0, n)``.  A fixed number of
+        whole-column uint64 operations, whatever the ids are.  Under L
+        keys ``xs`` is an ``(L, W)`` matrix and ``n`` may be an ``(L, 1)``
+        column of per-row range sizes.
         """
-        if n <= 0:
+        if np.any(np.asarray(n) <= 0):
             raise ValueError(f"range size must be positive, got {n}")
         try:
             column = np.asarray(xs, dtype=np.int64)

@@ -8,9 +8,10 @@ provide a trusted counter abstraction that can be used to detect which of
 the received replies corresponds to the most recent epoch...  Snoopy only
 invokes the trusted counter once per epoch."
 
-``ReplicatedSubOram`` implements exactly that: every batch goes to all
-reachable replicas; each reply is stamped with the replica's epoch; the
-group's trusted counter (bumped once per batch) identifies fresh replies.
+``ReplicatedSubOram`` implements exactly that: every epoch's batches go
+to all reachable replicas; each reply is stamped with the replica's
+epoch; the group's trusted counter (bumped once per epoch) identifies
+fresh replies.
 With at most ``f`` crashes and ``r`` rollbacks, at least one fresh reply
 survives; fewer survivors than that raise loudly instead of serving stale
 data.
@@ -18,9 +19,8 @@ data.
 
 from __future__ import annotations
 
-import contextlib
 import copy
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.crypto.keys import KeyChain
 from repro.enclave.sealed import MonotonicCounter
@@ -57,9 +57,10 @@ class _ReplicaSnapshot:
 class ReplicatedSubOram:
     """A subORAM group tolerating ``f`` crashes and ``r`` rollbacks.
 
-    The group size is ``f + r + 1``.  ``batch_access`` executes the batch
-    on every live replica, bumps the trusted counter once, and returns the
-    response of a replica whose epoch matches the counter.
+    The group size is ``f + r + 1``.  ``run_epoch`` executes the epoch's
+    batches on every live replica, bumps the trusted counter once, and
+    returns the responses of a replica whose epoch matches the counter
+    (``batch_access`` is the epoch of one batch).
     """
 
     def __init__(
@@ -128,20 +129,16 @@ class ReplicatedSubOram:
     # ------------------------------------------------------------------
     # Batch execution with freshness checking
     # ------------------------------------------------------------------
-    @contextlib.contextmanager
-    def epoch(self, batches: int):
-        """One epoch session on every live replica (see ``SubOram.epoch``)."""
-        with contextlib.ExitStack() as stack:
-            for replica in self.replicas:
-                if not replica.crashed:
-                    stack.enter_context(replica.suboram.epoch(batches))
-            yield self
-
     def batch_access(self, batch: Batch) -> Batch:
-        """Execute on all live replicas; return a verified-fresh reply.
+        """The epoch of one batch: ``run_epoch([batch])[0]``."""
+        return self.run_epoch([batch])[0]
 
-        Every replica is handed the same ``batch`` object (``batch_access``
-        does not modify its argument).
+    def run_epoch(self, batches: Sequence[Batch]) -> List[Batch]:
+        """Execute on all live replicas; return verified-fresh replies.
+
+        Every replica is handed the same ``batches`` (``run_epoch`` does
+        not modify its arguments) and serves them as one
+        :meth:`SubOram.run_epoch`.
 
         Raises:
             ReplicaUnavailableError: every replica has crashed.  The
@@ -162,7 +159,7 @@ class ReplicatedSubOram:
         for replica in self.replicas:
             if replica.crashed:
                 continue
-            result = replica.suboram.batch_access(batch)
+            result = replica.suboram.run_epoch(batches)
             replica.epoch += 1
             replies.append((replica.epoch, result))
 

@@ -149,6 +149,8 @@ class TwoTierHashTable:
         self._slot_items = slot_items
         self._slot_real = slot_real
         self._kernel = resolve_kernel(kernel)
+        #: :meth:`bucket_blocks` of the build's ``lookups`` (or ``None``).
+        self.lookup_blocks = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -157,19 +159,22 @@ class TwoTierHashTable:
     def build(
         cls,
         keys: Sequence[int],
-        prf_key: bytes,
+        prf_key,
         params: Optional[TwoTierParams] = None,
         security_parameter: int = 128,
         real: Optional[Sequence[int]] = None,
         mem_factory=None,
         kernel=None,
-    ) -> "TwoTierHashTable":
+        lookups=None,
+    ):
         """Obliviously construct the table over ``keys``.
 
         Args:
             keys: at most ``params.capacity`` distinct integer ids (a
                 list or an int64 column); item ``i`` is ``keys[i]``.
             prf_key: per-batch secret key (resampled every batch, §5).
+                A *list* of L keys builds and returns L tables, with
+                ``keys`` (and ``real``) lists of L columns.
             params: public dimensions; derived from ``len(keys)`` if None.
             security_parameter: lambda for derived params.
             real: optional 0/1 column; defaults to "everything is real".
@@ -181,59 +186,103 @@ class TwoTierHashTable:
             kernel: oblivious-kernel selector (name or instance, see
                 :mod:`repro.oblivious.kernels`) for the internal sorts
                 and compactions.
+            lookups: optional key column (a subORAM's store keys) routed
+                in the same SipHash pass; each table's ``lookup_blocks``
+                is then its :meth:`bucket_blocks` of it (else ``None``).
+
+        L tables are the rows of one network: one SipHash pass with a key
+        per row, and under the numpy kernel one stacked sort and one
+        stacked compaction per tier (:func:`_tier_columns`).  Each table
+        equals its own single build.
         """
-        n = len(keys)
-        if params is None:
-            params = TwoTierParams.for_capacity(max(1, n), security_parameter)
-        if n > params.capacity:
-            raise CapacityError(
-                f"{n} items exceed table capacity {params.capacity}"
-            )
-        p = params
+        if isinstance(prf_key, (bytes, bytearray)):
+            return cls.build(
+                [keys], [prf_key], params, security_parameter,
+                None if real is None else [real], mem_factory, kernel,
+                lookups,
+            )[0]
         kern = resolve_kernel(kernel, mem_factory)
-        prf = Prf(prf_key)
+        sizes = [len(row) for row in keys]
+        dims = [
+            params or TwoTierParams.for_capacity(max(1, n), security_parameter)
+            for n in sizes
+        ]
         # Entries are named by *source*: item i is i, and the j-th of the
         # tier2_capacity spill fillers is n + j (real bit 0, an id from a
-        # space disjoint from real/dummy ids so that it hashes too).
-        ids = np.concatenate([
-            np.asarray(keys, dtype=np.int64),
-            -(2**62) - np.arange(p.tier2_capacity, dtype=np.int64),
-        ])
-        real = np.ones(n, bool) if real is None else np.asarray(real, bool)
-        real = np.pad(real, (0, p.tier2_capacity))  # fillers are not real
+        # space disjoint from real/dummy ids so that it hashes too).  One
+        # tag per id (and per lookup) under each row's own key: its two
+        # mixed-radix digits are the tier-1 and tier-2 buckets.
+        lookup = np.asarray([] if lookups is None else lookups, np.int64)
+        width = max(n + p.tier2_capacity for n, p in zip(sizes, dims))
+        ids = np.zeros((len(sizes), width + len(lookup)), dtype=np.int64)
+        ids[:, width:] = lookup
+        for row, (n, p) in enumerate(zip(sizes, dims)):
+            if n > p.capacity:
+                raise CapacityError(
+                    f"{n} items exceed table capacity {p.capacity}"
+                )
+            ids[row, :n] = keys[row]
+            ids[row, n:n + p.tier2_capacity] = -(2**62) - np.arange(
+                p.tier2_capacity
+            )
         bucket1, bucket2 = np.divmod(
-            prf.range_many(ids, p.tier1_buckets * p.tier2_buckets),
-            p.tier2_buckets,
+            Prf(list(prf_key)).range_many(ids, np.array(
+                [[p.tier1_buckets * p.tier2_buckets] for p in dims]
+            )),
+            np.array([[p.tier2_buckets] for p in dims]),
         )
-        tier1 = (p.tier1_buckets, p.tier1_bucket_size, p.tier2_capacity, n)
-        tier2 = (p.tier2_buckets, p.tier2_bucket_size, 0, 0)
+        tier1 = [(p.tier1_buckets, p.tier1_bucket_size, p.tier2_capacity, n)
+                 for n, p in zip(sizes, dims)]
+        tier2 = [(p.tier2_buckets, p.tier2_bucket_size, 0, 0) for p in dims]
         if kern.vectorized:
-            slots1, spill = _tier_columns(
-                kern, bucket1[:n], np.arange(n, dtype=np.int64), *tier1
+            slots1, spills = _tier_columns(
+                kern, [b[:n] for b, n in zip(bucket1, sizes)],
+                [np.arange(n, dtype=np.int64) for n in sizes], tier1,
             )
-            slots2, overflow = _tier_columns(
-                kern, bucket2[spill], spill, *tier2
+            slots2, overflows = _tier_columns(
+                kern, [b[s] for b, s in zip(bucket2, spills)], spills, tier2
             )
-            slot_items = np.concatenate([slots1, slots2])
-            slot_items[slot_items >= n] = -1
         else:
-            real = real.astype(int).tolist()
-            bucket2 = bucket2.tolist()
-            slots1, spill = _tier_records(
-                kern, mem_factory, bucket1[:n].tolist(), range(n), *tier1
+            slots1, spills = zip(*(
+                _tier_records(kern, mem_factory, b[:n].tolist(), range(n), *d)
+                for b, n, d in zip(bucket1, sizes, tier1)
+            ))
+            slots2, overflows = zip(*(
+                _tier_records(kern, mem_factory, b[s].tolist(), s, *d)
+                for b, s, d in zip(bucket2, spills, tier2)
+            ))
+        tables = []
+        for row, (n, p) in enumerate(zip(sizes, dims)):
+            row_real = np.pad(
+                np.ones(n, bool) if real is None else
+                np.asarray(real[row], bool), (0, p.tier2_capacity),
             )
-            slots2, overflow = _tier_records(
-                kern, mem_factory, [bucket2[s] for s in spill], spill, *tier2
-            )
-            slot_items = [s if s < n else -1 for s in slots1 + slots2]
-        if any(soa.take(real, overflow)):
-            raise CapacityError(
-                "tier-2 oblivious hash table overflowed; probability of this"
-                f" event is <= 2^-{p.security_parameter} under Theorem 3"
-            )
-        # Index -1 (every filler slot) reads the last spill filler's 0.
-        return cls(p, prf, slot_items, soa.take(real, slot_items),
-                   kernel=kernel)
+            if kern.vectorized:
+                slot_items = np.concatenate([slots1[row], slots2[row]])
+                slot_items[slot_items >= n] = -1
+            else:
+                row_real = row_real.astype(int).tolist()
+                slot_items = [
+                    s if s < n else -1 for s in slots1[row] + slots2[row]
+                ]
+            if any(soa.take(row_real, overflows[row])):
+                raise CapacityError(
+                    "tier-2 oblivious hash table overflowed; probability of"
+                    f" this event is <= 2^-{p.security_parameter} under"
+                    " Theorem 3"
+                )
+            # Index -1 (every filler slot) reads the last spill filler's 0.
+            table = cls(p, Prf(prf_key[row]), slot_items,
+                        soa.take(row_real, slot_items), kernel=kernel)
+            if lookups is not None:
+                table.lookup_blocks = (
+                    (bucket1[row, width:], p.tier1_buckets,
+                     p.tier1_bucket_size),
+                    (bucket2[row, width:], p.tier2_buckets,
+                     p.tier2_bucket_size),
+                )
+            tables.append(table)
+        return tables
 
     # ------------------------------------------------------------------
     # Lookup
@@ -315,6 +364,18 @@ class TwoTierHashTable:
         """
         return self._kernel.compact(self._slot_items, self._slot_real)
 
+    @staticmethod
+    def extract_all(tables: Sequence["TwoTierHashTable"]) -> list:
+        """:meth:`extract_real` of each of ``tables`` (one kernel), as one
+        stacked compaction under the numpy kernel."""
+        kernel = tables[0]._kernel
+        if not kernel.vectorized:
+            return [table.extract_real() for table in tables]
+        return kernel.compact(
+            [table._slot_items for table in tables],
+            [table._slot_real for table in tables],
+        )
+
 
 _SPILL_BOUND = "tier-1 spill {} exceeds public bound {}"
 
@@ -373,33 +434,54 @@ def _tier_records(kern, mem_factory, buckets, sources, num_buckets,
     return [r[3] for r in kept], [r[3] for r in spilled]
 
 
-def _tier_columns(kern, buckets, sources, num_buckets, bucket_size,
-                  spill_capacity, first_filler) -> tuple:
-    """:func:`_tier_records` as whole-array ops on index permutations."""
-    n = len(buckets)
-    total = n + num_buckets * bucket_size
-    position = np.arange(total, dtype=np.int64)
-    fillers = np.arange(spill_capacity, dtype=np.int64)
-    source = np.full(total + spill_capacity, -1, dtype=np.int64)
-    source[:n] = sources
-    source[total:] = first_filler + fillers
-    bucket = np.concatenate(
-        [buckets, np.repeat(np.arange(num_buckets), bucket_size)]
-    )
+def _tier_columns(kern, buckets, sources, dims) -> tuple:
+    """:func:`_tier_records` as whole-array ops on index permutations, for
+    L tables at once: row ``r`` is one tier of table ``r`` (its
+    ``buckets``/``sources`` columns and ``dims[r] = (num_buckets,
+    bucket_size, spill_capacity, first_filler)``), and the tier's sort
+    and its compaction (kept and spilled entries) are each one stacked
+    kernel call over the rows.  Returns the per-row ``(slots, spill)``
+    source columns."""
+    positions = [np.arange(len(row) + count * size, dtype=np.int64)
+                 for row, (count, size, _, _) in zip(buckets, dims)]
+    filled = [np.concatenate([row, np.repeat(np.arange(count), size)])
+              for row, (count, size, _, _) in zip(buckets, dims)]
     # Input rows in sorted order: buckets grouped, payload before fillers.
-    order = kern.sort(position, [bucket, position >= n])
-    bucket = bucket[order]
-    first = np.ones(total, dtype=bool)
-    first[1:] = bucket[1:] != bucket[:-1]
-    within = position - np.maximum.accumulate(np.where(first, position, 0))
-    keep = within < bucket_size
-    spill = ~keep & (order < n)
-    num_spilled = int(spill.sum())
-    if spill_capacity and num_spilled > spill_capacity:
-        raise CapacityError(_SPILL_BOUND.format(num_spilled, spill_capacity))
-    kept = kern.compact(order, keep)
-    spilled = kern.compact(
-        np.concatenate([order, total + fillers]),
-        np.concatenate([spill, fillers < spill_capacity - num_spilled]),
+    orders = kern.sort(positions, [
+        [bucket, position >= len(row)]
+        for position, bucket, row in zip(positions, filled, buckets)
+    ])
+    keeps, spill_rows, spill_flags, source_rows = [], [], [], []
+    for position, bucket, order, row, row_sources, dim in zip(
+        positions, filled, orders, buckets, sources, dims
+    ):
+        _, bucket_size, spill_capacity, first_filler = dim
+        n, total = len(row), len(position)
+        bucket = bucket[order]
+        first = np.ones(total, dtype=bool)
+        first[1:] = bucket[1:] != bucket[:-1]
+        within = position - np.maximum.accumulate(
+            np.where(first, position, 0)
+        )
+        keeps.append(within < bucket_size)
+        spill = ~keeps[-1] & (order < n)
+        num_spilled = int(spill.sum())
+        if spill_capacity and num_spilled > spill_capacity:
+            raise CapacityError(
+                _SPILL_BOUND.format(num_spilled, spill_capacity)
+            )
+        fillers = np.arange(spill_capacity, dtype=np.int64)
+        spill_rows.append(np.concatenate([order, total + fillers]))
+        spill_flags.append(
+            np.concatenate([spill, fillers < spill_capacity - num_spilled])
+        )
+        source = np.full(total + spill_capacity, -1, dtype=np.int64)
+        source[:n] = row_sources
+        source[total:] = first_filler + fillers
+        source_rows.append(source)
+    # The kept and the spilled entries of every row: one compaction.
+    compacted = kern.compact(orders + spill_rows, keeps + spill_flags)
+    return (
+        [source[k] for source, k in zip(source_rows, compacted)],
+        [source[s] for source, s in zip(source_rows, compacted[len(orders):])],
     )
-    return source[kept], source[spilled]

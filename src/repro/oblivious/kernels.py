@@ -27,7 +27,7 @@ accepts ``kernel="python" | "numpy"``:
   ``(remaining distance ‖ source index)`` for the compaction — and
   return an index permutation, so the stages around them
   (``generate_batches``, the table build/scan/extract inside
-  ``SubOram.batch_access``, ``match_responses``) exchange permutations
+  ``SubOram.run_epoch``, ``match_responses``) exchange permutations
   over the columns of the :class:`~repro.oblivious.soa.Batch` they were
   handed and gather its rows once.
 
@@ -35,6 +35,14 @@ Both kernels sort by the *total* key ``(columns..., input position)``:
 no two keys tie, so the two kernels agree by construction (and the sort
 is stable) instead of the fast path having to mimic the network's tie
 behaviour.
+
+**A leading row axis.**  The numpy ``sort`` and ``compact_full`` (and
+so ``compact``) also take ``items`` as a list of L ndarray rows, each
+with its own public length, with ``columns``/``flags`` one entry per
+row, and return the L results — each equal to its single-row call.  The
+rows are padded to the common ``m = next_pow2(max n)`` and every level
+or layer is *one* operation over all L·m cells, so ``SubOram.run_epoch``
+pays the network's per-call cost once per epoch, not once per batch.
 
 Call sites resolve the selector with
 ``resolve_kernel(kernel, mem_factory)``: passing a ``mem_factory``
@@ -52,7 +60,8 @@ numpy kernel holds instead is stronger than sharing the level schedule:
 partner gather (``i ^ j``), a ``minimum``, a ``maximum`` and a select by
 a precomputed mask; a Goodrich layer is one shifted select — and every
 level runs unconditionally, so the sequence of array operations and
-their shapes is a function of ``n`` only.  No layer is skipped because
+their shapes is a function of ``n`` only (of the row count and the row
+lengths, for stacked rows).  No layer is skipped because
 nothing moves, and no gather or scatter is sized by a secret-dependent
 mask.  ``tests/test_kernels.py`` counts the operations to pin this.  The
 one exception is public-by-range, not by-content: sort columns whose
@@ -182,14 +191,24 @@ class Kernel:
 
     def compact(self, items: Sequence, flags: Sequence[int], mem_factory=None,
                 trace: Optional[KernelTrace] = None) -> List:
-        """Compact and truncate to exactly the ``sum(flags)`` kept items."""
-        if hasattr(flags, "dtype"):
-            kept = int(flags.astype(bool).sum())
-        else:
-            kept = sum(1 for f in flags if f)
-        return self.compact_full(
+        """Compact and truncate to the ``sum(flags)`` kept items (per row)."""
+        full = self.compact_full(
             items, flags, mem_factory=mem_factory, trace=trace
-        )[:kept]
+        )
+        if not _is_rows(items):
+            return full[:int(np.asarray(flags, dtype=bool).sum())]
+        return [
+            row[:int(np.asarray(f, dtype=bool).sum())]
+            for row, f in zip(full, flags)
+        ]
+
+
+def _is_rows(items) -> bool:
+    """Whether a kernel call is stacked: ``items`` a list of ndarray rows."""
+    return (
+        isinstance(items, list) and bool(items)
+        and isinstance(items[0], np.ndarray)
+    )
 
 
 def _pair_key(pair):
@@ -304,12 +323,12 @@ class PythonKernel(Kernel):
 _TLS = threading.local()
 
 
-def _scratch(name: str, m: int, dtype):
-    """An epoch-reused uninitialized length-``m`` array of this thread."""
+def _scratch(name: str, shape, dtype):
+    """An epoch-reused uninitialized array of this thread."""
     scratch = getattr(_TLS, "scratch", None)
     if scratch is None:
         scratch = _TLS.scratch = {}
-    return soa.scratch_array(scratch, name, (m,), dtype)
+    return soa.scratch_array(scratch, name, shape, dtype)
 
 
 def _reject_mem_factory(mem_factory) -> None:
@@ -320,8 +339,9 @@ def _reject_mem_factory(mem_factory) -> None:
         )
 
 
-def _packed_sort_keys(m: int, n: int, cols):
-    """One int64 word per row, or ``None`` when the columns don't fit.
+def _pack_sort_keys(packed, n: int, cols) -> bool:
+    """Pack one row's total keys into ``packed``; ``False`` when they
+    don't fit one int64 word.
 
     The total key ``(pad_bit, col_1, ..., col_k, input index)`` is packed
     as a mixed-radix integer: each column is shifted to start at its
@@ -330,8 +350,10 @@ def _packed_sort_keys(m: int, n: int, cols):
     them and the row's own index in the low ``log2(m)`` bits.  Packing
     is order-isomorphic to the python kernel's tuple compare, and the
     index makes every word distinct, so a comparator is exactly a
-    ``minimum``/``maximum`` pair.
+    ``minimum``/``maximum`` pair.  Rows never meet, so each is packed to
+    its own widths.
     """
+    m = len(packed)
     index_bits = m.bit_length() - 1
     total_bits = index_bits
     shifted = []
@@ -340,9 +362,8 @@ def _packed_sort_keys(m: int, n: int, cols):
         width = max(1, (int(col.max()) - lo).bit_length()) if n else 1
         total_bits += width
         if total_bits > 62:
-            return None
+            return False
         shifted.append((col - lo, width))
-    packed = _scratch("sort_packed", m, np.int64)
     packed[:n] = 0
     for col, width in shifted:
         packed[:n] <<= width
@@ -350,28 +371,32 @@ def _packed_sort_keys(m: int, n: int, cols):
     packed[n:] = np.int64(1) << (total_bits - index_bits)
     packed <<= index_bits
     packed |= np.arange(m, dtype=np.int64)
-    return packed
+    return True
 
 
 @lru_cache(maxsize=8)
-def _level_arrays(m: int):
-    """Per-level ``(partner, take_min)`` columns of a size-``m`` network.
+def _level_arrays(m: int, rows: int = 1):
+    """Per-level ``(partner, take_min)`` columns of ``rows`` stacked
+    size-``m`` networks (``rows * m`` flat cells).
 
     Level ``(k, j)`` of the bitonic schedule pairs cell ``i`` with
-    ``i ^ j``; the cell keeps the smaller word when it is the lower end
-    of an ascending comparator or the upper end of a descending one.
-    Both columns are computed arithmetically from the cell index (no
-    per-comparator Python objects), shared read-only between threads,
-    and bounded to the few sizes a deployment replays every epoch.
+    ``i ^ j`` — inside its own row, since ``j < m`` — and the cell keeps
+    the smaller word when it is the lower end of an ascending comparator
+    or the upper end of a descending one, which depends on its place in
+    the row, ``i & (m - 1)``.  Both columns are computed arithmetically
+    from the cell index (no per-comparator Python objects), shared
+    read-only between threads, and bounded to the few shapes a
+    deployment replays every epoch.
     """
-    idx = np.arange(m, dtype=np.int64)
+    idx = np.arange(rows * m, dtype=np.int64)
+    cell = idx & (m - 1)
     levels = []
     k = 2
     while k <= m:
         j = k // 2
         while j >= 1:
             partner = idx ^ j
-            take_min = ((idx & j) == 0) == ((idx & k) == 0)
+            take_min = ((cell & j) == 0) == ((cell & k) == 0)
             partner.setflags(write=False)
             take_min.setflags(write=False)
             levels.append((partner, take_min))
@@ -396,29 +421,42 @@ class NumpyKernel(Kernel):
     vectorized = True
 
     def sort(self, items, columns, mem_factory=None, trace=None):
-        """Each bitonic level: partner gather, min/max, select by mask."""
+        """Each bitonic level: partner gather, min/max, select by mask —
+        over all rows at once when stacked (see the module docstring)."""
         _reject_mem_factory(mem_factory)
-        n = len(items)
-        m = next_pow2(max(1, n))
-        cols = [np.asarray(col, dtype=np.int64) for col in columns]
-        packed = _packed_sort_keys(m, n, cols)
-        if packed is None:
-            # Columns wider than one word (keys spanning > ~2^44): the
-            # reference kernel sorts the index column instead.
-            order = KERNELS["python"].sort(range(n), columns, trace=trace)
-            return soa.take(items, np.asarray(order, dtype=np.int64))
-        if trace is not None:
-            trace.record("sort", n, m)
-        other = _scratch("sort_other", m, np.int64)
-        low = _scratch("sort_low", m, np.int64)
-        for level_index, (partner, take_min) in enumerate(_level_arrays(m)):
-            if trace is not None:
-                trace.record("sort_level", m, level_index, m // 2)
-            np.take(packed, partner, out=other, mode="clip")
-            np.minimum(packed, other, out=low)
-            np.maximum(packed, other, out=other)
-            packed = np.where(take_min, low, other)
-        return soa.take(items, packed[:n] & np.int64(m - 1))
+        stacked = _is_rows(items)
+        rows = items if stacked else [items]
+        row_columns = columns if stacked else [columns]
+        sizes = [len(row) for row in rows]
+        m = next_pow2(max([1] + sizes))
+        shape = (len(rows) * m,)
+        packed = _scratch("sort_packed", shape, np.int64)
+        wide = {}
+        for r, (n, cols) in enumerate(zip(sizes, row_columns)):
+            cols = [np.asarray(col, dtype=np.int64) for col in cols]
+            if not _pack_sort_keys(packed[r * m:(r + 1) * m], n, cols):
+                # Columns wider than one word (keys spanning > ~2^44): the
+                # reference kernel sorts this row's index column instead.
+                wide[r] = KERNELS["python"].sort(range(n), cols, trace=trace)
+            elif trace is not None:
+                trace.record("sort", n, m)
+        if len(wide) < len(rows):
+            other = _scratch("sort_other", shape, np.int64)
+            low = _scratch("sort_low", shape, np.int64)
+            levels = _level_arrays(m, len(rows))
+            for level_index, (partner, take_min) in enumerate(levels):
+                if trace is not None:
+                    trace.record("sort_level", m, level_index, shape[0] // 2)
+                np.take(packed, partner, out=other, mode="clip")
+                np.minimum(packed, other, out=low)
+                np.maximum(packed, other, out=other)
+                packed = np.where(take_min, low, other)
+        out = [
+            soa.take(row, np.asarray(wide[r], dtype=np.int64) if r in wide
+                     else packed[r * m:r * m + n] & np.int64(m - 1))
+            for r, (row, n) in enumerate(zip(rows, sizes))
+        ]
+        return out if stacked else out[0]
 
     def compact_full(self, items, flags, mem_factory=None, trace=None):
         """Each Goodrich layer: one shifted select over every cell.
@@ -431,25 +469,38 @@ class NumpyKernel(Kernel):
         a mover never lands on a kept non-mover (Goodrich's invariant).
         Every layer runs, and touches every cell, whatever the flags.
         The cells past the kept prefix hold unspecified source indices.
+        Stacked rows lie end to end: a mover's distance never exceeds its
+        place in its row, so no word crosses into the row before it.
         """
         _reject_mem_factory(mem_factory)
-        n = len(items)
-        if n != len(flags):
-            raise ValueError(
-                f"items ({n}) and flags ({len(flags)}) length mismatch"
-            )
-        m = next_pow2(max(1, n))
+        stacked = _is_rows(items)
+        rows = items if stacked else [items]
+        row_flags = flags if stacked else [flags]
+        sizes = [len(row) for row in rows]
+        for n, row in zip(sizes, row_flags):
+            if n != len(row):
+                raise ValueError(
+                    f"items ({n}) and flags ({len(row)}) length mismatch"
+                )
+        m = next_pow2(max([1] + sizes))
         if trace is not None:
-            trace.record("compact", n, m)
+            for n in sizes:
+                trace.record("compact", n, m)
+        shape = (len(rows) * m,)
         index_bits = m.bit_length() - 1
-        flag = _scratch("compact_flag", m, np.int64)
-        flag[:n] = np.asarray(flags, dtype=bool)
-        flag[n:] = 0
+        flag = _scratch("compact_flag", shape, np.int64)
+        for r, (n, row) in enumerate(zip(sizes, row_flags)):
+            flag[r * m:r * m + n] = np.asarray(row, dtype=bool)
+            flag[r * m + n:(r + 1) * m] = 0
+        grid = flag.reshape(len(rows), m)
         idx = np.arange(m, dtype=np.int64)
-        word = ((idx - np.cumsum(flag) + flag) * flag << index_bits) | idx
-        bits = _scratch("compact_bits", m, np.int64)
-        mover = _scratch("compact_mover", m, bool)
-        moved = _scratch("compact_moved", m, np.int64)
+        word = (
+            (idx - np.cumsum(grid, axis=1) + grid) * grid << index_bits
+        ) | idx
+        word = word.reshape(shape)
+        bits = _scratch("compact_bits", shape, np.int64)
+        mover = _scratch("compact_mover", shape, bool)
+        moved = _scratch("compact_moved", shape, np.int64)
         offset = 1
         while offset < m:
             if trace is not None:
@@ -459,9 +510,13 @@ class NumpyKernel(Kernel):
             np.not_equal(bits, 0, out=mover)
             np.subtract(word, bit, out=moved)
             word = np.where(mover, 0, word)
-            np.copyto(word[: m - offset], moved[offset:], where=mover[offset:])
+            np.copyto(word[:-offset], moved[offset:], where=mover[offset:])
             offset <<= 1
-        return soa.take(items, word[:n] & np.int64(m - 1))
+        out = [
+            soa.take(row, word[r * m:r * m + n] & np.int64(m - 1))
+            for r, (row, n) in enumerate(zip(rows, sizes))
+        ]
+        return out if stacked else out[0]
 
     def scan_soa(self, okeys, ovals, buckets, table, trace=None):
         """Figure 19 scan over SoA columns, one bucket block per tier.

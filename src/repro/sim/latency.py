@@ -6,8 +6,8 @@ deployment every batch crosses a datacenter network and runs inside an
 enclave on its *own* machine — per-batch time is dominated by work that
 happens **off** the caller's CPU.  :class:`LatencySubOram` reproduces
 that: it wraps a functional subORAM and sleeps for a configurable
-interval around every ``batch_access``, modelling network RTT plus the
-remote machine's processing time.
+interval per batch it serves, modelling network RTT plus the remote
+machine's processing time.
 
 Under :class:`~repro.exec.backend.SerialBackend` the injected intervals
 add up (one machine doing S machines' waiting in sequence); under
@@ -36,7 +36,7 @@ class LatencySubOram:
     Args:
         inner: the functional subORAM to delegate to (anything with
             ``initialize`` / ``batch_access``).
-        batch_delay: seconds to sleep per ``batch_access`` call, modelling
+        batch_delay: seconds to sleep per batch served, modelling
             network round trip + remote enclave processing.
     """
 
@@ -59,6 +59,12 @@ class LatencySubOram:
         if self.batch_delay:
             time.sleep(self.batch_delay)
         return self.inner.batch_access(batch, *args, **kwargs)
+
+    def run_epoch(self, batches):
+        """Sleep ``batch_delay`` seconds per batch, then delegate the epoch."""
+        if self.batch_delay:
+            time.sleep(self.batch_delay * len(batches))
+        return self.inner.run_epoch(batches)
 
     @property
     def num_objects(self) -> int:

@@ -39,7 +39,7 @@ Both layouts seal with the one AES-256-GCM cipher of
   of a whole-store open.
 
 The subORAM calls ``get_batch`` and ``put_batch`` **once per epoch**
-(:meth:`~repro.suboram.suboram.SubOram.epoch`): one authenticated open
+(:meth:`~repro.suboram.suboram.SubOram.run_epoch`): one authenticated open
 and one fresh-nonce reseal of every slot, a function of ``num_slots``.
 
 Both layouts offer the same per-slot host view for attack tests:
@@ -208,7 +208,7 @@ class EncryptedStore:
 
         Under ``crypto="vector"`` this is one row of a whole-store open,
         decrypted into a fresh buffer so the resident plaintext of an
-        open epoch session is left alone.
+        epoch in progress is left alone.
         """
         require(0 <= slot < self.num_slots, f"slot {slot} out of range")
         if self.supports_batch:

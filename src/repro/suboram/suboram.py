@@ -25,15 +25,17 @@ python kernel, the audited reference, computes on records through the
 per-object slot-index rows (:meth:`SubOram._scan_reference`).
 
 **One store pass per epoch.**  An epoch hands a subORAM one batch per
-load balancer, in fixed balancer order (Appendix C).  A faithful enclave
-streams the partition once for all of them — decrypt an object, probe
-the L per-balancer tables in that order, re-encrypt it once — so
-:meth:`SubOram.epoch` scopes a *session*: its first ``batch_access``
-opens the store (every integrity check), each builds its own table under
-its own fresh batch key and scans the plaintext columns the previous one
-left resident, and the last reseals every slot under a fresh nonce.  A
-``batch_access`` outside a session is a session of one.  Only the
-whole-store path (numpy kernel, ``crypto="vector"``) keeps anything
+load balancer, in fixed balancer order (Appendix C), and
+:meth:`SubOram.run_epoch` serves them in one pass: it opens the store
+once (every integrity check), draws a fresh batch key per non-empty
+batch, builds all L tables as the rows of one oblivious network (one
+SipHash pass, one stacked sort and one stacked compaction per tier —
+:meth:`TwoTierHashTable.build`), scans them in balancer order over the
+resident plaintext — batch ℓ + 1 reads batch ℓ's writes — extracts all
+L in one stacked compaction and reseals every slot once, under a fresh
+nonce.  :meth:`SubOram.batch_access` is the epoch of one batch.  A
+failure anywhere drops the resident plaintext and seals nothing.  Only
+the whole-store path (numpy kernel, ``crypto="vector"``) keeps anything
 resident: the per-slot scalar store — the Figure 19 oracle, and the
 only store the python kernel runs (:func:`store_crypto`) — keeps its
 ``get``/``put`` schedule per batch.
@@ -41,9 +43,7 @@ only store the python kernel runs (:func:`store_crypto`) — keeps its
 
 from __future__ import annotations
 
-import contextlib
-from types import SimpleNamespace
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -72,11 +72,6 @@ def store_crypto(kernel, crypto: Optional[str]) -> str:
     """
     crypto = resolve_crypto(crypto)
     return crypto if resolve_kernel(kernel).vectorized else "scalar"
-
-
-def _session(batches: int) -> SimpleNamespace:
-    """An epoch session: batches still to come, resident plaintext columns."""
-    return SimpleNamespace(remaining=batches, okeys=None, ovals=None)
 
 
 class SubOram:
@@ -120,7 +115,6 @@ class SubOram:
         self._store: Optional[EncryptedStore] = None
         self._keys: List[int] = []  # physical slot -> object key (scan order)
         self._epoch = 0
-        self._session: Optional[SimpleNamespace] = None
         #: Telemetry handle; the deployment attaches its live handle here.
         #: A live handle pickles to the null one, so a subORAM restored in
         #: a worker process records nothing there.
@@ -150,14 +144,6 @@ class SubOram:
             values.append(value)
         self._store.put_batch(self._keys, values)
 
-    def __getstate__(self) -> dict:
-        """Pickling and deep copies happen between epochs, never inside one."""
-        if self._session is not None:
-            raise RuntimeError(
-                f"subORAM {self.suboram_id} has an open epoch session"
-            )
-        return self.__dict__
-
     @property
     def num_objects(self) -> int:
         """Number of objects in this partition."""
@@ -173,12 +159,7 @@ class SubOram:
     # ------------------------------------------------------------------
     # Batch access (Figure 19, BatchAccess)
     # ------------------------------------------------------------------
-    def batch_access(
-        self,
-        batch: Batch,
-        batch_key: Optional[bytes] = None,
-        table_params: Optional[TwoTierParams] = None,
-    ) -> Batch:
+    def batch_access(self, batch: Batch) -> Batch:
         """Process one batch of distinct requests; returns the response batch.
 
         Each returned row's value is the object's value *before* the
@@ -186,104 +167,102 @@ class SubOram:
         the paper's ``OStoreBatchAccess`` contract), absent when the key
         is not in this partition.  Dummy rows come back too — the load
         balancer filters them while matching responses.  ``batch`` itself
-        is left untouched.
+        is left untouched.  The epoch of one batch:
+        ``run_epoch([batch])[0]``.
 
         Raises:
             NotInitializedError: ``initialize`` has not been called.
             DuplicateRequestError: two batch rows share a key
                 (Definition 2 precondition violated — load-balancer bug).
         """
+        return self.run_epoch([batch])[0]
+
+    def run_epoch(self, batches: Sequence[Batch]) -> List[Batch]:
+        """Serve one epoch's batches, in balancer order, in one store pass.
+
+        Returns one response batch per batch (see :meth:`batch_access`);
+        batch ℓ sees the writes of batches 0..ℓ-1 (Appendix C's order).
+        A failure raises with the sealed partition byte for byte its
+        pre-epoch state.
+
+        Raises:
+            NotInitializedError: ``initialize`` has not been called.
+            DuplicateRequestError: two rows of one batch share a key.
+        """
         if self._store is None:
             raise NotInitializedError("subORAM not initialized")
-        # Only the whole-store batch passes run long enough without the
-        # GIL to be worth overlapping with another unit's.
+        for batch in batches:
+            if len(np.unique(batch.key)) != len(batch):
+                raise DuplicateRequestError(
+                    f"subORAM {self.suboram_id} received duplicate keys in "
+                    "batch"
+                )
+        live = [batch for batch in batches if len(batch)]
+        # Only the whole-store passes run long enough without the GIL to
+        # be worth overlapping with another unit's.
         store = self._store
         bulk = store.supports_batch
         nbytes = store.num_slots * store.slot_size if bulk else 0
-        # Outside an epoch session a batch is a session of one.
-        session = self._session or _session(1)
         # Re-attach the live telemetry handle: it may have been attached
         # after initialize, and an unpickled store has the null handle.
         store.telemetry = self.telemetry
         with interpreter_turn(nbytes):
-            if bulk and session.ovals is None:
-                session.okeys, session.ovals = store.get_batch()
-            response = batch
-            if len(batch):
-                response = self._batch_access(
-                    batch, batch_key, table_params, session
-                )
-            session.remaining -= 1
-            if bulk and session.remaining == 0:
-                store.put_batch(session.okeys, session.ovals)
-                session.ovals = None
-            return response
-
-    @contextlib.contextmanager
-    def epoch(self, batches: int):
-        """An epoch session: the next ``batches`` calls share one store pass.
-
-        The first :meth:`batch_access` inside the ``with`` block opens
-        the partition and the last reseals it (see the module
-        docstring).  Leaving the block early (a failed or faulted unit)
-        drops the resident plaintext and seals nothing, so the sealed
-        partition is byte for byte its pre-epoch state.
-        """
-        session = self._session = _session(batches)
-        try:
-            yield self
-        finally:
-            self._session = None
-        if session.ovals is not None:
-            raise RuntimeError(
-                f"subORAM {self.suboram_id}: session of {batches} batches "
-                "closed with its last scan unsealed"
-            )
-
-    def _batch_access(self, batch, batch_key, table_params, session):
-        """One batch's table build, scan and extract, under its turn."""
-        if len(np.unique(batch.key)) != len(batch):
-            raise DuplicateRequestError(
-                f"subORAM {self.suboram_id} received duplicate keys in batch"
-            )
-
-        self._epoch += 1
-        if batch_key is None:
-            batch_key = self._keychain.batch_key(self.suboram_id, self._epoch)
-
-        # ➊ Construct the oblivious hash table of requests (fresh key).
-        with self.telemetry.time(
-            "snoopy_suboram_phase_seconds", phase="table"
-        ):
-            table = TwoTierHashTable.build(
-                batch.key,
-                prf_key=batch_key,
-                params=table_params,
-                security_parameter=self.security_parameter,
-                kernel=self.kernel,
-            )
-
-        # ➋ Linear scan over every stored object.  The scalar reference
-        # path interleaves get/compute/put per slot; the vectorized path
-        # reads every slot, runs the whole scan as masked array ops, then
-        # rewrites every slot.  Both schedules are public functions of
-        # ``num_objects`` alone (see repro.security.simulator).  Either
-        # scan yields each row's response: the object's prior value, or
-        # none when the key is absent from the partition (a write payload
-        # must not echo back as a phantom read value).
-        with self.telemetry.time(
-            "snoopy_suboram_phase_seconds", phase="scan"
-        ):
-            if self.kernel.vectorized:
-                response = self._scan_vectorized(table, batch, session)
-            else:
-                response = self._scan_reference(table, batch)
-
-        # ➌ Mark real entries and compact out table fillers.
-        with self.telemetry.time(
-            "snoopy_suboram_phase_seconds", phase="extract"
-        ):
-            return response.take(table.extract_real())
+            resident = store.get_batch() if bulk else None
+            replies = []
+            if live:
+                # ➊ The L oblivious hash tables of requests, each under a
+                # fresh batch key.
+                batch_keys = []
+                for _ in live:
+                    self._epoch += 1
+                    batch_keys.append(
+                        self._keychain.batch_key(self.suboram_id, self._epoch)
+                    )
+                # The numpy scans' routing of the store keys (public, in
+                # slot order) rides along in the build's SipHash pass.
+                lookups = None
+                if self.kernel.vectorized:
+                    lookups = self._keys if resident is None else resident[0]
+                with self.telemetry.time(
+                    "snoopy_suboram_phase_seconds", phase="table"
+                ):
+                    tables = TwoTierHashTable.build(
+                        [batch.key for batch in live],
+                        batch_keys,
+                        security_parameter=self.security_parameter,
+                        kernel=self.kernel,
+                        lookups=lookups,
+                    )
+                # ➋ Linear scans over every stored object, one table at a
+                # time in balancer order.  The scalar reference path
+                # interleaves get/compute/put per slot; the vectorized
+                # path runs the whole scan as masked array ops.  Both
+                # schedules are public functions of ``num_objects`` alone
+                # (see repro.security.simulator).  Either scan yields each
+                # row's response: the object's prior value, or none when
+                # the key is absent (a write payload must not echo back
+                # as a phantom read value).
+                scanned = []
+                for table, batch in zip(tables, live):
+                    with self.telemetry.time(
+                        "snoopy_suboram_phase_seconds", phase="scan"
+                    ):
+                        if self.kernel.vectorized:
+                            scanned.append(
+                                self._scan_vectorized(table, batch, resident)
+                            )
+                        else:
+                            scanned.append(self._scan_reference(table, batch))
+                # ➌ Mark real entries and compact out table fillers.
+                with self.telemetry.time(
+                    "snoopy_suboram_phase_seconds", phase="extract"
+                ):
+                    kept = TwoTierHashTable.extract_all(tables)
+                replies = [r.take(k) for r, k in zip(scanned, kept)]
+            if bulk:
+                store.put_batch(*resident)
+        answers = iter(replies)
+        return [next(answers) if len(batch) else batch for batch in batches]
 
     def _scan_reference(self, table: TwoTierHashTable, batch: Batch) -> Batch:
         """The audited scalar Figure 19 scan (python kernel), on records.
@@ -331,28 +310,28 @@ class SubOram:
             entry.value = o_select(hit, None, entry.value)
         return Batch.from_entries(entries, batch.value_size)
 
-    def _scan_vectorized(self, table, batch: Batch, session) -> Batch:
+    def _scan_vectorized(self, table, batch: Batch, resident) -> Batch:
         """The columnar Figure 19 scan (numpy kernel).
 
         The table's ``slot_items`` permutation gathers the batch's
         columns into the :class:`ScanTable`, and the scan's per-slot
         outputs are gathered back through its inverse into the response
-        batch's ``value``/``has_value``.  The store keys are routed once
-        to their two buckets (:meth:`TwoTierHashTable.bucket_blocks`, one
+        batch's ``value``/``has_value``.  The store keys were routed to
+        their two buckets by the table's build (``lookup_blocks``, one
         PRF tag per object) and :meth:`NumpyKernel.scan_soa` probes the
         whole bucket rows — no per-object slot-index matrix — then writes
         the post-scan values back in place, on a select word that is a
         function of ``value_size`` alone.  When the store has a batch
-        path (``crypto="vector"``) the matrix written is the plaintext
-        resident in ``session``, so a batch allocates no new
+        path (``crypto="vector"``) the matrix written is the
+        ``resident`` plaintext of the epoch, so a batch allocates no new
         ``(num_objects, value_size)`` matrix.  Otherwise the same kernel
         runs between the scalar store's per-slot ``get``/``put`` calls,
         the audited per-slot crypto oracle.  Outputs are byte-identical
         to :meth:`_scan_reference` either way.
         """
         store = self._store
-        if store.supports_batch:
-            okeys, ovals = session.okeys, session.ovals
+        if resident is not None:
+            okeys, ovals = resident
         else:
             pairs = [store.get(slot) for slot in range(self.num_objects)]
             okeys = np.asarray([key for key, _ in pairs], dtype=np.int64)
@@ -375,14 +354,14 @@ class SubOram:
             TimedKernelTrace() if self.telemetry.enabled else None
         )
         slot_matched, responses = self.kernel.scan_soa(
-            okeys, ovals, table.bucket_blocks(okeys), scan_table,
+            okeys, ovals, table.lookup_blocks, scan_table,
             trace=kernel_trace,
         )
         if kernel_trace is not None:
             flush_kernel_trace(
                 self.telemetry.registry, kernel_trace, self.kernel.name
             )
-        if not store.supports_batch:
+        if resident is None:
             store.put_batch(okeys, ovals)  # the per-slot ``put`` loop
         # Invert the slot permutation (fillers all land on the spare
         # cell): each row's response is its slot's, zeroed unless matched.

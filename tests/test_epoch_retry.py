@@ -163,15 +163,18 @@ class TestRetryLoop:
         """No batch copy per attempt: execute never modifies its input, so
         the retry is handed the same Batch objects, still byte-equal."""
         seen = []
-        inner = SubOram.batch_access
+        inner = SubOram.run_epoch
 
-        def spy(self, batch, *args, **kwargs):
-            before = batch.to_bytes()
-            reply = inner(self, batch, *args, **kwargs)
-            seen.append((self.suboram_id, id(batch), before, batch.to_bytes()))
-            return reply
+        def spy(self, batches):
+            before = [batch.to_bytes() for batch in batches]
+            replies = inner(self, batches)
+            for batch, prior in zip(batches, before):
+                seen.append(
+                    (self.suboram_id, id(batch), prior, batch.to_bytes())
+                )
+            return replies
 
-        monkeypatch.setattr(SubOram, "batch_access", spy)
+        monkeypatch.setattr(SubOram, "run_epoch", spy)
         # SubORAM 1 crashes after subORAM 0 served the first attempt.
         store = build_store(
             fault_plan=crash_plan(unit=1), epoch_max_attempts=2,
@@ -356,20 +359,11 @@ class TestOneStoreSessionPerEpoch:
             store.close()
 
     def test_fault_in_the_second_batch_seals_nothing(self, monkeypatch):
-        """An unarmed deployment executes in place: the faulted unit's
-        sealed partition must be byte for byte what it was."""
+        """An unarmed deployment executes in place: a fault after the
+        first table's scan must leave the faulted unit's sealed
+        partition byte for byte what it was."""
         store = build_store(num_load_balancers=3)
-        inner = SubOram.batch_access
-        calls = {"n": 0}
-
-        def faulty(self, batch, *args, **kwargs):
-            if self.suboram_id == 0:
-                calls["n"] += 1
-                if calls["n"] == 2:
-                    raise WorkerCrashError("crash in the second batch", unit=0)
-            return inner(self, batch, *args, **kwargs)
-
-        monkeypatch.setattr(SubOram, "batch_access", faulty)
+        calls = fault_after_the_first_scan(monkeypatch, suboram_id=0)
         unit = store.suborams[0]
         before = [
             unit.store.host_ciphertext(s) for s in range(unit.num_objects)
@@ -379,7 +373,7 @@ class TestOneStoreSessionPerEpoch:
             store.submit(Request(OpType.WRITE, k, b"zzzz"), load_balancer=k % 3)
         with pytest.raises(WorkerCrashError):
             store.run_epoch()
-        assert calls["n"] == 2
+        assert calls == {"epochs": 1, "scans": 2}
         assert [
             unit.store.host_ciphertext(s) for s in range(unit.num_objects)
         ] == before
@@ -389,19 +383,12 @@ class TestOneStoreSessionPerEpoch:
     def test_retry_after_a_second_batch_fault_equals_a_fault_free_twin(
         self, monkeypatch
     ):
-        inner = SubOram.batch_access
-        faulted = []
-
-        def faulty(self, batch, *args, **kwargs):
-            if self.suboram_id == 1 and armed:
-                faulted.append(len(faulted))
-                if len(faulted) == 2:
-                    raise WorkerCrashError("crash in the second batch", unit=1)
-            return inner(self, batch, *args, **kwargs)
-
-        monkeypatch.setattr(SubOram, "batch_access", faulty)
         replies = {}
         for armed in (True, False):
+            monkeypatch.undo()
+            calls = {"epochs": 0, "scans": 0}
+            if armed:
+                calls = fault_after_the_first_scan(monkeypatch, suboram_id=1)
             store = build_store(num_load_balancers=3, epoch_max_attempts=2)
             tickets = []
             for epoch in range(2):
@@ -415,5 +402,33 @@ class TestOneStoreSessionPerEpoch:
             replies[armed] = [t.result().value for t in tickets]
             assert store.fault_stats["epochs_retried"] == int(armed)
             store.close()
-        assert len(faulted) > 2
+            if armed:
+                # The faulted attempt, its retry, and the second epoch.
+                assert calls["epochs"] == 3 and calls["scans"] > 2
         assert replies[True] == replies[False]
+
+
+def fault_after_the_first_scan(monkeypatch, suboram_id):
+    """Crash ``suboram_id``'s first ``run_epoch`` in its second table's
+    scan — after the first table's scan wrote the resident partition.
+    Returns the live ``{"epochs", "scans"}`` call counts of that unit."""
+    calls = {"epochs": 0, "scans": 0}
+    run_epoch, scan = SubOram.run_epoch, SubOram._scan_vectorized
+
+    def counting_epoch(self, batches):
+        if self.suboram_id == suboram_id:
+            calls["epochs"] += 1
+        return run_epoch(self, batches)
+
+    def faulty_scan(self, *args):
+        if self.suboram_id == suboram_id:
+            calls["scans"] += 1
+            if calls["epochs"] == 1 and calls["scans"] == 2:
+                raise WorkerCrashError(
+                    "crash in the second table's scan", unit=suboram_id
+                )
+        return scan(self, *args)
+
+    monkeypatch.setattr(SubOram, "run_epoch", counting_epoch)
+    monkeypatch.setattr(SubOram, "_scan_vectorized", faulty_scan)
+    return calls

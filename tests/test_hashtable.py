@@ -2,6 +2,8 @@
 
 import random
 
+import numpy as np
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -171,7 +173,7 @@ class TestColumnarTable:
         range_many = Prf.range_many
 
         def counting(self, xs, n):
-            inputs.append(len(xs))
+            inputs.append(np.size(xs))  # a build hashes an (L, W) matrix
             return range_many(self, xs, n)
 
         monkeypatch.setattr(Prf, "range_many", counting)

@@ -12,7 +12,7 @@ import random
 
 import numpy
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import SnoopyConfig
@@ -148,6 +148,40 @@ class TestFixedWork:
         assert all(log == logs[0] for log in logs[1:])
         gathers = [op[:2] for op in logs[0] if op[0] == "take"]
         assert gathers == [("take", ((64,), (64,), (64,)))] * 21
+
+    def test_stacked_rows_run_every_level_whatever_the_data(
+        self, monkeypatch
+    ):
+        """An L-row sort or compaction's op log is a function of L, m and
+        the public row lengths: key columns and flags do not move it."""
+        sizes = (self.N, 20, 5)  # L = 3 rows, all padded to m = 64
+        items = [numpy.arange(n) for n in sizes]
+        rng = random.Random(8)
+        cases = [
+            ([list(range(n)) for n in sizes], [[1] * n for n in sizes]),
+            ([list(range(n, 0, -1)) for n in sizes], [[0] * n for n in sizes]),
+            ([[7] * n for n in sizes],
+             [[rng.randrange(2) for _ in range(n)] for n in sizes]),
+            ([[rng.randrange(10) for _ in range(n)] for n in sizes],
+             [[1] * min(n, 5) + [0] * (n - min(n, 5)) for n in sizes]),
+        ]
+        sort_logs, compact_logs = [], []
+        for keys, flags in cases:
+            sort_logs.append(array_ops(
+                monkeypatch, kernels_module,
+                lambda k=keys: NP.sort(items, [[col] for col in k]),
+            ))
+            compact_logs.append(array_ops(
+                monkeypatch, kernels_module,
+                lambda f=flags: NP.compact(items, f),
+            ))
+        assert all(log == sort_logs[0] for log in sort_logs[1:])
+        assert all(log == compact_logs[0] for log in compact_logs[1:])
+        cells = (len(sizes) * 64,)
+        gathers = [op[:2] for op in sort_logs[0] if op[0] == "take"]
+        assert gathers == [("take", (cells, cells, cells))] * 21
+        selects = [op[:2] for op in compact_logs[0] if op[0] == "where"]
+        assert selects == [("where", (cells, cells))] * 6
 
     def test_scan_does_the_same_work_whatever_matches(self, monkeypatch):
         """``scan_soa`` over one shape (9 objects; tiers of 3 x 2 and 2 x 3
@@ -318,6 +352,62 @@ class TestCompactEquivalence:
         items, flags = [1, 2, 3, 4, 5], [0, 1, 0, 1, 0]
         assert NP.compact_full(items, flags)[:2] == [2, 4]
         assert len(NP.compact_full(items, flags)) == 5
+
+
+# ---------------------------------------------------------------------------
+# Stacked rows: L independent sorts/compactions in one kernel call
+# ---------------------------------------------------------------------------
+_stacked_rows = st.lists(
+    st.lists(
+        st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(0, 1)),
+        max_size=40,
+    ),
+    min_size=1, max_size=4,
+)
+
+
+class TestStackedRows:
+    @given(rows=_stacked_rows)
+    @example(rows=[[], [(1, -1, 1)], [(2, 3, 0)] * 33, [(0, 0, 1)] * 5])
+    @settings(max_examples=80, deadline=None)
+    def test_each_row_equals_its_single_call(self, rows):
+        """Rows of different n — empty, single, padding to different m —
+        come back as L single-row calls, and as the python reference."""
+        items = [
+            numpy.arange(len(row), dtype=numpy.int64) + 100 * r
+            for r, row in enumerate(rows)
+        ]
+        columns = [[[t[0] for t in row], [t[1] for t in row]] for row in rows]
+        flags = [[t[2] for t in row] for row in rows]
+        ordered = NP.sort(items, columns)
+        compacted = NP.compact(items, flags)
+        full = NP.compact_full(items, flags)
+        assert len(ordered) == len(compacted) == len(full) == len(rows)
+        for r, row_items in enumerate(items):
+            reference = row_items.tolist()
+            assert ordered[r].tolist() == (
+                NP.sort(row_items, columns[r]).tolist()
+            ) == PY.sort(reference, columns[r])
+            assert compacted[r].tolist() == (
+                NP.compact(row_items, flags[r]).tolist()
+            ) == PY.compact(reference, flags[r])
+            assert len(full[r]) == len(reference)
+            assert full[r][:len(compacted[r])].tolist() == (
+                compacted[r].tolist()
+            )
+
+    def test_a_wide_row_beside_a_narrow_one_keeps_the_reference_order(self):
+        """A row whose columns need more than 62 bits is handed to the
+        reference kernel (its own range only); the row beside it stays on
+        the stacked network, and both come back in reference order."""
+        rng = random.Random(9)
+        wide = [rng.choice((-1, 1)) * rng.randrange(2**62) for _ in range(21)]
+        wide_columns = [[rng.randrange(3) for _ in wide], wide]
+        narrow_columns = [[rng.randrange(5) for _ in range(30)]]
+        items = [numpy.arange(21), numpy.arange(30)]
+        wide_out, narrow_out = NP.sort(items, [wide_columns, narrow_columns])
+        assert wide_out.tolist() == PY.sort(list(range(21)), wide_columns)
+        assert narrow_out.tolist() == PY.sort(list(range(30)), narrow_columns)
 
 
 # ---------------------------------------------------------------------------

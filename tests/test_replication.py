@@ -73,18 +73,21 @@ class TestHappyPath:
 
     def test_replicas_share_one_input_and_agree(self):
         """No per-replica copy: every replica is handed the very same
-        Batch object, leaves it untouched, and returns an equal reply."""
+        Batch objects, leaves them untouched, and returns equal replies."""
         group = make_group()
         seen = []
         for replica in group.replicas:
-            inner = replica.suboram.batch_access
+            inner = replica.suboram.run_epoch
 
-            def spy(batch, _inner=inner):
-                reply = _inner(batch)
-                seen.append((id(batch), reply.to_bytes()))
-                return reply
+            def spy(batches, _inner=inner):
+                replies = _inner(batches)
+                seen.append((
+                    tuple(id(batch) for batch in batches),
+                    tuple(reply.to_bytes() for reply in replies),
+                ))
+                return replies
 
-            replica.suboram.batch_access = spy
+            replica.suboram.run_epoch = spy
         group.batch_access([write(5, b"aaaa"), read(6), read(999)])
         assert len(seen) == group.group_size
         assert len(set(seen)) == 1

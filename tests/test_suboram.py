@@ -6,6 +6,8 @@ import os
 import pickle
 import random
 
+import numpy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,12 +20,13 @@ from repro.errors import (
     NotInitializedError,
 )
 from repro.extensions.replication import ReplicatedSubOram
-from repro.oblivious.hashtable import TwoTierHashTable
+from repro.oblivious.hashtable import TwoTierHashTable, TwoTierParams
 from repro.oblivious.soa import Batch
 from repro.sim.latency import LatencySubOram
+from repro.suboram.store import EncryptedStore
 from repro.suboram.suboram import SubOram
 from repro.types import BatchEntry, OpType
-from tests.harness import spy_on_store_passes
+from tests.harness import array_ops, spy_on_store_passes
 
 
 class _RecordSubOram(SubOram):
@@ -175,11 +178,18 @@ class TestProtocolInvariants:
 
 
 # ---------------------------------------------------------------------------
-# Epoch sessions: one store open and one reseal for a chain of batches
+# run_epoch: one store open and one reseal for a chain of batches
 # ---------------------------------------------------------------------------
 #: The python kernel runs the scalar store only (``store_crypto``).
 ALL_CELLS = pytest.mark.parametrize("kernel,crypto", [
     ("numpy", "vector"), ("numpy", "scalar"), ("python", "scalar"),
+])
+
+#: Every (kernel, crypto) selector pair; python/vector resolves to the
+#: python/scalar subORAM.
+FOUR_CELLS = pytest.mark.parametrize("kernel,crypto", [
+    ("numpy", "vector"), ("numpy", "scalar"), ("python", "scalar"),
+    ("python", "vector"),
 ])
 
 
@@ -218,15 +228,34 @@ def store_passes(calls):
     return [name for name, _ in calls]
 
 
+def fail_in_scan(monkeypatch, scan, number=None, seen=None):
+    """Make the ``number``-th ``scan`` (``"_scan_vectorized"`` or
+    ``"_scan_reference"``) of any subORAM raise (``None``: none does);
+    ``seen`` collects a ``host_view`` per scan before it runs."""
+    inner = getattr(SubOram, scan)
+    count = [0]
+
+    def scanning(self, *args):
+        count[0] += 1
+        if seen is not None:
+            seen.append(host_view(self))
+        if count[0] == number:
+            raise RuntimeError(f"injected fault in scan {number}")
+        return inner(self, *args)
+
+    monkeypatch.setattr(SubOram, scan, scanning)
+
+
 class TestEpochSession:
-    @ALL_CELLS
+    @FOUR_CELLS
     @pytest.mark.parametrize("length", [1, 2, 3])
     def test_session_equals_separate_calls(self, kernel, crypto, length, rng):
+        """``run_epoch`` answers and leaves the partition exactly as the
+        per-batch path, intra-epoch write visibility included."""
         inside, apart = session_twins(kernel, crypto)
         chain = chain_of(length, rng)
         sealed = host_view(inside)
-        with inside.epoch(length):
-            together = [inside.batch_access(batch) for batch in chain]
+        together = inside.run_epoch(chain)
         separately = [apart.batch_access(batch) for batch in chain]
         assert [r.to_bytes() for r in together] == (
             [r.to_bytes() for r in separately]
@@ -234,7 +263,7 @@ class TestEpochSession:
         assert [inside.peek(k) for k in range(30)] == (
             [apart.peek(k) for k in range(30)]
         )
-        # The session resealed every slot, as the separate calls did.
+        # The epoch resealed every slot, as the separate calls did.
         assert all(a != b for a, b in zip(sealed, host_view(inside)))
 
     def test_later_batch_reads_earlier_batch_write(self):
@@ -247,9 +276,10 @@ class TestEpochSession:
         second = Batch.from_entries(
             [read_entry(7), write_entry(8, b"late")], 4
         )
-        with so.epoch(2):
-            reply0 = {e.key: e.value for e in so.batch_access(first).entries()}
-            reply1 = {e.key: e.value for e in so.batch_access(second).entries()}
+        reply0, reply1 = (
+            {e.key: e.value for e in reply.entries()}
+            for reply in so.run_epoch([first, second])
+        )
         assert reply0 == {7: bytes([7]) * 4, 8: bytes([8]) * 4}
         assert reply1 == {7: b"new!", 8: bytes([8]) * 4}
         assert so.peek(7) == b"new!" and so.peek(8) == b"late"
@@ -259,17 +289,14 @@ class TestEpochSession:
         so, _ = session_twins()
         calls = spy_on_store_passes(monkeypatch)
         before = host_view(so)
-        with so.epoch(length):
-            for index, batch in enumerate(chain_of(length, rng)):
-                so.batch_access(batch)
-                # Opened by the first call, sealed only by the last.
-                sealed = index == length - 1
-                assert store_passes(calls) == (
-                    ["get_batch"] + ["put_batch"] * sealed
-                )
-                assert (host_view(so) != before) == sealed
+        seen = []
+        fail_in_scan(monkeypatch, "_scan_vectorized", seen=seen)
+        so.run_epoch(chain_of(length, rng))
+        # Opened before the first scan, sealed only after the last.
+        assert seen == [before] * length
+        assert store_passes(calls) == ["get_batch", "put_batch"]
         assert all(b != a for b, a in zip(before, host_view(so)))
-        # Outside a session every call is a session of one.
+        # A lone batch_access is an epoch of one.
         calls.clear()
         so.batch_access(chain_of(1, rng)[0])
         assert store_passes(calls) == ["get_batch", "put_batch"]
@@ -285,57 +312,70 @@ class TestEpochSession:
         }
         for entries in mixes.values():
             calls.clear()
-            with so.epoch(2):
-                so.batch_access(Batch.from_entries(entries, 4))
-                so.batch_access(Batch.from_entries(entries[::-1], 4))
+            so.run_epoch([
+                Batch.from_entries(entries, 4),
+                Batch.from_entries(entries[::-1], 4),
+            ])
             assert store_passes(calls) == ["get_batch", "put_batch"]
 
-    @ALL_CELLS
+    @FOUR_CELLS
     def test_per_slot_paths_keep_their_schedule_per_batch(
         self, kernel, crypto, monkeypatch
     ):
         """Only the vectorized whole-store path has anything to keep
-        resident; the oracle cells seal every slot after every batch."""
+        resident; the oracle cells get and put every slot per batch."""
         so, _ = session_twins(kernel, crypto)
         bulk = (kernel, crypto) == ("numpy", "vector")
         calls = spy_on_store_passes(monkeypatch)
-        with so.epoch(2):
-            before = host_view(so)
-            so.batch_access(Batch.from_entries([read_entry(1)], 4))
-            assert (host_view(so) == before) == bulk
-            so.batch_access(Batch.from_entries([read_entry(2)], 4))
+        slots = []
+        for name in ("get", "put"):
+            inner = getattr(EncryptedStore, name)
+            monkeypatch.setattr(
+                EncryptedStore, name,
+                lambda store, *a, _i=inner, _n=name: slots.append(_n)
+                or _i(store, *a),
+            )
+        before = host_view(so)
+        so.run_epoch([
+            Batch.from_entries([read_entry(1)], 4),
+            Batch.from_entries([read_entry(2)], 4),
+        ])
         assert all(b != a for b, a in zip(before, host_view(so)))
         assert store_passes(calls).count("get_batch") == (1 if bulk else 0)
+        per_batch = [] if bulk else ["get"] * 30 + ["put"] * 30
+        assert sorted(slots) == sorted(per_batch * 2)
 
-    def test_abandoned_session_leaves_the_sealed_partition_untouched(self):
+    def test_abandoned_session_leaves_the_sealed_partition_untouched(
+        self, monkeypatch
+    ):
         so, twin = session_twins()
         before = host_view(so)
         first = Batch.from_entries([write_entry(3, b"lost")], 4)
         second = Batch.from_entries([read_entry(3)], 4)
-        with pytest.raises(RuntimeError, match="injected"):
-            with so.epoch(2):
-                so.batch_access(first)
-                raise RuntimeError("injected fault before the second batch")
+        with monkeypatch.context() as patch:
+            # The first table's scan wrote the resident partition.
+            fail_in_scan(patch, "_scan_vectorized", 2)
+            with pytest.raises(RuntimeError, match="injected"):
+                so.run_epoch([first, second])
         assert host_view(so) == before
         assert so.peek(3) == bytes([3]) * 4
         # Re-running the epoch answers like a subORAM that never faulted.
-        with so.epoch(2), twin.epoch(2):
-            for batch in (first, second):
-                reply, expected = so.batch_access(batch), twin.batch_access(batch)
-                assert sorted(e.value for e in reply.entries()) == (
-                    sorted(e.value for e in expected.entries())
-                )
+        for reply, expected in zip(
+            so.run_epoch([first, second]), twin.run_epoch([first, second])
+        ):
+            assert sorted(e.value for e in reply.entries()) == (
+                sorted(e.value for e in expected.entries())
+            )
         assert so.peek(3) == twin.peek(3) == b"lost"
 
     def test_duplicates_rejected_per_batch_inside_a_session(self):
         so, _ = session_twins()
         before = host_view(so)
         with pytest.raises(DuplicateRequestError):
-            with so.epoch(2):
-                so.batch_access(Batch.from_entries([write_entry(1, b"aaaa")], 4))
-                so.batch_access(
-                    Batch.from_entries([read_entry(2), read_entry(2)], 4)
-                )
+            so.run_epoch([
+                Batch.from_entries([write_entry(1, b"aaaa")], 4),
+                Batch.from_entries([read_entry(2), read_entry(2)], 4),
+            ])
         assert host_view(so) == before and so.peek(1) == bytes([1]) * 4
 
     @pytest.mark.parametrize("attack", ["tamper", "rollback"])
@@ -343,33 +383,25 @@ class TestEpochSession:
         so, _ = session_twins()
         batch = Batch.from_entries([read_entry(1)], 4)
         old = so.store.host_ciphertext(4)
-        with so.epoch(1):
-            so.batch_access(batch)
+        so.run_epoch([batch])
         if attack == "rollback":
             so.store.host_rollback(4, old)
         else:
             nonce, blob = so.store.host_ciphertext(4)
             so.store.host_tamper(4, blob[:-1] + bytes([blob[-1] ^ 1]))
         with pytest.raises(IntegrityError):
-            with so.epoch(2):
-                so.batch_access(batch)
+            so.run_epoch([batch, batch])
 
-    def test_open_session_is_never_copied_or_shipped(self):
+    def test_a_copy_between_epochs_serves_the_sealed_state(self):
+        """Nothing stays resident after ``run_epoch``: a deep copy or a
+        pickle taken between epochs serves what the original does."""
         so, _ = session_twins()
-        with so.epoch(2):
-            so.batch_access(Batch.from_entries([read_entry(1)], 4))
-            for clone in (copy.deepcopy, pickle.dumps):
-                with pytest.raises(RuntimeError, match="open epoch session"):
-                    clone(so)
-            so.batch_access(Batch.from_entries([read_entry(2)], 4))
-        assert copy.deepcopy(so).peek(1) == bytes([1]) * 4
-        assert pickle.loads(pickle.dumps(so)).peek(2) == bytes([2]) * 4
-
-    def test_miscounted_session_is_refused(self):
-        so, _ = session_twins()
-        with pytest.raises(RuntimeError, match="unsealed"):
-            with so.epoch(2):
-                so.batch_access(Batch.from_entries([read_entry(1)], 4))
+        so.run_epoch([Batch.from_entries([write_entry(1, b"abcd")], 4)])
+        for clone in (copy.deepcopy(so), pickle.loads(pickle.dumps(so))):
+            [reply] = clone.run_epoch(
+                [Batch.from_entries([read_entry(1)], 4)]
+            )
+            assert [e.value for e in reply.entries()] == [b"abcd"]
 
     def test_wrappers_forward_the_session(self, monkeypatch):
         group = ReplicatedSubOram(
@@ -381,13 +413,69 @@ class TestEpochSession:
         calls = spy_on_store_passes(monkeypatch)
         for wrapper, stores in ((group, 2), (slow, 1)):
             calls.clear()
-            with wrapper.epoch(2):
-                wrapper.batch_access(Batch.from_entries([write_entry(1, b"abcd")], 4))
-                reply = wrapper.batch_access(Batch.from_entries([read_entry(1)], 4))
+            _, reply = wrapper.run_epoch([
+                Batch.from_entries([write_entry(1, b"abcd")], 4),
+                Batch.from_entries([read_entry(1)], 4),
+            ])
             assert [e.value for e in reply.entries()] == [b"abcd"]
             assert sorted(store_passes(calls)) == (
                 ["get_batch"] * stores + ["put_batch"] * stores
             )
+
+
+class TestRunEpochFixedWork:
+    """At fixed (L, B, N), the whole-array calls ``run_epoch`` makes in
+    the subORAM, the hash table and the kernels — operations, operand
+    shapes and dtypes — do not depend on what the batches hold."""
+
+    L, B, N = 3, 12, 40
+
+    def _chains(self):
+        L, B = self.L, self.B
+
+        def chain(entry):
+            return [
+                Batch.from_entries([entry(b, i) for i in range(B)], 4)
+                for b in range(L)
+            ]
+
+        # Keys of batch b, row i: distinct within a batch.
+        def hit(b, i):
+            return (b * B + i) % self.N
+
+        rng = random.Random(3)
+        return {
+            "all-hit reads": chain(lambda b, i: read_entry(hit(b, i))),
+            "all-hit writes": chain(
+                lambda b, i: write_entry(hit(b, i), bytes([b, i, 1, 1]))
+            ),
+            "all-miss reads": chain(lambda b, i: read_entry(500 + hit(b, i))),
+            "all dummies": chain(lambda b, i: dummy_entry(b * B + i)),
+            "mixed": chain(lambda b, i: (
+                dummy_entry(i) if i % 3 == 0
+                else write_entry(hit(b, i), b"mmmm") if rng.random() < 0.5
+                else read_entry(hit(b, i) + 900 * (i % 2))
+            )),
+            "wide key range": chain(lambda b, i: read_entry(
+                (-1) ** i * (hit(b, i) << 55) + i
+            )),
+        }
+
+    def test_op_log_is_a_function_of_the_shape(self, monkeypatch):
+        from repro.oblivious import hashtable, kernels
+        from repro.suboram import suboram as suboram_module
+
+        logs = {}
+        for name, chain in self._chains().items():
+            so, _ = session_twins(num_objects=self.N)
+            logs[name] = [
+                array_ops(monkeypatch, module, lambda: so.run_epoch(chain))
+                for module in (suboram_module, hashtable, kernels)
+            ]
+        reference = logs["mixed"]
+        assert all(len(log) > 0 for log in reference)
+        for name, log in logs.items():
+            assert log == reference, name
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +528,7 @@ class TestBucketScanDifferential:
             so = _twin(kernel, crypto, num_objects, value_size)
             replies = []
             for chain in epochs:
-                with so.epoch(len(chain)):
-                    replies += [so.batch_access(b).to_bytes() for b in chain]
+                replies += [r.to_bytes() for r in so.run_epoch(chain)]
             peeks = [so.peek(k) for k in range(num_objects + 9)]
             runs[kernel, crypto] = replies, peeks
         reference = runs["python", "scalar"]
@@ -477,9 +564,7 @@ class TestBucketScanDifferential:
             ], value_size)
             for b in range(2)
         ]
-        with so.epoch(2):
-            for batch in chain:
-                so.batch_access(batch)
+        so.run_epoch(chain)
         view = b"".join(
             nonce + blob for nonce, blob in host_view(so)
         )
@@ -501,16 +586,21 @@ class TestNoIndexMatrixOnTheDeployedPath:
         )
         monkeypatch.setattr(
             Prf, "range_many",
-            lambda self, keys, n: prf_inputs.append(len(keys))
+            lambda self, keys, n: prf_inputs.append(numpy.shape(keys))
             or real_range_many(self, keys, n),
         )
         so, _ = session_twins(kernel, crypto)
         chain = chain_of(2, rng)
-        with so.epoch(2):
-            for batch in chain:
-                so.batch_access(batch)
+        so.run_epoch(chain)
         assert calls == ([] if kernel == "numpy" else [30, 30])
-        # Per batch: one build over batch rows + spill fillers, and one
-        # routing of the N = 30 object keys; N * L object inputs in all.
-        assert prf_inputs[1::2] == [30, 30]
-        assert sum(prf_inputs) == 2 * 30 + sum(prf_inputs[::2])
+        # One build routes both batches' rows + spill fillers as one
+        # (L, W) matrix — under the numpy kernel with the N = 30 object
+        # keys of both scans alongside; the reference routes them per
+        # table.  N * L object inputs in all.
+        width = max(len(batch) for batch in chain) + (
+            TwoTierParams.for_capacity(12, 16).tier2_capacity
+        )
+        if kernel == "numpy":
+            assert prf_inputs == [(2, width + 30)]
+        else:
+            assert prf_inputs == [(2, width), (30,), (30,)]

@@ -347,8 +347,9 @@ class TestPipelineInstrumentation:
                 "snoopy_suboram_phase_seconds"
             )
         }
-        # 2 subORAMs x 2 LB batches x 2 epochs = 8 per phase.
-        assert phases == {"table": 8, "scan": 8, "extract": 8}
+        # 2 subORAMs x 2 epochs: one stacked table build and one stacked
+        # extraction each, and one scan per LB batch (x 2).
+        assert phases == {"table": 4, "scan": 8, "extract": 4}
 
     def test_thread_backend_queue_and_run_timings(self):
         telemetry = _run_epochs("thread:2")
