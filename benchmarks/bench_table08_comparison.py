@@ -66,12 +66,16 @@ def test_snoopy_oblivious_batch_shape():
         store.initialize({k: bytes(4) for k in range(10)})
         observed = []
         for so in store.suborams:
-            original = so.batch_access
-            so.batch_access = (
-                lambda batch, _orig=original: (observed.append(len(batch)), _orig(batch))[1]
+            so.run_epoch = (
+                lambda batches, _id=so.suboram_id, _orig=so.run_epoch: (
+                    observed.append((_id, [len(b) for b in batches])),
+                    _orig(batches),
+                )[1]
             )
         store.batch([Request(OpType.READ, k, seq=i) for i, k in enumerate(workload)])
-        sizes.append(observed)
+        # One epoch: one entry per subORAM.
+        assert sorted(s for s, _ in observed) == [0, 1]
+        sizes.append(sorted(observed))
     assert sizes[0] == sizes[1]
 
 

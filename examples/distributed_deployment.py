@@ -71,15 +71,16 @@ def main() -> None:
     group.initialize({k: bytes([k]) * 4 for k in range(10)})
 
     snapshot = group.snapshot(0)  # what a malicious host might capture
-    group.batch_access(
-        Batch.from_requests([Request(OpType.WRITE, 3, b"v2!!")], 4)
+    group.run_epoch(
+        [Batch.from_requests([Request(OpType.WRITE, 3, b"v2!!")], 4)]
     )
 
     group.crash(1)
     group.rollback(0, snapshot)  # replica 0 serves stale state
-    [resp] = group.batch_access(
-        Batch.from_requests([Request(OpType.READ, 3)], 4)
-    ).entries()
+    [reply] = group.run_epoch(
+        [Batch.from_requests([Request(OpType.READ, 3)], 4)]
+    )
+    [resp] = reply.entries()
     assert resp.value == b"v2!!"
     print("crash + rollback survived: fresh replica's reply selected "
           f"(value {resp.value})")
@@ -87,13 +88,13 @@ def main() -> None:
     # Roll back *every* replica: the trusted counter refuses to serve.
     group.recover_from_peer(1)
     snapshots = [group.snapshot(i) for i in range(group.group_size)]
-    group.batch_access(
-        Batch.from_requests([Request(OpType.WRITE, 3, b"v3!!")], 4)
+    group.run_epoch(
+        [Batch.from_requests([Request(OpType.WRITE, 3, b"v3!!")], 4)]
     )
     for i, snap in enumerate(snapshots):
         group.rollback(i, snap)
     try:
-        group.batch_access(Batch.from_requests([Request(OpType.READ, 3)], 4))
+        group.run_epoch([Batch.from_requests([Request(OpType.READ, 3)], 4)])
     except RollbackError as exc:
         print(f"full rollback detected: {exc}")
 

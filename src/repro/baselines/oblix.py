@@ -18,7 +18,7 @@ throughput step when sharding drops a recursion level.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.baselines.pathoram import PathOram
 from repro.errors import NotInitializedError
@@ -101,29 +101,15 @@ class OblixMap:
         for key, value in objects.items():
             self.data_oram.write(key, value)
 
-    def batch_access(self, batch: Batch) -> Batch:
-        """Serve a Snoopy batch one request at a time (no batching gains)."""
-        entries = batch.entries()
-        for entry in entries:
-            if entry.key < 0:
-                # Dummy request: a full (real-cost) access to a random slot.
-                self._touch_position_maps(0)
-                self.data_oram.read(self._rng.randrange(self.capacity))
-                continue
-            if entry.op is OpType.WRITE and entry.value is not None:
-                entry.value = self.write(entry.key, entry.value)
-            else:
-                entry.value = self.read(entry.key)
-        return Batch.from_entries(entries, batch.value_size)
-
 
 class OblixSubOram:
     """Oblix as a pluggable Snoopy subORAM (Fig. 10's hybrid).
 
     Adapter for :class:`repro.core.snoopy.Snoopy`'s ``suboram_factory``:
-    capacity is fixed lazily at ``initialize`` time, and batches are
-    served request-by-request (no batch amortization — exactly why the
-    native linear-scan subORAM wins, §8.2).
+    capacity is fixed lazily at ``initialize`` time, and an epoch's
+    batches are served in balancer order, request by request (no batch
+    amortization — exactly why the native linear-scan subORAM wins,
+    §8.2).
     """
 
     def __init__(self, suboram_id: int, rng: Optional[random.Random] = None):
@@ -147,23 +133,32 @@ class OblixSubOram:
             self._map.data_oram.write(self._key_to_slot[key], value)
         self._count = len(objects)
 
-    def batch_access(self, batch: Batch) -> Batch:
-        """Serve a Snoopy batch request-by-request (no amortization)."""
+    def run_epoch(self, batches: Sequence[Batch]) -> List[Batch]:
+        """Serve an epoch's batches in order, request by request.
+
+        Each reply row carries the object's prior value.  A write whose
+        ``permitted`` bit is clear (§D access control) is served as a
+        read: the object keeps its value.  ``batches`` are left
+        untouched.
+        """
         if self._map is None:
             raise NotInitializedError("OblixSubOram not initialized")
-        entries = batch.entries()
-        for entry in entries:
-            slot = self._key_to_slot.get(entry.key)
-            if slot is None:
-                # Dummy or unknown key: a full-cost access to hide it.
-                self._map._touch_position_maps(0)
-                self._map.data_oram.read(
-                    self._rng.randrange(max(1, self._map.capacity))
-                )
-                entry.value = None if not entry.is_dummy else entry.value
-                continue
-            if entry.op is OpType.WRITE and entry.value is not None and entry.permitted:
-                entry.value = self._map.write(slot, entry.value)
-            else:
-                entry.value = self._map.read(slot)
-        return Batch.from_entries(entries, batch.value_size)
+        replies = []
+        for batch in batches:
+            entries = batch.entries()
+            for entry in entries:
+                slot = self._key_to_slot.get(entry.key)
+                if slot is None:
+                    # Dummy or unknown key: a full-cost access to hide it.
+                    self._map._touch_position_maps(0)
+                    self._map.data_oram.read(
+                        self._rng.randrange(max(1, self._map.capacity))
+                    )
+                    entry.value = None if not entry.is_dummy else entry.value
+                elif (entry.op is OpType.WRITE and entry.value is not None
+                      and entry.permitted):
+                    entry.value = self._map.write(slot, entry.value)
+                else:
+                    entry.value = self._map.read(slot)
+            replies.append(Batch.from_entries(entries, batch.value_size))
+        return replies

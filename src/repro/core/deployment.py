@@ -28,7 +28,6 @@ import random
 from typing import Dict, Optional
 
 from repro.core.config import SnoopyConfig
-from repro.core.epoch import serve_chain
 from repro.core.faults import FaultPlan
 from repro.core.snoopy import Snoopy
 from repro.crypto.aead import SecureChannelPair
@@ -136,7 +135,7 @@ class DistributedSnoopy(Snoopy):
         return [
             cross(b, pair.so.tx, pair.lb.rx, reply)
             for (b, _), pair, reply in zip(
-                chain, links, serve_chain(suboram, delivered)
+                chain, links, suboram.run_epoch(delivered)
             )
         ]
 

@@ -42,9 +42,9 @@ caller rolls back and raises the cause.
 :meth:`~repro.exec.backend.ExecutionBackend.map` call, so the same steps
 produce serial reference execution or a concurrent epoch depending only
 on the backend — with byte-identical responses either way.  Every unit
-runs in this process on the objects it is handed; subORAMs in their own
-processes are reached through a transport
-(:class:`~repro.serve.workers.WorkerCluster`).
+runs in this process on the objects it is handed; a subORAM in its own
+process is a proxy whose ``run_epoch`` is one framed round trip
+(:class:`~repro.serve.workers.RemoteSubOram`).
 """
 
 from __future__ import annotations
@@ -72,22 +72,9 @@ from repro.types import Request, Response
 #: Delivery seam for stage ➋, one call per chain: ``(suboram_index,
 #: suboram, chain) -> [response batch, ...]``, where ``chain`` lists
 #: ``(balancer_index, batch)`` in balancer order.  ``None`` means a direct
-#: in-process :func:`serve_chain`; a networked deployment supplies its
+#: in-process ``suboram.run_epoch``; a networked deployment supplies its
 #: sealed-channel round trips here.
 Transport = Callable[[int, object, List[Tuple[int, Batch]]], List[Batch]]
-
-
-def serve_chain(suboram, batches: Sequence[Batch]) -> List[Batch]:
-    """A subORAM's batches of one epoch, in balancer order.
-
-    One :meth:`~repro.suboram.suboram.SubOram.run_epoch` call where the
-    subORAM has one; remote proxies and adapters (anything with only a
-    ``batch_access``) are served batch by batch.
-    """
-    run_epoch = getattr(suboram, "run_epoch", None)
-    if run_epoch is None:
-        return [suboram.batch_access(batch) for batch in batches]
-    return run_epoch(batches)
 
 
 def _build_stage(task):
@@ -141,7 +128,7 @@ def _execute_stage(task):
     _raise_injected(fault, suboram_index)
     with telemetry.time("snoopy_suboram_epoch_seconds", unit=suboram_index):
         if transport is None:
-            replies = serve_chain(suboram, [batch for _, batch in chain])
+            replies = suboram.run_epoch([batch for _, batch in chain])
         else:
             replies = transport(suboram_index, suboram, chain)
     return [

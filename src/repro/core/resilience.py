@@ -191,7 +191,7 @@ def heal_replica_groups(suborams: Sequence) -> int:
     Runs at every epoch boundary.  A replica is healed when it is marked
     crashed or its local epoch lags the freshest live peer (the state a
     rollback or missed epoch leaves behind).  Groups with no live replica
-    are left alone — ``batch_access`` will raise
+    are left alone — ``run_epoch`` will raise
     :class:`~repro.extensions.replication.ReplicaUnavailableError`
     loudly rather than serve from nothing.
     """

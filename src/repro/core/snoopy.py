@@ -81,10 +81,12 @@ class Snoopy:
             rng: randomness for client load-balancer selection.
             suboram_factory: optional ``(suboram_id, config, keychain) ->
                 subORAM`` callable for plugging in alternative subORAM
-                designs (anything with ``initialize(objects)`` and
-                ``batch_access(batch)``, served batch by batch, or
-                ``run_epoch(batches)``), e.g. the Oblix adapter behind
-                Fig. 10.  Defaults to the paper's throughput-optimized
+                designs: anything with ``initialize(objects)``,
+                ``num_objects`` and ``run_epoch(batches) -> [reply, ...]``,
+                which serves an epoch's batches in balancer order and
+                leaves them untouched — e.g. the Oblix adapter behind
+                Fig. 10, or a worker proxy that ships the whole epoch in
+                one frame.  Defaults to the paper's throughput-optimized
                 linear-scan subORAM (§5), or to §9
                 :class:`~repro.extensions.replication.ReplicatedSubOram`
                 groups when ``config.replication`` is set.

@@ -7,8 +7,8 @@ holds the handshake, the frame envelope, and the client request/response
 and control payloads.  A batch has exactly one encoding, owned by its
 container: :meth:`Batch.to_bytes <repro.oblivious.soa.Batch.to_bytes>` /
 :meth:`~repro.oblivious.soa.Batch.from_buffer`, ``8 + n * (44 +
-value_size)`` bytes for ``n`` rows whatever they hold, so BATCH frame
-sizes depend only on batch size and object size — public quantities.
+value_size)`` bytes for ``n`` rows whatever they hold, so EPOCH frame
+sizes depend only on batch sizes and object size — public quantities.
 
 **Versioned handshake.**  Every Snoopy TCP connection opens with one
 fixed-size hello frame from each side:
@@ -49,8 +49,9 @@ value size, batch sizes), preserving obliviousness end to end:
   (:func:`encode_request` / :func:`encode_response`); every request of
   a given value size is byte-for-byte the same length whether it is a
   read or a write of any key (reads carry a zero-filled value slot).
-* ``BATCH``/``BATCH_REPLY``/``INIT`` — load-balancer <-> subORAM worker
-  traffic; the payload is a :class:`~repro.oblivious.soa.Batch`.
+* ``EPOCH``/``EPOCH_REPLY``/``INIT`` — load-balancer <-> subORAM worker
+  traffic: one :class:`~repro.oblivious.soa.Batch` (INIT), or an epoch's
+  batches concatenated (EPOCH adds a version id first).
 * ``TXN_BEGIN``/``TXN_ACK``/``CLOSE_EPOCH``/``EPOCH_CLOSED``/``ERROR``
   — control frames with fixed-size payloads.
 * ``SESSION``/``SESSION_ACK``/``RESPONSE_ACK`` — resumable client
@@ -120,9 +121,10 @@ def _check_key(key: int) -> int:
 #: handshake time instead of failing mid-stream.
 #: v2: hello flags byte, ATTEST exchange, sessions, snapshot transfer,
 #: delivery sequence numbers on responses.
-#: v3: fixed-width BATCH/BATCH_REPLY/INIT payloads (``Batch.to_bytes``).
+#: v3: fixed-width batch and INIT payloads (``Batch.to_bytes``).
 #: v4: sealed records are AES-GCM (16-byte tag) under per-direction keys.
-WIRE_VERSION = 4
+#: v5: one EPOCH frame per worker per epoch (codes 8/9, were per-batch).
+WIRE_VERSION = 5
 
 #: Every wire version this library can speak.  Kept as a tuple so a
 #: future version can retain backward compatibility windows; rejects
@@ -214,8 +216,8 @@ class FrameKind:
     ERROR = 5          # either direction: fatal protocol error text
     INIT = 6           # balancer -> worker: load a partition
     INIT_ACK = 7       # worker -> balancer: partition loaded (num objects)
-    BATCH = 8          # balancer -> worker: execute one batch
-    BATCH_REPLY = 9    # worker -> balancer: the batch's response entries
+    EPOCH = 8          # balancer -> worker: version + an epoch's batches
+    EPOCH_REPLY = 9    # worker -> balancer: one reply batch per batch
     TXN_BEGIN = 10     # balancer -> worker: start an atomic epoch attempt
     TXN_ACK = 11       # worker -> balancer: attempt state staged
     PING = 12          # liveness probe (optional u32 echo-delay ms)

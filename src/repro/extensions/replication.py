@@ -59,8 +59,7 @@ class ReplicatedSubOram:
 
     The group size is ``f + r + 1``.  ``run_epoch`` executes the epoch's
     batches on every live replica, bumps the trusted counter once, and
-    returns the responses of a replica whose epoch matches the counter
-    (``batch_access`` is the epoch of one batch).
+    returns the responses of a replica whose epoch matches the counter.
     """
 
     def __init__(
@@ -129,10 +128,6 @@ class ReplicatedSubOram:
     # ------------------------------------------------------------------
     # Batch execution with freshness checking
     # ------------------------------------------------------------------
-    def batch_access(self, batch: Batch) -> Batch:
-        """The epoch of one batch: ``run_epoch([batch])[0]``."""
-        return self.run_epoch([batch])[0]
-
     def run_epoch(self, batches: Sequence[Batch]) -> List[Batch]:
         """Execute on all live replicas; return verified-fresh replies.
 

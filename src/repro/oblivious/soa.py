@@ -178,7 +178,7 @@ class Batch:
     # The codec
     # ------------------------------------------------------------------
     def to_bytes(self) -> bytes:
-        """Header plus ``n`` fixed-width rows: the BATCH frame payload."""
+        """Header plus ``n`` fixed-width rows: one batch of a worker frame."""
         rows = np.empty(len(self), dtype=_row_dtype(self.value_size))
         for name in self.COLUMNS:
             rows[name] = getattr(self, name)
@@ -213,6 +213,20 @@ class Batch:
         return cls(**{
             c: rows[c].astype(dtype) for c, dtype in cls.COLUMNS.items()
         })
+
+    @classmethod
+    def split_buffer(cls, data, value_size: int) -> List["Batch"]:
+        """Decode concatenated :meth:`to_bytes` outputs, in order (raises
+        as :meth:`from_buffer` does)."""
+        view, batches = memoryview(data), []
+        while len(view):
+            # A header too short to read is left to from_buffer to reject.
+            n = (_BATCH_HEADER.unpack_from(view)[0]
+                 if len(view) >= BATCH_HEADER_SIZE else 0)
+            size = BATCH_HEADER_SIZE + n * _row_dtype(value_size).itemsize
+            batches.append(cls.from_buffer(view[:size], value_size))
+            view = view[size:]
+        return batches
 
 
 def take(items, perm):

@@ -3,9 +3,11 @@
 The paper's deployment runs each subORAM on its own machine; this module
 reproduces that boundary with real OS processes and TCP sockets while
 keeping the epoch driver unchanged: a :class:`RemoteSubOram` is a
-duck-typed subORAM (``initialize`` / ``batch_access`` / ``num_objects``)
+duck-typed subORAM (``initialize`` / ``run_epoch`` / ``num_objects``)
 whose method calls are framed round trips to a :func:`worker_main`
-process owning the real :class:`~repro.suboram.suboram.SubOram`.
+process owning the real :class:`~repro.suboram.suboram.SubOram`.  An
+epoch is one round trip per worker: one EPOCH frame carrying the
+subORAM's L batches, served by one ``SubOram.run_epoch`` call.
 
 **Attested channels.**  With a trust secret configured (the default
 when a :class:`~repro.serve.secure.ServeTrust` is handed in), every
@@ -28,9 +30,11 @@ again, beginning a fresh clone of the same committed parent.
 
 **Crash recovery — local and remote.**  The worker seals its live
 version table (pickle + atomic rename) at initialization, at every
-transaction boundary, and after every batch, so a worker killed at
-*any* point is respawned by :class:`WorkerCluster` with every version
-id the balancer might still reference.  Two recovery modes:
+transaction boundary, and once per epoch, after serving its EPOCH frame
+and before replying (the store itself is opened and resealed once per
+epoch, inside ``SubOram.run_epoch``), so a worker killed at *any* point
+is respawned by :class:`WorkerCluster` with every version id the
+balancer might still reference.  Two recovery modes:
 
 - ``remote_snapshots=False`` (default): the respawned worker reloads
   its seal from its own disk — the original shared-fate model.
@@ -60,12 +64,14 @@ Remote proxies hold live sockets; the deployment's execution backend
 (``serial`` or ``thread``) drives them from the server process, the
 thread pool fanning out the round trips to distinct workers.
 
-**What crosses this wire.**  INIT, BATCH and BATCH_REPLY payloads are
-one :class:`~repro.oblivious.soa.Batch` each (``Batch.to_bytes``:
-``8 + n * (44 + value_size)`` bytes whatever the rows hold; BATCH adds
-its 8-byte version id), so message sizes depend only on partition/batch
-sizes and the value size — public quantities — not on how many rows are
-writes, dummies or hits.  Version
+**What crosses this wire.**  INIT carries one
+:class:`~repro.oblivious.soa.Batch` (``Batch.to_bytes``: ``8 + n * (44 +
+value_size)`` bytes whatever the rows hold); EPOCH carries the 8-byte
+version id and the epoch's L batches in balancer order, concatenated —
+``8 + Σℓ (8 + Bℓ·(44 + value_size))`` bytes — and EPOCH_REPLY the L
+replies, each as long as its batch.  Message sizes depend only on
+partition/batch sizes and the value size — public quantities — not on
+how many rows are writes, dummies or hits.  Version
 ids, commit points, and snapshot byte counts are epoch-schedule facts,
 also public (snapshot size is a function of partition size and value
 size, not of contents — the seal is itself sized by public geometry).
@@ -82,7 +88,7 @@ import socket
 import tempfile
 import threading
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.wire import (
     FrameKind,
@@ -176,10 +182,10 @@ def worker_main(
     mismatch fails closed at the handshake).
 
     ``crash_after`` is the deterministic chaos seam: after serving that
-    many BATCH frames the process exits *after applying and sealing*
-    the batch but *before replying* — the worst-case crash point, where
-    the balancer cannot know whether the batch landed and must retry
-    the epoch on a fresh clone of the committed parent.
+    many EPOCH frames the process exits *after applying and sealing*
+    the epoch but *before replying* — the worst-case crash point, where
+    the balancer cannot know whether the epoch landed and must retry
+    it on a fresh clone of the committed parent.
     """
     from repro.suboram.suboram import SubOram
 
@@ -198,7 +204,7 @@ def worker_main(
     link_name = f"worker-{worker_id}"
 
     versions, sealed_blob = _load_seal(snapshot_path)
-    batches_served = 0
+    epochs_served = 0
     push_buf = b""
 
     while True:
@@ -234,23 +240,24 @@ def worker_main(
                         FrameKind.INIT_ACK,
                         encode_u32(suboram.num_objects),
                     )
-                elif kind == FrameKind.BATCH:
+                elif kind == FrameKind.EPOCH:
                     version = decode_u64(payload[:8])
                     if version not in versions:
                         raise WireError(
                             f"worker {worker_id} has no state "
                             f"version {version}"
                         )
-                    entries = versions[version].batch_access(
-                        Batch.from_buffer(
-                            memoryview(payload)[8:], value_size
-                        )
-                    )
+                    replies = versions[version].run_epoch(Batch.split_buffer(
+                        memoryview(payload)[8:], value_size
+                    ))
                     sealed_blob = _seal(snapshot_path, versions)
-                    batches_served += 1
-                    if crash_after is not None and batches_served >= crash_after:
+                    epochs_served += 1
+                    if crash_after is not None and epochs_served >= crash_after:
                         os._exit(1)  # chaos: die with the reply unsent
-                    transport.send(FrameKind.BATCH_REPLY, entries.to_bytes())
+                    transport.send(
+                        FrameKind.EPOCH_REPLY,
+                        b"".join(reply.to_bytes() for reply in replies),
+                    )
                 elif kind == FrameKind.TXN_BEGIN:
                     parent, new = decode_txn(payload)
                     if parent not in versions:
@@ -335,7 +342,7 @@ class RemoteSubOram:
 
     The epoch driver cannot tell this apart from an in-process
     :class:`~repro.suboram.suboram.SubOram`: ``initialize``,
-    ``batch_access`` and ``num_objects`` have identical contracts, and
+    ``run_epoch`` and ``num_objects`` have identical contracts, and
     ``copy.deepcopy`` (the driver's atomicity seam) becomes the
     ``TXN_BEGIN`` transaction described in the module docstring.
     """
@@ -365,18 +372,19 @@ class RemoteSubOram:
         self._version = 0
         self._num_objects = decode_u32(ack)
 
-    def batch_access(self, batch: Batch) -> Batch:
-        """One framed batch round trip against this proxy's version."""
+    def run_epoch(self, batches: Sequence[Batch]) -> List[Batch]:
+        """One EPOCH round trip against this proxy's version."""
         with self.telemetry.time(
-            "serve_worker_batch_seconds", unit=self._index
+            "serve_worker_epoch_seconds", unit=self._index
         ):
             reply = self._cluster.request(
                 self._index,
-                FrameKind.BATCH,
-                encode_u64(self._version) + batch.to_bytes(),
-                FrameKind.BATCH_REPLY,
+                FrameKind.EPOCH,
+                encode_u64(self._version)
+                + b"".join(batch.to_bytes() for batch in batches),
+                FrameKind.EPOCH_REPLY,
             )
-        return Batch.from_buffer(reply, self._cluster.value_size)
+        return Batch.split_buffer(reply, self._cluster.value_size)
 
     @property
     def num_objects(self) -> int:
@@ -498,7 +506,7 @@ class WorkerCluster:
         self._respawned: List[bool] = [False] * num_workers
         self._monitor_thread: Optional[threading.Thread] = None
         self._monitor_stop = threading.Event()
-        # Deterministic chaos: worker index -> crash after N batches.
+        # Deterministic chaos: worker index -> crash after N epoch frames.
         # Consumed at first spawn only, so the respawned worker is sane.
         self._crash_plan = dict(crash_plan or {})
 
@@ -576,12 +584,12 @@ class WorkerCluster:
         Respawns a dead worker (and, in ``remote_snapshots`` mode,
         restores a state-less one over the wire) and reconnects a
         dropped channel *before* sending, so recovery is transparent; a
-        failure *during* the round trip — the crash-mid-batch case —
+        failure *during* the round trip — the crash-mid-epoch case —
         closes the channel and raises :class:`TransportError`, leaving
         recovery to the caller's retry (which lands back here).
         """
         state_mutating = kind in (
-            FrameKind.INIT, FrameKind.BATCH, FrameKind.TXN_BEGIN
+            FrameKind.INIT, FrameKind.EPOCH, FrameKind.TXN_BEGIN
         )
         with self._locks[index]:
             self._ensure(index)

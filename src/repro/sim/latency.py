@@ -24,18 +24,18 @@ call to the wrapped subORAM.
 from __future__ import annotations
 
 import time
-from typing import Dict
+from typing import Dict, List, Sequence
 
 from repro.oblivious.soa import Batch
 from repro.utils.validation import require
 
 
 class LatencySubOram:
-    """A subORAM proxy that charges wall-clock time per batch access.
+    """A subORAM proxy that charges wall-clock time per batch served.
 
     Args:
         inner: the functional subORAM to delegate to (anything with
-            ``initialize`` / ``batch_access``).
+            ``initialize`` / ``run_epoch``).
         batch_delay: seconds to sleep per batch served, modelling
             network round trip + remote enclave processing.
     """
@@ -49,19 +49,13 @@ class LatencySubOram:
         """Delegate initialization to the wrapped subORAM (no delay)."""
         self.inner.initialize(objects)
 
-    def batch_access(self, batch: Batch, *args, **kwargs) -> Batch:
-        """Sleep ``batch_delay`` seconds, then delegate the batch access.
+    def run_epoch(self, batches: Sequence[Batch]) -> List[Batch]:
+        """Sleep ``batch_delay`` seconds per batch, then delegate the epoch.
 
         The sleep releases the GIL, so a thread backend overlaps the
         delays of different subORAMs exactly as independent machines
         would.
         """
-        if self.batch_delay:
-            time.sleep(self.batch_delay)
-        return self.inner.batch_access(batch, *args, **kwargs)
-
-    def run_epoch(self, batches):
-        """Sleep ``batch_delay`` seconds per batch, then delegate the epoch."""
         if self.batch_delay:
             time.sleep(self.batch_delay * len(batches))
         return self.inner.run_epoch(batches)

@@ -1,6 +1,7 @@
 """The subORAM batch-access protocol (Figure 19).
 
-``batch_access`` implements the three phases of Figure 7:
+:meth:`SubOram.run_epoch` implements the three phases of Figure 7 for
+each batch of an epoch:
 
 ➊ build a two-tier oblivious hash table over the (distinct) batch, keyed
   by a *fresh* per-batch PRF key;
@@ -33,7 +34,7 @@ SipHash pass, one stacked sort and one stacked compaction per tier —
 :meth:`TwoTierHashTable.build`), scans them in balancer order over the
 resident plaintext — batch ℓ + 1 reads batch ℓ's writes — extracts all
 L in one stacked compaction and reseals every slot once, under a fresh
-nonce.  :meth:`SubOram.batch_access` is the epoch of one batch.  A
+nonce.  ``run_epoch`` is the one way a deployment reaches a subORAM.  A
 failure anywhere drops the resident plaintext and seals nothing.  Only
 the whole-store path (numpy kernel, ``crypto="vector"``) keeps anything
 resident: the per-slot scalar store — the Figure 19 oracle, and the
@@ -160,34 +161,32 @@ class SubOram:
     # Batch access (Figure 19, BatchAccess)
     # ------------------------------------------------------------------
     def batch_access(self, batch: Batch) -> Batch:
-        """Process one batch of distinct requests; returns the response batch.
+        """The epoch of one batch: ``run_epoch([batch])[0]``.
 
-        Each returned row's value is the object's value *before* the
-        batch (read semantics for reads; prior value for writes, matching
-        the paper's ``OStoreBatchAccess`` contract), absent when the key
-        is not in this partition.  Dummy rows come back too — the load
-        balancer filters them while matching responses.  ``batch`` itself
-        is left untouched.  The epoch of one batch:
-        ``run_epoch([batch])[0]``.
-
-        Raises:
-            NotInitializedError: ``initialize`` has not been called.
-            DuplicateRequestError: two batch rows share a key
-                (Definition 2 precondition violated — load-balancer bug).
+        Nothing under ``src/`` calls it.  It stays because the served
+        benchmark's tracer (``bench/tracing.py::TARGETS``) wraps it by
+        name and its traced launch fails on a missing attribute; ROADMAP
+        item 5.9 retires it.
         """
         return self.run_epoch([batch])[0]
 
     def run_epoch(self, batches: Sequence[Batch]) -> List[Batch]:
         """Serve one epoch's batches, in balancer order, in one store pass.
 
-        Returns one response batch per batch (see :meth:`batch_access`);
-        batch ℓ sees the writes of batches 0..ℓ-1 (Appendix C's order).
-        A failure raises with the sealed partition byte for byte its
-        pre-epoch state.
+        Returns one response batch per batch.  Each row's value is the
+        object's value *before* its batch (read semantics for reads;
+        prior value for writes, matching the paper's
+        ``OStoreBatchAccess`` contract), absent when the key is not in
+        this partition.  Dummy rows come back too — the load balancer
+        filters them while matching responses.  Batch ℓ sees the writes
+        of batches 0..ℓ-1 (Appendix C's order), and ``batches`` are left
+        untouched.  A failure raises with the sealed partition byte for
+        byte its pre-epoch state.
 
         Raises:
             NotInitializedError: ``initialize`` has not been called.
-            DuplicateRequestError: two rows of one batch share a key.
+            DuplicateRequestError: two rows of one batch share a key
+                (Definition 2 precondition violated — load-balancer bug).
         """
         if self._store is None:
             raise NotInitializedError("subORAM not initialized")

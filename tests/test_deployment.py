@@ -11,6 +11,7 @@ from repro.enclave.model import Enclave
 from repro.errors import (AttestationError, ConfigurationError,
                           IntegrityError, NotInitializedError, ReplayError)
 from repro.extensions.replication import ReplicatedSubOram
+from repro.oblivious.soa import Batch
 from repro.serve.workers import WorkerCluster
 from repro.suboram.suboram import SubOram
 from repro.types import OpType, Request
@@ -168,7 +169,9 @@ class TestTransportSecurity:
         assert {hop.split(":")[0] for hop in shapes[0]} == {"request", "reply"}
 
     def test_worker_link_message_size_public(self):
-        """The same, over a real balancer <-> worker-process link."""
+        """The same, over a real balancer <-> worker-process link: one
+        EPOCH frame per worker per epoch, sized by public shape alone."""
+        from repro.analysis.balls_bins import batch_size
         from repro.core.wire import FrameKind
 
         with WorkerCluster(2, value_size=8, security_parameter=16) as cluster:
@@ -181,7 +184,7 @@ class TestTransportSecurity:
 
             def spy(index, kind, payload, expect_kind):
                 reply = round_trip(index, kind, payload, expect_kind)
-                if kind == FrameKind.BATCH:
+                if kind == FrameKind.EPOCH:
                     observed.append((len(payload), len(reply)))
                 return reply
 
@@ -196,8 +199,39 @@ class TestTransportSecurity:
                         store.submit(request, load_balancer=i % 2)
                     store.run_epoch()
                     shapes.append(sorted(observed))
-        assert len(shapes[0]) == 4  # L x S batches per epoch
+        # 8 + Σℓ (8 + Bℓ·(44 + value_size)); each balancer holds 3 of
+        # the epoch's 6 requests, and the reply drops the version id.
+        batches = 2 * (8 + batch_size(3, 2, 16) * (44 + 8))
+        assert shapes[0] == [(8 + batches, batches)] * 2  # S frames
         assert all(shape == shapes[0] for shape in shapes[1:]), shapes
+
+    def test_worker_epoch_serves_batches_in_order(self):
+        """One EPOCH frame of L = 2 batches: batch 1 reads batch 0's
+        write, and the replies equal an in-process SubOram.run_epoch."""
+        objects = {k: bytes([k]) * 8 for k in range(40)}
+        chain = [
+            Batch.from_requests([
+                Request(OpType.WRITE, 5, b"WWWWWWWW", seq=0),
+                Request(OpType.READ, 6, seq=1),
+                Request(OpType.READ, 1000, seq=2),
+            ], 8),
+            Batch.from_requests([
+                Request(OpType.READ, 5, seq=0),
+                Request(OpType.WRITE, 6, b"XXXXXXXX", seq=1),
+            ], 8),
+        ]
+        local = SubOram(0, 8, security_parameter=16)
+        local.initialize(dict(objects))
+        expected = [reply.to_bytes() for reply in local.run_epoch(chain)]
+        with WorkerCluster(1, value_size=8, security_parameter=16) as cluster:
+            cluster.start()
+            remote = cluster.factory(0)
+            remote.initialize(dict(objects))
+            replies = remote.run_epoch(chain)
+        assert [reply.to_bytes() for reply in replies] == expected
+        assert [e.value for e in replies[1].entries()] == [
+            b"WWWWWWWW", bytes([6]) * 8,
+        ]
 
 
 def same_shape_epochs(num_requests=6):

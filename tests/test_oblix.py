@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.baselines.oblix import OblixMap
+from repro.baselines.oblix import OblixMap, OblixSubOram
 from repro.oblivious.soa import Batch
 from repro.types import BatchEntry, OpType
 
@@ -42,29 +42,60 @@ class TestBasics:
 
 
 class TestSubOramAdapter:
-    def test_batch_access_serves_snoopy_batches(self):
-        oblix = OblixMap(64, rng=random.Random(4))
+    @staticmethod
+    def adapter(seed):
+        oblix = OblixSubOram(0, rng=random.Random(seed))
         oblix.initialize({k: bytes([k]) for k in range(64)})
+        return oblix
+
+    @staticmethod
+    def read(oblix, key):
+        [reply] = oblix.run_epoch([Batch.from_entries(
+            [BatchEntry(op=OpType.READ, key=key, is_dummy=False)], 1
+        )])
+        return reply.entries()[0].value
+
+    def test_run_epoch_serves_snoopy_batches(self):
+        oblix = self.adapter(4)
         batch = Batch.from_entries([
             BatchEntry(op=OpType.READ, key=5, is_dummy=False),
             BatchEntry(op=OpType.WRITE, key=6, value=b"w", is_dummy=False),
             BatchEntry(op=OpType.READ, key=-(10**9), is_dummy=True),
         ], 1)
         before = batch.to_bytes()
-        responses = oblix.batch_access(batch).entries()
+        [reply] = oblix.run_epoch([batch])
         assert batch.to_bytes() == before
+        responses = reply.entries()
         assert len(responses) == 3
         by_key = {e.key: e for e in responses if not e.is_dummy}
         assert by_key[5].value == bytes([5])
         assert by_key[6].value == bytes([6])  # prior value
-        assert oblix.read(6) == b"w"
+        assert self.read(oblix, 6) == b"w"
+
+    def test_batches_served_in_order(self):
+        """Batch 1 of an epoch reads batch 0's write."""
+        oblix = self.adapter(4)
+        write, read = (Batch.from_entries([BatchEntry(
+            op=op, key=9, value=value, is_dummy=False
+        )], 1) for op, value in ((OpType.WRITE, b"x"), (OpType.READ, None)))
+        replies = oblix.run_epoch([write, read])
+        assert [r.entries()[0].value for r in replies] == [bytes([9]), b"x"]
+
+    def test_denied_write_is_not_applied(self):
+        """§D: a write whose permitted bit is clear leaves the object
+        unchanged, and its reply carries the prior value."""
+        oblix = self.adapter(6)
+        [reply] = oblix.run_epoch([Batch.from_entries([BatchEntry(
+            op=OpType.WRITE, key=7, value=b"d", is_dummy=False, permitted=0,
+        )], 1)])
+        assert reply.entries()[0].value == bytes([7])
+        assert self.read(oblix, 7) == bytes([7])
 
     def test_dummy_requests_cost_real_accesses(self):
-        oblix = OblixMap(64, rng=random.Random(5))
-        oblix.initialize({k: bytes([k]) for k in range(64)})
-        before = oblix.data_oram.accesses
-        oblix.batch_access(Batch.from_entries(
+        oblix = self.adapter(5)
+        before = oblix._map.data_oram.accesses
+        oblix.run_epoch([Batch.from_entries(
             [BatchEntry(op=OpType.READ, key=-(10**9 + i), is_dummy=True)
              for i in range(4)], 1
-        ))
-        assert oblix.data_oram.accesses - before == 4
+        )])
+        assert oblix._map.data_oram.accesses - before == 4

@@ -18,13 +18,13 @@ from repro.types import BatchEntry, OpType, Request
 
 
 class _RecordGroup(ReplicatedSubOram):
-    """A replica group driven with record lists (packed into a Batch per
-    call; the argument must come back byte-equal)."""
+    """A replica group driven with record lists (one epoch of one Batch
+    per call; the argument must come back byte-equal)."""
 
-    def batch_access(self, entries):
+    def serve(self, entries):
         batch = Batch.from_entries(entries, 4)
         before = batch.to_bytes()
-        response = super().batch_access(batch)
+        [response] = self.run_epoch([batch])
         assert batch.to_bytes() == before
         return response.entries()
 
@@ -53,21 +53,21 @@ class TestHappyPath:
 
     def test_reads_and_writes(self):
         group = make_group()
-        [r1] = group.batch_access([read(3)])
+        [r1] = group.serve([read(3)])
         assert r1.value == bytes([3]) * 4
-        group.batch_access([write(3, b"zzzz")])
-        [r2] = group.batch_access([read(3)])
+        group.serve([write(3, b"zzzz")])
+        [r2] = group.serve([read(3)])
         assert r2.value == b"zzzz"
 
     def test_counter_once_per_batch(self):
         group = make_group()
-        group.batch_access([read(1)])
-        group.batch_access([read(2)])
+        group.serve([read(1)])
+        group.serve([read(2)])
         assert group.counter.value == 2
 
     def test_replicas_stay_in_sync(self):
         group = make_group()
-        group.batch_access([write(5, b"aaaa")])
+        group.serve([write(5, b"aaaa")])
         for replica in group.replicas:
             assert replica.suboram.peek(5) == b"aaaa"
 
@@ -88,7 +88,7 @@ class TestHappyPath:
                 return replies
 
             replica.suboram.run_epoch = spy
-        group.batch_access([write(5, b"aaaa"), read(6), read(999)])
+        group.serve([write(5, b"aaaa"), read(6), read(999)])
         assert len(seen) == group.group_size
         assert len(set(seen)) == 1
 
@@ -98,7 +98,7 @@ class TestCrashes:
         group = make_group(f=2, r=0)
         group.crash(0)
         group.crash(1)
-        [resp] = group.batch_access([read(4)])
+        [resp] = group.serve([read(4)])
         assert resp.value == bytes([4]) * 4
 
     def test_all_crashed_raises(self):
@@ -106,17 +106,17 @@ class TestCrashes:
         group.crash(0)
         group.crash(1)
         with pytest.raises(ReplicaUnavailableError):
-            group.batch_access([read(1)])
+            group.serve([read(1)])
 
     def test_recovery_catches_up(self):
         group = make_group(f=1, r=0)
         group.crash(0)
-        group.batch_access([write(7, b"new!")])
+        group.serve([write(7, b"new!")])
         group.recover_from_peer(0)
         assert group.replicas[0].suboram.peek(7) == b"new!"
         assert group.replicas[0].epoch == group.replicas[1].epoch
         # Recovered replica serves correctly afterwards.
-        [resp] = group.batch_access([read(7)])
+        [resp] = group.serve([read(7)])
         assert resp.value == b"new!"
 
 
@@ -125,28 +125,28 @@ class TestRollbacks:
         """Stale replica's reply is identified and ignored."""
         group = make_group(f=0, r=1)
         snapshot = group.snapshot(0)
-        group.batch_access([write(3, b"v2v2")])
+        group.serve([write(3, b"v2v2")])
         group.rollback(0, snapshot)
-        [resp] = group.batch_access([read(3)])
+        [resp] = group.serve([read(3)])
         assert resp.value == b"v2v2", "must come from the fresh replica"
 
     def test_rollback_beyond_tolerance_detected(self):
         """Rolling back every replica trips the trusted counter."""
         group = make_group(f=0, r=1)
         snapshots = [group.snapshot(i) for i in range(group.group_size)]
-        group.batch_access([write(3, b"v2v2")])
+        group.serve([write(3, b"v2v2")])
         for i, snapshot in enumerate(snapshots):
             group.rollback(i, snapshot)
         with pytest.raises(RollbackError):
-            group.batch_access([read(3)])
+            group.serve([read(3)])
 
     def test_rollback_plus_crash_combined(self):
         group = make_group(f=1, r=1)  # 3 replicas
         snapshot = group.snapshot(0)
-        group.batch_access([write(9, b"good")])
+        group.serve([write(9, b"good")])
         group.rollback(0, snapshot)
         group.crash(1)
-        [resp] = group.batch_access([read(9)])
+        [resp] = group.serve([read(9)])
         assert resp.value == b"good"
 
 
@@ -155,11 +155,11 @@ class TestCounterStaysAligned:
 
     def test_all_crashed_does_not_advance_counter(self):
         group = make_group(f=1, r=0)
-        group.batch_access([read(1)])
+        group.serve([read(1)])
         group.crash(0)
         group.crash(1)
         with pytest.raises(ReplicaUnavailableError):
-            group.batch_access([read(1)])
+            group.serve([read(1)])
         assert group.counter.value == 1, (
             "a batch no replica served must not bump the counter"
         )
@@ -167,17 +167,17 @@ class TestCounterStaysAligned:
     def test_group_recovers_after_total_crash(self):
         """Post-recovery batches serve correctly: epochs stay in sync."""
         group = make_group(f=1, r=0)
-        group.batch_access([write(2, b"keep")])
+        group.serve([write(2, b"keep")])
         # recover_from_peer needs a live peer, so re-open one replica the
         # way an operator restarting the process would, then heal the
         # other from it.
         group.crash(0)
         group.crash(1)
         with pytest.raises(ReplicaUnavailableError):
-            group.batch_access([read(2)])
+            group.serve([read(2)])
         group.replicas[0].crashed = False
         group.recover_from_peer(1)
-        [resp] = group.batch_access([read(2)])
+        [resp] = group.serve([read(2)])
         assert resp.value == b"keep"
         assert group.counter.value == 2
 
@@ -186,15 +186,15 @@ class TestCounterStaysAligned:
         group.crash(0)
         group.crash(1)
         with pytest.raises(ReplicaUnavailableError):
-            group.batch_access([read(1)])
+            group.serve([read(1)])
         group.replicas[0].crashed = False
         group.replicas[1].crashed = False
         snapshots = [group.snapshot(i) for i in range(group.group_size)]
-        group.batch_access([write(3, b"newv")])
+        group.serve([write(3, b"newv")])
         for i, snapshot in enumerate(snapshots):
             group.rollback(i, snapshot)
         with pytest.raises(RollbackError):
-            group.batch_access([read(3)])
+            group.serve([read(3)])
 
 
 def host_view(suboram):
@@ -206,10 +206,10 @@ def host_view(suboram):
 class TestGroupState:
     def test_recovery_copies_the_fresh_peers_sealed_state(self):
         group = make_group()
-        group.batch_access([write(1, b"aaaa")])
+        group.serve([write(1, b"aaaa")])
         assert group.peek(1) == b"aaaa"
         group.crash(0)
-        group.batch_access([write(2, b"bbbb")])
+        group.serve([write(2, b"bbbb")])
         stale, fresh = (group.replicas[i].suboram for i in (0, 1))
         assert host_view(stale) != host_view(fresh)
         assert stale.peek(2) == bytes([2]) * 4

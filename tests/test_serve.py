@@ -598,7 +598,7 @@ class TestWorkerCrashDifferential:
 
     def test_mid_execute_crash_is_invisible_with_retry(self):
         baseline = self.run_workload_over_cluster(None, max_attempts=1)
-        # Worker 0 dies after applying its second batch, *before*
+        # Worker 0 dies after applying its second epoch frame, *before*
         # replying — the balancer cannot tell whether it landed and must
         # retry the epoch on a fresh clone of the committed state.
         chaotic = self.run_workload_over_cluster({0: 2}, max_attempts=3)

@@ -164,26 +164,25 @@ class TestObliviousShape:
             store = Snoopy(config, rng=random.Random(2))
             store.initialize({k: bytes(4) for k in range(50)})
             sizes = []
-            original = {
-                s.suboram_id: s.batch_access for s in store.suborams
-            }
 
-            def spy(suboram):
-                def call(batch):
-                    sizes.append(len(batch))
-                    return original[suboram.suboram_id](batch)
+            def spy(suboram, _inner):
+                def call(batches):
+                    sizes.append((suboram, [len(b) for b in batches]))
+                    return _inner(batches)
 
                 return call
 
             for s in store.suborams:
-                s.batch_access = spy(s)
+                s.run_epoch = spy(s.suboram_id, s.run_epoch)
             keys = (
                 [rng.randrange(50) for _ in range(20)]
                 if workload == "uniform"
                 else [3] * 20
             )
             store.batch([Request(OpType.READ, k, seq=i) for i, k in enumerate(keys)])
-            seen_sizes.append(sizes)
+            # One epoch: one entry per subORAM.
+            assert sorted(s for s, _ in sizes) == [0, 1, 2]
+            seen_sizes.append(sorted(sizes))
         assert seen_sizes[0] == seen_sizes[1]
 
 

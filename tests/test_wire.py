@@ -230,12 +230,13 @@ class TestHello:
             decode_hello(frame)
         assert excinfo.value.offered == WIRE_VERSION + 1
         assert WIRE_VERSION in excinfo.value.supported
-        # A v2 peer (variable-width batch entries) and a v3 peer (the
-        # SHAKE-256/HMAC record cipher) are refused by name.
-        for old in (2, 3):
-            with pytest.raises(VersionMismatchError, match=r"\{4\}") as excinfo:
+        # A v2 peer (variable-width batch entries), a v3 peer (the
+        # SHAKE-256/HMAC record cipher) and a v4 peer (one worker frame
+        # per batch) are refused by name.
+        for old in (2, 3, 4):
+            with pytest.raises(VersionMismatchError, match=r"\{5\}") as excinfo:
                 decode_hello(encode_hello(Role.WORKER, version=old))
-            assert (excinfo.value.offered, excinfo.value.supported) == (old, (4,))
+            assert (excinfo.value.offered, excinfo.value.supported) == (old, (5,))
 
     def test_bad_magic_rejected_before_version(self):
         frame = bytearray(encode_hello(Role.CLIENT, version=WIRE_VERSION + 1))
@@ -278,7 +279,7 @@ class TestFrames:
     def test_oversized_length_rejected(self):
         import struct as _struct
 
-        header = _struct.pack(">BI", FrameKind.BATCH, (1 << 30) + 1)
+        header = _struct.pack(">BI", FrameKind.EPOCH, (1 << 30) + 1)
         with pytest.raises(WireError):
             decode_frame_header(header)
 
