@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""A distributed-style deployment: attestation, encrypted transport, and
-fault tolerance (§3.1, §9).
+"""A distributed deployment: attestation, sealed links, and fault
+tolerance (§3.1, §9).
 
-Shows the parts the in-process quickstart hides: enclaves attest to each
-other before channels come up, every load-balancer <-> subORAM message is
-AEAD-sealed with replay protection, and a replicated subORAM group
-survives crashes and detects rollback attacks via a trusted counter.
+Shows the parts the in-process quickstart hides: every subORAM runs in
+its own worker process, the load balancers reach each one over a TCP
+link that comes up only after both ends attest to each other, every
+frame on that link is AEAD-sealed with replay protection, and a
+replicated subORAM group survives crashes and detects rollback attacks
+via a trusted counter.
 
 Run:  python examples/distributed_deployment.py
 """
@@ -13,18 +15,21 @@ Run:  python examples/distributed_deployment.py
 import random
 
 from repro.core.config import SnoopyConfig
-from repro.core.deployment import DistributedSnoopy
-from repro.enclave.model import Enclave
+from repro.core.snoopy import Snoopy
+from repro.core.wire import Role
 from repro.errors import AttestationError, IntegrityError, RollbackError
 from repro.extensions.replication import ReplicatedSubOram
 from repro.oblivious.soa import Batch
+from repro.serve.secure import ServeTrust, connect_transport
+from repro.serve.workers import WorkerCluster
 from repro.types import OpType, Request
 
 
 def main() -> None:
-    # --- attested, encrypted deployment ---------------------------------
-    # The thread backend runs the two subORAMs' sealed round trips
-    # concurrently; the channels' replay counters stay in this process.
+    # --- attested, sealed deployment -------------------------------------
+    # One trust root provisions the balancer and every worker; the
+    # thread backend runs the two workers' EPOCH round trips concurrently.
+    trust = ServeTrust(b"example-deployment-trust-secret!")
     config = SnoopyConfig(
         num_load_balancers=2,
         num_suborams=2,
@@ -32,35 +37,55 @@ def main() -> None:
         security_parameter=32,
         execution_backend="thread",
     )
-    deployment = DistributedSnoopy(config, rng=random.Random(0))
-    deployment.initialize({k: bytes([k]) * 8 for k in range(50)})
-    print("deployment up: 2 load balancers + 2 subORAMs, channels "
-          "established via remote attestation "
-          f"(backend: {deployment.backend.name})")
+    with WorkerCluster(
+        2, value_size=8, security_parameter=32, trust=trust
+    ) as cluster, Snoopy(
+        config, rng=random.Random(0), suboram_factory=cluster.factory
+    ) as deployment:
+        cluster.start()
+        deployment.initialize({k: bytes([k]) * 8 for k in range(50)})
+        print("deployment up: 2 load balancers + 2 subORAM worker "
+              "processes, links established via remote attestation "
+              f"(backend: {deployment.backend.name})")
 
-    print("read(5) over encrypted transport ->", deployment.read(5))
+        print("read(5) over the sealed worker links ->", deployment.read(5))
 
-    # submit() hands back a Ticket that resolves when the epoch closes.
-    ticket = deployment.submit(Request(OpType.READ, 6))
-    deployment.run_epoch()
-    print("ticketed read(6) ->", ticket.result().value)
+        # submit() hands back a Ticket that resolves when the epoch closes.
+        ticket = deployment.submit(Request(OpType.READ, 6))
+        deployment.run_epoch()
+        print("ticketed read(6) ->", ticket.result().value)
 
-    # A rogue enclave (wrong measurement) cannot join.
-    try:
-        deployment._verify_peer(Enclave("evil-imposter"))
-    except AttestationError as exc:
-        print(f"rogue enclave rejected: {exc}")
+        # A tampering network is detected, not served: flip one bit of
+        # every sealed record worker 0 sends back.
+        channel = cluster._transports[0]._pair.rx
+        receive = channel.receive
+        channel.receive = lambda nonce, sealed: receive(
+            nonce, sealed[:-1] + bytes([sealed[-1] ^ 1])
+        )
+        try:
+            deployment.read(5)
+        except IntegrityError:
+            print("in-network tampering detected by the sealed link")
+        del channel.receive
 
-    # A tampering network is detected, not served.
-    def tamper(balancer, suboram, nonce, sealed):
-        return nonce, sealed[:-1] + bytes([sealed[-1] ^ 1])
-
-    deployment.network_hook = tamper
-    try:
-        deployment.read(5)
-    except IntegrityError:
-        print("in-network tampering detected by the AEAD channel")
-    deployment.network_hook = lambda b, s, n, c: (n, c)
+        # A balancer provisioned with another trust root cannot open a
+        # worker link.  (A worker serves one balancer link at a time, so
+        # the real one steps aside and re-dials on its next epoch.)
+        rogue = ServeTrust(b"an-attacker-provisioned-secret!!")
+        cluster._close_channel(0)
+        try:
+            connect_transport(
+                "127.0.0.1", cluster._ports[0],
+                role=Role.BALANCER,
+                trust=rogue,
+                enclave=rogue.enclave(Role.BALANCER),
+                expected_roles=(Role.WORKER,),
+                link_name="worker-0",
+                timeout=10,
+            )
+        except AttestationError as exc:
+            print(f"rogue balancer refused: {exc}")
+        print("read(7) after both attacks ->", deployment.read(7))
 
     # --- replicated subORAM group (§9) -----------------------------------
     print("\nreplicated subORAM: f=1 crash + r=1 rollback tolerance "

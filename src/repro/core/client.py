@@ -1,11 +1,12 @@
 """Client-side API: the ``SnoopyClient`` protocol and history recording.
 
 :class:`SnoopyClient` is the one client-facing contract every transport
-implements — the in-process :class:`~repro.core.snoopy.Snoopy` facade,
-the sealed-channel :class:`~repro.core.deployment.DistributedSnoopy`,
-and the TCP :class:`~repro.serve.netclient.NetworkSnoopyClient` all
-satisfy it, so applications, examples, and the simulator swap transports
-without code changes::
+implements — the :class:`~repro.core.snoopy.Snoopy` facade (whose
+subORAMs may sit behind attested worker links, see
+:mod:`repro.serve.workers`) and the TCP
+:class:`~repro.serve.netclient.NetworkSnoopyClient` both satisfy it, so
+applications, examples, and the simulator swap transports without code
+changes::
 
     def audit(store: SnoopyClient) -> None:
         with store:
@@ -36,9 +37,8 @@ from repro.types import OpType, Request, Response
 class SnoopyClient(Protocol):
     """The transport-agnostic Snoopy client contract.
 
-    One surface, three transports: in-process (:class:`Snoopy`), sealed
-    in-process channels (:class:`~repro.core.deployment.DistributedSnoopy`),
-    and TCP (:class:`~repro.serve.netclient.NetworkSnoopyClient`).  The
+    One surface, two transports: in-process (:class:`Snoopy`) and TCP
+    (:class:`~repro.serve.netclient.NetworkSnoopyClient`).  The
     asynchronous front door is :meth:`submit` → :class:`Ticket`; the
     synchronous conveniences (:meth:`read` / :meth:`write` /
     :meth:`batch`) block until the request's epoch has closed.  Every

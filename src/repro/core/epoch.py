@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import copy
 import time
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.faults import FaultInjector
 from repro.core.tickets import Ticket, TicketBook
@@ -68,14 +68,6 @@ from repro.loadbalancer.matching import match_responses
 from repro.oblivious.soa import Batch
 from repro.telemetry import resolve_telemetry
 from repro.types import Request, Response
-
-#: Delivery seam for stage ➋, one call per chain: ``(suboram_index,
-#: suboram, chain) -> [response batch, ...]``, where ``chain`` lists
-#: ``(balancer_index, batch)`` in balancer order.  ``None`` means a direct
-#: in-process ``suboram.run_epoch``; a networked deployment supplies its
-#: sealed-channel round trips here.
-Transport = Callable[[int, object, List[Tuple[int, Batch]]], List[Batch]]
-
 
 def _build_stage(task):
     """Stage ➊ unit: one balancer's oblivious batch generation."""
@@ -124,13 +116,10 @@ def _execute_stage(task):
     Runs on the subORAM object it is handed (the live one, or the
     atomic copy) and returns ``[(balancer_index, response batch), ...]``.
     """
-    suboram_index, suboram, chain, transport, fault, telemetry = task
+    suboram_index, suboram, chain, fault, telemetry = task
     _raise_injected(fault, suboram_index)
     with telemetry.time("snoopy_suboram_epoch_seconds", unit=suboram_index):
-        if transport is None:
-            replies = suboram.run_epoch([batch for _, batch in chain])
-        else:
-            replies = transport(suboram_index, suboram, chain)
+        replies = suboram.run_epoch([batch for _, batch in chain])
     return [
         (balancer_index, reply)
         for (balancer_index, _), reply in zip(chain, replies)
@@ -208,7 +197,6 @@ class EpochDriver:
         built,
         active,
         *,
-        transport: Optional[Transport] = None,
         injector: Optional[FaultInjector] = None,
         atomic: bool = False,
     ):
@@ -219,7 +207,6 @@ class EpochDriver:
         One ``backend.map`` runs the chains, one unit per subORAM.
 
         Args:
-            transport: optional delivery seam (see :data:`Transport`).
             injector: optional :class:`~repro.core.faults.FaultInjector`;
                 units with a scheduled worker-crash/timeout event are
                 armed to fail inside the executing unit.
@@ -265,7 +252,6 @@ class EpochDriver:
                                 (balancer_index, built[j][0][suboram_index])
                                 for j, balancer_index in enumerate(active)
                             ],
-                            transport,
                             injector.stage_fault(suboram_index)
                             if injector is not None
                             else None,
@@ -448,7 +434,6 @@ class EpochLifecycle:
         store.suborams, job.entries = controller.run_with_retry(
             lambda: self._driver.run_execute(
                 store.suborams, job.built, job.active,
-                transport=store._transport,
                 injector=store.injector,
                 atomic=atomic,
             )

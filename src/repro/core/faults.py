@@ -13,17 +13,15 @@ event record because the two index faults differently:
   coordinate.  :meth:`~repro.core.epoch.EpochDriver.run_execute` arms
   the unit :meth:`FaultInjector.stage_fault` names to raise
   :class:`~repro.errors.WorkerCrashError` /
-  :class:`~repro.errors.TaskTimeoutError`;
-  :class:`~repro.core.deployment.DistributedSnoopy` raises
-  :class:`~repro.errors.TransportError` for the hop
-  :meth:`FaultInjector.transport_fault` names; both deployments apply
+  :class:`~repro.errors.TaskTimeoutError`, and the deployment applies
   :meth:`FaultInjector.replica_faults` at epoch boundaries.
 * the **link seam** — :class:`NetFaultEvent` at a (link, N-th
   operation) coordinate: connection drops, frame delays, partitions,
   truncated and duplicated frames, slow-loris handshakes.
   :class:`repro.serve.secure.FrameTransport` and
   :func:`~repro.serve.secure.connect_transport`, which every serve-layer
-  connection crosses, consult :meth:`FaultInjector.on_send` /
+  connection crosses — the client links and the balancer↔subORAM
+  ``worker-<i>`` links alike — consult :meth:`FaultInjector.on_send` /
   :meth:`FaultInjector.on_connect`.
 
 Security note (mirrors the paper's §2.1 public-information model): a
@@ -61,7 +59,6 @@ FAULT_KINDS: Dict[str, str] = {
     "task_timeout": "tasks_timed_out",
     "replica_crash": "replica_crashes",
     "replica_rollback": "replica_rollbacks",
-    "transport_error": "transport_errors",
     "conn_drop": "net_conn_drops",
     "frame_delay": "net_frame_delays",
     "partition": "net_partitions",
@@ -69,8 +66,8 @@ FAULT_KINDS: Dict[str, str] = {
     "frame_duplicate": "net_frames_duplicated",
     "slow_handshake": "net_slow_handshakes",
 }
-_EPOCH_KINDS = tuple(FAULT_KINDS)[:5]
-_LINK_KINDS = tuple(FAULT_KINDS)[5:]
+_EPOCH_KINDS = tuple(FAULT_KINDS)[:4]
+_LINK_KINDS = tuple(FAULT_KINDS)[4:]
 #: Link kinds fire at a frame send, except ``slow_handshake``: at a connect.
 _CONNECT_KINDS = ("slow_handshake",)
 _SEND_KINDS = tuple(k for k in _LINK_KINDS if k not in _CONNECT_KINDS)
@@ -86,7 +83,7 @@ class FaultEvent:
             retried attempts of an epoch share its number).
         kind: one of the epoch kinds of :data:`FAULT_KINDS`.
         unit: the stage unit hit — subORAM index for worker/timeout/
-            transport/replica faults.
+            replica faults.
         replica: replica index within the unit's group, for
             ``replica_crash`` / ``replica_rollback``.
     """
@@ -185,7 +182,6 @@ class FaultPlan:
         epochs: int = 0,
         num_suborams: int = 0,
         num_replicas: int = 0,
-        with_transport: bool = False,
         intensity: int = 1,
         *,
         links: Iterable[str] = (),
@@ -203,9 +199,7 @@ class FaultPlan:
         * **Epoch kinds**, when ``epochs`` is given, at pseudo-random
           (epoch, unit) coordinates, never two on one (epoch, unit,
           kind).  Replica faults need ``num_replicas >= 2`` (a rollback
-          needs a fresh peer to detect it against), transport faults
-          ``with_transport`` (the in-process deployment has no network
-          hop to fail).
+          needs a fresh peer to detect it against).
         * **Link kinds**, when ``links`` is given: each of ``kinds``
           (default: every link kind) at a pseudo-random (link,
           message) coordinate, ``message <= messages``, never two on one
@@ -227,8 +221,6 @@ class FaultPlan:
         if epochs:
             require(num_suborams >= 1, "num_suborams must be >= 1")
             epoch_kinds = ["worker_crash", "task_timeout"]
-            if with_transport:
-                epoch_kinds.append("transport_error")
             if num_replicas >= 2:
                 epoch_kinds.extend(["replica_crash", "replica_rollback"])
             used = set()
@@ -297,9 +289,10 @@ class FaultInjector:
     epoch does not replay the fault that failed it, which is what makes
     a finite fault plan terminate.
 
-    Thread-safe: one lock guards all cursor state, because stage-➋
-    units on the thread backend probe :meth:`transport_fault`
-    concurrently and distinct links are driven from distinct threads.
+    Thread-safe: one lock guards all cursor state, because distinct
+    links are driven from distinct threads (the thread backend fans
+    stage ➋ out over the ``worker-<i>`` links) while the scheduler
+    probes the epoch seam.
 
     The injector *sleeps* for ``frame_delay`` itself, *raises*
     :class:`~repro.errors.TransportError` for partition refusals, and
@@ -392,10 +385,6 @@ class FaultInjector:
             if self.take(kind, unit=unit) is not None:
                 return kind
         return None
-
-    def transport_fault(self, unit: int) -> bool:
-        """Transport-seam probe: should this hop fail with TransportError?"""
-        return self.take("transport_error", unit=unit) is not None
 
     def replica_faults(self, kind: str) -> List[FaultEvent]:
         """Fire every ``replica_crash``/``replica_rollback`` event due now."""

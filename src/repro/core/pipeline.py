@@ -28,9 +28,9 @@ and TaoStore for its asynchronous proxy scheduling):
 **Ordering and fault tolerance.**  Epochs serialize in close order:
 the trusted counter is bumped under the intake lock at close, each
 queue stage is a single FIFO thread, and the execute step — the only
-one that mutates subORAM state, and the one that crosses a networked
-deployment's sealed channels, whose replay counters therefore stay
-ordered — processes one epoch at a time.  Its retry loop re-executes a
+one that mutates subORAM state, and the one that crosses the sealed
+worker links, whose replay counters therefore stay ordered — processes
+one epoch at a time.  Its retry loop re-executes a
 failed epoch *in place* on the already-built batches, so queued
 successor epochs are never reordered, preserving the Appendix C
 linearization argument.

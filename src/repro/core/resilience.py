@@ -3,7 +3,8 @@
 The paper's correctness story (Appendix C) assumes every accepted request
 is eventually served in *some* epoch; §9 sketches the infrastructure side
 (``f + r + 1`` quorum replication with a trusted counter).  This module
-is the glue that makes both deployments honor that under faults:
+is the glue that makes the deployment honor that under faults, under
+either scheduler:
 
 * :class:`EpochRetryController` — drives the attempt loop around stage
   ➋ (:meth:`~repro.core.epoch.EpochDriver.run_execute`, retried at
@@ -45,7 +46,7 @@ def _replica_groups(suborams: Sequence) -> list:
 
 
 class EpochRetryController:
-    """The fault-tolerance engine shared by both deployments.
+    """The fault-tolerance engine shared by both schedulers.
 
     One controller lives per deployment and is consulted by the execute
     step of every epoch (:meth:`repro.core.epoch.EpochLifecycle.execute`):

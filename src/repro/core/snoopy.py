@@ -62,13 +62,6 @@ class Snoopy:
         response = ticket.result()
     """
 
-    #: Stage-➋ delivery seam the execute step hands to
-    #: :meth:`EpochDriver.run_execute` (one call per subORAM chain, see
-    #: :data:`~repro.core.epoch.Transport`); ``None`` means a direct
-    #: in-process call.  Subclasses that put a real hop between load
-    #: balancer and subORAM (``DistributedSnoopy``) define it as a method.
-    _transport = None
-
     def __init__(self, config: SnoopyConfig, keychain: Optional[KeyChain] = None,
                  rng: Optional[random.Random] = None, suboram_factory=None,
                  fault_plan: Optional[FaultPlan] = None,

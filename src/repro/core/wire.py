@@ -1,8 +1,8 @@
 """Wire serialization for Snoopy's networked hops.
 
 The in-process :class:`~repro.core.snoopy.Snoopy` passes Python objects
-directly; the distributed deployment (:mod:`repro.core.deployment`) and
-the TCP service layer (:mod:`repro.serve`) send real bytes.  This module
+directly; the TCP service layer (:mod:`repro.serve`) — the client front
+door and the balancer↔subORAM worker links — sends real bytes.  This module
 holds the handshake, the frame envelope, and the client request/response
 and control payloads.  A batch has exactly one encoding, owned by its
 container: :meth:`Batch.to_bytes <repro.oblivious.soa.Batch.to_bytes>` /

@@ -57,11 +57,6 @@ class KeyChain:
         """The keyed-hash key mapping object ids to subORAMs (fixed, §4.1)."""
         return self.subkey("snoopy/sharding")
 
-    def channel_key(self, a: str, b: str) -> bytes:
-        """Pairwise channel key between named parties (order-independent)."""
-        lo, hi = sorted((a, b))
-        return self.subkey(f"snoopy/channel/{lo}/{hi}")
-
     def batch_key(self, suboram: int, epoch: int) -> bytes:
         """Fresh hash-table key for one subORAM batch (resampled per batch, §5)."""
         return self.subkey(f"snoopy/batch/{suboram}/{epoch}")

@@ -74,17 +74,3 @@ class AttestationService:
             )
         return quote.key_share
 
-
-def establish_channel_key(
-    service: AttestationService, enclave: Enclave, peer_share: bytes
-) -> bytes:
-    """Derive a shared channel key after verifying the enclave's quote.
-
-    The caller (a client or another enclave) contributes ``peer_share``;
-    the enclave contributes a fresh share via its quote.  Both sides derive
-    ``H(share_enclave || share_peer)``.
-    """
-    enclave_share = os.urandom(32)
-    quote = service.quote(enclave, enclave_share)
-    verified_share = service.verify(quote)
-    return hashlib.sha256(verified_share + peer_share).digest()

@@ -47,6 +47,7 @@ from repro.serve.secure import (
     ServeTrust,
     secure_handshake_async,
 )
+from repro.telemetry.registry import nearest_rank_percentile
 from repro.types import OpType, Request
 from repro.workloads.generators import (
     WorkloadSpec,
@@ -54,15 +55,6 @@ from repro.workloads.generators import (
     parse_workload_spec,
 )
 from repro.workloads.trace import Trace, TraceRecord, dump_trace, load_trace
-
-
-def percentile(samples: List[float], fraction: float) -> float:
-    """Nearest-rank percentile of ``samples`` (0.0 for an empty list)."""
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    rank = min(len(ordered) - 1, int(fraction * len(ordered)))
-    return ordered[rank]
 
 
 def _fit_value(value: Optional[bytes], value_size: int) -> bytes:
@@ -271,6 +263,7 @@ async def run_loadgen_async(
     ])
     elapsed = time.monotonic() - started
     total = sum(totals)
+    ordered = sorted(latencies)
     stats: Dict[str, object] = {
         "requests": total,
         "connections": connections,
@@ -280,8 +273,8 @@ async def run_loadgen_async(
         "attested": trust is not None,
         "elapsed_s": elapsed,
         "rps": total / elapsed if elapsed > 0 else 0.0,
-        "latency_p50_ms": percentile(latencies, 0.50) * 1e3,
-        "latency_p99_ms": percentile(latencies, 0.99) * 1e3,
+        "latency_p50_ms": nearest_rank_percentile(ordered, 50) * 1e3,
+        "latency_p99_ms": nearest_rank_percentile(ordered, 99) * 1e3,
         "latency_mean_ms": (
             sum(latencies) / len(latencies) * 1e3 if latencies else 0.0
         ),

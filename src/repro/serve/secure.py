@@ -2,11 +2,10 @@
 
 The paper's threat model requires every channel to be established via
 remote attestation so clients "know they are communicating with
-legitimate enclaves".  :mod:`repro.core.deployment` already models that
-for the in-process wire; this module gives the *real* TCP front door
-(:mod:`repro.serve.server`, :mod:`repro.serve.workers`,
-:mod:`repro.serve.netclient`, :mod:`repro.serve.loadgen`) the same
-guarantees:
+legitimate enclaves".  This module gives every TCP hop — the front
+door (:mod:`repro.serve.server`, :mod:`repro.serve.netclient`,
+:mod:`repro.serve.loadgen`) and the balancer↔subORAM worker links
+(:mod:`repro.serve.workers`) — those guarantees:
 
 1. **Hello** — the fixed-size v2 hello
    (:func:`repro.core.wire.encode_hello`) with the

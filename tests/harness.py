@@ -52,6 +52,7 @@ same-shape different-content workloads) is asserted separately in
 
 from __future__ import annotations
 
+import contextlib
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -61,6 +62,8 @@ import numpy
 from repro.core.config import SnoopyConfig
 from repro.core.snoopy import Snoopy
 from repro.crypto.keys import KeyChain
+from repro.serve.secure import ServeTrust
+from repro.serve.workers import WorkerCluster
 from repro.suboram.store import EncryptedStore
 from repro.suboram.suboram import SubOram, store_crypto
 from repro.telemetry import Telemetry
@@ -235,7 +238,6 @@ def build_store(
     security_parameter: int = 16,
     rng_seed: int = 5,
     telemetry=None,
-    store_cls=Snoopy,
 ) -> Snoopy:
     """One initialized deployment with fixed keys and a fixed client RNG.
 
@@ -243,8 +245,8 @@ def build_store(
     matter the (backend, kernel, plan) cell — the property every
     differential test in this suite leans on.  An omitted backend,
     kernel or crypto is ``SnoopyConfig``'s default for that axis.
-    ``store_cls`` selects the deployment class (``DistributedSnoopy``
-    for the attested one, which takes no ``suboram_factory``).
+    The attested deployment is ``suboram_factory=cluster.factory`` over
+    an :func:`attested_cluster`.
     """
     config = SnoopyConfig(
         num_load_balancers=num_load_balancers,
@@ -258,19 +260,44 @@ def build_store(
         replication=replication,
         telemetry=telemetry,
     )
-    factory = (
-        {} if suboram_factory is None
-        else {"suboram_factory": suboram_factory}
-    )
-    store = store_cls(
+    store = Snoopy(
         config,
         keychain=KeyChain(master=master),
         rng=random.Random(rng_seed),
         fault_plan=plan,
-        **factory,
+        suboram_factory=suboram_factory,
     )
     store.initialize(objects)
     return store
+
+
+#: The trust every :func:`attested_cluster` provisions its links with.
+TEST_TRUST = ServeTrust(b"attested-test-cluster-secret-012")
+
+
+@contextlib.contextmanager
+def attested_cluster(
+    num_workers: int = 3,
+    *,
+    value_size: int = 8,
+    security_parameter: int = 16,
+    kernel: Optional[str] = None,
+    **cluster_kwargs,
+):
+    """A started loopback :class:`~repro.serve.workers.WorkerCluster` whose
+    balancer↔worker links run the attested handshake under
+    :data:`TEST_TRUST` — the sealed hop of §3.1 that attested tests
+    drive through ``Snoopy(config, suboram_factory=cluster.factory)``.
+    Stopped on exit."""
+    with WorkerCluster(
+        num_workers,
+        value_size=value_size,
+        security_parameter=security_parameter,
+        kernel=kernel,
+        trust=TEST_TRUST,
+        **cluster_kwargs,
+    ) as cluster:
+        yield cluster.start()
 
 
 def run_workload(

@@ -22,14 +22,11 @@ shared ones from :mod:`tests.harness`.
 """
 
 import contextlib
-import random
 import sys
 import threading
 
 import pytest
 
-from repro.core.config import SnoopyConfig
-from repro.core.deployment import DistributedSnoopy
 from repro.core.faults import (
     FAULT_KINDS,
     FaultEvent,
@@ -37,13 +34,13 @@ from repro.core.faults import (
     FaultPlan,
     NetFaultEvent,
 )
-from repro.crypto.keys import KeyChain
 from repro.errors import TransportError
 from repro.serve.chaos import build_soak_plan
 from repro.serve.workers import WorkerCluster
 
 from tests.harness import (
     access_traces,
+    attested_cluster,
     build_store as harness_build_store,
     run_workload,
     seeded_workload,
@@ -76,7 +73,6 @@ NO_FAULTS_FIRED = {
     "tasks_timed_out": 0,
     "replica_crashes": 0,
     "replica_rollbacks": 0,
-    "transport_errors": 0,
     "net_conn_drops": 0,
     "net_frame_delays": 0,
     "net_partitions": 0,
@@ -208,7 +204,6 @@ class TestGeneratedPlans:
     def test_unreplicated_plans_skip_replica_faults(self):
         plan = FaultPlan.generate(seed=3, epochs=5, num_suborams=2)
         assert all(not e.kind.startswith("replica") for e in plan)
-        assert all(e.kind != "transport_error" for e in plan)
 
 
 class TestTraceUnderFaults:
@@ -234,72 +229,32 @@ class TestTraceUnderFaults:
 
 
 class TestDistributedChaos:
-    def test_transport_faults_are_retried_transparently(self):
-        def build(plan, max_attempts):
-            config = SnoopyConfig(
-                num_load_balancers=2,
-                num_suborams=3,
-                value_size=VALUE,
-                security_parameter=16,
-                execution_backend="serial",
-                epoch_max_attempts=max_attempts,
-            )
-            store = DistributedSnoopy(
-                config, keychain=KeyChain(master=MASTER),
-                rng=random.Random(5), fault_plan=plan,
-            )
-            store.initialize(
-                {k: bytes([k % 251]) * VALUE for k in range(NUM_KEYS)}
-            )
-            return store
-
-        quiet = build(plan=None, max_attempts=1)
-        quiet_responses, _ = run_workload(quiet, WORKLOAD)
-        quiet.close()
-
+    def test_transport_faults_are_retried_transparently(self, baseline):
+        """Dropped connections on the sealed ``worker-<i>`` links fail two
+        epochs' attempts (a TXN_BEGIN, then an EPOCH frame); each retry
+        re-dials and serves the bytes the fault-free run served."""
+        baseline_responses, baseline_results = baseline
         plan = FaultPlan([
-            FaultEvent(epoch=2, kind="transport_error", unit=1),
-            FaultEvent(epoch=7, kind="transport_error", unit=0),
+            NetFaultEvent("worker-1", 3, "conn_drop"),   # epoch 2
+            NetFaultEvent("worker-0", 15, "conn_drop"),  # epoch 7
         ])
-        chaotic = build(plan=plan, max_attempts=3)
-        chaotic_responses, tickets = run_workload(chaotic, WORKLOAD)
-        assert chaotic_responses == quiet_responses
-        for ticket in tickets:
-            ticket.result()
-        assert chaotic.fault_stats["transport_errors"] == 2
-        assert chaotic.fault_stats["epochs_failed"] == 2
-        assert chaotic.fault_stats["epochs_retried"] == 2
-        chaotic.close()
-
-    def test_distributed_replication_with_replica_faults(self):
-        config = SnoopyConfig(
-            num_load_balancers=2,
-            num_suborams=3,
-            value_size=VALUE,
-            security_parameter=16,
-            execution_backend="thread:4",
-            epoch_max_attempts=3,
-            replication=(1, 1),
-        )
-        plan = FaultPlan([
-            FaultEvent(epoch=2, kind="replica_crash", unit=0, replica=2),
-            FaultEvent(epoch=4, kind="replica_rollback", unit=1, replica=1),
-        ])
-        store = DistributedSnoopy(
-            config, keychain=KeyChain(master=MASTER),
-            rng=random.Random(5), fault_plan=plan,
-        )
-        store.initialize(
-            {k: bytes([k % 251]) * VALUE for k in range(NUM_KEYS)}
-        )
-        responses, tickets = run_workload(store, WORKLOAD)
-        assert [r for epoch in responses for r in epoch]  # served requests
-        for ticket in tickets:
-            ticket.result()
-        assert store.fault_stats["replica_crashes"] == 1
-        assert store.fault_stats["replica_rollbacks"] == 1
-        assert store.fault_stats["replicas_recovered"] == 2
-        store.close()
+        # Armed after INIT, so message 1 is epoch 1's first frame.
+        injector = FaultInjector(plan, armed=False)
+        with attested_cluster(
+            3, value_size=VALUE, injector=injector
+        ) as cluster:
+            store = build_store(
+                "serial", max_attempts=3, suboram_factory=cluster.factory
+            )
+            injector.armed = True
+            responses, tickets = run_workload(store, WORKLOAD)
+            store.close()
+        assert responses == baseline_responses
+        assert [ticket.result() for ticket in tickets] == baseline_results
+        assert injector.stats == plan.counts()
+        assert store.fault_stats == {
+            "epochs_failed": 2, "epochs_retried": 2, "replicas_recovered": 0,
+        }
 
 
 class TestFaultStatsSurface:
@@ -401,8 +356,7 @@ class TestPinnedSchedules:
         assert plan.events == SOAK_SCHEDULES[soak]
 
     def test_one_generate_draws_epoch_kinds_then_link_kinds(self):
-        epoch_args = dict(epochs=6, num_suborams=3, num_replicas=2,
-                          with_transport=True)
+        epoch_args = dict(epochs=6, num_suborams=3, num_replicas=2)
         link_args = dict(links=["a", "b"], messages=9)
         both = FaultPlan.generate(4, **epoch_args, **link_args)
         epoch_only = FaultPlan.generate(4, **epoch_args)
@@ -415,11 +369,12 @@ class TestPinnedSchedules:
 
 class TestInjectorConcurrency:
     def test_concurrent_transport_probes_fire_each_event_exactly_once(self):
-        """On ``thread:N`` the stage-➋ units probe ``transport_fault``
-        concurrently; none may lose, misfire or double-count an event."""
+        """Eight threads race ``stage_fault`` over shared injectors (one
+        lock guards every cursor, whichever seam probes it); none may
+        lose, misfire or double-count an event."""
         units, trials = 8, 20_000
         plan = FaultPlan(
-            [FaultEvent(1, "transport_error", unit) for unit in range(units)]
+            [FaultEvent(1, "worker_crash", unit) for unit in range(units)]
         )
         injectors = [FaultInjector(plan) for _ in range(trials)]
         for injector in injectors:
@@ -430,7 +385,7 @@ class TestInjectorConcurrency:
         def probe(unit):
             start.wait()
             for trial, injector in enumerate(injectors):
-                fired[trial][unit] = injector.transport_fault(unit)
+                fired[trial][unit] = injector.stage_fault(unit)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -448,9 +403,9 @@ class TestInjectorConcurrency:
         assert not any(thread.is_alive() for thread in threads)
         broken = [
             trial for trial, injector in enumerate(injectors)
-            if fired[trial] != [True] * units
+            if fired[trial] != ["worker_crash"] * units
             or injector.pending != []
-            or injector.stats["transport_errors"] != units
+            or injector.stats["worker_crashes"] != units
         ]
         assert broken == []
 
@@ -479,14 +434,12 @@ class TestLinkSeam:
     def test_unarmed_injector_neither_counts_nor_fires(self):
         plan = FaultPlan([
             FaultEvent(1, "worker_crash", 0),
-            FaultEvent(1, "transport_error", 0),
             NetFaultEvent("a", 1, "conn_drop"),
             NetFaultEvent("a", 1, "slow_handshake", delay_s=0.01),
         ])
         injector = FaultInjector(plan, armed=False)
         injector.begin_epoch(1)
         assert injector.stage_fault(0) is None
-        assert injector.transport_fault(0) is False
         for _ in range(3):
             assert injector.on_connect("a") is None
             assert injector.on_send("a") is None
@@ -496,7 +449,6 @@ class TestLinkSeam:
         # connect and send are operation 1 again.
         injector.armed = True
         assert injector.stage_fault(0) == "worker_crash"
-        assert injector.transport_fault(0) is True
         assert injector.on_connect("a").kind == "slow_handshake"
         assert injector.on_send("a").kind == "conn_drop"
         assert injector.stats == plan.counts()
@@ -529,7 +481,6 @@ class TestLinkSeam:
     def test_mixed_plan_stats_equal_counts_once_fully_fired(self):
         plan = FaultPlan.generate(
             9, epochs=4, num_suborams=2, num_replicas=2,
-            with_transport=True,
             links=["a"], messages=6,
         )
         # One event of every kind, epoch and link seam alike.
@@ -542,7 +493,6 @@ class TestLinkSeam:
             for unit in range(2):
                 while injector.stage_fault(unit) is not None:
                     pass
-                injector.transport_fault(unit)
         injector.on_connect("a")
         for _ in range(20):
             try:

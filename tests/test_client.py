@@ -6,9 +6,10 @@ import pytest
 
 from repro.core.client import Client, SnoopyClient
 from repro.core.config import SnoopyConfig
-from repro.core.deployment import DistributedSnoopy
 from repro.core.snoopy import Snoopy
 from repro.types import OpType
+
+from tests.harness import attested_cluster
 
 
 @pytest.fixture
@@ -27,12 +28,19 @@ class TestSnoopyClientProtocol:
         assert isinstance(store, SnoopyClient)
 
     def test_distributed_snoopy_conforms(self):
+        """SubORAMs behind attested worker links: the same contract,
+        served end to end."""
         config = SnoopyConfig(
             num_load_balancers=2, num_suborams=2, value_size=4,
             security_parameter=16,
         )
-        with DistributedSnoopy(config, rng=random.Random(0)) as dist:
+        with attested_cluster(2, value_size=4) as cluster, Snoopy(
+            config, rng=random.Random(0), suboram_factory=cluster.factory
+        ) as dist:
             assert isinstance(dist, SnoopyClient)
+            dist.initialize({k: bytes([k]) * 4 for k in range(8)})
+            assert dist.write(3, b"wwww") == bytes([3]) * 4
+            assert dist.read(3) == b"wwww"
 
     def test_network_client_conforms_structurally(self):
         from repro.serve.netclient import NetworkSnoopyClient

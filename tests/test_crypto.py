@@ -366,10 +366,6 @@ class TestKeyChain:
         chain = KeyChain(b"m" * 32)
         assert chain.subkey("x") != chain.subkey("y")
 
-    def test_channel_key_symmetric(self):
-        chain = KeyChain(b"m" * 32)
-        assert chain.channel_key("lb0", "so1") == chain.channel_key("so1", "lb0")
-
     def test_batch_keys_fresh_per_epoch(self):
         chain = KeyChain(b"m" * 32)
         assert chain.batch_key(0, 1) != chain.batch_key(0, 2)

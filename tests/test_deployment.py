@@ -1,172 +1,217 @@
-"""Tests for the distributed deployment: attested, encrypted transport."""
+"""The attested deployment: Snoopy over sealed balancer↔worker links.
 
+§3.1 puts every subORAM in its own attested enclave behind an AEAD
+channel.  Here that hop is the real one: each subORAM runs in a worker
+process of a loopback :class:`~repro.serve.workers.WorkerCluster`, and
+the balancer reaches it through
+``Snoopy(config, suboram_factory=cluster.factory)`` over a link that
+ran the attested handshake (:mod:`repro.serve.secure`).  The network
+tampering, replay and rogue-peer tests act on those sealed records.
+"""
+
+import pickle
 import random
+import re
 
 import pytest
 
 from repro.core.config import SnoopyConfig
-from repro.core.deployment import DistributedSnoopy
 from repro.core.snoopy import Snoopy
-from repro.enclave.model import Enclave
+from repro.core.wire import FrameKind, Role, WireError
+from repro.crypto.keys import KeyChain
 from repro.errors import (AttestationError, ConfigurationError,
                           IntegrityError, NotInitializedError, ReplayError)
 from repro.extensions.replication import ReplicatedSubOram
 from repro.oblivious.soa import Batch
+from repro.serve.secure import ServeTrust
 from repro.serve.workers import WorkerCluster
 from repro.suboram.suboram import SubOram
 from repro.types import OpType, Request
 
+from tests.harness import attested_cluster
 
-def make_deployment(seed=1, **config_kwargs):
+
+@pytest.fixture
+def cluster():
+    """Two attested loopback workers (one per subORAM)."""
+    with attested_cluster(2) as cluster:
+        yield cluster
+
+
+def make_deployment(cluster, seed=1, **config_kwargs):
+    """A Snoopy whose subORAMs live behind ``cluster``'s sealed links."""
     config = SnoopyConfig(
         num_load_balancers=2,
-        num_suborams=2,
+        num_suborams=cluster.num_workers,
         value_size=8,
         security_parameter=16,
         **config_kwargs,
     )
-    deployment = DistributedSnoopy(config, rng=random.Random(seed))
+    deployment = Snoopy(config, rng=random.Random(seed),
+                        suboram_factory=cluster.factory)
     deployment.initialize({k: bytes([k]) * 8 for k in range(40)})
     return deployment
 
 
 class TestFunctionalEquivalence:
-    def test_read_write(self):
-        deployment = make_deployment()
-        assert deployment.read(5) == bytes([5]) * 8
-        prior = deployment.write(5, b"AAAAAAAA")
-        assert prior == bytes([5]) * 8
-        assert deployment.read(5) == b"AAAAAAAA"
+    def test_read_write(self, cluster):
+        with make_deployment(cluster) as deployment:
+            assert deployment.read(5) == bytes([5]) * 8
+            prior = deployment.write(5, b"AAAAAAAA")
+            assert prior == bytes([5]) * 8
+            assert deployment.read(5) == b"AAAAAAAA"
 
-    def test_batch(self):
-        deployment = make_deployment()
-        responses = deployment.batch(
-            [Request(OpType.READ, k, seq=k) for k in range(15)]
-        )
+    def test_batch(self, cluster):
+        with make_deployment(cluster) as deployment:
+            responses = deployment.batch(
+                [Request(OpType.READ, k, seq=k) for k in range(15)]
+            )
         assert len(responses) == 15
         assert all(r.value == bytes([r.key]) * 8 for r in responses)
 
-    def test_matches_in_process_deployment(self):
-        """Same requests, same results as the direct-call Snoopy."""
+    def test_matches_in_process_deployment(self, cluster):
+        """Same requests, same results as the in-process Snoopy."""
         requests = [
             Request(OpType.WRITE, 3, b"xxxxxxxx", seq=0),
             Request(OpType.READ, 7, seq=1),
             Request(OpType.READ, 3, seq=2),
         ]
-        distributed = make_deployment(seed=2)
-        local = Snoopy(
+        with make_deployment(cluster, seed=2) as distributed, Snoopy(
             SnoopyConfig(num_load_balancers=2, num_suborams=2, value_size=8,
                          security_parameter=16),
             keychain=distributed.keychain,
             rng=random.Random(2),
-        )
-        local.initialize({k: bytes([k]) * 8 for k in range(40)})
-
-        d_responses = {r.seq: r.value for r in distributed.batch(list(requests))}
-        l_responses = {r.seq: r.value for r in local.batch(list(requests))}
+        ) as local:
+            local.initialize({k: bytes([k]) * 8 for k in range(40)})
+            d_responses = {
+                r.seq: r.value for r in distributed.batch(list(requests))
+            }
+            l_responses = {r.seq: r.value for r in local.batch(list(requests))}
         assert d_responses == l_responses
 
-    def test_requires_initialization(self):
-        config = SnoopyConfig(value_size=8, security_parameter=16)
-        deployment = DistributedSnoopy(config)
-        with pytest.raises(NotInitializedError):
-            deployment.run_epoch()
+    def test_requires_initialization(self, cluster):
+        config = SnoopyConfig(num_suborams=2, value_size=8,
+                              security_parameter=16)
+        with Snoopy(config, suboram_factory=cluster.factory) as deployment:
+            with pytest.raises(NotInitializedError):
+                deployment.run_epoch()
+
+
+def _flip_last_byte(data: bytes) -> bytes:
+    """The hostile network's edit: one bit of the GCM tag."""
+    return data[:-1] + bytes([data[-1] ^ 1])
 
 
 class TestTransportSecurity:
-    def test_network_tampering_detected(self):
-        deployment = make_deployment()
+    """Attacks on the sealed ``worker-<i>`` link, at the balancer's end
+    of worker 0's connection (``cluster._transports[0]``)."""
 
-        def tamper(balancer, suboram, nonce, sealed):
-            return nonce, sealed[:-1] + bytes([sealed[-1] ^ 1])
+    def test_network_tampering_detected(self, cluster, monkeypatch):
+        """A tampered EPOCH request fails the worker's AEAD open.  The
+        worker reports it, and a security abort is never retried."""
+        epoch_frames = []
+        round_trip = cluster._round_trip
 
-        deployment.network_hook = tamper
-        with pytest.raises(IntegrityError):
-            deployment.read(1)
+        def spy(index, kind, payload, expect_kind):
+            if kind == FrameKind.EPOCH:
+                epoch_frames.append(index)
+            return round_trip(index, kind, payload, expect_kind)
 
-    def test_network_replay_detected(self):
-        deployment = make_deployment()
-        captured = []
+        monkeypatch.setattr(cluster, "_round_trip", spy)
+        with make_deployment(cluster, execution_backend="serial",
+                             epoch_max_attempts=3) as deployment:
+            link = cluster._transports[0]
+            encode = link._encode
 
-        def capture(balancer, suboram, nonce, sealed):
-            captured.append((balancer, suboram, nonce, sealed))
-            return nonce, sealed
+            def tamper(kind, payload):
+                data = encode(kind, payload)
+                return _flip_last_byte(data) if kind == FrameKind.EPOCH \
+                    else data
 
-        deployment.network_hook = capture
-        deployment.read(1)
-        # Replay the captured ciphertext straight into the subORAM side.
-        balancer, suboram, nonce, sealed = captured[0]
-        pair = deployment._channels[(balancer, suboram)]
-        with pytest.raises(ReplayError):
-            pair.so.rx.receive(nonce, sealed)
+            monkeypatch.setattr(link, "_encode", tamper)
+            with pytest.raises(WireError, match=re.escape(
+                "worker 0: IntegrityError: AEAD tag mismatch"
+            )):
+                deployment.read(1)
+            assert epoch_frames == [0]
+            assert deployment.fault_stats["epochs_failed"] == 1
+            assert deployment.fault_stats["epochs_retried"] == 0
 
-    def test_rogue_enclave_rejected(self):
-        deployment = make_deployment()
-        rogue = Enclave("not-snoopy")
-        with pytest.raises(AttestationError):
-            deployment._verify_peer(rogue)
+    def test_network_replay_detected(self, cluster, monkeypatch):
+        """The network hands epoch 2 the sealed EPOCH_REPLY of epoch 1."""
+        with make_deployment(cluster, execution_backend="serial") \
+                as deployment:
+            channel = cluster._transports[0]._pair.rx
+            receive, captured = channel.receive, []
 
-    def test_reply_tampering_detected(self):
-        """The reply hop crosses the same hostile network as the request."""
-        deployment = make_deployment()
-        calls = []
-
-        def tamper_replies(balancer, suboram, nonce, sealed):
-            calls.append((balancer, suboram))
-            if calls.count((balancer, suboram)) % 2 == 0:  # request, reply
-                return nonce, sealed[:-1] + bytes([sealed[-1] ^ 1])
-            return nonce, sealed
-
-        deployment.network_hook = tamper_replies
-        with pytest.raises(IntegrityError):
-            deployment.read(1)
-
-    def test_request_and_reply_do_not_share_a_keystream(self):
-        """Request i and reply i of one hop carry the same counter nonce;
-        per-direction keys keep ct1 ^ ct2 from equalling req ^ rep."""
-        deployment = make_deployment()
-        pair = deployment._channels[(0, 0)]
-        plaintexts, captured = [], []
-        for channel in (pair.lb.tx, pair.so.tx):
-            def spy(plaintext, _send=channel.send):
-                plaintexts.append(plaintext)
-                return _send(plaintext)
-            channel.send = spy
-
-        def capture(balancer, suboram, nonce, sealed):
-            if (balancer, suboram) == (0, 0):
+            def replay(nonce, sealed):
                 captured.append((nonce, sealed))
-            return nonce, sealed
+                return receive(*captured[0])
 
-        deployment.network_hook = capture
-        deployment.read(1)
-        (req_nonce, req_ct), (rep_nonce, rep_ct) = captured
-        req, rep = plaintexts
-        assert req_nonce == rep_nonce and len(req) == len(rep)
-        ct_xor = bytes(a ^ b for a, b in zip(req_ct, rep_ct[:len(req)]))
-        assert ct_xor != bytes(a ^ b for a, b in zip(req, rep))
+            monkeypatch.setattr(channel, "receive", replay)
+            assert deployment.read(1) == bytes([1]) * 8
+            with pytest.raises(ReplayError):
+                deployment.read(1)
 
-    def test_message_size_public(self):
-        """Sealed sizes on both hops depend only on (B, object size): not
-        on keys, the read/write mix, hits vs misses, or duplicates."""
-        deployment = make_deployment(seed=5)
-        observed = {}
+    def test_rogue_enclave_rejected(self, cluster, monkeypatch):
+        """A balancer provisioned with another trust secret cannot open
+        a worker link; the worker keeps serving the real balancer."""
+        rogue = ServeTrust(b"not-the-deployment-trust-secret!")
+        cluster._close_channel(0)
+        monkeypatch.setattr(cluster, "trust", rogue)
+        monkeypatch.setattr(
+            cluster, "_balancer_enclave", rogue.enclave(Role.BALANCER)
+        )
+        with pytest.raises(AttestationError):
+            cluster.ping(0)
+        monkeypatch.undo()
+        assert cluster.ping(0)
 
-        def record(balancer, suboram, nonce, sealed):
-            hops = observed.setdefault((balancer, suboram), [])
-            hops.append(("request", "reply")[len(hops) % 2] + f":{len(sealed)}")
-            return nonce, sealed
+    def test_reply_tampering_detected(self, cluster, monkeypatch):
+        """The reply hop crosses the same hostile network as the request."""
+        with make_deployment(cluster, execution_backend="serial") \
+                as deployment:
+            channel = cluster._transports[0]._pair.rx
+            receive = channel.receive
+            monkeypatch.setattr(
+                channel, "receive",
+                lambda nonce, sealed: receive(nonce, _flip_last_byte(sealed)),
+            )
+            with pytest.raises(IntegrityError):
+                deployment.read(1)
 
-        deployment.network_hook = record
-        shapes = []
-        for requests in same_shape_epochs():
-            observed.clear()
-            for i, request in enumerate(requests):
-                deployment.submit(request, load_balancer=i % 2)
-            deployment.run_epoch()
-            shapes.append(sorted(sum(observed.values(), [])))
-        assert all(shape == shapes[0] for shape in shapes[1:]), shapes
-        assert {hop.split(":")[0] for hop in shapes[0]} == {"request", "reply"}
+    def test_request_and_reply_do_not_share_a_keystream(
+        self, cluster, monkeypatch
+    ):
+        """An EPOCH frame and its EPOCH_REPLY carry the same counter
+        nonce on the two directions of one link; per-direction keys keep
+        ct1 ^ ct2 from equalling req ^ rep."""
+        records = {}
+        with make_deployment(cluster, execution_backend="serial") \
+                as deployment:
+            pair = cluster._transports[0]._pair
+            send, receive = pair.tx.send, pair.rx.receive
+
+            def spy_send(plaintext):
+                nonce, sealed = send(plaintext)
+                records["request"] = (nonce, sealed, plaintext)
+                return nonce, sealed
+
+            def spy_receive(nonce, sealed):
+                plaintext = receive(nonce, sealed)
+                records["reply"] = (nonce, sealed, plaintext)
+                return plaintext
+
+            monkeypatch.setattr(pair.tx, "send", spy_send)
+            monkeypatch.setattr(pair.rx, "receive", spy_receive)
+            deployment.read(1)
+        (req_nonce, req_ct, req), (rep_nonce, rep_ct, rep) = (
+            records["request"], records["reply"]
+        )
+        assert req_nonce == rep_nonce
+        n = min(len(req), len(rep))
+        ct_xor = bytes(a ^ b for a, b in zip(req_ct[:n], rep_ct[:n]))
+        assert ct_xor != bytes(a ^ b for a, b in zip(req[:n], rep[:n]))
 
     def test_worker_link_message_size_public(self):
         """The same, over a real balancer <-> worker-process link: one
@@ -259,36 +304,36 @@ def same_shape_epochs(num_requests=6):
 
 class TestRandomizedEquivalence:
     def test_random_workloads_match_local(self):
-        """Distributed and in-process deployments agree over many epochs."""
-        from repro.crypto.keys import KeyChain
-
+        """Cluster-backed and in-process deployments agree over many epochs."""
         rng = random.Random(42)
-        keychain = KeyChain(b"equivalence-master-key-012345678")
+        master = b"equivalence-master-key-012345678"
         config = SnoopyConfig(
             num_load_balancers=1, num_suborams=3, value_size=4,
             security_parameter=16,
         )
         objects = {k: bytes([k]) * 4 for k in range(30)}
-        distributed = DistributedSnoopy(config, keychain=keychain,
-                                        rng=random.Random(1))
-        distributed.initialize(dict(objects))
-        local = Snoopy(config, keychain=KeyChain(b"equivalence-master-key-012345678"),
-                       rng=random.Random(1))
-        local.initialize(dict(objects))
-
-        for _ in range(6):
-            requests = []
-            for i in range(rng.randrange(1, 10)):
-                key = rng.randrange(30)
-                if rng.random() < 0.5:
-                    requests.append(
-                        Request(OpType.WRITE, key, bytes([rng.randrange(256)]) * 4, seq=i)
-                    )
-                else:
-                    requests.append(Request(OpType.READ, key, seq=i))
-            d = {r.seq: r.value for r in distributed.batch(list(requests))}
-            l = {r.seq: r.value for r in local.batch(list(requests))}
-            assert d == l
+        with attested_cluster(3, value_size=4) as cluster, Snoopy(
+            config, keychain=KeyChain(master), rng=random.Random(1),
+            suboram_factory=cluster.factory,
+        ) as distributed, Snoopy(
+            config, keychain=KeyChain(master), rng=random.Random(1),
+        ) as local:
+            distributed.initialize(dict(objects))
+            local.initialize(dict(objects))
+            for _ in range(6):
+                requests = []
+                for i in range(rng.randrange(1, 10)):
+                    key = rng.randrange(30)
+                    if rng.random() < 0.5:
+                        requests.append(Request(
+                            OpType.WRITE, key,
+                            bytes([rng.randrange(256)]) * 4, seq=i,
+                        ))
+                    else:
+                        requests.append(Request(OpType.READ, key, seq=i))
+                d = {r.seq: r.value for r in distributed.batch(list(requests))}
+                l = {r.seq: r.value for r in local.batch(list(requests))}
+                assert d == l
 
 
 class TestOneDefaultPerAxis:
@@ -296,18 +341,32 @@ class TestOneDefaultPerAxis:
 
     @pytest.mark.parametrize("replication", [None, (1, 0)])
     def test_distributed_threads_config_crypto_and_kernel(self, replication):
-        """Regression: the attested deployment used to drop ``crypto``."""
-        deployment = make_deployment(
-            crypto="scalar", kernel="python", replication=replication
+        """Regression: a deployment used to drop ``crypto`` on its way to
+        the subORAMs, alone or inside replica groups."""
+        config = SnoopyConfig(
+            num_load_balancers=2, num_suborams=2, value_size=8,
+            security_parameter=16, crypto="scalar", kernel="python",
+            replication=replication,
         )
-        suborams = [
-            replica.suboram
-            for group in deployment.suborams
-            for replica in getattr(group, "replicas", [])
-        ] or deployment.suborams
-        assert {s.crypto for s in suborams} == {"scalar"}
-        assert {s.kernel.name for s in suborams} == {"python"}
-        assert deployment.read(5) == bytes([5]) * 8
+        with Snoopy(config) as deployment:
+            deployment.initialize({k: bytes([k]) * 8 for k in range(40)})
+            suborams = [
+                replica.suboram
+                for group in deployment.suborams
+                for replica in getattr(group, "replicas", [])
+            ] or deployment.suborams
+            assert {s.crypto for s in suborams} == {"scalar"}
+            assert {s.kernel.name for s in suborams} == {"python"}
+            assert deployment.read(5) == bytes([5]) * 8
+
+    def test_worker_serves_the_cluster_crypto_and_kernel(self):
+        """The worker process builds its SubOram on the cluster's
+        selectors (read back from the worker's sealed version table)."""
+        with attested_cluster(1, crypto="scalar", kernel="python") as cluster:
+            cluster.factory(0).initialize({k: bytes(8) for k in range(8)})
+            with open(cluster._snapshot_path(0), "rb") as handle:
+                (suboram,) = pickle.load(handle).values()
+        assert (suboram.crypto, suboram.kernel.name) == ("scalar", "python")
 
     def test_omitted_selectors_equal_the_config_default(self):
         default = SnoopyConfig()
@@ -320,7 +379,7 @@ class TestOneDefaultPerAxis:
         assert (cluster.kernel, cluster.crypto) == (
             default.kernel, default.crypto
         )
-        with DistributedSnoopy(default) as deployment:
+        with Snoopy(default) as deployment:
             assert deployment.backend.name == default.execution_backend
 
     def test_deleted_batched_mode_is_rejected_by_name(self):

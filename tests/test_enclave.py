@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.enclave.attestation import AttestationService, establish_channel_key
+from repro.enclave.attestation import AttestationService
 from repro.enclave.model import Enclave, EpcModel
 from repro.enclave.sealed import MonotonicCounter, SealedStore
 from repro.errors import AttestationError, RollbackError
@@ -60,13 +60,6 @@ class TestAttestation:
         )
         with pytest.raises(AttestationError, match="signature"):
             service.verify(forged)
-
-    def test_channel_key_established(self):
-        service = AttestationService(b"sign" * 8)
-        enclave = Enclave("lb-0")
-        service.trust(enclave.measurement)
-        key = establish_channel_key(service, enclave, b"client-share")
-        assert len(key) == 32
 
 
 class TestRollbackDefense:

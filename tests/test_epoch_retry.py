@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.client import Client
 from repro.core.config import SnoopyConfig
-from repro.core.deployment import DistributedSnoopy
 from repro.core.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.core.linearizability import History, check_snoopy_history
 from repro.core.resilience import EpochRetryController
@@ -322,7 +321,7 @@ EPOCH_MIXES = {
 
 
 class TestOneStoreSessionPerEpoch:
-    @pytest.mark.parametrize("scheduler", ["inline", "pipelined", "attested"])
+    @pytest.mark.parametrize("scheduler", ["inline", "pipelined"])
     def test_one_open_and_one_seal_whatever_the_epoch_holds(
         self, scheduler, monkeypatch
     ):
@@ -331,7 +330,6 @@ class TestOneStoreSessionPerEpoch:
             "thread:2", master=MASTER,
             objects={k: bytes([k]) * 8 for k in range(40)},
             telemetry=telemetry, num_load_balancers=3, num_suborams=2,
-            store_cls=DistributedSnoopy if scheduler == "attested" else Snoopy,
         )
         calls = harness.spy_on_store_passes(monkeypatch)
         seals = telemetry.registry.counter("snoopy_store_batch_seals_total")

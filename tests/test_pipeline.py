@@ -14,7 +14,6 @@ import time
 import pytest
 
 from repro.core.client import Client
-from repro.core.deployment import DistributedSnoopy
 from repro.core.faults import FaultEvent, FaultPlan
 from repro.core.linearizability import History, check_snoopy_history
 from repro.core.tickets import TicketBook
@@ -30,6 +29,7 @@ from repro.types import OpType, Request, Response
 
 from tests.harness import (
     assert_equivalent,
+    attested_cluster,
     build_store,
     differential_run,
     run_workload,
@@ -81,17 +81,19 @@ def pipelined_matrix():
 
 @pytest.fixture(scope="module")
 def attested_matrix():
-    """The attested deployment through the pipeline, on the backends its
-    sealed channels allow (stage ➋ crosses them one epoch at a time)."""
-    return differential_run(
-        WORKLOAD, OBJECTS, master=MASTER,
-        backends=("serial", "thread:4"),
-        kernels=("numpy",),
-        fault_plans=(("fault-free", None), ("chaos", _plan)),
-        num_load_balancers=3,
-        pipelined=True,
-        store_cls=DistributedSnoopy,
-    )
+    """The attested deployment through the pipeline: every cell's
+    subORAMs sit behind one loopback cluster's sealed worker links
+    (stage ➋ crosses them one epoch at a time)."""
+    with attested_cluster(3, kernel="numpy") as cluster:
+        return differential_run(
+            WORKLOAD, OBJECTS, master=MASTER,
+            backends=("serial", "thread:4"),
+            kernels=("numpy",),
+            fault_plans=(("fault-free", None), ("chaos", _plan)),
+            num_load_balancers=3,
+            pipelined=True,
+            suboram_factory=cluster.factory,
+        )
 
 
 class TestPipelinedDifferentialMatrix:

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.core.config import SnoopyConfig
-from repro.core.deployment import DistributedSnoopy
 from repro.core.snoopy import Snoopy
 from repro.crypto.keys import KeyChain
 from repro.errors import RollbackError
@@ -263,8 +262,8 @@ class TestDeploymentIntegration:
             replication=replication,
         )
 
-    def _build(self, cls, **kwargs):
-        store = cls(
+    def _build(self, **kwargs):
+        store = Snoopy(
             self._config(**kwargs),
             keychain=KeyChain(master=MASTER),
             rng=random.Random(2),
@@ -274,13 +273,13 @@ class TestDeploymentIntegration:
 
     @pytest.fixture(scope="class")
     def unreplicated_serial(self):
-        store = self._build(Snoopy, replication=None)
+        store = self._build(replication=None)
         responses, results = _drive(store, _workload())
         store.close()
         return responses, results
 
     def test_snoopy_builds_replica_groups(self):
-        store = self._build(Snoopy)
+        store = self._build()
         assert all(
             isinstance(s, ReplicatedSubOram) and s.group_size == 3
             for s in store.suborams
@@ -291,7 +290,7 @@ class TestDeploymentIntegration:
     def test_replicated_run_matches_unreplicated_serial(
         self, unreplicated_serial, backend
     ):
-        store = self._build(Snoopy, backend=backend)
+        store = self._build(backend=backend)
         responses, results = _drive(store, _workload())
         assert (responses, results) == unreplicated_serial
         store.close()
@@ -300,7 +299,7 @@ class TestDeploymentIntegration:
     def test_crash_mid_run_recovers_and_stays_byte_identical(
         self, unreplicated_serial, backend
     ):
-        store = self._build(Snoopy, backend=backend)
+        store = self._build(backend=backend)
         epochs = _workload()
         responses, tickets = [], []
         for index, requests in enumerate(epochs):
@@ -316,12 +315,6 @@ class TestDeploymentIntegration:
         # The recovered replica is fully caught up.
         group = store.suborams[0]
         assert group.replicas[1].epoch == group.replicas[0].epoch
-        store.close()
-
-    def test_distributed_snoopy_with_replication(self, unreplicated_serial):
-        store = self._build(DistributedSnoopy)
-        responses, results = _drive(store, _workload())
-        assert (responses, results) == unreplicated_serial
         store.close()
 
     def test_custom_factory_conflicts_with_replication(self):

@@ -648,7 +648,19 @@ class TestWorkerCrashDifferential:
 
 
 class TestLoadgen:
-    def test_loadgen_over_clocked_server(self):
+    def test_loadgen_over_clocked_server(self, monkeypatch):
+        """Its p50/p99 are the registry's one nearest-rank rule over the
+        loadgen's own latency samples."""
+        from repro.serve import loadgen
+        from repro.telemetry.registry import nearest_rank_percentile
+
+        samples = []
+
+        def spy(ordered, p):
+            samples.append(list(ordered))
+            return nearest_rank_percentile(ordered, p)
+
+        monkeypatch.setattr(loadgen, "nearest_rank_percentile", spy)
         store = make_store(backend="thread:2", objects=small_objects(64))
         with store, ServerThread(store, clock=True,
                                  epoch_duration=0.01) as handle:
@@ -662,6 +674,11 @@ class TestLoadgen:
         assert stats["rps"] > 0
         assert stats["latency_p99_ms"] >= stats["latency_p50_ms"] > 0
         assert handle.server.stats["responses"] == 300
+        ordered = samples[0]
+        assert len(ordered) == 300 and ordered == sorted(ordered)
+        assert (stats["latency_p50_ms"], stats["latency_p99_ms"]) == (
+            ordered[149] * 1e3, ordered[296] * 1e3,  # ceil(p·n) − 1
+        )
 
 
 class TestDifferentialHarnessStillHolds:

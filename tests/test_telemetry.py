@@ -15,7 +15,6 @@ import threading
 import pytest
 
 from repro.core.config import SnoopyConfig
-from repro.core.deployment import DistributedSnoopy
 from repro.core.faults import FaultEvent, FaultPlan
 from repro.core.snoopy import Snoopy
 from repro.telemetry import (
@@ -30,6 +29,8 @@ from repro.telemetry.registry import MetricsRegistry, nearest_rank_percentile
 from repro.telemetry.sinks import InMemorySink, JsonLinesSink, PrometheusTextSink
 from repro.telemetry.spans import Tracer
 from repro.types import OpType, Request
+
+from tests.harness import attested_cluster
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +284,7 @@ class TestKernelBridge:
 # Pipeline instrumentation, end to end
 # ---------------------------------------------------------------------------
 def _run_epochs(backend, *, kernel="python", epochs=2, plan=None,
-                max_attempts=1, distributed=False):
+                max_attempts=1, suboram_factory=None):
     telemetry = Telemetry()
     config = SnoopyConfig(
         num_load_balancers=2,
@@ -295,9 +296,9 @@ def _run_epochs(backend, *, kernel="python", epochs=2, plan=None,
         epoch_max_attempts=max_attempts,
         telemetry=telemetry,
     )
-    cls = DistributedSnoopy if distributed else Snoopy
     rng = random.Random(4)
-    with cls(config, rng=random.Random(4), fault_plan=plan) as store:
+    with Snoopy(config, rng=random.Random(4), fault_plan=plan,
+                suboram_factory=suboram_factory) as store:
         store.initialize({k: bytes([k]) * 8 for k in range(24)})
         for _ in range(epochs):
             for i in range(6):
@@ -377,10 +378,17 @@ class TestPipelineInstrumentation:
         assert registry.find("retry_epochs_retried_total").value == 1
 
     def test_distributed_deployment_is_instrumented(self):
-        telemetry = _run_epochs("serial", distributed=True)
+        with attested_cluster(2) as cluster:
+            telemetry = _run_epochs("serial", suboram_factory=cluster.factory)
         assert telemetry.registry.find("snoopy_epochs_total").value == 2
         assert telemetry.registry.find("snoopy_requests_total").value == 12
         assert telemetry.tracer.name_counts()["epoch"] == 2
+        # One timed EPOCH round trip per worker per epoch.
+        assert sum(
+            h.count for h in telemetry.registry.histograms(
+                "serve_worker_epoch_seconds"
+            )
+        ) == 4
 
     def test_stage_breakdown_rows(self):
         telemetry = _run_epochs("serial")

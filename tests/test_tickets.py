@@ -5,11 +5,12 @@ import random
 import pytest
 
 from repro.core.config import SnoopyConfig
-from repro.core.deployment import DistributedSnoopy
 from repro.core.snoopy import Snoopy
 from repro.core.tickets import Ticket, TicketBook
 from repro.errors import TicketPendingError
 from repro.types import OpType, Request, Response
+
+from tests.harness import attested_cluster
 
 
 @pytest.fixture
@@ -183,7 +184,9 @@ class TestDistributedTickets:
             num_load_balancers=2, num_suborams=2, value_size=4,
             security_parameter=16,
         )
-        with DistributedSnoopy(config, rng=random.Random(0)) as store:
+        with attested_cluster(2, value_size=4) as cluster, Snoopy(
+            config, rng=random.Random(0), suboram_factory=cluster.factory
+        ) as store:
             store.initialize({k: bytes([k]) * 4 for k in range(10)})
             ticket = store.submit(Request(OpType.READ, 7), load_balancer=0)
             assert not ticket.done
