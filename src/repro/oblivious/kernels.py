@@ -139,7 +139,10 @@ class ScanTable:
     same fields as columns — int64 keys, bool bits, ``values`` a
     ``(slots, value_size)`` uint8 matrix and ``has_value`` the bool
     column marking the rows that carry a payload — which the subORAM
-    gathers straight from the batch's columns.
+    gathers straight from the batch's columns.  A filler slot's key is
+    arbitrary (the subORAM's hold batch row 0's): the reference skips it
+    on its bit, and the columnar scan folds the bit into the key column
+    once, giving fillers a key no stored object has.
     """
 
     keys: Sequence[int]
@@ -405,6 +408,17 @@ def _level_arrays(m: int, rows: int = 1):
     return tuple(levels)
 
 
+def _absent_key(okeys) -> np.int64:
+    """An int64 key no stored object has: one below the smallest, or,
+    when that is int64 min, the first gap above it."""
+    lowest = int(okeys.min()) if len(okeys) else 0
+    if lowest > np.iinfo(np.int64).min:  # public: the store keys
+        return np.int64(lowest - 1)
+    ordered = np.sort(okeys)
+    gap = np.append(ordered[1:] != ordered[:-1] + 1, True)
+    return ordered[np.argmax(gap)] + np.int64(1)
+
+
 class NumpyKernel(Kernel):
     """Columnar fast path: a fixed handful of whole-array ops per level.
 
@@ -519,21 +533,28 @@ class NumpyKernel(Kernel):
         return out if stacked else out[0]
 
     def scan_soa(self, okeys, ovals, buckets, table, trace=None):
-        """Figure 19 scan over SoA columns, one bucket block per tier.
+        """Figure 19 scan over SoA columns, bucket-major per tier.
 
         ``okeys`` is the int64 store-key column, ``ovals`` the uint8
         value matrix (one row per store object); ``table`` is a
         :class:`ScanTable` of per-slot columns; ``buckets`` is
         :meth:`~repro.oblivious.hashtable.TwoTierHashTable.bucket_blocks`
         — per tier, in slot order, ``(bucket_ids, num_buckets,
-        bucket_size)``.  Each tier's key, occupancy and write columns
-        are viewed as ``(num_buckets, bucket_size)`` blocks, every object
-        gathers its whole bucket row from each and compares it with its
-        key, and a hit's slot is ``first + bucket * bucket_size +
-        column``.  Writes the post-scan values into ``ovals`` in place,
-        one select over every row on the widest unsigned word dividing
-        ``value_size`` (uint64 at 160 bytes, uint8 at any odd size: a
-        function of ``value_size`` only), and returns
+        bucket_size)``.  Occupancy is folded into the key column once
+        per table (one select over the slots): a filler slot takes a key
+        no stored object has (:func:`_absent_key`, a function of the
+        public store keys).  Each tier's folded keys are then a
+        contiguous ``(bucket_size, num_buckets)`` block; every object
+        gathers its bucket's column of it and compares it with its key,
+        so each compare runs along a ``(bucket_size, num_objects)``
+        block of contiguous object vectors.  An object's hit is the OR
+        over all ``bucket_size`` rows, and its column the OR of ``row *
+        match`` (it matches at most one slot), so a hit's slot is
+        ``first + bucket * bucket_size + column``; the tiers merge by
+        one select.  Writes the post-scan values into ``ovals`` in
+        place, one select over every row on the widest unsigned word
+        dividing ``value_size`` (uint64 at 160 bytes, uint8 at any odd
+        size: a function of ``value_size`` only), and returns
         ``(slot_matched, slot_responses)``: a bool per table slot and the
         per-slot response matrix (the *pre-scan* object value in matched
         rows, the slot's own payload otherwise).  Correct without
@@ -547,36 +568,37 @@ class NumpyKernel(Kernel):
         if trace is not None:
             trace.record("scan", num_objects, num_slots)
         writes = table.is_write & table.permitted & table.has_value
-        hits, bases, sizes = [], [], []
-        first = 0
+        # Fold occupancy into the slot keys once: no object matches a filler.
+        keys = np.where(table.occupied, table.keys, _absent_key(okeys))
+        slot = hit = None
+        first, rows = 0, []
         for ids, num_buckets, size in buckets:
-            tier = slice(first, first + num_buckets * size)
-
-            def rows(column):
-                return column[tier].reshape(num_buckets, size)[ids]
-
-            hit = rows(table.keys) == okeys[:, None]
-            hit &= rows(table.occupied)
-            hits.append(hit)
-            bases.append(first + ids * size)
-            sizes.append(size)
-            first += num_buckets * size
-        # Column c of a probe row is slot base[tier_of[c]] + within[c].
-        tier_of = np.repeat(np.arange(len(sizes)), sizes)
-        within = np.concatenate([np.arange(size) for size in sizes])
-        base = np.stack(bases, axis=1)
-        objects = np.arange(num_objects)
+            end = first + num_buckets * size
+            block = np.ascontiguousarray(
+                keys[first:end].reshape(num_buckets, size).T
+            )
+            # Every object compares its key with every slot of its bucket;
+            # it hits at most one, so OR-ing the matched rows is its column
+            # (on the narrowest word that holds ``size``).
+            eq = np.equal(np.take(block, ids, axis=1), okeys)
+            within = np.arange(size, dtype=np.min_scalar_type(size))
+            column = np.bitwise_or.reduce(
+                eq.view(np.uint8) * within[:, None], axis=0
+            )
+            tier_slot = first + ids * size + column
+            tier_hit = np.logical_or.reduce(eq, axis=0)
+            if slot is None:
+                # An unmatched object reads its tier-1 bucket's first slot.
+                slot, hit = tier_slot, tier_hit
+            else:
+                slot = np.where(tier_hit, tier_slot, slot)
+                hit = np.logical_or(hit, tier_hit)
+            if trace is not None:
+                rows.append(first + ids[:, None] * size + within)
+            first = end
         if trace is not None:
-            for o in range(num_objects):
-                trace.record("scan_slot", o,
-                             tuple((base[o, tier_of] + within).tolist()))
-        # One probe: an object hits at most one slot (distinct store keys,
-        # distinct batch keys), so its first hit column is its slot; an
-        # unmatched row reads its first column's slot and is masked out.
-        match = np.concatenate(hits, axis=1)
-        col = np.argmax(match, axis=1)
-        slot = base[objects, tier_of[col]] + within[col]
-        hit = match.any(axis=1)
+            for o, row in enumerate(np.concatenate(rows, axis=1).tolist()):
+                trace.record("scan_slot", o, tuple(row))
         # Response path: matched slots capture the *pre-scan* object value.
         # Every object scatters, the unmatched ones onto one sink row.
         m_slot = np.where(hit, slot, num_slots)

@@ -20,8 +20,9 @@ The batch arrives as a :class:`~repro.oblivious.soa.Batch` and is never
 modified: the response is a new batch whose ``value``/``has_value``
 columns hold the objects' prior values.  The numpy kernel gathers the
 columns through the table's slot permutation and probes each object's
-two buckets as whole rows of the tiers' bucket blocks, writing the
-post-scan values back in place (:meth:`SubOram._scan_vectorized`); the
+two buckets as whole columns of the tiers' bucket-major key blocks,
+writing the post-scan values back in place
+(:meth:`SubOram._scan_vectorized`); the
 python kernel, the audited reference, computes on records through the
 per-object slot-index rows (:meth:`SubOram._scan_reference`).
 
@@ -58,7 +59,6 @@ from repro.oblivious.primitives import and_bit, eq_bit, o_select
 from repro.oblivious.soa import Batch
 from repro.suboram.store import EncryptedStore, resolve_crypto
 from repro.telemetry import NULL_TELEMETRY
-from repro.telemetry.kernelbridge import TimedKernelTrace, flush_kernel_trace
 from repro.types import OpType
 from repro.utils.validation import require, require_positive
 
@@ -235,7 +235,9 @@ class SubOram:
                 # ➋ Linear scans over every stored object, one table at a
                 # time in balancer order.  The scalar reference path
                 # interleaves get/compute/put per slot; the vectorized
-                # path runs the whole scan as masked array ops.  Both
+                # path runs the whole scan as masked array ops, each
+                # tier's compare a (Z, num_objects) block over every
+                # object and every slot of its bucket.  Both
                 # schedules are public functions of ``num_objects`` alone
                 # (see repro.security.simulator).  Either scan yields each
                 # row's response: the object's prior value, or none when
@@ -317,13 +319,16 @@ class SubOram:
         outputs are gathered back through its inverse into the response
         batch's ``value``/``has_value``.  The store keys were routed to
         their two buckets by the table's build (``lookup_blocks``, one
-        PRF tag per object) and :meth:`NumpyKernel.scan_soa` probes the
-        whole bucket rows — no per-object slot-index matrix — then writes
-        the post-scan values back in place, on a select word that is a
-        function of ``value_size`` alone.  When the store has a batch
-        path (``crypto="vector"``) the matrix written is the
-        ``resident`` plaintext of the epoch, so a batch allocates no new
-        ``(num_objects, value_size)`` matrix.  Otherwise the same kernel
+        PRF tag per object) and :meth:`NumpyKernel.scan_soa` compares
+        each object with every slot of both its buckets, bucket-major —
+        no per-object slot-index matrix — then writes the post-scan
+        values back in place, on a select word that is a function of
+        ``value_size`` alone.  With telemetry on, the scan's schedule
+        counts (``kernel_ops_total`` ``scan`` and ``scan_slot``) are
+        incremented directly, not replayed one event per object.  When
+        the store has a batch path (``crypto="vector"``) the matrix
+        written is the ``resident`` plaintext of the epoch, so a batch
+        allocates no new ``(num_objects, value_size)`` matrix.  Otherwise the same kernel
         runs between the scalar store's per-slot ``get``/``put`` calls,
         the audited per-slot crypto oracle.  Outputs are byte-identical
         to :meth:`_scan_reference` either way.
@@ -337,8 +342,9 @@ class SubOram:
             ovals, _ = soa.values_to_matrix(
                 [v for _, v in pairs], self.value_size
             )
-        # A filler slot (item -1) gathers row 0 and is marked unoccupied,
-        # which makes every other column of it inert.
+        # A filler slot (item -1) gathers row 0 and is marked unoccupied;
+        # the scan folds that bit into its key, which makes every other
+        # column of it inert.
         slot_items = table.slot_items
         slots = batch.take(np.maximum(slot_items, 0))
         scan_table = ScanTable(
@@ -349,17 +355,14 @@ class SubOram:
             values=slots.value,
             has_value=slots.has_value,
         )
-        kernel_trace = (
-            TimedKernelTrace() if self.telemetry.enabled else None
-        )
         slot_matched, responses = self.kernel.scan_soa(
-            okeys, ovals, table.lookup_blocks, scan_table,
-            trace=kernel_trace,
+            okeys, ovals, table.lookup_blocks, scan_table
         )
-        if kernel_trace is not None:
-            flush_kernel_trace(
-                self.telemetry.registry, kernel_trace, self.kernel.name
-            )
+        # The scan's schedule counts, without replaying it per object.
+        for op, count in (("scan", 1), ("scan_slot", len(okeys))):
+            self.telemetry.counter(
+                "kernel_ops_total", kernel=self.kernel.name, op=op
+            ).inc(count)
         if resident is None:
             store.put_batch(okeys, ovals)  # the per-slot ``put`` loop
         # Invert the slot permutation (fillers all land on the spare

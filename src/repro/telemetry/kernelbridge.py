@@ -12,8 +12,10 @@ ride alongside.
 metrics:
 
 * ``kernel_ops_total{op=...}`` — one counter increment per event kind
-  (``sort`` / ``sort_level`` / ``compact`` / ``compact_level`` /
-  ``scan`` / ``scan_slot``).  Pure schedule counts, hence public.
+  (``sort`` / ``sort_level`` / ``compact`` / ``compact_level``).  Pure
+  schedule counts, hence public.  The subORAM increments the same
+  counter's ``scan`` / ``scan_slot`` series itself, without a trace
+  event per object.
 * ``kernel_level_seconds{op=sort|compact}`` — the inter-event delta
   ending at each ``*_level`` event, observed as one histogram sample.
   Only level events get duration samples (per-slot scan samples would

@@ -47,6 +47,7 @@ from tests.harness import array_ops
 
 PY = KERNELS["python"]
 NP = KERNELS["numpy"]
+_I64 = numpy.iinfo(numpy.int64)
 
 
 def _next_pow2(n: int) -> int:
@@ -189,8 +190,8 @@ class TestFixedWork:
         (permitted) writes, is what padding to f(R, S) hides — it must not
         pick the operations, nor their shapes or dtypes.  The write-back
         select runs on the widest word dividing ``value_size``, and the
-        response scatter and the write-back share one probe: one
-        ``argmax`` over the objects' bucket rows per scan."""
+        probe covers every slot of both buckets: one key compare of shape
+        ``(Z, num_objects)`` per tier, whose Z sum to the probe width."""
         for value_size, word in ((7, "|u1"), (12, "<u4"), (160, "<u8")):
             self._scan_work(monkeypatch, value_size, word)
 
@@ -252,10 +253,12 @@ class TestFixedWork:
             (word, word, "|b1"),
         )]
         probe_width = sum(size for _, size in tiers)
-        probes = [op for op in logs["mixed"] if op[0] == "argmax"]
-        assert probes == [
-            ("argmax", ((num_objects, probe_width),), ("|b1",))
+        compares = [op for op in logs["mixed"] if op[0] == "equal"]
+        assert compares == [
+            ("equal", ((size, num_objects), (num_objects,)), ("<i8", "<i8"))
+            for _, size in tiers
         ]
+        assert sum(op[1][0][0] for op in compares) == probe_width
         # The cases really differ in what they hide.
         assert sum(outcomes["all-dummy"][1]) == 0
         assert sum(outcomes["all-hit reads"][1]) == num_objects
@@ -529,6 +532,54 @@ class TestScanEquivalence:
             assert py == np_, trial
             assert table == pristine, trial
             assert py_trace == np_trace, trial
+
+    @pytest.mark.parametrize("stored", [
+        # int64 min is stored: the filler key is the gap at min + 2.
+        [_I64.min, _I64.min + 1, _I64.min + 3, -1, 0, _I64.max - 1,
+         _I64.max],
+        # A run from int64 min: the first gap is past its end.
+        [_I64.min + n for n in range(5)] + [_I64.max],
+        # One below the smallest stored key is int64 min itself.
+        [_I64.min + 1, 0, _I64.max],
+    ])
+    def test_filler_key_fold_at_the_int64_edges(self, stored):
+        """Filler slots hold stored keys, so only their occupancy bit stops
+        a match; the batch reads keys next to the int64 extremes that the
+        partition does not hold, and writes ``int64 max``."""
+        tiers = ((2, 3), (2, 4))
+        num_slots = sum(count * size for count, size in tiers)
+        asked = [_I64.min, _I64.min + 1, _I64.min + 2, _I64.max - 2,
+                 _I64.max - 1, _I64.max]
+        occupied = [1 if s % 2 else 0 for s in range(num_slots)]
+        keys = [stored[s % len(stored)] for s in range(num_slots)]
+        for s, key in zip(range(1, num_slots, 2), asked):
+            keys[s] = key
+        occupied[2 * len(asked) + 1:] = [0] * (num_slots - 2 * len(asked) - 1)
+        write = [int(k == _I64.max and occ) for k, occ in zip(keys, occupied)]
+        table = ScanTable(
+            keys=keys, occupied=occupied, is_write=write,
+            permitted=[1] * num_slots,
+            values=[b"WWWW" if w else None for w in write],
+        )
+        obj_values = [bytes([o]) * 4 for o in range(len(stored))]
+        buckets = [[o % 2 for o in range(len(stored))],
+                   [(o // 2) % 2 for o in range(len(stored))]]
+        for o, key in enumerate(stored):
+            if key in asked:  # route the object to its occupied slot
+                slot = 1 + 2 * asked.index(key)
+                tier = int(slot >= tiers[0][0] * tiers[0][1])
+                first = tier * tiers[0][0] * tiers[0][1]
+                buckets[tier][o] = (slot - first) // tiers[tier][1]
+        lookup = _lookup_rows(buckets, tiers)
+        # Some object probes a filler slot that carries its own key.
+        assert any(
+            not occupied[t] and keys[t] == key
+            for key, row in zip(stored, lookup) for t in row
+        )
+        py = PY.scan(stored, list(obj_values), 4, lookup,
+                     copy.deepcopy(table))
+        assert _scan_columns(stored, obj_values, buckets, tiers, table) == py
+        assert sum(py[1]) == len(set(stored) & set(asked))
 
     def test_empty_batch(self):
         table = ScanTable(keys=[1], occupied=[1], is_write=[0],

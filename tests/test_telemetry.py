@@ -17,6 +17,9 @@ import pytest
 from repro.core.config import SnoopyConfig
 from repro.core.faults import FaultEvent, FaultPlan
 from repro.core.snoopy import Snoopy
+from repro.crypto.keys import KeyChain
+from repro.oblivious.soa import Batch
+from repro.suboram.suboram import SubOram
 from repro.telemetry import (
     NULL_TELEMETRY,
     NullTelemetry,
@@ -278,6 +281,38 @@ class TestKernelBridge:
         assert registry.find(
             "kernel_level_seconds", kernel="numpy", op="sort"
         ).count == 2
+
+    def test_scan_is_counted_not_replayed(self, monkeypatch):
+        """A telemetry-on epoch counts the scan's schedule without one
+        trace event per object: the events recorded do not grow with N,
+        and ``scan_slot`` still reads N per live batch."""
+        events = []
+        record = TimedKernelTrace.record
+        monkeypatch.setattr(
+            TimedKernelTrace, "record",
+            lambda trace, *event: events.append(event) or record(trace, *event),
+        )
+        recorded = {}
+        for n in (40, 400):
+            telemetry = Telemetry()
+            so = SubOram(0, 4, keychain=KeyChain(master=b"t" * 32),
+                         security_parameter=16, kernel="numpy")
+            so.telemetry = telemetry
+            so.initialize({k: bytes(4) for k in range(n)})
+            chain = [
+                Batch.from_requests(
+                    [Request(OpType.READ, k) for k in range(b, 60, 4)], 4
+                )
+                for b in range(2)
+            ]
+            events.clear()
+            so.run_epoch(chain[:1] + [Batch.from_requests([], 4)] + chain[1:])
+            recorded[n] = len(events)
+            for op, count in (("scan", 2), ("scan_slot", 2 * n)):
+                assert telemetry.registry.find(
+                    "kernel_ops_total", kernel="numpy", op=op
+                ).value == count
+        assert recorded[40] == recorded[400]
 
 
 # ---------------------------------------------------------------------------
