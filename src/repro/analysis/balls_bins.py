@@ -20,8 +20,6 @@ from __future__ import annotations
 import functools
 import math
 
-from scipy.special import lambertw
-
 from repro.utils.validation import require, require_positive
 
 DEFAULT_SECURITY_PARAMETER = 128
@@ -37,7 +35,7 @@ def _batch_size_bound(num_requests: int, num_bins: int, security_parameter: int)
     a single cache entry.  The cache matters under the pipelined epoch
     scheduler: every balancer recomputes ``f(R, S)`` each epoch with a
     recurring handful of ``(R, S)`` shapes, and a hit skips the
-    ``scipy.special.lambertw`` evaluation entirely.
+    Lambert-W evaluation entirely.
     """
     if num_requests == 0:
         return 0
@@ -54,9 +52,38 @@ def _batch_size_bound(num_requests: int, num_bins: int, security_parameter: int)
         # W0 undefined; happens only when gamma < mu * (1 - e) < 0, i.e.
         # never for positive gamma.  Guard anyway.
         return num_requests
-    w = float(lambertw(argument, 0).real)
+    w = lambert_w0(argument)
     bound = mu * math.exp(w + 1.0)
     return min(num_requests, math.ceil(bound))
+
+
+def lambert_w0(x: float) -> float:
+    """Branch 0 of the Lambert W function for real ``x >= -1/e``.
+
+    Halley's iteration on ``w * e^w = x`` from a start near the root:
+    the branch-point series in ``p = sqrt(2 (e x + 1))`` below ``-1/4``,
+    ``log1p(x)`` up to ``e``, ``log x - log log x`` above.
+    """
+    if x == 0.0:
+        return 0.0
+    if x < -0.25:
+        p = math.sqrt(max(0.0, 2.0 * (math.e * x + 1.0)))
+        w = -1.0 + p * (1.0 - p * (1.0 / 3.0 - p * 11.0 / 72.0))
+    elif x < math.e:
+        w = math.log1p(x)
+    else:
+        w = math.log(x) - math.log(math.log(x))
+    for _ in range(100):
+        ew = math.exp(w)
+        f = w * ew - x
+        wp1 = w + 1.0
+        if f == 0.0 or wp1 == 0.0:
+            break
+        step = f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
+        w -= step
+        if abs(step) <= 1e-15 * (1.0 + abs(w)):
+            break
+    return w
 
 
 def batch_size(num_requests: int, num_bins: int, security_parameter: int = DEFAULT_SECURITY_PARAMETER) -> int:

@@ -10,7 +10,8 @@ epoch behind each other:
 * **close** — nothing queued means nothing happens (no counter moves);
   otherwise every balancer is drained, the trusted counter is bumped
   once (§9) and the ticket book is cut, giving one :class:`_EpochJob`.
-* **build** — every load balancer turns its drained requests into S
+* **build** — every load balancer turns its drained rows (its queued
+  :class:`~repro.oblivious.soa.Batch` chunks, concatenated) into S
   fixed-size batches (one oblivious sort + compaction per balancer);
   independent *across balancers*.
 * **execute** — every subORAM serves the L balancers' batches.  The
@@ -21,7 +22,8 @@ epoch behind each other:
   partition once, builds the L tables as one stacked network and
   reseals once; independent *across subORAMs*.
 * **match** — every balancer obliviously matches the returned rows to
-  its clients' requests, and the epoch's ticket cut is resolved.
+  its clients' requests, and the epoch's ticket cut is resolved, one
+  call per ticket (one ticket per submitted chunk).
 * **rollback** — a fatally failed epoch's requests go back to the front
   of their balancers and its ticket cut is restored, latest epoch first,
   so queues and ticket book end up as if nothing had been drained.
@@ -67,12 +69,11 @@ from repro.loadbalancer.batching import generate_batches
 from repro.loadbalancer.matching import match_responses
 from repro.oblivious.soa import Batch
 from repro.telemetry import resolve_telemetry
-from repro.types import Request, Response
 
 def _build_stage(task):
     """Stage ➊ unit: one balancer's oblivious batch generation."""
     (
-        requests,
+        chunks,
         num_suborams,
         sharding_key,
         security_parameter,
@@ -83,7 +84,7 @@ def _build_stage(task):
     ) = task
     with interpreter_turn():
         return generate_batches(
-            requests,
+            Batch.concat(chunks),
             num_suborams,
             sharding_key,
             security_parameter,
@@ -274,11 +275,12 @@ class EpochDriver:
 
     def run_match(
         self, load_balancers, built, entries_per_balancer, active
-    ) -> List[List[Response]]:
+    ) -> List[Batch]:
         """Stage ➌ only: oblivious response matching per active balancer.
 
-        Returns the full ``responses_per_balancer`` list (empty lists
-        for balancers that had no queued requests this epoch).
+        Returns one matched :class:`Batch` per balancer, in arrival
+        order (empty for balancers that had no queued requests this
+        epoch).
 
         Raises:
             EpochFailedError: ``stage="match"``.
@@ -308,12 +310,12 @@ class EpochDriver:
                 "match", getattr(exc, "unit", None), exc
             ) from exc
 
-        responses_per_balancer: List[List[Response]] = [
-            [] for _ in load_balancers
+        matched_per_balancer = [
+            Batch.filled(0, balancer.value_size) for balancer in load_balancers
         ]
         for j, balancer_index in enumerate(active):
-            responses_per_balancer[balancer_index] = matched[j]
-        return responses_per_balancer
+            matched_per_balancer[balancer_index] = matched[j]
+        return matched_per_balancer
 
 
 def attach_telemetry_to_suborams(suborams, telemetry) -> None:
@@ -334,7 +336,7 @@ def attach_telemetry_to_suborams(suborams, telemetry) -> None:
 
 
 class _EpochJob:
-    """One closed epoch: its requests, tickets, and stage outputs."""
+    """One closed epoch: its rows, tickets, and stage outputs."""
 
     __slots__ = (
         "epoch", "drained", "active", "tickets", "permissions",
@@ -343,13 +345,13 @@ class _EpochJob:
 
     def __init__(self, epoch, drained, active, tickets, permissions):
         self.epoch: int = epoch
-        self.drained: List[List[Request]] = drained
+        self.drained: List[List[Batch]] = drained
         self.active: List[int] = active
         self.tickets: List[List[Ticket]] = tickets
         self.permissions = permissions
         self.built = None
         self.entries = None
-        self.responses: Optional[List[List[Response]]] = None
+        self.responses: Optional[List[Batch]] = None
         self.failure: Optional[BaseException] = None
         self.closed_at = time.monotonic()
 
@@ -401,7 +403,7 @@ class EpochLifecycle:
         return _EpochJob(
             epoch=store.counter.increment(),
             drained=drained,
-            active=[i for i, requests in enumerate(drained) if requests],
+            active=[i for i, chunks in enumerate(drained) if chunks],
             tickets=store.tickets.cut(),
             permissions=permissions,
         )
@@ -468,13 +470,13 @@ class EpochLifecycle:
     def rollback(self, jobs: Sequence[_EpochJob]) -> None:
         """Undo the close of every job in ``jobs``, latest epoch first.
 
-        Each job prepends its requests to their balancers and its ticket
-        cut to the book, so both end up exactly as if none of the epochs
-        had been drained; the tickets stay pending for a later epoch.
+        Each job prepends its rows to their balancers and its ticket cut
+        to the book, so both end up exactly as if none of the epochs had
+        been drained; the tickets stay pending for a later epoch.
         """
         for job in sorted(jobs, key=lambda j: j.epoch, reverse=True):
-            for balancer, requests in zip(
+            for balancer, chunks in zip(
                 self._store.load_balancers, job.drained
             ):
-                balancer.requeue(requests)
+                balancer.requeue(chunks)
             self._store.tickets.restore(job.tickets)

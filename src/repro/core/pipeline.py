@@ -67,6 +67,7 @@ from repro.telemetry.overlap import (
     occupancy_table,
     overlap_seconds,
 )
+from repro.oblivious.soa import Batch
 from repro.types import Request
 
 #: Queue sentinel shutting a stage thread down.
@@ -204,13 +205,15 @@ class EpochPipeline:
     # ------------------------------------------------------------------
     # Intake
     # ------------------------------------------------------------------
-    def submit(self, request: Request, load_balancer: int) -> Ticket:
-        """Queue a request without blocking; the clock closes the epoch.
+    def submit(self, rows: Batch, load_balancer: int,
+               request: Optional[Request] = None) -> Ticket:
+        """Queue a chunk of rows without blocking; the clock closes the epoch.
 
         Called by :meth:`Snoopy.submit <repro.core.snoopy.Snoopy.submit>`
-        while the pipeline is active.  Holding the intake lock keeps the
-        (arrival index, ticket) pair consistent with a concurrent epoch
-        close.
+        while the pipeline is active, once per chunk and balancer
+        (``request``: the one row's record, if known).  Holding the
+        intake lock once keeps the chunk's (arrival range, ticket) pair
+        consistent with a concurrent epoch close.
 
         Raises:
             The stored fatal error, when the pipeline is poisoned.
@@ -218,13 +221,11 @@ class EpochPipeline:
         with self._cv:
             if self._error is not None:
                 raise self._error
-            arrival = self._store.load_balancers[load_balancer].submit(
-                request
-            )
+            arrival = self._store.load_balancers[load_balancer].submit(rows)
             ticket = self._store.tickets.issue(
-                load_balancer, arrival, request
+                load_balancer, arrival, len(rows), request
             )
-        self.telemetry.counter("snoopy_requests_total").inc()
+        self.telemetry.counter("snoopy_requests_total").inc(len(rows))
         return ticket
 
     def add_epoch_observer(self, observer) -> None:

@@ -25,9 +25,8 @@ at epoch ``e`` cannot be replayed at epoch ``e' > e``.
 
 from __future__ import annotations
 
-import itertools
 import random
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.crypto.keys import KeyChain
 from repro.core.config import SnoopyConfig
@@ -43,6 +42,7 @@ from repro.errors import ConfigurationError, NotInitializedError
 from repro.exec import make_backend
 from repro.loadbalancer.balancer import LoadBalancer
 from repro.loadbalancer.initialization import oblivious_shard
+from repro.oblivious.soa import Batch
 from repro.suboram.suboram import SubOram
 from repro.telemetry import resolve_telemetry
 from repro.types import OpType, Request, Response
@@ -208,16 +208,28 @@ class Snoopy:
     # Request intake
     # ------------------------------------------------------------------
     def submit(
-        self, request: Request, load_balancer: Optional[int] = None
+        self,
+        requests: Union[Request, Batch],
+        load_balancer: Optional[int] = None,
     ) -> Ticket:
-        """Queue a request; clients pick a random load balancer by default.
+        """Queue a request, or a chunk of rows, on one load balancer.
+
+        Clients pick a random load balancer by default; a chunk's rows
+        all go to the one balancer drawn for it.
+
+        Args:
+            requests: one :class:`~repro.types.Request`, or a
+                :class:`~repro.oblivious.soa.Batch` of requests (the
+                rows of one sealed record of REQUEST frames, on the TCP
+                front door) queued contiguously under one intake lock.
+            load_balancer: the balancer index, or ``None`` for random.
 
         Returns:
-            A :class:`~repro.core.tickets.Ticket` naming where the
-            request went (``.load_balancer``, ``.arrival`` — the
-            coordinates linearizability histories are built from) and
-            resolving to its :class:`~repro.types.Response` when the
-            epoch closes (``.result()``), with
+            A :class:`~repro.core.tickets.Ticket` naming where the rows
+            went (``.load_balancer``, ``.arrival`` — the coordinates
+            linearizability histories are built from) and resolving to
+            their :class:`~repro.types.Response` objects when the epoch
+            closes (``.result()``), with
             :meth:`~repro.core.tickets.Ticket.add_done_callback` for
             asynchronous completion.
 
@@ -229,13 +241,17 @@ class Snoopy:
         is routed through it — fully non-blocking; the ticket resolves
         when the pipeline's match thread closes the request's epoch.
         """
+        request = requests if isinstance(requests, Request) else None
+        rows = requests
+        if request is not None:
+            rows = Batch.from_requests([request], self.config.value_size)
         if load_balancer is None:
             load_balancer = self._rng.randrange(self.config.num_load_balancers)
         if self._pipeline is not None and self._pipeline.active:
-            return self._pipeline.submit(request, load_balancer)
-        arrival = self.load_balancers[load_balancer].submit(request)
-        self.telemetry.counter("snoopy_requests_total").inc()
-        return self._tickets.issue(load_balancer, arrival, request)
+            return self._pipeline.submit(rows, load_balancer, request)
+        arrival = self.load_balancers[load_balancer].submit(rows)
+        self.telemetry.counter("snoopy_requests_total").inc(len(rows))
+        return self._tickets.issue(load_balancer, arrival, len(rows), request)
 
     # ------------------------------------------------------------------
     # Pipelined epoch scheduling (§6)
@@ -357,7 +373,10 @@ class Snoopy:
         except BaseException:
             self.epochs.rollback([job])
             raise
-        return list(itertools.chain.from_iterable(job.responses))
+        return [
+            response for rows in job.responses
+            for response in rows.responses()
+        ]
 
     @property
     def fault_stats(self) -> Dict[str, int]:

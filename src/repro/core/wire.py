@@ -68,15 +68,18 @@ value size, batch sizes), preserving obliviousness end to end:
 from __future__ import annotations
 
 import struct
-from typing import Tuple
+from functools import lru_cache
+from typing import List, Tuple
+
+import numpy as np
 
 from repro.errors import WireError
+from repro.oblivious.soa import Batch, values_to_matrix
 from repro.types import INT64_MAX, INT64_MIN, OpType, Request, Response
 
 _FLAG_HAS_VALUE = 4
 
 _OPS = {OpType.READ: 0, OpType.WRITE: 1}
-_OPS_INV = {0: OpType.READ, 1: OpType.WRITE}
 
 
 class VersionMismatchError(WireError):
@@ -260,18 +263,78 @@ def decode_frame_header(data: bytes) -> Tuple[int, int]:
     return kind, length
 
 
+def split_record(record) -> List[Tuple[int, bytes]]:
+    """A sealed record's frames as ``(kind, payload)``, in order.
+
+    A record is the concatenation of one or more whole frames.  A run of
+    consecutive REQUEST frames stays whole, headers included, as one
+    ``(FrameKind.REQUEST, frames)`` item for :func:`decode_requests`; a
+    record of nothing but requests — what a client's coalesced sends
+    produce — is one run without a header walk.  Raises
+    :class:`WireError` if the record is empty, a header is truncated, or
+    trailing bytes do not form a complete frame.
+    """
+    kind, length = decode_frame_header(record)
+    size = FRAME_HEADER_SIZE + length
+    count, rest = divmod(len(record), size)
+    if kind == FrameKind.REQUEST and not rest and (
+        record[0::size] == bytes([kind]) * count
+    ):
+        return [(kind, record)]  # decode_requests checks every length
+    view, items, run, offset = memoryview(record), [], None, 0
+    while offset < len(record):
+        kind, length = decode_frame_header(
+            view[offset:offset + FRAME_HEADER_SIZE]
+        )
+        end = offset + FRAME_HEADER_SIZE + length
+        if end > len(record):
+            raise WireError("sealed record truncates an inner frame")
+        if kind != FrameKind.REQUEST:
+            if run is not None:
+                items.append((FrameKind.REQUEST, bytes(view[run:offset])))
+            run = None
+            items.append((kind, bytes(view[end - length:end])))
+        elif run is None:
+            run = offset
+        offset = end
+    if run is not None:
+        items.append((FrameKind.REQUEST, bytes(view[run:])))
+    return items
+
+
 # ---------------------------------------------------------------------------
 # Client requests and responses
 # ---------------------------------------------------------------------------
+# The client's one-frame packers (encode_request, decode_response) and
+# the server's array codec (decode_requests, encode_responses) share
+# these layouts; load_balancer -1 means random, and delivery_seq is the
+# session's exactly-once delivery counter (0 when sessionless).
 _REQUEST = struct.Struct(">QBBhq8xQQI")
-# req_id(8) | op(1) | flags(1) | load_balancer(2, signed; -1 = random)
-# | key(8) | pad(8) | client_id(8) | seq(8) | vlen(4)
 _RESPONSE = struct.Struct(">QQBBhIq8xQQQI")
-# req_id(8) | delivery_seq(8) | ok(1) | flags(1) | load_balancer(2)
-# | arrival(4) | key(8) | pad(8) | client_id(8) | seq(8) | epoch(8)
-# | vlen(4)
-# delivery_seq is the per-session delivery counter used by the
-# exactly-once resume protocol (0 on sessionless connections).
+_HEADER_FIELDS = [("kind", "u1"), ("length", ">u4")]
+_REQUEST_FIELDS = [
+    ("req_id", ">u8"), ("op", "u1"), ("flags", "u1"),
+    ("load_balancer", ">i2"), ("key", ">i8"), ("pad", "V8"),
+    ("client_id", ">u8"), ("seq", ">u8"), ("vlen", ">u4"),
+]
+_RESPONSE_FIELDS = [
+    ("req_id", ">u8"), ("delivery_seq", ">u8"), ("ok", "u1"),
+    ("flags", "u1"), ("load_balancer", ">i2"), ("arrival", ">u4"),
+    ("key", ">i8"), ("pad", "V8"), ("client_id", ">u8"), ("seq", ">u8"),
+    ("epoch", ">u8"), ("vlen", ">u4"),
+]
+_U64_FRAME = np.dtype(_HEADER_FIELDS + [("value", ">u8")])
+#: Flags byte -> 1 if it carries a value, else 0 (``bytes.translate``).
+_HAS_VALUE = bytes(int(bool(flags & _FLAG_HAS_VALUE)) for flags in range(256))
+
+
+@lru_cache(maxsize=16)
+def _frame_dtype(kind: int, value_size: int) -> np.dtype:
+    """One framed REQUEST or RESPONSE as a packed big-endian row."""
+    fields = _REQUEST_FIELDS if kind == FrameKind.REQUEST else _RESPONSE_FIELDS
+    return np.dtype(
+        _HEADER_FIELDS + fields + [("value", "u1", (value_size,))]
+    )
 
 
 def request_size(value_size: int) -> int:
@@ -290,7 +353,7 @@ def encode_request(
     Reads and writes of any key produce the same number of bytes for a
     given ``value_size``: the value slot is zero-padded to the store's
     fixed width, so the wire length of a request depends only on the
-    public object size.  (:func:`decode_request` refuses a payload that
+    public object size.  (:func:`decode_requests` refuses a payload that
     does not fill the slot.)
     """
     value = request.value if request.value is not None else b""
@@ -313,34 +376,146 @@ def encode_request(
     return header + value + bytes(value_size - len(value))
 
 
-def decode_request(data: bytes, value_size: int):
-    """Deserialize one request; returns ``(req_id, request, load_balancer)``."""
-    if len(data) != _REQUEST.size + value_size:
-        raise WireError("request frame has the wrong size")
-    (
-        req_id, op, flags, load_balancer, key, client_id, seq, vlen
-    ) = _REQUEST.unpack_from(data, 0)
-    if op not in _OPS_INV:
-        raise WireError(f"unknown op code {op}")
-    value = None
-    if flags & _FLAG_HAS_VALUE:
-        # A short payload would be refused at intake anyway; refusing it
-        # here fails only the connection that sent it.
-        if vlen != value_size:
-            raise WireError(
-                f"request value of {vlen} bytes for a store of "
-                f"{value_size}-byte objects"
-            )
-        value = bytes(data[_REQUEST.size:])
-    request = Request(
-        op=_OPS_INV[op], key=key, value=value, client_id=client_id, seq=seq
+@lru_cache(maxsize=16)
+def _request_checks(value_size: int):
+    """What every REQUEST frame of a store's value size must carry:
+    ``(header, [(offset, flag-to-byte table)] for the vlen bytes)``."""
+    dtype = _frame_dtype(FrameKind.REQUEST, value_size)
+    vlen = value_size.to_bytes(4, "big")
+    return (
+        _FRAME_HEADER.pack(FrameKind.REQUEST, _REQUEST.size + value_size),
+        [
+            (dtype.fields["vlen"][1] + i, bytes.maketrans(b"\1", vlen[i:i + 1]))
+            for i in range(4)
+        ],
     )
-    return req_id, request, (load_balancer if load_balancer >= 0 else None)
+
+
+@lru_cache(maxsize=64)
+def _constant_columns(count: int):
+    """Read-only ``is_dummy``, ``permitted`` and zero int64 columns of a
+    decoded chunk (batches are never mutated, so chunks share them)."""
+    columns = (
+        np.zeros(count, dtype=bool), np.ones(count, dtype=bool),
+        np.zeros(count, dtype=np.int64),
+    )
+    for column in columns:
+        column.flags.writeable = False
+    return columns
+
+
+def decode_requests(frames: bytes, value_size: int):
+    """Decode back-to-back REQUEST frames (a record's run) as columns.
+
+    One ``np.frombuffer`` reads them; the checks compare whole byte
+    columns (``frames[i::stride]`` is byte ``i`` of every frame): the
+    header, an op code of 0 or 1, and a ``vlen`` of ``value_size`` with
+    the value flag and 0 without.  A bad row refuses the whole run with
+    the same :class:`WireError` whatever its position, key or value.
+
+    Returns ``(req_id, load_balancer, rows)``: the request ids, the
+    balancer choices (-1: random) and a
+    :class:`~repro.oblivious.soa.Batch` whose columns view ``frames``
+    (``Batch.concat``, in the build stage, copies them out).
+    """
+    dtype = _frame_dtype(FrameKind.REQUEST, value_size)
+    header, vlen_checks = _request_checks(value_size)
+    stride = dtype.itemsize
+    count, rest = divmod(len(frames), stride)
+    if rest or not count or any(
+        frames[i::stride] != header[i:i + 1] * count
+        for i in range(FRAME_HEADER_SIZE)
+    ):
+        raise WireError("request frame has the wrong size")
+    ops = frames[dtype.fields["op"][1]::stride]
+    if ops.translate(None, b"\0\1"):
+        raise WireError("unknown op code in a request frame")
+    has = frames[dtype.fields["flags"][1]::stride].translate(_HAS_VALUE)
+    # A short payload would be refused at intake anyway; refusing it here
+    # fails only the connection that sent it.
+    if any(
+        frames[offset::stride] != has.translate(table)
+        for offset, table in vlen_checks
+    ):
+        raise WireError(
+            f"request value does not fill the store's {value_size}-byte "
+            "value slot"
+        )
+    rows = np.frombuffer(frames, dtype, count)
+    has_value = np.frombuffer(has, bool)
+    value = rows["value"]
+    if b"\0" in has:
+        value = value * has_value[:, None]  # zero the slots of reads
+    is_dummy, permitted, zeros = _constant_columns(count)
+    batch = Batch(
+        key=rows["key"], is_write=np.frombuffer(ops, bool),
+        has_value=has_value, value=value, client_id=rows["client_id"],
+        seq=rows["seq"], is_dummy=is_dummy, permitted=permitted,
+        suboram=zeros, arrival=zeros,
+    )
+    return rows["req_id"], rows["load_balancer"], batch
+
+
+def decode_request(data: bytes, value_size: int):
+    """Deserialize one request; returns ``(req_id, request, load_balancer)``.
+
+    The one-row form of :func:`decode_requests`.
+    """
+    req_ids, balancers, rows = decode_requests(
+        _FRAME_HEADER.pack(FrameKind.REQUEST, len(data)) + data, value_size
+    )
+    entry = rows.entries()[0]
+    request = Request(
+        op=entry.op, key=entry.key, value=entry.value,
+        client_id=entry.client_id, seq=entry.seq,
+    )
+    balancer = int(balancers[0])
+    return int(req_ids[0]), request, (balancer if balancer >= 0 else None)
 
 
 def response_size(value_size: int) -> int:
     """Byte length of every response of a store's value size (public)."""
     return _RESPONSE.size + value_size
+
+
+def _response_rows(req_id, rows, *, load_balancer, arrival, epoch,
+                   delivery_seq) -> np.ndarray:
+    out = np.zeros(len(rows), _frame_dtype(FrameKind.RESPONSE, rows.value_size))
+    out["kind"] = FrameKind.RESPONSE
+    out["length"] = _RESPONSE.size + rows.value_size
+    for name, column in (
+        ("req_id", req_id), ("delivery_seq", delivery_seq),
+        ("ok", rows.permitted), ("load_balancer", load_balancer),
+        ("arrival", arrival), ("key", rows.key),
+        ("client_id", rows.client_id), ("seq", rows.seq), ("epoch", epoch),
+        ("value", rows.value),
+    ):
+        out[name] = column
+    out["flags"] = rows.has_value * _FLAG_HAS_VALUE
+    out["vlen"] = rows.has_value * rows.value_size
+    return out
+
+
+def encode_responses(
+    req_id,
+    rows,
+    *,
+    load_balancer,
+    arrival,
+    epoch,
+    delivery_seq=0,
+) -> bytes:
+    """Serialize matched rows as back-to-back RESPONSE frames.
+
+    ``rows`` is a :class:`~repro.oblivious.soa.Batch` of matched
+    responses (``permitted`` is the ``ok`` bit); every other argument
+    is a column or one value for every row.  Every response of a value
+    size is the same length: absent values are flagged and zero-padded.
+    """
+    return _response_rows(
+        req_id, rows, load_balancer=load_balancer, arrival=arrival,
+        epoch=epoch, delivery_seq=delivery_seq,
+    ).tobytes()
 
 
 def encode_response(
@@ -353,35 +528,37 @@ def encode_response(
     epoch: int,
     delivery_seq: int = 0,
 ) -> bytes:
-    """Serialize one resolved ticket back to its client.
-
-    Like requests, every response of a given value size is the same
-    length: absent values (``None``) are flagged and zero-padded.
-    ``delivery_seq`` is the session's delivery counter (0 when the
-    connection is sessionless); it lets a resumed client acknowledge
-    and deduplicate replayed responses.
-    """
-    value = response.value if response.value is not None else b""
-    if len(value) > value_size:
+    """Serialize one resolved ticket: the one-row :func:`encode_responses`
+    payload (a value shorter than the slot keeps its length)."""
+    value = response.value
+    if value is not None and len(value) > value_size:
         raise WireError(
             f"response value of {len(value)} bytes exceeds the store's "
             f"value_size {value_size}"
         )
-    flags = _FLAG_HAS_VALUE if response.value is not None else 0
-    header = _RESPONSE.pack(
-        req_id,
-        delivery_seq,
-        1 if response.ok else 0,
-        flags,
-        load_balancer,
-        arrival,
-        _check_key(response.key),
-        response.client_id,
-        response.seq,
-        epoch,
-        len(value),
+    padded = None if value is None else value.ljust(value_size, b"\0")
+    matrix, has_value = values_to_matrix([padded], value_size)
+    rows = Batch.filled(
+        1, value_size, key=[_check_key(response.key)], value=matrix,
+        has_value=has_value, client_id=[response.client_id],
+        seq=[response.seq], permitted=[response.ok],
     )
-    return header + value + bytes(value_size - len(value))
+    out = _response_rows(
+        req_id, rows, load_balancer=load_balancer, arrival=arrival,
+        epoch=epoch, delivery_seq=delivery_seq,
+    )
+    out["vlen"] = 0 if value is None else len(value)
+    return out.tobytes()[FRAME_HEADER_SIZE:]
+
+
+def encode_u64_frames(kind: int, values) -> bytes:
+    """One ``kind`` frame with a u64 payload per value, back to back
+    (the BUSY/SHUTTING_DOWN verdicts of a chunk's shed rows)."""
+    out = np.empty(len(values), _U64_FRAME)
+    out["kind"] = kind
+    out["length"] = _U64.size
+    out["value"] = values
+    return out.tobytes()
 
 
 def decode_response(data: bytes, value_size: int):

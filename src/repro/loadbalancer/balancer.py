@@ -2,7 +2,9 @@
 
 A ``LoadBalancer`` owns no dynamic request-routing state — only the
 deployment sharding key — so any number of them can run independently and
-in parallel.  Each epoch its queued requests become one fixed-size batch
+in parallel.  Its queue holds :class:`~repro.oblivious.soa.Batch` chunks —
+one per ``submit``, e.g. one sealed record of REQUEST frames — and each
+epoch the drained rows become one fixed-size batch
 per subORAM (:func:`~repro.loadbalancer.batching.generate_batches`) and
 the responses are matched back to clients
 (:func:`~repro.loadbalancer.matching.match_responses`); the epoch body in
@@ -15,7 +17,7 @@ from typing import List
 
 from repro.errors import CapacityError
 from repro.oblivious.kernels import resolve_kernel
-from repro.types import INT64_MAX, INT64_MIN, Request
+from repro.oblivious.soa import Batch
 from repro.utils.validation import require_positive
 
 
@@ -51,55 +53,57 @@ class LoadBalancer:
         self.value_size = value_size
         self.security_parameter = security_parameter
         self.kernel = resolve_kernel(kernel)
-        self._queue: List[Request] = []
+        self._queue: List[Batch] = []
+        self._pending = 0
         self.epochs_processed = 0
 
     # ------------------------------------------------------------------
     # Request intake
     # ------------------------------------------------------------------
-    def submit(self, request: Request) -> int:
-        """Queue a client request; returns its arrival index in the epoch.
+    def submit(self, rows: Batch) -> int:
+        """Queue a chunk of client requests; returns the arrival index of
+        its first row in the epoch (the rest follow contiguously).
 
         Raises:
-            CapacityError: the request does not fit a fixed-width batch
-                row.  Nothing is queued: queued, it would fail the build
-                of every epoch it is requeued into.
+            CapacityError: the chunk's value column is not this store's
+                width.  Nothing is queued: queued, it would fail the
+                build of every epoch it is requeued into.  (A chunk's
+                other columns are fixed-width by construction.)
         """
-        value = request.value
-        if not (
-            (value is None or len(value) == self.value_size)
-            and INT64_MIN <= request.key <= INT64_MAX
-            and 0 <= request.client_id < 2**64
-            and 0 <= request.seq < 2**64
-        ):
+        if rows.value_size != self.value_size:
             raise CapacityError(
-                f"request for key {request.key} needs a {self.value_size}-"
-                "byte value (or none), an int64 key and uint64 client_id/seq"
+                f"requests need a {self.value_size}-byte value (or none), "
+                f"not {rows.value_size}"
             )
-        self._queue.append(request)
-        return len(self._queue) - 1
+        arrival = self._pending
+        self._queue.append(rows)
+        self._pending += len(rows)
+        return arrival
 
     @property
     def pending(self) -> int:
         """Requests queued for the current epoch."""
-        return len(self._queue)
+        return self._pending
 
     # ------------------------------------------------------------------
     # Epoch close and its rollback (repro.core.epoch)
     # ------------------------------------------------------------------
-    def drain(self) -> List[Request]:
-        """Take this epoch's queued requests and bump the epoch counter."""
-        requests, self._queue = self._queue, []
+    def drain(self) -> List[Batch]:
+        """Take this epoch's queued chunks, in arrival order, and bump the
+        epoch counter.  (The build stage concatenates them, off the
+        intake lock.)"""
+        chunks, self._queue, self._pending = self._queue, [], 0
         self.epochs_processed += 1
-        return requests
+        return chunks
 
-    def requeue(self, requests: List[Request]) -> None:
+    def requeue(self, chunks: List[Batch]) -> None:
         """Undo a :meth:`drain` when its epoch is rolled back.
 
-        The requests go back to the *front* of the queue (ahead of any
+        The chunks go back to the *front* of the queue (ahead of any
         newly submitted ones) in their original arrival order, and the
         epoch counter is rolled back — so a re-served epoch is
         indistinguishable from one that never failed.
         """
-        self._queue = list(requests) + self._queue
+        self._queue = list(chunks) + self._queue
+        self._pending += sum(len(chunk) for chunk in chunks)
         self.epochs_processed -= 1

@@ -21,15 +21,16 @@ cryptographically negligible overflow event, which raises
 :class:`~repro.errors.BatchOverflowError` instead of silently retrying
 (a retry would leak, §4.1).
 
-The requests become one :class:`Batch` on entry and stay columns: the
-numpy kernel sorts and compacts index permutations over them and the
-``S * B`` kept rows are one ``take``.  The python kernel, the traced
+The requests arrive as one :class:`Batch` — the rows the balancer's
+queue drained, decoded straight from the clients' frames — and stay
+columns: the numpy kernel sorts and compacts index permutations over
+them and the ``S * B`` kept rows are one ``take``.  The python kernel, the traced
 reference, computes on the record view (:func:`_dedupe_records`).
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -54,7 +55,7 @@ def dummy_key(suboram: int, index: int) -> int:
 
 
 def generate_batches(
-    requests: Sequence[Request],
+    requests: Union[Batch, Sequence[Request]],
     num_suborams: int,
     sharding_key: bytes,
     security_parameter: int = 128,
@@ -68,6 +69,9 @@ def generate_batches(
     """Build one fixed-size batch per subORAM from an epoch's requests.
 
     Args (beyond the obvious):
+        requests: the epoch's requests in arrival order: the drained
+            :class:`Batch` (its ``arrival`` column is renumbered), or a
+            sequence of :class:`Request` records.
         permissions: optional ``{(client_id, seq): 0/1}`` access-control
             bits from the §D recursive ACL lookup; missing pairs default
             to permitted.
@@ -100,10 +104,22 @@ def generate_batches(
 
     # ➊ Assign subORAMs (one keyed hash per request, arrival order).
     with telemetry.time("snoopy_lb_stage_seconds", stage="route"):
-        originals = Batch.from_requests(requests, value_size, permissions)
-        originals = originals.replace(
-            suboram=prf.range_many(originals.key, num_suborams)
+        originals = (
+            requests if isinstance(requests, Batch)
+            else Batch.from_requests(requests, value_size)
         )
+        columns = {
+            "arrival": np.arange(len(originals)),
+            "suboram": prf.range_many(originals.key, num_suborams),
+        }
+        if permissions is not None:
+            # A missing (client_id, seq) pair is permitted.
+            columns["permitted"] = np.array([
+                permissions.get(pair, 1) for pair in zip(
+                    originals.client_id.tolist(), originals.seq.tolist()
+                )
+            ], dtype=bool)
+        originals = originals.replace(**columns)
 
     # ➋ Append B dummies per subORAM.
     with telemetry.time("snoopy_lb_stage_seconds", stage="pad"):

@@ -11,8 +11,8 @@
   response values.
 
 Writing each answer at its request's arrival index restores client
-arrival order (a public permutation), so the caller can zip responses
-with its request list.
+arrival order (a public permutation), so the matched rows line up with
+the epoch's request rows and its tickets.
 
 Both inputs are :class:`~repro.oblivious.soa.Batch`es and neither is
 modified: the numpy kernel reads ``key``/``is_dummy`` directly and gathers
@@ -26,13 +26,11 @@ from typing import List
 
 import numpy as np
 
-from repro.oblivious import soa
 from repro.oblivious.kernels import resolve_kernel
 from repro.oblivious.primitives import and_bit, eq_bit, o_select
 from repro.oblivious.soa import Batch
 from repro.telemetry import resolve_telemetry
 from repro.telemetry.kernelbridge import TimedKernelTrace, flush_kernel_trace
-from repro.types import Response
 
 
 def match_responses(
@@ -41,7 +39,7 @@ def match_responses(
     mem_factory=None,
     kernel=None,
     telemetry=None,
-) -> List[Response]:
+) -> Batch:
     """Map subORAM responses back onto the epoch's client requests.
 
     Args:
@@ -57,8 +55,11 @@ def match_responses(
             through the kernel trace seam.
 
     Returns:
-        One :class:`Response` per original request, in arrival order,
-        carrying the object value prior to this epoch's writes.
+        ``originals`` with ``value``/``has_value`` replaced: one row per
+        request, in arrival order, carrying the object value prior to
+        this epoch's writes (``permitted`` is the reply's ``ok`` bit;
+        :meth:`Batch.responses <repro.oblivious.soa.Batch.responses>`
+        gives the record view).
     """
     telemetry = resolve_telemetry(telemetry)
     kernel_trace = TimedKernelTrace() if telemetry.enabled else None
@@ -82,16 +83,10 @@ def match_responses(
     answered = source >= 0
     source = np.where(answered, source, 0)
     has_value = answered & responses.has_value[source] & originals.permitted
-    values = soa.matrix_to_values(
-        responses.value[source], has_value.tolist()
+    return originals.replace(
+        value=responses.value[source] * has_value[:, None],
+        has_value=has_value,
     )
-    return [
-        Response(key=key, value=value, client_id=client_id, seq=seq, ok=ok)
-        for key, value, client_id, seq, ok in zip(
-            originals.key.tolist(), values, originals.client_id.tolist(),
-            originals.seq.tolist(), originals.permitted.tolist(),
-        )
-    ]
 
 
 def _match_records(kern, request_keys, response_keys, response_dummy,

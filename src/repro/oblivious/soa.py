@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.errors import CapacityError, WireError
-from repro.types import BatchEntry, OpType, Request
+from repro.types import BatchEntry, OpType, Request, Response
 
 _BATCH_HEADER = struct.Struct(">II")  # row count | value_size
 #: Bytes before the first row of an encoded :class:`Batch`.
@@ -89,10 +89,12 @@ class Batch:
 
     @classmethod
     def concat(cls, batches: Sequence["Batch"]) -> "Batch":
-        """The rows of ``batches`` (at least one batch), in order."""
+        """The rows of ``batches`` (at least one batch), in order, as
+        contiguous native-order columns (a decoded wire chunk's columns
+        may be big-endian views of its record)."""
         return cls(**{
-            c: np.concatenate([getattr(b, c) for b in batches])
-            for c in cls.COLUMNS
+            c: np.concatenate([getattr(b, c) for b in batches], dtype=dtype)
+            for c, dtype in cls.COLUMNS.items()
         })
 
     @classmethod
@@ -115,13 +117,10 @@ class Batch:
     # Records in and out
     # ------------------------------------------------------------------
     @classmethod
-    def from_requests(cls, requests: Sequence[Request], value_size: int,
-                      permissions=None) -> "Batch":
-        """An epoch's client requests, in arrival order.
-
-        ``permissions`` is the optional §D ``{(client_id, seq): 0/1}``
-        map; a missing pair is permitted.  ``suboram`` is left zero for
-        the balancer's routing step to fill.
+    def from_requests(cls, requests: Sequence[Request],
+                      value_size: int) -> "Batch":
+        """Client requests, in arrival order (``arrival`` is the index;
+        ``suboram`` is left zero for the balancer's routing step).
 
         Raises:
             CapacityError: a value that is not ``value_size`` bytes, or a
@@ -130,9 +129,6 @@ class Batch:
         value, has_value = values_to_matrix(
             [r.value for r in requests], value_size
         )
-        columns = {} if permissions is None else {"permitted": [
-            permissions.get((r.client_id, r.seq), 1) for r in requests
-        ]}
         return cls.filled(
             len(requests), value_size, value=value, has_value=has_value,
             key=[r.key for r in requests],
@@ -140,7 +136,6 @@ class Batch:
             arrival=np.arange(len(requests)),
             client_id=[r.client_id for r in requests],
             seq=[r.seq for r in requests],
-            **columns,
         )
 
     @classmethod
@@ -172,6 +167,20 @@ class Batch:
                 self.client_id.tolist(), self.seq.tolist(),
                 self.is_dummy.tolist(), self.permitted.astype(int).tolist(),
             )  # BatchEntry's field order, after ``op``
+        ]
+
+    def responses(self) -> List[Response]:
+        """Matched rows as client :class:`Response` records, in order
+        (``permitted`` is each one's ``ok`` bit)."""
+        return [
+            Response(key=key, value=value, client_id=client_id, seq=seq,
+                     ok=ok)
+            for key, value, client_id, seq, ok in zip(
+                self.key.tolist(),
+                matrix_to_values(self.value, self.has_value.tolist()),
+                self.client_id.tolist(), self.seq.tolist(),
+                self.permitted.tolist(),
+            )
         ]
 
     # ------------------------------------------------------------------

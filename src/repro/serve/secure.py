@@ -88,6 +88,7 @@ from repro.core.wire import (
     encode_attest,
     encode_frame,
     encode_hello,
+    split_record,
 )
 from repro.crypto.aead import NONCE_LEN, TAG_LEN, SecureChannelPair
 from repro.crypto.keys import derive_key
@@ -139,35 +140,6 @@ _MAX_SEALED = MAX_FRAME_PAYLOAD + 64 + TAG_LEN
 #: :data:`_MAX_SEALED`, and large enough that a single maximum-size
 #: inner frame always fits on its own.
 _RECORD_BUDGET = MAX_FRAME_PAYLOAD + 64
-
-
-def _split_record(record: bytes) -> List[Tuple[int, bytes]]:
-    """Split one unsealed record into its inner frames.
-
-    A sealed record is the concatenation of one or more ordinary inner
-    frames.  Raises :class:`~repro.core.wire.WireError` if the record
-    is empty, a header is truncated, or trailing bytes do not form a
-    complete frame — a sealed record must parse exactly.
-    """
-    from repro.core.wire import FRAME_HEADER_SIZE
-
-    if not record:
-        raise WireError("sealed record contains no frames")
-    frames: List[Tuple[int, bytes]] = []
-    view = memoryview(record)
-    offset = 0
-    total = len(record)
-    while offset < total:
-        kind, payload_len = decode_frame_header(
-            view[offset:offset + FRAME_HEADER_SIZE]
-        )
-        start = offset + FRAME_HEADER_SIZE
-        end = start + payload_len
-        if end > total:
-            raise WireError("sealed record truncates an inner frame")
-        frames.append((kind, bytes(view[start:end])))
-        offset = end
-    return frames
 
 
 class ServeTrust:
@@ -566,7 +538,7 @@ class FrameTransport:
             raise WireError(f"sealed frame of {length} bytes exceeds cap")
         sealed = recv_exact(self._sock, length)
         record = self._pair.rx.receive(nonce, sealed)
-        self._rx_pending.extend(_split_record(record))
+        self._rx_pending.extend(split_record(record))
         return self._rx_pending.popleft()
 
     def settimeout(self, timeout: Optional[float]) -> None:
@@ -662,7 +634,8 @@ class AsyncFrameTransport:
         self._flush_scheduled = False
         #: Number of sealed records written (one AEAD call each).
         self.sealed_flushes = 0
-        #: Number of inner frames those records carried.
+        #: Number of queued frame buffers (one frame, or an encoded array
+        #: of them) those records carried.
         self.sealed_frames = 0
 
     @property
@@ -681,11 +654,19 @@ class AsyncFrameTransport:
 
     def send(self, kind: int, payload: bytes = b"") -> None:
         """Queue one frame (coalesced into sealed records when attested)."""
-        frame = encode_frame(kind, payload)
+        self.send_frames(encode_frame(kind, payload))
+
+    def send_frames(self, frames: bytes) -> None:
+        """Queue already encoded frames, back to back (one or more).
+
+        An epoch's replies to one connection arrive here as one array
+        (:func:`~repro.core.wire.encode_responses`); attested, they are
+        sealed with whatever else this loop iteration queued.
+        """
         if self._pair is None:
-            self._writer.write(frame)
+            self._writer.write(frames)
             return
-        self._tx_frames.append(frame)
+        self._tx_frames.append(frames)
         if self._flush_scheduled:
             return
         try:
@@ -735,25 +716,34 @@ class AsyncFrameTransport:
         except (asyncio.IncompleteReadError, ConnectionError) as exc:
             raise TransportError(f"connection lost mid-read: {exc}") from exc
 
+    async def recv_record(self) -> bytes:
+        """Receive one record's inner frames as one buffer.
+
+        Attested, that is one opened sealed record — every frame the
+        peer coalesced into it; plaintext, one frame.  Split it with
+        :func:`~repro.core.wire.split_record`.  Do not mix with
+        :meth:`recv` on one transport: frames ``recv`` buffered are not
+        returned here.
+        """
+        if self._pair is None:
+            from repro.serve.protocol import read_frame_async
+
+            return encode_frame(*await read_frame_async(self._reader))
+        head = await self._read(NONCE_LEN + _SEAL_LEN.size)
+        (length,) = _SEAL_LEN.unpack_from(head, NONCE_LEN)
+        if length > _MAX_SEALED:
+            raise WireError(f"sealed frame of {length} bytes exceeds cap")
+        sealed = await self._read(length)
+        return self._pair.rx.receive(head[:NONCE_LEN], sealed)
+
     async def recv(self) -> Tuple[int, bytes]:
         """Receive one frame; returns ``(kind, payload)``.
 
         Extra frames from a coalesced sealed record are buffered and
         returned by subsequent calls without touching the stream.
         """
-        if self._rx_pending:
-            return self._rx_pending.popleft()
-        if self._pair is None:
-            from repro.serve.protocol import read_frame_async
-
-            return await read_frame_async(self._reader)
-        nonce = await self._read(NONCE_LEN)
-        (length,) = _SEAL_LEN.unpack(await self._read(_SEAL_LEN.size))
-        if length > _MAX_SEALED:
-            raise WireError(f"sealed frame of {length} bytes exceeds cap")
-        sealed = await self._read(length)
-        record = self._pair.rx.receive(nonce, sealed)
-        self._rx_pending.extend(_split_record(record))
+        if not self._rx_pending:
+            self._rx_pending.extend(split_record(await self.recv_record()))
         return self._rx_pending.popleft()
 
     def close(self) -> None:

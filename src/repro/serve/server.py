@@ -6,17 +6,25 @@ deployment behind TCP.  Client connections speak the versioned
 default upgraded to the attested quote exchange of
 :mod:`repro.serve.secure`, after which every frame rides a sealed
 replay-protected channel — then a stream of fixed-size REQUEST frames
-in and RESPONSE frames out.  Every request becomes a non-blocking
-``submit()`` into the deployment's
-:class:`~repro.core.pipeline.EpochPipeline`; the pipeline's match thread
-resolves the ticket and the completion bridges back onto the event loop
-through :meth:`Ticket.add_done_callback
-<repro.core.tickets.Ticket.add_done_callback>` — the server never blocks
-on an epoch.  The callback only queues the ticket; one wake-up per
-resolved burst — a single ``loop.call_soon_threadsafe`` from the epoch
-observer once the whole cut has resolved, not one per ticket — drains
-the queue on the loop in resolution order, and the replies it writes
-coalesce into sealed records.
+in and RESPONSE frames out.
+
+**Columns in, columns out.**  The server reads one sealed record at a
+time (:meth:`AsyncFrameTransport.recv_record
+<repro.serve.secure.AsyncFrameTransport.recv_record>`); its run of
+REQUEST frames decodes in one ``np.frombuffer`` into the rows of one
+:class:`~repro.oblivious.soa.Batch` (:func:`~repro.core.wire.decode_requests`),
+and a bad frame refuses the whole record before any row is queued.  The
+chunk is admitted by row masks (:func:`intake_masks`), then queued and
+ticketed once per balancer it touches: one non-blocking ``submit()``
+into the deployment's :class:`~repro.core.pipeline.EpochPipeline`,
+returning one :class:`~repro.core.tickets.Ticket` for its rows — the server
+never blocks on an epoch.  The pipeline's match thread resolves each
+range in one call, and the range's one done-callback only queues it;
+one wake-up per resolved burst — a single ``loop.call_soon_threadsafe``
+from the epoch observer once the whole cut has resolved — drains the
+queue on the loop, where one connection's resolved rows encode as one
+array of RESPONSE frames (:func:`~repro.core.wire.encode_responses`)
+and go out in one sealed record.
 
 **Epoch pacing.**  In production mode (``clock=True``) the pipeline's
 background clock closes epochs on the fixed public period
@@ -25,18 +33,22 @@ the property Cloak-style timing leakage arguments require.  Tests and
 differential runs pass ``clock=False`` and drive epochs explicitly with
 the CLOSE_EPOCH admin frame, keeping epoch composition deterministic.
 
-**Backpressure and load shedding.**  Each connection carries an
-``asyncio.Semaphore(max_pending_per_connection)``: a REQUEST frame is
-only read off the socket after acquiring a slot, and the slot frees when
-its RESPONSE resolves.  A client that outruns the epoch pipeline
-therefore stops being *read* — TCP flow control pushes back to the
-sender — while the pipeline's own :class:`~threading.BoundedSemaphore`
-depth cap independently skips clock ticks and lets batches grow (§6's
+**Backpressure and load shedding.**  Each connection counts its rows in
+flight against ``max_pending_per_connection``: the next record is only
+read off the socket once the current chunk fits the window (a chunk
+larger than the whole window waits for an empty one), and rows free
+their slots when their RESPONSEs go out.  A client that outruns the
+epoch pipeline therefore stops being *read* — TCP flow control pushes
+back to the sender; no busy signal is sent for flow control — while the
+pipeline's own :class:`~threading.BoundedSemaphore` depth cap
+independently skips clock ticks and lets batches grow (§6's
 backpressure-by-bigger-batches, not queueing).  A server-wide
 ``max_open_tickets`` ceiling additionally *sheds* load with a typed
 BUSY frame once the whole deployment (not just one connection) is
 saturated, so overload degrades into fast rejections instead of
-unbounded queueing.
+unbounded queueing.  Which rows of a chunk are shed is a function of
+public state only: the open-ticket count, the draining flag and the
+session's own request ids.
 
 **Resumable sessions.**  A client that sends a SESSION frame gets a
 server-held session: accepted request ids are tracked for
@@ -65,26 +77,35 @@ the sealed channel adds a constant overhead per frame).
 from __future__ import annotations
 
 import asyncio
+import functools
 import threading
 from collections import deque
-from typing import Dict, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
+from repro.core.tickets import Ticket
 from repro.core.wire import (
     FrameKind,
     Role,
     SUPPORTED_WIRE_VERSIONS,
     VersionMismatchError,
     WireError,
-    decode_request,
     decode_session,
     decode_u32,
     decode_u64,
-    encode_response,
     encode_session,
     encode_u32,
     encode_u64,
+    encode_u64_frames,
     encode_version_reject,
+    split_record,
 )
+# The columnar codec, bound under the one-row names the benchmark's
+# tracer wraps (bench/tracing.py::TARGETS): one call decodes a record's
+# run of REQUEST frames, one encodes a connection's replies.
+from repro.core.wire import decode_requests as decode_request
+from repro.core.wire import encode_responses as encode_response
 from repro.errors import (
     AttestationError,
     ConfigurationError,
@@ -104,7 +125,7 @@ class _Session:
     """Server-side state of one resumable client session."""
 
     __slots__ = (
-        "session_id", "seen", "buffer", "next_seq", "transport",
+        "session_id", "seen", "buffer", "buffered", "next_seq", "transport",
     )
 
     def __init__(self, session_id: int):
@@ -112,8 +133,11 @@ class _Session:
         #: Request ids accepted and not yet acknowledged (dedupe set for
         #: resent requests after a reconnect).
         self.seen: Set[int] = set()
-        #: Undelivered/unacknowledged responses: (seq, req_id, payload).
+        #: Undelivered/unacknowledged replies, one entry per delivery:
+        #: ``(first delivery seq, req_ids, encoded RESPONSE frames)``.
         self.buffer = deque()
+        #: Responses held in :attr:`buffer`.
+        self.buffered = 0
         #: Next delivery sequence number (1-based; 0 means "nothing").
         self.next_seq = 1
         #: The currently attached transport, if any.
@@ -121,9 +145,74 @@ class _Session:
 
     def ack(self, seq: int) -> None:
         """Drop buffered responses delivered through ``seq``."""
-        while self.buffer and self.buffer[0][0] <= seq:
-            _seq, req_id, _payload = self.buffer.popleft()
-            self.seen.discard(req_id)
+        while self.buffer:
+            first, req_ids, frames = self.buffer[0]
+            acked = min(len(req_ids), seq - first + 1)
+            if acked <= 0:
+                return
+            self.seen.difference_update(req_ids[:acked])
+            self.buffered -= acked
+            if acked < len(req_ids):
+                size = len(frames) // len(req_ids)
+                self.buffer[0] = (
+                    first + acked, req_ids[acked:], frames[acked * size:]
+                )
+                return
+            self.buffer.popleft()
+
+
+class _Connection:
+    """One client connection and its in-flight window (backpressure)."""
+
+    __slots__ = ("transport", "inflight", "room")
+
+    def __init__(self, transport: AsyncFrameTransport):
+        self.transport = transport
+        #: Rows submitted on this connection and not yet answered.
+        self.inflight = 0
+        #: Set whenever replies free part of the window.
+        self.room = asyncio.Event()
+
+
+def intake_masks(
+    req_ids: List[int],
+    *,
+    draining: bool,
+    room: Optional[int],
+    seen: Optional[Set[int]],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Which rows of one chunk are admitted and which are shed.
+
+    Returns ``(admit, shed)`` boolean row masks.  They are a function of
+    public state only — the draining flag, the server's open-ticket
+    ``room`` (``None``: no ceiling) and the session's own accepted
+    request ids (``seen``; ``None`` when sessionless) — never of a row's
+    key, value or op, which this function is not handed.  While
+    draining every row is shed (SHUTTING_DOWN).  Otherwise a row whose
+    req_id the session accepted before, or an earlier row of the chunk
+    carries, is a duplicate (neither admitted nor shed: dropped without
+    a frame, exactly-once); and once ``room`` fresh rows were admitted,
+    every later row is shed (BUSY).
+    """
+    count = len(req_ids)
+    if draining:
+        return np.zeros(count, dtype=bool), np.ones(count, dtype=bool)
+    fresh = np.ones(count, dtype=bool)
+    if seen is not None:
+        first: Dict[int, int] = {}
+        for row, req_id in enumerate(req_ids):
+            first.setdefault(req_id, row)
+        fresh = np.fromiter(
+            (
+                req_id not in seen and first[req_id] == row
+                for row, req_id in enumerate(req_ids)
+            ),
+            dtype=bool, count=count,
+        )
+    busy = np.zeros(count, dtype=bool)
+    if room is not None:
+        busy = np.cumsum(fresh) - fresh >= room
+    return fresh & ~busy, busy
 
 
 class SnoopyServer:
@@ -141,7 +230,7 @@ class SnoopyServer:
             frames — the deterministic mode tests use.
         epoch_duration: clock period override in seconds.
         pipeline_depth: max in-flight epochs (default from config).
-        max_pending_per_connection: per-connection open-ticket cap; the
+        max_pending_per_connection: per-connection in-flight row cap; the
             backpressure window described in the module docstring.
         attested: require the attested quote exchange and sealed frames
             on every connection (default).  ``False`` serves plaintext
@@ -401,13 +490,12 @@ class SnoopyServer:
                 pass
 
     async def _serve_frames(self, transport: AsyncFrameTransport) -> None:
-        """The per-connection frame loop (post-handshake)."""
-        pending = asyncio.Semaphore(self.max_pending_per_connection)
-        value_size = self.value_size
+        """The per-connection record loop (post-handshake)."""
+        conn = _Connection(transport)
         session: Optional[_Session] = None
         while True:
             try:
-                kind, payload = await transport.recv()
+                items = self._decode_record(await transport.recv_record())
             except TransportError:
                 return  # client went away; its submitted epochs still run
             except (ReplayError, IntegrityError):
@@ -420,113 +508,176 @@ class SnoopyServer:
                 ).inc()
                 return
             except WireError as exc:
+                # Any bad frame refuses the whole record: none of its
+                # rows was queued.
                 await self._send_error(transport, str(exc))
                 return
-            if kind == FrameKind.REQUEST:
-                try:
-                    req_id, request, balancer = decode_request(
-                        payload, value_size
-                    )
-                except WireError as exc:
-                    await self._send_error(transport, str(exc))
-                    return
-                if self._draining:
-                    self.stats["shed_while_draining"] += 1
-                    self.telemetry.counter(
-                        "serve_shutting_down_total"
-                    ).inc()
-                    transport.send(
-                        FrameKind.SHUTTING_DOWN, encode_u64(req_id)
-                    )
-                    await transport.drain()
-                    continue
-                if (
-                    self.max_open_tickets is not None
-                    and self._open_tickets >= self.max_open_tickets
-                ):
-                    self.stats["busy_rejections"] += 1
-                    self.telemetry.counter("serve_busy_total").inc()
-                    transport.send(FrameKind.BUSY, encode_u64(req_id))
-                    await transport.drain()
-                    continue
-                if session is not None and req_id in session.seen:
-                    # Resent after a reconnect; the original is pending
-                    # or buffered — exactly-once holds, drop the copy.
-                    self.stats["duplicate_requests"] += 1
-                    self.telemetry.counter(
-                        "serve_duplicate_requests_total"
-                    ).inc()
-                    continue
-                # Backpressure: stop reading this socket until a
-                # response slot frees up.
-                await pending.acquire()
-                try:
-                    ticket = self._store.submit(request, balancer)
-                except Exception as exc:
-                    pending.release()
-                    await self._send_error(transport, repr(exc))
-                    return
-                self.stats["requests"] += 1
-                self._open_tickets += 1
-                if self._open_tickets > self.stats["peak_open_tickets"]:
-                    self.stats["peak_open_tickets"] = self._open_tickets
-                self.telemetry.counter("serve_requests_total").inc()
-                self.telemetry.gauge("serve_open_tickets").set(
-                    self._open_tickets
-                )
-                self.telemetry.gauge("serve_open_tickets_peak").set_max(
-                    self._open_tickets
-                )
-                if session is not None:
-                    session.seen.add(req_id)
-                ticket.add_done_callback(
-                    lambda t, s=session, tr=transport, p=pending, r=req_id:
-                        self._resolved.append((s, tr, p, r, t))
-                )
-                if ticket.done:
-                    # Resolved before the callback was registered: it ran
-                    # inline, possibly after its epoch's wake-up.
-                    self._wake_drain()
-            elif kind == FrameKind.SESSION:
-                session = await self._handle_session(
-                    transport, payload, session
-                )
-                if session is None:
-                    return
-            elif kind == FrameKind.RESPONSE_ACK:
-                if session is not None:
-                    try:
-                        session.ack(decode_u64(payload))
-                    except WireError as exc:
-                        await self._send_error(transport, str(exc))
+            for kind, payload in items:
+                if kind == FrameKind.REQUEST:
+                    if not await self._take_requests(conn, session, *payload):
                         return
-            elif kind == FrameKind.CLOSE_EPOCH:
-                if self._draining:
-                    transport.send(FrameKind.SHUTTING_DOWN, encode_u64(0))
-                    await transport.drain()
-                    continue
-                flush = bool(payload and decode_u32(payload) & 1)
-                try:
-                    epoch = await self._loop.run_in_executor(
-                        None, self._close_epoch_blocking, flush
+                elif kind == FrameKind.SESSION:
+                    session = await self._handle_session(
+                        transport, payload, session
                     )
-                except Exception as exc:
-                    await self._send_error(transport, repr(exc))
+                    if session is None:
+                        return
+                elif kind == FrameKind.RESPONSE_ACK:
+                    if session is not None:
+                        try:
+                            session.ack(decode_u64(payload))
+                        except WireError as exc:
+                            await self._send_error(transport, str(exc))
+                            return
+                elif kind == FrameKind.CLOSE_EPOCH:
+                    if self._draining:
+                        transport.send(
+                            FrameKind.SHUTTING_DOWN, encode_u64(0)
+                        )
+                        await transport.drain()
+                        continue
+                    flush = bool(payload and decode_u32(payload) & 1)
+                    try:
+                        epoch = await self._loop.run_in_executor(
+                            None, self._close_epoch_blocking, flush
+                        )
+                    except Exception as exc:
+                        await self._send_error(transport, repr(exc))
+                        return
+                    transport.send(
+                        FrameKind.EPOCH_CLOSED,
+                        encode_u64(epoch if epoch is not None else 0),
+                    )
+                    await transport.drain()
+                elif kind == FrameKind.PING:
+                    transport.send(FrameKind.PONG)
+                    await transport.drain()
+                else:
+                    await self._send_error(
+                        transport,
+                        f"unexpected frame kind {kind} on the front door",
+                    )
                     return
-                transport.send(
-                    FrameKind.EPOCH_CLOSED,
-                    encode_u64(epoch if epoch is not None else 0),
+
+    def _decode_record(self, record) -> list:
+        """Split and decode a whole record before acting on any of it.
+
+        Each REQUEST run becomes ``(req_id, load_balancer, rows,
+        balancers)``: its columns and the set of balancer choices they
+        hold.  Raises :class:`WireError` for any malformed frame or a row
+        naming a balancer the deployment does not have.
+        """
+        value_size = self.value_size
+        items = []
+        for kind, payload in split_record(record):
+            if kind == FrameKind.REQUEST:
+                req_id, balancer, rows = decode_request(payload, value_size)
+                chosen = set(balancer.tolist())
+                if max(chosen) >= self._store.config.num_load_balancers:
+                    raise WireError("request names an unknown load balancer")
+                payload = req_id, balancer, rows, chosen
+            items.append((kind, payload))
+        return items
+
+    async def _take_requests(
+        self, conn: _Connection, session: Optional[_Session],
+        req_id, balancer, rows, chosen: Set[int],
+    ) -> bool:
+        """Admit, queue and ticket one chunk of decoded request rows.
+
+        Returns ``False`` once the connection must close (a fatal error
+        was sent, or the peer is gone).
+        """
+        count = len(rows)
+        # Backpressure: stop reading this socket while the chunk does not
+        # fit the connection's window (a chunk larger than the whole
+        # window waits for an empty one).
+        while conn.inflight and (
+            conn.inflight + count > self.max_pending_per_connection
+        ):
+            conn.room.clear()
+            await conn.room.wait()
+        room = None
+        if self.max_open_tickets is not None:
+            room = self.max_open_tickets - self._open_tickets
+        verdicts = b""
+        if self._draining or session is not None or (
+            room is not None and room < count
+        ):
+            admit, shed = intake_masks(
+                req_id.tolist(), draining=self._draining, room=room,
+                seen=None if session is None else session.seen,
+            )
+            kind, stat, metric = (
+                (FrameKind.SHUTTING_DOWN, "shed_while_draining",
+                 "serve_shutting_down_total") if self._draining
+                else (FrameKind.BUSY, "busy_rejections", "serve_busy_total")
+            )
+            rejected, admitted = int(shed.sum()), int(admit.sum())
+            if rejected:
+                self.stats[stat] += rejected
+                self.telemetry.counter(metric).inc(rejected)
+                verdicts = encode_u64_frames(kind, req_id[shed])
+            if count - admitted - rejected:
+                # Resent after a reconnect; the original is pending or
+                # buffered — exactly-once holds, drop the copy.
+                self.stats["duplicate_requests"] += count - admitted - rejected
+                self.telemetry.counter("serve_duplicate_requests_total").inc(
+                    count - admitted - rejected
                 )
-                await transport.drain()
-            elif kind == FrameKind.PING:
-                transport.send(FrameKind.PONG)
-                await transport.drain()
-            else:
-                await self._send_error(
-                    transport,
-                    f"unexpected frame kind {kind} on the front door",
+            if admitted < count:
+                keep = np.flatnonzero(admit)
+                req_id, balancer, rows = (
+                    req_id[keep], balancer[keep], rows.take(keep)
                 )
-                return
+                chosen = set(balancer.tolist())
+        for choice in sorted(chosen):
+            ids, part = req_id, rows
+            if len(chosen) > 1:
+                keep = np.flatnonzero(balancer == choice)
+                ids, part = req_id[keep], rows.take(keep)
+            try:
+                ticket = self._store.submit(
+                    part, choice if choice >= 0 else None
+                )
+            except Exception as exc:
+                await self._send_error(conn.transport, repr(exc))
+                return False
+            self._admitted(conn, session, ids, ticket)
+        if verdicts:
+            conn.transport.send_frames(verdicts)
+            try:
+                await conn.transport.drain()
+            except TransportError:
+                return False
+        return True
+
+    def _admitted(self, conn, session, req_id, ticket: Ticket) -> None:
+        """Account one submitted ticket and hook its reply delivery."""
+        conn.inflight += ticket.count
+        self._open_tickets += ticket.count
+        self.stats["requests"] += ticket.count
+        self.stats["peak_open_tickets"] = max(
+            self.stats["peak_open_tickets"], self._open_tickets
+        )
+        self.telemetry.counter("serve_requests_total").inc(ticket.count)
+        self.telemetry.gauge("serve_open_tickets").set(self._open_tickets)
+        self.telemetry.gauge("serve_open_tickets_peak").set_max(
+            self._open_tickets
+        )
+        if session is not None:
+            session.seen.update(req_id.tolist())
+        ticket.add_done_callback(
+            functools.partial(self._queue_reply, conn, session, req_id)
+        )
+        if ticket.done:
+            # Resolved before the callback was registered: it ran inline,
+            # possibly after its epoch's wake-up.
+            self._wake_drain()
+
+    def _queue_reply(self, conn, session, req_id, ticket: Ticket) -> None:
+        """Done-callback of one ticket (match thread): queue it, no work."""
+        self._resolved.append((conn, session, req_id, ticket))
 
     async def _handle_session(
         self,
@@ -583,10 +734,12 @@ class SnoopyServer:
             encode_session(session.session_id, session.next_seq - 1),
         )
         # Replay everything the client missed, in delivery order.
-        for _seq, _req_id, resp_payload in session.buffer:
-            self.stats["replayed_responses"] += 1
-            self.telemetry.counter("serve_replayed_responses_total").inc()
-            transport.send(FrameKind.RESPONSE, resp_payload)
+        for _first, req_ids, frames in session.buffer:
+            self.stats["replayed_responses"] += len(req_ids)
+            self.telemetry.counter("serve_replayed_responses_total").inc(
+                len(req_ids)
+            )
+            transport.send_frames(frames)
         await transport.drain()
         return session
 
@@ -616,42 +769,57 @@ class SnoopyServer:
             self._loop.call_soon_threadsafe(self._drain_resolved)
 
     def _drain_resolved(self) -> None:
-        """Deliver every queued resolved ticket, in resolution order."""
+        """Deliver every queued resolved ticket: one encoded array per
+        connection (and session), in resolution order."""
         self._drain_scheduled = False
         resolved = self._resolved
+        by_connection: Dict[tuple, list] = {}
         while resolved:
-            self._complete_on_loop(*resolved.popleft())
+            conn, session, req_id, ticket = resolved.popleft()
+            by_connection.setdefault((conn, session), []).append(
+                (req_id, ticket)
+            )
+        for (conn, session), replies in by_connection.items():
+            self._deliver(conn, session, replies)
+        self.telemetry.gauge("serve_open_tickets").set(self._open_tickets)
 
-    def _complete_on_loop(
-        self, session, transport, pending, req_id, ticket
-    ) -> None:
-        """Deliver one resolved ticket's RESPONSE (event-loop thread).
+    def _deliver(self, conn: _Connection, session: Optional[_Session],
+                 replies: list) -> None:
+        """Encode and send one connection's resolved tickets (loop thread).
 
-        Counts the response when it resolves; sessionless responses to a
-        closed connection are dropped (PR 6 behaviour), session-bound
+        Counts the responses when they resolve; sessionless responses to
+        a closed connection are dropped (PR 6 behaviour), session-bound
         ones are buffered and replayed on resume.
         """
-        self._open_tickets -= 1
-        self.telemetry.gauge("serve_open_tickets").set(self._open_tickets)
-        pending.release()
-        delivery_seq = 0
+        tickets = [ticket for _, ticket in replies]
+        counts = [ticket.count for ticket in tickets]
+        count = sum(counts)
+        self._open_tickets -= count
+        conn.inflight -= count
+        conn.room.set()
+        rows = Ticket.gather(tickets)
+        first = delivery_seq = 0
         if session is not None:
-            delivery_seq = session.next_seq
-            session.next_seq += 1
-        payload = encode_response(
-            req_id,
-            ticket.result(),
-            self.value_size,
-            load_balancer=ticket.load_balancer,
-            arrival=ticket.arrival,
-            epoch=ticket.epoch,
+            first = delivery_seq = session.next_seq
+            session.next_seq += count
+            delivery_seq = np.arange(first, first + count)
+        req_id = np.concatenate([req_id for req_id, _ in replies])
+        frames = encode_response(
+            req_id, rows,
+            load_balancer=np.repeat(
+                [ticket.load_balancer for ticket in tickets], counts
+            ),
+            arrival=rows.arrival,
+            epoch=np.repeat([ticket.epoch for ticket in tickets], counts),
             delivery_seq=delivery_seq,
         )
-        self.stats["responses"] += 1
-        self.telemetry.counter("serve_responses_total").inc()
+        self.stats["responses"] += count
+        self.telemetry.counter("serve_responses_total").inc(count)
+        transport = conn.transport
         if session is not None:
-            session.buffer.append((delivery_seq, req_id, payload))
-            if len(session.buffer) > self.session_buffer_cap:
+            session.buffer.append((first, req_id.tolist(), frames))
+            session.buffered += count
+            if session.buffered > self.session_buffer_cap:
                 # The client is not acking (or gone for good): expire
                 # the session so memory stays bounded.  A later resume
                 # attempt gets a typed "expired" error.
@@ -660,13 +828,9 @@ class SnoopyServer:
                     session.transport.close()
                     session.transport = None
                 return
-            live = session.transport
-            if live is not None and not live.is_closing():
-                live.send(FrameKind.RESPONSE, payload)
-            return
-        if transport.is_closing():
-            return  # sessionless + disconnected: response has no home
-        transport.send(FrameKind.RESPONSE, payload)
+            transport = session.transport
+        if transport is not None and not transport.is_closing():
+            transport.send_frames(frames)
 
     async def _send_plain(self, writer, kind: int, payload: bytes) -> None:
         """Best-effort plaintext frame (pre-channel handshake errors)."""

@@ -121,6 +121,22 @@ class TracingSubOram(SubOram):
         self._store = tracing
 
 
+def matched_rows(responses, value_size: int = 1):
+    """A balancer's matched rows (what ``match_responses`` returns) holding
+    ``responses``, for resolving a ticket cut by hand."""
+    from repro.oblivious.soa import Batch, values_to_matrix
+
+    value, has_value = values_to_matrix(
+        [r.value for r in responses], value_size
+    )
+    return Batch.filled(
+        len(responses), value_size, value=value, has_value=has_value,
+        key=[r.key for r in responses],
+        client_id=[r.client_id for r in responses],
+        seq=[r.seq for r in responses], permitted=[r.ok for r in responses],
+    )
+
+
 def tracing_factory(suboram_id, config, keychain):
     """suboram_factory building trace-recording subORAMs."""
     return TracingSubOram(

@@ -6,9 +6,15 @@ from repro.core.config import SnoopyConfig
 from repro.core.snoopy import Snoopy
 from repro.errors import ConfigurationError
 from repro.loadbalancer.balancer import LoadBalancer
+from repro.oblivious.soa import Batch
 from repro.types import OpType, Request
 
 KEY = b"sharding-key-0123456789abcdef..."
+
+
+def rows(*requests):
+    """One intake chunk of ``requests`` (4-byte values)."""
+    return Batch.from_requests(requests, 4)
 
 
 def make_deployment(num_suborams=2, num_objects=30):
@@ -38,8 +44,11 @@ class TestEpochs:
 
     def test_submit_returns_arrival_index(self):
         balancer = LoadBalancer(0, 2, KEY, value_size=4, security_parameter=16)
-        assert balancer.submit(Request(OpType.READ, 1)) == 0
-        assert balancer.submit(Request(OpType.READ, 2)) == 1
+        assert balancer.submit(rows(Request(OpType.READ, 1))) == 0
+        assert balancer.submit(rows(Request(OpType.READ, 2))) == 1
+        assert balancer.submit(rows(*[Request(OpType.READ, 3)] * 3)) == 2
+        assert balancer.submit(rows(Request(OpType.READ, 4))) == 5
+        assert balancer.pending == 6
 
     def test_read_write_cycle(self):
         _, store = make_deployment()

@@ -19,6 +19,7 @@ from repro.errors import (
     WorkerCrashError,
 )
 from repro.loadbalancer.balancer import LoadBalancer
+from repro.oblivious.soa import Batch
 from repro.suboram.suboram import SubOram
 from repro.telemetry import Telemetry
 from repro.types import OpType, Request
@@ -117,7 +118,7 @@ class TestRollbackAndRequeue:
 
     def test_requeue_rolls_back_the_epoch_counter(self):
         balancer = LoadBalancer(0, 2, b"k" * 16, value_size=4, security_parameter=16)
-        balancer.submit(Request(OpType.READ, 1))
+        balancer.submit(Batch.from_requests([Request(OpType.READ, 1)], 4))
         drained = balancer.drain()
         assert balancer.epochs_processed == 1
         balancer.requeue(drained)
@@ -126,12 +127,12 @@ class TestRollbackAndRequeue:
 
     def test_requeued_requests_go_ahead_of_new_submissions(self):
         balancer = LoadBalancer(0, 2, b"k" * 16, value_size=4, security_parameter=16)
-        balancer.submit(Request(OpType.READ, 1, seq=1))
+        balancer.submit(Batch.from_requests([Request(OpType.READ, 1, seq=1)], 4))
         drained = balancer.drain()
-        balancer.submit(Request(OpType.READ, 2, seq=2))
+        balancer.submit(Batch.from_requests([Request(OpType.READ, 2, seq=2)], 4))
         balancer.requeue(drained)
         redrained = balancer.drain()
-        assert [r.seq for r in redrained] == [1, 2]
+        assert Batch.concat(redrained).seq.tolist() == [1, 2]
 
 
 def stage_runs(store, stage):

@@ -659,8 +659,8 @@ class TestLoadBalancerStages:
         batches, originals, _ = generate_batches(requests, 3, KEY, 16,
                                                  value_size=4)
         responses = _answer(batches, lambda key: bytes([key % 256]) * 4)
-        py = match_responses(originals, responses, kernel="python")
-        np_ = match_responses(originals, responses, kernel="numpy")
+        py = match_responses(originals, responses, kernel="python").responses()
+        np_ = match_responses(originals, responses, kernel="numpy").responses()
         assert [r.__dict__ for r in py] == [r.__dict__ for r in np_]
         assert [r.value for r in py] == [
             bytes([r.key % 256]) * 4 for r in requests

@@ -27,7 +27,7 @@ def run_pipeline(requests, num_suborams=3, store=None):
     )
     before = originals.to_bytes()
     responses = answer(batches, store.get)
-    results = match_responses(originals, responses)
+    results = match_responses(originals, responses).responses()
     assert originals.to_bytes() == before  # matching reads, never writes
     return results
 
@@ -82,7 +82,7 @@ class TestMatching:
             value_size=VS,
         )
         responses = answer(batches, lambda key: b"secr")
-        [result] = match_responses(originals, responses)
+        [result] = match_responses(originals, responses).responses()
         assert result.value is None
         assert result.ok is False
 

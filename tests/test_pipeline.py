@@ -32,6 +32,7 @@ from tests.harness import (
     attested_cluster,
     build_store,
     differential_run,
+    matched_rows,
     run_workload,
     seeded_workload,
 )
@@ -415,7 +416,7 @@ class TestTicketCuts:
     def test_cut_snapshots_and_clears_pending(self):
         book = TicketBook(2)
         t0 = book.issue(0, 0)
-        t1 = book.issue(1, 0)
+        t1 = book.issue(1, 0, count=2)
         cut = book.cut()
         assert cut == [[t0], [t1]]
         # New issues land in a fresh pending epoch.
@@ -429,7 +430,8 @@ class TestTicketCuts:
         cut = book.cut()
         t1 = book.issue(0, 0)  # next epoch's ticket stays pending
         resolved = TicketBook.resolve_cut(
-            cut, [[Response(key=1, value=b"x")], []], epoch=7
+            cut, [matched_rows([Response(key=1, value=b"x")]),
+                  matched_rows([])], epoch=7
         )
         assert resolved == 1
         assert t0.done and t0.epoch == 7
@@ -446,7 +448,8 @@ class TestTicketCuts:
         # A later resolve sees the restored ticket first (arrival order).
         resolved = TicketBook.resolve_cut(
             book.cut(),
-            [[Response(key=1, value=b"a"), Response(key=2, value=b"b")]],
+            [matched_rows([Response(key=1, value=b"a"),
+                           Response(key=2, value=b"b")])],
             epoch=3,
         )
         assert resolved == 2

@@ -82,7 +82,7 @@ class TestBatchPipelineProperties:
             entry.value = store.get(entry.key)
         results = match_responses(
             originals, Batch.from_entries(responses, 4)
-        )
+        ).responses()
         assert [r.key for r in results] == [r.key for r in requests]
         for result in results:
             assert result.value == store[result.key]

@@ -9,6 +9,8 @@ leave tickets pending/requeued and the store identical to a fault-free
 run.
 """
 
+import asyncio
+import inspect
 import socket
 import struct
 import threading
@@ -18,15 +20,19 @@ import pytest
 from tests.harness import assert_equivalent, build_store, seeded_workload
 from repro.core.client import SnoopyClient
 from repro.core.config import SnoopyConfig
+from repro.core.pipeline import EpochPipeline
 from repro.core.snoopy import Snoopy
+from repro.core.tickets import Ticket
 from repro.core.wire import (
     HELLO_SIZE,
     SUPPORTED_WIRE_VERSIONS,
     WIRE_MAGIC,
     FrameKind,
     Role,
+    decode_response,
     decode_version_reject,
     encode_hello,
+    encode_request,
 )
 from repro.errors import (
     ConfigurationError,
@@ -40,7 +46,10 @@ from repro.serve import (
     WorkerCluster,
     run_loadgen,
 )
+from repro.serve import server as server_module
 from repro.serve.protocol import recv_frame, send_all
+from repro.serve.secure import AsyncFrameTransport, secure_handshake_async
+from repro.serve.server import intake_masks
 from repro.types import OpType, Request
 
 MASTER = b"serve-differential-master-key"
@@ -698,3 +707,202 @@ class TestDifferentialHarnessStillHolds:
             num_suborams=2,
         )
         assert_equivalent(runs)
+
+
+# ---------------------------------------------------------------------------
+# The columnar front door
+# ---------------------------------------------------------------------------
+def _request_frames(count, *, keys=None, writes=(), balancers=None):
+    """``count`` REQUEST frames (req_ids 1..count) as (kind, payload)."""
+    keys = [row % 36 for row in range(count)] if keys is None else keys
+    frames = []
+    for row in range(count):
+        write = row in writes
+        request = Request(
+            OpType.WRITE if write else OpType.READ, keys[row],
+            bytes([row + 1]) * VALUE if write else None, client_id=7,
+            seq=row,
+        )
+        frames.append((FrameKind.REQUEST, encode_request(
+            row + 1, request, VALUE,
+            load_balancer=-1 if balancers is None else balancers[row],
+        )))
+    return frames
+
+
+def _exchange(handle, records, until):
+    """Send each record (a list of frames) as one sealed record, then
+    collect frames until ``until(frames)``; returns what arrived."""
+
+    async def run():
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", handle.port
+        )
+        _version, _role, pair = await secure_handshake_async(
+            reader, writer, Role.CLIENT, trust=handle.trust, attested=True,
+        )
+        transport = AsyncFrameTransport(reader, writer, pair)
+        try:
+            kind, _ = await transport.recv()
+            assert kind == FrameKind.INIT
+            for frames in records:
+                for kind, payload in frames:
+                    transport.send(kind, payload)
+                await transport.drain()  # flushes: one record
+            received = []
+            while not until(received):
+                received.append(
+                    await asyncio.wait_for(transport.recv(), 10)
+                )
+            return received
+        finally:
+            transport.close()
+
+    return asyncio.run(run())
+
+
+def _responses(frames):
+    return [p for k, p in frames if k == FrameKind.RESPONSE]
+
+
+def _counting(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+class TestColumnarFrontDoor:
+    """A sealed record of K REQUEST frames costs a fixed number of
+    intake, resolve and reply-encode calls, whatever K."""
+
+    @pytest.mark.parametrize("count", [1, 6, 40])
+    def test_fixed_work_per_record(self, count, monkeypatch):
+        calls = []
+        monkeypatch.setattr(EpochPipeline, "submit", _counting(
+            calls, "submit", EpochPipeline.submit
+        ))
+        monkeypatch.setattr(Ticket, "_resolve", _counting(
+            calls, "resolve", Ticket._resolve
+        ))
+        monkeypatch.setattr(server_module, "encode_response", _counting(
+            calls, "encode", server_module.encode_response
+        ))
+        store = make_store()
+        with store, ServerThread(store, clock=False) as handle:
+            handle.start()
+            unpinned = _request_frames(count)
+            received = _exchange(
+                handle,
+                [unpinned, [(FrameKind.CLOSE_EPOCH, struct.pack(">I", 1))]],
+                lambda frames: len(_responses(frames)) == count,
+            )
+            assert calls.count("submit") == 1
+            assert calls.count("resolve") == 1
+            assert calls.count("encode") == 1
+            values = [
+                decode_response(p, VALUE)[1].value for p in _responses(received)
+            ]
+            assert values == [bytes([k % 36]) * VALUE for k in range(count)]
+
+            # Rows pinned to both balancers: one submit, one ticket and
+            # one resolve per balancer touched; still one encode.
+            del calls[:]
+            pinned = _request_frames(
+                count, balancers=[row % 2 for row in range(count)]
+            )
+            received = _exchange(
+                handle,
+                [pinned, [(FrameKind.CLOSE_EPOCH, struct.pack(">I", 1))]],
+                lambda frames: len(_responses(frames)) == count,
+            )
+            touched = min(count, 2)
+            assert calls.count("submit") == touched
+            assert calls.count("resolve") == touched
+            assert calls.count("encode") == 1
+            placements = sorted(
+                decode_response(p, VALUE)[2][:2] for p in _responses(received)
+            )
+            assert placements == sorted(
+                (row % 2, row // 2) for row in range(count)
+            )
+
+    @pytest.mark.parametrize("bad_row", [0, 3, 5])
+    def test_malformed_row_refuses_the_whole_record(self, bad_row):
+        """One bad REQUEST frame refuses its record with one ERROR frame,
+        the same wherever it sits, and none of the record's rows is
+        queued — not even those before it."""
+        store = make_store()
+        with store, ServerThread(store, clock=False) as handle:
+            handle.start()
+            frames = _request_frames(6, writes={1, 4})
+            kind, payload = frames[bad_row]
+            payload = bytearray(payload)
+            payload[8] = 7  # the op code byte
+            frames[bad_row] = (kind, bytes(payload))
+            received = _exchange(handle, [frames], lambda f: len(f) == 1)
+            assert received == [(
+                FrameKind.ERROR, b"unknown op code in a request frame"
+            )]
+            assert handle.server.stats["requests"] == 0
+            assert sum(b.pending for b in store.load_balancers) == 0
+
+
+class TestIntakeMasksArePublic:
+    """Shed and dedupe decisions see the open-ticket room, the draining
+    flag and the session's own req_ids — never keys, values or ops."""
+
+    def test_masks_take_no_row_contents(self):
+        params = inspect.signature(intake_masks).parameters
+        assert list(params) == ["req_ids", "draining", "room", "seen"]
+
+    @pytest.mark.parametrize("draining", [False, True])
+    @pytest.mark.parametrize("room", [None, 0, 2, 9])
+    def test_masks(self, draining, room):
+        req_ids = [5, 6, 5, 7, 8, 9]
+        admit, shed = intake_masks(
+            req_ids, draining=draining, room=room, seen={6},
+        )
+        assert not (admit & shed).any()
+        if draining:
+            assert shed.all()
+            return
+        busy = shed
+        # Rows 1 (seen) and 2 (repeats row 0) are duplicates.
+        fresh_before = [0, 1, 1, 1, 2, 3]
+        expected_busy = [
+            room is not None and before >= room for before in fresh_before
+        ]
+        assert busy.tolist() == expected_busy
+        assert admit.tolist() == [
+            fresh and not b
+            for fresh, b in zip([1, 0, 0, 1, 1, 1], expected_busy)
+        ]
+
+    def test_shed_frames_do_not_depend_on_row_contents(self):
+        """Two same-shape records that differ only in keys, values and
+        the read/write mix get byte-identical BUSY verdicts and the same
+        admitted count at the same open-ticket count."""
+        outcomes = []
+        for keys, writes in (
+            (list(range(6)), set()),
+            ([30, 2, 17, 2, 9, 35], {0, 2, 3}),
+        ):
+            store = make_store()
+            with store, ServerThread(
+                store, clock=False, max_open_tickets=4
+            ) as handle:
+                handle.start()
+                received = _exchange(
+                    handle, [_request_frames(6, keys=keys, writes=writes)],
+                    lambda frames: len(frames) == 2,
+                )
+                outcomes.append(
+                    (received, handle.server.stats["requests"])
+                )
+        assert outcomes[0] == outcomes[1]
+        busy, admitted = outcomes[0]
+        assert busy == [(FrameKind.BUSY, struct.pack(">Q", 5)),
+                        (FrameKind.BUSY, struct.pack(">Q", 6))]
+        assert admitted == 4

@@ -10,7 +10,7 @@ from repro.core.tickets import Ticket, TicketBook
 from repro.errors import TicketPendingError
 from repro.types import OpType, Request, Response
 
-from tests.harness import attested_cluster
+from tests.harness import attested_cluster, matched_rows
 
 
 @pytest.fixture
@@ -120,16 +120,21 @@ class TestDoneCallbacks:
         assert order == ["a", "b"]
 
     def test_callback_sees_resolved_ticket(self):
-        ticket = Ticket(0, 0, Request(OpType.READ, 9))
+        book = TicketBook(1)
+        ticket = book.issue(0, 0, request=Request(OpType.READ, 9))
         captured = {}
 
         def on_done(t):
             captured["done"] = t.done
             captured["epoch"] = t.epoch
+            captured["ticket"] = t
 
         ticket.add_done_callback(on_done)
-        ticket._resolve(Response(key=9, value=b"v"), epoch=4)
-        assert captured == {"done": True, "epoch": 4}
+        TicketBook.resolve_cut(
+            book.cut(), [matched_rows([Response(key=9, value=b"v")])], epoch=4
+        )
+        assert captured == {"done": True, "epoch": 4, "ticket": ticket}
+        assert ticket.result() == Response(key=9, value=b"v")
 
     def test_callbacks_under_pipelined_resolution(self):
         """Callbacks registered on the submitting thread fire for tickets
@@ -157,9 +162,9 @@ class TestTicketBook:
     def test_issue_and_pending_counts(self):
         book = TicketBook(2)
         book.issue(0, 0)
-        book.issue(0, 1)
+        book.issue(0, 1, count=3)
         book.issue(1, 0)
-        assert book.pending(0) == 2
+        assert book.pending(0) == 4
         assert book.pending(1) == 1
 
     def test_resolve_clears_pending(self):
@@ -167,15 +172,18 @@ class TestTicketBook:
         ticket = book.issue(0, 0)
         cut = book.cut()
         assert book.pending(0) == 0
-        TicketBook.resolve_cut(cut, [[Response(key=1, value=b"x")]], epoch=3)
+        TicketBook.resolve_cut(
+            cut, [matched_rows([Response(key=1, value=b"x")])], epoch=3
+        )
         assert ticket.result().key == 1
         assert ticket.epoch == 3
 
     def test_resolve_length_mismatch_raises(self):
         book = TicketBook(1)
-        book.issue(0, 0)
+        issued = book.issue(0, 0)
         with pytest.raises(AssertionError):
-            TicketBook.resolve_cut(book.cut(), [[]], epoch=1)
+            TicketBook.resolve_cut(book.cut(), [matched_rows([])], epoch=1)
+        assert not issued.done
 
 
 class TestDistributedTickets:

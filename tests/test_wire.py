@@ -13,15 +13,18 @@ from repro.core.wire import (
     decode_frame_header,
     decode_hello,
     decode_request,
+    decode_requests,
     decode_response,
     decode_txn,
     encode_frame,
     encode_hello,
     encode_request,
     encode_response,
+    encode_responses,
     encode_txn,
     request_size,
     response_size,
+    split_record,
 )
 from repro.errors import CapacityError
 from repro.oblivious.soa import BATCH_HEADER_SIZE, BATCH_ROW_SIZE, Batch
@@ -412,3 +415,99 @@ class TestPropertyRoundtrip:
                 assert entries_equal(a, b)
 
         check()
+
+
+class TestArrayCodec:
+    """The columnar codec against the one-frame struct packers."""
+
+    def test_request_record_decodes_like_each_frame(self):
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        requests_strategy = st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=2**64 - 1),
+                st.builds(
+                    Request,
+                    op=st.just(OpType.READ),
+                    key=st.integers(min_value=-(2**63), max_value=2**63 - 1),
+                    client_id=st.integers(min_value=0, max_value=2**64 - 1),
+                    seq=st.integers(min_value=0, max_value=2**64 - 1),
+                ) | st.builds(
+                    Request,
+                    op=st.just(OpType.WRITE),
+                    key=st.integers(min_value=-(2**63), max_value=2**63 - 1),
+                    value=st.binary(min_size=6, max_size=6),
+                    client_id=st.integers(min_value=0, max_value=2**64 - 1),
+                    seq=st.integers(min_value=0, max_value=2**64 - 1),
+                ),
+                st.integers(min_value=-1, max_value=3),
+            ),
+            min_size=1, max_size=12,
+        )
+
+        @given(requests_strategy)
+        @settings(max_examples=60, deadline=None)
+        def check(rows):
+            record = b"".join(
+                encode_frame(
+                    FrameKind.REQUEST, encode_request(i, r, 6, load_balancer=b)
+                )
+                for i, r, b in rows
+            )
+            req_ids, balancers, batch = decode_requests(record, 6)
+            assert req_ids.tolist() == [i for i, _, _ in rows]
+            assert balancers.tolist() == [b for _, _, b in rows]
+            assert [
+                Request(e.op, e.key, e.value, e.client_id, e.seq)
+                for e in batch.entries()
+            ] == [r for _, r, _ in rows]
+
+        check()
+
+    def test_response_array_decodes_like_each_frame(self):
+        responses = [
+            Response(key=k - 3, value=None if k % 3 else bytes([k]) * 6,
+                     client_id=k, seq=2**64 - 1 - k, ok=bool(k % 2))
+            for k in range(7)
+        ]
+        rows = Batch.filled(
+            7, 6, key=[r.key for r in responses],
+            value=[list(r.value or bytes(6)) for r in responses],
+            has_value=[r.value is not None for r in responses],
+            client_id=[r.client_id for r in responses],
+            seq=[r.seq for r in responses], permitted=[r.ok for r in responses],
+        )
+        frames = encode_responses(
+            list(range(100, 107)), rows, load_balancer=1,
+            arrival=list(range(7)), epoch=9, delivery_seq=list(range(5, 12)),
+        )
+        size = FRAME_HEADER_SIZE + response_size(6)
+        assert len(frames) == 7 * size
+        for k, response in enumerate(responses):
+            frame = frames[k * size:(k + 1) * size]
+            assert decode_frame_header(frame) == (
+                FrameKind.RESPONSE, response_size(6)
+            )
+            assert decode_response(frame[FRAME_HEADER_SIZE:], 6) == (
+                100 + k, response, (1, k, 9), 5 + k
+            )
+
+    def test_split_record_keeps_request_runs_whole(self):
+        request = encode_frame(
+            FrameKind.REQUEST, encode_request(1, Request(OpType.READ, 1), 6)
+        )
+        record = (
+            encode_frame(FrameKind.SESSION, bytes(16)) + request * 2
+            + encode_frame(FrameKind.PING) + request
+        )
+        assert split_record(record) == [
+            (FrameKind.SESSION, bytes(16)),
+            (FrameKind.REQUEST, request * 2),
+            (FrameKind.PING, b""),
+            (FrameKind.REQUEST, request),
+        ]
+        assert split_record(request * 3) == [(FrameKind.REQUEST, request * 3)]
+        for bad in (b"", request[:-1], request + b"\x01"):
+            with pytest.raises(WireError):
+                split_record(bad)
