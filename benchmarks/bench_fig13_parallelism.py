@@ -4,20 +4,10 @@ Paper: (a) multi-thread bitonic sort wins for large inputs but loses to a
 single thread below a crossover, motivating the adaptive strategy; (b)
 extra enclave threads cut subORAM batch processing (batch 4K).
 
-(c) is this reproduction's own engine measurement: real epochs of the
-functional system under the serial vs thread execution backends
-(latency-wrapped subORAMs model per-machine network/enclave time), with
-the measured speedups written to ``BENCH_parallelism.json``.  Set
-``SNOOPY_BENCH_SMOKE=1`` for a reduced-size run (CI's smoke job).
+Both series come from the cost model.  Measured throughput and latency
+come from the served benchmark (``python3 bench/run.py``).
 """
 
-import json
-import os
-import pathlib
-
-import pytest
-
-from repro.sim.cluster import epoch_wallclock_series
 from repro.sim.costmodel import adaptive_sort_time, sort_time, suboram_time
 
 from conftest import report
@@ -25,7 +15,6 @@ from conftest import report
 SORT_SIZES = [2**10, 2**12, 2**14, 2**16]
 DATA_SIZES = [2**12, 2**15, 2**18, 2**21]
 BATCH = 4096
-SMOKE = os.environ.get("SNOOPY_BENCH_SMOKE") == "1"
 
 
 def test_fig13a_sort_parallelism(benchmark):
@@ -68,62 +57,3 @@ def test_fig13b_suboram_parallelism(benchmark):
         # Speedup approaches but does not exceed 3x.
         assert t1 / t3 <= 3.001
 
-
-def test_fig13c_execution_backend_speedup():
-    """Measured epoch wall-clock: thread backend vs serial reference.
-
-    Serial execution pays every subORAM's per-batch delay in sequence
-    (L*S delays per epoch); the thread backend overlaps them across
-    subORAMs, so the speedup grows with S.  Requires >= 1.5x at S >= 4.
-    Results land in ``BENCH_parallelism.json`` next to the repo root.
-    """
-    suboram_counts = [2, 4] if SMOKE else [2, 4, 8]
-    epochs = 2 if SMOKE else 3
-    rows = {}
-    stages = {}
-    for suborams in suboram_counts:
-        stage_sink = {}
-        series = epoch_wallclock_series(
-            ["serial", "thread"],
-            num_load_balancers=2,
-            num_suborams=suborams,
-            num_objects=64 if SMOKE else 128,
-            requests_per_epoch=16 if SMOKE else 32,
-            epochs=epochs,
-            batch_delay=0.01,
-            stage_sink=stage_sink,
-        )
-        rows[suborams] = {
-            "serial_s": series["serial"],
-            "thread_s": series["thread"],
-            "speedup": series["serial"] / max(series["thread"], 1e-9),
-        }
-        stages[str(suborams)] = stage_sink
-
-    lines = ["S     serial      thread      speedup"]
-    for suborams, row in rows.items():
-        lines.append(
-            f"{suborams:<4} {row['serial_s'] * 1e3:>8.1f}ms "
-            f"{row['thread_s'] * 1e3:>9.1f}ms {row['speedup']:>8.2f}x"
-        )
-    report("Fig 13c — execution-backend epoch speedup", "\n".join(lines))
-
-    out = pathlib.Path(__file__).resolve().parent.parent / "BENCH_parallelism.json"
-    out.write_text(json.dumps(
-        {
-            "benchmark": "fig13c_execution_backend_speedup",
-            "smoke": SMOKE,
-            "epochs": epochs,
-            "batch_delay_s": 0.01,
-            "results": {str(s): row for s, row in rows.items()},
-            "stages": stages,
-        },
-        indent=2,
-    ) + "\n")
-
-    for suborams, row in rows.items():
-        if suborams >= 4:
-            assert row["speedup"] >= 1.5, (
-                f"S={suborams}: thread backend speedup {row['speedup']:.2f}x "
-                "below the 1.5x acceptance bar"
-            )

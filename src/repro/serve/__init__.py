@@ -13,14 +13,15 @@ same client surface (:class:`~repro.core.client.SnoopyClient`):
   (:class:`~repro.serve.workers.RemoteSubOram` is the in-server proxy).
 * :class:`~repro.serve.netclient.NetworkSnoopyClient` — blocking TCP
   client implementing the protocol.
-* :func:`~repro.serve.loadgen.run_loadgen` — asyncio load generator
-  for throughput/latency measurement over real TCP.
+
+Throughput and latency over real TCP are measured by the served
+benchmark in ``bench/`` (its own load generator drives this package's
+server through :mod:`repro.serve.secure`).
 
 Everything speaks :mod:`repro.core.wire`: fixed-size frames behind a
 version-checked hello handshake.
 """
 
-from repro.serve.loadgen import run_loadgen, run_loadgen_async
 from repro.serve.netclient import NetworkSnoopyClient, NetworkTicket
 from repro.serve.server import ServerThread, SnoopyServer
 from repro.serve.workers import RemoteSubOram, WorkerCluster
@@ -32,6 +33,4 @@ __all__ = [
     "ServerThread",
     "SnoopyServer",
     "WorkerCluster",
-    "run_loadgen",
-    "run_loadgen_async",
 ]

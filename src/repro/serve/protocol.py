@@ -3,7 +3,7 @@
 One tiny layer sits between :mod:`repro.core.wire`'s pure encoders and
 the TCP endpoints: read or write an exact byte count or one frame, for both
 blocking sockets (the sync client and the subORAM worker channel) and
-asyncio streams (the load-balancer server and the load generator).
+asyncio streams (the load-balancer server).
 
 Failure mapping is deliberate: a peer that vanishes mid-frame (short
 read, reset connection) raises :class:`~repro.errors.TransportError` —
@@ -76,7 +76,7 @@ def recv_frame(sock: socket.socket) -> Tuple[int, bytes]:
 
 
 # ---------------------------------------------------------------------------
-# asyncio streams (server, load generator)
+# asyncio streams (server)
 # ---------------------------------------------------------------------------
 async def read_frame_async(
     reader: asyncio.StreamReader,

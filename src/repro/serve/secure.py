@@ -3,8 +3,8 @@
 The paper's threat model requires every channel to be established via
 remote attestation so clients "know they are communicating with
 legitimate enclaves".  This module gives every TCP hop — the front
-door (:mod:`repro.serve.server`, :mod:`repro.serve.netclient`,
-:mod:`repro.serve.loadgen`) and the balancer↔subORAM worker links
+door (:mod:`repro.serve.server`, :mod:`repro.serve.netclient`) and
+the balancer↔subORAM worker links
 (:mod:`repro.serve.workers`) — those guarantees:
 
 1. **Hello** — the fixed-size v2 hello
@@ -36,8 +36,8 @@ door (:mod:`repro.serve.server`, :mod:`repro.serve.netclient`,
 
 **Coalesced sealing.**  The async transport
 (:class:`AsyncFrameTransport`, used by the server's response path and
-the load generator) does not seal each inner frame separately: frames
-queued within one event-loop iteration — e.g. a whole epoch's response
+the served benchmark's load generator) does not seal each inner frame
+separately: frames queued within one event-loop iteration — e.g. a whole epoch's response
 fan-out to one connection — are concatenated and sealed as *one* outer
 record, greedily packed up to the outer record size limit.  One AEAD
 pass and one replay-window nonce replace one per response.  The receiving
@@ -602,7 +602,7 @@ def connect_transport(
 
 
 class AsyncFrameTransport:
-    """Asyncio counterpart of :class:`FrameTransport` (server, loadgen).
+    """Asyncio counterpart of :class:`FrameTransport` (the server).
 
     ``send`` buffers on the writer (callers drain when they need
     flow-control); ``recv`` awaits one whole frame.  The wire format is

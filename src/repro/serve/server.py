@@ -58,7 +58,7 @@ RESPONSE_ACK.  If the connection drops, the client reconnects, resumes
 the session, and the server replays every undelivered response —
 :class:`~repro.serve.netclient.NetworkSnoopyClient` builds its
 exactly-once reconnect story on this.  Connections that never send
-SESSION (e.g. the fire-hose load generator) remain cheap and
+SESSION (e.g. the served benchmark's load generator) remain cheap and
 sessionless.
 
 **Graceful shutdown.**  ``aclose()`` drains: the listener closes, new
@@ -234,8 +234,8 @@ class SnoopyServer:
             backpressure window described in the module docstring.
         attested: require the attested quote exchange and sealed frames
             on every connection (default).  ``False`` serves plaintext
-            (benchmark baselines; a mode mismatch with a client fails
-            closed at the handshake).
+            (a mode mismatch with a client fails closed at the
+            handshake).
         trust: the deployment's :class:`~repro.serve.secure.ServeTrust`.
             Defaults to ``ServeTrust.for_store(store)`` when attested —
             hand the same object (or its secret) to clients and
@@ -870,7 +870,7 @@ class SnoopyServer:
 class ServerThread:
     """Host a :class:`SnoopyServer` on a background event-loop thread.
 
-    The shape tests, benchmarks, and the load generator need: start the
+    The shape tests and benchmarks need: start the
     server, learn its bound port, drive it from ordinary blocking code,
     and tear it down deterministically::
 

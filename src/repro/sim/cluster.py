@@ -168,8 +168,6 @@ def epoch_wallclock_series(
     seed: int = 7,
     kernel: Optional[str] = None,
     stage_sink: Optional[Dict[str, list]] = None,
-    pipelined: bool = False,
-    pipeline_depth: Optional[int] = None,
 ) -> Dict[str, float]:
     """Measured mean epoch wall-clock for each execution backend.
 
@@ -191,14 +189,6 @@ def epoch_wallclock_series(
     backend's run (each run gets its own fresh
     :class:`~repro.telemetry.Telemetry` handle, so rows never mix across
     specs).  ``None`` (default) measures with telemetry off.
-
-    With ``pipelined=True`` each backend's run drives the same schedule
-    through the epoch pipeline (:meth:`~repro.core.snoopy.Snoopy.\
-start_pipeline` with the clock off — the measurement closes epochs
-    itself so both modes run identical epoch compositions): submissions
-    of epoch ``e+1`` and its close overlap the execute/match of ``e``,
-    so the reported mean epoch seconds reflect §6's throughput shape
-    rather than the sequential latency shape.
     """
     from repro.core.config import SnoopyConfig
     from repro.core.snoopy import Snoopy
@@ -238,27 +228,12 @@ start_pipeline` with the clock off — the measurement closes epochs
         ) as store:
             store.initialize(objects)
             start = time.perf_counter()
-            if pipelined:
-                pipeline = store.start_pipeline(
-                    depth=pipeline_depth, clock=False
-                )
-                for epoch_schedule in schedule:
-                    for key, balancer in epoch_schedule:
-                        store.submit(
-                            Request(OpType.READ, key),
-                            load_balancer=balancer,
-                        )
-                    pipeline.close_epoch()
-                pipeline.flush()
-                pipeline.stop()
-            else:
-                for epoch_schedule in schedule:
-                    for key, balancer in epoch_schedule:
-                        store.submit(
-                            Request(OpType.READ, key),
-                            load_balancer=balancer,
-                        )
-                    store.run_epoch()
+            for epoch_schedule in schedule:
+                for key, balancer in epoch_schedule:
+                    store.submit(
+                        Request(OpType.READ, key), load_balancer=balancer
+                    )
+                store.run_epoch()
             series[spec] = (time.perf_counter() - start) / epochs
         if stage_sink is not None:
             from repro.telemetry import stage_breakdown

@@ -13,9 +13,9 @@ Under :class:`~repro.exec.backend.SerialBackend` the injected intervals
 add up (one machine doing S machines' waiting in sequence); under
 :class:`~repro.exec.pools.ThreadPoolBackend` they overlap, so epoch
 wall-clock approaches ``max`` instead of ``sum`` — the shape of the
-paper's equation (1) and the effect Figure 13 measures.  This is what
-``benchmarks/bench_fig13_parallelism.py`` uses to demonstrate the
-execution engine's speedup.
+paper's equation (1) and the effect Figure 13 measures.
+:func:`repro.sim.cluster.epoch_wallclock_series` (the ``figures fig13``
+verb, ``benchmarks/bench_kernels.py``) times epochs over it.
 
 Results are unchanged by wrapping: ``LatencySubOram`` delegates every
 call to the wrapped subORAM.

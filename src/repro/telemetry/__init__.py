@@ -67,8 +67,8 @@ What gets instrumented when a ``Telemetry`` handle is threaded through
 CLI: ``python -m repro demo --metrics-out metrics.prom --trace-out
 trace.jsonl`` writes the Prometheus exposition and the JSON-lines trace,
 and the demo always prints an epoch-stage breakdown table.  The
-benchmarks emit the same spans, so ``BENCH_parallelism.json`` and
-``BENCH_kernels.json`` gain a ``stages`` section.
+benchmarks emit the same spans, so ``BENCH_kernels.json`` gains a
+``stages`` section.
 
 Off by default, cheap when off: every instrumentation point goes through
 a handle that defaults to :data:`NULL_TELEMETRY`, whose methods return

@@ -7,7 +7,9 @@ execute batch ``e``.  This module makes that claim measurable.
 :class:`StageIntervalRecorder` collects ``(stage, epoch, start, end)``
 wall-clock intervals from the pipeline's stage threads (thread-safe; the
 pipeline records one interval per stage per epoch).  Two pure functions
-turn the interval log into the numbers the benchmark and CI gate check:
+turn the interval log into the numbers
+:meth:`~repro.core.pipeline.EpochPipeline.overlap` and
+:meth:`~repro.core.pipeline.EpochPipeline.occupancy` report:
 
 * :func:`overlap_seconds` — total wall-clock during which a ``stage_a``
   interval of a *later* epoch ran concurrently with a ``stage_b``
@@ -15,8 +17,8 @@ turn the interval log into the numbers the benchmark and CI gate check:
   execute of ``e``).  Strictly positive overlap is the witness that the
   pipeline is more than sequential stages behind a lock.
 * :func:`occupancy_table` — per-stage busy seconds, wall-clock span, and
-  occupancy fraction (busy/span); the stage-occupancy table
-  ``BENCH_pipeline.json`` publishes.
+  occupancy fraction (busy/span); the stage-occupancy table the
+  ``demo --pipelined`` verb prints.
 
 Everything here is public information: stage timings are wall-clock
 facts the host already observes (SECURITY.md "Telemetry is public

@@ -6,7 +6,6 @@ Commands:
 * ``figures`` — print the modelled series behind the paper's figures.
 * ``demo``    — stand up a tiny in-process deployment and exercise it.
 * ``serve``   — expose a deployment over TCP (the network front door).
-* ``loadgen`` — drive a running server and report throughput/latency.
 * ``chaos-net`` — the deterministic network-chaos soak (differential
   robustness check over the attested stack; exit 1 on mismatch).
 * ``tune``    — record or load a workload trace and sweep configurations
@@ -14,9 +13,11 @@ Commands:
   emitted config and checks the measurement reproduces).
 * ``info``    — library version and default cost-model constants.
 
-``serve`` and ``loadgen`` follow the machine-readable convention:
-structured results are JSON on **stdout**, human progress goes to
-**stderr**, so ``python -m repro loadgen ... > stats.json`` just works.
+``serve``, ``chaos-net`` and ``tune`` follow the machine-readable
+convention: structured results are JSON on **stdout**, human progress
+goes to **stderr**, so ``python -m repro chaos-net ... > report.json``
+just works.  Throughput and latency over TCP are measured by the served
+benchmark (``python3 bench/run.py``), not by a CLI verb.
 """
 
 from __future__ import annotations
@@ -163,50 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "sealed channels; clients must present the "
                             "same secret (default: a well-known dev "
                             "secret — override it for anything real)")
-    serve.add_argument("--plaintext", action="store_true",
-                       help="disable channel attestation and sealing "
-                            "(benchmark baselines only; attested "
-                            "clients will refuse to connect)")
-
-    loadgen = sub.add_parser(
-        "loadgen", help="drive a running server over TCP and report stats"
-    )
-    loadgen.add_argument("--host", type=str, default="127.0.0.1")
-    loadgen.add_argument("--port", type=int, required=True)
-    loadgen.add_argument("--requests", type=int, default=10_000)
-    loadgen.add_argument("--connections", type=int, default=4)
-    loadgen.add_argument("--window", type=int, default=256,
-                         help="open requests kept in flight per "
-                              "connection (default 256)")
-    loadgen.add_argument("--keys", type=int, default=1000,
-                         help="keyspace size requests draw from")
-    loadgen.add_argument("--write-fraction", type=float, default=0.5)
-    loadgen.add_argument("--seed", type=int, default=0)
-    loadgen.add_argument("--workload", type=str, default=None,
-                         metavar="SPEC",
-                         help="drive a seeded repro.workloads generator "
-                              "instead of the inline uniform stream: "
-                              "uniform, zipf[:s], tenant[:NxK], or a "
-                              "WorkloadSpec JSON path")
-    loadgen.add_argument("--trace-in", type=str, default=None,
-                         metavar="PATH",
-                         help="replay a recorded trace file over the "
-                              "wire (overrides --requests/--workload)")
-    loadgen.add_argument("--trace-out", type=str, default=None,
-                         metavar="PATH",
-                         help="record every request sent (with "
-                              "client-side timestamps) as a replayable "
-                              "trace file at PATH")
-    loadgen.add_argument("--out", type=str, default=None, metavar="PATH",
-                         help="also write the JSON stats to PATH")
-    loadgen.add_argument("--trust-secret", type=str,
-                         default="snoopy-dev-trust", metavar="SECRET",
-                         help="trust secret matching the server's "
-                              "(attested sealed channels; the default "
-                              "matches serve's default)")
-    loadgen.add_argument("--plaintext", action="store_true",
-                         help="connect without attestation (the server "
-                              "must also run --plaintext)")
 
     chaos = sub.add_parser(
         "chaos-net",
@@ -515,9 +472,7 @@ def cmd_serve(args) -> int:
     def log(message: str) -> None:
         print(message, file=sys.stderr, flush=True)
 
-    trust = None
-    if not args.plaintext:
-        trust = ServeTrust(args.trust_secret.encode("utf-8"))
+    trust = ServeTrust(args.trust_secret.encode("utf-8"))
     config = SnoopyConfig(
         num_load_balancers=args.balancers,
         num_suborams=args.suborams,
@@ -542,9 +497,7 @@ def cmd_serve(args) -> int:
             ))
             cluster.start()
             factory = cluster.factory
-            log(f"spawned {args.suborams} subORAM worker processes "
-                + ("(attested links)" if trust is not None
-                   else "(plaintext links)"))
+            log(f"spawned {args.suborams} attested subORAM worker processes")
         store = stack.enter_context(Snoopy(
             config, rng=random.Random(args.seed), suboram_factory=factory,
         ))
@@ -564,7 +517,6 @@ def cmd_serve(args) -> int:
                 epoch_duration=args.epoch_duration,
                 pipeline_depth=args.pipeline_depth,
                 max_pending_per_connection=args.max_pending,
-                attested=trust is not None,
                 trust=trust,
             )
             await server.start()
@@ -572,7 +524,7 @@ def cmd_serve(args) -> int:
                 "event": "listening",
                 "host": args.host,
                 "port": server.port,
-                "attested": trust is not None,
+                "attested": server.attested,
                 "value_size": args.value_size,
                 "num_load_balancers": args.balancers,
                 "num_suborams": args.suborams,
@@ -603,42 +555,6 @@ def cmd_serve(args) -> int:
             asyncio.run(_serve())
         except KeyboardInterrupt:
             log("interrupted; shut down cleanly")
-    return 0
-
-
-def cmd_loadgen(args) -> int:
-    """``loadgen``: drive a running server, print JSON stats to stdout."""
-    import json
-
-    from repro.serve import run_loadgen
-
-    trust = None
-    if not args.plaintext:
-        trust = args.trust_secret.encode("utf-8")
-    print(f"loadgen: {args.requests} requests over {args.connections} "
-          f"connections (window {args.window}, "
-          f"{'attested' if trust is not None else 'plaintext'}) against "
-          f"{args.host}:{args.port}", file=sys.stderr, flush=True)
-    stats = run_loadgen(
-        args.host,
-        args.port,
-        requests=args.requests,
-        connections=args.connections,
-        window=args.window,
-        num_keys=args.keys,
-        write_fraction=args.write_fraction,
-        seed=args.seed,
-        trust=trust,
-        workload=args.workload,
-        trace_in=args.trace_in,
-        trace_out=args.trace_out,
-    )
-    rendered = json.dumps(stats, indent=2, sort_keys=True)
-    print(rendered)
-    if args.out is not None:
-        with open(args.out, "w") as handle:
-            handle.write(rendered + "\n")
-        print(f"stats written to {args.out}", file=sys.stderr)
     return 0
 
 
@@ -798,7 +714,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "figures": cmd_figures,
         "demo": cmd_demo,
         "serve": cmd_serve,
-        "loadgen": cmd_loadgen,
         "chaos-net": cmd_chaos_net,
         "tune": cmd_tune,
         "info": cmd_info,

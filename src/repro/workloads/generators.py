@@ -399,7 +399,7 @@ def parse_workload_spec(
 ) -> WorkloadSpec:
     """Parse a CLI workload shorthand into a :class:`WorkloadSpec`.
 
-    Accepted forms (``--workload`` on ``python -m repro loadgen``):
+    Accepted forms (``--workload`` on ``python -m repro tune``):
 
     * ``uniform``
     * ``zipf`` or ``zipf:1.2`` (exponent after the colon)

@@ -1,5 +1,12 @@
 """Tests for the operator CLI and ASCII rendering tools."""
 
+import json
+import os
+import select
+import signal
+import subprocess
+import sys
+
 import pytest
 
 from repro.tools.ascii import bar_chart, series_table
@@ -237,3 +244,62 @@ class TestTraceView:
         a.record("W", 3)
         equal, message = diff_summary(a, b)
         assert not equal and "diverge" in message
+
+
+def _src_env():
+    """The environment a subprocess needs to import this checkout."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+class TestServeVerb:
+    """``python -m repro serve`` end to end, as an operator runs it."""
+
+    def test_serve_verb_answers_an_attested_client(self):
+        from repro.serve import NetworkSnoopyClient
+        from repro.serve.secure import ServeTrust
+
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--objects", "64", "--suborams", "2"],
+            env=_src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            ready, _, _ = select.select([proc.stdout], [], [], 60)
+            assert ready, "serve printed no listening line within 60 s"
+            listening = json.loads(proc.stdout.readline())
+            assert listening["event"] == "listening"
+            assert listening["attested"] is True
+            with NetworkSnoopyClient(
+                "127.0.0.1", listening["port"],
+                trust=ServeTrust(b"snoopy-dev-trust"),
+            ) as client:
+                for key in (3, 17, 63):
+                    value = bytes([key]) * listening["value_size"]
+                    assert client.write(key, value) == bytes(
+                        listening["value_size"]
+                    )
+                    assert client.read(key) == value
+            proc.send_signal(signal.SIGINT)
+            _out, err = proc.communicate(timeout=60)
+            assert proc.returncode == 0, err
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+
+    def test_server_import_leaves_workloads_out(self):
+        """The served process loads no workload generator or tuner."""
+        code = (
+            "import sys, repro.serve.server; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('repro.workloads')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=_src_env(),
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "[]"

@@ -1,6 +1,7 @@
 """Unit tests for the execution-backend layer (repro.exec)."""
 
 import pickle
+import threading
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.exec import (
     make_backend,
     parse_spec,
 )
+from repro.sim.latency import LatencySubOram
 
 
 def square(x):
@@ -133,3 +135,57 @@ class TestInterpreterTurn:
             suboram.batch_access(
                 Batch.from_requests([Request(OpType.READ, 3)], 4))
         assert held == [True, False] and not turn.locked()
+
+
+class _Rendezvous(LatencySubOram):
+    """A latency-wrapped subORAM whose ``run_epoch`` first waits for its
+    S peers at one shared barrier and records whether they all came."""
+
+    def __init__(self, inner, barrier, met):
+        super().__init__(inner, batch_delay=0.01)
+        self.barrier, self.met = barrier, met
+
+    def run_epoch(self, batches):
+        try:
+            self.barrier.wait()
+            self.met.append(True)
+        except threading.BrokenBarrierError:
+            self.met.append(False)
+        return super().run_epoch(batches)
+
+
+class TestStageUnitsRunAtOnce:
+    """Stage ➋'s S subORAM units run at the same time under ``thread:S``
+    and one after another under ``serial`` — shown by a barrier only S
+    concurrent units can trip, not by a wall-clock ratio."""
+
+    S = 4
+
+    @pytest.mark.parametrize("spec, timeout, together", [
+        (f"thread:{S}", 30.0, True),
+        ("serial", 0.2, False),
+    ])
+    def test_barrier_trips_only_when_units_overlap(
+        self, spec, timeout, together
+    ):
+        from repro.core.snoopy import Snoopy, _default_suboram_factory
+        from repro.types import OpType, Request
+
+        barrier, met = threading.Barrier(self.S, timeout=timeout), []
+
+        def factory(suboram_id, config, keychain):
+            return _Rendezvous(
+                _default_suboram_factory(suboram_id, config, keychain),
+                barrier, met,
+            )
+
+        config = SnoopyConfig(
+            num_load_balancers=2, num_suborams=self.S, value_size=8,
+            security_parameter=16, execution_backend=spec,
+        )
+        with Snoopy(config, suboram_factory=factory) as store:
+            store.initialize({k: bytes(8) for k in range(32)})
+            for key in range(8):
+                store.submit(Request(OpType.READ, key))
+            assert len(store.run_epoch()) == 8
+        assert met == [together] * self.S

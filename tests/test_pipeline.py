@@ -409,6 +409,35 @@ class TestBackpressureAndRollback:
             store.close()
 
 
+    def test_back_to_back_epochs_fill_the_depth_and_overlap(self):
+        """Stage ➋ sleeps per batch (a remote subORAM's network and
+        enclave time), so an epoch closed right behind another is built
+        while its predecessor still executes: the pipeline holds ``depth``
+        epochs at once and the recorder sees build overlap execute."""
+        epochs = 4
+        store = build_store(
+            "thread:3", master=MASTER, objects=dict(OBJECTS),
+            suboram_factory=latency_suboram_factory(0.05),
+        )
+        try:
+            pipeline = store.start_pipeline(depth=2, clock=False)
+            for epoch in range(epochs):
+                for key in range(6):
+                    store.submit(Request(OpType.READ, (epoch * 6 + key)
+                                         % NUM_KEYS))
+                pipeline.close_epoch()
+            pipeline.flush()
+            assert pipeline.stats["max_inflight"] == 2
+            assert pipeline.overlap("build", "execute") > 0
+            rows = {row["stage"]: row for row in pipeline.occupancy()}
+            assert {stage: row["count"] for stage, row in rows.items()} == {
+                "build": epochs, "execute": epochs, "match": epochs,
+            }
+            pipeline.stop()
+        finally:
+            store.close()
+
+
 # ---------------------------------------------------------------------------
 # Ticket cuts
 # ---------------------------------------------------------------------------

@@ -44,7 +44,6 @@ from repro.serve import (
     NetworkSnoopyClient,
     ServerThread,
     WorkerCluster,
-    run_loadgen,
 )
 from repro.serve import server as server_module
 from repro.serve.protocol import recv_frame, send_all
@@ -656,40 +655,6 @@ class TestWorkerCrashDifferential:
                     assert client.read(3) == b"ZZZZZZZZ"
 
 
-class TestLoadgen:
-    def test_loadgen_over_clocked_server(self, monkeypatch):
-        """Its p50/p99 are the registry's one nearest-rank rule over the
-        loadgen's own latency samples."""
-        from repro.serve import loadgen
-        from repro.telemetry.registry import nearest_rank_percentile
-
-        samples = []
-
-        def spy(ordered, p):
-            samples.append(list(ordered))
-            return nearest_rank_percentile(ordered, p)
-
-        monkeypatch.setattr(loadgen, "nearest_rank_percentile", spy)
-        store = make_store(backend="thread:2", objects=small_objects(64))
-        with store, ServerThread(store, clock=True,
-                                 epoch_duration=0.01) as handle:
-            handle.start()
-            stats = run_loadgen(
-                "127.0.0.1", handle.port,
-                requests=300, connections=2, window=32,
-                num_keys=64, seed=11, trust=handle.trust,
-            )
-        assert stats["requests"] == 300
-        assert stats["rps"] > 0
-        assert stats["latency_p99_ms"] >= stats["latency_p50_ms"] > 0
-        assert handle.server.stats["responses"] == 300
-        ordered = samples[0]
-        assert len(ordered) == 300 and ordered == sorted(ordered)
-        assert (stats["latency_p50_ms"], stats["latency_p99_ms"]) == (
-            ordered[149] * 1e3, ordered[296] * 1e3,  # ceil(p·n) − 1
-        )
-
-
 class TestDifferentialHarnessStillHolds:
     """The serve changes must not disturb the core equivalence matrix."""
 
@@ -847,6 +812,80 @@ class TestColumnarFrontDoor:
             )]
             assert handle.server.stats["requests"] == 0
             assert sum(b.pending for b in store.load_balancers) == 0
+
+
+class TestOpenTicketWindow:
+    """Many open tickets at once: every connection fills its window, the
+    server holds all of them open, and backpressure keeps it there."""
+
+    def test_open_tickets_reach_every_connection_window(self):
+        window, connections, extra = 12, 3, 5
+        store = make_store()
+
+        async def run(handle):
+            async def dial():
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", handle.port
+                )
+                _version, _role, pair = await secure_handshake_async(
+                    reader, writer, Role.CLIENT, trust=handle.trust,
+                    attested=True,
+                )
+                transport = AsyncFrameTransport(reader, writer, pair)
+                kind, _ = await transport.recv()
+                assert kind == FrameKind.INIT
+                return transport
+
+            async def admitted(count):
+                while handle.server.stats["requests"] < count:
+                    await asyncio.sleep(0.01)
+
+            async def close_epoch():
+                control.send(FrameKind.CLOSE_EPOCH, struct.pack(">I", 1))
+                await control.drain()
+                kind, _ = await asyncio.wait_for(control.recv(), 30)
+                assert kind == FrameKind.EPOCH_CLOSED
+
+            control, senders = await dial(), []
+            for _ in range(connections):
+                transport = await dial()
+                # One full window, then more than the window lets in.
+                for record in (_request_frames(window),
+                               _request_frames(extra)):
+                    for kind, payload in record:
+                        transport.send(kind, payload)
+                    await transport.drain()
+                senders.append(transport)
+            await asyncio.wait_for(admitted(connections * window), 30)
+            await asyncio.sleep(0.05)  # room to overrun, were it unbounded
+            held = handle.server.stats["peak_open_tickets"]
+            await close_epoch()
+            await asyncio.wait_for(
+                admitted(connections * (window + extra)), 30
+            )
+            await close_epoch()
+            replies = []
+            for transport in senders:
+                frames = []
+                while len(_responses(frames)) < window + extra:
+                    frames.append(
+                        await asyncio.wait_for(transport.recv(), 30)
+                    )
+                replies.append(len(_responses(frames)))
+            for transport in [control] + senders:
+                transport.close()
+            return held, replies
+
+        with store, ServerThread(
+            store, clock=False, max_pending_per_connection=window
+        ) as handle:
+            handle.start()
+            held, replies = asyncio.run(run(handle))
+            stats = dict(handle.server.stats)
+        assert held == connections * window
+        assert stats["peak_open_tickets"] == connections * window
+        assert replies == [window + extra] * connections
+        assert stats["responses"] == connections * (window + extra)
 
 
 class TestIntakeMasksArePublic:
