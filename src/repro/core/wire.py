@@ -46,9 +46,11 @@ functions of public quantities only (request counts, the configured
 value size, batch sizes), preserving obliviousness end to end:
 
 * ``REQUEST``/``RESPONSE`` — one client operation and its completion
-  (:func:`encode_request` / :func:`encode_response`); every request of
-  a given value size is byte-for-byte the same length whether it is a
-  read or a write of any key (reads carry a zero-filled value slot).
+  (:func:`encode_request`, read a record's run at a time by
+  :func:`decode_requests`; :func:`encode_responses` writes a
+  connection's replies as one array); every request of a given value
+  size is byte-for-byte the same length whether it is a read or a write
+  of any key (reads carry a zero-filled value slot).
 * ``EPOCH``/``EPOCH_REPLY``/``INIT`` — load-balancer <-> subORAM worker
   traffic: one :class:`~repro.oblivious.soa.Batch` (INIT), or an epoch's
   batches concatenated (EPOCH adds a version id first).
@@ -74,7 +76,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.errors import WireError
-from repro.oblivious.soa import Batch, values_to_matrix
+from repro.oblivious.soa import Batch
 from repro.types import INT64_MAX, INT64_MIN, OpType, Request, Response
 
 _FLAG_HAS_VALUE = 4
@@ -456,23 +458,6 @@ def decode_requests(frames: bytes, value_size: int):
     return rows["req_id"], rows["load_balancer"], batch
 
 
-def decode_request(data: bytes, value_size: int):
-    """Deserialize one request; returns ``(req_id, request, load_balancer)``.
-
-    The one-row form of :func:`decode_requests`.
-    """
-    req_ids, balancers, rows = decode_requests(
-        _FRAME_HEADER.pack(FrameKind.REQUEST, len(data)) + data, value_size
-    )
-    entry = rows.entries()[0]
-    request = Request(
-        op=entry.op, key=entry.key, value=entry.value,
-        client_id=entry.client_id, seq=entry.seq,
-    )
-    balancer = int(balancers[0])
-    return int(req_ids[0]), request, (balancer if balancer >= 0 else None)
-
-
 def response_size(value_size: int) -> int:
     """Byte length of every response of a store's value size (public)."""
     return _RESPONSE.size + value_size
@@ -516,39 +501,6 @@ def encode_responses(
         req_id, rows, load_balancer=load_balancer, arrival=arrival,
         epoch=epoch, delivery_seq=delivery_seq,
     ).tobytes()
-
-
-def encode_response(
-    req_id: int,
-    response: Response,
-    value_size: int,
-    *,
-    load_balancer: int,
-    arrival: int,
-    epoch: int,
-    delivery_seq: int = 0,
-) -> bytes:
-    """Serialize one resolved ticket: the one-row :func:`encode_responses`
-    payload (a value shorter than the slot keeps its length)."""
-    value = response.value
-    if value is not None and len(value) > value_size:
-        raise WireError(
-            f"response value of {len(value)} bytes exceeds the store's "
-            f"value_size {value_size}"
-        )
-    padded = None if value is None else value.ljust(value_size, b"\0")
-    matrix, has_value = values_to_matrix([padded], value_size)
-    rows = Batch.filled(
-        1, value_size, key=[_check_key(response.key)], value=matrix,
-        has_value=has_value, client_id=[response.client_id],
-        seq=[response.seq], permitted=[response.ok],
-    )
-    out = _response_rows(
-        req_id, rows, load_balancer=load_balancer, arrival=arrival,
-        epoch=epoch, delivery_seq=delivery_seq,
-    )
-    out["vlen"] = 0 if value is None else len(value)
-    return out.tobytes()[FRAME_HEADER_SIZE:]
 
 
 def encode_u64_frames(kind: int, values) -> bytes:

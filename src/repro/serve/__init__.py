@@ -8,8 +8,8 @@ same client surface (:class:`~repro.core.client.SnoopyClient`):
   backpressure (:class:`~repro.serve.server.ServerThread` hosts it on a
   background loop for blocking callers).
 * :class:`~repro.serve.workers.WorkerCluster` — subORAM worker
-  *processes* behind the versioned wire protocol, with sealed-snapshot
-  crash recovery and transactional epoch retry
+  *processes* behind the versioned wire protocol, with snapshot crash
+  recovery and transactional epoch retry
   (:class:`~repro.serve.workers.RemoteSubOram` is the in-server proxy).
 * :class:`~repro.serve.netclient.NetworkSnoopyClient` — blocking TCP
   client implementing the protocol.
@@ -19,7 +19,9 @@ benchmark in ``bench/`` (its own load generator drives this package's
 server through :mod:`repro.serve.secure`).
 
 Everything speaks :mod:`repro.core.wire`: fixed-size frames behind a
-version-checked hello handshake.
+version-checked hello and the attested handshake of
+:mod:`repro.serve.secure`, sealed on every hop.  There is no plaintext
+mode: each endpoint takes a :class:`~repro.serve.secure.ServeTrust`.
 """
 
 from repro.serve.netclient import NetworkSnoopyClient, NetworkTicket

@@ -294,8 +294,8 @@ class NetworkSnoopyClient:
     Implements the :class:`~repro.core.client.SnoopyClient` protocol over
     the versioned wire format.  The deployment's geometry (object size,
     balancer count) is learned from the server's INIT frame right after
-    the handshake, so construction needs only an address — and, against
-    an attested server, the shared trust.
+    the handshake, so construction needs only an address and the
+    deployment's shared trust.
 
     Args:
         host / port: server address.
@@ -307,11 +307,10 @@ class NetworkSnoopyClient:
         client_id: id stamped into generated requests; unique per client
             by default so responses are attributable.
         trust: the deployment's :class:`~repro.serve.secure.ServeTrust`
-            (or its raw secret ``bytes``).  Enables the attested
-            handshake and sealed channel; the client verifies the
-            server's quote against the trusted front-end measurement.
-        attested: explicit channel mode; defaults to ``trust is not
-            None``.  A mode mismatch with the server fails closed.
+            (or its raw secret ``bytes``), required: every connection
+            runs the attested handshake and the sealed channel, and the
+            client verifies the server's quote against the trusted
+            front-end measurement.
         resume: open a server-side resumable session (default), the
             exactly-once reconnect story above.  ``False`` keeps the
             connection sessionless (a drop fails pending tickets).
@@ -334,8 +333,7 @@ class NetworkSnoopyClient:
         timeout: Optional[float] = 30.0,
         manual_epochs: bool = False,
         client_id: Optional[int] = None,
-        trust=None,
-        attested: Optional[bool] = None,
+        trust,
         resume: bool = True,
         reconnect: Optional[ReconnectPolicy] = None,
         breaker: Optional[CircuitBreaker] = None,
@@ -353,8 +351,7 @@ class NetworkSnoopyClient:
         )
         if isinstance(trust, (bytes, bytearray)):
             trust = ServeTrust(bytes(trust))
-        self.trust: Optional[ServeTrust] = trust
-        self.attested = attested if attested is not None else trust is not None
+        self.trust: ServeTrust = trust
         self.resume = resume
         self.reconnect_policy = (
             reconnect if reconnect is not None else ReconnectPolicy()
@@ -626,7 +623,7 @@ class NetworkSnoopyClient:
         """Dial + handshake + INIT; returns the live transport."""
         transport, _version, _peer_role = connect_transport(
             self.host, self.port, Role.CLIENT,
-            trust=self.trust, attested=self.attested,
+            trust=self.trust,
             expected_roles=(Role.SERVER,),
             timeout=self.timeout,
             injector=self._injector, link=self._link,

@@ -1,9 +1,10 @@
 """Framed-socket plumbing shared by the server, workers, and clients.
 
 One tiny layer sits between :mod:`repro.core.wire`'s pure encoders and
-the TCP endpoints: read or write an exact byte count or one frame, for both
-blocking sockets (the sync client and the subORAM worker channel) and
-asyncio streams (the load-balancer server).
+the TCP endpoints: read or write an exact byte count or one frame on a
+blocking socket (the handshake and sealed records of the sync client and
+the subORAM worker channel), and write one frame on an asyncio stream
+(the server's refusals sent before any channel exists).
 
 Failure mapping is deliberate: a peer that vanishes mid-frame (short
 read, reset connection) raises :class:`~repro.errors.TransportError` —
@@ -76,26 +77,8 @@ def recv_frame(sock: socket.socket) -> Tuple[int, bytes]:
 
 
 # ---------------------------------------------------------------------------
-# asyncio streams (server)
+# asyncio streams (server, before the channel exists)
 # ---------------------------------------------------------------------------
-async def read_frame_async(
-    reader: asyncio.StreamReader,
-) -> Tuple[int, bytes]:
-    """Read one framed message from an asyncio stream."""
-    try:
-        header = await reader.readexactly(FRAME_HEADER_SIZE)
-    except (asyncio.IncompleteReadError, ConnectionError) as exc:
-        raise TransportError(f"connection lost mid-read: {exc}") from exc
-    kind, length = decode_frame_header(header)
-    if not length:
-        return kind, b""
-    try:
-        payload = await reader.readexactly(length)
-    except (asyncio.IncompleteReadError, ConnectionError) as exc:
-        raise TransportError(f"connection lost mid-read: {exc}") from exc
-    return kind, payload
-
-
 def write_frame(
     writer: asyncio.StreamWriter, kind: int, payload: bytes = b""
 ) -> None:

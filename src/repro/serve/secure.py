@@ -9,10 +9,9 @@ the balancer↔subORAM worker links
 
 1. **Hello** — the fixed-size v2 hello
    (:func:`repro.core.wire.encode_hello`) with the
-   :data:`~repro.core.wire.HELLO_FLAG_ATTESTED` capability bit.  Both
-   sides must agree on the mode; a mismatch fails closed at the
-   handshake with an explicit error, never by silently downgrading to
-   plaintext.
+   :data:`~repro.core.wire.HELLO_FLAG_ATTESTED` capability bit.  There
+   is no plaintext mode: a peer whose hello lacks the bit is refused at
+   the handshake with a :class:`~repro.core.wire.WireError`.
 2. **Quote exchange** — one fixed-size ATTEST frame each way
    (:data:`~repro.core.wire.ATTEST_SIZE` payload bytes regardless of
    role or enclave name).  Enclave roles (server, worker, balancer)
@@ -74,6 +73,7 @@ from typing import Iterable, List, Optional, Tuple
 
 from repro.core.wire import (
     ATTEST_SIZE,
+    FRAME_HEADER_SIZE,
     FrameKind,
     HELLO_FLAG_ATTESTED,
     HELLO_SIZE,
@@ -94,7 +94,7 @@ from repro.crypto.aead import NONCE_LEN, TAG_LEN, SecureChannelPair
 from repro.crypto.keys import derive_key
 from repro.enclave.attestation import AttestationService, Quote
 from repro.enclave.model import Enclave
-from repro.errors import AttestationError, TransportError
+from repro.errors import ConfigurationError, TransportError
 from repro.serve.protocol import (
     recv_exact,
     recv_frame,
@@ -251,21 +251,14 @@ def derive_channel_pair(
 def _check_peer(
     peer_role: int,
     peer_flags: int,
-    attested: bool,
     expected_roles: Optional[Iterable[int]],
 ) -> None:
     if expected_roles is not None and peer_role not in tuple(expected_roles):
         raise WireError(f"unexpected peer role {peer_role}")
-    peer_attested = bool(peer_flags & HELLO_FLAG_ATTESTED)
-    if attested and not peer_attested:
+    if not peer_flags & HELLO_FLAG_ATTESTED:
         raise WireError(
-            "peer offered a plaintext channel but this endpoint requires "
-            "attested channels"
-        )
-    if not attested and peer_attested:
-        raise WireError(
-            "peer requires attested channels but this endpoint is "
-            "configured for plaintext"
+            "peer offered a plaintext channel; every serve-layer channel "
+            "is attested"
         )
 
 
@@ -274,7 +267,7 @@ def _finish_attest(
     peer_role: int,
     peer_kind: int,
     peer_payload: bytes,
-    trust: Optional[ServeTrust],
+    trust: ServeTrust,
     my_share: bytes,
     link_name: str,
 ) -> SecureChannelPair:
@@ -293,10 +286,6 @@ def _finish_attest(
     if len(peer_payload) != ATTEST_SIZE:
         raise WireError("attest payload has the wrong size")
     if peer_role in ENCLAVE_ROLES:
-        if trust is None:
-            raise AttestationError(
-                "peer presented a quote but no ServeTrust is configured"
-            )
         peer_share = trust.verify_payload(peer_payload)
     else:
         # Clients are not attested; take the bare share.
@@ -310,15 +299,11 @@ def _finish_attest(
 
 def _my_attest_payload(
     role: int,
-    trust: Optional[ServeTrust],
+    trust: ServeTrust,
     enclave: Optional[Enclave],
     my_share: bytes,
 ) -> bytes:
     if role in ENCLAVE_ROLES:
-        if trust is None:
-            raise AttestationError(
-                f"role {role} must attest but no ServeTrust is configured"
-            )
         if enclave is None:
             enclave = trust.enclave(role)
         return trust.quote_payload(enclave, my_share)
@@ -337,33 +322,28 @@ def secure_handshake(
     sock: socket.socket,
     role: int,
     *,
-    trust: Optional[ServeTrust] = None,
+    trust: ServeTrust,
     enclave: Optional[Enclave] = None,
-    attested: Optional[bool] = None,
     expected_roles: Optional[Iterable[int]] = None,
     link_name: str = "serve",
     dribble_s: float = 0.0,
-) -> Tuple[int, int, Optional[SecureChannelPair]]:
-    """Run the (optionally attested) handshake on a blocking socket.
+) -> Tuple[int, int, SecureChannelPair]:
+    """Run the attested handshake on a blocking socket.
 
-    Both sides send their hello eagerly; in attested mode both then
-    send their ATTEST frame eagerly too (all fixed-size, so no ordering
-    deadlock).  Returns ``(version, peer_role, channel_pair)`` where
-    ``channel_pair`` is ``None`` for a plaintext connection.
+    Both sides send their hello eagerly, then their ATTEST frame
+    eagerly too (all fixed-size, so no ordering deadlock).  Returns
+    ``(version, peer_role, channel_pair)``.
 
     Raises:
         VersionMismatchError: version skew (either detected locally
             from the peer's hello, or relayed from the peer's
             structured ``VERSION_REJECT``).
-        WireError: malformed peer, role mismatch, or attested/plaintext
-            mode mismatch (fails closed — no silent downgrade).
+        WireError: malformed peer, role mismatch, or a hello without
+            the attested flag (refused — there is no plaintext mode).
         AttestationError: the peer's quote did not verify.
         TransportError: the peer vanished mid-handshake.
     """
-    if attested is None:
-        attested = trust is not None
-    flags = HELLO_FLAG_ATTESTED if attested else 0
-    hello = encode_hello(role, flags=flags)
+    hello = encode_hello(role, flags=HELLO_FLAG_ATTESTED)
     if dribble_s > 0.0:
         _dribble_hello(sock, hello, dribble_s)
     else:
@@ -371,9 +351,7 @@ def secure_handshake(
     version, peer_role, peer_flags = decode_hello(
         recv_exact(sock, HELLO_SIZE)
     )
-    _check_peer(peer_role, peer_flags, attested, expected_roles)
-    if not attested:
-        return version, peer_role, None
+    _check_peer(peer_role, peer_flags, expected_roles)
     my_share = os.urandom(32)
     send_frame(
         sock, FrameKind.ATTEST,
@@ -391,24 +369,31 @@ async def secure_handshake_async(
     writer: asyncio.StreamWriter,
     role: int,
     *,
-    trust: Optional[ServeTrust] = None,
+    trust: ServeTrust,
     enclave: Optional[Enclave] = None,
-    attested: Optional[bool] = None,
+    attested: bool = True,
     expected_roles: Optional[Iterable[int]] = None,
     link_name: str = "serve",
     timeout: Optional[float] = None,
-) -> Tuple[int, int, Optional[SecureChannelPair]]:
+) -> Tuple[int, int, SecureChannelPair]:
     """Asyncio variant of :func:`secure_handshake`.
 
     ``timeout`` bounds each read so a slow-loris peer (dribbling its
     hello byte by byte) ties up one coroutine for at most ``timeout``
     seconds instead of forever; expiry raises
     :class:`~repro.errors.TransportError`.
+
+    ``attested`` accepts only ``True`` (``False`` raises
+    :class:`~repro.errors.ConfigurationError`; there is no plaintext
+    mode).  It stays only because the served benchmark's load generator
+    (``bench/loadgen.py``) passes ``attested=True``; it goes when the
+    benchmark's pinned deployment drops the setting.
     """
-    if attested is None:
-        attested = trust is not None
-    flags = HELLO_FLAG_ATTESTED if attested else 0
-    writer.write(encode_hello(role, flags=flags))
+    if not attested:
+        raise ConfigurationError(
+            "every serve-layer channel is attested; attested must be True"
+        )
+    writer.write(encode_hello(role, flags=HELLO_FLAG_ATTESTED))
     await writer.drain()
 
     async def _read(n: int) -> bytes:
@@ -424,17 +409,13 @@ async def secure_handshake_async(
             ) from exc
 
     version, peer_role, peer_flags = decode_hello(await _read(HELLO_SIZE))
-    _check_peer(peer_role, peer_flags, attested, expected_roles)
-    if not attested:
-        return version, peer_role, None
+    _check_peer(peer_role, peer_flags, expected_roles)
     my_share = os.urandom(32)
     writer.write(encode_frame(
         FrameKind.ATTEST,
         _my_attest_payload(role, trust, enclave, my_share),
     ))
     await writer.drain()
-    from repro.core.wire import FRAME_HEADER_SIZE
-
     peer_kind, length = decode_frame_header(await _read(FRAME_HEADER_SIZE))
     peer_payload = await _read(length) if length else b""
     pair = _finish_attest(
@@ -444,15 +425,16 @@ async def secure_handshake_async(
 
 
 # ---------------------------------------------------------------------------
-# Transports: uniform frame I/O over plaintext or sealed connections
+# Transports: frame I/O over a sealed connection
 # ---------------------------------------------------------------------------
 class FrameTransport:
-    """Blocking framed connection, optionally sealed, optionally chaotic.
+    """Blocking sealed framed connection, optionally chaotic.
 
     Owns the socket after the handshake.  ``send``/``recv`` move whole
-    inner frames; when a :class:`~repro.crypto.aead.SecureChannelPair`
-    is attached, each frame travels as ``nonce | len | sealed`` and
-    tampering/replay surface as :class:`~repro.errors.IntegrityError` /
+    inner frames; each frame travels under the handshake's
+    :class:`~repro.crypto.aead.SecureChannelPair` as
+    ``nonce | len | sealed``, and tampering/replay surface as
+    :class:`~repro.errors.IntegrityError` /
     :class:`~repro.errors.ReplayError` (never retried).
 
     When a :class:`~repro.core.faults.FaultInjector` and link name are
@@ -460,8 +442,7 @@ class FrameTransport:
     choke point all serve-layer chaos flows through.
     """
 
-    def __init__(self, sock: socket.socket,
-                 pair: Optional[SecureChannelPair] = None,
+    def __init__(self, sock: socket.socket, pair: SecureChannelPair,
                  injector=None, link: Optional[str] = None):
         self._sock = sock
         self._pair = pair
@@ -473,20 +454,12 @@ class FrameTransport:
         self._rx_pending: deque = deque()
 
     @property
-    def attested(self) -> bool:
-        """True when frames ride the sealed channel."""
-        return self._pair is not None
-
-    @property
     def socket(self) -> socket.socket:
         """The underlying TCP socket (for address introspection)."""
         return self._sock
 
     def _encode(self, kind: int, payload: bytes) -> bytes:
-        frame = encode_frame(kind, payload)
-        if self._pair is None:
-            return frame
-        nonce, sealed = self._pair.tx.send(frame)
+        nonce, sealed = self._pair.tx.send(encode_frame(kind, payload))
         return nonce + _SEAL_LEN.pack(len(sealed)) + sealed
 
     def send(self, kind: int, payload: bytes = b"") -> None:
@@ -530,8 +503,6 @@ class FrameTransport:
         """
         if self._rx_pending:
             return self._rx_pending.popleft()
-        if self._pair is None:
-            return recv_frame(self._sock)
         nonce = recv_exact(self._sock, NONCE_LEN)
         (length,) = _SEAL_LEN.unpack(recv_exact(self._sock, _SEAL_LEN.size))
         if length > _MAX_SEALED:
@@ -564,9 +535,8 @@ def connect_transport(
     port: int,
     role: int,
     *,
-    trust: Optional[ServeTrust] = None,
+    trust: ServeTrust,
     enclave: Optional[Enclave] = None,
-    attested: Optional[bool] = None,
     expected_roles: Optional[Iterable[int]] = None,
     link_name: str = "serve",
     timeout: Optional[float] = None,
@@ -591,7 +561,7 @@ def connect_transport(
     try:
         version, peer_role, pair = secure_handshake(
             sock, role,
-            trust=trust, enclave=enclave, attested=attested,
+            trust=trust, enclave=enclave,
             expected_roles=expected_roles, link_name=link_name,
             dribble_s=dribble_s,
         )
@@ -609,9 +579,9 @@ class AsyncFrameTransport:
     compatible with the blocking transport, so either end of a link may
     be sync or async.
 
-    **Coalesced sealing.**  In sealed mode, ``send`` does not seal
-    per frame: it queues the encoded inner frame and schedules one
-    flush on the event loop (``call_soon``).  Every frame queued in the
+    **Coalesced sealing.**  ``send`` does not seal per frame: it queues
+    the encoded inner frame and schedules one flush on the event loop
+    (``call_soon``).  Every frame queued in the
     same loop iteration — e.g. the whole response fan-out when an epoch
     completes — is packed into as few sealed records as the
     :data:`_RECORD_BUDGET` allows and sealed *once per record* instead
@@ -625,7 +595,7 @@ class AsyncFrameTransport:
 
     def __init__(self, reader: asyncio.StreamReader,
                  writer: asyncio.StreamWriter,
-                 pair: Optional[SecureChannelPair] = None):
+                 pair: SecureChannelPair):
         self._reader = reader
         self._writer = writer
         self._pair = pair
@@ -639,11 +609,6 @@ class AsyncFrameTransport:
         self.sealed_frames = 0
 
     @property
-    def attested(self) -> bool:
-        """True when frames ride the sealed channel."""
-        return self._pair is not None
-
-    @property
     def writer(self) -> asyncio.StreamWriter:
         """The underlying asyncio stream writer."""
         return self._writer
@@ -653,19 +618,16 @@ class AsyncFrameTransport:
         return self._writer.is_closing()
 
     def send(self, kind: int, payload: bytes = b"") -> None:
-        """Queue one frame (coalesced into sealed records when attested)."""
+        """Queue one frame (coalesced into sealed records)."""
         self.send_frames(encode_frame(kind, payload))
 
     def send_frames(self, frames: bytes) -> None:
         """Queue already encoded frames, back to back (one or more).
 
         An epoch's replies to one connection arrive here as one array
-        (:func:`~repro.core.wire.encode_responses`); attested, they are
-        sealed with whatever else this loop iteration queued.
+        (:func:`~repro.core.wire.encode_responses`) and are sealed with
+        whatever else this loop iteration queued.
         """
-        if self._pair is None:
-            self._writer.write(frames)
-            return
         self._tx_frames.append(frames)
         if self._flush_scheduled:
             return
@@ -682,7 +644,7 @@ class AsyncFrameTransport:
         """Seal all queued inner frames into records and write them."""
         self._flush_scheduled = False
         frames = self._tx_frames
-        if not frames or self._pair is None:
+        if not frames:
             return
         self._tx_frames = []
         group: List[bytes] = []
@@ -719,16 +681,12 @@ class AsyncFrameTransport:
     async def recv_record(self) -> bytes:
         """Receive one record's inner frames as one buffer.
 
-        Attested, that is one opened sealed record — every frame the
-        peer coalesced into it; plaintext, one frame.  Split it with
+        That is one opened sealed record — every frame the peer
+        coalesced into it.  Split it with
         :func:`~repro.core.wire.split_record`.  Do not mix with
         :meth:`recv` on one transport: frames ``recv`` buffered are not
         returned here.
         """
-        if self._pair is None:
-            from repro.serve.protocol import read_frame_async
-
-            return encode_frame(*await read_frame_async(self._reader))
         head = await self._read(NONCE_LEN + _SEAL_LEN.size)
         (length,) = _SEAL_LEN.unpack_from(head, NONCE_LEN)
         if length > _MAX_SEALED:

@@ -2,11 +2,12 @@
 
 One server process hosts a full :class:`~repro.core.snoopy.Snoopy`
 deployment behind TCP.  Client connections speak the versioned
-:mod:`repro.core.wire` protocol: a fixed-size hello handshake — by
-default upgraded to the attested quote exchange of
-:mod:`repro.serve.secure`, after which every frame rides a sealed
-replay-protected channel — then a stream of fixed-size REQUEST frames
-in and RESPONSE frames out.
+:mod:`repro.core.wire` protocol: a fixed-size hello handshake and the
+attested quote exchange of :mod:`repro.serve.secure`, after which every
+frame rides a sealed replay-protected channel — then a stream of
+fixed-size REQUEST frames in and RESPONSE frames out.  A client whose
+hello lacks the attested flag is refused with an ERROR frame; there is
+no plaintext mode.
 
 **Columns in, columns out.**  The server reads one sealed record at a
 time (:meth:`AsyncFrameTransport.recv_record
@@ -232,14 +233,15 @@ class SnoopyServer:
         pipeline_depth: max in-flight epochs (default from config).
         max_pending_per_connection: per-connection in-flight row cap; the
             backpressure window described in the module docstring.
-        attested: require the attested quote exchange and sealed frames
-            on every connection (default).  ``False`` serves plaintext
-            (a mode mismatch with a client fails closed at the
-            handshake).
+        attested: accepts only ``True`` (``False`` raises
+            :class:`~repro.errors.ConfigurationError`): every connection
+            runs the attested quote exchange and sealed frames.  It
+            stays only because the served benchmark
+            (``bench/server_main.py``) passes its pinned
+            ``attested=True``; it goes when that pin is dropped.
         trust: the deployment's :class:`~repro.serve.secure.ServeTrust`.
-            Defaults to ``ServeTrust.for_store(store)`` when attested —
-            hand the same object (or its secret) to clients and
-            workers.
+            Defaults to ``ServeTrust.for_store(store)`` — hand the same
+            object (or its secret) to clients and workers.
         handshake_timeout: seconds a connection may spend in the
             handshake before being cut (slow-loris defence).
         max_open_tickets: server-wide open-ticket ceiling; beyond it new
@@ -269,6 +271,10 @@ class SnoopyServer:
         session_buffer_cap: int = 4096,
         max_sessions: int = 256,
     ):
+        if not attested:
+            raise ConfigurationError(
+                "every serve-layer channel is attested; attested must be True"
+            )
         if max_pending_per_connection < 1:
             raise ConfigurationError(
                 "max_pending_per_connection must be >= 1"
@@ -284,14 +290,10 @@ class SnoopyServer:
         self._epoch_duration = epoch_duration
         self._pipeline_depth = pipeline_depth
         self.max_pending_per_connection = max_pending_per_connection
-        self.attested = attested
         self.trust = (
-            trust if trust is not None
-            else (ServeTrust.for_store(store) if attested else None)
+            trust if trust is not None else ServeTrust.for_store(store)
         )
-        self._enclave = (
-            self.trust.enclave(Role.SERVER) if self.trust is not None else None
-        )
+        self._enclave = self.trust.enclave(Role.SERVER)
         self.handshake_timeout = handshake_timeout
         self.max_open_tickets = max_open_tickets
         self.session_buffer_cap = session_buffer_cap
@@ -416,7 +418,6 @@ class SnoopyServer:
                     reader, writer, Role.SERVER,
                     trust=self.trust,
                     enclave=self._enclave,
-                    attested=self.attested,
                     expected_roles=(Role.CLIENT,),
                     timeout=self.handshake_timeout,
                 )
@@ -898,7 +899,8 @@ class ServerThread:
 
     @property
     def trust(self):
-        """The server's :class:`~repro.serve.secure.ServeTrust` (or None)."""
+        """The server's :class:`~repro.serve.secure.ServeTrust` (``None``
+        until :meth:`start`)."""
         return self.server.trust if self.server is not None else None
 
     def start(self) -> "ServerThread":

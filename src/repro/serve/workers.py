@@ -9,14 +9,15 @@ process owning the real :class:`~repro.suboram.suboram.SubOram`.  An
 epoch is one round trip per worker: one EPOCH frame carrying the
 subORAM's L batches, served by one ``SubOram.run_epoch`` call.
 
-**Attested channels.**  With a trust secret configured (the default
-when a :class:`~repro.serve.secure.ServeTrust` is handed in), every
-balancer↔worker connection runs the quote exchange of
-:mod:`repro.serve.secure` — the worker proves it runs the expected
-subORAM program measurement, the balancer proves it is the balancer —
-and all frames ride a sealed, replay-protected channel.  Frame *sizes*
-are unchanged (the sealed envelope adds a constant), so the public
-traffic shape is exactly the plaintext one.
+**Attested channels.**  Every balancer↔worker connection runs the
+quote exchange of :mod:`repro.serve.secure` under the cluster's
+:class:`~repro.serve.secure.ServeTrust` — the worker proves it runs the
+expected subORAM program measurement, the balancer proves it is the
+balancer — and all frames ride a sealed, replay-protected channel.
+There is no plaintext link: a peer whose hello lacks the attested flag
+is refused before any frame is served.  The sealed envelope adds a
+constant to every record, so record sizes are the inner frame sizes
+shifted by that constant — functions of public shape only.
 
 **Atomic epochs across the process boundary.**  The epoch driver's
 atomicity seam is ``copy.deepcopy`` of the subORAM list before each
@@ -49,9 +50,8 @@ balancer might still reference.  Two recovery modes:
 worker with a deadline-bounded PING and distinguishes *slow* (the
 process is alive but missed the deadline — the socket is dropped and
 redialed later, no respawn, no state loss) from *dead* (the process is
-gone — respawn-and-restore).  :meth:`start_monitor` runs that sweep on
-a background heartbeat thread so dead workers respawn before the next
-epoch trips over them.
+gone — respawn-and-restore).  A dead worker is respawned on its next
+use.
 
 Mid-flight socket failures surface as
 :class:`~repro.errors.TransportError`, the retryable fault class, so
@@ -164,9 +164,9 @@ def worker_main(
     kernel: Optional[str],
     port_pipe,
     snapshot_path: str,
-    crash_after: Optional[int] = None,
-    crypto: Optional[str] = None,
-    trust_secret: Optional[bytes] = None,
+    crash_after: Optional[int],
+    crypto: Optional[str],
+    trust_secret: bytes,
 ) -> None:
     """One subORAM worker process: accept, handshake, serve frames.
 
@@ -176,10 +176,11 @@ def worker_main(
     back to ``accept`` and waits for a reconnect; its versioned state
     survives in memory (and the committed version on disk).
 
-    With ``trust_secret`` the worker presents an attested quote for the
-    subORAM program measurement and serves only sealed frames; without
-    it the channel is plaintext (both sides must agree — a mode
-    mismatch fails closed at the handshake).
+    The worker presents an attested quote for the subORAM program
+    measurement under ``trust_secret``'s
+    :class:`~repro.serve.secure.ServeTrust` and serves only sealed
+    frames; a balancer whose hello lacks the attested flag is refused
+    at the handshake, before any frame is read.
 
     ``crash_after`` is the deterministic chaos seam: after serving that
     many EPOCH frames the process exits *after applying and sealing*
@@ -196,11 +197,8 @@ def worker_main(
     port_pipe.send(listener.getsockname()[1])
     port_pipe.close()
 
-    trust = ServeTrust(trust_secret) if trust_secret is not None else None
-    enclave = (
-        trust.enclave(Role.WORKER, instance=worker_id)
-        if trust is not None else None
-    )
+    trust = ServeTrust(trust_secret)
+    enclave = trust.enclave(Role.WORKER, instance=worker_id)
     link_name = f"worker-{worker_id}"
 
     versions, sealed_blob = _load_seal(snapshot_path)
@@ -214,7 +212,6 @@ def worker_main(
             _version, _role, pair = secure_handshake(
                 conn, Role.WORKER,
                 trust=trust, enclave=enclave,
-                attested=trust is not None,
                 expected_roles=(Role.BALANCER,),
                 link_name=link_name,
             )
@@ -276,7 +273,7 @@ def worker_main(
                     transport.send(FrameKind.TXN_ACK)
                 elif kind == FrameKind.PING:
                     # Optional u32 payload: echo delay in ms — the
-                    # health monitor's "slow worker" test seam.
+                    # "slow worker" test seam of check_health.
                     if payload:
                         time.sleep(decode_u32(payload) / 1000.0)
                     transport.send(FrameKind.PONG)
@@ -424,13 +421,15 @@ class RemoteSubOram:
 class WorkerCluster:
     """Supervisor for S subORAM worker processes.
 
-    Spawns the workers, owns one framed channel per worker (attested
-    and sealed when a trust is configured), respawns crashed workers,
-    restores lost state over the wire (``remote_snapshots``), and hands
-    out :class:`RemoteSubOram` proxies through :meth:`factory` — a
-    drop-in ``suboram_factory`` for :class:`~repro.core.snoopy.Snoopy`::
+    Spawns the workers, owns one attested, sealed channel per worker,
+    respawns crashed workers, restores lost state over the wire
+    (``remote_snapshots``), and hands out :class:`RemoteSubOram` proxies
+    through :meth:`factory` — a drop-in ``suboram_factory`` for
+    :class:`~repro.core.snoopy.Snoopy`::
 
-        cluster = WorkerCluster(num_workers=3, value_size=16).start()
+        cluster = WorkerCluster(
+            num_workers=3, value_size=16, trust=trust
+        ).start()
         store = Snoopy(config, suboram_factory=cluster.factory)
 
     Thread-safety: one lock per worker serializes that worker's framed
@@ -438,9 +437,9 @@ class WorkerCluster:
     concurrently, which uses distinct sockets and locks).
 
     Args:
-        trust: a :class:`~repro.serve.secure.ServeTrust` (or a raw
-            secret ``bytes``) establishing the attested channels.
-            ``None`` (default) keeps the channels plaintext.
+        trust: the deployment's :class:`~repro.serve.secure.ServeTrust`
+            (or its raw secret ``bytes``), required: every worker link
+            runs the attested handshake under it.
         remote_snapshots: mirror every worker's sealed state over the
             wire and restore an empty respawned worker from the mirror
             (the no-shared-filesystem deployment model).
@@ -460,7 +459,8 @@ class WorkerCluster:
         telemetry=None,
         crash_plan: Optional[Dict[int, int]] = None,
         crypto: Optional[str] = None,
-        trust=None,
+        *,
+        trust,
         remote_snapshots: bool = False,
         injector=None,
         snap_chunk: int = SNAP_CHUNK,
@@ -475,10 +475,8 @@ class WorkerCluster:
         self.telemetry = resolve_telemetry(telemetry)
         if isinstance(trust, (bytes, bytearray)):
             trust = ServeTrust(bytes(trust))
-        self.trust: Optional[ServeTrust] = trust
-        self._balancer_enclave = (
-            trust.enclave(Role.BALANCER) if trust is not None else None
-        )
+        self.trust: ServeTrust = trust
+        self._balancer_enclave = trust.enclave(Role.BALANCER)
         self.remote_snapshots = remote_snapshots
         self.snap_chunk = snap_chunk
         self._injector = injector
@@ -504,8 +502,6 @@ class WorkerCluster:
         self._snap_cache: List[bytes] = [b""] * num_workers
         #: Workers respawned since their last restore check.
         self._respawned: List[bool] = [False] * num_workers
-        self._monitor_thread: Optional[threading.Thread] = None
-        self._monitor_stop = threading.Event()
         # Deterministic chaos: worker index -> crash after N epoch frames.
         # Consumed at first spawn only, so the respawned worker is sane.
         self._crash_plan = dict(crash_plan or {})
@@ -526,7 +522,6 @@ class WorkerCluster:
 
     def stop(self) -> None:
         """Terminate the workers and remove owned snapshots; idempotent."""
-        self.stop_monitor()
         for index in range(self.num_workers):
             self._close_channel(index)
             proc = self._procs[index]
@@ -666,8 +661,7 @@ class WorkerCluster:
         *Slow* means the process is alive but missed the PING deadline:
         the channel is dropped (a fresh one is dialed on next use) but
         the process — and its in-memory state — is left alone.  *Dead*
-        means the process is gone; the next use (or the monitor)
-        respawns it.
+        means the process is gone; the next use respawns it.
         """
         self.telemetry.counter("serve_worker_health_checks_total").inc()
         proc = self._procs[index]
@@ -690,57 +684,6 @@ class WorkerCluster:
                     return "slow"
             self.telemetry.counter("serve_worker_dead_total").inc()
             return "dead"
-
-    def start_monitor(
-        self, interval: float = 1.0, timeout: float = 1.0
-    ) -> None:
-        """Run :meth:`monitor_once` on a background heartbeat thread."""
-        if self._monitor_thread is not None:
-            return
-        self._monitor_stop.clear()
-
-        def _run() -> None:
-            while not self._monitor_stop.wait(interval):
-                try:
-                    self.monitor_once(timeout=timeout)
-                except Exception:
-                    # The monitor must never take the cluster down; a
-                    # failed sweep retries on the next heartbeat.
-                    pass
-
-        self._monitor_thread = threading.Thread(
-            target=_run, name="snoopy-worker-monitor", daemon=True
-        )
-        self._monitor_thread.start()
-
-    def stop_monitor(self) -> None:
-        """Stop the heartbeat thread; idempotent."""
-        if self._monitor_thread is None:
-            return
-        self._monitor_stop.set()
-        self._monitor_thread.join(timeout=5)
-        self._monitor_thread = None
-
-    def monitor_once(self, timeout: float = 1.0) -> Dict[int, str]:
-        """One health sweep; respawns dead workers eagerly.
-
-        Returns ``{index: status}``.  Dead workers are brought back
-        (respawn + reconnect + remote restore) inside the sweep so the
-        next epoch finds a ready channel instead of paying recovery
-        latency on its critical path.
-        """
-        statuses: Dict[int, str] = {}
-        for index in range(self.num_workers):
-            status = self.check_health(index, timeout=timeout)
-            if status == "dead":
-                try:
-                    with self._locks[index]:
-                        self._ensure(index)
-                    status = "respawned"
-                except TransportError:
-                    pass  # still down; the next sweep retries
-            statuses[index] = status
-        return statuses
 
     def kill_worker(self, index: int, lose_disk: bool = False) -> None:
         """Hard-kill one worker process (chaos testing).
@@ -854,7 +797,7 @@ class WorkerCluster:
                 self._snapshot_path(index),
                 self._crash_plan.pop(index, None),
                 self.crypto,
-                self.trust.secret if self.trust is not None else None,
+                self.trust.secret,
             ),
             daemon=True,
             name=f"snoopy-worker-{index}",

@@ -36,7 +36,6 @@ from repro.core.faults import (
 )
 from repro.errors import TransportError
 from repro.serve.chaos import build_soak_plan
-from repro.serve.workers import WorkerCluster
 
 from tests.harness import (
     access_traces,
@@ -132,10 +131,9 @@ class TestAcceptance:
                     replication=(1, 1),
                 )
             else:
-                cluster = stack.enter_context(WorkerCluster(
-                    3, value_size=VALUE, security_parameter=16, kernel=kernel
-                ))
-                cluster.start()
+                cluster = stack.enter_context(
+                    attested_cluster(3, value_size=VALUE, kernel=kernel)
+                )
                 store = build_store(
                     "thread:4", kernel=kernel, plan=BACKEND_PLAN,
                     suboram_factory=cluster.factory,

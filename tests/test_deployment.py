@@ -28,7 +28,7 @@ from repro.serve.workers import WorkerCluster
 from repro.suboram.suboram import SubOram
 from repro.types import OpType, Request
 
-from tests.harness import attested_cluster
+from tests.harness import TEST_TRUST, attested_cluster
 
 
 @pytest.fixture
@@ -219,8 +219,7 @@ class TestTransportSecurity:
         from repro.analysis.balls_bins import batch_size
         from repro.core.wire import FrameKind
 
-        with WorkerCluster(2, value_size=8, security_parameter=16) as cluster:
-            cluster.start()
+        with attested_cluster(2) as cluster:
             config = SnoopyConfig(
                 num_load_balancers=2, num_suborams=2, value_size=8,
                 security_parameter=16, execution_backend="serial",
@@ -268,8 +267,7 @@ class TestTransportSecurity:
         local = SubOram(0, 8, security_parameter=16)
         local.initialize(dict(objects))
         expected = [reply.to_bytes() for reply in local.run_epoch(chain)]
-        with WorkerCluster(1, value_size=8, security_parameter=16) as cluster:
-            cluster.start()
+        with attested_cluster(1) as cluster:
             remote = cluster.factory(0)
             remote.initialize(dict(objects))
             replies = remote.run_epoch(chain)
@@ -372,13 +370,14 @@ class TestOneDefaultPerAxis:
         default = SnoopyConfig()
         bare = SubOram(0, 16)
         replica = ReplicatedSubOram(0, 16).replicas[0].suboram
-        cluster = WorkerCluster(1, value_size=16)  # never started
+        with WorkerCluster(1, value_size=16, trust=TEST_TRUST) as cluster:
+            # Never started: the selectors resolve at construction, and
+            # stop() removes the snapshot directory it made.
+            selectors = (cluster.kernel, cluster.crypto)
         for built in (bare, replica):
             assert built.crypto == default.crypto
             assert built.kernel.name == default.kernel
-        assert (cluster.kernel, cluster.crypto) == (
-            default.kernel, default.crypto
-        )
+        assert selectors == (default.kernel, default.crypto)
         with Snoopy(default) as deployment:
             assert deployment.backend.name == default.execution_backend
 

@@ -17,7 +17,13 @@ import threading
 
 import pytest
 
-from tests.harness import assert_equivalent, build_store, seeded_workload
+from tests.harness import (
+    TEST_TRUST,
+    assert_equivalent,
+    attested_cluster,
+    build_store,
+    seeded_workload,
+)
 from repro.core.client import SnoopyClient
 from repro.core.config import SnoopyConfig
 from repro.core.pipeline import EpochPipeline
@@ -40,11 +46,7 @@ from repro.errors import (
     TaskTimeoutError,
     TransportError,
 )
-from repro.serve import (
-    NetworkSnoopyClient,
-    ServerThread,
-    WorkerCluster,
-)
+from repro.serve import NetworkSnoopyClient, ServerThread, SnoopyServer
 from repro.serve import server as server_module
 from repro.serve.protocol import recv_frame, send_all
 from repro.serve.secure import AsyncFrameTransport, secure_handshake_async
@@ -341,6 +343,18 @@ class TestServerConfiguration:
                     store, clock=False, max_pending_per_connection=0
                 ).start()
 
+    @pytest.mark.parametrize("mode", [False, None, 0])
+    def test_plaintext_mode_rejected(self, mode):
+        """``attested`` survives on two signatures and takes only True."""
+        store = make_store()
+        with store:
+            with pytest.raises(ConfigurationError, match="attested"):
+                SnoopyServer(store, attested=mode)
+        with pytest.raises(ConfigurationError, match="attested"):
+            asyncio.run(secure_handshake_async(
+                None, None, Role.CLIENT, trust=TEST_TRUST, attested=mode
+            ))
+
 
 class TestWireVersioning:
     """Integration side of the satellite: the handshake gates the service."""
@@ -533,9 +547,7 @@ class TestClientTimeout:
 
 class TestWorkerCluster:
     def test_factory_validates_index_and_value_size(self):
-        with WorkerCluster(2, value_size=VALUE, security_parameter=16) \
-                as cluster:
-            cluster.start()
+        with attested_cluster(2, value_size=VALUE) as cluster:
             with pytest.raises(ConfigurationError):
                 cluster.factory(5)
             from repro.core.config import SnoopyConfig
@@ -553,9 +565,7 @@ class TestWorkerCluster:
                 cluster.factory(0, Wrong())
 
     def test_remote_suborams_serve_a_deployment(self):
-        with WorkerCluster(2, value_size=VALUE, security_parameter=16) \
-                as cluster:
-            cluster.start()
+        with attested_cluster(2, value_size=VALUE) as cluster:
             store = make_store(suboram_factory=cluster.factory)
             with store:
                 assert store.num_objects == len(small_objects())
@@ -563,9 +573,7 @@ class TestWorkerCluster:
                 store.write(4, b"REWRITE!")
 
     def test_transparent_respawn_between_epochs(self):
-        with WorkerCluster(2, value_size=VALUE, security_parameter=16) \
-                as cluster:
-            cluster.start()
+        with attested_cluster(2, value_size=VALUE) as cluster:
             store = make_store(suboram_factory=cluster.factory)
             with store:
                 assert store.write(3, b"VVVVVVVV") == bytes([3]) * VALUE
@@ -575,9 +583,7 @@ class TestWorkerCluster:
                 assert store.read(3) == b"VVVVVVVV"
 
     def test_ping_reports_liveness(self):
-        with WorkerCluster(1, value_size=VALUE, security_parameter=16) \
-                as cluster:
-            cluster.start()
+        with attested_cluster(1, value_size=VALUE) as cluster:
             assert cluster.ping(0)
 
 
@@ -588,9 +594,9 @@ class TestWorkerCrashDifferential:
         workload = seeded_workload(
             3, 8, seed=13, num_keys=36, value_size=VALUE
         )
-        with WorkerCluster(2, value_size=VALUE, security_parameter=16,
-                           crash_plan=crash_plan) as cluster:
-            cluster.start()
+        with attested_cluster(
+            2, value_size=VALUE, crash_plan=crash_plan
+        ) as cluster:
             store = make_store(
                 suboram_factory=cluster.factory,
                 max_attempts=max_attempts,
@@ -617,9 +623,9 @@ class TestWorkerCrashDifferential:
             (Request(OpType.WRITE, 5, b"XXXXXXXX", seq=0), 0),
             (Request(OpType.READ, 9, None, 0, 1), 1),
         ]
-        with WorkerCluster(2, value_size=VALUE, security_parameter=16,
-                           crash_plan={0: 1}) as cluster:
-            cluster.start()
+        with attested_cluster(
+            2, value_size=VALUE, crash_plan={0: 1}
+        ) as cluster:
             store = make_store(
                 suboram_factory=cluster.factory, max_attempts=1
             )
@@ -639,9 +645,9 @@ class TestWorkerCrashDifferential:
 
     def test_service_over_crashing_cluster(self):
         """The full stack: TCP clients, pipeline, worker crash, retry."""
-        with WorkerCluster(2, value_size=VALUE, security_parameter=16,
-                           crash_plan={1: 1}) as cluster:
-            cluster.start()
+        with attested_cluster(
+            2, value_size=VALUE, crash_plan={1: 1}
+        ) as cluster:
             store = make_store(
                 suboram_factory=cluster.factory, max_attempts=3
             )
@@ -704,7 +710,7 @@ def _exchange(handle, records, until):
             "127.0.0.1", handle.port
         )
         _version, _role, pair = await secure_handshake_async(
-            reader, writer, Role.CLIENT, trust=handle.trust, attested=True,
+            reader, writer, Role.CLIENT, trust=handle.trust,
         )
         transport = AsyncFrameTransport(reader, writer, pair)
         try:
@@ -829,7 +835,6 @@ class TestOpenTicketWindow:
                 )
                 _version, _role, pair = await secure_handshake_async(
                     reader, writer, Role.CLIENT, trust=handle.trust,
-                    attested=True,
                 )
                 transport = AsyncFrameTransport(reader, writer, pair)
                 kind, _ = await transport.recv()

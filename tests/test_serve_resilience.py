@@ -3,9 +3,9 @@
 Four claims from the distributed-robustness PR, machine-checked:
 
 * **Attested channels fail closed.**  A client with the wrong trust
-  secret, or the wrong channel mode (plaintext vs attested, either
-  direction), never gets a usable connection — and never silently
-  downgrades.
+  secret never gets a usable connection, and there is no plaintext
+  mode: a hello without the attested flag is refused by the server, by
+  a worker and by the client alike.
 * **Client resilience is deterministic and typed.**  Reconnect backoff
   is a pure function of its seed; the circuit breaker walks
   closed → open → half-open → closed; deadlines, BUSY shedding, and
@@ -19,12 +19,14 @@ Four claims from the distributed-robustness PR, machine-checked:
   fault accounted for.
 """
 
+import pickle
+import socket
 import threading
 import time
 
 import pytest
 
-from tests.harness import build_store
+from tests.harness import attested_cluster, build_store
 from repro.core.faults import FAULT_KINDS
 from repro.errors import (
     AttestationError,
@@ -33,8 +35,16 @@ from repro.errors import (
     ServerShuttingDownError,
     TransportError,
 )
-from repro.core.wire import WireError
-from repro.serve import NetworkSnoopyClient, ServerThread, WorkerCluster
+from repro.core.wire import (
+    HELLO_SIZE,
+    FrameKind,
+    Role,
+    WireError,
+    encode_frame,
+    encode_hello,
+)
+from repro.oblivious.soa import Batch
+from repro.serve import NetworkSnoopyClient, ServerThread
 from repro.serve.chaos import (
     WORKER_FAULT_KINDS,
     build_soak_plan,
@@ -42,6 +52,7 @@ from repro.serve.chaos import (
     run_network_soak,
 )
 from repro.serve.netclient import CircuitBreaker, ReconnectPolicy
+from repro.serve.protocol import recv_exact, recv_frame, send_all
 from repro.serve.secure import ServeTrust
 from repro.types import OpType, Request
 
@@ -75,7 +86,6 @@ class TestAttestedChannels:
             with NetworkSnoopyClient(
                 "127.0.0.1", handle.port, trust=trust, manual_epochs=True
             ) as client:
-                assert client.attested
                 assert client.write(3, b"attested"[:VALUE]) is not None
                 assert client.read(3) == b"attested"[:VALUE]
 
@@ -95,28 +105,78 @@ class TestAttestedChannels:
                 )
             assert handle.server.stats["requests"] == 0
 
-    def test_plaintext_client_vs_attested_server_fails_closed(self):
+    # A plaintext hello is ``encode_hello(role)``: flags 0, no
+    # HELLO_FLAG_ATTESTED.  Each endpoint refuses it at the handshake.
+
+    def test_plaintext_hello_refused_by_server(self):
         store = make_store()
         with store, ServerThread(store, clock=False) as handle:
             handle.start()
-            assert handle.trust is not None
-            with pytest.raises((WireError, TransportError)):
-                NetworkSnoopyClient(
-                    "127.0.0.1", handle.port, timeout=5.0, resume=False,
-                )
+            with socket.create_connection(
+                ("127.0.0.1", handle.port), timeout=10
+            ) as sock:
+                recv_exact(sock, HELLO_SIZE)
+                send_all(sock, encode_hello(Role.CLIENT))
+                kind, payload = recv_frame(sock)
+            assert kind == FrameKind.ERROR
+            assert b"plaintext" in payload
+            assert handle.server.stats["handshake_failures"] == 1
+            assert handle.server.stats["connections"] == 0
 
-    def test_attested_client_vs_plaintext_server_fails_closed(self):
-        store = make_store()
-        with store, ServerThread(
-            store, clock=False, attested=False
-        ) as handle:
-            handle.start()
-            with pytest.raises((WireError, TransportError)):
+    def test_plaintext_hello_refused_by_worker(self):
+        objects = small_objects(8)
+        with attested_cluster(1, value_size=VALUE) as cluster:
+            cluster.factory(0).initialize(objects)
+            # A worker serves one balancer link at a time: step the
+            # cluster's aside so the plaintext dial is the one accepted.
+            cluster._close_channel(0)
+            with socket.create_connection(
+                ("127.0.0.1", cluster._ports[0]), timeout=10
+            ) as sock:
+                send_all(sock, encode_hello(Role.BALANCER))
+                recv_exact(sock, HELLO_SIZE)
+                # An empty INIT would wipe the partition if it were
+                # served; the worker has hung up, or reads it only to
+                # drop the connection with no reply (no INIT_ACK, no
+                # ERROR frame).
+                reply = b""
+                try:
+                    send_all(sock, encode_frame(
+                        FrameKind.INIT, Batch.filled(0, VALUE).to_bytes()
+                    ))
+                    while chunk := sock.recv(4096):
+                        reply += chunk
+                except (TransportError, ConnectionResetError):
+                    pass
+                assert reply == b""
+            with open(cluster._snapshot_path(0), "rb") as handle:
+                (suboram,) = pickle.load(handle).values()
+            assert suboram.num_objects == len(objects)
+            # The refused dial leaves the worker serving attested links.
+            assert cluster.ping(0)
+
+    def test_plaintext_server_hello_refused_by_client(self):
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(1)
+
+            def fake_server():
+                conn, _ = listener.accept()
+                with conn:
+                    send_all(conn, encode_hello(Role.SERVER))
+                    recv_exact(conn, HELLO_SIZE)
+                    conn.recv(1)  # hold until the client hangs up
+
+            server = threading.Thread(target=fake_server, daemon=True)
+            server.start()
+            with pytest.raises(WireError, match="plaintext"):
                 NetworkSnoopyClient(
-                    "127.0.0.1", handle.port,
+                    "127.0.0.1", listener.getsockname()[1],
                     trust=ServeTrust(b"resilience-test-trust-secret"),
                     timeout=5.0, resume=False,
                 )
+            server.join(timeout=10)
+            assert not server.is_alive()
 
 
 class TestReconnectPolicy:
@@ -325,9 +385,7 @@ class TestGracefulDegradation:
 
 class TestWorkerHealth:
     def test_health_classifies_ok_slow_dead(self):
-        with WorkerCluster(1, value_size=VALUE, security_parameter=16) \
-                as cluster:
-            cluster.start()
+        with attested_cluster(1, value_size=VALUE) as cluster:
             suboram = cluster.factory(0)
             suboram.initialize(small_objects(8))
             assert cluster.check_health(0) == "ok"
@@ -340,11 +398,9 @@ class TestWorkerHealth:
             assert cluster.check_health(0) == "dead"
 
     def test_remote_snapshot_survives_total_disk_loss(self):
-        with WorkerCluster(
-            1, value_size=VALUE, security_parameter=16,
-            remote_snapshots=True,
+        with attested_cluster(
+            1, value_size=VALUE, remote_snapshots=True
         ) as cluster:
-            cluster.start()
             suboram = cluster.factory(0)
             objects = small_objects(8)
             suboram.initialize(objects)
@@ -409,14 +465,15 @@ class TestNetworkChaosDifferential:
 
 
 class TestServedSkewInsensitivity:
-    """Hot keys stay invisible across the attested wire (loadgen path).
+    """Hot keys stay invisible across the attested wire.
 
     The in-process skew differential lives in
     ``test_telemetry_obliviousness.py``; this one drives the same
-    uniform-vs-Zipf shape-identical pair through the real TCP stack —
-    attested handshake, sealed frames, the server's epoch loop — and
-    requires byte-identical public telemetry and identical server
-    stats.
+    uniform-vs-Zipf shape-identical pair from a
+    :class:`~repro.serve.netclient.NetworkSnoopyClient` through the real
+    TCP stack — attested handshake, sealed frames, the server's epoch
+    loop — and requires byte-identical public telemetry and identical
+    server stats.
     """
 
     EPOCHS = 3

@@ -12,14 +12,12 @@ from repro.core.wire import (
     WireError,
     decode_frame_header,
     decode_hello,
-    decode_request,
     decode_requests,
     decode_response,
     decode_txn,
     encode_frame,
     encode_hello,
     encode_request,
-    encode_response,
     encode_responses,
     encode_txn,
     request_size,
@@ -292,11 +290,44 @@ class TestFrames:
             decode_txn(b"\x00" * 3)
 
 
+def decode_one_request(data, value_size):
+    """One REQUEST payload, framed, through the columnar decoder;
+    returns ``(req_id, request, load_balancer)``, a negative balancer
+    column value read as ``None`` (as the server submits it)."""
+    req_ids, balancers, rows = decode_requests(
+        encode_frame(FrameKind.REQUEST, data), value_size
+    )
+    (entry,) = rows.entries()
+    request = Request(
+        op=entry.op, key=entry.key, value=entry.value,
+        client_id=entry.client_id, seq=entry.seq,
+    )
+    balancer = int(balancers[0])
+    return int(req_ids[0]), request, (balancer if balancer >= 0 else None)
+
+
+def encode_one_response(req_id, response, value_size, **placement):
+    """One response as a one-row :class:`Batch` through
+    :func:`encode_responses`; returns the frame's payload."""
+    rows = Batch.filled(
+        1, value_size, key=[response.key],
+        value=[list(response.value or bytes(value_size))],
+        has_value=[response.value is not None],
+        client_id=[response.client_id], seq=[response.seq],
+        permitted=[response.ok],
+    )
+    frame = encode_responses(req_id, rows, **placement)
+    assert decode_frame_header(frame) == (
+        FrameKind.RESPONSE, response_size(value_size)
+    )
+    return frame[FRAME_HEADER_SIZE:]
+
+
 class TestRequestResponse:
     def test_request_roundtrip(self):
         request = Request(OpType.WRITE, 42, b"abcdefgh", client_id=9, seq=3)
         data = encode_request(17, request, value_size=8, load_balancer=1)
-        req_id, decoded, balancer = decode_request(data, value_size=8)
+        req_id, decoded, balancer = decode_one_request(data, value_size=8)
         assert req_id == 17
         assert balancer == 1
         assert decoded == request
@@ -311,7 +342,7 @@ class TestRequestResponse:
 
     def test_random_balancer_encodes_as_none(self):
         data = encode_request(3, Request(OpType.READ, 1), value_size=4)
-        _, _, balancer = decode_request(data, value_size=4)
+        _, _, balancer = decode_one_request(data, value_size=4)
         assert balancer is None
 
     def test_oversized_value_rejected(self):
@@ -323,18 +354,20 @@ class TestRequestResponse:
     def test_wrong_size_rejected(self):
         data = encode_request(1, Request(OpType.READ, 1), value_size=4)
         with pytest.raises(WireError):
-            decode_request(data[:-1], value_size=4)
+            decode_one_request(data[:-1], value_size=4)
         with pytest.raises(WireError):
-            decode_request(data, value_size=8)
+            decode_one_request(data, value_size=8)
         # A write payload that does not fill the value slot is refused at
         # the connection, before it can reach a balancer's queue.
         short = encode_request(1, Request(OpType.WRITE, 1, b"abc"), 4)
         with pytest.raises(WireError):
-            decode_request(short, value_size=4)
+            decode_one_request(short, value_size=4)
 
     def test_response_roundtrip(self):
-        response = Response(key=5, value=b"vv", client_id=2, seq=7, ok=True)
-        data = encode_response(
+        response = Response(
+            key=5, value=b"vvvvvvvv", client_id=2, seq=7, ok=True
+        )
+        data = encode_one_response(
             21, response, value_size=8, load_balancer=1, arrival=4, epoch=9
         )
         req_id, decoded, placement, delivery_seq = decode_response(
@@ -346,8 +379,10 @@ class TestRequestResponse:
         assert delivery_seq == 0
 
     def test_response_delivery_seq_roundtrip(self):
-        response = Response(key=5, value=b"vv", client_id=2, seq=7, ok=True)
-        data = encode_response(
+        response = Response(
+            key=5, value=b"vvvvvvvv", client_id=2, seq=7, ok=True
+        )
+        data = encode_one_response(
             21, response, value_size=8, load_balancer=1, arrival=4,
             epoch=9, delivery_seq=1234,
         )
@@ -357,7 +392,7 @@ class TestRequestResponse:
 
     def test_response_none_value_distinguished(self):
         none_resp = Response(key=1, value=None)
-        data = encode_response(
+        data = encode_one_response(
             1, none_resp, value_size=4, load_balancer=0, arrival=0, epoch=1
         )
         _, decoded, _, _ = decode_response(data, value_size=4)
@@ -367,9 +402,9 @@ class TestRequestResponse:
     def test_fixed_size_for_fixed_value_size(self):
         sizes = {
             len(
-                encode_response(
+                encode_one_response(
                     i,
-                    Response(key=i, value=bytes([i]) * i, ok=bool(i % 2)),
+                    Response(key=i, value=bytes([i]) * 8, ok=bool(i % 2)),
                     value_size=8,
                     load_balancer=i,
                     arrival=i,
