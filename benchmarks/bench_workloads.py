@@ -6,10 +6,10 @@ Three phases, all seeded and all feeding ``BENCH_workloads.json``:
   cost of making every workload replayable);
 * **tuner** — the replay-driven tuner on two adversarial traces (a
   Zipf hot-key stream and a flash-crowd spike), reporting the chosen
-  config, its modelled and measured rps, the measured speedup over the
-  tuner's pinned reference config (named in each row as
-  ``default_config``), and a reproduction check of the emitted config
-  at :data:`BENCH_TOLERANCE`;
+  schedule, its measured rps, the measured speedup over
+  ``SnoopyConfig()``'s own schedule (named in each row as
+  ``default_config``; exactly 1.0 when the tuner picks it), and a
+  reproduction check of the emitted config at :data:`BENCH_TOLERANCE`;
 * **scenarios** — the paper's §3.2 applications (key transparency,
   private contact discovery) run end to end as workloads.  The full run
   uses production scale — ≥1M stored objects each (2^19 users ⇒ ~1.57M
@@ -71,8 +71,6 @@ CD_CONTACTS = 32 if SMOKE else 48
 SWEEP = TunerSweep(
     epoch_durations=(0.05, 0.1, 0.2),
     pipeline_depths=(1, 2),
-    kernels=("python", "numpy"),
-    backends=("serial", "thread:4"),
 )
 
 HOT_KEY_SPEC = WorkloadSpec(
@@ -164,8 +162,7 @@ def test_workload_scenarios():
         best = row["best"]
         lines.append(
             f"tuner {row['trace']:<17}: best "
-            f"({best['epoch_duration']}s, depth {best['pipeline_depth']}, "
-            f"{best['kernel']}, {best['backend']}) "
+            f"({best['epoch_duration']}s, depth {best['pipeline_depth']}) "
             f"{row['measured_rps']:,.0f} rps "
             f"({row['speedup_over_default']:.2f}x default, reproduction "
             f"err {row['reproduction']['relative_error']:.1%})"

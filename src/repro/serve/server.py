@@ -108,7 +108,6 @@ from repro.core.wire import (
 from repro.core.wire import decode_requests as decode_request
 from repro.core.wire import encode_responses as encode_response
 from repro.errors import (
-    AttestationError,
     ConfigurationError,
     IntegrityError,
     ReplayError,
@@ -434,16 +433,6 @@ class SnoopyServer:
                     encode_version_reject(
                         exc.offered, SUPPORTED_WIRE_VERSIONS
                     ),
-                )
-                return
-            except AttestationError as exc:
-                self.stats["handshake_failures"] += 1
-                self.telemetry.counter(
-                    "serve_attestation_failures_total"
-                ).inc()
-                await self._send_plain(
-                    writer, FrameKind.ERROR,
-                    str(exc).encode("utf-8", "replace"),
                 )
                 return
             except WireError as exc:

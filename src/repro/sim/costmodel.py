@@ -9,7 +9,9 @@ The planner equations:
 ``load_balancer_time`` and ``suboram_time`` implement the two cost
 functions from the algorithms' actual asymptotics (bitonic n log^2 n,
 compaction n log n, hash-table construction, linear scan with the EPC
-paging knee); ``max_throughput`` inverts Eq. (1) by binary search.
+paging knee); ``epoch_stage_times`` composes them into Eq. (1)'s two
+stages for every caller (planner, simulators, tuner); ``max_throughput``
+inverts Eq. (1) by binary search.
 """
 
 from __future__ import annotations
@@ -143,6 +145,32 @@ def suboram_time(
     return construct + scan
 
 
+def epoch_stage_times(
+    requests_per_balancer: int,
+    num_load_balancers: int,
+    num_suborams: int,
+    objects_per_suboram: int,
+    security_parameter: int = 128,
+    profile: MachineProfile = DEFAULT_PROFILE,
+    object_size: int = 160,
+) -> Tuple[float, float]:
+    """Eq. (1)'s two stage times for one epoch: ``(L_LB, L * L_S)``.
+
+    The load-balancer stage handles ``requests_per_balancer`` requests;
+    each subORAM executes one batch of ``f(R/L, S)`` per balancer over
+    its ``objects_per_suboram`` objects.  A pipelined epoch is bounded by
+    the ``max`` of the two, a serialized one takes their ``sum``.
+    """
+    lb_time = load_balancer_time(
+        requests_per_balancer, num_suborams, security_parameter, profile, object_size
+    )
+    batch = batch_size(requests_per_balancer, num_suborams, security_parameter)
+    so_time = num_load_balancers * suboram_time(
+        batch, objects_per_suboram, security_parameter, profile, object_size
+    )
+    return lb_time, so_time
+
+
 def epoch_feasible(
     throughput: float,
     epoch: float,
@@ -157,15 +185,11 @@ def epoch_feasible(
     requests_per_balancer = int(math.ceil(throughput * epoch / num_load_balancers))
     if requests_per_balancer == 0:
         return True
-    lb_time = load_balancer_time(
-        requests_per_balancer, num_suborams, security_parameter, profile, object_size
-    )
-    per_partition = int(math.ceil(num_objects / num_suborams))
-    batch = batch_size(requests_per_balancer, num_suborams, security_parameter)
-    so_time = num_load_balancers * suboram_time(
-        batch, per_partition, security_parameter, profile, object_size
-    )
-    return max(lb_time, so_time) <= epoch
+    return max(epoch_stage_times(
+        requests_per_balancer, num_load_balancers, num_suborams,
+        int(math.ceil(num_objects / num_suborams)),
+        security_parameter, profile, object_size,
+    )) <= epoch
 
 
 def max_throughput(
@@ -306,13 +330,11 @@ def mean_latency(
     requests_per_balancer = max(
         1, int(math.ceil(throughput * epoch / num_load_balancers))
     )
-    batch = batch_size(requests_per_balancer, num_suborams, security_parameter)
-    per_partition = int(math.ceil(num_objects / num_suborams))
-    processing = load_balancer_time(
-        requests_per_balancer, num_suborams, security_parameter, profile, object_size
-    ) + num_load_balancers * suboram_time(
-        batch, per_partition, security_parameter, profile, object_size
-    )
+    processing = sum(epoch_stage_times(
+        requests_per_balancer, num_load_balancers, num_suborams,
+        int(math.ceil(num_objects / num_suborams)),
+        security_parameter, profile, object_size,
+    ))
     return epoch / 2.0 + processing
 
 

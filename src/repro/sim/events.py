@@ -16,8 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, List
 
-from repro.analysis.balls_bins import batch_size
-from repro.sim.costmodel import load_balancer_time, suboram_time
+from repro.sim.costmodel import epoch_stage_times
 from repro.sim.machines import DEFAULT_PROFILE, MachineProfile
 from repro.sim.metrics import LatencyStats
 
@@ -76,27 +75,13 @@ class EpochSimulator:
             if not epoch_arrivals:
                 continue
             close = (k + 1) * epoch
-            requests_per_balancer = max(
-                1, math.ceil(len(epoch_arrivals) / config.num_load_balancers)
-            )
-            lb_time = load_balancer_time(
-                requests_per_balancer,
-                config.num_suborams,
-                config.security_parameter,
-                config.profile,
-                config.object_size,
-            )
-            size = batch_size(
-                requests_per_balancer,
-                config.num_suborams,
-                config.security_parameter,
-            )
-            so_time = config.num_load_balancers * suboram_time(
-                size,
+            lb_time, so_time = epoch_stage_times(
+                max(1, math.ceil(
+                    len(epoch_arrivals) / config.num_load_balancers
+                )),
+                config.num_load_balancers, config.num_suborams,
                 math.ceil(config.num_objects / config.num_suborams),
-                config.security_parameter,
-                config.profile,
-                config.object_size,
+                config.security_parameter, config.profile, config.object_size,
             )
 
             batch_ready = max(close, lb_free) + lb_time / 2.0

@@ -23,9 +23,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.analysis.balls_bins import batch_size
 from repro.core.snoopy import Snoopy
-from repro.sim.costmodel import load_balancer_time, suboram_time
+from repro.sim.costmodel import epoch_stage_times
 from repro.sim.machines import DEFAULT_PROFILE, MachineProfile
 from repro.sim.metrics import LatencyStats
 from repro.types import Request, Response
@@ -73,30 +72,12 @@ class SnoopyRuntime:
     def _epoch_processing_time(self, num_requests: int) -> float:
         """Virtual duration of one epoch's pipeline (Eq. 1 stages)."""
         config = self.store.config
-        requests_per_balancer = max(
-            1, math.ceil(num_requests / config.num_load_balancers)
-        )
-        lb_time = load_balancer_time(
-            requests_per_balancer,
-            config.num_suborams,
-            config.security_parameter,
-            self.profile,
-            config.value_size,
-        )
-        size = batch_size(
-            requests_per_balancer,
-            config.num_suborams,
-            config.security_parameter,
-        )
         partition = max(self.store.partition_sizes) if self.store.num_objects else 0
-        so_time = config.num_load_balancers * suboram_time(
-            size,
-            partition,
-            config.security_parameter,
-            self.profile,
-            config.value_size,
-        )
-        return lb_time + so_time
+        return sum(epoch_stage_times(
+            max(1, math.ceil(num_requests / config.num_load_balancers)),
+            config.num_load_balancers, config.num_suborams, partition,
+            config.security_parameter, self.profile, config.value_size,
+        ))
 
     def run(
         self,

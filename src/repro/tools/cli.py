@@ -223,9 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--epoch-durations", type=str, default=None,
                       metavar="LIST",
                       help="comma-separated sweep axis, e.g. 0.05,0.1,0.2")
-    tune.add_argument("--backends", type=str, default=None, metavar="LIST",
-                      help="comma-separated backend specs, e.g. "
-                           "serial,thread:4")
     tune.add_argument("--no-measure", action="store_true",
                       help="model-based selection only; skip the replay "
                            "measurement (fully deterministic output)")
@@ -605,7 +602,6 @@ def cmd_tune(args) -> int:
     and the exit code reflects whether the measured throughput
     reproduced within tolerance.
     """
-    import dataclasses
     import json
 
     from repro.workloads import (
@@ -642,16 +638,11 @@ def cmd_tune(args) -> int:
         dump_trace(trace, args.trace_out)
         log(f"trace written to {args.trace_out}")
 
-    sweep_kwargs = {}
+    sweep = TunerSweep()
     if args.epoch_durations is not None:
-        sweep_kwargs["epoch_durations"] = tuple(
+        sweep = TunerSweep(epoch_durations=tuple(
             float(x) for x in args.epoch_durations.split(",") if x
-        )
-    if args.backends is not None:
-        sweep_kwargs["backends"] = tuple(
-            x for x in args.backends.split(",") if x
-        )
-    sweep = dataclasses.replace(TunerSweep(), **sweep_kwargs)
+        ))
     result = tune(
         trace,
         sweep=sweep,

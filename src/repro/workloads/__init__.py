@@ -17,10 +17,10 @@ into a scenario platform:
 * :mod:`repro.workloads.trace` — a versioned JSONL trace format with
   byte-stable record→replay round-trips and checksummed identity.
 * :mod:`repro.workloads.tuner` — a replay-driven auto-tuner sweeping
-  (epoch_duration, pipeline_depth, kernel, backend, replication)
-  against a trace: deterministic model-based selection, measured
-  replay verification, best config emitted as JSON
-  (``python -m repro tune``).
+  the two scheduling knobs (epoch_duration, pipeline_depth) against a
+  trace: deterministic selection by the §6 cost model's Eq. (1),
+  measured replay against ``SnoopyConfig()``'s schedule, best config
+  emitted as JSON (``python -m repro tune``).
 * :mod:`repro.workloads.scenarios` — the §3.2 applications (key
   transparency, contact discovery) as million-object end-to-end
   scenarios under skewed load.

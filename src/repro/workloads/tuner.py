@@ -1,27 +1,28 @@
 """Replay-driven configuration tuner: sweep configs against a trace.
 
 Given a recorded trace (:mod:`repro.workloads.trace`), the tuner sweeps
-candidate configurations over the public performance knobs —
-``epoch_duration``, ``pipeline_depth``, ``kernel``, ``execution
-backend``, ``replication`` — and emits the best one as JSON.
+the two public scheduling knobs — ``epoch_duration`` and
+``pipeline_depth``, the only performance axes with more than one
+production value — and emits the best point as JSON.  Kernel, store
+crypto and execution backend are the deployment's one default each.
 
 Two evaluation layers, deliberately separated:
 
 * **Model scoring (deterministic).**  Every candidate is scored with
-  the §6 analytic cost model (:mod:`repro.sim.costmodel`) applied to
-  the trace's arrival statistics, adjusted by the measured kernel
-  speedup and the backend's batch-level parallelism.  Same trace +
-  same sweep ⇒ byte-identical ranking and best-config JSON
-  (:meth:`TunerResult.best_config_json`), which is what the
-  determinism tests compare and what CI can diff.
-* **Replay verification (measured).**  The winning candidate and the
-  pinned reference configuration (:data:`DEFAULT_CANDIDATE`: serial,
-  python kernel, depth 1, 0.2 s epochs) are then actually replayed
-  against the trace in process (:func:`replay_trace`) and the measured
-  requests/second recorded alongside.  The emitted report carries both
-  numbers; re-replaying the emitted config must land within
-  ``REPRODUCTION_TOLERANCE`` of the reported measurement (the
-  ``python -m repro tune --verify`` bar).
+  the §6 cost model's own Eq. (1) stage times
+  (:func:`repro.sim.costmodel.epoch_stage_times`) at the trace's
+  arrival statistics: the bottleneck stage at depth >= 2, both stages
+  back to back at depth 1.  Same trace + same sweep ⇒ byte-identical
+  ranking and best-config JSON (:meth:`TunerResult.best_config_json`),
+  which is what the determinism tests compare and what CI can diff.
+* **Replay verification (measured).**  The winning candidate and
+  ``SnoopyConfig()``'s own schedule (:data:`DEFAULT_CANDIDATE`) are
+  then actually replayed against the trace in process
+  (:func:`replay_trace`) and the measured requests/second recorded
+  alongside; when the winner *is* the default it is replayed once and
+  its ``speedup_over_default`` is 1.0.  Re-replaying the emitted config
+  must land within ``REPRODUCTION_TOLERANCE`` of the reported
+  measurement (the ``python -m repro tune --verify`` bar).
 
 The knobs the tuner sweeps are all *public information* (§2.1): it
 only ever reads the trace's shape and timing, never which keys are hot
@@ -31,25 +32,20 @@ and the skew-insensitivity tests hold that line.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.balls_bins import batch_size
 from repro.core.config import SnoopyConfig
 from repro.core.snoopy import Snoopy
 from repro.crypto.keys import KeyChain
-from repro.sim.costmodel import load_balancer_time, suboram_time
+from repro.sim.costmodel import epoch_stage_times
 from repro.workloads.trace import Trace
-
-#: Measured end-to-end epoch speedup of the vectorized kernel over the
-#: scalar reference (BENCH_kernels.json / BENCH_aead.json: 5.6-7.2x at
-#: S=8; the model uses the conservative end-to-end figure).
-KERNEL_SPEEDUP = {"python": 1.0, "numpy": 5.6}
 
 #: Relative wall-clock tolerance for ``--verify`` re-replays.
 REPRODUCTION_TOLERANCE = 0.10
@@ -57,61 +53,27 @@ REPRODUCTION_TOLERANCE = 0.10
 
 @dataclass(frozen=True)
 class CandidateConfig:
-    """One point of the sweep: the public performance knobs."""
+    """One point of the sweep: the public scheduling knobs."""
 
-    epoch_duration: float = 0.2
-    pipeline_depth: int = 2
-    kernel: str = "python"
-    backend: str = "serial"
-    replication: Optional[Tuple[int, int]] = None
+    epoch_duration: float = SnoopyConfig.epoch_duration
+    pipeline_depth: int = SnoopyConfig.pipeline_depth
 
     def to_dict(self) -> Dict[str, object]:
         """Canonical JSON-ready rendering (sweep IDs, emitted configs)."""
-        return {
-            "backend": self.backend,
-            "epoch_duration": self.epoch_duration,
-            "kernel": self.kernel,
-            "pipeline_depth": self.pipeline_depth,
-            "replication": (
-                list(self.replication) if self.replication else None
-            ),
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, obj: Dict[str, object]) -> "CandidateConfig":
         """Inverse of :meth:`to_dict` (reads emitted config JSON)."""
-        replication = obj.get("replication")
         return cls(
             epoch_duration=float(obj["epoch_duration"]),
             pipeline_depth=int(obj["pipeline_depth"]),
-            kernel=str(obj["kernel"]),
-            backend=str(obj["backend"]),
-            replication=tuple(replication) if replication else None,
-        )
-
-    def sort_key(self) -> Tuple:
-        """Deterministic tie-break order (prefer low latency, less gear)."""
-        return (
-            self.epoch_duration,
-            self.pipeline_depth,
-            _backend_workers(self.backend),
-            self.kernel,
-            self.backend,
-            self.replication or (0, 0),
         )
 
 
-#: The fixed reference point every ``speedup_over_default`` is stated
-#: against (and the report names as ``default_config``): the untuned
-#: all-reference deployment.  Pinned literally — it must not float when
-#: ``SnoopyConfig``'s defaults move, or reports stop being comparable.
-DEFAULT_CANDIDATE = CandidateConfig(
-    epoch_duration=0.2,
-    pipeline_depth=1,
-    kernel="python",
-    backend="serial",
-    replication=None,
-)
+#: The point every ``speedup_over_default`` is stated against (named in
+#: the report as ``default_config``): ``SnoopyConfig()``'s own schedule.
+DEFAULT_CANDIDATE = CandidateConfig()
 
 
 @dataclass(frozen=True)
@@ -120,48 +82,21 @@ class TunerSweep:
 
     epoch_durations: Tuple[float, ...] = (0.05, 0.1, 0.2)
     pipeline_depths: Tuple[int, ...] = (1, 2)
-    kernels: Tuple[str, ...] = ("python", "numpy")
-    backends: Tuple[str, ...] = ("serial", "thread:4")
-    replications: Tuple[Optional[Tuple[int, int]], ...] = (None,)
 
     def candidates(self) -> List[CandidateConfig]:
         """Every grid point, in deterministic axis order."""
         return [
-            CandidateConfig(
-                epoch_duration=duration,
-                pipeline_depth=depth,
-                kernel=kernel,
-                backend=backend,
-                replication=replication,
-            )
+            CandidateConfig(epoch_duration=duration, pipeline_depth=depth)
             for duration in self.epoch_durations
             for depth in self.pipeline_depths
-            for kernel in self.kernels
-            for backend in self.backends
-            for replication in self.replications
         ]
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready rendering of the sweep grid (report provenance)."""
         return {
-            "backends": list(self.backends),
             "epoch_durations": list(self.epoch_durations),
-            "kernels": list(self.kernels),
             "pipeline_depths": list(self.pipeline_depths),
-            "replications": [
-                list(r) if r else None for r in self.replications
-            ],
         }
-
-
-def _backend_workers(spec: str) -> int:
-    """Usable batch-level parallelism of an execution-backend spec."""
-    name, _, suffix = spec.partition(":")
-    if name == "serial":
-        return 1
-    if suffix:
-        return max(1, int(suffix))
-    return 4  # the pooled backends' effective default for small fleets
 
 
 # ---------------------------------------------------------------------------
@@ -176,42 +111,20 @@ def modelled_epoch_seconds(
     num_objects: int,
     security_parameter: int,
     value_size: int,
-) -> Dict[str, float]:
-    """Analytic per-epoch stage times for one candidate.
+) -> float:
+    """Modelled time of one epoch under ``candidate``'s schedule.
 
-    Returns ``{"build_match": .., "execute": .., "epoch": ..}`` where
-    ``epoch`` accounts for pipelining: at depth >= 2 the §6 pipeline
-    overlaps the balancer's build/match with subORAM execution, so the
-    bottleneck stage sets the cadence; at depth 1 stages serialize.
+    At depth >= 2 the §6 pipeline overlaps the balancer stage with
+    subORAM execution, so the bottleneck stage sets the cadence (Eq. 1's
+    ``max``); at depth 1 the stages run back to back.
     """
-    per_balancer = max(1, math.ceil(
-        requests_per_epoch / max(1, num_load_balancers)
-    ))
-    speedup = KERNEL_SPEEDUP.get(candidate.kernel, 1.0)
-    build_match = load_balancer_time(
-        per_balancer, num_suborams, security_parameter,
-        object_size=value_size,
-    ) / speedup
-    batch = batch_size(per_balancer, num_suborams, security_parameter)
-    per_partition = max(1, math.ceil(num_objects / num_suborams))
-    one_batch = suboram_time(
-        batch, per_partition, security_parameter, object_size=value_size,
-    ) / speedup
-    # Each subORAM executes one batch per balancer; the backend pool
-    # overlaps (balancer, subORAM) tasks up to its worker count, and a
-    # replica group multiplies the work by its size.
-    group = 1
-    if candidate.replication is not None:
-        f, r = candidate.replication
-        group = f + r + 1
-    tasks = num_load_balancers * num_suborams * group
-    waves = math.ceil(tasks / min(_backend_workers(candidate.backend), tasks))
-    execute = one_batch * waves
-    if candidate.pipeline_depth >= 2:
-        epoch = max(build_match, execute)
-    else:
-        epoch = build_match + execute
-    return {"build_match": build_match, "execute": execute, "epoch": epoch}
+    stages = epoch_stage_times(
+        max(1, math.ceil(requests_per_epoch / num_load_balancers)),
+        num_load_balancers, num_suborams,
+        math.ceil(num_objects / num_suborams),
+        security_parameter, object_size=value_size,
+    )
+    return max(stages) if candidate.pipeline_depth >= 2 else sum(stages)
 
 
 def score_candidate(
@@ -230,33 +143,24 @@ def score_candidate(
     the trace's *peak* epoch — can the config drain its worst epoch
     within one period?
     """
-    value_size = trace.spec.value_size if trace.spec else 160
-    rate = trace.mean_rate
-    mean_load = max(1, math.ceil(rate * candidate.epoch_duration))
+    model = dict(
+        num_load_balancers=num_load_balancers,
+        num_suborams=num_suborams,
+        num_objects=num_objects,
+        security_parameter=security_parameter,
+        value_size=trace.spec.value_size if trace.spec else 160,
+    )
+    mean_load = max(1, math.ceil(trace.mean_rate * candidate.epoch_duration))
     groups = trace.epoch_groups(candidate.epoch_duration)
     peak_load = max((len(g) for g in groups), default=1) or 1
-    mean_times = modelled_epoch_seconds(
-        candidate, mean_load,
-        num_load_balancers=num_load_balancers,
-        num_suborams=num_suborams,
-        num_objects=num_objects,
-        security_parameter=security_parameter,
-        value_size=value_size,
-    )
-    peak_times = modelled_epoch_seconds(
-        candidate, peak_load,
-        num_load_balancers=num_load_balancers,
-        num_suborams=num_suborams,
-        num_objects=num_objects,
-        security_parameter=security_parameter,
-        value_size=value_size,
-    )
+    mean_epoch = modelled_epoch_seconds(candidate, mean_load, **model)
+    peak_epoch = modelled_epoch_seconds(candidate, peak_load, **model)
     return {
         "config": candidate.to_dict(),
-        "modelled_rps": mean_load / max(mean_times["epoch"], 1e-12),
-        "modelled_epoch_s": mean_times["epoch"],
+        "modelled_rps": mean_load / max(mean_epoch, 1e-12),
+        "modelled_epoch_s": mean_epoch,
         "peak_epoch_load": peak_load,
-        "feasible": peak_times["epoch"] <= candidate.epoch_duration,
+        "feasible": peak_epoch <= candidate.epoch_duration,
     }
 
 
@@ -290,7 +194,8 @@ def replay_trace(
     Records are grouped into epochs by arrival time
     (:meth:`Trace.epoch_groups` at the candidate's ``epoch_duration``)
     and the epochs run back to back at full speed — a capacity
-    measurement, not a latency simulation.  Every candidate drives the
+    measurement, not a latency simulation.  Every candidate runs the
+    default kernel, store crypto and execution backend, and drives the
     §6 scheduler with manual, deterministic epoch closes; at depth 1
     epochs do not overlap.  The response digest ties a replay to the
     bytes it served, so two replays of the same trace are checkably
@@ -310,9 +215,6 @@ def replay_trace(
         security_parameter=security_parameter,
         epoch_duration=candidate.epoch_duration,
         pipeline_depth=max(1, candidate.pipeline_depth),
-        execution_backend=candidate.backend,
-        kernel=candidate.kernel,
-        replication=candidate.replication,
     )
     groups = trace.epoch_groups(candidate.epoch_duration)
     digest = hashlib.sha256()
@@ -428,11 +330,11 @@ def tune(
     Selection is purely model-based (deterministic; see module
     docstring).  Feasible candidates (peak epoch drains within one
     period) beat infeasible ones; within a class, higher modelled
-    throughput wins, ties broken toward lower epoch_duration / less
-    hardware.  With ``measure=True`` the winner and the pinned reference
-    (:data:`DEFAULT_CANDIDATE`, named in the report as
-    ``default_config``) are then replayed for real and the measured rps
-    attached.
+    throughput wins, ties broken toward lower epoch_duration, then lower
+    pipeline_depth.  With ``measure=True`` the winner and
+    ``SnoopyConfig()``'s schedule (:data:`DEFAULT_CANDIDATE`, named in
+    the report as ``default_config``) are then replayed for real and
+    the measured rps attached.
     """
     sweep = sweep if sweep is not None else TunerSweep()
     if num_objects is None:
@@ -461,7 +363,8 @@ def tune(
         key=lambda pair: (
             not pair[1]["feasible"],
             -pair[1]["modelled_rps"],
-            pair[0].sort_key(),
+            pair[0].epoch_duration,
+            pair[0].pipeline_depth,
         ),
     )
     best = ranked[0][0]
@@ -479,7 +382,9 @@ def tune(
             security_parameter=security_parameter,
         )
         best_run = _best_of(trace, best, repeats, **replay_kwargs)
-        default_run = _best_of(
+        # Replaying one config twice would only turn noise into a
+        # "speedup": the default's run is the winner's when they agree.
+        default_run = best_run if best == DEFAULT_CANDIDATE else _best_of(
             trace, DEFAULT_CANDIDATE, repeats, **replay_kwargs
         )
         result.measured = {
