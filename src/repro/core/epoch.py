@@ -16,11 +16,14 @@ epoch behind each other:
   independent *across balancers*.
 * **execute** — every subORAM serves the L balancers' batches.  The
   batches of one subORAM run in fixed balancer order (LB 0 first — the
-  order Appendix C's linearization proof fixes), so each subORAM's
-  L-batch chain is a single ordered unit — one
-  :meth:`~repro.suboram.suboram.SubOram.run_epoch` call, which opens the
-  partition once, builds the L tables as one stacked network and
-  reseals once; independent *across subORAMs*.
+  order Appendix C's linearization proof fixes).  Co-resident subORAMs
+  run as P = min(S, backend width) contiguous groups of ⌈S/P⌉
+  (:func:`stage_groups`), each one unit — one
+  :func:`~repro.suboram.suboram.run_group` call, which opens each
+  member's partition once, builds all members' tables as the rows of
+  one stacked network and reseals each once.  A subORAM of another kind
+  (a worker proxy, a replica group) is a unit of its own.  Independent
+  *across groups*.
 * **match** — every balancer obliviously matches the returned rows to
   its clients' requests, and the epoch's ticket cut is resolved, one
   call per ticket (one ticket per submitted chunk).
@@ -68,6 +71,7 @@ from repro.exec.backend import (
 from repro.loadbalancer.batching import generate_batches
 from repro.loadbalancer.matching import match_responses
 from repro.oblivious.soa import Batch
+from repro.suboram.suboram import SubOram, run_group
 from repro.telemetry import resolve_telemetry
 
 def _build_stage(task):
@@ -111,19 +115,51 @@ def _raise_injected(fault: Optional[str], unit: int) -> None:
         )
 
 
-def _execute_stage(task):
-    """Stage ➋ unit: one subORAM's L batches, in fixed balancer order.
+def stage_groups(num_suborams: int, width: int) -> List[range]:
+    """Stage ➋'s groups of co-resident subORAMs, as index ranges.
 
-    Runs on the subORAM object it is handed (the live one, or the
-    atomic copy) and returns ``[(balancer_index, response batch), ...]``.
+    P = min(S, width) contiguous groups of ⌈S/P⌉ partition indices (the
+    last may be shorter): a function of the two public numbers alone.
     """
-    suboram_index, suboram, chain, fault, telemetry = task
-    _raise_injected(fault, suboram_index)
-    with telemetry.time("snoopy_suboram_epoch_seconds", unit=suboram_index):
-        replies = suboram.run_epoch([batch for _, batch in chain])
+    size = -(-num_suborams // max(1, min(num_suborams, width)))
+    return [range(num_suborams)[first:first + size]
+            for first in range(0, num_suborams, size)]
+
+
+def _stage_units(suborams, width: int) -> List[List[int]]:
+    """Each stage-➋ unit's partition indices: a :func:`stage_groups`
+    group of in-process :class:`SubOram` members, or one subORAM of any
+    other kind (a worker proxy, a replica group), served through its own
+    ``run_epoch``."""
+    units = []
+    for group in stage_groups(len(suborams), width):
+        if all(isinstance(suborams[i], SubOram) for i in group):
+            units.append(list(group))
+        else:
+            units.extend([i] for i in group)
+    return units
+
+
+def _execute_stage(task):
+    """Stage ➋ unit: a group of subORAMs' L batches, each member's in
+    fixed balancer order.
+
+    Runs on the subORAM objects it is handed (the live ones, or the
+    atomic copies) and returns ``[(balancer_index, response batch),
+    ...]``, member by member.  A fault armed for any member fires with
+    that member's index as its ``unit``.
+    """
+    indices, members, chains, faults, telemetry = task
+    for index, fault in zip(indices, faults):
+        _raise_injected(fault, index)
+    batches = [[batch for _, batch in chain] for chain in chains]
+    with telemetry.time("snoopy_suboram_epoch_seconds", unit=indices[0]):
+        replies = (run_group(members, batches) if len(members) > 1
+                   else [members[0].run_epoch(batches[0])])
     return [
         (balancer_index, reply)
-        for (balancer_index, _), reply in zip(chain, replies)
+        for chain, member_replies in zip(chains, replies)
+        for (balancer_index, _), reply in zip(chain, member_replies)
     ]
 
 
@@ -205,7 +241,9 @@ class EpochDriver:
 
         Each chain lists that subORAM's batches in ascending balancer
         order, the fixed order the linearizability argument requires.
-        One ``backend.map`` runs the chains, one unit per subORAM.
+        One ``backend.map`` runs the chains, one unit per
+        :func:`stage_groups` group of in-process subORAMs (the backend's
+        ``width`` sets P), one unit per subORAM of any other kind.
 
         Args:
             injector: optional :class:`~repro.core.faults.FaultInjector`;
@@ -238,8 +276,9 @@ class EpochDriver:
                 # harmless (the retry re-clones the same committed
                 # parents under fresh version ids).
                 work_suborams = copy.deepcopy(work_suborams)
+            units = _stage_units(work_suborams, self.backend.width)
             with self.telemetry.span(
-                "stage", stage="execute", tasks=len(work_suborams)
+                "stage", stage="execute", tasks=len(units)
             ), self.telemetry.time(
                 "snoopy_epoch_stage_seconds", stage="execute"
             ):
@@ -247,18 +286,15 @@ class EpochDriver:
                     _execute_stage,
                     [
                         (
-                            suboram_index,
-                            suboram,
-                            [
-                                (balancer_index, built[j][0][suboram_index])
-                                for j, balancer_index in enumerate(active)
-                            ],
-                            injector.stage_fault(suboram_index)
-                            if injector is not None
-                            else None,
+                            unit,
+                            [work_suborams[i] for i in unit],
+                            [[(b, built[j][0][i]) for j, b in enumerate(active)]
+                             for i in unit],
+                            [injector.stage_fault(i) for i in unit]
+                            if injector is not None else [None] * len(unit),
                             self.telemetry,
                         )
-                        for suboram_index, suboram in enumerate(work_suborams)
+                        for unit in units
                     ],
                 )
         except BaseException as exc:

@@ -23,7 +23,9 @@ resident.
 
 Every backend preserves the *fixed balancer order within each subORAM*
 that Appendix C's linearizability proof requires: the epoch driver hands
-each subORAM its L batches as one ordered task, and backends only
+each stage-➋ unit — a group of co-resident subORAMs, one per backend
+``width`` (:func:`repro.core.epoch.stage_groups`), or one out-of-process
+subORAM — its members' L batches as one ordered task, and backends only
 parallelize *across* tasks, never within one.  Results are therefore
 byte-identical across backends (``tests/test_parallel_equivalence.py``).
 

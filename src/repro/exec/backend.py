@@ -75,6 +75,11 @@ class ExecutionBackend(ABC):
     #: Registry/spec name of the backend (e.g. ``"serial"``, ``"thread"``).
     name: str = "abstract"
 
+    #: How many units of one stage can compute at once: the number of
+    #: stage-➋ groups co-resident subORAMs are split into
+    #: (:func:`repro.core.epoch.stage_groups`).  Public configuration.
+    width: int = 1
+
     #: Telemetry handle, defaulting to the shared no-op; deployments call
     #: :meth:`attach_telemetry` to wire in their live handle.  The pooled
     #: backend records per-task queue-wait/run timings through it; the

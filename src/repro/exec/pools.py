@@ -78,6 +78,13 @@ class ThreadPoolBackend(ExecutionBackend):
         # racing the first call must not each build (and leak) a pool.
         self._pool_lock = threading.Lock()
 
+    @property
+    def width(self) -> int:
+        """Units that can compute at once: min(pool threads, usable cores)."""
+        cores = (len(os.sched_getaffinity(0))
+                 if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+        return min(self.max_workers or _default_thread_workers(), cores)
+
     def _get_executor(self) -> ThreadPoolExecutor:
         """The live pool, created on first use (double-checked lock)."""
         executor = self._executor

@@ -187,19 +187,23 @@ class TwoTierHashTable:
                 :mod:`repro.oblivious.kernels`) for the internal sorts
                 and compactions.
             lookups: optional key column (a subORAM's store keys) routed
-                in the same SipHash pass; each table's ``lookup_blocks``
+                in the same SipHash pass; the table's ``lookup_blocks``
                 is then its :meth:`bucket_blocks` of it (else ``None``).
+                With L keys, a list of L columns, one per row: rows may
+                route different, unequal-length columns (the store keys
+                of the subORAM each row belongs to).
 
         L tables are the rows of one network: one SipHash pass with a key
         per row, and under the numpy kernel one stacked sort and one
         stacked compaction per tier (:func:`_tier_columns`).  Each table
-        equals its own single build.
+        equals its own single build, and an over-capacity row raises the
+        error its single build raises.
         """
         if isinstance(prf_key, (bytes, bytearray)):
             return cls.build(
                 [keys], [prf_key], params, security_parameter,
                 None if real is None else [real], mem_factory, kernel,
-                lookups,
+                None if lookups is None else [lookups],
             )[0]
         kern = resolve_kernel(kernel, mem_factory)
         sizes = [len(row) for row in keys]
@@ -211,12 +215,16 @@ class TwoTierHashTable:
         # tier2_capacity spill fillers is n + j (real bit 0, an id from a
         # space disjoint from real/dummy ids so that it hashes too).  One
         # tag per id (and per lookup) under each row's own key: its two
-        # mixed-radix digits are the tier-1 and tier-2 buckets.
-        lookup = np.asarray([] if lookups is None else lookups, np.int64)
+        # mixed-radix digits are the tier-1 and tier-2 buckets.  A row's
+        # lookups follow its ids; a shorter column is padded with id 0.
+        routed = [0] * len(sizes) if lookups is None else [
+            len(column) for column in lookups
+        ]
         width = max(n + p.tier2_capacity for n, p in zip(sizes, dims))
-        ids = np.zeros((len(sizes), width + len(lookup)), dtype=np.int64)
-        ids[:, width:] = lookup
+        ids = np.zeros((len(sizes), width + max(routed)), dtype=np.int64)
         for row, (n, p) in enumerate(zip(sizes, dims)):
+            if routed[row]:
+                ids[row, width:width + routed[row]] = lookups[row]
             if n > p.capacity:
                 raise CapacityError(
                     f"{n} items exceed table capacity {p.capacity}"
@@ -275,11 +283,10 @@ class TwoTierHashTable:
             table = cls(p, Prf(prf_key[row]), slot_items,
                         soa.take(row_real, slot_items), kernel=kernel)
             if lookups is not None:
+                own = slice(width, width + routed[row])
                 table.lookup_blocks = (
-                    (bucket1[row, width:], p.tier1_buckets,
-                     p.tier1_bucket_size),
-                    (bucket2[row, width:], p.tier2_buckets,
-                     p.tier2_bucket_size),
+                    (bucket1[row, own], p.tier1_buckets, p.tier1_bucket_size),
+                    (bucket2[row, own], p.tier2_buckets, p.tier2_bucket_size),
                 )
             tables.append(table)
         return tables

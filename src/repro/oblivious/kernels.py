@@ -378,28 +378,26 @@ def _pack_sort_keys(packed, n: int, cols) -> bool:
 
 
 @lru_cache(maxsize=8)
-def _level_arrays(m: int, rows: int = 1):
-    """Per-level ``(partner, take_min)`` columns of ``rows`` stacked
-    size-``m`` networks (``rows * m`` flat cells).
+def _level_arrays(m: int):
+    """Per-level ``(partner, take_min)`` columns of one size-``m``
+    network; stacked rows share them along their row axis.
 
     Level ``(k, j)`` of the bitonic schedule pairs cell ``i`` with
-    ``i ^ j`` — inside its own row, since ``j < m`` — and the cell keeps
-    the smaller word when it is the lower end of an ascending comparator
-    or the upper end of a descending one, which depends on its place in
-    the row, ``i & (m - 1)``.  Both columns are computed arithmetically
-    from the cell index (no per-comparator Python objects), shared
-    read-only between threads, and bounded to the few shapes a
-    deployment replays every epoch.
+    ``i ^ j`` and the cell keeps the smaller word when it is the lower
+    end of an ascending comparator or the upper end of a descending one.
+    Both columns are computed arithmetically from the cell index (no
+    per-comparator Python objects), shared read-only between threads,
+    and bounded to the few sizes a deployment replays every epoch,
+    whatever the number of rows stacked on them.
     """
-    idx = np.arange(rows * m, dtype=np.int64)
-    cell = idx & (m - 1)
+    idx = np.arange(m, dtype=np.int64)
     levels = []
     k = 2
     while k <= m:
         j = k // 2
         while j >= 1:
             partner = idx ^ j
-            take_min = ((cell & j) == 0) == ((cell & k) == 0)
+            take_min = ((idx & j) == 0) == ((idx & k) == 0)
             partner.setflags(write=False)
             take_min.setflags(write=False)
             levels.append((partner, take_min))
@@ -455,16 +453,21 @@ class NumpyKernel(Kernel):
             elif trace is not None:
                 trace.record("sort", n, m)
         if len(wide) < len(rows):
-            other = _scratch("sort_other", shape, np.int64)
-            low = _scratch("sort_low", shape, np.int64)
-            levels = _level_arrays(m, len(rows))
-            for level_index, (partner, take_min) in enumerate(levels):
+            # One row per network: the level columns apply along the
+            # last axis.
+            grid = packed.reshape(len(rows), m) if stacked else packed
+            other = _scratch("sort_other", grid.shape, np.int64)
+            low = _scratch("sort_low", grid.shape, np.int64)
+            for level_index, (partner, take_min) in enumerate(
+                _level_arrays(m)
+            ):
                 if trace is not None:
                     trace.record("sort_level", m, level_index, shape[0] // 2)
-                np.take(packed, partner, out=other, mode="clip")
-                np.minimum(packed, other, out=low)
-                np.maximum(packed, other, out=other)
-                packed = np.where(take_min, low, other)
+                np.take(grid, partner, axis=-1, out=other, mode="clip")
+                np.minimum(grid, other, out=low)
+                np.maximum(grid, other, out=other)
+                grid = np.where(take_min, low, other)
+            packed = grid.reshape(shape)
         out = [
             soa.take(row, np.asarray(wide[r], dtype=np.int64) if r in wide
                      else packed[r * m:r * m + n] & np.int64(m - 1))

@@ -15,13 +15,10 @@ from repro.sim.costmodel import (
     suboram_time,
     best_split,
 )
-from repro.sim.runtime import RuntimeResult, SnoopyRuntime
 
 __all__ = [
     "DEFAULT_PROFILE",
     "MachineProfile",
-    "RuntimeResult",
-    "SnoopyRuntime",
     "best_split",
     "load_balancer_time",
     "max_throughput",

@@ -35,12 +35,14 @@ SipHash pass, one stacked sort and one stacked compaction per tier —
 :meth:`TwoTierHashTable.build`), scans them in balancer order over the
 resident plaintext — batch ℓ + 1 reads batch ℓ's writes — extracts all
 L in one stacked compaction and reseals every slot once, under a fresh
-nonce.  ``run_epoch`` is the one way a deployment reaches a subORAM.  A
-failure anywhere drops the resident plaintext and seals nothing.  Only
-the whole-store path (numpy kernel, ``crypto="vector"``) keeps anything
-resident: the per-slot scalar store — the Figure 19 oracle, and the
-only store the python kernel runs (:func:`store_crypto`) — keeps its
-``get``/``put`` schedule per batch.
+nonce.  Co-resident subORAMs serve an epoch as one :func:`run_group`
+call, their tables rows of one network; ``run_epoch`` is its
+one-member case, and the two are the way a deployment reaches a
+subORAM.  A failure anywhere drops the resident plaintext and seals
+nothing.  Only the whole-store path (numpy kernel,
+``crypto="vector"``) keeps anything resident: the per-slot scalar store
+— the Figure 19 oracle, and the only store the python kernel runs
+(:func:`store_crypto`) — keeps its ``get``/``put`` schedule per batch.
 """
 
 from __future__ import annotations
@@ -181,13 +183,18 @@ class SubOram:
         filters them while matching responses.  Batch ℓ sees the writes
         of batches 0..ℓ-1 (Appendix C's order), and ``batches`` are left
         untouched.  A failure raises with the sealed partition byte for
-        byte its pre-epoch state.
+        byte its pre-epoch state.  This is the one-member case of
+        :func:`run_group`.
 
         Raises:
             NotInitializedError: ``initialize`` has not been called.
             DuplicateRequestError: two rows of one batch share a key
                 (Definition 2 precondition violated — load-balancer bug).
         """
+        return run_group([self], [batches])[0]
+
+    def _check_epoch(self, batches: Sequence[Batch]) -> None:
+        """Refuse an epoch before anything is opened (see :meth:`run_epoch`)."""
         if self._store is None:
             raise NotInitializedError("subORAM not initialized")
         for batch in batches:
@@ -196,74 +203,6 @@ class SubOram:
                     f"subORAM {self.suboram_id} received duplicate keys in "
                     "batch"
                 )
-        live = [batch for batch in batches if len(batch)]
-        # Only the whole-store passes run long enough without the GIL to
-        # be worth overlapping with another unit's.
-        store = self._store
-        bulk = store.supports_batch
-        nbytes = store.num_slots * store.slot_size if bulk else 0
-        # Re-attach the live telemetry handle: it may have been attached
-        # after initialize, and an unpickled store has the null handle.
-        store.telemetry = self.telemetry
-        with interpreter_turn(nbytes):
-            resident = store.get_batch() if bulk else None
-            replies = []
-            if live:
-                # ➊ The L oblivious hash tables of requests, each under a
-                # fresh batch key.
-                batch_keys = []
-                for _ in live:
-                    self._epoch += 1
-                    batch_keys.append(
-                        self._keychain.batch_key(self.suboram_id, self._epoch)
-                    )
-                # The numpy scans' routing of the store keys (public, in
-                # slot order) rides along in the build's SipHash pass.
-                lookups = None
-                if self.kernel.vectorized:
-                    lookups = self._keys if resident is None else resident[0]
-                with self.telemetry.time(
-                    "snoopy_suboram_phase_seconds", phase="table"
-                ):
-                    tables = TwoTierHashTable.build(
-                        [batch.key for batch in live],
-                        batch_keys,
-                        security_parameter=self.security_parameter,
-                        kernel=self.kernel,
-                        lookups=lookups,
-                    )
-                # ➋ Linear scans over every stored object, one table at a
-                # time in balancer order.  The scalar reference path
-                # interleaves get/compute/put per slot; the vectorized
-                # path runs the whole scan as masked array ops, each
-                # tier's compare a (Z, num_objects) block over every
-                # object and every slot of its bucket.  Both
-                # schedules are public functions of ``num_objects`` alone
-                # (see repro.security.simulator).  Either scan yields each
-                # row's response: the object's prior value, or none when
-                # the key is absent (a write payload must not echo back
-                # as a phantom read value).
-                scanned = []
-                for table, batch in zip(tables, live):
-                    with self.telemetry.time(
-                        "snoopy_suboram_phase_seconds", phase="scan"
-                    ):
-                        if self.kernel.vectorized:
-                            scanned.append(
-                                self._scan_vectorized(table, batch, resident)
-                            )
-                        else:
-                            scanned.append(self._scan_reference(table, batch))
-                # ➌ Mark real entries and compact out table fillers.
-                with self.telemetry.time(
-                    "snoopy_suboram_phase_seconds", phase="extract"
-                ):
-                    kept = TwoTierHashTable.extract_all(tables)
-                replies = [r.take(k) for r, k in zip(scanned, kept)]
-            if bulk:
-                store.put_batch(*resident)
-        answers = iter(replies)
-        return [next(answers) if len(batch) else batch for batch in batches]
 
     def _scan_reference(self, table: TwoTierHashTable, batch: Batch) -> Batch:
         """The audited scalar Figure 19 scan (python kernel), on records.
@@ -395,3 +334,102 @@ class SubOram:
         """Iterator over this partition's object keys, in scan order."""
         return iter(self._keys)
 
+
+
+def run_group(
+    members: Sequence[SubOram], chains: Sequence[Sequence[Batch]]
+) -> List[List[Batch]]:
+    """One epoch of co-resident subORAMs as one stage-➋ unit.
+
+    ``chains[i]`` is member ``i``'s batches in balancer order; returns
+    each member's :meth:`SubOram.run_epoch` replies, byte for byte.  The
+    members (one deployment's: one kernel, one λ) are served in one
+    call: every store opened once, every member's tables the rows of
+    *one* :meth:`TwoTierHashTable.build` under keys from its own
+    counter, each member scanned in balancer order, every table
+    extracted in one compaction, every store resealed once — all under
+    one :func:`~repro.exec.backend.interpreter_turn`, decided from the
+    group's summed sealed bytes.  A failure anywhere raises with every
+    sealed partition its pre-epoch state.
+    """
+    for member, batches in zip(members, chains):
+        member._check_epoch(batches)
+    lead = members[0]
+    stores = [member._store for member in members]
+    # Only the whole-store passes run long enough without the GIL to be
+    # worth overlapping with another unit's.
+    nbytes = sum(store.num_slots * store.slot_size
+                 for store in stores if store.supports_batch)
+    for member, store in zip(members, stores):
+        # Re-attach the live telemetry handle: it may have been attached
+        # after initialize, and an unpickled store has the null handle.
+        store.telemetry = member.telemetry
+    with interpreter_turn(nbytes):
+        residents = [store.get_batch() if store.supports_batch else None
+                     for store in stores]
+        # One table per non-empty batch, member by member.
+        rows = [
+            (member, batch, resident)
+            for member, batches, resident in zip(members, chains, residents)
+            for batch in batches if len(batch)
+        ]
+        replies = []
+        if rows:
+            # ➊ The oblivious hash tables of requests, each under a fresh
+            # batch key from its member's counter.  The numpy scans'
+            # routing of each member's store keys (public, in slot order)
+            # rides along in the build's SipHash pass, on its own rows.
+            batch_keys = []
+            for member, _, _ in rows:
+                member._epoch += 1
+                batch_keys.append(member._keychain.batch_key(
+                    member.suboram_id, member._epoch
+                ))
+            lookups = None
+            if lead.kernel.vectorized:
+                lookups = [member._keys if resident is None else resident[0]
+                           for member, _, resident in rows]
+            with lead.telemetry.time(
+                "snoopy_suboram_phase_seconds", phase="table"
+            ):
+                tables = TwoTierHashTable.build(
+                    [batch.key for _, batch, _ in rows],
+                    batch_keys,
+                    security_parameter=lead.security_parameter,
+                    kernel=lead.kernel,
+                    lookups=lookups,
+                )
+            # ➋ Linear scans over every stored object, one table at a
+            # time in balancer order.  The scalar reference path
+            # interleaves get/compute/put per slot; the vectorized path
+            # runs the whole scan as masked array ops, each tier's
+            # compare a (Z, num_objects) block over every object and
+            # every slot of its bucket.  Both schedules are public
+            # functions of ``num_objects`` alone (see
+            # repro.security.simulator).  Either scan yields each row's
+            # response: the object's prior value, or none when the key
+            # is absent (a write payload must not echo back as a phantom
+            # read value).
+            scanned = []
+            for table, (member, batch, resident) in zip(tables, rows):
+                with member.telemetry.time(
+                    "snoopy_suboram_phase_seconds", phase="scan"
+                ):
+                    if lead.kernel.vectorized:
+                        scanned.append(
+                            member._scan_vectorized(table, batch, resident)
+                        )
+                    else:
+                        scanned.append(member._scan_reference(table, batch))
+            # ➌ Mark real entries and compact out table fillers.
+            with lead.telemetry.time(
+                "snoopy_suboram_phase_seconds", phase="extract"
+            ):
+                kept = TwoTierHashTable.extract_all(tables)
+            replies = [r.take(k) for r, k in zip(scanned, kept)]
+        for store, resident in zip(stores, residents):
+            if resident is not None:
+                store.put_batch(*resident)
+    answers = iter(replies)
+    return [[next(answers) if len(batch) else batch for batch in batches]
+            for batches in chains]

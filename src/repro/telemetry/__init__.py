@@ -44,8 +44,12 @@ What gets instrumented when a ``Telemetry`` handle is threaded through
 * epoch stages — ``snoopy_epoch_seconds`` and
   ``snoopy_epoch_stage_seconds{stage=collect|build|execute|match|respond}``,
   plus load-balancer sub-stages
-  (``snoopy_lb_stage_seconds{stage=route|pad|sort|dedupe}``) and subORAM
-  phases (``snoopy_suboram_phase_seconds{phase=table|scan|extract}``);
+  (``snoopy_lb_stage_seconds{stage=route|pad|sort|dedupe}``), subORAM
+  phases (``snoopy_suboram_phase_seconds{phase=table|scan|extract}``;
+  ``table`` and ``extract`` once per stage-➋ group, ``scan`` once per
+  batch) and one ``snoopy_suboram_epoch_seconds{unit=i}`` per stage-➋
+  unit, ``i`` the lowest subORAM index it serves (a group's first
+  member; see :func:`repro.core.epoch.stage_groups`);
 * exec backends — ``exec_task_queue_seconds`` vs ``exec_task_run_seconds``
   per task on the thread pool;
 * oblivious kernels — per-level sort/compact timings through the

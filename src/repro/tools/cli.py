@@ -227,8 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="model-based selection only; skip the replay "
                            "measurement (fully deterministic output)")
     tune.add_argument("--repeats", type=int, default=2,
-                      help="replay repeats per measurement (best-of; "
-                           "default 2)")
+                      help="least replays per measurement; each "
+                           "replays until it has run 2 s in all "
+                           "(default 2)")
     tune.add_argument("--verify", action="store_true",
                       help="after tuning, re-replay the emitted config "
                            "and exit 1 unless the measured throughput "

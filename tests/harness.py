@@ -164,6 +164,28 @@ def spy_on_store_passes(monkeypatch) -> List[tuple]:
     return calls
 
 
+def spy_on_stage_units(monkeypatch) -> List[tuple]:
+    """Log ``(suboram_index, batch, batch bytes)`` for every batch a
+    stage-➋ unit is handed, member by member and attempt by attempt —
+    whether the unit then serves it or fails — while the patch is in
+    place."""
+    from repro.core import epoch
+
+    handed: List[tuple] = []
+    inner = epoch._execute_stage
+
+    def spy(task):
+        indices, _, chains, _, _ = task
+        for index, chain in zip(indices, chains):
+            handed.extend(
+                (index, batch, batch.to_bytes()) for _, batch in chain
+            )
+        return inner(task)
+
+    monkeypatch.setattr(epoch, "_execute_stage", spy)
+    return handed
+
+
 def access_traces(store) -> List[list]:
     """The per-subORAM slot-access logs of a tracing deployment."""
     return [list(s.store.access_log) for s in store.suborams]

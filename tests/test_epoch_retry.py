@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.client import Client
 from repro.core.config import SnoopyConfig
+from repro.core.epoch import stage_groups
 from repro.core.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.core.linearizability import History, check_snoopy_history
 from repro.core.resilience import EpochRetryController
@@ -162,20 +163,10 @@ class TestRetryLoop:
     def test_retry_reexecutes_the_very_same_batches(self, backend, monkeypatch):
         """No batch copy per attempt: execute never modifies its input, so
         the retry is handed the same Batch objects, still byte-equal."""
-        seen = []
-        inner = SubOram.run_epoch
-
-        def spy(self, batches):
-            before = [batch.to_bytes() for batch in batches]
-            replies = inner(self, batches)
-            for batch, prior in zip(batches, before):
-                seen.append(
-                    (self.suboram_id, id(batch), prior, batch.to_bytes())
-                )
-            return replies
-
-        monkeypatch.setattr(SubOram, "run_epoch", spy)
-        # SubORAM 1 crashes after subORAM 0 served the first attempt.
+        handed = harness.spy_on_stage_units(monkeypatch)
+        # SubORAM 1 crashes in the first attempt: in its own unit after
+        # subORAM 0's unit served it, or first thing in their shared
+        # group's unit.
         store = build_store(
             fault_plan=crash_plan(unit=1), epoch_max_attempts=2,
             execution_backend=backend,
@@ -186,11 +177,14 @@ class TestRetryLoop:
         ]
         store.run_epoch()
         assert store.fault_stats["epochs_retried"] == 1
-        unit0 = [call for call in seen if call[0] == 0]
+        unit0 = [
+            (id(batch), before, batch.to_bytes())
+            for index, batch, before in handed if index == 0
+        ]
         assert len(unit0) == 4  # L = 2 batches, two attempts
-        assert all(before == after for _, _, before, after in unit0)
-        assert [call[1:3] for call in unit0[:2]] == (
-            [call[1:3] for call in unit0[2:]]
+        assert all(before == after for _, before, after in unit0)
+        assert [call[:2] for call in unit0[:2]] == (
+            [call[:2] for call in unit0[2:]]
         )
         # The retry ran against pristine state: every write saw the
         # pre-epoch value, not the failed attempt's.
@@ -407,17 +401,80 @@ class TestOneStoreSessionPerEpoch:
         assert replies[True] == replies[False]
 
 
+class TestFaultsInsideAGroup:
+    """At S = 8 on ``thread:2``, co-resident subORAMs serve stage ➋ in
+    groups (two of four on two cores, one of eight on one); subORAM 5
+    is never first in its group."""
+
+    S, UNIT = 8, 5
+
+    def _store(self, **overrides):
+        store = build_store(
+            num_suborams=self.S, execution_backend="thread:2", **overrides
+        )
+        groups = stage_groups(self.S, store.backend.width)
+        group = next(g for g in groups if self.UNIT in g)
+        assert len(group) > 1 and group[0] != self.UNIT
+        return store
+
+    def _epochs(self, store):
+        tickets = []
+        for epoch in range(2):
+            for k in range(20):
+                request = (
+                    Request(OpType.WRITE, k, bytes([epoch + 1, k, 0, 0]))
+                    if (k + epoch) % 2 else Request(OpType.READ, k)
+                )
+                tickets.append(store.submit(request, load_balancer=k % 2))
+            store.run_epoch()
+        return [t.result().value for t in tickets]
+
+    @pytest.mark.parametrize("kind, error", [
+        ("worker_crash", WorkerCrashError),
+        ("task_timeout", TaskTimeoutError),
+    ])
+    def test_a_later_member_fails_with_its_own_unit(self, kind, error):
+        store = self._store(
+            fault_plan=crash_plan(unit=self.UNIT, kind=kind)
+        )
+        before = live_state(store)
+        store.submit(Request(OpType.WRITE, 5, b"zzzz"))
+        with pytest.raises(error) as excinfo:
+            store.run_epoch()
+        failure = excinfo.value.__cause__
+        assert isinstance(failure, EpochFailedError)
+        assert failure.unit == self.UNIT
+        assert excinfo.value.unit == self.UNIT
+        assert live_state(store) == before
+        store.close()
+
+    def test_retry_on_atomic_copies_equals_the_fault_free_run(self):
+        faulted = self._store(
+            fault_plan=crash_plan(unit=self.UNIT), epoch_max_attempts=2
+        )
+        clean = self._store()
+        assert self._epochs(faulted) == self._epochs(clean)
+        assert faulted.fault_stats["epochs_retried"] == 1
+        # Fresh nonces differ; the installed partitions' plaintexts agree.
+        assert [values for _, values in live_state(faulted)] == [
+            values for _, values in live_state(clean)
+        ]
+        faulted.close()
+        clean.close()
+
+
 def fault_after_the_first_scan(monkeypatch, suboram_id):
-    """Crash ``suboram_id``'s first ``run_epoch`` in its second table's
-    scan — after the first table's scan wrote the resident partition.
-    Returns the live ``{"epochs", "scans"}`` call counts of that unit."""
+    """Crash ``suboram_id``'s first epoch in its second table's scan —
+    after the first table's scan wrote the resident partition — whether
+    it runs as its own stage-➋ unit or inside a group's.  Returns the
+    live ``{"epochs", "scans"}`` call counts of that subORAM."""
     calls = {"epochs": 0, "scans": 0}
-    run_epoch, scan = SubOram.run_epoch, SubOram._scan_vectorized
+    check, scan = SubOram._check_epoch, SubOram._scan_vectorized
 
     def counting_epoch(self, batches):
         if self.suboram_id == suboram_id:
             calls["epochs"] += 1
-        return run_epoch(self, batches)
+        return check(self, batches)
 
     def faulty_scan(self, *args):
         if self.suboram_id == suboram_id:
@@ -428,6 +485,6 @@ def fault_after_the_first_scan(monkeypatch, suboram_id):
                 )
         return scan(self, *args)
 
-    monkeypatch.setattr(SubOram, "run_epoch", counting_epoch)
+    monkeypatch.setattr(SubOram, "_check_epoch", counting_epoch)
     monkeypatch.setattr(SubOram, "_scan_vectorized", faulty_scan)
     return calls

@@ -207,6 +207,57 @@ class TestColumnarTable:
         assert sorted(extracted(table, range(12))) == list(range(5))
 
 
+class TestStackedRows:
+    """Rows of one build that route their own ``lookups`` columns — the
+    tables of co-resident subORAMs, each with its own store keys."""
+
+    @KERNELS
+    def test_each_row_equals_its_single_build(self, kernel, rng):
+        rows = [rng.sample(range(10**6), n) for n in (40, 12, 40)]
+        lookups = [
+            np.asarray(rng.sample(range(10**6), n), dtype=np.int64)
+            for n in (25, 7, 0)
+        ]
+        prf_keys = [b"row-0", b"row-1", b"row-2"]
+        stacked = TwoTierHashTable.build(
+            rows, prf_keys, kernel=kernel, lookups=lookups
+        )
+        for table, keys, prf_key, column in zip(
+            stacked, rows, prf_keys, lookups
+        ):
+            single = TwoTierHashTable.build(
+                keys, prf_key, kernel=kernel, lookups=column
+            )
+            assert list(table.slot_items) == list(single.slot_items)
+            assert list(table.slot_real) == list(single.slot_real)
+            # Per tier: (bucket ids of this row's own lookups, count, size).
+            for got, want in zip(table.lookup_blocks, single.lookup_blocks):
+                assert got[1:] == want[1:]
+                assert got[0].tolist() == want[0].tolist()
+            assert len(table.lookup_blocks[0][0]) == len(column)
+
+    @KERNELS
+    @pytest.mark.parametrize("params, fits, over", [
+        (TwoTierParams.for_capacity(4), range(3), range(10)),
+        (_params(tier1_buckets=1, tier1_bucket_size=2, tier2_capacity=4,
+                 tier2_buckets=1, tier2_bucket_size=8), range(5), range(20)),
+        (_params(tier1_buckets=1, tier1_bucket_size=2, tier2_capacity=16,
+                 tier2_buckets=1, tier2_bucket_size=4), range(3), range(12)),
+    ])
+    def test_an_over_capacity_row_raises_its_single_builds_error(
+        self, kernel, params, fits, over
+    ):
+        with pytest.raises(CapacityError) as single:
+            TwoTierHashTable.build(list(over), b"k1", params=params,
+                                   kernel=kernel, lookups=[1, 2])
+        with pytest.raises(CapacityError) as stacked:
+            TwoTierHashTable.build(
+                [list(fits), list(over)], [b"k0", b"k1"], params=params,
+                kernel=kernel, lookups=[[1, 2, 3], [1, 2]],
+            )
+        assert str(stacked.value) == str(single.value)
+
+
 class TestRandomizedStress:
     def test_many_batches_never_overflow(self):
         """Tier-2 capacity bound holds over many random batches."""

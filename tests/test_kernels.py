@@ -179,8 +179,11 @@ class TestFixedWork:
         assert all(log == sort_logs[0] for log in sort_logs[1:])
         assert all(log == compact_logs[0] for log in compact_logs[1:])
         cells = (len(sizes) * 64,)
+        # One gather per level over every cell: the rows share one
+        # size-64 partner column along their row axis.
+        grid = (len(sizes), 64)
         gathers = [op[:2] for op in sort_logs[0] if op[0] == "take"]
-        assert gathers == [("take", (cells, cells, cells))] * 21
+        assert gathers == [("take", (grid, (64,), grid))] * 21
         selects = [op[:2] for op in compact_logs[0] if op[0] == "where"]
         assert selects == [("where", (cells, cells))] * 6
 

@@ -21,6 +21,7 @@ import pytest
 
 from repro.core.client import Client
 from repro.core.config import SnoopyConfig
+from repro.core import epoch
 from repro.core.linearizability import History, check_snoopy_history
 from repro.core.snoopy import Snoopy
 
@@ -80,6 +81,49 @@ class TestBackendEquivalence:
         for ticket in tickets:
             assert ticket.done
             assert ticket.result() in flat
+
+
+class TestGroupedEquivalence:
+    """At S = 8, co-resident subORAMs serve stage ➋ in groups: serial
+    runs one group of eight, ``thread:2`` two groups of four (on two
+    or more cores).  Grouping changes units, never bytes."""
+
+    S = 8
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        epochs = seeded_workload(3, 24, seed=17, num_keys=NUM_KEYS)
+        results = {}
+        for spec in ("serial", "thread:2"):
+            units, inner = [], epoch._execute_stage
+            with pytest.MonkeyPatch.context() as patch, build_store(
+                spec,
+                master=MASTER,
+                objects={k: bytes([k % 256]) * 8 for k in range(NUM_KEYS)},
+                suboram_factory=tracing_factory,
+                num_suborams=self.S,
+                rng_seed=42,
+            ) as store:
+                patch.setattr(epoch, "_execute_stage", lambda task: (
+                    units.append(task[0]), inner(task))[1])
+                responses, _ = run_workload(store, epochs)
+                results[spec] = (
+                    (store.backend.width, sorted(units)),
+                    responses,
+                    access_traces(store),
+                )
+        return results
+
+    def test_groups(self, runs):
+        eight, fours = [list(range(8))], [[0, 1, 2, 3], [4, 5, 6, 7]]
+        assert runs["serial"][0] == (1, eight * 3)
+        # thread:2's width is min(2, usable cores).
+        width, units = runs["thread:2"][0]
+        assert units == sorted((fours if width == 2 else eight) * 3)
+
+    def test_responses_and_traces_identical(self, runs):
+        assert runs["thread:2"][1:] == runs["serial"][1:]
+        assert all(len(trace) > 0 for trace in runs["serial"][2])
 
 
 class TestLinearizabilityUnderThreads:

@@ -9,6 +9,7 @@ from repro.core.config import SnoopyConfig
 from repro.core.snoopy import Snoopy
 from repro.errors import ConfigurationError, NotInitializedError
 from repro.types import OpType, Request
+from tests.harness import spy_on_stage_units
 
 
 class TestConfig:
@@ -153,7 +154,7 @@ class TestAgainstReferenceModel:
 
 
 class TestObliviousShape:
-    def test_suboram_load_independent_of_distribution(self, rng):
+    def test_suboram_load_independent_of_distribution(self, rng, monkeypatch):
         """Each subORAM receives exactly B entries whatever the workload."""
         config = SnoopyConfig(
             num_load_balancers=1, num_suborams=3, value_size=4,
@@ -163,24 +164,16 @@ class TestObliviousShape:
         for workload in ("uniform", "skewed"):
             store = Snoopy(config, rng=random.Random(2))
             store.initialize({k: bytes(4) for k in range(50)})
-            sizes = []
-
-            def spy(suboram, _inner):
-                def call(batches):
-                    sizes.append((suboram, [len(b) for b in batches]))
-                    return _inner(batches)
-
-                return call
-
-            for s in store.suborams:
-                s.run_epoch = spy(s.suboram_id, s.run_epoch)
+            handed = spy_on_stage_units(monkeypatch)
             keys = (
                 [rng.randrange(50) for _ in range(20)]
                 if workload == "uniform"
                 else [3] * 20
             )
             store.batch([Request(OpType.READ, k, seq=i) for i, k in enumerate(keys)])
-            # One epoch: one entry per subORAM.
+            monkeypatch.undo()
+            # One epoch, one balancer: one batch per subORAM.
+            sizes = [(index, len(batch)) for index, batch, _ in handed]
             assert sorted(s for s, _ in sizes) == [0, 1, 2]
             seen_sizes.append(sorted(sizes))
         assert seen_sizes[0] == seen_sizes[1]

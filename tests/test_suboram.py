@@ -24,7 +24,7 @@ from repro.oblivious.hashtable import TwoTierHashTable, TwoTierParams
 from repro.oblivious.soa import Batch
 from repro.sim.latency import LatencySubOram
 from repro.suboram.store import EncryptedStore
-from repro.suboram.suboram import SubOram
+from repro.suboram.suboram import SubOram, run_group
 from repro.types import BatchEntry, OpType
 from tests.harness import array_ops, spy_on_store_passes
 
@@ -476,6 +476,118 @@ class TestRunEpochFixedWork:
         assert all(len(log) > 0 for log in reference)
         for name, log in logs.items():
             assert log == reference, name
+
+    def _modules(self):
+        from repro.oblivious import hashtable, kernels
+        from repro.suboram import suboram as suboram_module
+
+        return suboram_module, hashtable, kernels
+
+    def _group(self, size=3):
+        """``size`` co-resident subORAMs of one deployment, N objects each."""
+        keychain = KeyChain(master=b"m" * 32)
+        members = []
+        for suboram_id in range(size):
+            so = SubOram(suboram_id, 4, keychain=keychain,
+                         security_parameter=16)
+            so.initialize({k: bytes([k, suboram_id, 0, 0])
+                           for k in range(self.N)})
+            members.append(so)
+        return members
+
+    def test_group_op_log_is_a_function_of_the_shape(self, monkeypatch):
+        """A three-member group at fixed (members, L, B, N): each run
+        hands the members a different rotation of the six mixes."""
+        mixes = self._chains()
+        chains = list(mixes.values())
+        logs = {}
+        for shift, name in enumerate(mixes):
+            members = self._group()
+            handed = [chains[(shift + m) % len(chains)] for m in range(3)]
+            logs[name] = [
+                array_ops(monkeypatch, module,
+                          lambda: run_group(members, handed))
+                for module in self._modules()
+            ]
+        reference = logs["mixed"]
+        assert all(len(log) > 0 for log in reference)
+        for name, log in logs.items():
+            assert log == reference, name
+
+    def test_one_member_group_is_run_epoch(self, monkeypatch):
+        chain = self._chains()["mixed"]
+        logs, replies = [], []
+        for serve in (
+            lambda so: so.run_epoch(chain),
+            lambda so: run_group([so], [chain])[0],
+        ):
+            so, _ = session_twins(num_objects=self.N)
+            logs.append([
+                array_ops(monkeypatch, module, lambda: serve(so))
+                for module in self._modules()
+            ])
+            replies.append([r.to_bytes() for r in serve(so)])
+        assert logs[0] == logs[1]
+        assert replies[0] == replies[1]
+
+    def test_group_equals_its_members_run_alone(self):
+        """Replies byte for byte over two epochs (the second reads the
+        first's writes), and the same partitions after them."""
+        chains = list(self._chains().values())
+        grouped, alone = self._group(), self._group()
+        for epoch in range(2):
+            handed = [chains[(epoch + m) % len(chains)] for m in range(3)]
+            together = run_group(grouped, handed)
+            for member, chain, replies in zip(alone, handed, together):
+                assert [r.to_bytes() for r in replies] == [
+                    r.to_bytes() for r in member.run_epoch(chain)
+                ]
+        for a, b in zip(grouped, alone):
+            assert [a.peek(k) for k in range(self.N)] == [
+                b.peek(k) for k in range(self.N)
+            ]
+
+    def test_grouping_is_a_function_of_s_and_p(self, monkeypatch):
+        from repro.core import epoch
+        from repro.core.snoopy import Snoopy
+        from repro.core.config import SnoopyConfig
+        from repro.types import Request
+
+        for S in range(1, 10):
+            for P in range(1, 6):
+                groups = epoch.stage_groups(S, P)
+                size = -(-S // min(S, P))
+                assert [i for g in groups for i in g] == list(range(S))
+                assert {len(g) for g in groups[:-1]} <= {size}
+                assert 0 < len(groups[-1]) <= size
+                assert len(groups) <= min(S, P)
+        assert epoch.stage_groups(8, 2) == [range(0, 4), range(4, 8)]
+        assert epoch.stage_groups(8, 1) == [range(0, 8)]
+        assert epoch.stage_groups(2, 2) == [range(0, 1), range(1, 2)]
+        # A deployment runs exactly those groups, whatever its epochs hold.
+        units, inner = [], epoch._execute_stage
+        monkeypatch.setattr(
+            epoch, "_execute_stage",
+            lambda task: (units.append(task[0]), inner(task))[1],
+        )
+        for spec in ("serial", "thread:2"):
+            config = SnoopyConfig(num_load_balancers=2, num_suborams=5,
+                                  value_size=4, security_parameter=16,
+                                  execution_backend=spec)
+            with Snoopy(config) as store:
+                store.initialize({k: bytes(4) for k in range(40)})
+                expected = [
+                    list(g) for g in epoch.stage_groups(5, store.backend.width)
+                ]
+                for requests in (
+                    [Request(OpType.READ, 3)] * 7,
+                    [Request(OpType.WRITE, k, b"wwww") for k in range(30)],
+                ):
+                    units.clear()
+                    for i, request in enumerate(requests):
+                        store.submit(request, load_balancer=i % 2)
+                    store.run_epoch()
+                    assert sorted(units) == expected
 
 
 # ---------------------------------------------------------------------------

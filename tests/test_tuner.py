@@ -19,6 +19,7 @@ import pytest
 
 from repro.core.config import SnoopyConfig
 from repro.sim.costmodel import epoch_feasible, epoch_stage_times
+from repro.workloads import tuner
 from repro.workloads import (
     DEFAULT_CANDIDATE,
     CandidateConfig,
@@ -67,6 +68,46 @@ def scan_bound_trace():
     so short epochs are infeasible and long ones are not."""
     spec = WorkloadSpec(distribution="uniform", num_keys=400_000)
     return record_trace(spec, 400, 3, rate=4000.0)
+
+
+@pytest.fixture(autouse=True)
+def short_measurements(monkeypatch):
+    """Measured tests replay ``repeats`` times, not for the CLI's minimum
+    wall time (``TestSustainedReplay`` pins that rule)."""
+    monkeypatch.setattr(tuner, "MIN_REPLAY_SECONDS", 0.0)
+
+
+class TestSustainedReplay:
+    def _fake(self, monkeypatch, digests):
+        calls = []
+
+        def replay(trace, candidate, **kwargs):
+            calls.append(kwargs)
+            return tuner.ReplayResult(
+                requests=30, epochs=2, elapsed_s=0.25, rps=120.0,
+                response_digest=digests[(len(calls) - 1) % len(digests)],
+            )
+
+        monkeypatch.setattr(tuner, "replay_trace", replay)
+        return calls
+
+    def test_replays_for_the_minimum_wall_time_after_one_warm_up(
+        self, monkeypatch
+    ):
+        calls = self._fake(monkeypatch, ["d"])
+        monkeypatch.setattr(tuner, "MIN_REPLAY_SECONDS", 1.0)
+        run = tuner._sustained_replay(None, DEFAULT_CANDIDATE, 2, seed=1)
+        # One untimed replay, then four timed ones of 0.25 s (>= 1 s).
+        assert len(calls) == 5 and calls[0] == {"seed": 1}
+        assert run.rps == 4 * 30 / 1.0 and run.elapsed_s == 0.25
+        calls.clear()
+        tuner._sustained_replay(None, DEFAULT_CANDIDATE, 6)
+        assert len(calls) == 7  # repeats, when they run longer
+
+    def test_any_replay_serving_other_bytes_raises(self, monkeypatch):
+        self._fake(monkeypatch, ["d", "d", "e"])
+        with pytest.raises(AssertionError, match="nondeterminism"):
+            tuner._sustained_replay(None, DEFAULT_CANDIDATE, 3)
 
 
 class TestTunerDeterminism:
