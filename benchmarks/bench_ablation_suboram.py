@@ -58,7 +58,7 @@ def test_ablation_scan_vs_polylog(benchmark):
 
 
 def test_ablation_two_tier_buckets(benchmark):
-    params = benchmark(TwoTierParams.for_capacity, 4096)
+    params = benchmark(TwoTierParams.for_capacity, 4096, 128, PARTITION)
 
     single_tier_bucket = batch_size(4096, 4096 // 4, 128)
     lines = [

@@ -7,9 +7,10 @@ cell (``None`` on an axis the row does not touch):
   through the kernel API at ``m`` in {512, 1024, 2048} (the padded sizes
   the served benchmark's ``batch_rw`` shape induces: tier-1 build sort,
   tier-2 build sort, load-balancer sort), and one two-tier table build at
-  capacity 121 and the paper's lambda = 128 (1,245 slots).  This isolates
-  the data plane the kernels replace; the acceptance bar is >= 3x on the
-  largest sort.
+  capacity 121 and the paper's lambda = 128 (370 slots: a one-bucket
+  tier 2 of the proven spill capacity; ``BENCH_kernels.json`` was
+  written when the table had 1,245).  This isolates the data plane the
+  kernels replace; the acceptance bar is >= 3x on the largest sort.
 * **end-to-end epochs** — full deployments (no latency wrapper) at the
   three named cells of :data:`EPOCH_CELLS`: the all-reference cell, the
   numpy kernel on the same scalar crypto, and the numpy kernel on vector

@@ -12,13 +12,16 @@ subORAM receives more requests than its batch can hold is at most
 ``2^-lambda`` (Chernoff bound + union bound over subORAMs).
 
 The same bound sizes the oblivious hash-table buckets in the subORAM (§5),
-"exactly the problem that we solved in the load balancer".
+"exactly the problem that we solved in the load balancer"; its spill, by
+:func:`spill_capacity`.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+
+import numpy as np
 
 from repro.utils.validation import require, require_positive
 
@@ -163,3 +166,50 @@ def security_bits(num_requests: int, num_bins: int, capacity: int) -> float:
     if log_p == float("-inf"):
         return float("inf")
     return -log_p / math.log(2.0)
+
+
+def log_spill_mgf(num_items: int, num_bins: int, bin_size: int, t):
+    """Upper bound on a bin's spill MGF, in log space, per ``t`` given.
+
+    ``b * ln E[exp(t * max(0, X - bin_size))]``, ``X ~ Bin(num_items, 1/b)``,
+    ``b = num_bins >= 2``: the pmf to a cut far past the mean (cheap at
+    10^6 items), then a geometric series (``inf`` where its ratio >= 1).
+    """
+    p = 1.0 / num_bins
+    cut = min(num_items, bin_size + 8 * math.ceil(num_items * p) + 512)
+    k = np.arange(cut + 1)
+    # ln pmf(k) = n ln(1 - p) + the sum over i < k of ln pmf(i+1)/pmf(i).
+    steps = np.log((num_items - k[:-1]) / (k[:-1] + 1) * (p / (1 - p)))
+    log_pmf = num_items * math.log1p(-p) + np.append(0.0, np.cumsum(steps))
+    terms = log_pmf + np.multiply.outer(t, np.maximum(k - bin_size, 0))
+    if cut < num_items:
+        ratio = np.minimum(math.log((num_items - cut) / (cut + 1) * p
+                                    / (1 - p)) + t, -1e-300)
+        tail = np.where(ratio < -1e-300, terms[..., -1] + ratio
+                        - np.log(-np.expm1(ratio)), np.inf)
+        terms = np.concatenate([terms, tail[..., None]], axis=-1)
+    return num_bins * np.logaddexp.reduce(terms, axis=-1)
+
+
+@functools.lru_cache(maxsize=4096)
+def spill_capacity(num_items: int, num_bins: int, bin_size: int,
+                   security_parameter: int = DEFAULT_SECURITY_PARAMETER) -> int:
+    """The bins' total spill is at most this except w.p. <= 2^-lambda.
+
+    The smallest ``C`` with ``Pr[sum_i max(0, X_i - bin_size) >= C] <=
+    2^-lambda`` by the MGF bound, or ``num_items - bin_size`` if less.
+    Overflows are negatively associated (Dubhashi and Ranjan, 1998), so
+    by Markov ``C = min_t (log_spill_mgf(t) + lambda ln 2) / t`` over
+    ``t > 0``, a quasi-convex ratio found on a log grid zoomed in twice.
+    """
+    most = max(0, num_items - bin_size)
+    if most == 0 or num_bins == 1:
+        return most
+    low, high = -12.0, 4.0  # ln t
+    for _ in range(3):
+        t = np.exp(np.linspace(low, high, 65))
+        bound = (log_spill_mgf(num_items, num_bins, bin_size, t)
+                 + security_parameter * math.log(2.0)) / t
+        best = int(np.argmin(bound))
+        low, high = np.log(t[[max(best - 1, 0), min(best + 1, 64)]])
+    return min(most, math.ceil(bound[best]))

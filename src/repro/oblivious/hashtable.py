@@ -12,14 +12,13 @@ object up in the table.  Obliviousness requires:
 
 Sizing.  Tier-1 buckets are deliberately small (cheap lookups); requests
 that overflow a tier-1 bucket spill into a second, independently hashed
-table whose capacity ``C2`` and bucket size are *public functions of the
-batch capacity alone* (Theorem 3 applied to the spill).  Construction
-conceals how many requests actually spilled by always routing exactly
-``C2`` entries (real spills topped up with fillers) into tier 2.
+tier, one stash-like bucket or Theorem-3 buckets, which always receives
+exactly ``C2`` entries (real spills topped up with fillers, so the spill
+is hidden); tier 1 spills more w.p. <= 2^-lambda (``spill_capacity``).
 
-All table dimensions derive from ``(capacity, security_parameter, knobs)``
-— never from request contents — which is the checkable security property
-(see ``tests/test_obliviousness.py``).
+All dimensions derive from ``(capacity, num_objects, lambda)`` — never
+from request contents — which is the checkable security property (see
+``tests/test_obliviousness.py``).
 """
 
 from __future__ import annotations
@@ -30,12 +29,32 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.analysis.balls_bins import batch_size
+from repro.analysis.balls_bins import batch_size, spill_capacity
 from repro.crypto.prf import Prf
 from repro.errors import CapacityError
 from repro.oblivious import soa
 from repro.oblivious.kernels import resolve_kernel
 from repro.oblivious.primitives import o_select
+from repro.utils.bits import next_pow2
+
+#: Tier-1 buckets: an expected load of 4 items and 6 slots of slack.
+TIER1_LOAD, TIER1_SLACK = 4, 6
+#: The layout rule's weights, in ns: per cell per level of the build's
+#: and extract's networks, and per slot an object probes.  Both from
+#: ``PYTHONPATH=src python -m pytest benchmarks/bench_table_layout.py -q
+#: -s`` (numpy kernel, 2-core x86-64 container, Python 3.11).
+NETWORK_CELL_NS, SCAN_SLOT_NS = 4.0, 1.8
+
+
+def _table_cost_ns(capacity, b1, z1, c2, b2, z2, num_objects) -> float:
+    """Cells x levels of the build's and extract's networks plus probes."""
+    def network(n, sort):  # ``sort`` bitonic sorts, 1 + sort compactions
+        depth = next_pow2(n).bit_length() - 1
+        return (sort * depth * (depth + 1) // 2 + (1 + sort) * depth) << depth
+
+    cells = (network(capacity + b1 * z1, 1) + network(c2 + b2 * z2, 1)
+             + network(b1 * z1 + b2 * z2, 0))
+    return NETWORK_CELL_NS * cells + SCAN_SLOT_NS * num_objects * (z1 + z2)
 
 
 @dataclass(frozen=True)
@@ -49,7 +68,7 @@ class TwoTierParams:
         tier2_capacity: fixed number of entries routed to tier 2 (C2).
         tier2_buckets: number of tier-2 buckets.
         tier2_bucket_size: slots per tier-2 bucket (Z2).
-        security_parameter: lambda used for the tier-2 Chernoff sizing.
+        security_parameter: lambda of the spill and tier-2 sizing.
     """
 
     capacity: int
@@ -65,27 +84,25 @@ class TwoTierParams:
         cls,
         capacity: int,
         security_parameter: int = 128,
-        tier1_load: float = 4.0,
-        tier1_slack: int = 6,
+        num_objects: int = 0,
     ) -> "TwoTierParams":
-        """Derive all dimensions from the public batch capacity.
+        """Derive all dimensions from public shape (capacity, N, lambda).
 
-        Tier-1 buckets hold ``ceil(tier1_load) + tier1_slack`` slots around
-        an expected load of ``tier1_load``; the spill bound ``C2`` is a
-        conservative public function of capacity (validated empirically by
-        property tests to leave orders-of-magnitude margin); tier-2 buckets
-        are sized by Theorem 3 so tier-2 overflow is cryptographically
-        negligible.
+        Tier 1 spills more than ``C2 = spill_capacity(...)`` entries w.p.
+        <= 2^-lambda; tier 2 is the cheaper (:func:`_table_cost_ns`) of
+        one ``C2``-slot bucket, which cannot overflow, and ``ceil(C2/4)``
+        Theorem-3 buckets, whose narrower probe pays when the scan over
+        ``N = num_objects`` objects is long.
         """
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        b1 = max(1, math.ceil(capacity / tier1_load))
-        z1 = int(math.ceil(tier1_load)) + tier1_slack
-        c2 = max(8, capacity // 8 + 4 * math.isqrt(capacity) + 8)
-        c2 = min(c2, capacity) if capacity >= 8 else capacity
-        c2 = max(c2, 1)
-        b2 = max(1, math.ceil(c2 / tier1_load))
-        z2 = batch_size(c2, b2, security_parameter)
+        b1 = max(1, math.ceil(capacity / TIER1_LOAD))
+        z1 = TIER1_LOAD + TIER1_SLACK
+        c2 = max(1, spill_capacity(capacity, b1, z1, security_parameter))
+        b2 = math.ceil(c2 / TIER1_LOAD)
+        b2, z2 = min(((1, c2), (b2, batch_size(c2, b2, security_parameter))),
+                     key=lambda tier2: _table_cost_ns(capacity, b1, z1, c2,
+                                                      *tier2, num_objects))
         return cls(
             capacity=capacity,
             tier1_buckets=b1,
@@ -166,6 +183,7 @@ class TwoTierHashTable:
         mem_factory=None,
         kernel=None,
         lookups=None,
+        num_objects=0,
     ):
         """Obliviously construct the table over ``keys``.
 
@@ -192,6 +210,7 @@ class TwoTierHashTable:
                 With L keys, a list of L columns, one per row: rows may
                 route different, unequal-length columns (the store keys
                 of the subORAM each row belongs to).
+            num_objects: objects scanned, for derived params (or per row).
 
         L tables are the rows of one network: one SipHash pass with a key
         per row, and under the numpy kernel one stacked sort and one
@@ -203,13 +222,14 @@ class TwoTierHashTable:
             return cls.build(
                 [keys], [prf_key], params, security_parameter,
                 None if real is None else [real], mem_factory, kernel,
-                None if lookups is None else [lookups],
+                None if lookups is None else [lookups], [num_objects],
             )[0]
         kern = resolve_kernel(kernel, mem_factory)
         sizes = [len(row) for row in keys]
         dims = [
-            params or TwoTierParams.for_capacity(max(1, n), security_parameter)
-            for n in sizes
+            params or TwoTierParams.for_capacity(max(1, n), security_parameter,
+                                                 int(objects))
+            for n, objects in zip(sizes, np.broadcast_to(num_objects, len(keys)))
         ]
         # Entries are named by *source*: item i is i, and the j-th of the
         # tier2_capacity spill fillers is n + j (real bit 0, an id from a
@@ -384,7 +404,7 @@ class TwoTierHashTable:
         )
 
 
-_SPILL_BOUND = "tier-1 spill {} exceeds public bound {}"
+_SPILL_BOUND = "tier-1 spill {} > bound {}: probability <= 2^-lambda (spill_capacity)"
 
 
 def _tier_records(kern, mem_factory, buckets, sources, num_buckets,

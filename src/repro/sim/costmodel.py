@@ -20,7 +20,6 @@ import math
 from typing import Optional, Tuple
 
 from repro.analysis.balls_bins import batch_size
-from repro.oblivious.hashtable import TwoTierParams
 from repro.sim.machines import (
     DEFAULT_PROFILE,
     ENTRY_OVERHEAD_BYTES,
@@ -106,6 +105,17 @@ def load_balancer_time(
     return batch_phase + match_phase + overhead + network
 
 
+def paper_table_slots(batch: int, security_parameter: int = 128) -> int:
+    """Total slots of the paper's two-tier table, which the §6 model fits.
+
+    Not the deployed table: tier-1 buckets of 10 slots at load 4 and ``C2
+    = B//8 + 4 sqrt(B) + 8`` spills in Theorem-3 buckets."""
+    spill = min(max(8, batch // 8 + 4 * math.isqrt(batch) + 8), batch)
+    tier2_buckets = math.ceil(spill / 4)
+    return (math.ceil(batch / 4) * 10
+            + tier2_buckets * batch_size(spill, tier2_buckets, security_parameter))
+
+
 def suboram_time(
     batch: int,
     num_objects: int,
@@ -124,8 +134,7 @@ def suboram_time(
     if threads is None:
         threads = max(1, profile.cores - 1)
 
-    params = TwoTierParams.for_capacity(batch, security_parameter)
-    construct_entries = batch + params.total_slots
+    construct_entries = batch + paper_table_slots(batch, security_parameter)
     construct = (
         adaptive_sort_time(construct_entries, threads, profile)
         + compact_time(construct_entries, profile)

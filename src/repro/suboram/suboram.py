@@ -55,7 +55,7 @@ from repro.crypto.keys import KeyChain
 from repro.errors import DuplicateRequestError, NotInitializedError
 from repro.exec.backend import interpreter_turn
 from repro.oblivious import soa
-from repro.oblivious.hashtable import TwoTierHashTable, TwoTierParams
+from repro.oblivious.hashtable import TwoTierHashTable
 from repro.oblivious.kernels import ScanTable, resolve_kernel
 from repro.oblivious.primitives import and_bit, eq_bit, o_select
 from repro.oblivious.soa import Batch
@@ -398,6 +398,7 @@ def run_group(
                     security_parameter=lead.security_parameter,
                     kernel=lead.kernel,
                     lookups=lookups,
+                    num_objects=[member.num_objects for member, _, _ in rows],
                 )
             # ➋ Linear scans over every stored object, one table at a
             # time in balancer order.  The scalar reference path

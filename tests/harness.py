@@ -53,15 +53,19 @@ same-shape different-content workloads) is asserted separately in
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy
 
+from repro.analysis.balls_bins import batch_size
 from repro.core.config import SnoopyConfig
 from repro.core.snoopy import Snoopy
 from repro.crypto.keys import KeyChain
+from repro.oblivious.hashtable import TwoTierParams
 from repro.serve.secure import ServeTrust
 from repro.serve.workers import WorkerCluster
 from repro.suboram.store import EncryptedStore
@@ -585,3 +589,16 @@ def array_ops(monkeypatch, module, call) -> List[tuple]:
     call()
     monkeypatch.undo()
     return shim.log
+
+
+def table_layouts(capacity: int, security_parameter: int = 128):
+    """Both tier-2 layouts of the table at ``capacity``: one bucket of
+    ``C2`` slots, then ``ceil(C2/4)`` Theorem-3 buckets.  The rule picks
+    buckets only for long scans, so small tables test them forced here."""
+    one = TwoTierParams.for_capacity(capacity, security_parameter)
+    b2 = math.ceil(one.tier2_capacity / 4)
+    return one, dataclasses.replace(
+        one, tier2_buckets=b2,
+        tier2_bucket_size=batch_size(one.tier2_capacity, b2,
+                                     security_parameter),
+    )

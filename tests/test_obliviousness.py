@@ -19,6 +19,7 @@ from repro.oblivious.memory import AccessTrace, TracedMemory
 from repro.oblivious.soa import Batch
 from repro.oblivious.sort import bitonic_sort
 from repro.types import OpType, Request
+from tests.harness import table_layouts
 
 KEY = b"sharding-key-0123456789abcdef..."
 
@@ -140,27 +141,30 @@ class TestLoadBalancerTraces:
 
 class TestHashTableLayout:
     def test_slot_layout_public(self, rng):
-        """Table dimensions and slot count depend only on capacity."""
+        """Table dimensions and slot count depend only on capacity, at
+        both tier-2 layouts."""
         from repro.oblivious.hashtable import TwoTierHashTable
 
-        def build(keys):
-            return TwoTierHashTable.build(keys, b"batch-key")
+        for params in (None, table_layouts(50)[1]):
+            def build(keys):
+                return TwoTierHashTable.build(keys, b"batch-key", params)
 
-        t1 = build(rng.sample(range(10**9), 50))
-        t2 = build(rng.sample(range(10**9), 50))
-        assert t1.params == t2.params
-        assert len(t1.slot_items) == len(t2.slot_items)
+            t1 = build(rng.sample(range(10**9), 50))
+            t2 = build(rng.sample(range(10**9), 50))
+            assert t1.params == t2.params
+            assert len(t1.slot_items) == len(t2.slot_items)
 
     def test_lookup_touches_fixed_slot_count(self, rng):
         from repro.oblivious.hashtable import TwoTierHashTable
 
         keys = rng.sample(range(10**9), 40)
-        table = TwoTierHashTable.build(keys, b"batch-key")
-        counts = {
-            len(table.bucket_slot_indices(k))
-            for k in list(keys) + [123456789, 42]
-        }
-        assert counts == {table.params.lookup_scan_slots}
+        for params in table_layouts(40):
+            table = TwoTierHashTable.build(keys, b"batch-key", params)
+            counts = {
+                len(table.bucket_slot_indices(k))
+                for k in list(keys) + [123456789, 42]
+            }
+            assert counts == {table.params.lookup_scan_slots}
 
 
 class TestSubOramScanOrder:
@@ -210,17 +214,22 @@ class TestSubOramScanOrder:
 class TestHashTableConstructionTrace:
     def test_construction_trace_data_independent(self, rng):
         """The full oblivious construction (both tiers) leaves the same
-        trace for any set of 60 distinct keys."""
+        trace for any set of 60 distinct keys, with tier 2 in one bucket
+        (the derived layout) or in Theorem-3 buckets."""
         from repro.oblivious.hashtable import TwoTierHashTable
 
-        traces = []
-        for _ in range(2):
-            collector = TraceCollector()
-            TwoTierHashTable.build(
-                rng.sample(range(10**9), 60),
-                b"batch-key",
-                mem_factory=collector,
-            )
-            traces.append(collector.trace)
-        assert traces[0] == traces[1]
-        assert len(traces[0]) > 0
+        one_bucket, buckets = table_layouts(60)
+        assert one_bucket.tier2_buckets == 1 < buckets.tier2_buckets
+        for params in (None, buckets):
+            traces = []
+            for _ in range(2):
+                collector = TraceCollector()
+                TwoTierHashTable.build(
+                    rng.sample(range(10**9), 60),
+                    b"batch-key",
+                    params,
+                    mem_factory=collector,
+                )
+                traces.append(collector.trace)
+            assert traces[0] == traces[1]
+            assert len(traces[0]) > 0

@@ -193,13 +193,15 @@ FOUR_CELLS = pytest.mark.parametrize("kernel,crypto", [
 ])
 
 
-def session_twins(kernel="numpy", crypto="vector", num_objects=30):
+def session_twins(kernel="numpy", crypto="vector", num_objects=30,
+                  security_parameter=16):
     """Two identically keyed subORAMs (same batch keys, same row order)."""
     twins = []
     for _ in range(2):
         so = SubOram(0, 4, keychain=KeyChain(master=b"m" * 32),
-                     security_parameter=16, kernel=kernel, crypto=crypto)
-        so.initialize({k: bytes([k]) * 4 for k in range(num_objects)})
+                     security_parameter=security_parameter, kernel=kernel,
+                     crypto=crypto)
+        so.initialize({k: bytes([k % 256]) * 4 for k in range(num_objects)})
         twins.append(so)
     return twins
 
@@ -430,8 +432,8 @@ class TestRunEpochFixedWork:
 
     L, B, N = 3, 12, 40
 
-    def _chains(self):
-        L, B = self.L, self.B
+    def _chains(self, shape=(L, B, N)):
+        L, B, N = shape
 
         def chain(entry):
             return [
@@ -441,7 +443,7 @@ class TestRunEpochFixedWork:
 
         # Keys of batch b, row i: distinct within a batch.
         def hit(b, i):
-            return (b * B + i) % self.N
+            return (b * B + i) % N
 
         rng = random.Random(3)
         return {
@@ -457,17 +459,32 @@ class TestRunEpochFixedWork:
                 else read_entry(hit(b, i) + 900 * (i % 2))
             )),
             "wide key range": chain(lambda b, i: read_entry(
-                (-1) ** i * (hit(b, i) << 55) + i
+                (-1) ** i * (hit(b, i) % 256 << 55) + i
             )),
         }
 
     def test_op_log_is_a_function_of_the_shape(self, monkeypatch):
+        """At a shape whose table has a one-bucket tier 2."""
+        self._op_logs_agree(monkeypatch, (self.L, self.B, self.N), 16, 1)
+
+    def test_op_log_is_a_function_of_the_shape_with_buckets(
+        self, monkeypatch
+    ):
+        """At a shape with N large enough that the layout rule keeps
+        Theorem-3 buckets in tier 2."""
+        self._op_logs_agree(monkeypatch, (2, 256, 16_384), 128, 17)
+
+    def _op_logs_agree(self, monkeypatch, shape, lam, tier2_buckets):
         from repro.oblivious import hashtable, kernels
         from repro.suboram import suboram as suboram_module
 
+        _, B, N = shape
+        assert TwoTierParams.for_capacity(B, lam, N).tier2_buckets == (
+            tier2_buckets
+        )
         logs = {}
-        for name, chain in self._chains().items():
-            so, _ = session_twins(num_objects=self.N)
+        for name, chain in self._chains(shape).items():
+            so, _ = session_twins(num_objects=N, security_parameter=lam)
             logs[name] = [
                 array_ops(monkeypatch, module, lambda: so.run_epoch(chain))
                 for module in (suboram_module, hashtable, kernels)
